@@ -904,8 +904,7 @@ func foldChain(elems []checkpointState) checkpointState {
 // Checkpoint file layout: magic, version, payload, CRC32 of the payload.
 // Version 2 added the chain fields (generation, parent generation, delta
 // flag, tombstones) and made the analysis section conditional on its flag;
-// v1 files from older builds are still read (as a full snapshot heading a
-// chain of zero deltas), but every new element is written as v2.
+// it is the only version read or written.
 const (
 	ckptMagic   = 0x5650434B // "VPCK"
 	ckptVersion = 2
@@ -983,8 +982,7 @@ func decodeCheckpoint(b []byte) (checkpointState, error) {
 	if binary.LittleEndian.Uint32(b) != ckptMagic {
 		return bad("bad magic")
 	}
-	ver := binary.LittleEndian.Uint32(b[4:])
-	if ver != 1 && ver != ckptVersion {
+	if ver := binary.LittleEndian.Uint32(b[4:]); ver != ckptVersion {
 		return bad(fmt.Sprintf("unsupported version %d", ver))
 	}
 	payload := b[8 : len(b)-4]
@@ -1000,31 +998,19 @@ func decodeCheckpoint(b []byte) (checkpointState, error) {
 		r = r[8:]
 		return v, true
 	}
-	if ver >= 2 {
-		gen, ok1 := u64()
-		parentGen, ok2 := u64()
-		if !ok1 || !ok2 {
-			return bad("truncated")
-		}
-		ck.gen, ck.parentGen = gen, parentGen
-	} else {
-		// A v1 file is a full snapshot from before chains existed; give it
-		// generation 1 so deltas written after recovery chain onto it.
-		ck.gen = 1
-	}
-	lsn, ok := u64()
-	if !ok || len(r) < 1 {
+	gen, ok1 := u64()
+	parentGen, ok2 := u64()
+	lsn, ok3 := u64()
+	if !ok1 || !ok2 || !ok3 || len(r) < 1 {
 		return bad("truncated")
 	}
-	ck.lsn = lsn
+	ck.gen, ck.parentGen, ck.lsn = gen, parentGen, lsn
 	flags := r[0]
 	r = r[1:]
 	ck.partitioned = flags&ckptFlagAnalysis != 0
 	ck.hasEngine = flags&ckptFlagEngine != 0
-	ck.delta = ver >= 2 && flags&ckptFlagDelta != 0
-	if ck.partitioned || ver == 1 {
-		// v1 wrote the analysis section unconditionally; v2 only when the
-		// analysis flag is set.
+	ck.delta = flags&ckptFlagDelta != 0
+	if ck.partitioned {
 		anLen, ok := u64()
 		if !ok || uint64(len(r)) < anLen {
 			return bad("truncated analysis")

@@ -1,8 +1,12 @@
 package vpindex_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -217,6 +221,38 @@ func TestCheckpointRequiresDurableStore(t *testing.T) {
 	}
 	if _, ok := store.DurabilityStats(); ok {
 		t.Fatal("mem store claims durability stats")
+	}
+}
+
+// TestV1CheckpointRejected pins the single on-disk format: a checkpoint
+// file stamped with the retired version 1 must fail Open with the
+// unsupported-version error, not panic and not be misread as a snapshot.
+func TestV1CheckpointRejected(t *testing.T) {
+	dir := t.TempDir()
+	store, err := vpindex.Open(durableOpts(vpindex.WithDataDir(dir))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Report(vpindex.Object{ID: 1, Pos: vpindex.V(100, 100), Vel: vpindex.V(5, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "checkpoint.ckpt")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[4:], 1) // the version word follows the magic
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vpindex.Open(durableOpts(vpindex.WithDataDir(dir))...); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("open over a v1 checkpoint: err = %v, want unsupported version 1", err)
 	}
 }
 

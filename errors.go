@@ -7,9 +7,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Sentinel errors returned by the Store and by the deprecated Index/VPIndex
-// wrappers. They are re-exported from the shared internal data model, so a
-// value that bubbled up from any layer of the system matches here.
+// Sentinel errors returned by the Store. They are re-exported from the
+// shared internal data model, so a value that bubbled up from any layer of
+// the system matches here.
 //
 // All call sites wrap these with context (object IDs, partition names), so
 // test with errors.Is, never with equality:

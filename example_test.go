@@ -57,10 +57,10 @@ func ExampleOpen() {
 	// hits: [7]
 }
 
-// Example demonstrates the deprecated constructor workflow: analyze a
-// velocity sample, build the partitioned index, insert linear movers, and
-// ask a predictive range query. New code should use Open (see ExampleOpen).
-func Example() {
+// ExampleOpen_velocitySample partitions from an upfront velocity sample
+// instead of bootstrapping online: the analysis runs during Open and the
+// Store is partitioned from the first Report.
+func ExampleOpen_velocitySample() {
 	// Velocities concentrated on two perpendicular road directions.
 	rng := rand.New(rand.NewSource(1))
 	sample := make([]vpindex.Vec2, 1000)
@@ -73,18 +73,19 @@ func Example() {
 		}
 	}
 
-	idx, err := vpindex.NewVP(sample, vpindex.VPOptions{
-		Options: vpindex.Options{Kind: vpindex.TPRStar},
-		K:       2,
-		Seed:    42,
-	})
+	idx, err := vpindex.Open(
+		vpindex.WithKind(vpindex.TPRStar),
+		vpindex.WithVelocityPartitioning(2),
+		vpindex.WithVelocitySample(sample),
+		vpindex.WithSeed(42),
+	)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("partitions:", idx.NumPartitions()) // 2 DVAs + outlier
+	fmt.Println("partitions:", len(idx.Partitions())) // 2 DVAs + outlier
 
 	// An eastbound car reported at t=0.
-	_ = idx.Insert(vpindex.Object{ID: 7, Pos: vpindex.V(1000, 500), Vel: vpindex.V(50, 0), T: 0})
+	_ = idx.Report(vpindex.Object{ID: 7, Pos: vpindex.V(1000, 500), Vel: vpindex.V(50, 0), T: 0})
 
 	// Who is within 100 m of (3500, 500) at time 50? (The car will be at
 	// x = 1000 + 50*50 = 3500.)
@@ -101,13 +102,14 @@ func Example() {
 	// nearest: 7
 }
 
-// ExampleNew shows the unpartitioned baselines.
-func ExampleNew() {
-	idx, err := vpindex.New(vpindex.Options{Kind: vpindex.Bx})
+// ExampleOpen_unpartitioned shows the flat baseline: without a velocity
+// partitioning option the Store is a single Bx-tree or TPR*-tree per shard.
+func ExampleOpen_unpartitioned() {
+	idx, err := vpindex.Open(vpindex.WithKind(vpindex.Bx))
 	if err != nil {
 		panic(err)
 	}
-	_ = idx.Insert(vpindex.Object{ID: 1, Pos: vpindex.V(100, 100), Vel: vpindex.V(0, 10), T: 0})
+	_ = idx.Report(vpindex.Object{ID: 1, Pos: vpindex.V(100, 100), Vel: vpindex.V(0, 10), T: 0})
 	ids, _ := idx.Search(vpindex.RectSliceQuery(vpindex.R(50, 1000, 150, 1200), 0, 100))
 	fmt.Println(ids)
 	// Output: [1]

@@ -17,9 +17,13 @@ import (
 	"strings"
 	"time"
 
-	vpindex "repro"
+	"repro/internal/analysis/cluster"
+	"repro/internal/bxtree"
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/storage"
+	"repro/internal/tprtree"
 	"repro/internal/workload"
 )
 
@@ -38,14 +42,6 @@ func AllSetups() []Setup { return []Setup{SetupBx, SetupBxVP, SetupTPR, SetupTPR
 
 // IsVP reports whether the setup uses velocity partitioning.
 func (s Setup) IsVP() bool { return s == SetupBxVP || s == SetupTPRVP }
-
-// Kind returns the base index kind.
-func (s Setup) Kind() vpindex.Kind {
-	if s == SetupBx || s == SetupBxVP {
-		return vpindex.Bx
-	}
-	return vpindex.TPRStar
-}
 
 // Scale controls experiment size. Reduced scales must preserve two ratios
 // or the paper's effects vanish into cache noise: the *object density*
@@ -93,29 +89,62 @@ func PaperScale() Scale {
 // Instrumented is an index whose buffer pool can be snapshooted.
 type Instrumented interface {
 	model.Index
-	Stats() vpindex.IOStats
+	Stats() model.IOStats
+}
+
+// Index is one built setup: a single tree for the unpartitioned setups, a
+// *core.Manager over k+1 trees for the VP ones, in either case over one
+// buffer pool whose misses are the I/O every figure plots.
+type Index struct {
+	model.Index
+	pool *storage.BufferPool
+}
+
+// Stats returns the cumulative simulated I/O counters of the setup's pool.
+func (ix *Index) Stats() model.IOStats {
+	s := ix.pool.Stats()
+	return model.IOStats{Reads: s.Misses, Writes: s.Writes, Hits: s.Hits}
 }
 
 // Build constructs one of the four setups for the given workload generator.
 // VP setups analyze the generator's velocity sample first.
-func Build(s Setup, gen *workload.Generator, bufferPages int) (Instrumented, error) {
+func Build(s Setup, gen *workload.Generator, bufferPages int) (*Index, error) {
 	p := gen.Params()
-	opts := vpindex.Options{
-		Kind:              s.Kind(),
-		Domain:            p.Domain,
-		BufferPages:       bufferPages,
-		MaxUpdateInterval: p.MaxUpdateInterval,
-		Horizon:           p.MaxUpdateInterval,
+	pool := storage.NewBufferPool(storage.NewMemStore(), bufferPages)
+	tree := func(domain geom.Rect) (model.Index, error) {
+		if s == SetupBx || s == SetupBxVP {
+			return bxtree.NewTree(pool, bxtree.Config{
+				Domain:            domain,
+				MaxUpdateInterval: p.MaxUpdateInterval,
+			})
+		}
+		return tprtree.NewTree(pool, tprtree.Config{Horizon: p.MaxUpdateInterval})
 	}
 	if !s.IsVP() {
-		return vpindex.New(opts)
+		idx, err := tree(p.Domain)
+		if err != nil {
+			return nil, err
+		}
+		return &Index{Index: idx, pool: pool}, nil
 	}
-	sample := gen.VelocitySample(p.SampleSize)
-	return vpindex.NewVP(sample, vpindex.VPOptions{
-		Options: opts,
+	an, err := core.Analyze(gen.VelocitySample(p.SampleSize), core.AnalyzerConfig{
 		K:       2,
-		Seed:    p.Seed,
+		Cluster: cluster.Options{Seed: p.Seed},
 	})
+	if err != nil {
+		return nil, err
+	}
+	mgr, err := core.NewManager(an, core.ManagerConfig{
+		Domain: p.Domain,
+		// The paper probes the partitions one after another through the one
+		// shared pool; a parallel probe would make the pool's eviction order,
+		// and with it every plotted I/O number, depend on goroutine scheduling.
+		SearchParallelism: 1,
+	}, func(spec core.PartitionSpec) (model.Index, error) { return tree(spec.Domain) })
+	if err != nil {
+		return nil, err
+	}
+	return &Index{Index: mgr, pool: pool}, nil
 }
 
 // Metrics aggregates one setup's measured costs over a workload run.

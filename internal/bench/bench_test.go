@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	vpindex "repro"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -208,7 +207,7 @@ func (rejectingIndex) Search(model.RangeQuery) ([]model.ObjectID, error) { retur
 func (rejectingIndex) Len() int                                          { return 0 }
 func (rejectingIndex) IO() model.IOStats                                 { return model.IOStats{} }
 func (rejectingIndex) Name() string                                      { return "reject" }
-func (rejectingIndex) Stats() vpindex.IOStats                            { return vpindex.IOStats{} }
+func (rejectingIndex) Stats() model.IOStats                              { return model.IOStats{} }
 
 var errRejected = errString("rejected")
 

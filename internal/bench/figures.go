@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	vpindex "repro"
 	"repro/internal/bxtree"
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -48,7 +47,7 @@ func RunFig7(sc Scale, seed int64) ([]ExpansionPoint, Table, error) {
 			return nil, Table{}, err
 		}
 	}
-	tpr := flatT.(*vpindex.Index).Index.(*tprtree.Tree)
+	tpr := flatT.Index.(*tprtree.Tree)
 	lbs, err := tpr.LeafBounds(0)
 	if err != nil {
 		return nil, Table{}, err
@@ -75,7 +74,7 @@ func RunFig7(sc Scale, seed int64) ([]ExpansionPoint, Table, error) {
 			return nil, Table{}, err
 		}
 	}
-	for pi, part := range vpT.(*vpindex.VPIndex).Partitions() {
+	for pi, part := range vpT.Index.(*core.Manager).Partitions() {
 		tree, ok := part.Index.(*tprtree.Tree)
 		if !ok || part.Spec.IsOutlier {
 			continue
@@ -108,7 +107,7 @@ func RunFig7(sc Scale, seed int64) ([]ExpansionPoint, Table, error) {
 			return nil, Table{}, err
 		}
 	}
-	bx := flatB.(*vpindex.Index).Index.(*bxtree.Tree)
+	bx := flatB.Index.(*bxtree.Tree)
 	for _, q := range genB.Queries(sc.Queries) {
 		for _, r := range bx.ExpansionRate(q.Region()) {
 			points = append(points, ExpansionPoint{Series: "Bx", X: r.X, Y: r.Y})
@@ -129,7 +128,7 @@ func RunFig7(sc Scale, seed int64) ([]ExpansionPoint, Table, error) {
 			return nil, Table{}, err
 		}
 	}
-	for pi, part := range vpB.(*vpindex.VPIndex).Partitions() {
+	for pi, part := range vpB.Index.(*core.Manager).Partitions() {
 		tree, ok := part.Index.(*bxtree.Tree)
 		if !ok || part.Spec.IsOutlier {
 			continue
@@ -205,7 +204,7 @@ func RunFig17(ds workload.Dataset, sc Scale, seed int64) (Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		vp := idx.(*vpindex.VPIndex)
+		vp := idx.Index.(*core.Manager)
 		if !auto {
 			for i := 0; i < vp.NumPartitions()-1; i++ {
 				vp.SetTau(i, tau)

@@ -55,13 +55,6 @@ type Config struct {
 	MaxScanRanges int
 	// ExpansionRounds bounds the iterative query enlargement (default 4).
 	ExpansionRounds int
-	// LegacyScan restores the per-interval scan path — one full B+-tree
-	// root-to-leaf descent per curve interval — instead of the batched
-	// leaf-walk engine (bptree.ScanMany) that serves a whole bucket's
-	// intervals with one descent plus sibling hops. Results are identical
-	// either way; the knob exists as the measured baseline of the scan
-	// benchmark (vpbench -exp scan) and for differential tests.
-	LegacyScan bool
 }
 
 func (c Config) withDefaults() Config {
@@ -338,8 +331,7 @@ func (t *Tree) searchVisit(q model.RangeQuery, emit func(model.Object)) error {
 // window is decomposed into curve intervals once, the interval list is
 // merged gap-aware down to the scan budget, and the whole batch is served
 // by a single bptree.ScanMany leaf walk (one descent, sibling hops between
-// nearby intervals, path-stack re-seeks across gaps) unless cfg.LegacyScan
-// requests the per-interval descent baseline.
+// nearby intervals, path-stack re-seeks across gaps).
 func (t *Tree) searchBucket(b *bucket, q model.RangeQuery, sc *queryScratch, emit func(model.Object)) error {
 	w := t.enlargedWindow(b, q)
 	if w.IsEmpty() {
@@ -362,14 +354,6 @@ func (t *Tree) searchBucket(b *bucket, q model.RangeQuery, sc *queryScratch, emi
 			emit(o)
 		}
 		return true
-	}
-	if t.cfg.LegacyScan {
-		for _, iv := range ivs {
-			if err := t.bt.Scan(prefix+iv.Lo, prefix+iv.Hi, visit); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	sc.ranges = sc.ranges[:0]
 	for _, iv := range ivs {

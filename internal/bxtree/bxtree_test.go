@@ -170,93 +170,6 @@ func TestBulkAgainstOracleAllQueryKinds(t *testing.T) {
 	}
 }
 
-// TestBatchedScanByteIdenticalToLegacy feeds an identical workload to a
-// batched-scan tree and a LegacyScan (per-interval descent) tree and
-// requires Search/SearchObjects to agree element for element, in order —
-// the byte-identical guarantee the batched leaf-walk engine makes.
-func TestBatchedScanByteIdenticalToLegacy(t *testing.T) {
-	for _, zorder := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(67))
-		batched := newTestTree(t, 200, Config{UseZOrder: zorder})
-		legacy := newTestTree(t, 200, Config{UseZOrder: zorder, LegacyScan: true})
-		objs := randomWorkload(2500, rng, 0)
-		for i, o := range objs {
-			o.T = float64(i%100) * 0.7
-			o.Pos = o.PosAt(o.T)
-			o.T = float64(i%100) * 0.7
-			objs[i] = o
-			for _, tr := range []*Tree{batched, legacy} {
-				if err := tr.Insert(o); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		// Churn: deletes and forward updates so buckets rotate.
-		for i := 0; i < 600; i++ {
-			o := objs[rng.Intn(len(objs))]
-			if o.ID == 0 {
-				continue
-			}
-			nu := o
-			nu.T = 75 + rng.Float64()*20
-			nu.Pos = o.PosAt(nu.T)
-			for _, tr := range []*Tree{batched, legacy} {
-				if err := tr.Update(o, nu); err != nil {
-					t.Fatal(err)
-				}
-			}
-			objs[nu.ID-1] = nu
-		}
-		for trial := 0; trial < 80; trial++ {
-			c := geom.V(rng.Float64()*100000, rng.Float64()*100000)
-			t0 := 95 + rng.Float64()*60
-			t1 := t0 + rng.Float64()*60
-			queries := []model.RangeQuery{
-				{Kind: model.TimeSlice, Rect: geom.RectFromCenter(c, 4000, 4000), Now: 95, T0: t0},
-				{Kind: model.TimeInterval, Rect: geom.RectFromCenter(c, 2500, 2500), Now: 95, T0: t0, T1: t1},
-				{Kind: model.MovingRange, Rect: geom.RectFromCenter(c, 2500, 2500),
-					Vel: geom.V(rng.Float64()*100-50, rng.Float64()*100-50), Now: 95, T0: t0, T1: t1},
-				{Kind: model.TimeSlice, Circle: geom.Circle{C: c, R: 3000}, Now: 95, T0: t0},
-			}
-			for _, q := range queries {
-				got, err := batched.Search(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := legacy.Search(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s zorder=%v: batched %d ids, legacy %d", q.Kind, zorder, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s zorder=%v: id %d differs: %d vs %d (order must match too)",
-							q.Kind, zorder, i, got[i], want[i])
-					}
-				}
-				gobj, err := batched.SearchObjects(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wobj, err := legacy.SearchObjects(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(gobj) != len(wobj) {
-					t.Fatalf("%s zorder=%v: batched %d objects, legacy %d", q.Kind, zorder, len(gobj), len(wobj))
-				}
-				for i := range wobj {
-					if gobj[i] != wobj[i] {
-						t.Fatalf("%s zorder=%v: object %d differs", q.Kind, zorder, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestDeleteAndUpdateAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tr := newTestTree(t, 200, Config{})

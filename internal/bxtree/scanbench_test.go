@@ -9,10 +9,10 @@ import (
 	"repro/internal/storage"
 )
 
-func benchTree(b *testing.B, legacy bool) *Tree {
+func benchTree(b *testing.B) *Tree {
 	b.Helper()
 	pool := storage.NewBufferPool(storage.NewDisk(), 8)
-	tr, err := NewTree(pool, Config{LegacyScan: legacy})
+	tr, err := NewTree(pool, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -31,8 +31,8 @@ func benchTree(b *testing.B, legacy bool) *Tree {
 	return tr
 }
 
-func benchSearch(b *testing.B, legacy bool) {
-	tr := benchTree(b, legacy)
+func BenchmarkSearch(b *testing.B) {
+	tr := benchTree(b)
 	rng := rand.New(rand.NewSource(9))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,6 +44,3 @@ func benchSearch(b *testing.B, legacy bool) {
 		}
 	}
 }
-
-func BenchmarkSearchLegacy(b *testing.B)  { benchSearch(b, true) }
-func BenchmarkSearchBatched(b *testing.B) { benchSearch(b, false) }

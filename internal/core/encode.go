@@ -12,20 +12,13 @@ import (
 // k-means would otherwise need the original sample). Elapsed is diagnostic
 // only and is not persisted.
 //
-// Two formats coexist:
-//
-//   - v2 (written by EncodeAnalysis): a sentinel + version header, the
-//     partitioner kind, and the full Frame set, so checkpoints carry any
-//     objective.
-//   - legacy (pre-Partitioner checkpoints): no header; SampleSize leads,
-//     followed by the DVA-only partition records. DecodeAnalysis detects it
-//     by the absence of the sentinel — a legacy encoding's first word is
-//     SampleSize, which can never be 2^64-1 — and decodes it as a KindDVA
-//     analysis, synthesizing the outlier frame the old format left
-//     implicit.
+// The format is versioned: a sentinel + version header, the partitioner
+// kind, and the full Frame set, so checkpoints carry any objective. The
+// headerless pre-Partitioner format (v1) is no longer read; DecodeAnalysis
+// rejects it as an unknown version.
 
-// encSentinel marks the versioned format. A legacy encoding starts with
-// SampleSize (an int, so < 2^63); the all-ones word is unreachable there.
+// encSentinel marks the versioned format. A v1 encoding started with
+// SampleSize (an int, so < 2^63); the all-ones word was unreachable there.
 const encSentinel = ^uint64(0)
 
 // encVersion is the current format version.
@@ -34,9 +27,6 @@ const encVersion = 2
 const (
 	v2Header     = 8 + 8 + 1 + 8 + 8 + 8 // sentinel, version, kind, sample, outliers, nframes
 	v2FrameBytes = 6*8 + 2*8 + 1         // axis x/y, tau, speed min/max, dominance, count, outlierCount, flags
-
-	legacyHeader     = 24
-	legacyFrameBytes = 48
 )
 
 func appendF64(b []byte, v float64) []byte {
@@ -71,19 +61,13 @@ func EncodeAnalysis(an Analysis) []byte {
 	return b
 }
 
-// DecodeAnalysis reverses EncodeAnalysis, accepting both the versioned
-// format and the legacy pre-Partitioner format still present in old
-// checkpoints and WAL swap records.
+// DecodeAnalysis reverses EncodeAnalysis.
 func DecodeAnalysis(p []byte) (Analysis, error) {
-	if len(p) >= 8 && binary.LittleEndian.Uint64(p) == encSentinel {
-		return decodeAnalysisV2(p)
-	}
-	return decodeAnalysisLegacy(p)
-}
-
-func decodeAnalysisV2(p []byte) (Analysis, error) {
 	if len(p) < v2Header {
 		return Analysis{}, fmt.Errorf("core: truncated analysis")
+	}
+	if binary.LittleEndian.Uint64(p) != encSentinel {
+		return Analysis{}, fmt.Errorf("core: unknown analysis format version 1 (no version header)")
 	}
 	if v := binary.LittleEndian.Uint64(p[8:]); v != encVersion {
 		return Analysis{}, fmt.Errorf("core: unknown analysis format version %d", v)
@@ -110,40 +94,6 @@ func decodeAnalysisV2(p []byte) (Analysis, error) {
 		f.OutlierCount = int(binary.LittleEndian.Uint64(p[56:]))
 		f.IsOutlier = p[64]&1 != 0
 		p = p[v2FrameBytes:]
-	}
-	return an, nil
-}
-
-// decodeAnalysisLegacy reads the pre-Partitioner format: SampleSize,
-// TotalOutliers, a DVA count, then 48 bytes per DVA. The outlier partition
-// was implicit in that format (the manager always appended one), so it is
-// synthesized here as the final frame.
-func decodeAnalysisLegacy(p []byte) (Analysis, error) {
-	if len(p) < legacyHeader {
-		return Analysis{}, fmt.Errorf("core: truncated analysis")
-	}
-	var an Analysis
-	an.Kind = KindDVA
-	an.SampleSize = int(binary.LittleEndian.Uint64(p))
-	an.TotalOutliers = int(binary.LittleEndian.Uint64(p[8:]))
-	n := binary.LittleEndian.Uint64(p[16:])
-	if uint64(len(p)-legacyHeader) != n*legacyFrameBytes {
-		return Analysis{}, fmt.Errorf("core: analysis length mismatch")
-	}
-	p = p[legacyHeader:]
-	an.Frames = make([]Frame, n, n+1)
-	for i := range an.Frames {
-		f := &an.Frames[i]
-		f.Axis.X = math.Float64frombits(binary.LittleEndian.Uint64(p))
-		f.Axis.Y = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
-		f.Tau = math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
-		f.Count = int(binary.LittleEndian.Uint64(p[24:]))
-		f.OutlierCount = int(binary.LittleEndian.Uint64(p[32:]))
-		f.Dominance = math.Float64frombits(binary.LittleEndian.Uint64(p[40:]))
-		p = p[legacyFrameBytes:]
-	}
-	if n > 0 {
-		an.Frames = append(an.Frames, Frame{IsOutlier: true, Count: an.TotalOutliers})
 	}
 	return an, nil
 }

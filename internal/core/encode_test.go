@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/hex"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -88,46 +89,20 @@ func TestAnalysisCodecRoundTripSpeedAndNone(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacyAnalysis pins the exact bytes the pre-Partitioner codec
-// (PRs 6/7) produced for a two-DVA analysis, proving old checkpoints and
-// WAL swap records decode into the frame representation: kind DVA, the DVA
-// frames in order, and the formerly implicit outlier frame synthesized
-// last.
-func TestDecodeLegacyAnalysis(t *testing.T) {
-	const legacyHex = "c0060000000000001c00000000000000020000000000000000000000" +
+// TestDecodeV1AnalysisRejected feeds DecodeAnalysis the exact bytes the
+// headerless pre-Partitioner codec (PRs 6/7) produced for a two-DVA
+// analysis: the format is no longer read, and must come back as an
+// unknown-version error rather than a panic or a misparse.
+func TestDecodeV1AnalysisRejected(t *testing.T) {
+	const v1Hex = "c0060000000000001c00000000000000020000000000000000000000" +
 		"0000f03f00000000000000000000000000000c408403000000000000110000000000" +
 		"00000ad7a3703d0aef3f0000000000000000000000000000f03f0000000000000240" +
 		"20030000000000000b00000000000000713d0ad7a370ed3f"
-	raw, err := hex.DecodeString(legacyHex)
+	raw, err := hex.DecodeString(v1Hex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := DecodeAnalysis(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Analysis{
-		Kind: KindDVA,
-		Frames: []Frame{
-			{Axis: geom.V(1, 0), Tau: 3.5, Count: 900, OutlierCount: 17, Dominance: 0.97},
-			{Axis: geom.V(0, 1), Tau: 2.25, Count: 800, OutlierCount: 11, Dominance: 0.92},
-			{IsOutlier: true, Count: 28},
-		},
-		TotalOutliers: 28,
-		SampleSize:    1728,
-	}
-	if an.Kind != want.Kind || an.SampleSize != want.SampleSize || an.TotalOutliers != want.TotalOutliers {
-		t.Fatalf("header: %+v", an)
-	}
-	if len(an.Frames) != len(want.Frames) {
-		t.Fatalf("frames: %d, want %d", len(an.Frames), len(want.Frames))
-	}
-	for i := range want.Frames {
-		if an.Frames[i] != want.Frames[i] {
-			t.Fatalf("frame %d = %+v, want %+v", i, an.Frames[i], want.Frames[i])
-		}
-	}
-	if err := an.Validate(); err != nil {
-		t.Fatalf("legacy analysis does not validate: %v", err)
+	if _, err := DecodeAnalysis(raw); err == nil || !strings.Contains(err.Error(), "unknown analysis format version") {
+		t.Fatalf("v1 analysis blob: err = %v, want unknown-version error", err)
 	}
 }

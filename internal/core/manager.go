@@ -201,8 +201,8 @@ func (m *Manager) Len() int {
 	return len(m.objs)
 }
 
-// IO implements model.Index. When all partitions share one buffer pool (the
-// legacy constructors' layout) any partition's counters are the manager's,
+// IO implements model.Index. When all partitions share one buffer pool
+// (internal/bench's layout) any partition's counters are the manager's,
 // so the outlier partition is used as the representative. The Store, which
 // gives each partition its own pool, aggregates across its pools itself
 // instead of calling this.

@@ -16,10 +16,12 @@
 //   - filter.go is the coarse spatial subscription filter: per-velocity-
 //     class grids that map one report to the few subscriptions it could
 //     affect, with per-partition τ bounds keeping the expansion tight.
-//   - monitor.go (this file) is the legacy single-lock Monitor that wraps
-//     one model.Index. The package-root Store composes the same core and
-//     filter into its sharded, Store-native subscription engine instead;
-//     new code should subscribe on the Store directly.
+//   - monitor.go (this file) is the single-lock Monitor that wraps one
+//     model.Index and evaluates every subscription on every report. The
+//     package-root Store composes the same core and filter into its
+//     sharded subscription engine instead; the Monitor remains as the
+//     reference the Store's event-stream oracle compares against (over a
+//     brute-force index).
 package monitor
 
 import (

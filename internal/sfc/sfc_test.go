@@ -314,3 +314,20 @@ func TestHilbertLocalityBeatsZOrder(t *testing.T) {
 		t.Fatalf("hilbert fragmentation %d should not be much worse than z-order %d", hTotal, zTotal)
 	}
 }
+
+func BenchmarkHilbertEncode(b *testing.B) {
+	h := MustHilbert(16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Encode(uint32(i)&0xFFFF, uint32(i*2654435761)&0xFFFF)
+	}
+}
+
+func BenchmarkHilbertDecompose(b *testing.B) {
+	h := MustHilbert(10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := uint32(i) % 900
+		h.DecomposeWindow(x, x/2, x+60, x/2+60)
+	}
+}

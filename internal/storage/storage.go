@@ -36,8 +36,7 @@ type PageID uint64
 const NilPage PageID = 0
 
 // Disk is the historical name of the simulated in-memory backend; it remains
-// as an alias so existing call sites (and the deprecated New/NewVP
-// constructors) keep compiling unchanged.
+// as an alias so existing call sites keep compiling unchanged.
 type Disk = MemStore
 
 // MemStore is the simulated non-volatile store the paper measures against.

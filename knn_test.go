@@ -9,7 +9,7 @@ import (
 	"repro/internal/model"
 )
 
-// knnOracleCheck verifies an index's kNN results against the brute-force
+// knnOracleCheck verifies a store's kNN results against the brute-force
 // oracle. Distances must agree exactly in order; ids may differ only
 // within exact-tie groups.
 func knnOracleCheck(t *testing.T, idx interface {
@@ -79,34 +79,9 @@ func TestKNNAgainstOracleAllIndexes(t *testing.T) {
 		_ = oracle.Insert(o)
 	}
 
-	type knnIndex interface {
-		SearchKNN(vpindex.KNNQuery) ([]vpindex.Neighbor, error)
-		Insert(vpindex.Object) error
-	}
-	builds := map[string]func() (knnIndex, error){
-		"tpr": func() (knnIndex, error) {
-			return vpindex.New(vpindex.Options{Kind: vpindex.TPRStar, BufferPages: 200})
-		},
-		"bx": func() (knnIndex, error) {
-			return vpindex.New(vpindex.Options{Kind: vpindex.Bx, BufferPages: 200})
-		},
-		"tpr-vp": func() (knnIndex, error) {
-			return vpindex.NewVP(sample, vpindex.VPOptions{
-				Options: vpindex.Options{Kind: vpindex.TPRStar, BufferPages: 200}, K: 2, Seed: 1,
-			})
-		},
-		"bx-vp": func() (knnIndex, error) {
-			return vpindex.NewVP(sample, vpindex.VPOptions{
-				Options: vpindex.Options{Kind: vpindex.Bx, BufferPages: 200}, K: 2, Seed: 1,
-			})
-		},
-	}
-	for name, build := range builds {
-		t.Run(name, func(t *testing.T) {
-			idx, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, su := range storeSetups() {
+		t.Run(su.name, func(t *testing.T) {
+			idx := su.open(t, sample, vpindex.WithBufferPages(200), vpindex.WithSeed(1))
 			for _, o := range objs {
 				if err := idx.Insert(o); err != nil {
 					t.Fatal(err)
@@ -127,7 +102,7 @@ func TestKNNAgainstOracleAllIndexes(t *testing.T) {
 }
 
 func TestKNNEdgeCases(t *testing.T) {
-	idx, err := vpindex.New(vpindex.Options{Kind: vpindex.TPRStar})
+	idx, err := vpindex.Open(vpindex.WithKind(vpindex.TPRStar))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +141,7 @@ func TestKNNEdgeCases(t *testing.T) {
 func TestKNNBxSparseFallback(t *testing.T) {
 	// A Bx kNN where almost everything is far away forces radius doubling
 	// (and possibly the full-scan fallback).
-	idx, err := vpindex.New(vpindex.Options{Kind: vpindex.Bx})
+	idx, err := vpindex.Open(vpindex.WithKind(vpindex.Bx))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,8 @@ const (
 const DefaultAutoPartitionSample = 10_000
 
 // DefaultDriftThreshold is the axis-drift angle (radians, ~11.5 degrees)
-// past which the adaptive repartition policy rebuilds the partitions when no
-// explicit WithDriftThreshold is given.
+// past which the adaptive repartition policy rebuilds the partitions when
+// RepartitionPolicy.DriftThreshold is left zero.
 const DefaultDriftThreshold = 0.2
 
 // RepartitionPolicy configures adaptive online repartitioning (Section 5.5
@@ -65,10 +65,9 @@ type RepartitionPolicy struct {
 type Option func(*storeConfig)
 
 // storeConfig is the resolved configuration behind Open's functional
-// options. The base-index knobs reuse the Options struct of the deprecated
-// constructor API so both surfaces stay in lockstep.
+// options.
 type storeConfig struct {
-	base Options
+	base baseOptions
 
 	// k > 0, a velocity sample, or an auto-partition threshold all enable
 	// velocity partitioning; Open normalizes the trio.
@@ -76,7 +75,6 @@ type storeConfig struct {
 	sample []Vec2
 	autoN  int
 
-	tauBuckets int
 	tauRefresh int
 	seed       int64
 
@@ -173,7 +171,7 @@ func WithDomain(r Rect) Option { return func(c *storeConfig) { c.base.Domain = r
 // The Store creates one pool per index structure — one per shard while
 // unpartitioned, one per velocity partition per shard afterwards, i.e.
 // shards × (k+1) pools — so the total page cache is n times that count, not
-// n. (The deprecated New/NewVP constructors keep one shared n-page pool.)
+// n.
 func WithBufferPages(n int) Option { return func(c *storeConfig) { c.base.BufferPages = n } }
 
 // WithDiskLatency injects a delay per simulated physical page access so
@@ -182,44 +180,11 @@ func WithDiskLatency(d time.Duration) Option {
 	return func(c *storeConfig) { c.base.DiskLatency = d }
 }
 
-// WithHorizon sets the TPR*-tree cost-integral horizon (default 120 ts).
-func WithHorizon(h float64) Option { return func(c *storeConfig) { c.base.Horizon = h } }
-
-// WithQueryExtent sets the query side length the TPR*-tree optimizes for
-// (default 1000 m).
-func WithQueryExtent(e float64) Option { return func(c *storeConfig) { c.base.QueryExtent = e } }
-
-// WithGridOrder sets the Bx-tree curve grid's bits per axis (default 8).
-func WithGridOrder(bits uint) Option { return func(c *storeConfig) { c.base.GridOrder = bits } }
-
-// WithTimeBuckets sets the Bx-tree's time-bucket count (default 2).
-func WithTimeBuckets(n int) Option { return func(c *storeConfig) { c.base.Buckets = n } }
-
 // WithMaxUpdateInterval sets the guaranteed max time between an object's
 // updates, which sizes the Bx-tree's bucket rotation (default 120 ts).
 func WithMaxUpdateInterval(d float64) Option {
 	return func(c *storeConfig) { c.base.MaxUpdateInterval = d }
 }
-
-// WithHistogramCells sets the Bx velocity histogram resolution (default 64).
-func WithHistogramCells(n int) Option { return func(c *storeConfig) { c.base.HistogramCells = n } }
-
-// WithZOrder switches the Bx-tree from the Hilbert curve to the Z-curve.
-func WithZOrder() Option { return func(c *storeConfig) { c.base.UseZOrder = true } }
-
-// WithLegacyScan restores the Bx-tree's per-interval scan path — one full
-// B+-tree root-to-leaf descent per space-filling-curve interval — instead of
-// the batched leaf-walk engine that serves a whole time bucket's intervals
-// with a single descent plus sibling hops. Query results are identical
-// either way; the knob exists as the measured baseline of the scan
-// benchmark (vpbench -exp scan) and for differential tests. Ignored by
-// TPR*-backed stores.
-func WithLegacyScan() Option { return func(c *storeConfig) { c.base.LegacyScan = true } }
-
-// WithBaseOptions replaces every base-index knob at once with an Options
-// struct — the migration bridge for callers moving off New/NewVP. Individual
-// With... options given after it still apply on top.
-func WithBaseOptions(o Options) Option { return func(c *storeConfig) { c.base = o } }
 
 // WithVelocityPartitioning enables the VP technique with k DVA partitions
 // (plus the outlier partition). k <= 0 keeps the paper's default of 2 ("most
@@ -287,28 +252,12 @@ func WithPartitionerAuto() Option {
 	}
 }
 
-// WithRepartitionPolicy sets the complete adaptive repartitioning policy at
-// once. The shorthand options WithRepartitionEvery and WithDriftThreshold
-// cover the common cases; later options override earlier ones field-wise
-// only when they set a field.
+// WithRepartitionPolicy sets the adaptive repartitioning policy: with
+// Every > 0 the Store re-analyzes its recent-velocity reservoir off the
+// write path after every Every post-partition reports and rebuilds the
+// partitions if the dominant axes drifted past DriftThreshold.
 func WithRepartitionPolicy(p RepartitionPolicy) Option {
 	return func(c *storeConfig) { c.repart = p }
-}
-
-// WithRepartitionEvery enables the adaptive repartition policy: after every
-// n post-partition reports the Store re-analyzes its recent-velocity
-// reservoir off the write path and rebuilds the partitions if the dominant
-// axes drifted past the threshold (WithDriftThreshold, default
-// DefaultDriftThreshold). n <= 0 disables automatic checks.
-func WithRepartitionEvery(n int) Option {
-	return func(c *storeConfig) { c.repart.Every = n }
-}
-
-// WithDriftThreshold sets the axis-drift angle (radians) past which an
-// automatic repartition check rebuilds the partitions. It only takes effect
-// together with WithRepartitionEvery (or a full WithRepartitionPolicy).
-func WithDriftThreshold(radians float64) Option {
-	return func(c *storeConfig) { c.repart.DriftThreshold = radians }
 }
 
 // WithMaintenanceHook observes every completed maintenance action — the
@@ -433,9 +382,6 @@ func WithCheckpointCompaction(maxChain int, maxBytes int64) Option {
 		c.compactBytes = maxBytes
 	}
 }
-
-// WithTauBuckets sizes the tau histograms (default 100, paper setting).
-func WithTauBuckets(n int) Option { return func(c *storeConfig) { c.tauBuckets = n } }
 
 // WithTauRefreshInterval recomputes each partition's outlier threshold after
 // this many routed inserts (Section 5.5); 0 (default) disables refresh.

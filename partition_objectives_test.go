@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -278,104 +276,6 @@ func TestStoreRepartitionTo(t *testing.T) {
 	want := []vpindex.PartitionObjective{vpindex.ObjectiveSpeed, vpindex.ObjectiveNone, vpindex.ObjectiveDVA}
 	if fmt.Sprint(swaps) != fmt.Sprint(want) {
 		t.Fatalf("swap events carried objectives %v, want %v", swaps, want)
-	}
-}
-
-// copyDataDir clones a durable fixture into a scratch dir, since Open
-// mutates its data directory.
-func copyDataDir(t *testing.T, src, dst string) {
-	t.Helper()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		sp, dp := filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())
-		if e.IsDir() {
-			if err := os.MkdirAll(dp, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			copyDataDir(t, sp, dp)
-			continue
-		}
-		b, err := os.ReadFile(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(dp, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestPreRefactorCheckpointRecovery opens a data directory checkpointed by
-// the pre-Partitioner build (legacy analysis encoding, implicit outlier
-// partition) and requires a clean recovery: all surviving objects, the DVA
-// partition layout, the standing subscription, and a store that keeps
-// accepting work.
-func TestPreRefactorCheckpointRecovery(t *testing.T) {
-	dir := t.TempDir()
-	copyDataDir(t, filepath.Join("internal", "testdata", "prerefactor", "datadir"), dir)
-
-	store, err := vpindex.Open(
-		vpindex.WithKind(vpindex.Bx),
-		vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
-		vpindex.WithBufferPages(30),
-		vpindex.WithShards(2),
-		vpindex.WithVelocityPartitioning(2),
-		vpindex.WithSeed(7),
-		vpindex.WithDataDir(dir),
-	)
-	if err != nil {
-		t.Fatalf("opening pre-refactor data dir: %v", err)
-	}
-	defer store.Close()
-
-	// 300 checkpointed + 50 WAL-tail reports - 1 WAL-tail remove.
-	if store.Len() != 349 {
-		t.Fatalf("recovered %d objects, want 349", store.Len())
-	}
-	if !store.Partitioned() {
-		t.Fatal("recovered store is not partitioned")
-	}
-	an, ok := store.Analysis()
-	if !ok || an.Kind != vpindex.ObjectiveDVA {
-		t.Fatalf("recovered analysis kind %v, want dva", an.Kind)
-	}
-	if err := an.Validate(); err != nil {
-		t.Fatalf("recovered legacy analysis invalid: %v", err)
-	}
-	if len(an.Frames) != 3 {
-		t.Fatalf("recovered %d frames, want 2 DVAs + outlier", len(an.Frames))
-	}
-	if _, ok := store.Get(7); ok {
-		t.Fatal("object 7 was removed in the WAL tail but recovered")
-	}
-	if _, ok := store.Get(333); !ok {
-		t.Fatal("WAL-tail object 333 missing after recovery")
-	}
-	if store.NumSubscriptions() != 1 {
-		t.Fatalf("recovered %d subscriptions, want 1", store.NumSubscriptions())
-	}
-	ids, err := store.Search(vpindex.RectSliceQuery(vpindex.R(-1e6, -1e6, 1e6, 1e6), 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 349 {
-		t.Fatalf("whole-domain search found %d of 349", len(ids))
-	}
-	// The recovered store keeps serving writes and objective swaps.
-	if err := store.Report(vpindex.Object{ID: 9000, Pos: vpindex.V(5000, 5000), Vel: vpindex.V(45, 1), T: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.RepartitionTo(vpindex.ObjectiveSpeed); err != nil {
-		t.Fatal(err)
-	}
-	if an, _ := store.Analysis(); an.Kind != vpindex.ObjectiveSpeed {
-		t.Fatalf("post-recovery swap left kind %v", an.Kind)
-	}
-	if store.Len() != 350 {
-		t.Fatalf("len %d after post-recovery report", store.Len())
 	}
 }
 

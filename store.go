@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/analysis/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/monitor"
@@ -59,10 +60,9 @@ import (
 // # Adaptive repartitioning
 //
 // Once partitioned, each shard keeps a bounded ring of recently reported
-// velocities. With a repartition policy configured (WithRepartitionEvery /
-// WithDriftThreshold / WithRepartitionPolicy), every policy-cadence reports
-// a fresh DVA analysis of the pooled reservoir runs in the background and,
-// when any live axis has drifted past the threshold, the Store rebuilds the
+// velocities. With a repartition policy configured (WithRepartitionPolicy),
+// every policy-cadence reports a fresh DVA analysis of the pooled reservoir
+// runs in the background and, when any live axis has drifted past the threshold, the Store rebuilds the
 // partitions: per shard, a new manager (with fresh per-partition pools) is
 // built, the live population is migrated with InsertBulk under that shard's
 // write lock, and the manager is swapped in — the same cutover machinery as
@@ -351,7 +351,7 @@ var (
 //		vpindex.WithAutoPartition(10_000),
 //	)
 //
-//	// VP with an upfront sample (partitioned immediately, like NewVP).
+//	// VP with an upfront sample (partitioned immediately).
 //	s, err := vpindex.Open(vpindex.WithVelocitySample(sample))
 func Open(opts ...Option) (*Store, error) {
 	var cfg storeConfig
@@ -495,7 +495,6 @@ func (s *Store) buildManager(an core.Analysis, pools *[]*storage.BufferPool) (*c
 	mgr, err := core.NewManager(an, core.ManagerConfig{
 		Domain:             s.cfg.base.Domain,
 		TauRefreshInterval: s.cfg.tauRefresh,
-		TauBuckets:         s.cfg.tauBuckets,
 		SearchParallelism:  s.cfg.searchPar,
 	}, func(spec core.PartitionSpec) (model.Index, error) {
 		p := storage.NewBufferPool(s.disk, s.cfg.base.BufferPages)
@@ -522,22 +521,22 @@ const defaultQueryLogSize = 1024
 func (s *Store) partitionerFor(obj PartitionObjective) core.Partitioner {
 	switch obj {
 	case ObjectiveSpeed:
-		return core.SpeedPartitioner{Bands: s.cfg.k, Buckets: s.cfg.tauBuckets}
+		return core.SpeedPartitioner{Bands: s.cfg.k}
 	case ObjectiveNone:
 		return core.NonePartitioner{}
 	default:
 		return core.DVAPartitioner{Config: core.AnalyzerConfig{
-			K:          s.cfg.k,
-			TauBuckets: s.cfg.tauBuckets,
-			Cluster:    clusterOptions(s.cfg.seed),
+			K:       s.cfg.k,
+			Cluster: cluster.Options{Seed: s.cfg.seed},
 		}}
 	}
 }
 
 // costQueries returns the workload evidence for the partitioning cost
 // model: the pooled query-shape log, or — before any query has been
-// observed — a single synthetic shape built from the configured query
-// extent and a medium prediction window, so the chooser is never blind.
+// observed — a single synthetic shape built from the paper's default query
+// extent (1000 m, Table 1) and a medium prediction window, so the chooser is
+// never blind.
 func (s *Store) costQueries() []core.QueryShape {
 	out := make([]core.QueryShape, 0, s.qlogCap*len(s.shards))
 	for _, sh := range s.shards {
@@ -548,11 +547,7 @@ func (s *Store) costQueries() []core.QueryShape {
 	if len(out) > 0 {
 		return out
 	}
-	extent := s.cfg.base.QueryExtent
-	if extent <= 0 {
-		extent = 1000 // the TPR*-tree's Table 1 default
-	}
-	return []core.QueryShape{{HalfW: extent / 2, HalfH: extent / 2, Window: 60}}
+	return []core.QueryShape{{HalfW: 500, HalfH: 500, Window: 60}}
 }
 
 // chooseAnalysis picks the analysis the next partition epoch is built from.

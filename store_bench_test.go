@@ -3,9 +3,8 @@
 //
 //	go test -bench=Store -benchmem -run='^$' -cpu 1,4,8
 //
-// shards=1 is the pre-sharding single-lock baseline; shards=N is the
-// GOMAXPROCS default. CI runs these non-gating and archives the output next
-// to BENCH_concurrency.json (cmd/vpbench -exp concurrency).
+// shards=1 is the single-lock baseline; shards=N is the GOMAXPROCS default.
+// These are for measuring while you work; the record is benchmark/run.sh.
 package vpindex_test
 
 import (
@@ -36,9 +35,33 @@ const benchDiskLatency = 20 * time.Microsecond
 // handing the sharded configuration a bigger cache.
 const benchTotalPages = 384
 
+// randomObjects draws n objects moving fast along one of two perpendicular
+// axes with a little cross-axis noise: a road-grid-like velocity skew.
+func randomObjects(n int, seed int64) []vpindex.Object {
+	rng := rand.New(rand.NewSource(seed))
+	objs := make([]vpindex.Object, n)
+	for i := range objs {
+		speed := 20 + rng.Float64()*80
+		if rng.Intn(2) == 0 {
+			speed = -speed
+		}
+		vel := vpindex.V(speed, rng.NormFloat64()*2)
+		if i%2 == 0 {
+			vel = vpindex.V(rng.NormFloat64()*2, speed)
+		}
+		objs[i] = vpindex.Object{
+			ID:  vpindex.ObjectID(i + 1),
+			Pos: vpindex.V(rng.Float64()*100000, rng.Float64()*100000),
+			Vel: vel,
+			T:   0,
+		}
+	}
+	return objs
+}
+
 // newBenchStore opens a velocity-partitioned (k=2 via upfront sample) Bx
 // Store with the given shard count and preloads the population. Extra
-// options (e.g. WithLegacyScan for the scan-engine baseline) apply on top.
+// options apply on top.
 func newBenchStore(b *testing.B, shards int, objs []vpindex.Object, extra ...vpindex.Option) *vpindex.Store {
 	b.Helper()
 	sample := make([]vpindex.Vec2, len(objs))
@@ -179,34 +202,23 @@ func BenchmarkStoreIngestAllocs(b *testing.B) {
 
 // BenchmarkStoreSearch is the pure read path: concurrent predictive range
 // queries against a static population (readers share shard read locks; the
-// striped per-partition pools keep page-cache hits from serializing). The
-// engine axis compares the batched leaf-walk scan (bptree.ScanMany) against
-// the legacy per-interval descent path.
+// striped per-partition pools keep page-cache hits from serializing).
 func BenchmarkStoreSearch(b *testing.B) {
 	objs := randomObjects(benchStoreObjects, 9)
-	engines := []struct {
-		name string
-		opts []vpindex.Option
-	}{
-		{"batched", nil},
-		{"legacy", []vpindex.Option{vpindex.WithLegacyScan()}},
-	}
-	for _, eng := range engines {
-		for _, shards := range shardCounts() {
-			b.Run(fmt.Sprintf("engine=%s/shards=%d", eng.name, shards), func(b *testing.B) {
-				store := newBenchStore(b, shards, objs, eng.opts...)
-				var seq atomic.Int64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					rng := rand.New(rand.NewSource(seq.Add(1)))
-					for pb.Next() {
-						c := vpindex.V(rng.Float64()*100000, rng.Float64()*100000)
-						if _, err := store.Search(vpindex.SliceQuery(vpindex.Circle{C: c, R: 500}, 0, 60)); err != nil {
-							b.Fatal(err)
-						}
+	for _, shards := range shardCounts() {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			store := newBenchStore(b, shards, objs)
+			var seq atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				rng := rand.New(rand.NewSource(seq.Add(1)))
+				for pb.Next() {
+					c := vpindex.V(rng.Float64()*100000, rng.Float64()*100000)
+					if _, err := store.Search(vpindex.SliceQuery(vpindex.Circle{C: c, R: 500}, 0, 60)); err != nil {
+						b.Fatal(err)
 					}
-				})
+				}
 			})
-		}
+		})
 	}
 }

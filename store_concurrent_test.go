@@ -262,73 +262,6 @@ func TestStoreParallelSearchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStoreBatchedScanMatchesLegacyScan extends the merge oracle along the
-// storage axis: a Bx Store on the batched leaf-walk scan engine must return
-// results byte-identical — same elements, same order — to an identically
-// configured and loaded Store forced onto the pre-change per-interval
-// descent path (WithLegacyScan), across the sequential and parallel merge
-// paths alike.
-func TestStoreBatchedScanMatchesLegacyScan(t *testing.T) {
-	open := func(opts ...vpindex.Option) *vpindex.Store {
-		t.Helper()
-		base := []vpindex.Option{
-			vpindex.WithKind(vpindex.Bx),
-			vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
-			vpindex.WithBufferPages(30),
-			vpindex.WithShards(4),
-			vpindex.WithVelocityPartitioning(2),
-			vpindex.WithVelocitySample(testSample(800, 11)),
-			vpindex.WithSeed(5),
-		}
-		s, err := vpindex.Open(append(base, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	batched := open()
-	legacy := open(vpindex.WithLegacyScan(), vpindex.WithSearchParallelism(1))
-
-	rng := rand.New(rand.NewSource(29))
-	for i := 1; i <= 700; i++ {
-		o := testObject(i, rng)
-		if err := batched.Report(o); err != nil {
-			t.Fatal(err)
-		}
-		if err := legacy.Report(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 2; i <= 700; i += 9 {
-		if err := batched.Remove(vpindex.ObjectID(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := legacy.Remove(vpindex.ObjectID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 40; i++ {
-		queries := []vpindex.RangeQuery{
-			vpindex.SliceQuery(vpindex.Circle{C: vpindex.V(rng.Float64()*20000, rng.Float64()*20000), R: 3000}, 0, 25),
-			vpindex.IntervalQuery(vpindex.R(rng.Float64()*10000, rng.Float64()*10000, 15000, 15000), 0, 5, 25),
-			vpindex.MovingQuery(vpindex.R(0, 0, 5000, 5000), vpindex.V(40, 20), 0, 0, 30),
-		}
-		for _, q := range queries {
-			got, err := batched.Search(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := legacy.Search(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%v: batched %v != legacy %v", q.Kind, got, want)
-			}
-		}
-	}
-}
-
 // TestStoreShardsOption pins WithShards semantics: the default tracks
 // GOMAXPROCS, explicit counts are honored, and non-positive counts fall
 // back to the default.

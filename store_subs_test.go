@@ -12,6 +12,7 @@ import (
 
 	vpindex "repro"
 	"repro/internal/model"
+	"repro/internal/monitor"
 )
 
 // bfReporter adapts the brute-force oracle index to the Reporter surface so
@@ -104,7 +105,7 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirror := vpindex.NewMonitor(bfReporter{model.NewBruteForce()})
+	mirror := monitor.New(bfReporter{model.NewBruteForce()})
 	ch := store.Events()
 
 	// Background repartition swaps racing the whole script.

@@ -12,6 +12,7 @@ import (
 
 	vpindex "repro"
 	"repro/internal/model"
+	"repro/internal/monitor"
 )
 
 // storeConfigs enumerates the Store configurations under test. The auto
@@ -364,9 +365,6 @@ func TestStoreConcurrentReportSearch(t *testing.T) {
 	}
 }
 
-// nonKNN hides an index's kNN support behind the bare interface.
-type nonKNN struct{ model.Index }
-
 // TestStoreTypedErrors checks the errors.Is contract of the public surface.
 func TestStoreTypedErrors(t *testing.T) {
 	store, err := vpindex.Open(vpindex.WithKind(vpindex.Bx))
@@ -421,12 +419,9 @@ func TestStoreTypedErrors(t *testing.T) {
 	if _, err := vpindex.Open(vpindex.WithVelocityPartitioning(3), vpindex.WithAutoPartition(2)); err == nil {
 		t.Fatal("auto sample below k accepted")
 	}
-
-	// The deprecated Index wrapper reports kNN-less structures with
-	// ErrUnsupported instead of panicking.
-	ix := &vpindex.Index{Index: nonKNN{model.NewBruteForce()}}
-	if _, err := ix.SearchKNN(vpindex.KNNQuery{Center: vpindex.V(0, 0), K: 1, T: 1}); !errors.Is(err, vpindex.ErrUnsupported) {
-		t.Fatalf("kNN on non-kNN index: %v", err)
+	// Neither can an upfront sample with fewer points than partitions.
+	if _, err := vpindex.Open(vpindex.WithVelocityPartitioning(2), vpindex.WithVelocitySample([]vpindex.Vec2{{X: 1}})); err == nil {
+		t.Fatal("upfront sample below k accepted")
 	}
 }
 
@@ -441,7 +436,7 @@ func TestStoreMonitorIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := vpindex.NewMonitor(store)
+	mon := monitor.New(store)
 
 	// Watch a disk around (5000, 5000) with no prediction lookahead.
 	subID, seed, err := mon.Subscribe(vpindex.Subscription{

@@ -32,7 +32,6 @@
 // subscriptions it could affect), RefreshSubscriptions picks up pure time
 // drift, and Events delivers the enter/leave deltas as an ordered
 // asynchronous stream with configurable back-pressure (WithEventBuffer).
-// The deprecated NewMonitor wrapper remains for raw indexes.
 //
 // # Model
 //
@@ -60,8 +59,8 @@
 //
 // The partitions also stay adaptive after the bootstrap (Section 5.5 of
 // the paper): each shard keeps a bounded reservoir of recently reported
-// velocities, and a configured policy (WithRepartitionEvery /
-// WithDriftThreshold) periodically re-analyzes it off the write path,
+// velocities, and a configured policy (WithRepartitionPolicy)
+// periodically re-analyzes it off the write path,
 // rebuilding the partitions shard by shard when the dominant axes have
 // drifted — Store.Repartition is the manual trigger. Maintenance outcomes
 // are decoupled from the write verbs: see Store.LastMaintenanceError and
@@ -80,20 +79,14 @@
 // All indexes store nodes on simulated 4 KB disk pages behind LRU buffer
 // pools (50 pages each by default) over one shared disk; the Store gives
 // every partition its own pool so page-cache hits on independent partitions
-// never contend on one pool mutex, while the deprecated New/NewVP
-// constructors keep the paper's single shared pool. Stats reports the
-// buffer-pool misses that the paper plots as "query I/O", aggregated across
-// all pools.
-//
-// The former constructors New and NewVP still work but are deprecated; see
-// their doc comments for the Open equivalents.
+// never contend on one pool mutex. Stats reports the buffer-pool misses
+// that the paper plots as "query I/O", aggregated across all pools.
 package vpindex
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/analysis/cluster"
 	"repro/internal/bxtree"
 	"repro/internal/geom"
 	"repro/internal/model"
@@ -101,11 +94,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/tprtree"
 )
-
-// clusterOptions derives deterministic k-means options from a seed.
-func clusterOptions(seed int64) cluster.Options {
-	return cluster.Options{Seed: seed}
-}
 
 // Re-exported data-model types. These are aliases, so values flow freely
 // between the public API and the internal packages.
@@ -166,9 +154,6 @@ func MovingQuery(r Rect, vel Vec2, now, t0, t1 float64) RangeQuery {
 	return RangeQuery{Kind: MovingRange, Rect: r, Vel: vel, Now: now, T0: t0, T1: t1}
 }
 
-// Searcher is the operation set shared by all indexes in this package.
-type Searcher = model.Index
-
 // Kind selects the base index structure.
 type Kind int
 
@@ -191,46 +176,24 @@ func (k Kind) String() string {
 	}
 }
 
-// Options configures the base index structure shared by every partition.
-// The zero value takes the paper's defaults. New code should prefer Open's
-// functional options (WithKind, WithDomain, ...), which cover every field
-// here; Options remains the carrier type behind both surfaces.
-type Options struct {
+// baseOptions carries the base-index settings shared by every partition.
+// The zero value takes the paper's defaults.
+type baseOptions struct {
 	// Kind selects the base structure (default TPRStar).
 	Kind Kind
 	// Domain is the data space (default 100,000 x 100,000 m, Table 1).
 	Domain Rect
-	// BufferPages sizes the LRU buffer pool (default 50, Table 1).
+	// BufferPages sizes each LRU buffer pool (default 50, Table 1).
 	BufferPages int
 	// DiskLatency injects a delay per physical page access so execution
 	// time tracks I/O like a disk would; 0 (default) disables it.
 	DiskLatency time.Duration
-
-	// Horizon is the TPR*-tree cost-integral horizon (default 120 ts).
-	Horizon float64
-	// QueryExtent is the query side length the TPR*-tree optimizes for
-	// (default 1000 m).
-	QueryExtent float64
-
-	// GridOrder is the Bx-tree curve grid's bits per axis (default 8).
-	GridOrder uint
-	// Buckets is the Bx-tree's time-bucket count (default 2).
-	Buckets int
 	// MaxUpdateInterval is the guaranteed max time between an object's
-	// updates (default 120 ts).
+	// updates (default 120 ts); it sizes the Bx-tree's bucket rotation.
 	MaxUpdateInterval float64
-	// HistogramCells is the Bx velocity histogram resolution (default 64).
-	HistogramCells int
-	// UseZOrder switches the Bx-tree to the Z-curve.
-	UseZOrder bool
-	// LegacyScan restores the Bx-tree's per-interval scan path (one B+-tree
-	// descent per curve interval) instead of the batched leaf-walk engine.
-	// Results are identical; this is the measured baseline of the scan
-	// benchmark. Ignored by the TPR*-tree.
-	LegacyScan bool
 }
 
-func (o Options) withDefaults() Options {
+func (o baseOptions) withDefaults() baseOptions {
 	if o.Domain.IsEmpty() || o.Domain.Area() == 0 {
 		o.Domain = geom.R(0, 0, 100000, 100000)
 	}
@@ -241,13 +204,10 @@ func (o Options) withDefaults() Options {
 }
 
 // buildBase constructs the configured base index over the given pool.
-func buildBase(pool *storage.BufferPool, opts Options, domain Rect, nameSuffix string) (model.Index, error) {
+func buildBase(pool *storage.BufferPool, opts baseOptions, domain Rect, nameSuffix string) (model.Index, error) {
 	switch opts.Kind {
 	case TPRStar:
-		t, err := tprtree.NewTree(pool, tprtree.Config{
-			Horizon:     opts.Horizon,
-			QueryExtent: opts.QueryExtent,
-		})
+		t, err := tprtree.NewTree(pool, tprtree.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -258,12 +218,7 @@ func buildBase(pool *storage.BufferPool, opts Options, domain Rect, nameSuffix s
 	case Bx:
 		t, err := bxtree.NewTree(pool, bxtree.Config{
 			Domain:            domain,
-			GridOrder:         opts.GridOrder,
-			Buckets:           opts.Buckets,
 			MaxUpdateInterval: opts.MaxUpdateInterval,
-			HistogramCells:    opts.HistogramCells,
-			UseZOrder:         opts.UseZOrder,
-			LegacyScan:        opts.LegacyScan,
 		})
 		if err != nil {
 			return nil, err
@@ -282,8 +237,7 @@ func buildBase(pool *storage.BufferPool, opts Options, domain Rect, nameSuffix s
 // Subscribe/Unsubscribe/SubscriptionResults/RefreshSubscriptions/Events —
 // with sharded incremental evaluation and a coarse velocity-class spatial
 // filter, so the cost per report is proportional to the subscriptions the
-// report could actually affect (see subscriptions.go). The deprecated
-// single-lock wrapper lives in legacy.go as NewMonitor.
+// report could actually affect (see subscriptions.go).
 type (
 	// Subscription is a standing region + prediction horizon.
 	Subscription = monitor.Subscription

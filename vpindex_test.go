@@ -1,6 +1,7 @@
 package vpindex_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,14 +11,14 @@ import (
 	"repro/internal/workload"
 )
 
-func TestNewDefaults(t *testing.T) {
+func TestOpenDefaults(t *testing.T) {
 	for _, kind := range []vpindex.Kind{vpindex.TPRStar, vpindex.Bx} {
-		idx, err := vpindex.New(vpindex.Options{Kind: kind})
+		idx, err := vpindex.Open(vpindex.WithKind(kind))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if idx.Len() != 0 {
-			t.Fatal("new index not empty")
+			t.Fatal("new store not empty")
 		}
 		o := vpindex.Object{ID: 1, Pos: vpindex.V(100, 100), Vel: vpindex.V(5, 5), T: 0}
 		if err := idx.Insert(o); err != nil {
@@ -34,7 +35,7 @@ func TestNewDefaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		if idx.Len() != 0 {
-			t.Fatal("delete did not shrink index")
+			t.Fatal("delete did not shrink store")
 		}
 	}
 }
@@ -76,15 +77,6 @@ func TestQueryBuilders(t *testing.T) {
 	}
 }
 
-func TestNewVPRequiresSample(t *testing.T) {
-	if _, err := vpindex.NewVP(nil, vpindex.VPOptions{}); err == nil {
-		t.Fatal("empty sample accepted")
-	}
-	if _, err := vpindex.NewVP([]vpindex.Vec2{{X: 1}}, vpindex.VPOptions{K: 2}); err == nil {
-		t.Fatal("sample smaller than k accepted")
-	}
-}
-
 func TestVPAnalysisExposed(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	sample := make([]vpindex.Vec2, 1000)
@@ -96,19 +88,20 @@ func TestVPAnalysisExposed(t *testing.T) {
 			sample[i] = vpindex.V(rng.NormFloat64(), -s)
 		}
 	}
-	idx, err := vpindex.NewVP(sample, vpindex.VPOptions{
-		Options: vpindex.Options{Kind: vpindex.Bx},
-		K:       2,
-	})
+	idx, err := vpindex.Open(
+		vpindex.WithKind(vpindex.Bx),
+		vpindex.WithVelocityPartitioning(2),
+		vpindex.WithVelocitySample(sample),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := idx.Analysis()
-	if an.NumVelocityFrames() != 2 || an.SampleSize != 1000 {
-		t.Fatalf("analysis: %+v", an)
+	an, ok := idx.Analysis()
+	if !ok || an.NumVelocityFrames() != 2 || an.SampleSize != 1000 {
+		t.Fatalf("analysis: %+v (ok=%v)", an, ok)
 	}
-	if idx.NumPartitions() != 3 {
-		t.Fatalf("partitions: %d", idx.NumPartitions())
+	if n := len(idx.Partitions()); n != 3 {
+		t.Fatalf("partitions: %d", n)
 	}
 	if idx.Name() != "bx(vp)" {
 		t.Fatalf("name: %q", idx.Name())
@@ -116,7 +109,7 @@ func TestVPAnalysisExposed(t *testing.T) {
 }
 
 func TestStatsProgress(t *testing.T) {
-	idx, err := vpindex.New(vpindex.Options{Kind: vpindex.Bx, BufferPages: 4})
+	idx, err := vpindex.Open(vpindex.WithKind(vpindex.Bx), vpindex.WithBufferPages(4), vpindex.WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +134,49 @@ func TestStatsProgress(t *testing.T) {
 	}
 }
 
+// storeSetup is one Store configuration of the oracle grids: base kind x
+// partitioning objective x shard count. Every setup is partitioned from an
+// upfront sample; ObjectiveNone runs the same machinery over a single
+// unpartitioned index, which is the paper's flat baseline.
+type storeSetup struct {
+	name      string
+	kind      vpindex.Kind
+	objective vpindex.PartitionObjective
+	shards    int
+}
+
+func storeSetups() []storeSetup {
+	var out []storeSetup
+	for _, kind := range []vpindex.Kind{vpindex.Bx, vpindex.TPRStar} {
+		for _, obj := range []vpindex.PartitionObjective{vpindex.ObjectiveNone, vpindex.ObjectiveDVA} {
+			for _, shards := range []int{1, 4} {
+				out = append(out, storeSetup{
+					name: fmt.Sprintf("%s-%s-shards%d", kind, obj, shards),
+					kind: kind, objective: obj, shards: shards,
+				})
+			}
+		}
+	}
+	return out
+}
+
+func (su storeSetup) open(t *testing.T, sample []vpindex.Vec2, extra ...vpindex.Option) *vpindex.Store {
+	t.Helper()
+	s, err := vpindex.Open(append([]vpindex.Option{
+		vpindex.WithKind(su.kind),
+		vpindex.WithShards(su.shards),
+		vpindex.WithVelocityPartitioning(2),
+		vpindex.WithPartitioner(su.objective),
+		vpindex.WithVelocitySample(sample),
+	}, extra...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestEndToEndOracleAllDatasetsAllSetups is the repository's strongest
-// integration test: for every dataset and every index configuration,
+// integration test: for every dataset and every Store configuration,
 // replay a full benchmark workload (load + updates interleaved with
 // queries) and require bit-identical result sets against the brute-force
 // oracle at every query.
@@ -150,19 +184,8 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	type setup struct {
-		name string
-		kind vpindex.Kind
-		vp   bool
-	}
-	setups := []setup{
-		{"bx", vpindex.Bx, false},
-		{"bx-vp", vpindex.Bx, true},
-		{"tpr", vpindex.TPRStar, false},
-		{"tpr-vp", vpindex.TPRStar, true},
-	}
 	for _, ds := range workload.Datasets() {
-		for _, su := range setups {
+		for _, su := range storeSetups() {
 			t.Run(string(ds)+"/"+su.name, func(t *testing.T) {
 				p := workload.DefaultParams(ds, 900)
 				p.Domain = vpindex.R(0, 0, 12000, 12000)
@@ -173,23 +196,12 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := vpindex.Options{Kind: su.kind, Domain: p.Domain, BufferPages: 20}
-				var idx vpindex.Searcher
-				if su.vp {
-					v, err := vpindex.NewVP(gen.VelocitySample(900), vpindex.VPOptions{
-						Options: opts, K: 2, Seed: 5, TauRefreshInterval: 400,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					idx = v
-				} else {
-					v, err := vpindex.New(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					idx = v
-				}
+				idx := su.open(t, gen.VelocitySample(900),
+					vpindex.WithDomain(p.Domain),
+					vpindex.WithBufferPages(20),
+					vpindex.WithSeed(5),
+					vpindex.WithTauRefreshInterval(400),
+				)
 				oracle := model.NewBruteForce()
 				for _, o := range gen.Initial() {
 					if err := idx.Insert(o); err != nil {
