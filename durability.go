@@ -52,9 +52,9 @@ import (
 // the captured LSN — replay is exactly once. The fsync wait happens after
 // the shared lock is released, so a checkpoint never stalls behind group
 // commit. Swap records are the one exception: they are appended without
-// commitMu (the cutover already runs inside maintenance, not inside a verb's
-// pair) and tolerate it by being idempotent — replaying a swap against an
-// already-partitioned store rebuilds the same partitions.
+// commitMu (a swap runs inside maintenance, not inside a verb's pair) and
+// tolerate it by being idempotent — replaying a swap against a store already
+// on that analysis rebuilds the same partitions.
 
 // durability is the durable-mode state hanging off a Store.
 type durability struct {
@@ -154,8 +154,8 @@ func (s *Store) initDurable() error {
 		dir: cfg.dataDir, wal: w, fstore: fstore, ckptEvery: cfg.ckptEvery,
 		compactChainMax: cfg.compactChain, compactBytesMax: cfg.compactBytes,
 	}
-	// Index building inside Open (upfront sample, staging shards) must not
-	// log; recover() lifts this once the replay is done.
+	// Index building inside Open must not log; recover() lifts this once
+	// the replay is done.
 	s.dur.recovering.Store(true)
 	return nil
 }
@@ -218,20 +218,19 @@ func (s *Store) Close() error {
 // (and replay during recovery) run the apply alone. encode appends the record
 // payload to dst — a pooled buffer that WAL.Append copies out of before
 // returning, so the steady-state write path allocates nothing per record.
-func (s *Store) durableApply(t wal.Type, encode func(dst []byte) []byte, apply func() (bool, error)) (bool, error) {
+func (s *Store) durableApply(t wal.Type, encode func(dst []byte) []byte, apply func() error) error {
 	d := s.dur
 	if d == nil || d.recovering.Load() {
 		return apply()
 	}
 	if herr := s.writeAllowed(); herr != nil {
-		return false, herr
+		return herr
 	}
 	d.commitMu.RLock()
-	trip, err := apply()
-	if err != nil {
+	if err := apply(); err != nil {
 		d.commitMu.RUnlock()
 		s.noteIOFault(err)
-		return false, err
+		return err
 	}
 	buf := wal.GetBuf()
 	*buf = encode((*buf)[:0])
@@ -240,51 +239,57 @@ func (s *Store) durableApply(t wal.Type, encode func(dst []byte) []byte, apply f
 	wal.PutBuf(buf)
 	if werr != nil {
 		s.noteIOFault(werr)
-		return false, werr
+		return werr
 	}
 	if cerr := d.wal.Commit(lsn); cerr != nil {
 		s.noteIOFault(cerr)
-		return false, cerr
+		return cerr
 	}
 	d.noteRecords(s, 1)
-	return trip, nil
+	return nil
 }
 
 // durableApplyObject is durableApply specialized to the hot verbs whose
-// record is one encoded object (Report, Insert, Update): the encode step is
-// inlined over the pooled buffer and the apply half is a method expression
-// instead of a per-call closure, so the uncoalesced single-record path
-// allocates nothing per record in steady state.
-func (s *Store) durableApplyObject(t wal.Type, o Object, apply func(*Store, Object) (bool, error)) (bool, error) {
+// record is one encoded object (Report, Insert, Update — all logged as a
+// plain report record, which replays as the upsert that reproduces them):
+// the encode step is inlined over the pooled buffer and the apply half is
+// applyUpsert over a manager method expression instead of a per-call closure,
+// so the uncoalesced single-record path allocates nothing per record in
+// steady state. A successful write then runs the maintenance it triggered.
+func (s *Store) durableApplyObject(o Object, verb func(*core.Manager, Object) error) error {
 	d := s.dur
 	if d == nil || d.recovering.Load() {
-		return apply(s, o)
+		err := s.applyUpsert(o, verb)
+		if err == nil {
+			s.afterReports(1)
+		}
+		return err
 	}
 	if herr := s.writeAllowed(); herr != nil {
-		return false, herr
+		return herr
 	}
 	d.commitMu.RLock()
-	trip, err := apply(s, o)
-	if err != nil {
+	if err := s.applyUpsert(o, verb); err != nil {
 		d.commitMu.RUnlock()
 		s.noteIOFault(err)
-		return false, err
+		return err
 	}
 	buf := wal.GetBuf()
 	*buf = wal.AppendObject((*buf)[:0], o)
-	lsn, werr := d.wal.Append(t, *buf)
+	lsn, werr := d.wal.Append(wal.TypeReport, *buf)
 	d.commitMu.RUnlock()
 	wal.PutBuf(buf)
 	if werr != nil {
 		s.noteIOFault(werr)
-		return false, werr
+		return werr
 	}
 	if cerr := d.wal.Commit(lsn); cerr != nil {
 		s.noteIOFault(cerr)
-		return false, cerr
+		return cerr
 	}
 	d.noteRecords(s, 1)
-	return trip, nil
+	s.afterReports(1)
+	return nil
 }
 
 // durableApplyRemove is the same closure-free shape for Remove's ID-only
@@ -329,11 +334,7 @@ func (s *Store) reportBatchDurable(d *durability, objs []Object) error {
 	}
 	sc := s.getBatchScratch()
 	d.commitMu.RLock()
-	reported, trip, err := s.applyReportBatch(objs, sc)
-	n := 0
-	for _, g := range sc.eval {
-		n += len(g)
-	}
+	n, err := s.applyReportBatch(objs, sc)
 	var (
 		lsn  uint64
 		werr error
@@ -360,11 +361,12 @@ func (s *Store) reportBatchDurable(d *durability, objs []Object) error {
 		d.noteRecords(s, 1)
 	}
 	s.noteIOFault(err)
-	return s.finishReportBatch(reported, trip, err)
+	s.afterReports(n)
+	return err
 }
 
 // logSwap appends a partition-swap record carrying the completed analysis.
-// It runs outside commitMu — the cutover fires from maintenance, and the
+// It runs outside commitMu — a swap fires from maintenance, and the
 // record is idempotent under replay (see the file comment) — and does not
 // wait for the fsync: no caller is blocked on the swap, and the record
 // becomes durable with the next committed record, checkpoint, or Close.
@@ -651,13 +653,7 @@ func (s *Store) captureCheckpoint(d *durability) checkpointState {
 	ck.savedPart = d.partDirty.Swap(false)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.mgr != nil {
-			ck.objects = append(ck.objects, sh.mgr.Objects()...)
-		} else {
-			for _, o := range sh.objs {
-				ck.objects = append(ck.objects, o)
-			}
-		}
+		ck.objects = append(ck.objects, sh.mgr.Objects()...)
 		ck.savedDirty = append(ck.savedDirty, sh.dirty)
 		ck.savedGone = append(ck.savedGone, sh.gone)
 		if sh.dirty != nil {
@@ -688,16 +684,7 @@ func (s *Store) captureDelta(d *durability) checkpointState {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for id := range sh.dirty {
-			var (
-				o  Object
-				ok bool
-			)
-			if sh.mgr != nil {
-				o, ok = sh.mgr.Get(id)
-			} else {
-				o, ok = sh.objs[id]
-			}
-			if ok {
+			if o, ok := sh.mgr.Get(id); ok {
 				ck.objects = append(ck.objects, o)
 			} else {
 				ck.tombs = append(ck.tombs, id)
@@ -1217,7 +1204,7 @@ func (s *Store) recover() error {
 		// population once per layout change for nothing).
 		for i := len(chain) - 1; i >= 0; i-- {
 			if chain[i].partitioned {
-				s.replaySwap(chain[i].analysis)
+				_ = s.swapPartitions(chain[i].analysis)
 				break
 			}
 		}
@@ -1326,30 +1313,13 @@ func (s *Store) replayRecord(t wal.Type, p []byte) {
 			d.replayed.Add(1)
 		}
 	case wal.TypePartitionSwap:
+		// Recovery is single-threaded, so running the swap without maintMu
+		// is safe.
 		if an, err := core.DecodeAnalysis(p); err == nil {
-			s.replaySwap(an)
+			_ = s.swapPartitions(an)
 			d.replayed.Add(1)
 		}
 	}
-}
-
-// replaySwap re-applies a logged partition transition: the bootstrap cutover
-// when the store is still staging (migrating the staged population), a
-// per-shard rebuild when it is already partitioned. Recovery is
-// single-threaded, so taking the swap machinery without maintMu is safe.
-func (s *Store) replaySwap(an core.Analysis) {
-	if s.partitioned.Load() {
-		_ = s.swapPartitions(an)
-		return
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	err := s.applyAnalysisLocked(an, nil)
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
-	_ = err
 }
 
 // restoreSubscriptions rebuilds the subscription registry from a checkpoint:

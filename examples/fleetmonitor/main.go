@@ -3,11 +3,10 @@
 // other tanks within one kilometer of itself", Section 6) — served as a
 // Store-native standing subscription over a Store that bootstraps its own
 // velocity partitions online. No upfront velocity sample is supplied: the
-// Store opens in a staging index, accumulates the first reported
-// velocities, then runs the DVA analysis and migrates the live fleet into
-// the partitions mid-stream — and the standing subscription's result set
-// rides through the cutover untouched, because subscription state lives
-// above the index epochs.
+// Store opens unpartitioned, accumulates the first reported velocities, then
+// runs the DVA analysis and migrates the live fleet into the partitions
+// mid-stream — and the standing subscription's result set rides through the
+// swap untouched, because subscription state lives above the index epochs.
 //
 // Every 20 ts the protective zone is re-centered on the convoy's current
 // predicted position (unsubscribe + subscribe), and between checks the
@@ -34,8 +33,8 @@ func main() {
 	}
 
 	// The auto-partition threshold lands mid-stream: the 6000 initial
-	// reports stay in the staging index, and the analysis triggers 2000
-	// location reports into live traffic.
+	// reports land in the unpartitioned managers, and the analysis triggers
+	// 2000 location reports into live traffic.
 	store, err := vpindex.Open(
 		vpindex.WithKind(vpindex.TPRStar),
 		vpindex.WithDomain(params.Domain),
@@ -51,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	collected, target := store.BootstrapProgress()
-	fmt.Printf("staging index loaded: %d vehicles, bootstrap sample %d/%d\n\n",
+	fmt.Printf("unpartitioned store loaded: %d vehicles, bootstrap sample %d/%d\n\n",
 		store.Len(), collected, target)
 
 	// The convoy: vehicle 1. Its protective zone is a 2 km box that

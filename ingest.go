@@ -182,8 +182,8 @@ func (c *coalescer) dwell() {
 // the batch, apply it, append its WAL record; after handing leadership back —
 // wait out the sync policy, attribute per-slot errors, wake the waiters, run
 // once-per-batch maintenance. The handoff point is what pipelines drains
-// around the fsync, and it also keeps a cutover's all-shard lock sweep
-// (finishReportBatch) from stalling the next drain's election.
+// around the fsync, and it also keeps a bootstrap swap (afterReports) from
+// stalling the next drain's election.
 func (c *coalescer) lead() {
 	c.dwell()
 	sc := c.s.getBatchScratch()
@@ -209,7 +209,7 @@ func (c *coalescer) lead() {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 
-	err := c.s.coalescedFinish(sc, res)
+	c.s.coalescedFinish(sc, res)
 
 	c.mu.Lock()
 	for _, sl := range sc.slots {
@@ -219,20 +219,18 @@ func (c *coalescer) lead() {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.s.putBatchScratch(sc)
-	_ = c.s.finishReportBatch(res.reported, res.trip, err)
+	c.s.afterReports(res.evalN)
 }
 
 // coalResult carries a drained batch's apply/append outcome from the
 // leadership half of the turn to the post-handoff half.
 type coalResult struct {
-	reported int
-	trip     bool
-	err      error // apply-path error (first shard error)
-	lsn      uint64
-	werr     error // WAL append error
-	evalN    int   // records actually applied and logged
-	durable  bool
-	health   bool // store unhealthy: slots already carry the error
+	err     error // apply-path error (first shard error)
+	lsn     uint64
+	werr    error // WAL append error
+	evalN   int   // records actually applied and logged
+	durable bool
+	health  bool // store unhealthy: slots already carry the error
 }
 
 // coalescedPhase1 is the leadership half of a drain: the slots' records
@@ -259,10 +257,7 @@ func (s *Store) coalescedPhase1(sc *batchScratch) coalResult {
 	if res.durable {
 		d.commitMu.RLock()
 	}
-	res.reported, res.trip, res.err = s.applyReportBatch(sc.objs, sc)
-	for _, g := range sc.eval {
-		res.evalN += len(g)
-	}
+	res.evalN, res.err = s.applyReportBatch(sc.objs, sc)
 	if res.durable && res.evalN > 0 {
 		buf := wal.GetBuf()
 		*buf = wal.AppendReportBatch((*buf)[:0], sc.eval)
@@ -277,10 +272,10 @@ func (s *Store) coalescedPhase1(sc *batchScratch) coalResult {
 
 // coalescedFinish completes a drained batch after leadership handoff: one
 // wait on the sync policy, per-slot error attribution, health-fault
-// classification. Returns the batch-level error for maintenance accounting.
-func (s *Store) coalescedFinish(sc *batchScratch, res coalResult) error {
+// classification.
+func (s *Store) coalescedFinish(sc *batchScratch, res coalResult) {
 	if res.health {
-		return nil
+		return
 	}
 	var cerr error
 	if res.durable && res.werr == nil && res.evalN > 0 {
@@ -295,14 +290,6 @@ func (s *Store) coalescedFinish(sc *batchScratch, res coalResult) error {
 			s.dur.noteRecords(s, 1)
 		}
 	}
-	err := res.err
-	if err == nil {
-		err = res.werr
-	}
-	if err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // attributeSlots hands each drained slot its own error from the

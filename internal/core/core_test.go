@@ -608,91 +608,6 @@ func TestManagerConcurrentSearchDuringUpdates(t *testing.T) {
 	}
 }
 
-func TestReanalyzeRebuildsPartitions(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewDisk(), 500)
-	// Start with axes at 0/90 degrees.
-	m := newManager(t, tprFactory(pool), sfLikeSample(3000, 0, math.Pi/2, 2.0, 0.02, 31))
-	rng := rand.New(rand.NewSource(13))
-	objs := make([]model.Object, 400)
-	for i := range objs {
-		// Traffic actually flows along +-45 degrees.
-		ang := math.Pi / 4
-		if i%2 == 0 {
-			ang = -math.Pi / 4
-		}
-		d := geom.V(math.Cos(ang), math.Sin(ang))
-		speed := 30 + rng.Float64()*60
-		if rng.Intn(2) == 0 {
-			speed = -speed
-		}
-		objs[i] = model.Object{
-			ID:  model.ObjectID(i + 1),
-			Pos: geom.V(rng.Float64()*100000, rng.Float64()*100000),
-			Vel: d.Scale(speed).Add(d.Perp().Scale(rng.NormFloat64())),
-			T:   0,
-		}
-		if err := m.Insert(objs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Most diagonal movers land in the outlier partition of the 0/90 grid.
-	before := m.Partitions()
-	outlierBefore := before[len(before)-1].Size
-
-	// Fresh analysis over the actual (diagonal) traffic.
-	vels := make([]geom.Vec2, len(objs))
-	for i, o := range objs {
-		vels[i] = o.Vel
-	}
-	an, err := Analyze(vels, AnalyzerConfig{K: 2, Cluster: cluster.Options{Seed: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if drift := m.Drift(an); drift < math.Pi/8 {
-		t.Fatalf("expected large axis drift, got %g rad", drift)
-	}
-	if err := m.Reanalyze(an, tprFactory(pool)); err != nil {
-		t.Fatal(err)
-	}
-	after := m.Partitions()
-	outlierAfter := after[len(after)-1].Size
-	if outlierAfter >= outlierBefore {
-		t.Fatalf("rebuild should drain the outlier partition: %d -> %d",
-			outlierBefore, outlierAfter)
-	}
-	if after[0].Size+after[1].Size+outlierAfter != len(objs) {
-		t.Fatal("objects lost in rebuild")
-	}
-	// Queries still correct after the rebuild.
-	oracle := model.NewBruteForce()
-	for _, o := range objs {
-		_ = oracle.Insert(o)
-	}
-	for trial := 0; trial < 15; trial++ {
-		q := model.RangeQuery{
-			Kind: model.TimeSlice,
-			Rect: geom.RectFromCenter(geom.V(rng.Float64()*100000, rng.Float64()*100000), 8000, 8000),
-			Now:  0, T0: rng.Float64() * 100,
-		}
-		got, err := m.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := oracle.Search(q)
-		sameIDs(t, got, want, "post-rebuild query")
-	}
-	// Updates keep working against the new partitions.
-	upd := objs[0]
-	upd.Pos = upd.PosAt(10)
-	upd.T = 10
-	if err := m.Update(objs[0], upd); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestManagerReportUpserts covers the ID-keyed hooks the Store facade is
-// built on: Report (insert-or-update), ReportBatch (single lock, one
-// tau-refresh pass) and InsertBulk (bootstrap migration load).
 func TestManagerReportUpserts(t *testing.T) {
 	pool := storage.NewBufferPool(storage.NewDisk(), 200)
 	sample := sfLikeSample(2000, 0, math.Pi/2, 2.0, 0, 4)
@@ -761,94 +676,6 @@ func TestManagerReportUpserts(t *testing.T) {
 	}
 	if m.Len() != 3+1+50 {
 		t.Fatalf("len after bulk: %d", m.Len())
-	}
-}
-
-// failingIndex wraps an index and fails every insert after a budget is
-// exhausted, to force a mid-migration Reanalyze failure.
-type failingIndex struct {
-	model.Index
-	budget *int
-}
-
-func (f failingIndex) Insert(o model.Object) error {
-	if *f.budget <= 0 {
-		return fmt.Errorf("failingIndex: insert budget exhausted")
-	}
-	*f.budget--
-	return f.Index.Insert(o)
-}
-
-// TestReanalyzeFailureLeavesManagerIntact pins the rollback contract: a
-// Reanalyze that fails mid-migration must leave BOTH the partition set and
-// the lookup table exactly as they were. (A previous version restored the
-// partitions but kept the half-rerouted table entries, so every later
-// Update/Delete of a rerouted object targeted the wrong partition.)
-func TestReanalyzeFailureLeavesManagerIntact(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewDisk(), 500)
-	m := newManager(t, tprFactory(pool), sfLikeSample(2000, 0, math.Pi/2, 2.0, 0.02, 7))
-	rng := rand.New(rand.NewSource(23))
-	objs := roadObjects(300, rng)
-	for _, o := range objs {
-		if err := m.Insert(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := m.Partitions()
-
-	// Fresh analysis over rotated traffic, but a factory whose indexes die
-	// partway through the re-routing migration.
-	vels := make([]geom.Vec2, len(objs))
-	for i, o := range objs {
-		d := geom.V(math.Cos(math.Pi/4), math.Sin(math.Pi/4))
-		vels[i] = d.Scale(o.Vel.Norm())
-	}
-	an, err := Analyze(vels, AnalyzerConfig{K: 2, Cluster: cluster.Options{Seed: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := len(objs) / 2 // enough to reroute half, then fail
-	inner := tprFactory(pool)
-	factory := func(spec PartitionSpec) (model.Index, error) {
-		idx, err := inner(spec)
-		if err != nil {
-			return nil, err
-		}
-		return failingIndex{Index: idx, budget: &budget}, nil
-	}
-	if err := m.Reanalyze(an, factory); err == nil {
-		t.Fatal("expected mid-migration Reanalyze failure")
-	}
-
-	// Partition set restored byte-for-byte (axes, taus, sizes).
-	after := m.Partitions()
-	if len(after) != len(before) {
-		t.Fatalf("partition count changed: %d -> %d", len(before), len(after))
-	}
-	for i := range after {
-		if after[i].Spec.Axis != before[i].Spec.Axis || after[i].Tau != before[i].Tau ||
-			after[i].Size != before[i].Size {
-			t.Fatalf("partition %d changed across failed rebuild:\n  %+v\n  %+v",
-				i, before[i], after[i])
-		}
-	}
-	// Every object is still updatable and deletable — the table must still
-	// point at the partition that actually holds each record.
-	for _, o := range objs {
-		upd := o
-		upd.Pos = o.PosAt(5)
-		upd.T = 5
-		if err := m.Update(o, upd); err != nil {
-			t.Fatalf("update of %d after failed rebuild: %v", o.ID, err)
-		}
-	}
-	for _, o := range objs {
-		if err := m.Delete(o); err != nil {
-			t.Fatalf("delete of %d after failed rebuild: %v", o.ID, err)
-		}
-	}
-	if m.Len() != 0 {
-		t.Fatalf("len %d after deleting everything", m.Len())
 	}
 }
 

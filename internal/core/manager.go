@@ -318,9 +318,9 @@ func (m *Manager) Insert(o model.Object) error {
 }
 
 // InsertBulk loads many new objects under a single lock acquisition with one
-// tau-refresh pass at the end. This is the bootstrap/migration hook: the
-// package-root Store uses it to move a whole staging population into the
-// freshly built partitions, and loaders use it to amortize locking during
+// tau-refresh pass at the end. This is the migration hook: the package-root
+// Store's partition swap uses it to move a shard's whole population into a
+// freshly built manager, and loaders use it to amortize locking during
 // initial load. All objects must be new; a duplicate aborts the load at that
 // record (earlier records stay inserted).
 func (m *Manager) InsertBulk(objs []model.Object) error {
@@ -655,47 +655,4 @@ func (m *Manager) Drift(an Analysis) float64 {
 		}
 	}
 	return worst
-}
-
-// Reanalyze rebuilds the partition set from a fresh velocity analysis
-// (Section 5.5's "rerun the velocity analyzer ... and readjust the
-// indexes"), which may change the objective kind and the partition count:
-// new partition indexes are created through the factory and every live
-// object is re-routed and re-inserted. The manager is locked for the
-// duration (a rebuild is a rare, heavyweight maintenance action — the paper
-// argues directions are stable enough that this almost never fires; tau
-// refresh handles the common speed-only drift).
-func (m *Manager) Reanalyze(an Analysis, factory IndexFactory) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := an.Validate(); err != nil {
-		return err
-	}
-	fresh, err := buildPartitions(an, m.cfg, factory)
-	if err != nil {
-		return err
-	}
-
-	// Re-route every object into the fresh partitions through a fresh
-	// lookup table, committing the table only after the last insert
-	// succeeds. Updating m.objs in place would corrupt the manager on
-	// failure: restoring m.pars alone leaves the already-rerouted entries
-	// pointing at partition indices of the discarded fresh set, so later
-	// deletes and updates would target the wrong (or a nonexistent)
-	// partition.
-	objs := make(map[model.ObjectID]record, len(m.objs))
-	old, oldKind := m.pars, m.kind
-	m.pars, m.kind = fresh, an.Kind
-	for id, rec := range m.objs {
-		pi := m.route(rec.obj)
-		if err := m.insertInto(pi, rec.obj); err != nil {
-			// Restore; fresh partitions are discarded whole.
-			m.pars, m.kind = old, oldKind
-			return fmt.Errorf("core: re-routing object %d: %w", id, err)
-		}
-		objs[id] = record{obj: rec.obj, part: pi}
-	}
-	m.objs = objs
-	m.insertsSinceRefresh = 0
-	return nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/analysis/cluster"
 	"repro/internal/geom"
-	"repro/internal/model"
 	"repro/internal/storage"
 )
 
@@ -226,105 +225,6 @@ func TestDriftStructuralMismatchGuard(t *testing.T) {
 	}
 	if d := sm.Drift(an); d != DriftMax {
 		t.Fatalf("dva vs speed drift = %g, want DriftMax", d)
-	}
-}
-
-// TestReanalyzeAcrossKinds drives the full objective ladder through one
-// manager — DVA -> speed -> none -> DVA — checking object retention and
-// oracle-exact queries after every swap, and that a malformed analysis is
-// rejected without disturbing the live set.
-func TestReanalyzeAcrossKinds(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewDisk(), 500)
-	factory := bxFactory(pool)
-	sample := sfLikeSample(3000, 0, math.Pi/2, 2.0, 0.05, 17)
-	m := newManager(t, factory, sample)
-
-	rng := rand.New(rand.NewSource(41))
-	objs := roadObjects(500, rng)
-	oracle := model.NewBruteForce()
-	for _, o := range objs {
-		if err := m.Insert(o); err != nil {
-			t.Fatal(err)
-		}
-		_ = oracle.Insert(o)
-	}
-	check := func(stage string) {
-		t.Helper()
-		if m.Len() != oracle.Len() {
-			t.Fatalf("%s: len %d vs %d", stage, m.Len(), oracle.Len())
-		}
-		qrng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 10; trial++ {
-			q := model.RangeQuery{
-				Kind: model.TimeSlice,
-				Rect: geom.RectFromCenter(geom.V(qrng.Float64()*100000, qrng.Float64()*100000), 6000, 6000),
-				Now:  0, T0: qrng.Float64() * 80,
-			}
-			got, err := m.Search(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _ := oracle.Search(q)
-			sameIDs(t, got, want, stage)
-		}
-	}
-
-	// Malformed analysis: rejected, manager untouched.
-	if err := m.Reanalyze(Analysis{Kind: KindSpeed, Frames: []Frame{{SpeedMax: 10}}}, factory); err == nil {
-		t.Fatal("malformed analysis accepted")
-	}
-	if m.Kind() != KindDVA {
-		t.Fatal("failed Reanalyze changed the manager kind")
-	}
-	check("after rejected analysis")
-
-	speedAn, err := SpeedPartitioner{Bands: 2}.Analyze(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Reanalyze(speedAn, factory); err != nil {
-		t.Fatal(err)
-	}
-	if m.Kind() != KindSpeed || len(m.Partitions()) != 2 {
-		t.Fatalf("kind %v, partitions %d after speed swap", m.Kind(), len(m.Partitions()))
-	}
-	check("speed")
-
-	noneAn, _ := NonePartitioner{}.Analyze(sample)
-	if err := m.Reanalyze(noneAn, factory); err != nil {
-		t.Fatal(err)
-	}
-	if m.Kind() != KindNone || len(m.Partitions()) != 1 {
-		t.Fatalf("kind %v, partitions %d after none swap", m.Kind(), len(m.Partitions()))
-	}
-	check("none")
-
-	dvaAn, err := Analyze(sample, AnalyzerConfig{K: 2, Cluster: cluster.Options{Seed: 11}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Reanalyze(dvaAn, factory); err != nil {
-		t.Fatal(err)
-	}
-	if m.Kind() != KindDVA || len(m.Partitions()) != 3 {
-		t.Fatalf("kind %v, partitions %d after dva swap", m.Kind(), len(m.Partitions()))
-	}
-	check("back to dva")
-
-	// Updates and deletes still route correctly after the ladder.
-	for _, o := range objs[:50] {
-		upd := o
-		upd.Pos = o.PosAt(5)
-		upd.T = 5
-		if err := m.Update(o, upd); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Delete(upd); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Len() != len(objs)-50 {
-		t.Fatalf("len %d after post-ladder deletes", m.Len())
 	}
 }
 

@@ -535,8 +535,8 @@ func (b *BufferPool) Free(id PageID) error {
 // Retire permanently releases the pool: every cached frame is dropped
 // without write-back and every page the pool ever allocated (and not since
 // freed) is released on the disk. This is for pools whose whole index
-// structure is being abandoned — a replaced partition epoch, a staging
-// index after the bootstrap cutover — so repeated rebuilds do not
+// structure is being abandoned — a replaced partition epoch, a failed
+// swap's half-built one — so repeated rebuilds do not
 // accumulate dead pages and cached frames forever. The caller must
 // guarantee no index still uses the pool; the pool must not be used
 // afterwards.

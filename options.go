@@ -86,7 +86,7 @@ type storeConfig struct {
 	autoObjective bool
 
 	// repart is the adaptive repartitioning policy; maintHook observes
-	// maintenance outcomes (bootstrap cutovers, drift checks, swaps).
+	// maintenance outcomes (the bootstrap, drift checks, swaps).
 	repart    RepartitionPolicy
 	maintHook func(MaintenanceEvent)
 
@@ -168,7 +168,7 @@ func WithKind(k Kind) Option { return func(c *storeConfig) { c.base.Kind = k } }
 func WithDomain(r Rect) Option { return func(c *storeConfig) { c.base.Domain = r } }
 
 // WithBufferPages sizes each LRU buffer pool in pages (default 50, Table 1).
-// The Store creates one pool per index structure — one per shard while
+// The Store creates one pool per partition index — one per shard while
 // unpartitioned, one per velocity partition per shard afterwards, i.e.
 // shards × (k+1) pools — so the total page cache is n times that count, not
 // n.
@@ -208,10 +208,12 @@ func WithVelocitySample(sample []Vec2) Option {
 	return func(c *storeConfig) { c.sample = sample }
 }
 
-// WithAutoPartition enables the online bootstrap: the Store starts in a
-// staging (unpartitioned) index, collects the first n reported velocities as
-// the analysis sample, then runs the DVA analysis and migrates every live
-// object into the partitions — no upfront sample needed. Implies velocity
+// WithAutoPartition enables the online bootstrap: the Store starts with its
+// partition managers on the unpartitioned objective (one index per shard),
+// collects the first n reported velocities as the analysis sample, then runs
+// the analysis and swaps every shard, one at a time, to managers built from
+// it — the same swap a later repartition uses, so queries and writes keep
+// serving throughout and no upfront sample is needed. Implies velocity
 // partitioning. n <= 0 uses DefaultAutoPartitionSample. Ignored when
 // WithVelocitySample provides a sample.
 func WithAutoPartition(n int) Option {
@@ -261,7 +263,7 @@ func WithRepartitionPolicy(p RepartitionPolicy) Option {
 }
 
 // WithMaintenanceHook observes every completed maintenance action — the
-// bootstrap cutover, automatic drift checks, and repartition swaps — with
+// bootstrap, automatic drift checks, and repartition swaps — with
 // its outcome. Maintenance failures never surface through Report or
 // ReportBatch (the triggering write is already applied when maintenance
 // runs); the hook and LastMaintenanceError are how they are seen. The hook

@@ -2,6 +2,7 @@ package vpindex
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -11,7 +12,6 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/parallel"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // Store is the production facade over every index configuration in this
@@ -20,55 +20,57 @@ import (
 //
 // Unlike the raw index interface — where Delete and Update need the caller
 // to hand back the exact old record — the Store keeps an id→record table
-// (its own while unpartitioned, the partition manager's afterwards), so
-// clients speak in production verbs: Report (insert-or-update by ID), Remove
-// (by ID), Get, ReportBatch. This is the operational shape of a live
-// location service: devices send bare position/velocity reports; nobody
-// ships the server's previous state back to it.
+// (the partition manager's lookup table of Section 5.3), so clients speak in
+// production verbs: Report (insert-or-update by ID), Remove (by ID), Get,
+// ReportBatch. This is the operational shape of a live location service:
+// devices send bare position/velocity reports; nobody ships the server's
+// previous state back to it.
 //
 // # Concurrency: sharded locking
 //
 // A Store is safe for concurrent use and is internally sharded by ObjectID
-// (WithShards, default GOMAXPROCS). Each shard owns a private RWMutex, its
-// own id→record table, and its own index structure — a staging index while
-// unpartitioned, a full velocity-partition manager afterwards — so the
-// ID-keyed write verbs (Report, Remove, Insert, Update) contend only on the
-// shard their object hashes to, and writes to different shards proceed
-// genuinely in parallel. Reads (Get) touch one shard under its read lock;
-// queries (Search, SearchKNN) fan out across the shards with a bounded
-// worker pool (WithSearchParallelism) and merge the per-shard buffers in
-// shard order after the joins — and inside every shard the partition
+// (WithShards, default GOMAXPROCS). Each shard owns a private RWMutex and one
+// partition manager (core.Manager: the id→record table plus one index per
+// partition frame) from Open to Close — so the ID-keyed write verbs (Report,
+// Remove, Insert, Update) contend only on the shard their object hashes to,
+// and writes to different shards proceed genuinely in parallel. A Store
+// without velocity partitioning, and one still collecting its auto-partition
+// sample, is that same manager under the unpartitioned objective: a single
+// identity frame over the whole domain. Reads (Get) touch one shard under
+// its read lock; queries (Search, SearchKNN) fan out across the shards with a
+// bounded worker pool (WithSearchParallelism) and merge the per-shard buffers
+// in shard order after the joins — and inside every shard the partition
 // manager fans out across its velocity partitions the same way. ReportBatch
 // groups the batch by shard and applies the groups concurrently, one lock
 // acquisition per shard. WithShards(1) restores a single global lock.
 //
-// Every partition index (and every shard's staging index) draws pages from
-// its own LRU buffer pool over one shared simulated disk, so page-cache
-// hits on independent partitions never contend on a single pool mutex;
-// Stats aggregates the counters across all pools.
+// Every partition index draws pages from its own LRU buffer pool over one
+// shared simulated disk, so page-cache hits on independent partitions never
+// contend on a single pool mutex; Stats aggregates the counters across all
+// pools.
 //
-// # Online bootstrap
+// # One swap
 //
-// With velocity partitioning enabled but no upfront sample, the Store
-// bootstraps online: it starts in staging (unpartitioned) indexes,
-// accumulates the first n reported velocities (collected per shard, counted
-// globally), then runs the DVA analysis once over the pooled sample and
-// cuts every shard over to freshly built partitions in a single coordinated
-// migration under all shard locks — queries work identically before,
-// during, and after the cutover.
+// Exactly one routine moves a live population between partition sets
+// (swapPartitions): per shard, a new manager (with fresh per-partition
+// pools) is built, the shard's population is migrated with InsertBulk under
+// that shard's write lock, and the manager is swapped in — one shard at a
+// time, so the other shards keep serving reads and writes throughout, and
+// queries answer identically before, during, and after. Every partition
+// transition is a call of it:
 //
-// # Adaptive repartitioning
-//
-// Once partitioned, each shard keeps a bounded ring of recently reported
-// velocities. With a repartition policy configured (WithRepartitionPolicy),
-// every policy-cadence reports a fresh DVA analysis of the pooled reservoir
-// runs in the background and, when any live axis has drifted past the threshold, the Store rebuilds the
-// partitions: per shard, a new manager (with fresh per-partition pools) is
-// built, the live population is migrated with InsertBulk under that shard's
-// write lock, and the manager is swapped in — the same cutover machinery as
-// the bootstrap, applied one shard at a time so the other shards keep
-// serving reads and writes throughout. Repartition is the synchronous
-// manual trigger.
+//   - Online bootstrap. With velocity partitioning enabled but no upfront
+//     sample, every shard records the velocities reported to it (counted
+//     globally); the writer whose report brings the count to the
+//     WithAutoPartition threshold pools them, runs the analysis once, and
+//     swaps from the unpartitioned manager to the analysed one.
+//   - Adaptive repartitioning. Once partitioned, each shard's velocity
+//     record is a bounded ring of the most recent reports. With a policy
+//     configured (WithRepartitionPolicy), every policy-cadence reports a
+//     fresh analysis of the pooled rings runs in the background and, when
+//     any live axis has drifted past the threshold, swaps. Repartition and
+//     RepartitionTo are the synchronous manual triggers.
+//   - Recovery. A logged swap record replays through the same routine.
 //
 // Maintenance is decoupled from the write path: a failed background
 // analysis (e.g. a degenerate reservoir) is recorded — LastMaintenanceError,
@@ -82,9 +84,8 @@ import (
 // evaluation state is sharded with the same ObjectID hash as the write
 // path and updated outside the shard locks — see subscriptions.go.
 // Subscription result sets reference ObjectIDs, not index internals, so
-// they ride through bootstrap cutovers and repartition swaps unchanged;
-// only the engine's coarse velocity-class filter is re-seeded from each
-// new epoch's analysis.
+// they ride through partition swaps unchanged; only the engine's coarse
+// velocity-class filter is re-seeded from each new epoch's analysis.
 type Store struct {
 	cfg    storeConfig
 	disk   storage.PageStore
@@ -103,11 +104,9 @@ type Store struct {
 	// stream of batches allocates no per-batch slices.
 	scratchPool sync.Pool
 
-	// pools tracks every live buffer pool (one per shard staging index, one
-	// per partition per shard after the cutover) so Stats can aggregate I/O
-	// counters across all of them. When a partition epoch is replaced — the
-	// bootstrap cutover retiring the staging indexes, a repartition swap
-	// retiring the previous epoch — the outgoing pools' counters are folded
+	// pools tracks every live buffer pool (one per partition per shard) so
+	// Stats can aggregate I/O counters across all of them. When a swap
+	// replaces a shard's manager, the outgoing pools' counters are folded
 	// into retired (keeping Stats cumulative and monotonic) and the pools
 	// themselves are retired, releasing their cached frames and their
 	// indexes' disk pages, so repeated swaps do not grow memory forever.
@@ -115,13 +114,13 @@ type Store struct {
 	pools   []*storage.BufferPool
 	retired IOStats
 
-	// Bootstrap coordination: sampled counts staged velocities across all
-	// shards; a report that pushes it to nextTrip attempts the cutover;
-	// bootMu serializes cutovers; partitioned flips true exactly once,
-	// under all shard locks. A failed cutover (degenerate sample) re-arms
-	// nextTrip a full sample size later instead of retrying the O(n)
-	// analysis on every subsequent write.
-	bootMu      sync.Mutex
+	// Bootstrap coordination: sampled counts the velocities reported across
+	// all shards while the auto-partition sample is being collected; a
+	// report that brings it to nextTrip attempts the bootstrap (under
+	// maintMu, like every other maintenance action); partitioned flips true
+	// exactly once, when the first swap completes. A rejected (degenerate)
+	// sample re-arms nextTrip a full sample size later instead of retrying
+	// the O(n) analysis on every subsequent write.
 	sampled     atomic.Int64
 	nextTrip    atomic.Int64
 	partitioned atomic.Bool
@@ -175,7 +174,8 @@ type Store struct {
 type MaintenanceOp string
 
 const (
-	// MaintBootstrap is the one-shot auto-partition cutover.
+	// MaintBootstrap is the one-shot auto-partition bootstrap: the first
+	// partition swap, from the unpartitioned manager.
 	MaintBootstrap MaintenanceOp = "bootstrap"
 	// MaintDriftCheck is an automatic analyze-and-compare round that did
 	// not swap (below threshold, or failed before the swap decision).
@@ -215,33 +215,21 @@ type MaintenanceEvent struct {
 }
 
 // storeShard is one lock domain of the Store: the objects whose IDs hash
-// here, plus the index structure they live in. Exactly one of base/mgr is
-// active: base while staging or permanently unpartitioned, mgr once the
-// velocity partitions exist.
+// here, in the partition manager that indexes them. mgr is never nil: it is
+// built by Open — under the unpartitioned objective unless an upfront sample
+// was given — and replaced only by swapPartitions.
 type storeShard struct {
-	mu   sync.RWMutex
-	base model.Index
-	mgr  *core.Manager
+	mu  sync.RWMutex
+	mgr *core.Manager
 
-	// objs is the shard's id→record table (world frame) while staging or
-	// permanently unpartitioned — the base trees have no ID surface of
-	// their own. After the cutover the manager's internal table is the
-	// single copy and objs is nil.
-	objs map[ObjectID]Object
-
-	// sample accumulates reported velocities toward the auto-partition
-	// threshold; nil when not bootstrapping.
-	sample []Vec2
-
-	// epoch tags the partition generation mgr belongs to, so Partitions()
-	// can tell when it observes shards on opposite sides of an in-flight
-	// repartition swap, and the drift check can tell a partial swap needs
-	// finishing.
+	// epoch tags the partition generation mgr belongs to (0: the
+	// unpartitioned manager Open built), so Partitions() can tell when it
+	// observes shards on opposite sides of an in-flight swap, and the next
+	// maintenance check can tell a partial swap needs finishing.
 	epoch int
 
-	// pools are the buffer pools behind the shard's current index
-	// structure (the staging pool, then one per partition); the previous
-	// generation is retired when a new one swaps in.
+	// pools are the buffer pools behind mgr, one per partition; they are
+	// retired when the next manager swaps in.
 	pools []*storage.BufferPool
 
 	// dirty / gone are the shard's incremental-checkpoint sets (durable
@@ -253,9 +241,10 @@ type storeShard struct {
 	dirty map[ObjectID]struct{}
 	gone  map[ObjectID]struct{}
 
-	// res is a bounded ring of the shard's most recently reported
-	// velocities (the repartition analysis sample); resPos is the next
-	// overwrite position once the ring is full.
+	// res is the ring of the shard's most recently reported velocities —
+	// the sample every analysis pools; resPos is the next overwrite position
+	// once the ring is full. Its capacity is velCap: unbounded while the
+	// shard collects the auto-partition sample, Store.resCap afterwards.
 	res    []Vec2
 	resPos int
 
@@ -316,9 +305,6 @@ func (sh *storeShard) observeVel(v Vec2, cap int) {
 		return
 	}
 	if len(sh.res) < cap {
-		if sh.res == nil {
-			sh.res = make([]Vec2, 0, cap)
-		}
 		sh.res = append(sh.res, v)
 		return
 	}
@@ -389,29 +375,37 @@ func Open(opts ...Option) (*Store, error) {
 			s.shards[i].gone = make(map[ObjectID]struct{})
 		}
 	}
-	if len(cfg.sample) > 0 {
-		if err := s.partitionLocked(cfg.sample); err != nil {
+	// Every shard runs a partition manager from Open on: the analysis of the
+	// upfront sample when there is one, the unpartitioned objective's single
+	// identity frame otherwise (no VP options, or the auto-partition sample
+	// still to be collected).
+	an, _ := core.NonePartitioner{}.Analyze(nil)
+	upfront := len(cfg.sample) > 0
+	if upfront {
+		var err error
+		if an, err = s.chooseAnalysis(cfg.sample, nil); err != nil {
 			return fail(err)
 		}
-	} else {
-		suffix := ""
-		if cfg.autoN > 0 {
-			suffix = "staging"
-			s.nextTrip.Store(int64(cfg.autoN))
+		s.epoch.Store(1)
+		s.analysis = an
+		s.partitioned.Store(true)
+	}
+	s.nextTrip.Store(int64(cfg.autoN))
+	for _, sh := range s.shards {
+		mgr, err := s.buildManager(an, &sh.pools)
+		if err != nil {
+			return fail(err)
 		}
-		for _, sh := range s.shards {
-			pool := s.newPool()
-			idx, err := buildBase(pool, cfg.base, cfg.base.Domain, suffix)
-			if err != nil {
-				return fail(err)
-			}
-			sh.base = idx
-			sh.pools = []*storage.BufferPool{pool}
-			sh.objs = make(map[ObjectID]Object)
-			if cfg.autoN > 0 {
-				sh.sample = make([]Vec2, 0, cfg.autoN/len(s.shards)+1)
-			}
+		if !upfront {
+			mgr.SetName(cfg.base.Kind.String())
 		}
+		sh.mgr, sh.epoch = mgr, int(s.epoch.Load())
+		s.registerPools(sh.pools)
+	}
+	// Seed the recent-velocity rings from the upfront sample so a drift check
+	// (or manual Repartition) right after Open has a population to analyze.
+	for i, v := range cfg.sample {
+		s.shards[i%len(s.shards)].observeVel(v, s.resCap)
 	}
 	if cfg.coalesce {
 		s.coal = newCoalescer(s, cfg.coalWindow, cfg.coalMax)
@@ -424,22 +418,17 @@ func Open(opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// retireUnregistered releases a failed attempt's pools: they were never
-// registered for Stats, so nothing folds in — frames and disk pages are
-// simply freed and the attempt leaves no trace.
-func retireUnregistered(pools []*storage.BufferPool) {
-	for _, p := range pools {
-		p.Retire()
-	}
+// registerPools makes a freshly built manager's pools visible to Stats.
+func (s *Store) registerPools(ps []*storage.BufferPool) {
+	s.poolMu.Lock()
+	s.pools = append(s.pools, ps...)
+	s.poolMu.Unlock()
 }
 
-// retirePools removes an outgoing index generation's pools from Stats
-// aggregation — folding their counters into the cumulative retired total
-// first — and releases their frames and disk pages.
+// retirePools removes an outgoing manager's pools from Stats aggregation —
+// folding their counters into the cumulative retired total first — and
+// releases their frames and disk pages.
 func (s *Store) retirePools(ps []*storage.BufferPool) {
-	if len(ps) == 0 {
-		return
-	}
 	dead := make(map[*storage.BufferPool]bool, len(ps))
 	s.poolMu.Lock()
 	for _, p := range ps {
@@ -475,22 +464,12 @@ func (s *Store) shardIndex(id ObjectID) int {
 	return int(uint64(id) * 0x9E3779B97F4A7C15 % uint64(len(s.shards)))
 }
 
-// newPool creates one buffer pool over the Store's shared disk and registers
-// it for Stats aggregation. Every index structure the Store builds gets its
-// own pool so concurrent page-cache hits never serialize on one pool mutex.
-func (s *Store) newPool() *storage.BufferPool {
-	p := storage.NewBufferPool(s.disk, s.cfg.base.BufferPages)
-	p.SetRetryPolicy(s.cfg.retry)
-	s.poolMu.Lock()
-	s.pools = append(s.pools, p)
-	s.poolMu.Unlock()
-	return p
-}
-
 // buildManager constructs one shard's partition manager from the completed
-// analysis, each partition over its own buffer pool. New pools are appended
-// to *pools rather than registered on the Store, so a failed cutover
-// attempt leaks nothing into Stats — the caller registers them on commit.
+// analysis, each partition over its own buffer pool (every index structure
+// the Store builds gets its own, so concurrent page-cache hits never
+// serialize on one pool mutex). New pools are appended to *pools rather than
+// registered on the Store, so a failed swap leaks nothing into Stats — the
+// caller registers them on commit.
 func (s *Store) buildManager(an core.Analysis, pools *[]*storage.BufferPool) (*core.Manager, error) {
 	mgr, err := core.NewManager(an, core.ManagerConfig{
 		Domain:             s.cfg.base.Domain,
@@ -610,137 +589,43 @@ func (s *Store) chooseAnalysis(sample []Vec2, forced *PartitionObjective) (core.
 	return best, nil
 }
 
-// partitionLocked runs the configured partitioning analysis over sample,
-// builds one partition manager per shard, and migrates every live object
-// into them. Nothing is committed until every shard's migration has
-// succeeded, so a failure leaves the staging state serving. Caller holds
-// every shard's lock (or is Open, before the Store escapes).
-func (s *Store) partitionLocked(sample []Vec2) error {
-	an, err := s.chooseAnalysis(sample, nil)
-	if err != nil {
-		return err
-	}
-	return s.applyAnalysisLocked(an, sample)
-}
-
-// applyAnalysisLocked installs partitions built from a completed analysis —
-// the second half of partitionLocked, split out so crash recovery can rebuild
-// the exact partition set a logged swap record carries without re-running the
-// analyzer. sample, when non-empty, seeds the recent-velocity reservoir.
-// Caller holds every shard's lock (or is Open, before the Store escapes).
-func (s *Store) applyAnalysisLocked(an core.Analysis, sample []Vec2) error {
-	mgrs := make([]*core.Manager, len(s.shards))
-	shardPools := make([][]*storage.BufferPool, len(s.shards))
-	// A failed attempt's pools were never registered; retire them directly
-	// (freeing their pages) so the attempt leaves no trace in Stats or on
-	// the simulated disk.
-	fail := func(err error) error {
-		for _, ps := range shardPools {
-			retireUnregistered(ps)
-		}
-		return err
-	}
-	for i, sh := range s.shards {
-		mgr, err := s.buildManager(an, &shardPools[i])
-		if err != nil {
-			return fail(err)
-		}
-		if len(sh.objs) > 0 {
-			live := make([]Object, 0, len(sh.objs))
-			for _, o := range sh.objs {
-				live = append(live, o)
-			}
-			if err := mgr.InsertBulk(live); err != nil {
-				return fail(fmt.Errorf("vpindex: bootstrap migration: %w", err))
-			}
-		}
-		mgrs[i] = mgr
-	}
-	// Commit the cutover: each shard's manager table becomes the only
-	// record copy, the staging pools are retired (their counters fold into
-	// the cumulative Stats totals, their frames and disk pages are
-	// released), and the new partition pools become visible to Stats only
-	// now — so a failed attempt above left no trace.
-	epoch := int(s.epoch.Add(1))
-	for i, sh := range s.shards {
-		sh.mgr = mgrs[i]
-		sh.base = nil
-		sh.objs = nil
-		sh.sample = nil
-		sh.epoch = epoch
-		s.retirePools(sh.pools)
-		sh.pools = shardPools[i]
-		s.poolMu.Lock()
-		s.pools = append(s.pools, shardPools[i]...)
-		s.poolMu.Unlock()
-	}
-	// Seed the recent-velocity reservoir from the analysis sample so a
-	// drift check (or manual Repartition) right after the cutover has a
-	// population to analyze instead of an empty ring.
-	for i, v := range sample {
-		s.shards[i%len(s.shards)].observeVel(v, s.resCap)
-	}
-	s.anMu.Lock()
-	s.analysis = an
-	s.anMu.Unlock()
-	s.partitioned.Store(true)
-	s.logSwap(an)
-	return nil
-}
-
-// cutover performs the coordinated bootstrap migration: it pools the
-// per-shard samples under every shard's lock and partitions all shards at
-// once. Safe to call from any number of tripping reporters; only the first
-// does the work. The outcome is recorded as a maintenance event — never
-// returned to the tripping writer, whose own report was already applied. On
-// failure (a degenerate sample the analysis rejects) the staging state
-// keeps serving and the trip threshold is re-armed a full sample size
-// later, so the O(n) analysis is not retried on every subsequent write but
-// gets a fresh chance once the workload has produced new velocities.
-func (s *Store) cutover() {
-	s.bootMu.Lock()
-	if s.partitioned.Load() {
-		s.bootMu.Unlock()
+// bootstrap is the first partition swap of an auto-partitioning Store, run by
+// a writer whose report brought the collected sample to the trip threshold:
+// pool the shards' velocity records, choose the analysis, swap. Any number of
+// tripping writers may call it; they serialize on maintMu like every other
+// maintenance action and only the first does the work. The outcome is
+// recorded as a maintenance event — never returned to the tripping writer,
+// whose own report was already applied. A sample the analysis rejects (or a
+// failed swap) leaves the current managers serving and re-arms the trip a
+// full sample size later, so the O(n) analysis is not retried on every
+// subsequent write but gets a fresh chance once the workload has produced
+// new velocities.
+func (s *Store) bootstrap() {
+	s.maintMu.Lock()
+	if s.partitioned.Load() || s.sampled.Load() < s.nextTrip.Load() {
+		s.maintMu.Unlock()
 		return
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
+	sample := s.reservoirSnapshot()
+	ev := MaintenanceEvent{Op: MaintBootstrap, SampleSize: len(sample)}
+	an, err := s.chooseAnalysis(sample, nil)
+	if err == nil {
+		ev.Objective = an.Kind
+		err = s.swapPartitions(an)
 	}
-	sample := make([]Vec2, 0, s.sampled.Load())
-	for _, sh := range s.shards {
-		sample = append(sample, sh.sample...)
-	}
-	err := s.partitionLocked(sample)
+	ev.Err, ev.Swapped = err, err == nil
 	if err != nil {
 		s.nextTrip.Store(s.sampled.Load() + int64(s.cfg.autoN))
 	}
-	ev := MaintenanceEvent{
-		Op: MaintBootstrap, Err: err, SampleSize: len(sample), Swapped: err == nil,
-	}
-	if err == nil {
-		s.anMu.RLock()
-		ev.Objective = s.analysis.Kind
-		s.anMu.RUnlock()
-	}
 	s.recordMaintenance(ev)
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
-	s.bootMu.Unlock()
-	if err == nil {
-		// The subscription filter's velocity classes follow the partition
-		// epoch; reseed with no shard locks held (the engine's registry
-		// lock is held shared by report evaluation, which reads shards).
-		s.refreshSubClasses()
-	}
+	s.maintMu.Unlock()
 	s.notifyMaintenance(ev)
 }
 
 // recordMaintenance stores the outcome of one maintenance action for
-// LastMaintenanceError. Callers invoke it while still holding the mutex
-// that serialized the action (maintMu, or bootMu for the cutover), so
-// outcomes are recorded in completion order and a stale action can never
-// overwrite a newer one.
+// LastMaintenanceError. Callers invoke it while still holding maintMu, which
+// serialized the action, so outcomes are recorded in completion order and a
+// stale action can never overwrite a newer one.
 func (s *Store) recordMaintenance(ev MaintenanceEvent) {
 	s.maintErrMu.Lock()
 	s.maintErr = ev.Err
@@ -757,7 +642,7 @@ func (s *Store) notifyMaintenance(ev MaintenanceEvent) {
 }
 
 // LastMaintenanceError returns the error of the most recently completed
-// maintenance action (bootstrap cutover, drift check, repartition swap), or
+// maintenance action (bootstrap, drift check, repartition swap), or
 // nil if it succeeded. Maintenance failures are reported here and through
 // WithMaintenanceHook only: they never surface as a Report/ReportBatch
 // error, because the triggering write is already applied by the time
@@ -780,7 +665,7 @@ func (s *Store) driftCheck() {
 	if !s.maintMu.TryLock() {
 		return
 	}
-	ev := s.repartitionLocked(false, nil)
+	ev := s.repartitionRound(false, nil)
 	s.recordMaintenance(ev)
 	s.maintMu.Unlock()
 	s.notifyMaintenance(ev)
@@ -797,7 +682,7 @@ func (s *Store) driftCheck() {
 // hook).
 func (s *Store) Repartition() error {
 	s.maintMu.Lock()
-	ev := s.repartitionLocked(true, nil)
+	ev := s.repartitionRound(true, nil)
 	s.recordMaintenance(ev)
 	s.maintMu.Unlock()
 	s.notifyMaintenance(ev)
@@ -812,17 +697,17 @@ func (s *Store) Repartition() error {
 // partitioned already and records its outcome as a maintenance action.
 func (s *Store) RepartitionTo(obj PartitionObjective) error {
 	s.maintMu.Lock()
-	ev := s.repartitionLocked(true, &obj)
+	ev := s.repartitionRound(true, &obj)
 	s.recordMaintenance(ev)
 	s.maintMu.Unlock()
 	s.notifyMaintenance(ev)
 	return ev.Err
 }
 
-// repartitionLocked runs one analyze → compare → swap round. force skips
+// repartitionRound runs one analyze → compare → swap round. force skips
 // the drift threshold (the manual triggers); forced additionally pins the
 // objective. Caller holds maintMu.
-func (s *Store) repartitionLocked(force bool, forced *PartitionObjective) MaintenanceEvent {
+func (s *Store) repartitionRound(force bool, forced *PartitionObjective) MaintenanceEvent {
 	ev := MaintenanceEvent{Op: MaintDriftCheck}
 	if force {
 		ev.Op = MaintRepartition
@@ -882,56 +767,34 @@ func (s *Store) reservoirSnapshot() []Vec2 {
 	return out
 }
 
-// swapPartitions rebuilds every shard's partition set from a fresh
-// analysis, one shard at a time: build the empty manager with its
-// per-partition pools, then, under that shard's write lock, migrate the
-// live population with InsertBulk and swap the manager in — the bootstrap
-// cutover machinery re-applied per shard. Only the shard being migrated
+// swapPartitions is the one routine that moves a live population between
+// partition sets — the bootstrap, drift checks, Repartition/RepartitionTo and
+// swap-record replay all call it. It rebuilds every shard's manager from the
+// analysis, one shard at a time (swapShard), so only the shard being migrated
 // blocks its callers; every other shard keeps serving reads and writes.
 // Shards therefore cross to the new epoch one at a time, which Partitions()
 // tolerates by matching epochs. A mid-swap failure leaves a mix of epochs:
 // correctness is unaffected (every shard answers queries exactly, whatever
-// its axes), the error is recorded, and the next check detects the epoch
-// mix and re-swaps every shard regardless of the drift threshold. Each
-// shard's outgoing generation is retired as its replacement goes live —
-// counters folded into the cumulative Stats totals, frames and disk pages
-// released — so repeated swaps do not accumulate dead structures.
+// its frames), the error is recorded, and the next check — the re-armed
+// bootstrap trip, or the next drift check or Repartition, which detects the
+// epoch mix regardless of the drift threshold — re-swaps every shard.
 func (s *Store) swapPartitions(an core.Analysis) error {
 	s.swapping.Store(true)
 	defer s.swapping.Store(false)
 	epoch := int(s.epoch.Add(1))
 	for _, sh := range s.shards {
-		var pools []*storage.BufferPool
-		mgr, err := s.buildManager(an, &pools)
-		if err != nil {
-			// Partitions built before the failure already own pools and
-			// pages; a failed attempt leaves no trace.
-			retireUnregistered(pools)
-			return fmt.Errorf("vpindex: repartition rebuild: %w", err)
+		if err := s.swapShard(sh, an, epoch); err != nil {
+			return err
 		}
-		sh.mu.Lock()
-		live := sh.mgr.Objects()
-		if len(live) > 0 {
-			if err := mgr.InsertBulk(live); err != nil {
-				sh.mu.Unlock()
-				retireUnregistered(pools)
-				return fmt.Errorf("vpindex: repartition migration: %w", err)
-			}
-		}
-		old := sh.pools
-		sh.mgr = mgr
-		sh.epoch = epoch
-		sh.pools = pools
-		sh.mu.Unlock()
-		s.retirePools(old)
-		s.poolMu.Lock()
-		s.pools = append(s.pools, pools...)
-		s.poolMu.Unlock()
 	}
 	s.anMu.Lock()
 	s.analysis = an
 	s.anMu.Unlock()
-	s.repartitions.Add(1)
+	// The swap that first partitions the Store is the bootstrap, not a
+	// repartition.
+	if s.partitioned.Swap(true) {
+		s.repartitions.Add(1)
+	}
 	s.logSwap(an)
 	// Re-seed the subscription filter's velocity classes from the new
 	// epoch's analysis (no shard locks are held here).
@@ -939,35 +802,51 @@ func (s *Store) swapPartitions(an core.Analysis) error {
 	return nil
 }
 
-// reportShardLocked applies one ID-keyed upsert to sh and advances the
-// bootstrap sample. It reports whether this record tripped the
-// auto-partition threshold (the caller runs the cutover after releasing the
-// shard lock — the cutover needs every shard's lock). Caller holds sh.mu.
-func (s *Store) reportShardLocked(sh *storeShard, o Object) (trip bool, err error) {
-	if sh.mgr != nil {
-		if err := sh.mgr.Report(o); err != nil {
-			return false, err
+// swapShard replaces one shard's manager: build the empty one with its
+// per-partition pools, then, under the shard's write lock, migrate the live
+// population with InsertBulk and swap it in. The outgoing generation is
+// retired as its replacement goes live, so repeated swaps do not accumulate
+// dead structures.
+func (s *Store) swapShard(sh *storeShard, an core.Analysis, epoch int) error {
+	var fresh, old []*storage.BufferPool
+	mgr, err := s.buildManager(an, &fresh)
+	if err == nil {
+		sh.mu.Lock()
+		if err = mgr.InsertBulk(sh.mgr.Objects()); err == nil {
+			old = sh.pools
+			sh.mgr, sh.epoch, sh.pools = mgr, epoch, fresh
+			// A shard leaving the sample-collecting epoch bounds its
+			// velocity ring from here on; keep the most recent entries (in
+			// a right-sized array, so the sample's is released).
+			if n := len(sh.res) - s.resCap; n > 0 {
+				sh.res, sh.resPos = append(make([]Vec2, 0, s.resCap), sh.res[n:]...), 0
+			}
 		}
-		sh.markDirty(o.ID)
-		sh.observeVel(o.Vel, s.resCap)
-		return false, nil
-	}
-	old, exists := sh.objs[o.ID]
-	if exists {
-		err = sh.base.Update(old, o)
-	} else {
-		err = sh.base.Insert(o)
+		sh.mu.Unlock()
 	}
 	if err != nil {
-		return false, err
+		// The old manager keeps serving. The fresh pools never went live:
+		// freeing their frames and pages leaves no trace of the attempt in
+		// Stats or on the disk.
+		for _, p := range fresh {
+			p.Retire()
+		}
+		return fmt.Errorf("vpindex: partition swap: %w", err)
 	}
-	sh.objs[o.ID] = o
-	sh.markDirty(o.ID)
-	if sh.sample == nil {
-		return false, nil
+	s.retirePools(old)
+	s.registerPools(fresh)
+	return nil
+}
+
+// velCap is the capacity of sh's velocity ring: unbounded while the shard is
+// collecting the auto-partition sample (the bootstrap analyzes every velocity
+// reported so far), the configured reservoir share once it has been swapped.
+// Caller holds sh.mu.
+func (s *Store) velCap(sh *storeShard) int {
+	if sh.epoch == 0 && s.cfg.autoN > 0 {
+		return math.MaxInt
 	}
-	sh.sample = append(sh.sample, o.Vel)
-	return s.sampled.Add(1) >= s.nextTrip.Load(), nil
+	return s.resCap
 }
 
 // noteReports advances the repartition cadence by n post-partition reports
@@ -978,7 +857,7 @@ func (s *Store) reportShardLocked(sh *storeShard, o Object) (trip bool, err erro
 // which is how the trigger re-arms itself.
 func (s *Store) noteReports(n int) {
 	every := int64(s.cfg.repart.Every)
-	if n <= 0 || every <= 0 || !s.partitioned.Load() {
+	if every <= 0 {
 		return
 	}
 	after := s.reports.Add(int64(n))
@@ -993,7 +872,7 @@ func (s *Store) noteReports(n int) {
 // previous record from the caller. Only the object's shard is locked.
 //
 // Report returns an error only when the write itself fails. Maintenance the
-// write triggers (the bootstrap cutover, drift checks) runs after the write
+// write triggers (the bootstrap, drift checks) runs after the write
 // is applied and reports its outcome through LastMaintenanceError and the
 // maintenance hook instead.
 func (s *Store) Report(o Object) error {
@@ -1005,42 +884,51 @@ func (s *Store) Report(o Object) error {
 			return c.report(o)
 		}
 	}
-	trip, err := s.durableApplyObject(wal.TypeReport, o, (*Store).applyReport)
-	if err != nil {
-		return err
-	}
-	s.afterReports(trip, 1)
-	return nil
+	return s.durableApplyObject(o, (*core.Manager).Report)
 }
 
-// applyReport is Report's in-memory half: the shard-locked upsert plus the
-// subscription delta.
-func (s *Store) applyReport(o Object) (bool, error) {
+// applyUpsert is the in-memory half of Report, Insert and Update, which
+// differ only in the manager verb they call (upsert, strict insert, strict
+// update): the shard-locked write plus the subscription delta.
+func (s *Store) applyUpsert(o Object, verb func(*core.Manager, Object) error) error {
 	sh := s.shardFor(o.ID)
 	sh.mu.Lock()
-	trip, err := s.reportShardLocked(sh, o)
+	err := verb(sh.mgr, o)
+	if err == nil {
+		sh.markDirty(o.ID)
+		sh.observeVel(o.Vel, s.velCap(sh))
+	}
 	sh.mu.Unlock()
 	if err != nil {
-		return false, err
+		return err
 	}
 	if e := s.subEng.Load(); e != nil {
 		e.noteReport(o)
 	}
-	return trip, nil
+	return nil
 }
 
-// afterReports runs the maintenance a successful write triggered. Suppressed
-// during crash recovery: replayed records must not launch analyses of their
-// own — partition transitions replay from their logged swap records, and a
-// trip left pending by the crash fires on the first post-recovery report.
-func (s *Store) afterReports(trip bool, n int) {
-	if d := s.dur; d != nil && d.recovering.Load() {
+// afterReports runs the maintenance n successfully applied reports trigger:
+// the repartition cadence once partitioned, the bootstrap trip while an
+// auto-partition sample is being collected. Maintenance is suppressed during
+// crash recovery — replayed records must not launch analyses of their own;
+// partition transitions replay from their logged swap records — but the
+// sample count still advances, so a trip left pending by the crash fires on
+// the first post-recovery report.
+func (s *Store) afterReports(n int) {
+	if n <= 0 {
 		return
 	}
-	if trip {
-		s.cutover()
-	} else {
-		s.noteReports(n)
+	recovering := s.dur != nil && s.dur.recovering.Load()
+	switch {
+	case s.partitioned.Load():
+		if !recovering {
+			s.noteReports(n)
+		}
+	case s.cfg.autoN > 0:
+		if s.sampled.Add(int64(n)) >= s.nextTrip.Load() && !recovering {
+			s.bootstrap()
+		}
 	}
 }
 
@@ -1050,8 +938,8 @@ func (s *Store) afterReports(trip bool, n int) {
 // error, records that were applied before the failure stay applied; because
 // shards proceed independently, those are not necessarily a prefix of the
 // batch, though within each shard records apply in batch order. A batch
-// that crosses the auto-partition threshold lands in staging first and the
-// coordinated cutover migrates it at the end of the batch.
+// that crosses the auto-partition threshold is applied whole first; the
+// bootstrap runs at the end of the batch.
 func (s *Store) ReportBatch(objs []Object) error {
 	if len(objs) == 0 {
 		return nil
@@ -1063,9 +951,10 @@ func (s *Store) ReportBatch(objs []Object) error {
 	d := s.dur
 	if d == nil || d.recovering.Load() {
 		sc := s.getBatchScratch()
-		reported, trip, err := s.applyReportBatch(objs, sc)
+		reported, err := s.applyReportBatch(objs, sc)
 		s.putBatchScratch(sc)
-		return s.finishReportBatch(reported, trip, err)
+		s.afterReports(reported)
+		return err
 	}
 	return s.reportBatchDurable(d, objs)
 }
@@ -1130,9 +1019,8 @@ func (s *Store) putBatchScratch(sc *batchScratch) {
 // must be logged, since on a partial failure the applied records stay
 // applied; sc.applied/sc.errs carry the per-shard applied-prefix bookkeeping
 // the coalescer attributes per-record errors from) and returns the number of
-// post-partition reports, whether the batch tripped the bootstrap threshold,
-// and the first error.
-func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (reported int, trip bool, err error) {
+// records applied and the first error.
+func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (reported int, err error) {
 	groups := sc.groups
 	if len(s.shards) == 1 {
 		groups[0] = append(groups[0][:0], objs...)
@@ -1145,10 +1033,6 @@ func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (reported int,
 			groups[i] = append(groups[i], o)
 		}
 	}
-	var (
-		tripped   atomic.Bool
-		nReported atomic.Int64 // post-partition reports, for the repartition cadence
-	)
 	// sc.applied[i] counts how many of groups[i] landed before any error, so
 	// the subscription engine evaluates exactly the records that are in
 	// the index — applied records stay applied on a partial failure.
@@ -1161,32 +1045,17 @@ func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (reported int,
 		sh := s.shards[i]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		if sh.mgr != nil {
-			n, err := sh.mgr.ReportBatch(group)
-			for _, o := range group[:n] {
-				sh.markDirty(o.ID)
-				sh.observeVel(o.Vel, s.resCap)
-			}
-			nReported.Add(int64(n))
-			applied[i] = n
-			if err != nil {
-				sc.errs[i] = fmt.Errorf("vpindex: batch report: %w", err)
-				return sc.errs[i]
-			}
-			return nil
+		n, err := sh.mgr.ReportBatch(group)
+		velCap := s.velCap(sh)
+		for _, o := range group[:n] {
+			sh.markDirty(o.ID)
+			sh.observeVel(o.Vel, velCap)
 		}
-		for _, o := range group {
-			t, err := s.reportShardLocked(sh, o)
-			if err != nil {
-				sc.errs[i] = fmt.Errorf("vpindex: batch report of object %d: %w", o.ID, err)
-				return sc.errs[i]
-			}
-			applied[i]++
-			if t {
-				tripped.Store(true)
-			}
+		applied[i] = n
+		if err != nil {
+			sc.errs[i] = fmt.Errorf("vpindex: batch report: %w", err)
 		}
-		return nil
+		return sc.errs[i]
 	}
 	for i := range groups {
 		applied[i] = 0
@@ -1203,28 +1072,12 @@ func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (reported int,
 	// batch — even when the batch failed partway, for the applied prefix.
 	for i := range groups {
 		sc.eval[i] = groups[i][:applied[i]]
+		reported += applied[i]
 	}
 	if e := s.subEng.Load(); e != nil {
 		e.noteBatch(sc.eval)
 	}
-	return int(nReported.Load()), tripped.Load(), err
-}
-
-// finishReportBatch runs ReportBatch's post-apply maintenance, preserving
-// the original ordering: the repartition cadence advances even for a failed
-// batch's applied prefix; the cutover only runs after a fully applied batch.
-func (s *Store) finishReportBatch(reported int, trip bool, err error) error {
-	if d := s.dur; d != nil && d.recovering.Load() {
-		return err
-	}
-	s.noteReports(reported)
-	if err != nil {
-		return err
-	}
-	if trip {
-		s.cutover()
-	}
-	return nil
+	return reported, err
 }
 
 // Remove deletes the object by ID. Returns ErrNotFound (errors.Is-able) when
@@ -1241,19 +1094,8 @@ func (s *Store) Remove(id ObjectID) error {
 func (s *Store) applyRemove(id ObjectID) error {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	var err error
-	switch {
-	case sh.mgr != nil:
-		// The manager only consults the ID; its table supplies the record.
-		err = sh.mgr.Delete(Object{ID: id})
-	default:
-		old, ok := sh.objs[id]
-		if !ok {
-			err = fmt.Errorf("vpindex: remove of object %d: %w", id, ErrNotFound)
-		} else if err = sh.base.Delete(old); err == nil {
-			delete(sh.objs, id)
-		}
-	}
+	// The manager only consults the ID; its table supplies the record.
+	err := sh.mgr.Delete(Object{ID: id})
 	if err == nil {
 		sh.markGone(id)
 	}
@@ -1272,11 +1114,7 @@ func (s *Store) Get(id ObjectID) (Object, bool) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sh.mgr != nil {
-		return sh.mgr.Get(id)
-	}
-	o, ok := sh.objs[id]
-	return o, ok
+	return sh.mgr.Get(id)
 }
 
 // rangeQueryShape summarizes a validated range query for the cost model:
@@ -1330,16 +1168,8 @@ func (s *Store) QueryLogSize() int {
 	return n
 }
 
-// searchShardLocked answers q within one shard. Caller holds sh.mu (read).
-func searchShardLocked(sh *storeShard, q RangeQuery) ([]ObjectID, error) {
-	if sh.mgr != nil {
-		return sh.mgr.Search(q)
-	}
-	return sh.base.Search(q)
-}
-
-// Search answers a predictive range query. It works identically in staging,
-// unpartitioned, and partitioned configurations. The query fans out across
+// Search answers a predictive range query. It works identically in
+// unpartitioned and partitioned configurations, and during a swap. The query fans out across
 // the shards (and, inside each shard, across the velocity partitions) with
 // bounded worker pools; per-shard result buffers are merged in shard order
 // after the joins, so the result is deterministic for a given Store state.
@@ -1353,7 +1183,7 @@ func (s *Store) Search(q RangeQuery) ([]ObjectID, error) {
 		sh := s.shards[i]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		ids, err := searchShardLocked(sh, q)
+		ids, err := sh.mgr.Search(q)
 		if err != nil {
 			return err
 		}
@@ -1392,19 +1222,7 @@ func (s *Store) SearchKNN(q KNNQuery) ([]Neighbor, error) {
 		sh := s.shards[i]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		var (
-			ns  []Neighbor
-			err error
-		)
-		if sh.mgr != nil {
-			ns, err = sh.mgr.SearchKNN(q)
-		} else {
-			knn, ok := sh.base.(model.KNNIndex)
-			if !ok {
-				return fmt.Errorf("vpindex: %s does not support kNN: %w", sh.base.Name(), ErrUnsupported)
-			}
-			ns, err = knn.SearchKNN(q)
-		}
+		ns, err := sh.mgr.SearchKNN(q)
 		if err != nil {
 			return err
 		}
@@ -1426,11 +1244,7 @@ func (s *Store) Len() int {
 	total := 0
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		if sh.mgr != nil {
-			total += sh.mgr.Len()
-		} else {
-			total += len(sh.objs)
-		}
+		total += sh.mgr.Len()
 		sh.mu.RUnlock()
 	}
 	return total
@@ -1439,9 +1253,10 @@ func (s *Store) Len() int {
 // NumShards returns the Store's shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
 
-// Partitioned reports whether the Store is currently velocity-partitioned
-// (immediately true with an upfront sample; flips true at the bootstrap
-// cutover in auto-partition mode; always false otherwise).
+// Partitioned reports whether the Store's managers were built from a velocity
+// analysis (immediately true with an upfront sample; flips true when the
+// bootstrap swap completes in auto-partition mode; always false otherwise —
+// the managers then run the unpartitioned objective's single frame).
 func (s *Store) Partitioned() bool { return s.partitioned.Load() }
 
 // Analysis returns the velocity analysis that shaped the current partition
@@ -1455,9 +1270,9 @@ func (s *Store) Analysis() (core.Analysis, bool) {
 
 // BootstrapProgress reports how many velocities have been collected toward
 // the auto-partition threshold, and the threshold itself. The threshold is
-// the currently armed one: after a failed cutover attempt it moves a full
+// the currently armed one: after a rejected bootstrap attempt it moves a full
 // sample size out, so collected never sits above target while the Store is
-// still unpartitioned. After the cutover (or when auto-partitioning is off)
+// still unpartitioned. After the bootstrap (or when auto-partitioning is off)
 // it returns (0, 0).
 func (s *Store) BootstrapProgress() (collected, target int) {
 	if s.cfg.autoN == 0 || s.partitioned.Load() {
@@ -1513,7 +1328,7 @@ func (s *Store) Partitions() []core.PartitionInfo {
 type StoreStats struct {
 	IOStats
 	// Repartitions counts completed partition swaps (adaptive and manual),
-	// not including the bootstrap cutover.
+	// not including the bootstrap.
 	Repartitions int64
 	// PartitionEpoch counts partition generations ever started: 0 while
 	// unpartitioned, 1 from the bootstrap (or upfront-sample) partitioning,
@@ -1526,9 +1341,9 @@ type StoreStats struct {
 }
 
 // Stats returns cumulative simulated I/O counters — every live buffer pool
-// (one per staging index, one per partition per shard) plus the folded-in
-// totals of pools retired by past cutovers and repartition swaps — and the
-// maintenance counters. The counters are monotonic across swaps.
+// (one per partition per shard) plus the folded-in totals of pools retired by
+// past swaps — and the maintenance counters. The counters are monotonic
+// across swaps.
 func (s *Store) Stats() StoreStats {
 	s.poolMu.Lock()
 	pools := append([]*storage.BufferPool(nil), s.pools...)
@@ -1546,9 +1361,8 @@ func (s *Store) Stats() StoreStats {
 	return st
 }
 
-// Pools snapshots every live buffer pool (pools retired by cutovers and
-// repartition swaps are excluded; their counters live on in Stats), for
-// instrumentation.
+// Pools snapshots every live buffer pool (pools retired by swaps are
+// excluded; their counters live on in Stats), for instrumentation.
 func (s *Store) Pools() []*storage.BufferPool {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
@@ -1560,10 +1374,7 @@ func (s *Store) Name() string {
 	sh := s.shards[0]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sh.mgr != nil {
-		return sh.mgr.Name()
-	}
-	return sh.base.Name()
+	return sh.mgr.Name()
 }
 
 // IO implements model.Index (same counters as Stats).
@@ -1578,43 +1389,7 @@ func (s *Store) Insert(o Object) error {
 	s.coalFlush()
 	// A successful Insert is logged as a plain report record: the ID was
 	// absent, so replaying it as an upsert reproduces the insert exactly.
-	trip, err := s.durableApplyObject(wal.TypeReport, o, (*Store).applyInsert)
-	if err != nil {
-		return err
-	}
-	s.afterReports(trip, 1)
-	return nil
-}
-
-// applyInsert is Insert's in-memory half (strict duplicate rejection).
-func (s *Store) applyInsert(o Object) (bool, error) {
-	sh := s.shardFor(o.ID)
-	sh.mu.Lock()
-	var (
-		trip bool
-		err  error
-	)
-	switch {
-	case sh.mgr != nil:
-		if err = sh.mgr.Insert(o); err == nil {
-			sh.markDirty(o.ID)
-			sh.observeVel(o.Vel, s.resCap)
-		}
-	default:
-		if _, dup := sh.objs[o.ID]; dup {
-			err = fmt.Errorf("vpindex: insert of object %d: %w", o.ID, ErrDuplicate)
-		} else {
-			trip, err = s.reportShardLocked(sh, o)
-		}
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	if e := s.subEng.Load(); e != nil {
-		e.noteReport(o)
-	}
-	return trip, nil
+	return s.durableApplyObject(o, (*core.Manager).Insert)
 }
 
 // Delete implements model.Index. Only the ID of o is consulted — the stored
@@ -1633,48 +1408,7 @@ func (s *Store) Update(old, new Object) error {
 	s.coalFlush()
 	// A successful Update is logged as a plain report record: the ID was
 	// present, so replaying it as an upsert reproduces the update exactly.
-	// Only new's fields are consulted past the ID check above, so the
-	// update rides the shared single-object path.
-	trip, err := s.durableApplyObject(wal.TypeReport, new, applyUpdateByID)
-	if err != nil {
-		return err
-	}
-	s.afterReports(trip, 1)
-	return nil
-}
-
-// applyUpdateByID adapts applyUpdate to the single-object apply shape (the
-// old record's only consulted field is its ID, equal to o's by the check in
-// Update).
-func applyUpdateByID(s *Store, o Object) (bool, error) { return s.applyUpdate(o, o) }
-
-// applyUpdate is Update's in-memory half (strict not-found rejection).
-func (s *Store) applyUpdate(old, new Object) (bool, error) {
-	sh := s.shardFor(old.ID)
-	sh.mu.Lock()
-	var (
-		trip bool
-		err  error
-	)
-	switch {
-	case sh.mgr != nil:
-		if err = sh.mgr.UpdateByID(new); err == nil {
-			sh.markDirty(new.ID)
-			sh.observeVel(new.Vel, s.resCap)
-		}
-	default:
-		if _, ok := sh.objs[old.ID]; !ok {
-			err = fmt.Errorf("vpindex: update of object %d: %w", old.ID, ErrNotFound)
-		} else {
-			trip, err = s.reportShardLocked(sh, new)
-		}
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	if e := s.subEng.Load(); e != nil {
-		e.noteReport(new)
-	}
-	return trip, nil
+	// Only new's fields are consulted past the ID check above: the old
+	// record comes from the manager's table.
+	return s.durableApplyObject(new, (*core.Manager).UpdateByID)
 }

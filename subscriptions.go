@@ -36,7 +36,7 @@ import (
 //     makes that expansion near-linear in the horizon instead of quadratic
 //     in the global maximum speed: the VP analysis paying off a second
 //     time, now on the continuous-query path. The Store re-seeds the
-//     filter's classes after every bootstrap cutover and repartition swap.
+//     filter's classes after every partition swap (the bootstrap included).
 //
 // Deltas are computed outside the shard locks, from the records the write
 // path just applied: a write verb applies its records under the shard lock,
@@ -167,9 +167,9 @@ func (s *Store) engine() *subEngine {
 
 // refreshSubClasses re-seeds the engine filter's velocity classes from the
 // Store's current analysis. Called with no Store shard locks held — from
-// engine creation, after the bootstrap cutover commits, and after a
-// repartition swap — because it takes the registry write lock, which report
-// evaluation holds shared while reading shard state.
+// engine creation and at the end of every partition swap — because it takes
+// the registry write lock, which report evaluation holds shared while
+// reading shard state.
 func (s *Store) refreshSubClasses() {
 	e := s.subEng.Load()
 	if e == nil {
@@ -493,10 +493,9 @@ func (s *Store) subscribeApply(sub Subscription, now float64) (SubscriptionID, [
 // Unsubscribe removes a standing query and its result set, emitting no
 // events. Returns ErrNotFound (errors.Is-able) for an unknown id.
 func (s *Store) Unsubscribe(id SubscriptionID) error {
-	_, err := s.durableApply(wal.TypeUnsubscribe,
+	return s.durableApply(wal.TypeUnsubscribe,
 		func(dst []byte) []byte { return wal.AppendUnsubscribe(dst, id) },
-		func() (bool, error) { return false, s.unsubscribeApply(id) })
-	return err
+		func() error { return s.unsubscribeApply(id) })
 }
 
 // unsubscribeApply is Unsubscribe's in-memory half.

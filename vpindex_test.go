@@ -135,15 +135,27 @@ func TestStatsProgress(t *testing.T) {
 }
 
 // storeSetup is one Store configuration of the oracle grids: base kind x
-// partitioning objective x shard count. Every setup is partitioned from an
-// upfront sample; ObjectiveNone runs the same machinery over a single
-// unpartitioned index, which is the paper's flat baseline.
+// partitioning state x shard count. The objective rows are partitioned from
+// an upfront sample (ObjectiveNone runs the same machinery over a single
+// unpartitioned index, which is the paper's flat baseline); the plain row
+// passes no VP option at all, and the auto row bootstraps online, crossing
+// its threshold mid-history — the two states that open on the unpartitioned
+// manager.
 type storeSetup struct {
-	name      string
-	kind      vpindex.Kind
-	objective vpindex.PartitionObjective
-	shards    int
+	name   string
+	kind   vpindex.Kind
+	shards int
+	// vp builds the setup's partitioning options from the velocity sample.
+	vp func(sample []vpindex.Vec2) []vpindex.Option
+	// auto marks the online-bootstrap row: not partitioned at Open, and
+	// partitioned once gridAutoThreshold records have been written.
+	auto bool
 }
+
+// gridAutoThreshold is the auto row's bootstrap threshold: above the initial
+// load of every grid that drives an update history (so the swap lands among
+// the updates), below the total number of records each grid writes.
+const gridAutoThreshold = 1000
 
 func storeSetups() []storeSetup {
 	var out []storeSetup
@@ -152,27 +164,65 @@ func storeSetups() []storeSetup {
 			for _, shards := range []int{1, 4} {
 				out = append(out, storeSetup{
 					name: fmt.Sprintf("%s-%s-shards%d", kind, obj, shards),
-					kind: kind, objective: obj, shards: shards,
+					kind: kind, shards: shards,
+					vp: func(sample []vpindex.Vec2) []vpindex.Option {
+						return []vpindex.Option{
+							vpindex.WithVelocityPartitioning(2),
+							vpindex.WithPartitioner(obj),
+							vpindex.WithVelocitySample(sample),
+						}
+					},
 				})
 			}
 		}
+		out = append(out, storeSetup{
+			name: fmt.Sprintf("%s-plain-shards4", kind), kind: kind, shards: 4,
+			vp: func([]vpindex.Vec2) []vpindex.Option { return nil },
+		}, storeSetup{
+			name: fmt.Sprintf("%s-auto-shards4", kind), kind: kind, shards: 4, auto: true,
+			vp: func([]vpindex.Vec2) []vpindex.Option {
+				return []vpindex.Option{
+					vpindex.WithVelocityPartitioning(2),
+					vpindex.WithAutoPartition(gridAutoThreshold),
+				}
+			},
+		})
 	}
 	return out
 }
 
 func (su storeSetup) open(t *testing.T, sample []vpindex.Vec2, extra ...vpindex.Option) *vpindex.Store {
 	t.Helper()
-	s, err := vpindex.Open(append([]vpindex.Option{
-		vpindex.WithKind(su.kind),
-		vpindex.WithShards(su.shards),
-		vpindex.WithVelocityPartitioning(2),
-		vpindex.WithPartitioner(su.objective),
-		vpindex.WithVelocitySample(sample),
-	}, extra...)...)
+	opts := append([]vpindex.Option{vpindex.WithKind(su.kind), vpindex.WithShards(su.shards)}, su.vp(sample)...)
+	s, err := vpindex.Open(append(opts, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// checkTableIndexAgree asserts that the id→record table and the index
+// structure hold the same population: Len, a whole-domain Search (the domain
+// padded by its own extent, so objects extrapolated past an edge count too)
+// and the number of Get-able ids among those ever written must all equal
+// want. A record that is in one but not the other — a failed write that was
+// half applied — fails here even when no range query happens to cover it.
+func checkTableIndexAgree(t *testing.T, s *vpindex.Store, domain vpindex.Rect, now float64, ids []vpindex.ObjectID, want int) {
+	t.Helper()
+	all, err := s.Search(vpindex.RectSliceQuery(domain.Expand(domain.Width()), now, now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gettable := 0
+	for _, id := range ids {
+		if _, ok := s.Get(id); ok {
+			gettable++
+		}
+	}
+	if s.Len() != want || len(all) != want || gettable != want {
+		t.Fatalf("t=%g: table and index disagree: Len %d, whole-domain Search %d, Get-able %d, want %d",
+			now, s.Len(), len(all), gettable, want)
+	}
 }
 
 // TestEndToEndOracleAllDatasetsAllSetups is the repository's strongest
@@ -203,11 +253,16 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 					vpindex.WithTauRefreshInterval(400),
 				)
 				oracle := model.NewBruteForce()
+				var ids []vpindex.ObjectID
 				for _, o := range gen.Initial() {
 					if err := idx.Insert(o); err != nil {
 						t.Fatal(err)
 					}
 					_ = oracle.Insert(o)
+					ids = append(ids, o.ID)
+				}
+				if su.auto && idx.Partitioned() {
+					t.Fatal("auto setup bootstrapped during the initial load, not mid-history")
 				}
 				queries := gen.Queries(p.NumQueries)
 				// Add the other two query kinds at matching issue times.
@@ -219,6 +274,7 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 					for qi < len(queries) && queries[qi].Now <= now {
 						q := queries[qi]
 						qi++
+						checkTableIndexAgree(t, idx, p.Domain, q.Now, ids, oracle.Len())
 						got, err := idx.Search(q)
 						if err != nil {
 							t.Fatal(err)
@@ -251,8 +307,9 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 					}
 				}
 				check(p.Duration + 1)
-				if idx.Len() != oracle.Len() {
-					t.Fatalf("len %d vs %d", idx.Len(), oracle.Len())
+				checkTableIndexAgree(t, idx, p.Domain, p.Duration+1, ids, oracle.Len())
+				if su.auto && !idx.Partitioned() {
+					t.Fatal("auto setup never crossed its bootstrap threshold")
 				}
 			})
 		}
