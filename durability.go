@@ -31,7 +31,7 @@ import (
 //   - Checkpoints are incremental: the first one snapshots the full logical
 //     state — objects, the partition analysis, the subscription registry with
 //     its memberships — and every later one captures only what changed since
-//     the previous checkpoint (per-shard dirty sets of touched ObjectIDs,
+//     the previous checkpoint (per-stripe dirty sets of touched ObjectIDs,
 //     removed-ID tombstones, and registry/partition dirty flags) into a delta
 //     file (ckpt-<gen>.delta) chained to the last full snapshot. Every file
 //     uses the same shadow-write protocol — tmp, fsync, atomic rename, dir
@@ -77,7 +77,7 @@ type durability struct {
 	// chainLen / chainBytes describe the delta chain behind the last full
 	// snapshot and drive the compaction policy; subsDirty / partDirty flag
 	// subscription-registry and partition-analysis changes since the last
-	// checkpoint (the per-object dirty sets live on the shards). ckptInFlight
+	// checkpoint (the per-object dirty sets live on the stripes). ckptInFlight
 	// dedups the auto-checkpoint cadence's background trigger; compacting
 	// dedups background compactions. pauseLast / pauseMax / ckptBytes are the
 	// observability counters behind DurabilityStats.
@@ -123,7 +123,7 @@ const (
 func deltaFileName(gen uint64) string { return fmt.Sprintf("ckpt-%020d.delta", gen) }
 
 // initDurable opens the data directory's page file and log. Called from Open
-// before any index is built; recovery itself runs after the shards exist.
+// before any index is built; recovery itself runs after the manager exists.
 func (s *Store) initDurable() error {
 	cfg := &s.cfg
 	if err := os.MkdirAll(cfg.dataDir, 0o755); err != nil {
@@ -249,19 +249,23 @@ func (s *Store) durableApply(t wal.Type, encode func(dst []byte) []byte, apply f
 	return nil
 }
 
-// durableApplyObject is durableApply specialized to the hot verbs whose
-// record is one encoded object (Report, Insert, Update — all logged as a
-// plain report record, which replays as the upsert that reproduces them):
+// durableApplyObject is durableApply specialized to the hot single-record
+// verbs — Report, Insert and Update, all logged as a plain report record,
+// which replays as the upsert that reproduces them, and Remove, logged by id:
 // the encode step is inlined over the pooled buffer and the apply half is
-// applyUpsert over a manager method expression instead of a per-call closure,
-// so the uncoalesced single-record path allocates nothing per record in
-// steady state. A successful write then runs the maintenance it triggered.
-func (s *Store) durableApplyObject(o Object, verb func(*core.Manager, Object) error) error {
+// applyOne over a manager verb instead of a per-call closure, so the
+// uncoalesced single-record path allocates nothing per record in steady
+// state. A successful report then runs the maintenance it triggered.
+func (s *Store) durableApplyObject(verb core.Verb, o Object) error {
+	reports := 1
+	if verb == core.Remove {
+		reports = 0
+	}
 	d := s.dur
 	if d == nil || d.recovering.Load() {
-		err := s.applyUpsert(o, verb)
+		err := s.applyOne(verb, o)
 		if err == nil {
-			s.afterReports(1)
+			s.afterReports(reports)
 		}
 		return err
 	}
@@ -269,14 +273,19 @@ func (s *Store) durableApplyObject(o Object, verb func(*core.Manager, Object) er
 		return herr
 	}
 	d.commitMu.RLock()
-	if err := s.applyUpsert(o, verb); err != nil {
+	if err := s.applyOne(verb, o); err != nil {
 		d.commitMu.RUnlock()
 		s.noteIOFault(err)
 		return err
 	}
 	buf := wal.GetBuf()
-	*buf = wal.AppendObject((*buf)[:0], o)
-	lsn, werr := d.wal.Append(wal.TypeReport, *buf)
+	t := wal.TypeReport
+	if verb == core.Remove {
+		t, *buf = wal.TypeRemove, wal.AppendRemove((*buf)[:0], o.ID)
+	} else {
+		*buf = wal.AppendObject((*buf)[:0], o)
+	}
+	lsn, werr := d.wal.Append(t, *buf)
 	d.commitMu.RUnlock()
 	wal.PutBuf(buf)
 	if werr != nil {
@@ -288,81 +297,27 @@ func (s *Store) durableApplyObject(o Object, verb func(*core.Manager, Object) er
 		return cerr
 	}
 	d.noteRecords(s, 1)
-	s.afterReports(1)
+	s.afterReports(reports)
 	return nil
 }
 
-// durableApplyRemove is the same closure-free shape for Remove's ID-only
-// record.
-func (s *Store) durableApplyRemove(id ObjectID) error {
-	d := s.dur
-	if d == nil || d.recovering.Load() {
-		return s.applyRemove(id)
+// commitBatch finishes a batch applyReportBatch logged: one wait on the sync
+// policy, fault classification, the checkpoint cadence. It returns the commit
+// error; a non-durable batch has nothing to wait for.
+func (s *Store) commitBatch(res batchResult) (cerr error) {
+	if !res.durable {
+		return nil
 	}
-	if herr := s.writeAllowed(); herr != nil {
-		return herr
+	if res.werr == nil && res.n > 0 {
+		cerr = s.dur.wal.Commit(res.lsn)
 	}
-	d.commitMu.RLock()
-	if err := s.applyRemove(id); err != nil {
-		d.commitMu.RUnlock()
-		s.noteIOFault(err)
-		return err
+	s.noteIOFault(res.werr)
+	s.noteIOFault(cerr)
+	s.noteIOFault(res.err)
+	if res.n > 0 && res.werr == nil && cerr == nil {
+		s.dur.noteRecords(s, 1)
 	}
-	buf := wal.GetBuf()
-	*buf = wal.AppendRemove((*buf)[:0], id)
-	lsn, werr := d.wal.Append(wal.TypeRemove, *buf)
-	d.commitMu.RUnlock()
-	wal.PutBuf(buf)
-	if werr != nil {
-		s.noteIOFault(werr)
-		return werr
-	}
-	if cerr := d.wal.Commit(lsn); cerr != nil {
-		s.noteIOFault(cerr)
-		return cerr
-	}
-	d.noteRecords(s, 1)
-	return nil
-}
-
-// reportBatchDurable is ReportBatch's durable path: apply the batch, log
-// exactly the records that landed as one batch record (concurrent batches
-// ride one fsync under the group-commit policy), then run maintenance.
-func (s *Store) reportBatchDurable(d *durability, objs []Object) error {
-	if herr := s.writeAllowed(); herr != nil {
-		return herr
-	}
-	sc := s.getBatchScratch()
-	d.commitMu.RLock()
-	n, err := s.applyReportBatch(objs, sc)
-	var (
-		lsn  uint64
-		werr error
-	)
-	if n > 0 {
-		// Encode straight from the per-shard groups into a pooled buffer:
-		// no flattened intermediate slice, no per-batch payload allocation.
-		buf := wal.GetBuf()
-		*buf = wal.AppendReportBatch((*buf)[:0], sc.eval)
-		lsn, werr = d.wal.Append(wal.TypeReportBatch, *buf)
-		wal.PutBuf(buf)
-	}
-	d.commitMu.RUnlock()
-	s.putBatchScratch(sc)
-	if werr != nil {
-		s.noteIOFault(werr)
-		return werr
-	}
-	if n > 0 {
-		if cerr := d.wal.Commit(lsn); cerr != nil {
-			s.noteIOFault(cerr)
-			return cerr
-		}
-		d.noteRecords(s, 1)
-	}
-	s.noteIOFault(err)
-	s.afterReports(n)
-	return err
+	return cerr
 }
 
 // logSwap appends a partition-swap record carrying the completed analysis.
@@ -529,7 +484,7 @@ type checkpointState struct {
 	subs      []checkpointSub
 
 	// Capture bookkeeping, never encoded: the dirty/gone maps swapped out of
-	// the shards (restored if the write fails) and the captured dirty-flag
+	// the stripes (restored if the write fails) and the captured dirty-flag
 	// values; size is the on-disk element size filled in by readChain.
 	savedDirty []map[ObjectID]struct{}
 	savedGone  []map[ObjectID]struct{}
@@ -651,9 +606,11 @@ func (s *Store) captureCheckpoint(d *durability) checkpointState {
 	ck.analysis, ck.partitioned = s.Analysis()
 	ck.savedSubs = d.subsDirty.Swap(false)
 	ck.savedPart = d.partDirty.Swap(false)
+	s.mgrMu.RLock()
+	ck.objects = s.mgr.Objects()
+	s.mgrMu.RUnlock()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		ck.objects = append(ck.objects, sh.mgr.Objects()...)
 		ck.savedDirty = append(ck.savedDirty, sh.dirty)
 		ck.savedGone = append(ck.savedGone, sh.gone)
 		if sh.dirty != nil {
@@ -684,7 +641,7 @@ func (s *Store) captureDelta(d *durability) checkpointState {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for id := range sh.dirty {
-			if o, ok := sh.mgr.Get(id); ok {
+			if o, ok := s.mgr.Get(id); ok {
 				ck.objects = append(ck.objects, o)
 			} else {
 				ck.tombs = append(ck.tombs, id)
@@ -737,7 +694,7 @@ func (s *Store) captureEngine(ck *checkpointState) {
 }
 
 // restoreDirty folds a failed checkpoint's captured dirty state back into
-// the live shards so the next attempt re-covers it. Marks made after the
+// the live stripes so the next attempt re-covers it. Marks made after the
 // capture win: an ID re-dirtied since stays dirty, one removed since stays
 // gone.
 func (s *Store) restoreDirty(d *durability, ck checkpointState) {
@@ -766,7 +723,7 @@ func (s *Store) restoreDirty(d *durability, ck checkpointState) {
 	}
 }
 
-// clearDirtyState empties every shard's dirty set and both dirty flags.
+// clearDirtyState empties every stripe's dirty set and both dirty flags.
 // Recovery calls it after applying the on-disk chain (whose contents are by
 // definition already durable) and before replaying the WAL tail, whose
 // records re-mark exactly the state the next delta must cover.

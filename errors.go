@@ -26,6 +26,10 @@ var (
 	// ErrUnsupported reports an operation the configured index structure
 	// does not implement.
 	ErrUnsupported = model.ErrUnsupported
+	// ErrInvalidQuery reports a Search or SearchKNN query the validators
+	// reject: a non-finite field, an empty or negative region, a time before
+	// the issue time, an inverted interval, k <= 0.
+	ErrInvalidQuery = model.ErrInvalidQuery
 	// ErrInjectedCrash reports that a WithFaultInjector kill point fired:
 	// the simulated process image is dead and every further durable write
 	// is refused (see NewFaultInjector).

@@ -1,0 +1,77 @@
+package vpindex_test
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	vpindex "repro"
+)
+
+// TestStoreRejectsHostileQueries pins the query side of the hostile-input
+// contract: Search and SearchKNN validate before anything else, so a query
+// with k <= 0, a time before its issue time, an inverted interval, an empty
+// region or any non-finite field is refused with ErrInvalidQuery on both
+// index kinds — the Store is where queries are validated; the indexes behind
+// it take them on trust — and never reaches the query-shape log the partition
+// chooser scores its candidates against. (A logged NaN window made every
+// candidate's estimated cost NaN, and the chooser silently elected the first
+// one; core's TestEstimateCostSkipsNonFiniteShapes pins that side.)
+func TestStoreRejectsHostileQueries(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	c := vpindex.Circle{C: vpindex.V(5000, 5000), R: 500}
+	r := vpindex.R(1000, 1000, 2000, 2000)
+	ranges := map[string]vpindex.RangeQuery{
+		"past":            vpindex.RectSliceQuery(r, 10, 5),
+		"inverted":        vpindex.IntervalQuery(r, 0, 5, 1),
+		"empty rect":      vpindex.RectSliceQuery(vpindex.Rect{MinX: 2, MaxX: 1, MinY: 0, MaxY: 1}, 0, 0),
+		"negative radius": vpindex.SliceQuery(vpindex.Circle{C: c.C, R: -1}, 0, 0),
+		"NaN T0":          vpindex.SliceQuery(c, 0, nan),
+		"Inf T1":          vpindex.IntervalQuery(r, 0, 1, inf),
+		"NaN Now":         vpindex.SliceQuery(c, nan, 1),
+		"NaN center":      vpindex.SliceQuery(vpindex.Circle{C: vpindex.V(nan, 0), R: 5}, 0, 1),
+		"Inf radius":      vpindex.SliceQuery(vpindex.Circle{C: c.C, R: inf}, 0, 1),
+		"Inf rect":        vpindex.RectSliceQuery(vpindex.Rect{MinX: 0, MinY: 0, MaxX: inf, MaxY: 1}, 0, 1),
+		"NaN vel":         vpindex.MovingQuery(r, vpindex.V(nan, 1), 0, 1, 2),
+	}
+	knns := map[string]vpindex.KNNQuery{
+		"k=0":        {Center: c.C, K: 0, T: 1},
+		"past":       {Center: c.C, K: 3, Now: 5, T: 1},
+		"NaN T":      {Center: c.C, K: 3, T: nan},
+		"NaN center": {Center: vpindex.V(0, nan), K: 3, T: 1},
+		"Inf Now":    {Center: c.C, K: 3, Now: -inf, T: 1},
+	}
+	for _, kind := range []vpindex.Kind{vpindex.Bx, vpindex.TPRStar} {
+		store, err := vpindex.Open(vpindex.WithKind(kind), vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
+			vpindex.WithVelocitySample(testSample(400, 3)), vpindex.WithSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Report(vpindex.Object{ID: 1, Pos: c.C, Vel: vpindex.V(1, 0)}); err != nil {
+			t.Fatal(err)
+		}
+		// One good query each, so an unchanged log size is not an empty log.
+		if ids, err := store.Search(vpindex.SliceQuery(c, 0, 1)); err != nil || len(ids) != 1 {
+			t.Fatalf("%v: good search: %v, %v", kind, ids, err)
+		}
+		if ns, err := store.SearchKNN(vpindex.KNNQuery{Center: c.C, K: 3, T: 1}); err != nil || len(ns) != 1 {
+			t.Fatalf("%v: good kNN: %v, %v", kind, ns, err)
+		}
+		if n := store.QueryLogSize(); n != 2 {
+			t.Fatalf("%v: query log holds %d shapes after two good queries", kind, n)
+		}
+		for name, q := range ranges {
+			if ids, err := store.Search(q); !errors.Is(err, vpindex.ErrInvalidQuery) || ids != nil {
+				t.Errorf("%v: Search %s: %v, %v; want ErrInvalidQuery", kind, name, ids, err)
+			}
+		}
+		for name, q := range knns {
+			if ns, err := store.SearchKNN(q); !errors.Is(err, vpindex.ErrInvalidQuery) || ns != nil {
+				t.Errorf("%v: SearchKNN %s: %v, %v; want ErrInvalidQuery", kind, name, ns, err)
+			}
+		}
+		if n := store.QueryLogSize(); n != 2 {
+			t.Errorf("%v: rejected queries reached the query log: %d shapes, want 2", kind, n)
+		}
+	}
+}

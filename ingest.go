@@ -1,26 +1,24 @@
 package vpindex
 
 import (
-	"fmt"
+	"cmp"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/wal"
 )
 
 // This file is the write coalescer behind WithWriteCoalescing: a
 // leader-drained ingest pipeline that turns concurrent Report calls into one
-// shard-batched apply plus one WAL record, while keeping Report's
-// synchronous, per-record-error contract.
+// batched apply plus one WAL record, while keeping Report's synchronous,
+// per-record-error contract.
 //
 // The discipline is the same leader/follower election internal/wal's group
 // commit uses, one layer up: callers enqueue a pooled pending slot into a
 // FIFO and block; whoever finds no active leader and a non-empty queue
 // becomes it, dwells up to the configured window for stragglers (cut short
 // when the queue reaches maxBatch or a flush barrier arrives), drains up to
-// maxBatch slots, and runs them as one batch — one shard-lock acquisition
-// per touched shard (applyReportBatch), one merged subscription delta, one
+// maxBatch slots, and runs them as one batch — one partition-parallel apply
+// (applyReportBatch), one merged subscription delta, one
 // TypeReportBatch append through the pooled-buffer path, one wait on the
 // sync policy — then wakes every drained waiter with its own error.
 //
@@ -33,9 +31,9 @@ import (
 // durable watermark) into one Commit call per batch, which is where the
 // coalescer's throughput win comes from when fsyncs are already shared.
 //
-// Ordering: the FIFO drain preserves per-object order (two Reports of the
-// same object hash to the same shard and apply in drain order, and the
-// earlier one is never drained later than the second). Cross-verb order is
+// Ordering: the FIFO drain preserves per-object order (a batch applies an
+// id's records in batch order, and the earlier of two Reports of one object
+// is never drained later than the second). Cross-verb order is
 // preserved by flush barriers: Remove/Insert/Update/ReportBatch, Checkpoint,
 // and Close first wait for every previously enqueued Report to be
 // acknowledged, so the exclusive commit-lock semantics and the recovery
@@ -43,13 +41,11 @@ import (
 // entirely (replayed records must not re-batch), and a disabled coalescer
 // leaves Report on the direct path.
 //
-// Error attribution: applyReportBatch's applied-prefix bookkeeping says, per
-// shard, how many of the shard's drained records landed before its first
-// error. A slot whose position is inside the prefix gets nil (or the batch's
-// WAL append/commit error — exactly what the direct path would return); the
-// slot at the prefix boundary gets the shard's error; later slots of that
-// shard were not attempted (shards stop at the first error, like
-// ReportBatch) and report that explicitly.
+// Error attribution: applyReportBatch reports every record's own outcome. A
+// slot whose record landed gets nil (or the batch's WAL append/commit error —
+// exactly what the direct path would return); a slot whose record was
+// rejected or failed gets that error, and its failure does not stop the rest
+// of the batch.
 
 // DefaultCoalesceBatch caps one drained batch when WithWriteCoalescing is
 // given a non-positive maxBatch.
@@ -186,7 +182,7 @@ func (c *coalescer) dwell() {
 // stalling the next drain's election.
 func (c *coalescer) lead() {
 	c.dwell()
-	sc := c.s.getBatchScratch()
+	sc := c.s.scratchPool.Get().(*batchScratch)
 	c.mu.Lock()
 	n := len(c.queue)
 	if n > c.maxBatch {
@@ -219,109 +215,36 @@ func (c *coalescer) lead() {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.s.putBatchScratch(sc)
-	c.s.afterReports(res.evalN)
-}
-
-// coalResult carries a drained batch's apply/append outcome from the
-// leadership half of the turn to the post-handoff half.
-type coalResult struct {
-	err     error // apply-path error (first shard error)
-	lsn     uint64
-	werr    error // WAL append error
-	evalN   int   // records actually applied and logged
-	durable bool
-	health  bool // store unhealthy: slots already carry the error
+	c.s.afterReports(res.n)
 }
 
 // coalescedPhase1 is the leadership half of a drain: the slots' records
-// through the batched apply and one TypeReportBatch append via the pooled
-// encode buffer, all under the shared commit lock — exactly
-// reportBatchDurable's discipline, so a checkpoint capture can never split
-// the batch. It does NOT wait for durability; that is coalescedFinish's job,
-// after leadership has been handed back.
-func (s *Store) coalescedPhase1(sc *batchScratch) coalResult {
-	var res coalResult
+// through applyReportBatch — one apply, one TypeReportBatch append. It does
+// NOT wait for durability; that is coalescedFinish's job, after leadership has
+// been handed back.
+func (s *Store) coalescedPhase1(sc *batchScratch) batchResult {
 	if herr := s.writeAllowed(); herr != nil {
-		for _, sl := range sc.slots {
-			sl.err = herr
+		sc.errs = sc.errs[:0]
+		for range sc.slots {
+			sc.errs = append(sc.errs, herr)
 		}
-		res.health = true
-		return res
+		return batchResult{}
 	}
 	sc.objs = sc.objs[:0]
 	for _, sl := range sc.slots {
 		sc.objs = append(sc.objs, sl.o)
 	}
-	d := s.dur
-	res.durable = d != nil
-	if res.durable {
-		d.commitMu.RLock()
-	}
-	res.evalN, res.err = s.applyReportBatch(sc.objs, sc)
-	if res.durable && res.evalN > 0 {
-		buf := wal.GetBuf()
-		*buf = wal.AppendReportBatch((*buf)[:0], sc.eval)
-		res.lsn, res.werr = d.wal.Append(wal.TypeReportBatch, *buf)
-		wal.PutBuf(buf)
-	}
-	if res.durable {
-		d.commitMu.RUnlock()
-	}
-	return res
+	return s.applyReportBatch(sc.objs, sc)
 }
 
 // coalescedFinish completes a drained batch after leadership handoff: one
-// wait on the sync policy, per-slot error attribution, health-fault
-// classification.
-func (s *Store) coalescedFinish(sc *batchScratch, res coalResult) {
-	if res.health {
-		return
-	}
-	var cerr error
-	if res.durable && res.werr == nil && res.evalN > 0 {
-		cerr = s.dur.wal.Commit(res.lsn)
-	}
-	s.attributeSlots(sc, res.werr, cerr)
-	if res.durable {
-		s.noteIOFault(res.werr)
-		s.noteIOFault(cerr)
-		s.noteIOFault(res.err)
-		if res.evalN > 0 && res.werr == nil && cerr == nil {
-			s.dur.noteRecords(s, 1)
-		}
-	}
-}
-
-// attributeSlots hands each drained slot its own error from the
-// applied-prefix bookkeeping: within a shard the drained records applied in
-// FIFO order, so a slot's position among its shard's records says whether it
-// landed (then only a durability failure can fail it), hit the shard's first
-// error, or was never attempted because an earlier record of its shard
-// failed.
-func (s *Store) attributeSlots(sc *batchScratch, werr, cerr error) {
-	single := len(s.shards) == 1
-	for i := range sc.cursor {
-		sc.cursor[i] = 0
-	}
-	for _, sl := range sc.slots {
-		si := 0
-		if !single {
-			si = s.shardIndex(sl.o.ID)
-		}
-		pos := sc.cursor[si]
-		sc.cursor[si]++
-		switch {
-		case pos < sc.applied[si]:
-			if werr != nil {
-				sl.err = werr
-			} else {
-				sl.err = cerr
-			}
-		case sc.errs[si] != nil && pos == sc.applied[si]:
-			sl.err = sc.errs[si]
-		default:
-			sl.err = fmt.Errorf("vpindex: coalesced report of object %d skipped after an earlier failure in its shard: %w", sl.o.ID, sc.errs[si])
-		}
+// wait on the sync policy, fault classification, and each slot's own outcome
+// — its record's rejection or failure, else, since it landed, whatever kept
+// the batch from becoming durable.
+func (s *Store) coalescedFinish(sc *batchScratch, res batchResult) {
+	cerr := s.commitBatch(res)
+	for i, sl := range sc.slots {
+		sl.err = cmp.Or(sc.errs[i], res.werr, cerr)
 	}
 }
 

@@ -18,7 +18,7 @@ package bxtree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/bptree"
 	"repro/internal/geom"
@@ -103,9 +103,13 @@ type Tree struct {
 	pool  *storage.BufferPool
 
 	bucketWidth float64
-	buckets     map[int64]*bucket
-	size        int
-	name        string
+	// buckets are the active time buckets in ascending boundary order, kept
+	// sorted as they are created and retired: there are Buckets+1 of them
+	// while objects honour MaxUpdateInterval, so lookups scan from the
+	// newest.
+	buckets []*bucket
+	size    int
+	name    string
 }
 
 var _ model.Index = (*Tree)(nil)
@@ -138,7 +142,6 @@ func NewTree(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 		bt:          bt,
 		pool:        pool,
 		bucketWidth: cfg.MaxUpdateInterval / float64(cfg.Buckets),
-		buckets:     make(map[int64]*bucket),
 		name:        "bx",
 	}, nil
 }
@@ -164,6 +167,16 @@ func (t *Tree) Height() int { return t.bt.Height() }
 
 // ActiveBuckets returns the number of live time buckets (diagnostics).
 func (t *Tree) ActiveBuckets() int { return len(t.buckets) }
+
+// bucketAt returns the position of the bucket with boundary index idx in
+// t.buckets, or where it would be inserted, and whether it is there.
+func (t *Tree) bucketAt(idx int64) (int, bool) {
+	i := len(t.buckets)
+	for i > 0 && t.buckets[i-1].idx > idx {
+		i--
+	}
+	return i, i > 0 && t.buckets[i-1].idx == idx
+}
 
 // --- key construction --------------------------------------------------------
 
@@ -222,15 +235,16 @@ func (t *Tree) Insert(o model.Object) error {
 	if err != nil {
 		return err
 	}
-	b := t.buckets[idx]
-	if b == nil {
-		b = &bucket{
+	i, ok := t.bucketAt(idx)
+	if !ok {
+		t.buckets = slices.Insert(t.buckets, i, &bucket{
 			idx:  idx,
 			ref:  t.refTime(idx),
 			hist: newVelocityHistogram(t.cfg.Domain, t.cfg.HistogramCells),
-		}
-		t.buckets[idx] = b
+		})
+		i++
 	}
+	b := t.buckets[i-1]
 	b.count++
 	b.hist.Add(o.PosAt(b.ref), o.Vel)
 	t.size++
@@ -244,13 +258,14 @@ func (t *Tree) Delete(o model.Object) error {
 	if err := t.bt.Delete(bptree.Key{K: k, ID: o.ID}); err != nil {
 		return err
 	}
-	if b := t.buckets[idx]; b != nil {
+	if i, ok := t.bucketAt(idx); ok {
+		b := t.buckets[i-1]
 		b.count--
 		// The histogram stays conservative until the bucket dies; buckets
 		// live at most MaxUpdateInterval, bounding the staleness exactly
 		// as the paper's periodic histogram refresh does.
 		if b.count <= 0 {
-			delete(t.buckets, idx)
+			t.buckets = slices.Delete(t.buckets, i-1, i)
 		}
 	}
 	t.size--
@@ -296,10 +311,9 @@ func (t *Tree) SearchObjects(q model.RangeQuery) ([]model.Object, error) {
 }
 
 // queryScratch is the per-query scratch state searchVisit threads through
-// the buckets: the bucket order, the curve-interval buffer and the scan
-// batch are each allocated once and recycled bucket to bucket.
+// the buckets: the curve-interval buffer and the scan batch are each
+// allocated once and recycled bucket to bucket.
 type queryScratch struct {
-	idxs   []int64
 	ivs    []sfc.Interval
 	ranges []bptree.ScanRange
 }
@@ -310,17 +324,9 @@ type queryScratch struct {
 // partition fan-out leans on when asserting its merge is byte-identical to
 // the sequential path; within a bucket, objects stream in key order.
 func (t *Tree) searchVisit(q model.RangeQuery, emit func(model.Object)) error {
-	if err := q.Validate(); err != nil {
-		return err
-	}
 	var sc queryScratch
-	sc.idxs = make([]int64, 0, len(t.buckets))
-	for idx := range t.buckets {
-		sc.idxs = append(sc.idxs, idx)
-	}
-	sort.Slice(sc.idxs, func(i, j int) bool { return sc.idxs[i] < sc.idxs[j] })
-	for _, idx := range sc.idxs {
-		if err := t.searchBucket(t.buckets[idx], q, &sc, emit); err != nil {
+	for _, b := range t.buckets {
+		if err := t.searchBucket(b, q, &sc, emit); err != nil {
 			return err
 		}
 	}

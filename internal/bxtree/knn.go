@@ -15,9 +15,6 @@ import (
 // object was missed). Falls back to a full scan when the radius outgrows
 // the data space.
 func (t *Tree) SearchKNN(q model.KNNQuery) ([]model.Neighbor, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
 	if t.size == 0 {
 		return nil, nil
 	}

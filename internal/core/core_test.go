@@ -339,9 +339,10 @@ func TestManagerUpdateMigratesPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	partOf := func(id model.ObjectID) int {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		return m.objs[id].part
+		st := &m.stripes[m.stripeIndex(id)]
+		st.mu.RLock()
+		defer st.mu.RUnlock()
+		return st.objs[id].part
 	}
 	p0 := partOf(1)
 	if m.pars[p0].spec.IsOutlier {

@@ -37,7 +37,9 @@ type QueryShape struct {
 // expected number of candidate objects a uniform-density index must touch —
 // summed over partitions and averaged over the logged queries. The returned
 // value is an unnormalized relative score: comparable between candidates
-// evaluated on the same sample and query log, not across samples.
+// evaluated on the same sample and query log, not across samples. A shape
+// with a non-finite field is skipped — one NaN would make every candidate's
+// score NaN and every comparison between them false.
 func EstimateCost(an Analysis, sample []geom.Vec2, queries []QueryShape) float64 {
 	if len(sample) == 0 || len(queries) == 0 || len(an.Frames) == 0 {
 		return 0
@@ -65,16 +67,21 @@ func EstimateCost(an Analysis, sample []geom.Vec2, queries []QueryShape) float64
 		}
 		b.n++
 	}
-	total := 0.0
-	for _, b := range boxes {
-		if b.n == 0 {
+	total, scored := 0.0, 0
+	for _, q := range queries {
+		if s := q.HalfW + q.HalfH + q.Window; math.IsNaN(s) || math.IsInf(s, 0) {
 			continue
 		}
-		dvx, dvy := b.maxX-b.minX, b.maxY-b.minY
-		for _, q := range queries {
-			w := math.Max(q.Window, 0)
-			total += float64(b.n) * (2*q.HalfW + dvx*w) * (2*q.HalfH + dvy*w)
+		scored++
+		w := math.Max(q.Window, 0)
+		for _, b := range boxes {
+			if b.n > 0 {
+				total += float64(b.n) * (2*q.HalfW + (b.maxX-b.minX)*w) * (2*q.HalfH + (b.maxY-b.minY)*w)
+			}
 		}
 	}
-	return total / float64(len(queries))
+	if scored == 0 {
+		return 0
+	}
+	return total / float64(scored)
 }

@@ -13,37 +13,25 @@ import (
 // and the manager merges the per-partition top-k lists into the global one.
 // Like Search, the partitions are probed by a bounded worker pool into
 // per-partition buffers that are merged after the joins, in partition
-// order. Every underlying index must itself support kNN (checked up front,
-// before any worker runs).
+// order. Every underlying index must itself support kNN. The caller has
+// validated q.
 func (m *Manager) SearchKNN(q model.KNNQuery) ([]model.Neighbor, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	knns := make([]model.KNNIndex, len(m.pars))
-	for i := range m.pars {
+	m.rlock(true)
+	defer m.runlock(true)
+	lists := make([][]model.Neighbor, len(m.pars))
+	err := parallel.Do(len(m.pars), m.cfg.SearchParallelism, func(i int) (err error) {
 		p := &m.pars[i]
 		knn, ok := p.idx.(model.KNNIndex)
 		if !ok {
-			return nil, fmt.Errorf("core: partition %s index %T does not support kNN: %w",
+			return fmt.Errorf("core: partition %s index %T does not support kNN: %w",
 				p.spec.Name, p.idx, model.ErrUnsupported)
 		}
-		knns[i] = knn
-	}
-	lists := make([][]model.Neighbor, len(m.pars))
-	err := parallel.Do(len(m.pars), m.cfg.SearchParallelism, func(i int) error {
-		p := &m.pars[i]
 		pq := q
 		if !p.identity {
 			pq.Center = p.rot.Apply(q.Center)
 		}
-		ns, err := knns[i].SearchKNN(pq)
-		if err != nil {
-			return err
-		}
-		lists[i] = ns
-		return nil
+		lists[i], err = knn.SearchKNN(pq)
+		return err
 	})
 	if err != nil {
 		return nil, err

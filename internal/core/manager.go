@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/model"
@@ -47,6 +51,8 @@ type ManagerConfig struct {
 	// sequential partition loop (the baseline the parallel path must match
 	// byte for byte).
 	SearchParallelism int
+	// Stripes is the number of lock stripes of the id→record table (default 1).
+	Stripes int
 }
 
 func (c ManagerConfig) withDefaults() ManagerConfig {
@@ -56,20 +62,41 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	if c.TauBuckets <= 0 {
 		c.TauBuckets = 100
 	}
+	if c.Stripes <= 0 {
+		c.Stripes = 1
+	}
 	return c
 }
 
 // partition is one live partition: the underlying index plus the frame
 // transform and routing state.
 type partition struct {
+	mu       sync.RWMutex // guards idx: one writer at a time; queries hold it shared
 	spec     PartitionSpec
 	idx      model.Index
 	rot      geom.Mat2 // world -> partition frame
 	identity bool      // rot is the identity: skip query/object transforms
-	frame    Frame
-	axis     geom.Vec2
-	tau      float64       // live outlier threshold (DVA partitions)
-	hist     *tauHistogram // online |v_perp| distribution (DVA partitions)
+	// tau and hist are routing state, guarded by Manager.routeMu.
+	tau  float64       // live outlier threshold (DVA partitions)
+	hist *tauHistogram // online |v_perp| distribution (DVA partitions)
+}
+
+// insert stores o (world frame) into the partition, transforming into its
+// coordinate frame first ("a simple matrix multiplication between the
+// coordinates of o and the 1st PC of imin"). Caller holds p.mu.
+func (p *partition) insert(o model.Object) error {
+	if p.identity {
+		return p.idx.Insert(o)
+	}
+	return p.idx.Insert(o.Transform(p.rot))
+}
+
+// delete removes o (world frame) from the partition. Caller holds p.mu.
+func (p *partition) delete(o model.Object) error {
+	if p.identity {
+		return p.idx.Delete(o)
+	}
+	return p.idx.Delete(o.Transform(p.rot))
 }
 
 // record tracks where an object lives and its last known state; the paper's
@@ -80,27 +107,44 @@ type record struct {
 	part int
 }
 
+// tableStripe is one lock stripe of the id→record table.
+type tableStripe struct {
+	mu   sync.RWMutex
+	objs map[model.ObjectID]record
+}
+
 // Manager is the VP technique's index manager, generalized over
 // partitioning objectives: one index per partition frame — k rotated DVA
 // indexes plus an outlier index, concentric speed-band indexes, or a single
-// unpartitioned index — behind the model.Index interface. It is safe for
-// concurrent use; updates that migrate an object between partitions hold
-// the manager lock for the whole delete+insert so queries never observe the
-// object as missing (the locking concern of Section 5.3), while
-// Search/SearchKNN run under the read lock and fan out across the
-// partitions in parallel — partition independence (each object lives in
-// exactly one partition, and partition indexes share no mutable state on
-// their query paths) is exactly what makes the fan-out safe.
+// unpartitioned index — behind the model.Index interface, with the id→record
+// lookup table of Section 5.3 in front of them. It is safe for concurrent
+// use.
+//
+// # Lock order
+//
+// table stripe (by id hash, ascending) → partition. A write (Apply) holds the
+// stripes of its ids exclusively from start to finish: under them it reads
+// the old records, routes the new ones and updates the table; then it takes
+// the partition locks its deletes and inserts touch, one at a time. A query
+// holds every stripe and then every partition shared, so it sees the table
+// and all indexes at one instant between writes: an object migrating between
+// partitions is never observed missing (the locking concern of Section 5.3)
+// and the table-driven refinement of Search stays exact. routeMu (the tau
+// thresholds, their histograms, the refresh counter) is a leaf, held for one
+// routing decision. Two writers therefore overlap whenever their ids are on
+// different stripes and their records in different partitions: index-write
+// concurrency is bounded by the partition count.
 type Manager struct {
-	mu   sync.RWMutex
-	cfg  ManagerConfig
-	kind PartitionerKind
-	pars []partition // one per analysis frame, in frame order
+	cfg     ManagerConfig
+	kind    PartitionerKind
+	pars    []partition // one per analysis frame, in frame order
+	stripes []tableStripe
 
-	objs map[model.ObjectID]record
-
+	routeMu             sync.Mutex
 	insertsSinceRefresh int
-	name                string
+
+	scratch sync.Pool // *applyScratch
+	name    string
 }
 
 var _ model.Index = (*Manager)(nil)
@@ -123,7 +167,7 @@ func frameName(kind PartitionerKind, i int, f Frame) string {
 // analysis: one index per frame, rotated domains for DVA frames, online tau
 // histograms only where tau routing applies.
 func buildPartitions(an Analysis, cfg ManagerConfig, factory IndexFactory) ([]partition, error) {
-	pars := make([]partition, 0, len(an.Frames))
+	pars := make([]partition, len(an.Frames))
 	for i, f := range an.Frames {
 		rot := f.Rotation()
 		identity := f.Identity()
@@ -142,10 +186,8 @@ func buildPartitions(an Analysis, cfg ManagerConfig, factory IndexFactory) ([]pa
 		if err != nil {
 			return nil, fmt.Errorf("core: building %s: %w", spec.Name, err)
 		}
-		p := partition{
-			spec: spec, idx: idx, rot: rot, identity: identity,
-			frame: f, axis: f.Axis, tau: f.Tau,
-		}
+		p := &pars[i]
+		p.spec, p.idx, p.rot, p.identity, p.tau = spec, idx, rot, identity, f.Tau
 		if an.Kind == KindDVA && !f.IsOutlier {
 			// The online tau histogram spans up to the world-domain diagonal
 			// speed scale: use 4x the analysis tau (or 1 if zero) padded; the
@@ -156,7 +198,6 @@ func buildPartitions(an Analysis, cfg ManagerConfig, factory IndexFactory) ([]pa
 			}
 			p.hist = newTauHistogram(limit, cfg.TauBuckets)
 		}
-		pars = append(pars, p)
 	}
 	return pars, nil
 }
@@ -172,20 +213,49 @@ func NewManager(an Analysis, cfg ManagerConfig, factory IndexFactory) (*Manager,
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{
-		cfg:  cfg,
-		kind: an.Kind,
-		pars: pars,
-		objs: make(map[model.ObjectID]record),
-		name: "vp",
-	}, nil
+	m := &Manager{
+		cfg:     cfg,
+		kind:    an.Kind,
+		pars:    pars,
+		stripes: make([]tableStripe, cfg.Stripes),
+		name:    "vp",
+	}
+	for i := range m.stripes {
+		m.stripes[i].objs = make(map[model.ObjectID]record)
+	}
+	np, ns := len(pars), cfg.Stripes
+	m.scratch.New = func() any {
+		return &applyScratch{lists: make([][]int32, np), next: make([]atomic.Int32, np), locked: make([]bool, ns)}
+	}
+	return m, nil
 }
 
-// Kind returns the partitioning objective behind the live partition set.
-func (m *Manager) Kind() PartitionerKind {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.kind
+// stripeIndex hashes an id to its table stripe. Fibonacci hashing spreads
+// the dense sequential id ranges real device fleets use evenly.
+func (m *Manager) stripeIndex(id model.ObjectID) int {
+	if len(m.stripes) == 1 {
+		return 0
+	}
+	return int(uint64(id) * 0x9E3779B97F4A7C15 % uint64(len(m.stripes)))
+}
+
+// rlock takes every stripe and, for a query, then every partition, shared.
+func (m *Manager) rlock(query bool) {
+	for i := range m.stripes {
+		m.stripes[i].mu.RLock()
+	}
+	for i := 0; query && i < len(m.pars); i++ {
+		m.pars[i].mu.RLock()
+	}
+}
+
+func (m *Manager) runlock(query bool) {
+	for i := 0; query && i < len(m.pars); i++ {
+		m.pars[i].mu.RUnlock()
+	}
+	for i := range m.stripes {
+		m.stripes[i].mu.RUnlock()
+	}
 }
 
 // SetName overrides the reported index name.
@@ -196,21 +266,19 @@ func (m *Manager) Name() string { return m.name }
 
 // Len implements model.Index.
 func (m *Manager) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.objs)
+	m.rlock(false)
+	defer m.runlock(false)
+	n := 0
+	for i := range m.stripes {
+		n += len(m.stripes[i].objs)
+	}
+	return n
 }
 
-// IO implements model.Index. When all partitions share one buffer pool
-// (internal/bench's layout) any partition's counters are the manager's,
-// so the outlier partition is used as the representative. The Store, which
-// gives each partition its own pool, aggregates across its pools itself
-// instead of calling this.
-func (m *Manager) IO() model.IOStats {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.pars[len(m.pars)-1].idx.IO()
-}
+// IO implements model.Index for the layout where all partitions share one
+// buffer pool (internal/bench): any partition's counters are the manager's.
+// The Store, with a pool per partition, aggregates across its pools itself.
+func (m *Manager) IO() model.IOStats { return m.pars[len(m.pars)-1].idx.IO() }
 
 // NumPartitions returns the number of partitions including the outlier.
 func (m *Manager) NumPartitions() int { return len(m.pars) }
@@ -226,13 +294,17 @@ type PartitionInfo struct {
 	Size  int
 }
 
-// Partitions snapshots the partition set.
+// Partitions snapshots the partition set at one instant: the sizes sum to
+// Len.
 func (m *Manager) Partitions() []PartitionInfo {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.rlock(true)
+	defer m.runlock(true)
+	m.routeMu.Lock()
+	defer m.routeMu.Unlock()
 	out := make([]PartitionInfo, len(m.pars))
-	for i, p := range m.pars {
-		out[i] = PartitionInfo{Spec: p.spec, Index: p.idx, Rot: p.rot, Frame: p.frame, Tau: p.tau, Size: p.idx.Len()}
+	for i := range m.pars {
+		p := &m.pars[i]
+		out[i] = PartitionInfo{Spec: p.spec, Index: p.idx, Rot: p.rot, Frame: p.spec.Frame, Tau: p.tau, Size: p.idx.Len()}
 	}
 	return out
 }
@@ -248,7 +320,7 @@ func (m *Manager) route(o model.Object) int {
 	case KindSpeed:
 		s := o.Vel.Norm()
 		for i := range m.pars {
-			if s < m.pars[i].frame.SpeedMax {
+			if s < m.pars[i].spec.Frame.SpeedMax {
 				return i
 			}
 		}
@@ -263,7 +335,7 @@ func (m *Manager) route(o model.Object) int {
 		if p.spec.IsOutlier {
 			continue
 		}
-		d := o.Vel.PerpDistToAxis(p.axis)
+		d := o.Vel.PerpDistToAxis(p.spec.Axis)
 		if best == -1 || d < bestDist {
 			best = i
 			bestDist = d
@@ -272,8 +344,11 @@ func (m *Manager) route(o model.Object) int {
 	if best == -1 {
 		return len(m.pars) - 1
 	}
+	m.routeMu.Lock()
 	m.pars[best].hist.Add(bestDist)
-	if bestDist > m.pars[best].tau {
+	tau := m.pars[best].tau
+	m.routeMu.Unlock()
+	if bestDist > tau {
 		return len(m.pars) - 1 // outlier partition
 	}
 	return best
@@ -281,13 +356,14 @@ func (m *Manager) route(o model.Object) int {
 
 // maybeRefreshTau recomputes every DVA's tau from its online histogram
 // after TauRefreshInterval routed inserts (Section 5.5). n is how many
-// routed inserts the caller just performed — batch entry points count a
-// whole batch at once so the refresh check runs once per batch instead of
-// once per record. Caller holds mu.
+// routed inserts the caller just performed — a batch counts at once so the
+// refresh check runs once per batch instead of once per record.
 func (m *Manager) maybeRefreshTau(n int) {
-	if m.cfg.TauRefreshInterval <= 0 {
+	if m.cfg.TauRefreshInterval <= 0 || n <= 0 {
 		return
 	}
+	m.routeMu.Lock()
+	defer m.routeMu.Unlock()
 	m.insertsSinceRefresh += n
 	if m.insertsSinceRefresh < m.cfg.TauRefreshInterval {
 		return
@@ -301,186 +377,378 @@ func (m *Manager) maybeRefreshTau(n int) {
 	}
 }
 
-// Insert implements model.Index.
-func (m *Manager) Insert(o model.Object) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, dup := m.objs[o.ID]; dup {
-		return fmt.Errorf("core: insert of object %d: %w", o.ID, model.ErrDuplicate)
-	}
-	pi := m.route(o)
-	if err := m.insertInto(pi, o); err != nil {
-		return err
-	}
-	m.objs[o.ID] = record{obj: o, part: pi}
-	m.maybeRefreshTau(1)
-	return nil
+// Verb says how Apply treats the id of each record it is given.
+type Verb uint8
+
+const (
+	Upsert    Verb = iota // insert a new id, replace a known one (Report)
+	InsertNew             // reject a known id with model.ErrDuplicate (Insert)
+	Replace               // reject an unknown id with model.ErrNotFound (Update)
+	Remove                // delete by id alone; unknown: model.ErrNotFound (Delete)
+)
+
+// applyChunk is how many index operations a worker of Apply's parallel phase
+// claims from one partition at a time; maxRound how many records one round
+// plans at once, which bounds the scratch a large batch needs.
+const (
+	applyChunk = 32
+	maxRound   = 4096
+)
+
+// writeState is what Apply tracks per record of a round. A record's delete
+// and insert may run on different workers; each writes its own two fields.
+type writeState struct {
+	old     record // the table entry the write replaced; old.part < 0: none
+	part    int    // partition of the new record; < 0 for a removal or a rejected write
+	delDone bool
+	insDone bool
+	err     error // the rejection of the resolve phase, or the failed delete
+	insErr  error
 }
 
-// InsertBulk loads many new objects under a single lock acquisition with one
-// tau-refresh pass at the end. This is the migration hook: the package-root
-// Store's partition swap uses it to move a shard's whole population into a
-// freshly built manager, and loaders use it to amortize locking during
-// initial load. All objects must be new; a duplicate aborts the load at that
-// record (earlier records stay inserted).
-func (m *Manager) InsertBulk(objs []model.Object) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// applyScratch is Apply's pooled working state.
+type applyScratch struct {
+	one    [1]model.Object // the single-record verbs' batch: keeps the record off the heap
+	recs   []writeState
+	lists  [][]int32 // per partition, in batch order: record index<<1, |1 for its insert
+	next   []atomic.Int32
+	locked []bool // stripes this Apply holds
+	seen   map[model.ObjectID]struct{}
+}
+
+// Apply is the one routine that writes to the partition indexes; every verb
+// of the Manager is a call of it. It applies objs under verb and returns how
+// many landed and the first failure in batch order; errs, if non-nil, has
+// len(objs) and receives each record's own outcome. Records are independent:
+// a rejected or failed record leaves its id as it was and stops nobody else,
+// and an id that occurs several times is applied in batch order.
+//
+// Under the stripes of the batch's ids it works in rounds of three phases.
+// Resolve, in batch order: look the id up, reject what the verb or a
+// non-finite field rules out, route the new record (feeding the tau
+// histograms), update the table, and append the delete of the old record and
+// the insert of the new one to their partitions' lists. Apply: run the lists,
+// each in order under its partition's lock, in parallel (see drain). Settle:
+// undo the other half of a record whose index operation failed and restore
+// its table entry. A round ends before the second occurrence of an id, so
+// within one a record's two halves may run in either order.
+func (m *Manager) Apply(verb Verb, objs []model.Object, errs []error) (applied int, err error) {
+	sc := m.scratch.Get().(*applyScratch)
+	applied, err = m.apply(verb, objs, errs, sc)
+	m.scratch.Put(sc)
+	return applied, err
+}
+
+// ApplyOne is Apply for a single record.
+func (m *Manager) ApplyOne(verb Verb, o model.Object) error {
+	sc := m.scratch.Get().(*applyScratch)
+	sc.one[0] = o
+	_, err := m.apply(verb, sc.one[:], nil, sc)
+	m.scratch.Put(sc)
+	return err
+}
+
+func (m *Manager) apply(verb Verb, objs []model.Object, errs []error, sc *applyScratch) (applied int, first error) {
 	for _, o := range objs {
-		if _, dup := m.objs[o.ID]; dup {
-			return fmt.Errorf("core: bulk insert of object %d: %w", o.ID, model.ErrDuplicate)
-		}
-		pi := m.route(o)
-		if err := m.insertInto(pi, o); err != nil {
-			return err
-		}
-		m.objs[o.ID] = record{obj: o, part: pi}
+		sc.locked[m.stripeIndex(o.ID)] = true
 	}
-	m.maybeRefreshTau(len(objs))
-	return nil
+	for i, held := range sc.locked {
+		if held {
+			LockBusy(&m.stripes[i].mu)
+		}
+	}
+	routed := 0
+	for start := 0; start < len(objs); {
+		round := m.resolve(verb, objs[start:], sc)
+		m.run(sc, objs[start:start+round])
+		for i := range sc.recs {
+			rs := &sc.recs[i]
+			if rs.err != nil || rs.insErr != nil {
+				m.undo(rs, objs[start+i])
+				if first == nil {
+					first = rs.err
+				}
+			} else {
+				applied++
+				if rs.part >= 0 {
+					routed++
+				}
+			}
+			if errs != nil {
+				errs[start+i] = rs.err
+			}
+		}
+		start += round
+	}
+	for i, held := range sc.locked {
+		if held {
+			m.stripes[i].mu.Unlock()
+			sc.locked[i] = false
+		}
+	}
+	m.maybeRefreshTau(routed)
+	return applied, first
 }
 
-// insertInto stores o (world frame) into partition pi, transforming into
-// its coordinate frame first ("a simple matrix multiplication between the
-// coordinates of o and the 1st PC of imin").
-func (m *Manager) insertInto(pi int, o model.Object) error {
-	p := &m.pars[pi]
-	if p.identity {
-		return p.idx.Insert(o)
+// resolve is Apply's first phase for the round starting at objs[0]: it fills
+// sc.recs and sc.lists and returns the round's length.
+func (m *Manager) resolve(verb Verb, objs []model.Object, sc *applyScratch) int {
+	for p := range sc.lists {
+		sc.lists[p] = sc.lists[p][:0]
 	}
-	return p.idx.Insert(o.Transform(p.rot))
+	sc.recs = sc.recs[:0]
+	n := min(len(objs), maxRound)
+	if n > 1 { // clearing costs by the map's capacity: not on a single record's path
+		if sc.seen == nil {
+			sc.seen = make(map[model.ObjectID]struct{})
+		}
+		clear(sc.seen)
+	}
+	for i, o := range objs[:n] {
+		if n > 1 {
+			if _, again := sc.seen[o.ID]; again {
+				return i
+			}
+			sc.seen[o.ID] = struct{}{}
+		}
+		st := &m.stripes[m.stripeIndex(o.ID)]
+		old, known := st.objs[o.ID]
+		sc.recs = append(sc.recs, writeState{old: record{part: -1}, part: -1})
+		rs := &sc.recs[i]
+		switch {
+		case verb == InsertNew && known:
+			rs.err = fmt.Errorf("core: insert of object %d: %w", o.ID, model.ErrDuplicate)
+		case verb == Replace && !known:
+			rs.err = fmt.Errorf("core: update of object %d: %w", o.ID, model.ErrNotFound)
+		case verb == Remove && !known:
+			rs.err = fmt.Errorf("core: delete of object %d: %w", o.ID, model.ErrNotFound)
+		case verb != Remove && !(o.Pos.IsFinite() && o.Vel.IsFinite() && !math.IsNaN(o.T) && !math.IsInf(o.T, 0)):
+			rs.err = fmt.Errorf("core: non-finite object %v", o)
+		}
+		if rs.err != nil {
+			continue
+		}
+		if known {
+			rs.old = old
+			sc.lists[old.part] = append(sc.lists[old.part], int32(i)<<1)
+		}
+		if verb == Remove {
+			delete(st.objs, o.ID)
+			continue
+		}
+		rs.part = m.route(o)
+		sc.lists[rs.part] = append(sc.lists[rs.part], int32(i)<<1|1)
+		st.objs[o.ID] = record{obj: o, part: rs.part}
+	}
+	return n
 }
 
-// deleteFrom removes o (world frame) from partition pi.
-func (m *Manager) deleteFrom(pi int, o model.Object) error {
-	p := &m.pars[pi]
-	if p.identity {
-		return p.idx.Delete(o)
+// busyWait bounds LockBusy's yielding: about two index updates.
+const busyWait = 50 * time.Microsecond
+
+// LockBusy acquires a lock held for about one index update: it yields the
+// processor for up to busyWait before it parks, because parking and waking a
+// goroutine costs more than such a hold lasts (measured: two writers on two
+// cores lose a third of their throughput to wake-ups once four in ten of
+// their writes collide). Longer holders are then waited for the ordinary way,
+// as is everyone when other goroutines want the processor.
+func LockBusy(mu interface {
+	TryLock() bool
+	Lock()
+}) {
+	if mu.TryLock() {
+		return
 	}
-	return p.idx.Delete(o.Transform(p.rot))
+	for start := time.Now(); time.Since(start) < busyWait; {
+		runtime.Gosched()
+		if mu.TryLock() {
+			return
+		}
+	}
+	mu.Lock()
+}
+
+// exec runs one planned index operation under its partition's lock.
+func (m *Manager) exec(sc *applyScratch, p *partition, code int32, objs []model.Object) {
+	rs := &sc.recs[code>>1]
+	if code&1 == 0 {
+		rs.err = p.delete(rs.old.obj)
+		rs.delDone = rs.err == nil
+	} else {
+		rs.insErr = p.insert(objs[code>>1])
+		rs.insDone = rs.insErr == nil
+	}
+}
+
+// run is Apply's second phase.
+func (m *Manager) run(sc *applyScratch, objs []model.Object) {
+	total, busy := 0, 0
+	for p, list := range sc.lists {
+		sc.next[p].Store(0)
+		total += len(list)
+		if len(list) > 0 {
+			busy++
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), busy, (total+applyChunk-1)/applyChunk)
+	if workers <= 1 {
+		// Too little work to share, a single record included: run it in batch
+		// order, each record's delete before its insert — over one shared
+		// pool (internal/bench) that is the page-access order of the paper's
+		// sequential structure.
+		for i := range sc.recs {
+			rs := &sc.recs[i]
+			for code, part := range [2]int{rs.old.part, rs.part} {
+				// A record whose delete failed keeps its old entry: no second one.
+				if part >= 0 && rs.err == nil {
+					LockBusy(&m.pars[part].mu)
+					m.exec(sc, &m.pars[part], int32(i<<1|code), objs)
+					m.pars[part].mu.Unlock()
+				}
+			}
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			m.drain(sc, objs)
+		}()
+	}
+	m.drain(sc, objs)
+	wg.Wait()
+}
+
+// drain is one worker of the parallel apply phase: until no operation is
+// left unclaimed, lock the partition with the most unclaimed operations among
+// those whose lock is free (waiting for the fullest only when none is), claim
+// the next applyChunk of its list, and run them — so the makespan follows the
+// work, not the partition sizes.
+func (m *Manager) drain(sc *applyScratch, objs []model.Object) {
+	left := func(p int) int { return len(sc.lists[p]) - int(sc.next[p].Load()) }
+	tried := make([]bool, len(sc.lists))
+	for {
+		clear(tried)
+		fullest, got := -1, -1
+		for got < 0 {
+			p := -1
+			for q := range sc.lists {
+				if !tried[q] && left(q) > 0 && (p < 0 || left(q) > left(p)) {
+					p = q
+				}
+			}
+			if p < 0 {
+				break
+			}
+			if fullest < 0 {
+				fullest = p
+			}
+			if tried[p] = true; m.pars[p].mu.TryLock() {
+				got = p
+			}
+		}
+		if fullest < 0 {
+			return
+		}
+		if got < 0 {
+			got = fullest
+			m.pars[got].mu.Lock()
+		}
+		// next[got] moves only under the partition's lock, so the chunks of
+		// one list are claimed, and run, strictly in order.
+		list, lo := sc.lists[got], int(sc.next[got].Load())
+		hi := min(lo+applyChunk, len(list))
+		sc.next[got].Store(int32(hi))
+		for _, code := range list[lo:hi] {
+			m.exec(sc, &m.pars[got], code, objs)
+		}
+		m.pars[got].mu.Unlock()
+	}
+}
+
+// undo is Apply's settle step for a record that was rejected or whose index
+// operation failed: take back the half that succeeded, so the indexes hold
+// the old record again (best effort — a failing rollback is reported with the
+// failure), and restore the table entry.
+func (m *Manager) undo(rs *writeState, o model.Object) {
+	if rs.err == nil {
+		rs.err = rs.insErr
+	}
+	if rs.old.part < 0 && rs.part < 0 {
+		return // rejected by resolve: nothing was touched
+	}
+	var rerr error
+	if rs.insDone {
+		p := &m.pars[rs.part]
+		p.mu.Lock()
+		rerr = p.delete(o)
+		p.mu.Unlock()
+	}
+	if rs.delDone {
+		p := &m.pars[rs.old.part]
+		p.mu.Lock()
+		rerr = errors.Join(rerr, p.insert(rs.old.obj))
+		p.mu.Unlock()
+	}
+	st := &m.stripes[m.stripeIndex(o.ID)]
+	if rs.old.part >= 0 {
+		st.objs[o.ID] = rs.old
+	} else {
+		delete(st.objs, o.ID)
+	}
+	if rerr != nil {
+		rs.err = fmt.Errorf("core: write of object %d failed (%w) and rollback failed (%v)", o.ID, rs.err, rerr)
+	}
+}
+
+// Insert implements model.Index.
+func (m *Manager) Insert(o model.Object) error { return m.ApplyOne(InsertNew, o) }
+
+// InsertBulk loads many new objects in one Apply, its partitions filled in
+// parallel: the migration hook of the Store's partition swap, and the
+// loaders' way to amortize locking. A duplicate is reported and skipped.
+func (m *Manager) InsertBulk(objs []model.Object) error {
+	_, err := m.Apply(InsertNew, objs, nil)
+	return err
 }
 
 // Delete implements model.Index. Only the ID is consulted: the partition
 // and exact stored record come from the lookup table.
-func (m *Manager) Delete(o model.Object) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rec, ok := m.objs[o.ID]
-	if !ok {
-		return fmt.Errorf("core: delete of object %d: %w", o.ID, model.ErrNotFound)
-	}
-	if err := m.deleteFrom(rec.part, rec.obj); err != nil {
-		return err
-	}
-	delete(m.objs, o.ID)
-	return nil
-}
+func (m *Manager) Delete(o model.Object) error { return m.ApplyOne(Remove, o) }
 
-// replaceLocked moves an existing record rec to the new state o (delete from
-// its current partition, re-route, insert), rolling back on failure. Caller
-// holds mu and has verified rec is the table entry for o.ID.
-func (m *Manager) replaceLocked(rec record, o model.Object) error {
-	if err := m.deleteFrom(rec.part, rec.obj); err != nil {
-		return err
-	}
-	pi := m.route(o)
-	if err := m.insertInto(pi, o); err != nil {
-		// Best-effort rollback: put the old record back so the index and
-		// the lookup table stay consistent; surface both errors if even
-		// that fails.
-		if rerr := m.insertInto(rec.part, rec.obj); rerr != nil {
-			return fmt.Errorf("core: update failed (%w) and rollback failed (%v)", err, rerr)
-		}
-		return err
-	}
-	m.objs[o.ID] = record{obj: o, part: pi}
-	return nil
-}
-
-// Update implements model.Index: deletion followed by insertion, possibly
-// migrating the object to a different partition when its direction of
-// travel changed (Section 5.3). The whole move happens under one lock.
+// Update implements model.Index: deletion followed by insertion, migrating
+// the object when its direction of travel changed (Section 5.3). Only old.ID
+// is consulted; the stored record comes from the lookup table.
 func (m *Manager) Update(old, new model.Object) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rec, ok := m.objs[old.ID]
-	if !ok {
-		return fmt.Errorf("core: update of object %d: %w", old.ID, model.ErrNotFound)
-	}
 	if new.ID != old.ID {
 		return fmt.Errorf("core: update changes object id %d -> %d", old.ID, new.ID)
 	}
-	if err := m.replaceLocked(rec, new); err != nil {
-		return err
-	}
-	m.maybeRefreshTau(1)
-	return nil
+	return m.ApplyOne(Replace, new)
 }
 
-// reportLocked applies one ID-keyed upsert without the tau-refresh check.
-// Caller holds mu.
-func (m *Manager) reportLocked(o model.Object) error {
-	if rec, ok := m.objs[o.ID]; ok {
-		return m.replaceLocked(rec, o)
-	}
-	pi := m.route(o)
-	if err := m.insertInto(pi, o); err != nil {
-		return err
-	}
-	m.objs[o.ID] = record{obj: o, part: pi}
-	return nil
-}
+// UpdateByID is Update for callers that only track current state.
+func (m *Manager) UpdateByID(new model.Object) error { return m.ApplyOne(Replace, new) }
 
 // Report applies an ID-keyed upsert: insert if the object is new, otherwise
-// an update driven entirely by the lookup table — the caller never supplies
-// the old record. This is the production verb of a location-report stream.
-func (m *Manager) Report(o model.Object) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.reportLocked(o); err != nil {
-		return err
-	}
-	m.maybeRefreshTau(1)
-	return nil
-}
+// an update driven entirely by the lookup table.
+func (m *Manager) Report(o model.Object) error { return m.ApplyOne(Upsert, o) }
 
-// ReportBatch applies many ID-keyed upserts under a single lock acquisition
-// with one tau-refresh check at the end, amortizing both costs across the
-// batch. It returns how many records were applied; on error the first
-// `applied` records are in the index and the rest are not.
+// ReportBatch applies many upserts in one Apply (one tau-refresh check) and
+// returns how many landed and the first failure.
 func (m *Manager) ReportBatch(objs []model.Object) (applied int, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range objs {
-		if err := m.reportLocked(objs[i]); err != nil {
-			m.maybeRefreshTau(i)
-			return i, fmt.Errorf("core: batch report of object %d: %w", objs[i].ID, err)
-		}
-	}
-	m.maybeRefreshTau(len(objs))
-	return len(objs), nil
+	return m.Apply(Upsert, objs, nil)
 }
 
-// UpdateByID is a convenience for callers that only track current state:
-// the old record comes from the lookup table.
-func (m *Manager) UpdateByID(new model.Object) error {
-	m.mu.RLock()
-	rec, ok := m.objs[new.ID]
-	m.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("core: update of object %d: %w", new.ID, model.ErrNotFound)
-	}
-	return m.Update(rec.obj, new)
-}
-
-// Search implements model.Index: Algorithm 3. The query is transformed into
-// each rotated partition frame (its region bounded by an axis-aligned MBR
-// there), the partitions are probed by a bounded worker pool
-// (cfg.SearchParallelism) into per-partition result buffers, and after the
-// joins the buffers are merged in partition order, so the output is
-// byte-identical to the sequential loop. Identity-rotation partitions — the
-// DVA layout's outlier index, every speed band, the unpartitioned objective
-// — take the query unchanged.
+// Search implements model.Index: Algorithm 3. The query — which the caller
+// has validated — is transformed into each rotated partition frame (its
+// region bounded by an axis-aligned MBR there), the partitions are probed by
+// a bounded worker pool (cfg.SearchParallelism) into per-partition result
+// buffers, and after the joins the buffers are merged in partition order, so
+// the output is byte-identical to the sequential loop. Identity-rotation
+// partitions — the DVA layout's outlier index, every speed band, the
+// unpartitioned objective — take the query unchanged.
 //
 // The merge is the exact refinement of Algorithm 3 line 8, driven entirely
 // by the lookup table: a candidate id counts only if the table places it in
@@ -495,11 +763,8 @@ func (m *Manager) UpdateByID(new model.Object) error {
 // Identity-rotation candidates always skip it: their partition ran the
 // query unchanged.
 func (m *Manager) Search(q model.RangeQuery) ([]model.ObjectID, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.rlock(true)
+	defer m.runlock(true)
 	lists := make([][]model.ObjectID, len(m.pars))
 	err := parallel.Do(len(m.pars), m.cfg.SearchParallelism, func(i int) error {
 		p := &m.pars[i]
@@ -526,7 +791,7 @@ func (m *Manager) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 	for i, ids := range lists {
 		recheck := !m.pars[i].identity && !exactInFrame
 		for _, id := range ids {
-			rec, ok := m.objs[id]
+			rec, ok := m.stripes[m.stripeIndex(id)].objs[id]
 			if !ok || rec.part != i {
 				continue
 			}
@@ -544,35 +809,38 @@ func (m *Manager) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 // the Store reads one manager's population and InsertBulks it into a
 // freshly built one.
 func (m *Manager) Objects() []model.Object {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]model.Object, 0, len(m.objs))
-	for _, rec := range m.objs {
-		out = append(out, rec.obj)
+	m.rlock(false)
+	defer m.runlock(false)
+	var out []model.Object
+	for i := range m.stripes {
+		for _, rec := range m.stripes[i].objs {
+			out = append(out, rec.obj)
+		}
 	}
 	return out
 }
 
 // Get returns the current world-frame record for an object.
 func (m *Manager) Get(id model.ObjectID) (model.Object, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	rec, ok := m.objs[id]
+	st := &m.stripes[m.stripeIndex(id)]
+	st.mu.RLock()
+	rec, ok := st.objs[id]
+	st.mu.RUnlock()
 	return rec.obj, ok
 }
 
 // Tau returns the current outlier threshold of DVA partition i.
 func (m *Manager) Tau(i int) float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.routeMu.Lock()
+	defer m.routeMu.Unlock()
 	return m.pars[i].tau
 }
 
 // SetTau overrides the outlier threshold of DVA partition i; used by the
 // fixed-tau sweep experiment (Fig. 17). It affects future routing only.
 func (m *Manager) SetTau(i int, tau float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.routeMu.Lock()
+	defer m.routeMu.Unlock()
 	m.pars[i].tau = tau
 }
 
@@ -598,8 +866,6 @@ const DriftMax = math.Pi / 2
 //     a structurally different candidate always reads as maximally
 //     drifted, never as a partial match over mismatched indices.
 func (m *Manager) Drift(an Analysis) float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	if an.Kind != m.kind || len(an.Frames) != len(m.pars) {
 		return DriftMax
 	}
@@ -609,9 +875,9 @@ func (m *Manager) Drift(an Analysis) float64 {
 		return 0
 	case KindSpeed:
 		scale := 0.0
-		for _, p := range m.pars {
-			if !math.IsInf(p.frame.SpeedMax, 1) && p.frame.SpeedMax > scale {
-				scale = p.frame.SpeedMax
+		for i := range m.pars {
+			if s := m.pars[i].spec.Frame.SpeedMax; !math.IsInf(s, 1) && s > scale {
+				scale = s
 			}
 		}
 		for _, f := range an.Frames {
@@ -622,8 +888,8 @@ func (m *Manager) Drift(an Analysis) float64 {
 		if scale == 0 {
 			return 0
 		}
-		for i, p := range m.pars {
-			old, fresh := p.frame.SpeedMax, an.Frames[i].SpeedMax
+		for i := range m.pars {
+			old, fresh := m.pars[i].spec.Frame.SpeedMax, an.Frames[i].SpeedMax
 			if math.IsInf(old, 1) || math.IsInf(fresh, 1) {
 				continue // the top band's bound is structural, not a threshold
 			}
@@ -641,7 +907,7 @@ func (m *Manager) Drift(an Analysis) float64 {
 				if f.IsOutlier {
 					continue
 				}
-				cos := math.Abs(m.pars[i].axis.Normalize().Dot(f.Axis.Normalize()))
+				cos := math.Abs(m.pars[i].spec.Axis.Normalize().Dot(f.Axis.Normalize()))
 				if cos > 1 {
 					cos = 1
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -264,5 +265,43 @@ func TestEstimateCostRanksObjectives(t *testing.T) {
 	noneAn, _ := NonePartitioner{}.Analyze(mix)
 	if EstimateCost(noneAn, nil, queries) != 0 || EstimateCost(noneAn, mix, nil) != 0 {
 		t.Fatal("empty sample or query log must score 0")
+	}
+}
+
+// TestEstimateCostSkipsNonFiniteShapes pins the chooser against a poisoned
+// query log: one shape with a NaN or infinite field must not change any
+// candidate's score, so a log containing it elects the same objective as the
+// log without it. (math.Max(NaN, 0) is NaN: unskipped, the shape made every
+// score NaN, every "cost < best" false, and the first candidate the winner.)
+func TestEstimateCostSkipsNonFiniteShapes(t *testing.T) {
+	sample := speedMixSample(2000, 0.6, 2, 100, 4) // speed bands beat DVA and none
+	clean := []QueryShape{{HalfW: 500, HalfH: 500, Window: 60}, {Window: 30}}
+	elect := func(queries []QueryShape) (PartitionerKind, []float64) {
+		best, bestCost, costs := KindDVA, math.Inf(1), []float64(nil)
+		for _, p := range []Partitioner{DVAPartitioner{Config: AnalyzerConfig{K: 2}}, SpeedPartitioner{Bands: 2}, NonePartitioner{}} {
+			an, err := p.Analyze(sample)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost := EstimateCost(an, sample, queries)
+			costs = append(costs, cost)
+			if cost < bestCost {
+				best, bestCost = p.Kind(), cost
+			}
+		}
+		return best, costs
+	}
+	want, wantCosts := elect(clean)
+	if want != KindSpeed {
+		t.Fatalf("clean log elects %v, want speed (the test needs a winner that is not the first candidate)", want)
+	}
+	for _, bad := range []QueryShape{{Window: math.NaN()}, {HalfW: math.Inf(1), HalfH: 1, Window: 1}, {HalfH: math.NaN()}} {
+		got, costs := elect(append([]QueryShape{bad}, clean...))
+		if got != want || fmt.Sprint(costs) != fmt.Sprint(wantCosts) {
+			t.Errorf("log with %+v elects %v at costs %v; want %v at %v", bad, got, costs, want, wantCosts)
+		}
+	}
+	if c := EstimateCost(Analysis{Kind: KindNone, Frames: []Frame{{}}}, sample, []QueryShape{{Window: math.NaN()}}); c != 0 {
+		t.Errorf("a log of only hostile shapes scores %v, want 0", c)
 	}
 }

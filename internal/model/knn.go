@@ -17,13 +17,15 @@ type KNNQuery struct {
 	T      float64 // evaluation time (>= Now)
 }
 
-// Validate reports malformed queries.
+// Validate reports malformed queries, wrapping ErrInvalidQuery.
 func (q KNNQuery) Validate() error {
-	if q.K <= 0 {
-		return fmt.Errorf("model: kNN with k=%d", q.K)
-	}
-	if q.T < q.Now {
-		return fmt.Errorf("model: kNN time %g precedes issue time %g", q.T, q.Now)
+	switch {
+	case !finite(q.Center.X, q.Center.Y, q.Now, q.T):
+		return fmt.Errorf("%w: non-finite field in %+v", ErrInvalidQuery, q)
+	case q.K <= 0:
+		return fmt.Errorf("%w: kNN with k=%d", ErrInvalidQuery, q.K)
+	case q.T < q.Now:
+		return fmt.Errorf("%w: kNN time %g precedes issue time %g", ErrInvalidQuery, q.T, q.Now)
 	}
 	return nil
 }

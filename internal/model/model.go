@@ -147,19 +147,32 @@ func (q RangeQuery) Transform(m geom.Mat2) RangeQuery {
 	return out
 }
 
-// Validate reports a descriptive error for malformed queries.
+// finite reports whether every value is a number.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// Validate reports a descriptive error, wrapping ErrInvalidQuery, for
+// malformed queries. The engine's outside boundary (the Store) calls it once
+// per query; the indexes behind it take a validated query on trust.
 func (q RangeQuery) Validate() error {
-	if q.Circle.R < 0 {
-		return fmt.Errorf("model: negative query radius %g", q.Circle.R)
-	}
-	if !q.IsCircle() && q.Rect.IsEmpty() {
-		return fmt.Errorf("model: empty query rectangle")
-	}
-	if q.T0 < q.Now {
-		return fmt.Errorf("model: query time T0=%g precedes issue time Now=%g", q.T0, q.Now)
-	}
-	if q.Kind != TimeSlice && q.T1 < q.T0 {
-		return fmt.Errorf("model: query interval [%g,%g] is inverted", q.T0, q.T1)
+	switch {
+	case !finite(q.Rect.MinX, q.Rect.MinY, q.Rect.MaxX, q.Rect.MaxY, q.Circle.C.X, q.Circle.C.Y, q.Circle.R,
+		q.Vel.X, q.Vel.Y, q.Now, q.T0, q.T1):
+		return fmt.Errorf("%w: non-finite field in %+v", ErrInvalidQuery, q)
+	case q.Circle.R < 0:
+		return fmt.Errorf("%w: negative query radius %g", ErrInvalidQuery, q.Circle.R)
+	case !q.IsCircle() && q.Rect.IsEmpty():
+		return fmt.Errorf("%w: empty query rectangle", ErrInvalidQuery)
+	case q.T0 < q.Now:
+		return fmt.Errorf("%w: query time T0=%g precedes issue time Now=%g", ErrInvalidQuery, q.T0, q.Now)
+	case q.Kind != TimeSlice && q.T1 < q.T0:
+		return fmt.Errorf("%w: query interval [%g,%g] is inverted", ErrInvalidQuery, q.T0, q.T1)
 	}
 	return nil
 }
@@ -236,6 +249,10 @@ func (s IOStats) Total() int64 { return s.Reads + s.Writes }
 // Index is the operation set common to all moving-object indexes here: the
 // TPR*-tree, the Bx-tree, and the VP-partitioned wrapper around either.
 //
+// Search (and KNNIndex.SearchKNN) take a query that has passed Validate:
+// the caller at the engine's boundary validates once, the indexes do not
+// re-check.
+//
 // Insert adds a (new) object record. Delete removes the record previously
 // inserted for the object — the full record is required because both base
 // indexes locate entries by position/velocity/time, not by ID alone (the VP
@@ -264,6 +281,10 @@ var (
 	// ErrUnsupported is returned when an index does not implement the
 	// requested operation (e.g. kNN on a base structure without it).
 	ErrUnsupported = errors.New("model: operation not supported by this index")
+	// ErrInvalidQuery is returned by the query validators: a non-finite
+	// field, an empty or negative region, a time before the issue time, an
+	// inverted interval, k <= 0.
+	ErrInvalidQuery = errors.New("model: invalid query")
 )
 
 // BruteForce is a trivially correct Index used as the oracle in tests and

@@ -14,9 +14,6 @@ import (
 // time-parameterized rectangle. When the queue's head is an object, no
 // unvisited entry can be nearer, so it is the next neighbor.
 func (t *Tree) SearchKNN(q model.KNNQuery) ([]model.Neighbor, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
 	pq := &knnHeap{}
 	heap.Push(pq, knnItem{dist: 0, page: t.root, isNode: true})
 	var out []model.Neighbor

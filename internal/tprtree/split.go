@@ -170,9 +170,6 @@ func identityPerm(n int) []int {
 // candidates through model.Matches (this also restricts circular queries
 // from their MBR to the disk).
 func (t *Tree) Search(q model.RangeQuery) ([]model.ObjectID, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
 	qmr := q.AsMovingRect()
 	t0, t1 := q.T0, q.EndTime()
 	var out []model.ObjectID

@@ -388,18 +388,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestSearchValidatesQuery(t *testing.T) {
-	tr := newTestTree(t, 50, Config{})
-	if _, err := tr.Search(model.RangeQuery{Kind: model.TimeSlice, Now: 10, T0: 5,
-		Rect: geom.R(0, 0, 1, 1)}); err == nil {
-		t.Fatal("past query accepted")
-	}
-	if _, err := tr.Search(model.RangeQuery{Kind: model.TimeInterval, Now: 0, T0: 5, T1: 1,
-		Rect: geom.R(0, 0, 1, 1)}); err == nil {
-		t.Fatal("inverted interval accepted")
-	}
-}
-
 func TestPositionOnlySplitsStillCorrect(t *testing.T) {
 	// The ablation switch must not affect correctness, only quality.
 	rng := rand.New(rand.NewSource(33))

@@ -43,8 +43,8 @@ const DefaultDriftThreshold = 0.2
 // keeps a bounded reservoir of recently reported velocities; after Every
 // post-partition reports a fresh DVA analysis runs over the reservoir off
 // the write path, and when any live axis has drifted past DriftThreshold the
-// Store rebuilds every shard's partitions from the new analysis while
-// queries keep serving.
+// Store rebuilds its partitions from the new analysis while queries keep
+// being served.
 type RepartitionPolicy struct {
 	// Every is the check cadence in post-partition reports. <= 0 disables
 	// automatic checks; Store.Repartition remains available as the manual
@@ -55,7 +55,7 @@ type RepartitionPolicy struct {
 	// rebuilt. <= 0 takes DefaultDriftThreshold.
 	DriftThreshold float64
 	// ReservoirSize bounds the pooled recent-velocity reservoir that feeds
-	// the fresh analysis (split evenly across the shards). <= 0 takes
+	// the fresh analysis (split evenly across the stripes). <= 0 takes
 	// DefaultAutoPartitionSample.
 	ReservoirSize int
 }
@@ -90,7 +90,7 @@ type storeConfig struct {
 	repart    RepartitionPolicy
 	maintHook func(MaintenanceEvent)
 
-	// shards is the ObjectID-hash shard count (normalized to >= 1);
+	// shards is the ObjectID-hash stripe count (normalized to >= 1);
 	// searchPar bounds the query fan-out worker pools (0 = GOMAXPROCS).
 	shards    int
 	searchPar int
@@ -167,11 +167,12 @@ func WithKind(k Kind) Option { return func(c *storeConfig) { c.base.Kind = k } }
 // WithDomain sets the data space (default 100,000 x 100,000 m, Table 1).
 func WithDomain(r Rect) Option { return func(c *storeConfig) { c.base.Domain = r } }
 
-// WithBufferPages sizes each LRU buffer pool in pages (default 50, Table 1).
-// The Store creates one pool per partition index — one per shard while
-// unpartitioned, one per velocity partition per shard afterwards, i.e.
-// shards × (k+1) pools — so the total page cache is n times that count, not
-// n.
+// WithBufferPages sizes the page cache (default n = 50, Table 1). The Store
+// has one LRU buffer pool per partition index — one while unpartitioned, k+1
+// afterwards — of n × shards frames each, so the total cache is n × shards ×
+// (k+1) pages: what the same options gave when every shard had its own pool
+// per partition, now in k+1 larger pools. (Making n the Store's total is
+// left to a change that may re-base the benchmark's settings.)
 func WithBufferPages(n int) Option { return func(c *storeConfig) { c.base.BufferPages = n } }
 
 // WithDiskLatency injects a delay per simulated physical page access so
@@ -209,11 +210,11 @@ func WithVelocitySample(sample []Vec2) Option {
 }
 
 // WithAutoPartition enables the online bootstrap: the Store starts with its
-// partition managers on the unpartitioned objective (one index per shard),
-// collects the first n reported velocities as the analysis sample, then runs
-// the analysis and swaps every shard, one at a time, to managers built from
-// it — the same swap a later repartition uses, so queries and writes keep
-// serving throughout and no upfront sample is needed. Implies velocity
+// partition manager on the unpartitioned objective (one index), collects the
+// first n reported velocities as the analysis sample, then runs the analysis
+// and swaps to a manager built from it — the same swap a later repartition
+// uses, so queries keep being served throughout, writers wait for the one
+// rebuild, and no upfront sample is needed. Implies velocity
 // partitioning. n <= 0 uses DefaultAutoPartitionSample. Ignored when
 // WithVelocitySample provides a sample.
 func WithAutoPartition(n int) Option {
@@ -273,22 +274,23 @@ func WithMaintenanceHook(h func(MaintenanceEvent)) Option {
 	return func(c *storeConfig) { c.maintHook = h }
 }
 
-// WithShards splits the Store into n ObjectID-hash shards, each with its own
-// lock, id→record table, and index structure, so writes to different shards
-// run in parallel (see the Store type docs). n <= 0 (the default) uses
-// GOMAXPROCS; WithShards(1) restores the single global lock. More shards
-// mean more parallelism but also more index structures for a query to fan
-// out over, so the default tracks the machine's parallelism rather than the
-// data size.
+// WithShards stripes what the Store keys by ObjectID n ways, each stripe
+// behind its own lock: the id→record table, the checkpoint dirty sets, the
+// recent-velocity rings and the subscription evaluation state. It does not
+// multiply index structures: a Store has one index (and one buffer pool) per
+// partition, k+1 whatever n is, and a query probes exactly those. Writes on
+// different stripes overlap their table, log and subscription work, and their
+// index updates when the records live in different partitions: index-write
+// parallelism is bounded by k+1, not by n (see the Store type docs). n <= 0
+// (the default) uses GOMAXPROCS. n also scales the cache, see WithBufferPages.
 func WithShards(n int) Option { return func(c *storeConfig) { c.shards = n } }
 
-// WithSearchParallelism bounds the worker pools that fan queries (Search,
-// SearchKNN) out across the Store's shards and, within each shard, across
-// its velocity partitions. 0 (the default) uses GOMAXPROCS; 1 forces the
-// strictly sequential probe order, which is the baseline the parallel path
-// is tested byte-identical against. It does not affect ReportBatch's write
-// fan-out, which is always bounded by GOMAXPROCS (use WithShards(1) to
-// serialize writes).
+// WithSearchParallelism bounds the worker pool that fans a query (Search,
+// SearchKNN) out across the velocity partitions. 0 (the default) uses
+// GOMAXPROCS; 1 forces the strictly sequential probe order, which is the
+// baseline the parallel path is tested byte-identical against. It does not
+// affect ReportBatch's partition-parallel apply, which is always bounded by
+// GOMAXPROCS.
 func WithSearchParallelism(n int) Option { return func(c *storeConfig) { c.searchPar = n } }
 
 // WithEventBuffer configures the Store's subscription event stream (see
@@ -394,7 +396,7 @@ func WithSeed(seed int64) Option { return func(c *storeConfig) { c.seed = seed }
 
 // WithWriteCoalescing turns on the write coalescer (see ingest.go):
 // concurrent Report calls enqueue into a FIFO and an elected leader drains
-// them as one shard-batched apply plus one WAL record, waiting out the sync
+// them as one batched apply plus one WAL record, waiting out the sync
 // policy once per batch instead of once per record. Report keeps its
 // synchronous, per-record-error contract; per-object order is preserved by
 // the FIFO drain; Insert/Update/Remove/ReportBatch, Checkpoint, and Close
@@ -406,7 +408,7 @@ func WithSeed(seed int64) Option { return func(c *storeConfig) { c.seed = seed }
 // while the previous batch drains and syncs, which is the right setting for
 // saturated pipelines. maxBatch caps one drained batch (<= 0 means
 // DefaultCoalesceBatch). Works on durable and in-memory stores alike; on
-// in-memory stores it amortizes shard-lock acquisitions and subscription
+// in-memory stores it amortizes lock acquisitions and subscription
 // evaluation only.
 func WithWriteCoalescing(window time.Duration, maxBatch int) Option {
 	return func(c *storeConfig) {

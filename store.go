@@ -10,8 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/monitor"
-	"repro/internal/parallel"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // Store is the production facade over every index configuration in this
@@ -26,45 +26,45 @@ import (
 // devices send bare position/velocity reports; nobody ships the server's
 // previous state back to it.
 //
-// # Concurrency: sharded locking
+// # Concurrency: one partition set, striped tables
 //
-// A Store is safe for concurrent use and is internally sharded by ObjectID
-// (WithShards, default GOMAXPROCS). Each shard owns a private RWMutex and one
-// partition manager (core.Manager: the id→record table plus one index per
-// partition frame) from Open to Close — so the ID-keyed write verbs (Report,
-// Remove, Insert, Update) contend only on the shard their object hashes to,
-// and writes to different shards proceed genuinely in parallel. A Store
-// without velocity partitioning, and one still collecting its auto-partition
-// sample, is that same manager under the unpartitioned objective: a single
-// identity frame over the whole domain. Reads (Get) touch one shard under
-// its read lock; queries (Search, SearchKNN) fan out across the shards with a
-// bounded worker pool (WithSearchParallelism) and merge the per-shard buffers
-// in shard order after the joins — and inside every shard the partition
-// manager fans out across its velocity partitions the same way. ReportBatch
-// groups the batch by shard and applies the groups concurrently, one lock
-// acquisition per shard. WithShards(1) restores a single global lock.
+// A Store is safe for concurrent use. It owns exactly one partition manager
+// (core.Manager: the id→record table plus one index per partition frame, so
+// k+1 indexes over k+1 buffer pools whatever WithShards is) from Open to
+// Close; a Store without velocity partitioning, and one still collecting its
+// auto-partition sample, is that same manager under the unpartitioned
+// objective: a single identity frame over the whole domain. WithShards(n)
+// stripes what is keyed by ObjectID: the manager's table, the Store's own
+// per-stripe state (storeShard) and the subscription evaluation state.
 //
-// Every partition index draws pages from its own LRU buffer pool over one
-// shared simulated disk, so page-cache hits on independent partitions never
-// contend on a single pool mutex; Stats aggregates the counters across all
-// pools.
+// Lock order: Store stripe (storeShard.mu, ascending) → the manager's own
+// hierarchy (table stripe → partition; see core.Manager). A write verb holds
+// its id's Store stripe (a batch: all of them) around the manager call and the
+// marks it makes afterwards, so two writers contend only when their ids share a stripe or
+// their records a partition: index-write parallelism is bounded by k+1, and a
+// Store with a single frame (no velocity partitioning, or the none objective)
+// has one index writer at a time — its table, log and subscription work still
+// overlap. Queries take no Store stripe: they hold mgrMu shared, which only
+// the pointer flip of a swap takes exclusively, and the manager shows them
+// one instant of the whole Store. Every partition index has its own LRU
+// buffer pool over one shared disk; Stats aggregates their counters.
 //
 // # One swap
 //
-// Exactly one routine moves a live population between partition sets
-// (swapPartitions): per shard, a new manager (with fresh per-partition
-// pools) is built, the shard's population is migrated with InsertBulk under
-// that shard's write lock, and the manager is swapped in — one shard at a
-// time, so the other shards keep serving reads and writes throughout, and
-// queries answer identically before, during, and after. Every partition
-// transition is a call of it:
+// Exactly one routine moves the live population between partition sets
+// (swapPartitions): it builds a fresh manager with fresh pools, locks every
+// Store stripe — writers wait for the one rebuild, queries keep being served
+// by the old manager — migrates the population with a partition-parallel
+// InsertBulk, flips the manager pointer under mgrMu, and retires the old
+// pools once the flip has drained the queries using them. Queries answer
+// identically before, during, and after. Every partition transition calls it:
 //
 //   - Online bootstrap. With velocity partitioning enabled but no upfront
-//     sample, every shard records the velocities reported to it (counted
+//     sample, every stripe records the velocities reported to it (counted
 //     globally); the writer whose report brings the count to the
 //     WithAutoPartition threshold pools them, runs the analysis once, and
 //     swaps from the unpartitioned manager to the analysed one.
-//   - Adaptive repartitioning. Once partitioned, each shard's velocity
+//   - Adaptive repartitioning. Once partitioned, each stripe's velocity
 //     record is a bounded ring of the most recent reports. With a policy
 //     configured (WithRepartitionPolicy), every policy-cadence reports a
 //     fresh analysis of the pooled rings runs in the background and, when
@@ -81,8 +81,8 @@ import (
 //
 // Standing subscriptions (Subscribe, Unsubscribe, SubscriptionResults,
 // RefreshSubscriptions, Events) are served by a Store-native engine whose
-// evaluation state is sharded with the same ObjectID hash as the write
-// path and updated outside the shard locks — see subscriptions.go.
+// evaluation state is striped with the same ObjectID hash as the write
+// path and updated outside the stripe locks — see subscriptions.go.
 // Subscription result sets reference ObjectIDs, not index internals, so
 // they ride through partition swaps unchanged; only the engine's coarse
 // velocity-class filter is re-seeded from each new epoch's analysis.
@@ -90,6 +90,12 @@ type Store struct {
 	cfg    storeConfig
 	disk   storage.PageStore
 	shards []*storeShard
+
+	// mgr is the one partition manager, replaced only by swapPartitions under
+	// every stripe lock and mgrMu: write verbs read it under their stripe
+	// lock, everything else under mgrMu shared, held while in use.
+	mgrMu sync.RWMutex
+	mgr   *core.Manager
 
 	// dur is the durable-mode state (WAL, checkpoints, recovery bookkeeping);
 	// nil unless WithDataDir was given. See durability.go.
@@ -99,23 +105,23 @@ type Store struct {
 	// WithWriteCoalescing was given. See ingest.go.
 	coal *coalescer
 
-	// scratchPool recycles the per-shard grouping scratch of the batched
-	// write paths (applyReportBatch, the coalescer drain), so a steady
-	// stream of batches allocates no per-batch slices.
+	// scratchPool recycles the scratch of the batched write paths
+	// (applyReportBatch, the coalescer drain), so a steady stream of batches
+	// allocates no per-batch slices.
 	scratchPool sync.Pool
 
-	// pools tracks every live buffer pool (one per partition per shard) so
-	// Stats can aggregate I/O counters across all of them. When a swap
-	// replaces a shard's manager, the outgoing pools' counters are folded
-	// into retired (keeping Stats cumulative and monotonic) and the pools
-	// themselves are retired, releasing their cached frames and their
-	// indexes' disk pages, so repeated swaps do not grow memory forever.
+	// pools are the live manager's buffer pools, one per partition, which
+	// Stats aggregates. When a swap replaces the manager, the outgoing
+	// pools' counters are folded into retired (keeping Stats cumulative and
+	// monotonic) and the pools themselves are retired, releasing their
+	// cached frames and their indexes' disk pages, so repeated swaps do not
+	// grow memory forever.
 	poolMu  sync.Mutex
 	pools   []*storage.BufferPool
 	retired IOStats
 
 	// Bootstrap coordination: sampled counts the velocities reported across
-	// all shards while the auto-partition sample is being collected; a
+	// all stripes while the auto-partition sample is being collected; a
 	// report that brings it to nextTrip attempts the bootstrap (under
 	// maintMu, like every other maintenance action); partitioned flips true
 	// exactly once, when the first swap completes. A rejected (degenerate)
@@ -128,12 +134,12 @@ type Store struct {
 	anMu     sync.RWMutex
 	analysis core.Analysis
 
-	// Adaptive repartitioning: resCap is each shard's velocity-ring
+	// Adaptive repartitioning: resCap is each stripe's velocity-ring
 	// capacity; reports counts post-partition reports toward the policy
 	// cadence (never reset — each multiple of Every fires exactly once);
 	// maintMu serializes maintenance actions (drift checks, swaps) without
 	// ever blocking the write path (background checks TryLock and yield);
-	// epoch tags the current partition generation and repartitions counts
+	// epoch counts partition generations started and repartitions counts
 	// completed swaps.
 	resCap       int
 	reports      atomic.Int64
@@ -156,7 +162,7 @@ type Store struct {
 	// subscriptions.go), created lazily by the first Subscribe or Events
 	// call; nil until then, so sub-less stores pay one atomic load per
 	// write. Its evaluation state is sharded with the same ObjectID hash
-	// as the write path and updated outside the shard locks.
+	// as the write path and updated outside the stripe locks.
 	subEng atomic.Pointer[subEngine]
 
 	// Health state machine (see health.go): health holds the current Health
@@ -214,23 +220,11 @@ type MaintenanceEvent struct {
 	Objective PartitionObjective
 }
 
-// storeShard is one lock domain of the Store: the objects whose IDs hash
-// here, in the partition manager that indexes them. mgr is never nil: it is
-// built by Open — under the unpartitioned objective unless an upfront sample
-// was given — and replaced only by swapPartitions.
+// storeShard is one ObjectID-hash stripe of the Store's own per-object state.
+// Its lock is also the write gate: a write verb holds its id's stripe (a
+// batch, all of them) around the manager call, a swap all while it rebuilds.
 type storeShard struct {
-	mu  sync.RWMutex
-	mgr *core.Manager
-
-	// epoch tags the partition generation mgr belongs to (0: the
-	// unpartitioned manager Open built), so Partitions() can tell when it
-	// observes shards on opposite sides of an in-flight swap, and the next
-	// maintenance check can tell a partial swap needs finishing.
-	epoch int
-
-	// pools are the buffer pools behind mgr, one per partition; they are
-	// retired when the next manager swaps in.
-	pools []*storage.BufferPool
+	mu sync.Mutex
 
 	// dirty / gone are the shard's incremental-checkpoint sets (durable
 	// stores only; both nil otherwise): the IDs reported/inserted/updated
@@ -241,16 +235,16 @@ type storeShard struct {
 	dirty map[ObjectID]struct{}
 	gone  map[ObjectID]struct{}
 
-	// res is the ring of the shard's most recently reported velocities —
+	// res is the ring of the stripe's most recently reported velocities —
 	// the sample every analysis pools; resPos is the next overwrite position
 	// once the ring is full. Its capacity is velCap: unbounded while the
-	// shard collects the auto-partition sample, Store.resCap afterwards.
+	// Store collects the auto-partition sample, Store.resCap afterwards.
 	res    []Vec2
 	resPos int
 
 	// qlog is a bounded ring of recently observed query shapes (the cost
-	// model's workload evidence), under its own mutex because Search holds
-	// only sh.mu's read side and must not serialize on it.
+	// model's workload evidence), under its own mutex because queries take
+	// no stripe lock.
 	qmu  sync.Mutex
 	qlog []core.QueryShape
 	qpos int
@@ -348,7 +342,7 @@ func Open(opts ...Option) (*Store, error) {
 	if cfg.autoN > 0 && cfg.autoN < cfg.k {
 		return nil, fmt.Errorf("vpindex: auto-partition sample of %d cannot form %d partitions", cfg.autoN, cfg.k)
 	}
-	s := &Store{cfg: cfg}
+	s := &Store{cfg: cfg, scratchPool: sync.Pool{New: func() any { return new(batchScratch) }}}
 	if cfg.dataDir != "" {
 		if err := s.initDurable(); err != nil {
 			return nil, err
@@ -370,12 +364,12 @@ func Open(opts ...Option) (*Store, error) {
 	for i := range s.shards {
 		s.shards[i] = &storeShard{}
 		if cfg.dataDir != "" {
-			// Durable stores track per-shard dirty sets for delta checkpoints.
+			// Durable stores track per-stripe dirty sets for delta checkpoints.
 			s.shards[i].dirty = make(map[ObjectID]struct{})
 			s.shards[i].gone = make(map[ObjectID]struct{})
 		}
 	}
-	// Every shard runs a partition manager from Open on: the analysis of the
+	// The Store runs a partition manager from Open on: the analysis of the
 	// upfront sample when there is one, the unpartitioned objective's single
 	// identity frame otherwise (no VP options, or the auto-partition sample
 	// still to be collected).
@@ -391,17 +385,14 @@ func Open(opts ...Option) (*Store, error) {
 		s.partitioned.Store(true)
 	}
 	s.nextTrip.Store(int64(cfg.autoN))
-	for _, sh := range s.shards {
-		mgr, err := s.buildManager(an, &sh.pools)
-		if err != nil {
-			return fail(err)
-		}
-		if !upfront {
-			mgr.SetName(cfg.base.Kind.String())
-		}
-		sh.mgr, sh.epoch = mgr, int(s.epoch.Load())
-		s.registerPools(sh.pools)
+	mgr, err := s.buildManager(an, &s.pools)
+	if err != nil {
+		return fail(err)
 	}
+	if !upfront {
+		mgr.SetName(cfg.base.Kind.String())
+	}
+	s.mgr = mgr
 	// Seed the recent-velocity rings from the upfront sample so a drift check
 	// (or manual Repartition) right after Open has a population to analyze.
 	for i, v := range cfg.sample {
@@ -418,41 +409,26 @@ func Open(opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// registerPools makes a freshly built manager's pools visible to Stats.
-func (s *Store) registerPools(ps []*storage.BufferPool) {
+// replacePools makes fresh the live pool set, folding the outgoing pools'
+// counters into the retired total and releasing their frames and disk pages.
+func (s *Store) replacePools(fresh []*storage.BufferPool) {
 	s.poolMu.Lock()
-	s.pools = append(s.pools, ps...)
-	s.poolMu.Unlock()
-}
-
-// retirePools removes an outgoing manager's pools from Stats aggregation —
-// folding their counters into the cumulative retired total first — and
-// releases their frames and disk pages.
-func (s *Store) retirePools(ps []*storage.BufferPool) {
-	dead := make(map[*storage.BufferPool]bool, len(ps))
-	s.poolMu.Lock()
-	for _, p := range ps {
-		dead[p] = true
+	old := s.pools
+	for _, p := range old {
 		st := p.Stats()
 		s.retired.Reads += st.Misses
 		s.retired.Writes += st.Writes
 		s.retired.Hits += st.Hits
 	}
-	live := s.pools[:0]
-	for _, p := range s.pools {
-		if !dead[p] {
-			live = append(live, p)
-		}
-	}
-	s.pools = live
+	s.pools = fresh
 	s.poolMu.Unlock()
-	for _, p := range ps {
+	for _, p := range old {
 		p.Retire()
 	}
 }
 
-// shardFor routes an ObjectID to its shard. Fibonacci hashing spreads the
-// dense sequential ID ranges real device fleets use evenly across shards.
+// shardFor routes an ObjectID to its stripe. Fibonacci hashing spreads the
+// dense sequential ID ranges real device fleets use evenly across stripes.
 func (s *Store) shardFor(id ObjectID) *storeShard {
 	return s.shards[s.shardIndex(id)]
 }
@@ -464,19 +440,20 @@ func (s *Store) shardIndex(id ObjectID) int {
 	return int(uint64(id) * 0x9E3779B97F4A7C15 % uint64(len(s.shards)))
 }
 
-// buildManager constructs one shard's partition manager from the completed
-// analysis, each partition over its own buffer pool (every index structure
-// the Store builds gets its own, so concurrent page-cache hits never
-// serialize on one pool mutex). New pools are appended to *pools rather than
-// registered on the Store, so a failed swap leaks nothing into Stats — the
-// caller registers them on commit.
+// buildManager constructs a partition manager from the completed analysis,
+// its table striped like the Store and each partition over its own buffer
+// pool of WithBufferPages × shards frames (the total cache the same options
+// gave when every shard had a pool per partition). New pools are appended to
+// *pools, not made live, so a failed swap leaks nothing into Stats — the
+// caller installs them on commit.
 func (s *Store) buildManager(an core.Analysis, pools *[]*storage.BufferPool) (*core.Manager, error) {
 	mgr, err := core.NewManager(an, core.ManagerConfig{
 		Domain:             s.cfg.base.Domain,
 		TauRefreshInterval: s.cfg.tauRefresh,
 		SearchParallelism:  s.cfg.searchPar,
+		Stripes:            s.cfg.shards,
 	}, func(spec core.PartitionSpec) (model.Index, error) {
-		p := storage.NewBufferPool(s.disk, s.cfg.base.BufferPages)
+		p := storage.NewBufferPool(s.disk, s.cfg.base.BufferPages*s.cfg.shards)
 		p.SetRetryPolicy(s.cfg.retry)
 		idx, err := buildBase(p, s.cfg.base, spec.Domain, spec.Name)
 		if err != nil {
@@ -493,7 +470,7 @@ func (s *Store) buildManager(an core.Analysis, pools *[]*storage.BufferPool) (*c
 }
 
 // defaultQueryLogSize is the total capacity of the query-shape log, split
-// evenly across the shards (mirroring the velocity reservoir's split).
+// evenly across the stripes (mirroring the velocity reservoir's split).
 const defaultQueryLogSize = 1024
 
 // partitionerFor builds the configured Partitioner for one objective.
@@ -591,12 +568,12 @@ func (s *Store) chooseAnalysis(sample []Vec2, forced *PartitionObjective) (core.
 
 // bootstrap is the first partition swap of an auto-partitioning Store, run by
 // a writer whose report brought the collected sample to the trip threshold:
-// pool the shards' velocity records, choose the analysis, swap. Any number of
+// pool the stripes' velocity records, choose the analysis, swap. Any number of
 // tripping writers may call it; they serialize on maintMu like every other
 // maintenance action and only the first does the work. The outcome is
 // recorded as a maintenance event — never returned to the tripping writer,
 // whose own report was already applied. A sample the analysis rejects (or a
-// failed swap) leaves the current managers serving and re-arms the trip a
+// failed swap) leaves the current manager serving and re-arms the trip a
 // full sample size later, so the O(n) analysis is not retried on every
 // subsequent write but gets a fresh chance once the workload has produced
 // new velocities.
@@ -672,14 +649,12 @@ func (s *Store) driftCheck() {
 }
 
 // Repartition synchronously re-analyzes the recent-velocity reservoir and
-// rebuilds every shard's partitions from the result, regardless of the
-// drift threshold — the manual maintenance trigger of Section 5.5. It
-// requires the Store to be velocity-partitioned already (the bootstrap
-// handles the first partitioning) and at least k reservoir velocities.
-// Queries and writes keep serving while it runs; only the shard whose
-// population is being migrated blocks, one shard at a time. The outcome is
-// also recorded like any other maintenance action (LastMaintenanceError,
-// hook).
+// rebuilds the partitions from the result, regardless of the drift
+// threshold — the manual maintenance trigger of Section 5.5. It requires the
+// Store to be velocity-partitioned already (the bootstrap handles the first
+// partitioning) and at least k reservoir velocities. Queries keep being
+// served while it runs; writers wait for the one rebuild. The outcome is also
+// recorded like any other maintenance action (LastMaintenanceError, hook).
 func (s *Store) Repartition() error {
 	s.maintMu.Lock()
 	ev := s.repartitionRound(true, nil)
@@ -689,8 +664,8 @@ func (s *Store) Repartition() error {
 	return ev.Err
 }
 
-// RepartitionTo synchronously rebuilds every shard's partitions under the
-// given objective, regardless of the drift threshold, the configured
+// RepartitionTo synchronously rebuilds the partitions under the given
+// objective, regardless of the drift threshold, the configured
 // objective, and the auto chooser's cost ranking — the operational override
 // for pinning an objective on a live store (and the lever the cross-
 // objective swap tests drive). Like Repartition it requires the Store to be
@@ -724,27 +699,13 @@ func (s *Store) repartitionRound(force bool, forced *PartitionObjective) Mainten
 		return ev
 	}
 	ev.Objective = an.Kind
-	// Drift of the live partition set against the fresh analysis; shard 0
-	// is the representative (all shards share one analysis per epoch). An
+	// Drift of the live partition set against the fresh analysis. An
 	// objective or partition-count change reads as core.DriftMax, so a new
-	// chooser winner always trips any sane threshold. While collecting,
-	// also detect a partial previous swap: if the shards sit on mixed
-	// epochs, shard 0 already carries the new partitions — its drift reads
-	// ~0 — but the unswapped shards are still degraded, so the threshold
-	// must not be allowed to veto finishing the job.
-	mixed := false
-	var epoch0 int
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		if i == 0 {
-			ev.Drift = sh.mgr.Drift(an)
-			epoch0 = sh.epoch
-		} else if sh.epoch != epoch0 {
-			mixed = true
-		}
-		sh.mu.RUnlock()
-	}
-	if !force && !mixed && ev.Drift <= s.cfg.repart.DriftThreshold {
+	// chooser winner always trips any sane threshold.
+	s.mgrMu.RLock()
+	ev.Drift = s.mgr.Drift(an)
+	s.mgrMu.RUnlock()
+	if !force && ev.Drift <= s.cfg.repart.DriftThreshold {
 		return ev
 	}
 	ev.Op = MaintRepartition
@@ -756,94 +717,77 @@ func (s *Store) repartitionRound(force bool, forced *PartitionObjective) Mainten
 	return ev
 }
 
-// reservoirSnapshot pools every shard's recent-velocity ring.
+// reservoirSnapshot pools every stripe's recent-velocity ring.
 func (s *Store) reservoirSnapshot() []Vec2 {
 	out := make([]Vec2, 0, s.resCap*len(s.shards))
 	for _, sh := range s.shards {
-		sh.mu.RLock()
+		sh.mu.Lock()
 		out = append(out, sh.res...)
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	return out
 }
 
-// swapPartitions is the one routine that moves a live population between
-// partition sets — the bootstrap, drift checks, Repartition/RepartitionTo and
-// swap-record replay all call it. It rebuilds every shard's manager from the
-// analysis, one shard at a time (swapShard), so only the shard being migrated
-// blocks its callers; every other shard keeps serving reads and writes.
-// Shards therefore cross to the new epoch one at a time, which Partitions()
-// tolerates by matching epochs. A mid-swap failure leaves a mix of epochs:
-// correctness is unaffected (every shard answers queries exactly, whatever
-// its frames), the error is recorded, and the next check — the re-armed
-// bootstrap trip, or the next drift check or Repartition, which detects the
-// epoch mix regardless of the drift threshold — re-swaps every shard.
+// swapPartitions is the one routine that moves the live population between
+// partition sets (see "One swap" on Store) — the bootstrap, drift checks,
+// Repartition/RepartitionTo and swap-record replay all call it. The outgoing
+// generation is retired as its replacement goes live, so repeated swaps do
+// not accumulate dead structures. A failed build or migration leaves the old
+// manager serving and frees the fresh pools' frames and pages: no trace of
+// the attempt in Stats or on the disk beyond the epoch number it consumed.
 func (s *Store) swapPartitions(an core.Analysis) error {
 	s.swapping.Store(true)
 	defer s.swapping.Store(false)
-	epoch := int(s.epoch.Add(1))
-	for _, sh := range s.shards {
-		if err := s.swapShard(sh, an, epoch); err != nil {
-			return err
-		}
-	}
-	s.anMu.Lock()
-	s.analysis = an
-	s.anMu.Unlock()
-	// The swap that first partitions the Store is the bootstrap, not a
-	// repartition.
-	if s.partitioned.Swap(true) {
-		s.repartitions.Add(1)
-	}
-	s.logSwap(an)
-	// Re-seed the subscription filter's velocity classes from the new
-	// epoch's analysis (no shard locks are held here).
-	s.refreshSubClasses()
-	return nil
-}
-
-// swapShard replaces one shard's manager: build the empty one with its
-// per-partition pools, then, under the shard's write lock, migrate the live
-// population with InsertBulk and swap it in. The outgoing generation is
-// retired as its replacement goes live, so repeated swaps do not accumulate
-// dead structures.
-func (s *Store) swapShard(sh *storeShard, an core.Analysis, epoch int) error {
-	var fresh, old []*storage.BufferPool
+	s.epoch.Add(1)
+	var fresh []*storage.BufferPool
 	mgr, err := s.buildManager(an, &fresh)
 	if err == nil {
-		sh.mu.Lock()
-		if err = mgr.InsertBulk(sh.mgr.Objects()); err == nil {
-			old = sh.pools
-			sh.mgr, sh.epoch, sh.pools = mgr, epoch, fresh
-			// A shard leaving the sample-collecting epoch bounds its
-			// velocity ring from here on; keep the most recent entries (in
-			// a right-sized array, so the sample's is released).
-			if n := len(sh.res) - s.resCap; n > 0 {
-				sh.res, sh.resPos = append(make([]Vec2, 0, s.resCap), sh.res[n:]...), 0
+		for _, sh := range s.shards {
+			sh.mu.Lock()
+		}
+		if err = mgr.InsertBulk(s.mgr.Objects()); err == nil {
+			s.mgrMu.Lock()
+			s.mgr = mgr
+			s.mgrMu.Unlock()
+			s.anMu.Lock()
+			s.analysis = an
+			s.anMu.Unlock()
+			// The swap that first partitions the Store is the bootstrap, not
+			// a repartition. It also bounds the velocity rings from here on:
+			// keep each one's most recent entries (in a right-sized array, so
+			// the sample's is released).
+			if s.partitioned.Swap(true) {
+				s.repartitions.Add(1)
+			}
+			for _, sh := range s.shards {
+				if n := len(sh.res) - s.resCap; n > 0 {
+					sh.res, sh.resPos = append(make([]Vec2, 0, s.resCap), sh.res[n:]...), 0
+				}
 			}
 		}
-		sh.mu.Unlock()
+		for _, sh := range s.shards {
+			sh.mu.Unlock()
+		}
 	}
 	if err != nil {
-		// The old manager keeps serving. The fresh pools never went live:
-		// freeing their frames and pages leaves no trace of the attempt in
-		// Stats or on the disk.
 		for _, p := range fresh {
 			p.Retire()
 		}
 		return fmt.Errorf("vpindex: partition swap: %w", err)
 	}
-	s.retirePools(old)
-	s.registerPools(fresh)
+	s.replacePools(fresh)
+	s.logSwap(an)
+	// Re-seed the subscription filter's velocity classes from the new
+	// epoch's analysis (no stripe locks are held here).
+	s.refreshSubClasses()
 	return nil
 }
 
-// velCap is the capacity of sh's velocity ring: unbounded while the shard is
-// collecting the auto-partition sample (the bootstrap analyzes every velocity
-// reported so far), the configured reservoir share once it has been swapped.
-// Caller holds sh.mu.
-func (s *Store) velCap(sh *storeShard) int {
-	if sh.epoch == 0 && s.cfg.autoN > 0 {
+// velCap is the capacity of the stripes' velocity rings: unbounded while the
+// Store collects the auto-partition sample (the bootstrap analyzes all of it),
+// the reservoir share once partitioned. Caller holds a stripe lock.
+func (s *Store) velCap() int {
+	if s.cfg.autoN > 0 && !s.partitioned.Load() {
 		return math.MaxInt
 	}
 	return s.resCap
@@ -869,7 +813,8 @@ func (s *Store) noteReports(n int) {
 // Report upserts one object by ID: a new ID is inserted, a known ID replaces
 // its previous record (routing between partitions as the velocity dictates).
 // The record's T must carry the report timestamp; the Store never needs the
-// previous record from the caller. Only the object's shard is locked.
+// previous record from the caller. Only the object's stripe, and the one or
+// two partitions the move touches, are locked.
 //
 // Report returns an error only when the write itself fails. Maintenance the
 // write triggers (the bootstrap, drift checks) runs after the write
@@ -884,28 +829,33 @@ func (s *Store) Report(o Object) error {
 			return c.report(o)
 		}
 	}
-	return s.durableApplyObject(o, (*core.Manager).Report)
+	return s.durableApplyObject(core.Upsert, o)
 }
 
-// applyUpsert is the in-memory half of Report, Insert and Update, which
-// differ only in the manager verb they call (upsert, strict insert, strict
-// update): the shard-locked write plus the subscription delta.
-func (s *Store) applyUpsert(o Object, verb func(*core.Manager, Object) error) error {
+// applyOne is the in-memory half of Report, Insert, Update and Remove, which
+// differ only in the manager verb: the stripe-locked write, the checkpoint
+// mark and velocity sample, and — after the lock — the subscription delta.
+func (s *Store) applyOne(verb core.Verb, o Object) error {
 	sh := s.shardFor(o.ID)
-	sh.mu.Lock()
-	err := verb(sh.mgr, o)
-	if err == nil {
+	core.LockBusy(&sh.mu)
+	err := s.mgr.ApplyOne(verb, o)
+	switch {
+	case err != nil:
+	case verb == core.Remove:
+		sh.markGone(o.ID)
+	default:
 		sh.markDirty(o.ID)
-		sh.observeVel(o.Vel, s.velCap(sh))
+		sh.observeVel(o.Vel, s.velCap())
 	}
 	sh.mu.Unlock()
-	if err != nil {
-		return err
+	if e := s.subEng.Load(); e != nil && err == nil {
+		if verb == core.Remove {
+			e.noteRemove(o.ID)
+		} else {
+			e.noteReport(o)
+		}
 	}
-	if e := s.subEng.Load(); e != nil {
-		e.noteReport(o)
-	}
-	return nil
+	return err
 }
 
 // afterReports runs the maintenance n successfully applied reports trigger:
@@ -932,14 +882,12 @@ func (s *Store) afterReports(n int) {
 	}
 }
 
-// ReportBatch upserts many objects, grouped by shard and applied with one
-// lock acquisition per shard, concurrently across shards (which also
-// amortizes the partition manager's tau-refresh bookkeeping per group). On
-// error, records that were applied before the failure stay applied; because
-// shards proceed independently, those are not necessarily a prefix of the
-// batch, though within each shard records apply in batch order. A batch
-// that crosses the auto-partition threshold is applied whole first; the
-// bootstrap runs at the end of the batch.
+// ReportBatch upserts many objects as one manager Apply: routed in batch
+// order, applied to the partitions in parallel (each partition's operations
+// in batch order). Records are independent: on error the records that landed
+// stay applied, the rejected ones leave their ids as they were, and the first
+// failure in batch order is returned. A batch that crosses the auto-partition
+// threshold is applied whole first; the bootstrap runs at its end.
 func (s *Store) ReportBatch(objs []Object) error {
 	if len(objs) == 0 {
 		return nil
@@ -948,173 +896,129 @@ func (s *Store) ReportBatch(objs []Object) error {
 	// enqueued before this call are acknowledged first, so per-object
 	// ordering across the two paths cannot invert.
 	s.coalFlush()
-	d := s.dur
-	if d == nil || d.recovering.Load() {
-		sc := s.getBatchScratch()
-		reported, err := s.applyReportBatch(objs, sc)
-		s.putBatchScratch(sc)
-		s.afterReports(reported)
-		return err
+	if herr := s.writeAllowed(); herr != nil {
+		return herr
 	}
-	return s.reportBatchDurable(d, objs)
+	sc := s.scratchPool.Get().(*batchScratch)
+	res := s.applyReportBatch(objs, sc)
+	s.putBatchScratch(sc)
+	switch cerr := s.commitBatch(res); {
+	case res.werr != nil:
+		return res.werr
+	case cerr != nil:
+		return cerr
+	}
+	s.afterReports(res.n)
+	return res.err
 }
 
-// batchScratch is the pooled per-shard scratch behind the batched write
-// paths: the shard-grouped records, the applied-prefix counts, the per-shard
-// first errors, the eval slices handed to the subscription engine (and the
-// WAL encoder on the durable path), plus the coalescer's flattened batch and
-// attribution cursors. The group slices are owned by the scratch — records
-// are always copied in, never aliased to caller memory — so returning a
-// scratch to the pool keeps its capacity without capturing caller slices.
+// batchScratch is the pooled scratch behind the batched write paths: the
+// per-record outcomes, the records that landed when not all did, plus the
+// coalescer's flattened batch. Records are always copied in, never aliased
+// to caller memory, so a pooled scratch captures no caller slices.
 type batchScratch struct {
-	groups  [][]Object
-	eval    [][]Object
-	applied []int
-	errs    []error
-	cursor  []int
-	objs    []Object
+	errs   []error
+	landed []Object
+	group  [1][]Object // the landed records, as wal.AppendReportBatch takes them
+	objs   []Object
 	// slots is the coalescer's drained batch: it lives in the scratch (not
 	// on the coalescer) so pipelined drains — one batch in its sync wait
 	// while the next applies — never share a backing array.
 	slots []*pendingSlot
 }
 
-// getBatchScratch hands out a scratch sized to the shard count (the count is
-// fixed for a Store's lifetime, so pooled scratches always fit).
-func (s *Store) getBatchScratch() *batchScratch {
-	sc, _ := s.scratchPool.Get().(*batchScratch)
-	if sc == nil {
-		n := len(s.shards)
-		sc = &batchScratch{
-			groups:  make([][]Object, n),
-			eval:    make([][]Object, n),
-			applied: make([]int, n),
-			errs:    make([]error, n),
-			cursor:  make([]int, n),
-		}
-	}
-	return sc
-}
-
 // putBatchScratch resets and recycles sc. The caller must be done with every
-// slice view into it (eval groups included).
+// slice view into it (the landed records included).
 func (s *Store) putBatchScratch(sc *batchScratch) {
-	for i := range sc.groups {
-		sc.groups[i] = sc.groups[i][:0]
-		sc.eval[i] = nil
-		sc.applied[i] = 0
-		sc.errs[i] = nil
-		sc.cursor[i] = 0
-	}
+	clear(sc.errs)
+	sc.group[0] = nil
 	sc.objs = sc.objs[:0]
-	for i := range sc.slots {
-		sc.slots[i] = nil
-	}
+	clear(sc.slots)
 	sc.slots = sc.slots[:0]
 	s.scratchPool.Put(sc)
 }
 
-// applyReportBatch is ReportBatch's in-memory half. It fills sc with the
-// per-shard groups of records that actually landed (sc.eval — exactly what
-// must be logged, since on a partial failure the applied records stay
-// applied; sc.applied/sc.errs carry the per-shard applied-prefix bookkeeping
-// the coalescer attributes per-record errors from) and returns the number of
-// records applied and the first error.
-func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (reported int, err error) {
-	groups := sc.groups
-	if len(s.shards) == 1 {
-		groups[0] = append(groups[0][:0], objs...)
-	} else {
-		for i := range groups {
-			groups[i] = groups[i][:0]
-		}
-		for _, o := range objs {
-			i := s.shardIndex(o.ID)
-			groups[i] = append(groups[i], o)
-		}
+// batchResult is what applyReportBatch did: n records landed (err: the first
+// failure in batch order) and, on a durable store, were appended at lsn
+// (werr: the append failed).
+type batchResult struct {
+	n       int
+	err     error
+	durable bool
+	lsn     uint64
+	werr    error
+}
+
+// applyReportBatch is the batched write of ReportBatch and the coalescer: one
+// manager Apply under every stripe, the marks of the records that landed,
+// their subscription deltas and — on a durable store outside recovery — one
+// TypeReportBatch record of exactly those records (they stay applied on a
+// partial failure), appended under the shared commit lock so a checkpoint
+// capture can never split the batch. It does not wait for durability
+// (commitBatch does). sc.errs carries each record's own outcome.
+func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (res batchResult) {
+	if d := s.dur; d != nil && !d.recovering.Load() {
+		res.durable = true
+		d.commitMu.RLock()
+		defer d.commitMu.RUnlock()
 	}
-	// sc.applied[i] counts how many of groups[i] landed before any error, so
-	// the subscription engine evaluates exactly the records that are in
-	// the index — applied records stay applied on a partial failure.
-	applied := sc.applied
-	worker := func(i int) error {
-		group := groups[i]
-		if len(group) == 0 {
-			return nil
-		}
-		sh := s.shards[i]
+	if cap(sc.errs) < len(objs) {
+		sc.errs = make([]error, len(objs))
+	}
+	sc.errs = sc.errs[:len(objs)]
+	for _, sh := range s.shards {
 		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		n, err := sh.mgr.ReportBatch(group)
-		velCap := s.velCap(sh)
-		for _, o := range group[:n] {
-			sh.markDirty(o.ID)
-			sh.observeVel(o.Vel, velCap)
+	}
+	landed := objs
+	if _, res.err = s.mgr.Apply(core.Upsert, objs, sc.errs); res.err != nil {
+		res.err = fmt.Errorf("vpindex: batch report: %w", res.err)
+		landed = sc.landed[:0]
+		for i, o := range objs {
+			if sc.errs[i] == nil {
+				landed = append(landed, o)
+			}
 		}
-		applied[i] = n
-		if err != nil {
-			sc.errs[i] = fmt.Errorf("vpindex: batch report: %w", err)
-		}
-		return sc.errs[i]
+		sc.landed = landed
 	}
-	for i := range groups {
-		applied[i] = 0
-		sc.errs[i] = nil
+	velCap := s.velCap()
+	for _, o := range landed {
+		sh := s.shardFor(o.ID)
+		sh.markDirty(o.ID)
+		sh.observeVel(o.Vel, velCap)
 	}
-	// Write fan-out is bounded by GOMAXPROCS, independent of the query
-	// knob WithSearchParallelism: the final state is identical whatever
-	// order the groups land in (each shard applies its group in batch
-	// order), so there is nothing for a sequential setting to pin down.
-	// Callers who need fully serialized writes run WithShards(1).
-	err = parallel.Do(len(s.shards), 0, worker)
-	// Subscription deltas are computed after the shard locks are released,
-	// from the records the batch just applied, and emitted as one sorted
-	// batch — even when the batch failed partway, for the applied prefix.
-	for i := range groups {
-		sc.eval[i] = groups[i][:applied[i]]
-		reported += applied[i]
+	for _, sh := range s.shards {
+		sh.mu.Unlock()
 	}
+	// Subscription deltas are computed after the stripe locks are released
+	// and emitted as one sorted batch.
 	if e := s.subEng.Load(); e != nil {
-		e.noteBatch(sc.eval)
+		e.noteBatch(landed)
 	}
-	return reported, err
+	if res.n = len(landed); res.durable && res.n > 0 {
+		sc.group[0] = landed
+		buf := wal.GetBuf()
+		*buf = wal.AppendReportBatch((*buf)[:0], sc.group[:])
+		res.lsn, res.werr = s.dur.wal.Append(wal.TypeReportBatch, *buf)
+		wal.PutBuf(buf)
+	}
+	return res
 }
 
 // Remove deletes the object by ID. Returns ErrNotFound (errors.Is-able) when
 // no such object is indexed. The object leaves every subscription result
-// set it was in (evaluated after the shard lock is released).
+// set it was in (evaluated after the stripe lock is released).
 func (s *Store) Remove(id ObjectID) error {
 	// Flush barrier: a coalesced Report of id enqueued before this call
 	// must land first, or the removal could be resurrected by it.
 	s.coalFlush()
-	return s.durableApplyRemove(id)
+	return s.durableApplyObject(core.Remove, Object{ID: id})
 }
 
-// applyRemove is Remove's in-memory half.
-func (s *Store) applyRemove(id ObjectID) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	// The manager only consults the ID; its table supplies the record.
-	err := sh.mgr.Delete(Object{ID: id})
-	if err == nil {
-		sh.markGone(id)
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if e := s.subEng.Load(); e != nil {
-		e.noteRemove(id)
-	}
-	return nil
-}
-
-// Get returns the current record for id, touching only its shard.
+// Get returns the current record for id, touching only its table stripe.
 func (s *Store) Get(id ObjectID) (Object, bool) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.mgr.Get(id)
+	s.mgrMu.RLock()
+	defer s.mgrMu.RUnlock()
+	return s.mgr.Get(id)
 }
 
 // rangeQueryShape summarizes a validated range query for the cost model:
@@ -1145,8 +1049,8 @@ func knnQueryShape(q KNNQuery) core.QueryShape {
 	return core.QueryShape{Window: w}
 }
 
-// observeQueryShape records one observed query in the per-shard query-shape
-// log, round-robin across shards so no single ring mutex serializes the
+// observeQueryShape records one observed query in the per-stripe query-shape
+// log, round-robin across stripes so no single ring mutex serializes the
 // query path. Disabled (qlogCap == 0) unless velocity partitioning is on.
 func (s *Store) observeQueryShape(q core.QueryShape) {
 	if s.qlogCap <= 0 {
@@ -1168,95 +1072,55 @@ func (s *Store) QueryLogSize() int {
 	return n
 }
 
-// Search answers a predictive range query. It works identically in
-// unpartitioned and partitioned configurations, and during a swap. The query fans out across
-// the shards (and, inside each shard, across the velocity partitions) with
-// bounded worker pools; per-shard result buffers are merged in shard order
-// after the joins, so the result is deterministic for a given Store state.
+// Search answers a predictive range query, identically in unpartitioned and
+// partitioned configurations and during a swap. The query is validated here,
+// once; the manager probes its k+1 partition indexes and merges their buffers
+// in partition order, so the result is deterministic for a given Store state.
 func (s *Store) Search(q RangeQuery) ([]ObjectID, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	s.observeQueryShape(rangeQueryShape(q))
-	lists := make([][]ObjectID, len(s.shards))
-	err := parallel.Do(len(s.shards), s.cfg.searchPar, func(i int) error {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		ids, err := sh.mgr.Search(q)
-		if err != nil {
-			return err
-		}
-		lists[i] = ids
-		return nil
-	})
-	if err != nil {
-		// Reads are never gated by health — a degraded store keeps serving
-		// queries — but a read that surfaced a media fault still moves the
-		// health state machine.
-		s.noteIOFault(err)
-		return nil, err
-	}
-	if len(lists) == 1 {
-		return lists[0], nil
-	}
-	total := 0
-	for _, ids := range lists {
-		total += len(ids)
-	}
-	out := make([]ObjectID, 0, total)
-	for _, ids := range lists {
-		out = append(out, ids...)
-	}
-	return out, nil
+	s.mgrMu.RLock()
+	ids, err := s.mgr.Search(q)
+	s.mgrMu.RUnlock()
+	// Reads are never gated by health — a degraded store keeps serving
+	// queries — but a read that surfaced a media fault still moves the
+	// health state machine.
+	s.noteIOFault(err)
+	return ids, err
 }
 
 // SearchKNN returns the k objects nearest the query center at the query's
-// evaluation time, fanning out across shards like Search and merging the
-// per-shard top-k lists. Returns ErrUnsupported if the configured base
-// structure has no kNN implementation (both built-in kinds do).
+// evaluation time: the manager merges its partitions' top-k lists. Returns
+// ErrUnsupported if the configured base structure has no kNN implementation
+// (both built-in kinds do).
 func (s *Store) SearchKNN(q KNNQuery) ([]Neighbor, error) {
-	s.observeQueryShape(knnQueryShape(q))
-	lists := make([][]Neighbor, len(s.shards))
-	err := parallel.Do(len(s.shards), s.cfg.searchPar, func(i int) error {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		ns, err := sh.mgr.SearchKNN(q)
-		if err != nil {
-			return err
-		}
-		lists[i] = ns
-		return nil
-	})
-	if err != nil {
-		s.noteIOFault(err)
+	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if len(lists) == 1 {
-		return lists[0], nil
-	}
-	return model.MergeNeighbors(q.K, lists...), nil
+	s.observeQueryShape(knnQueryShape(q))
+	s.mgrMu.RLock()
+	ns, err := s.mgr.SearchKNN(q)
+	s.mgrMu.RUnlock()
+	s.noteIOFault(err)
+	return ns, err
 }
 
-// Len returns the number of live objects across all shards.
+// Len returns the number of live objects.
 func (s *Store) Len() int {
-	total := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		total += sh.mgr.Len()
-		sh.mu.RUnlock()
-	}
-	return total
+	s.mgrMu.RLock()
+	defer s.mgrMu.RUnlock()
+	return s.mgr.Len()
 }
 
-// NumShards returns the Store's shard count.
+// NumShards returns the Store's stripe count (WithShards).
 func (s *Store) NumShards() int { return len(s.shards) }
 
-// Partitioned reports whether the Store's managers were built from a velocity
+// Partitioned reports whether the Store's manager was built from a velocity
 // analysis (immediately true with an upfront sample; flips true when the
 // bootstrap swap completes in auto-partition mode; always false otherwise —
-// the managers then run the unpartitioned objective's single frame).
+// the manager then runs the unpartitioned objective's single frame).
 func (s *Store) Partitioned() bool { return s.partitioned.Load() }
 
 // Analysis returns the velocity analysis that shaped the current partition
@@ -1281,45 +1145,15 @@ func (s *Store) BootstrapProgress() (collected, target int) {
 	return int(s.sampled.Load()), int(s.nextTrip.Load())
 }
 
-// Partitions snapshots the live logical partition set (empty until
-// partitioned): one entry per velocity partition, with Size summed across
-// every shard. Spec, rotation, tau, and the Index handle come from shard 0
-// (shards may drift apart slightly in tau once online refresh runs).
-//
-// The aggregation never aliases manager-internal state: Manager.Partitions
-// returns a freshly built snapshot slice each call, so adding sizes into
-// shard 0's entries mutates only this snapshot. A repartition swap crosses
-// the shards one at a time, so shards observed mid-swap can be on a
-// different partition epoch — possibly with a different partition count —
-// than shard 0; those shards are skipped rather than mis-summed, so a
-// mid-swap snapshot may undercount sizes but never panics or mixes axes
-// from two epochs.
+// Partitions snapshots the live partition set (empty until partitioned) at
+// one instant: one entry per velocity partition, the sizes summing to Len.
 func (s *Store) Partitions() []core.PartitionInfo {
 	if !s.partitioned.Load() {
 		return nil
 	}
-	var (
-		out    []core.PartitionInfo
-		epoch0 int
-	)
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		infos := sh.mgr.Partitions()
-		epoch := sh.epoch
-		sh.mu.RUnlock()
-		if i == 0 {
-			out = infos
-			epoch0 = epoch
-			continue
-		}
-		if epoch != epoch0 || len(infos) != len(out) {
-			continue
-		}
-		for j := range infos {
-			out[j].Size += infos[j].Size
-		}
-	}
-	return out
+	s.mgrMu.RLock()
+	defer s.mgrMu.RUnlock()
+	return s.mgr.Partitions()
 }
 
 // StoreStats extends the simulated I/O counters with the Store's
@@ -1331,18 +1165,18 @@ type StoreStats struct {
 	// not including the bootstrap.
 	Repartitions int64
 	// PartitionEpoch counts partition generations ever started: 0 while
-	// unpartitioned, 1 from the bootstrap (or upfront-sample) partitioning,
-	// +1 at the start of each repartition swap attempt (failed attempts
-	// consume an epoch too — their already-swapped shards carry the tag).
+	// unpartitioned, 1 from the upfront-sample partitioning, +1 at the start
+	// of each swap attempt, the bootstrap included (a failed attempt
+	// consumes its number and leaves the previous generation serving).
 	PartitionEpoch int64
-	// SwapInFlight reports whether a repartition swap is migrating shards
-	// right now (its I/O is landing in the shared counters).
+	// SwapInFlight reports whether a partition swap is rebuilding right now
+	// (its I/O is landing in the shared counters).
 	SwapInFlight bool
 }
 
-// Stats returns cumulative simulated I/O counters — every live buffer pool
-// (one per partition per shard) plus the folded-in totals of pools retired by
-// past swaps — and the maintenance counters. The counters are monotonic
+// Stats returns cumulative simulated I/O counters — the live buffer pools
+// (one per partition) plus the folded-in totals of pools retired by past
+// swaps — and the maintenance counters. The counters are monotonic
 // across swaps.
 func (s *Store) Stats() StoreStats {
 	s.poolMu.Lock()
@@ -1361,8 +1195,8 @@ func (s *Store) Stats() StoreStats {
 	return st
 }
 
-// Pools snapshots every live buffer pool (pools retired by swaps are
-// excluded; their counters live on in Stats), for instrumentation.
+// Pools snapshots the live buffer pools, one per partition (pools retired by
+// swaps are excluded; their counters live on in Stats), for instrumentation.
 func (s *Store) Pools() []*storage.BufferPool {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
@@ -1371,10 +1205,9 @@ func (s *Store) Pools() []*storage.BufferPool {
 
 // Name implements model.Index.
 func (s *Store) Name() string {
-	sh := s.shards[0]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.mgr.Name()
+	s.mgrMu.RLock()
+	defer s.mgrMu.RUnlock()
+	return s.mgr.Name()
 }
 
 // IO implements model.Index (same counters as Stats).
@@ -1389,7 +1222,7 @@ func (s *Store) Insert(o Object) error {
 	s.coalFlush()
 	// A successful Insert is logged as a plain report record: the ID was
 	// absent, so replaying it as an upsert reproduces the insert exactly.
-	return s.durableApplyObject(o, (*core.Manager).Insert)
+	return s.durableApplyObject(core.InsertNew, o)
 }
 
 // Delete implements model.Index. Only the ID of o is consulted — the stored
@@ -1410,5 +1243,5 @@ func (s *Store) Update(old, new Object) error {
 	// present, so replaying it as an upsert reproduces the update exactly.
 	// Only new's fields are consulted past the ID check above: the old
 	// record comes from the manager's table.
-	return s.durableApplyObject(new, (*core.Manager).UpdateByID)
+	return s.durableApplyObject(core.Replace, new)
 }

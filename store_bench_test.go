@@ -1,9 +1,10 @@
-// Store concurrency benchmarks: sharded vs single-lock throughput on the
+// Store concurrency benchmarks: one table stripe vs GOMAXPROCS stripes on the
 // production facade. Run with
 //
 //	go test -bench=Store -benchmem -run='^$' -cpu 1,4,8
 //
-// shards=1 is the single-lock baseline; shards=N is the GOMAXPROCS default.
+// The index structures are the same k+1 on both sides of the axis; shards=1
+// serializes the id-keyed table work, shards=N is the GOMAXPROCS default.
 // These are for measuring while you work; the record is benchmark/run.sh.
 package vpindex_test
 
@@ -23,16 +24,15 @@ const benchStoreObjects = 20000
 
 // benchDiskLatency injects the simulated per-page-access delay. The Store's
 // performance model is disk-bound (every structure lives on simulated 4 KB
-// pages; the paper's metric is page I/O), so the scaling win of sharding is
-// overlapping those waits: the single global lock holds every other
-// operation hostage while one sleeps on a miss, independent shards overlap
-// them. 20µs is a fast-SSD-class page cost.
+// pages; the paper's metric is page I/O), so the scaling win is overlapping
+// those waits: writers whose records live in different partitions sleep on
+// their misses side by side. 20µs is a fast-SSD-class page cost.
 const benchDiskLatency = 20 * time.Microsecond
 
 // benchTotalPages is the aggregate page-cache budget, held constant across
-// the shard axis (each of the shards × 3 pools gets an equal slice) so the
-// shards=1 vs shards=N comparison isolates lock overlap instead of also
-// handing the sharded configuration a bigger cache.
+// the shard axis so the comparison isolates lock overlap instead of also
+// handing the striped configuration a bigger cache: the Store has 3 pools
+// (k = 2) of WithBufferPages × shards frames each.
 const benchTotalPages = 384
 
 // randomObjects draws n objects moving fast along one of two perpendicular
@@ -68,14 +68,11 @@ func newBenchStore(b *testing.B, shards int, objs []vpindex.Object, extra ...vpi
 	for i, o := range objs {
 		sample[i] = o.Vel
 	}
-	perPool := benchTotalPages / (shards * 3)
-	if perPool < 1 {
-		perPool = 1
-	}
+	const pools = 3
 	opts := []vpindex.Option{
 		vpindex.WithKind(vpindex.Bx),
 		vpindex.WithShards(shards),
-		vpindex.WithBufferPages(perPool),
+		vpindex.WithBufferPages(max(benchTotalPages/(pools*shards), 1)),
 		vpindex.WithDiskLatency(benchDiskLatency),
 		vpindex.WithVelocityPartitioning(2),
 		vpindex.WithVelocitySample(sample),
@@ -201,8 +198,9 @@ func BenchmarkStoreIngestAllocs(b *testing.B) {
 }
 
 // BenchmarkStoreSearch is the pure read path: concurrent predictive range
-// queries against a static population (readers share shard read locks; the
-// striped per-partition pools keep page-cache hits from serializing).
+// queries against a static population (readers share the manager's read
+// locks; the striped per-partition pools keep page-cache hits from
+// serializing).
 func BenchmarkStoreSearch(b *testing.B) {
 	objs := randomObjects(benchStoreObjects, 9)
 	for _, shards := range shardCounts() {

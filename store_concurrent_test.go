@@ -481,3 +481,211 @@ func TestStoreConcurrentRepartitionOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreMigrationAtomicityOracle is the test the manager's lock hierarchy
+// answers to. Every write migrates an object between partitions: flipper
+// goroutines Report or Update their own ids with the velocity cycling
+// x-axis → y-axis → diagonal (dva0 → dva1 → outlier), batch writers send
+// batches in which one id occurs three times and another twice with a
+// different target partition each time, and churners Remove and Insert
+// theirs — while readers issue whole-domain Search and SearchKNN(k =
+// population) throughout, and a maintenance goroutine walks RepartitionTo
+// through the objectives. Every id that is live throughout must appear
+// exactly once in every answer, no id may appear twice, and at every
+// quiescent point Len, the table (Get) and the indexes (whole-domain Search)
+// agree with each other and with the brute-force mirror of the writers' own
+// final records.
+func TestStoreMigrationAtomicityOracle(t *testing.T) {
+	const (
+		flippers, batchers, churners, readers = 3, 2, 2, 2
+		idsPer                                = 24
+		rounds, steps                         = 4, 40
+	)
+	domain := vpindex.R(0, 0, 20000, 20000)
+	store, err := vpindex.Open(vpindex.WithKind(vpindex.Bx), vpindex.WithDomain(domain), vpindex.WithBufferPages(30),
+		vpindex.WithShards(4), vpindex.WithVelocityPartitioning(2),
+		vpindex.WithVelocitySample(testSample(800, 11)), vpindex.WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// heading(p) routes to partition p%3 of the DVA layout.
+	heading := func(p int, rng *rand.Rand) vpindex.Vec2 {
+		s := 30 + rng.Float64()*40
+		switch p % 3 {
+		case 0:
+			return vpindex.V(s, rng.NormFloat64())
+		case 1:
+			return vpindex.V(rng.NormFloat64(), s)
+		default:
+			return vpindex.V(s, s)
+		}
+	}
+	object := func(id, p int, now float64, rng *rand.Rand) vpindex.Object {
+		return vpindex.Object{ID: vpindex.ObjectID(id), Pos: vpindex.V(rng.Float64()*20000, rng.Float64()*20000),
+			Vel: heading(p, rng), T: now}
+	}
+	writers := flippers + batchers + churners
+	owned := make([]map[vpindex.ObjectID]vpindex.Object, writers) // each writer's own ids, live ones only
+	var allIDs []vpindex.ObjectID
+	stable := make(map[vpindex.ObjectID]bool) // live from the load to the end
+	rng := rand.New(rand.NewSource(1))
+	for w := range owned {
+		owned[w] = make(map[vpindex.ObjectID]vpindex.Object)
+		for i := 0; i < idsPer; i++ {
+			o := object(w*idsPer+i+1, i, 0, rng)
+			if err := store.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+			owned[w][o.ID] = o
+			allIDs = append(allIDs, o.ID)
+			stable[o.ID] = w < flippers+batchers
+		}
+	}
+	whole := func(now float64) vpindex.RangeQuery {
+		return vpindex.RectSliceQuery(vpindex.R(-1e6, -1e6, 1e6, 1e6), now, now)
+	}
+	// exactlyOnce checks one answer: no id twice, every stable id present.
+	exactlyOnce := func(what string, ids []vpindex.ObjectID) error {
+		seen := make(map[vpindex.ObjectID]bool, len(ids))
+		for _, id := range ids {
+			if seen[id] {
+				return fmt.Errorf("%s: object %d answered twice", what, id)
+			}
+			seen[id] = true
+		}
+		for id, always := range stable {
+			if always && !seen[id] {
+				return fmt.Errorf("%s: live object %d missing from %d answers", what, id, len(ids))
+			}
+		}
+		return nil
+	}
+	ladder := []vpindex.PartitionObjective{vpindex.ObjectiveSpeed, vpindex.ObjectiveNone, vpindex.ObjectiveDVA}
+	for round := 0; round < rounds; round++ {
+		var wg, rg sync.WaitGroup
+		errs := make(chan error, writers+readers+1)
+		stop := make(chan struct{})
+		now := float64(round)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(100*round + w)))
+				mine := owned[w]
+				base := w * idsPer
+				for i := 0; i < steps; i++ {
+					id := base + 1 + rng.Intn(idsPer)
+					var err error
+					switch {
+					case w < flippers: // every write turns the object: a migration
+						o := object(id, round*steps+i, now, rng)
+						if i%2 == 0 {
+							err = store.Report(o)
+						} else {
+							err = store.Update(mine[o.ID], o)
+						}
+						mine[o.ID] = o
+					case w < flippers+batchers: // duplicates inside one batch, a different partition each time
+						other := base + 1 + (id-base)%idsPer
+						batch := []vpindex.Object{
+							object(id, 0, now, rng), object(other, 1, now, rng), object(id, 1, now, rng),
+							object(other, 2, now, rng), object(id, 2+i, now, rng),
+						}
+						err = store.ReportBatch(batch)
+						mine[batch[3].ID], mine[batch[4].ID] = batch[3], batch[4]
+					default: // remove, or strictly re-insert
+						if old, live := mine[vpindex.ObjectID(id)]; live {
+							err = store.Remove(old.ID)
+							delete(mine, old.ID)
+						} else {
+							o := object(id, i, now, rng)
+							err = store.Insert(o)
+							mine[o.ID] = o
+						}
+					}
+					if err != nil {
+						errs <- fmt.Errorf("round %d writer %d step %d: %w", round, w, i, err)
+						return
+					}
+				}
+			}(w)
+		}
+		for r := 0; r < readers; r++ {
+			rg.Add(1)
+			go func(r int) {
+				defer rg.Done()
+				for n := 0; ; n++ {
+					select {
+					case <-stop:
+						if n >= 5 {
+							return
+						}
+					default:
+					}
+					ids, err := store.Search(whole(now))
+					if err == nil {
+						err = exactlyOnce("Search", ids)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+					ns, err := store.SearchKNN(vpindex.KNNQuery{Center: vpindex.V(10000, 10000), K: len(allIDs), Now: now, T: now})
+					if err == nil {
+						ids = ids[:0]
+						for _, nb := range ns {
+							ids = append(ids, nb.ID)
+						}
+						err = exactlyOnce("SearchKNN", ids)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(r)
+		}
+		if round > 0 { // the swap storm: one objective change under each later round
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := store.RepartitionTo(ladder[round-1]); err != nil {
+					errs <- fmt.Errorf("round %d RepartitionTo(%v): %w", round, ladder[round-1], err)
+				}
+			}()
+		}
+		wg.Wait()
+		close(stop)
+		rg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		// Quiescent: table, indexes and mirror agree.
+		live := make(map[vpindex.ObjectID]vpindex.Object)
+		for _, mine := range owned {
+			for id, o := range mine {
+				live[id] = o
+			}
+		}
+		stage := fmt.Sprintf("after round %d", round)
+		checkTableIndexAgree(t, store, domain, now, allIDs, len(live))
+		for _, id := range allIDs {
+			got, ok := store.Get(id)
+			if want, live := live[id]; ok != live || got != want {
+				t.Fatalf("%s: Get(%d) = %+v, %v; mirror %+v, %v", stage, id, got, ok, want, live)
+			}
+		}
+		total := 0
+		for _, p := range store.Partitions() {
+			total += p.Size
+		}
+		if total != len(live) {
+			t.Fatalf("%s: partition sizes sum to %d, want %d", stage, total, len(live))
+		}
+		oracleCheck(t, store, live, now, stage)
+	}
+	if st := store.Stats(); st.Repartitions != int64(len(ladder)) || len(store.Pools()) != 3 {
+		t.Fatalf("%d repartitions, %d pools after the storm; want %d and 3", st.Repartitions, len(store.Pools()), len(ladder))
+	}
+}

@@ -843,8 +843,8 @@ func TestStoreRepartitionRetiresOldEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// 2 shards x (2 DVA + outlier) partitions, staging pools retired.
-	wantPools := 2 * 3
+	// 2 DVA + outlier partitions, one pool each, whatever WithShards is.
+	wantPools := 3
 	if got := len(store.Pools()); got != wantPools {
 		t.Fatalf("live pools after bootstrap: %d, want %d", got, wantPools)
 	}

@@ -15,7 +15,7 @@ import (
 
 // This file is the Store-native continuous-query engine: standing
 // subscriptions evaluated incrementally as location reports stream in,
-// without re-serializing the sharded write path through a wrapper mutex.
+// without re-serializing the striped write path through a wrapper mutex.
 //
 // # Architecture
 //
@@ -26,9 +26,9 @@ import (
 //     evaluation takes the read lock, only Subscribe/Unsubscribe and filter
 //     rebuilds take the write lock.
 //   - Result-set membership is sharded by ObjectID with the same hash as
-//     the Store's shards: each evaluation shard owns a monitor.ResultSet
-//     under its own mutex, so reports routed to different Store shards
-//     evaluate their subscriptions genuinely in parallel.
+//     the Store's stripes: each evaluation shard owns a monitor.ResultSet
+//     under its own mutex, so reports of ids on different stripes evaluate
+//     their subscriptions genuinely in parallel.
 //   - The coarse filter (internal/monitor.Filter) keeps one grid per
 //     velocity class — one per DVA of the current partition epoch plus an
 //     isotropic catch-all — so a report only exact-tests the subscriptions
@@ -38,7 +38,7 @@ import (
 //     time, now on the continuous-query path. The Store re-seeds the
 //     filter's classes after every partition swap (the bootstrap included).
 //
-// Deltas are computed outside the shard locks, from the records the write
+// Deltas are computed outside the stripe locks, from the records the write
 // path just applied: a write verb applies its records under the shard lock,
 // releases it, and only then reconciles the subscription state. Result sets
 // therefore survive repartition and epoch swaps untouched — they reference
@@ -128,13 +128,15 @@ type subEngine struct {
 	notePool sync.Pool
 }
 
-// noteScratch is noteBatch's pooled per-shard scratch: the per-shard event
-// and filter-growth slices the parallel reconcile writes into before the
-// merge. The inner slices are nilled on return to the pool — they alias
-// reconcile results that escape into the merged batch.
+// noteScratch is noteBatch's pooled per-shard scratch: the batch grouped by
+// evaluation shard, and the per-shard event and filter-growth slices the
+// parallel reconcile writes into before the merge. Those two are nilled on
+// return to the pool — they alias reconcile results that escape into the
+// merged batch.
 type noteScratch struct {
-	per   [][]MonitorEvent
-	grows [][]Vec2
+	groups [][]Object
+	per    [][]MonitorEvent
+	grows  [][]Vec2
 }
 
 func newSubEngine(s *Store) *subEngine {
@@ -166,7 +168,7 @@ func (s *Store) engine() *subEngine {
 }
 
 // refreshSubClasses re-seeds the engine filter's velocity classes from the
-// Store's current analysis. Called with no Store shard locks held — from
+// Store's current analysis. Called with no Store stripe locks held — from
 // engine creation and at the end of every partition swap — because it takes
 // the registry write lock, which report evaluation holds shared while
 // reading shard state.
@@ -315,44 +317,36 @@ func (e *subEngine) noteRemove(id ObjectID) {
 	e.emit(evs)
 }
 
-// noteBatch is the write-path hook for ReportBatch: the applied records,
-// already grouped by shard. The whole batch is evaluated at one instant —
-// the clock after advancing to the batch's largest report time — with the
-// shard groups reconciled in parallel and the deltas merged into a single
-// sorted batch.
-func (e *subEngine) noteBatch(groups [][]Object) {
-	if e.nsubs.Load() == 0 {
+// noteBatch is the write-path hook for ReportBatch: the applied records, in
+// batch order. The whole batch is evaluated at one instant — the clock after
+// advancing to the batch's largest report time — with the records grouped by
+// evaluation shard, the groups reconciled in parallel and the deltas merged
+// into a single sorted batch.
+func (e *subEngine) noteBatch(objs []Object) {
+	if e.nsubs.Load() == 0 || len(objs) == 0 {
 		return
 	}
 	tmax := math.Inf(-1)
-	total := 0
-	for _, g := range groups {
-		for _, o := range g {
-			if o.T > tmax {
-				tmax = o.T
-			}
-		}
-		total += len(g)
-	}
-	if total == 0 {
-		return
+	for _, o := range objs {
+		tmax = math.Max(tmax, o.T)
 	}
 	now := e.advance(tmax)
-	// The per-shard delta slices are pooled batch to batch (the coalescer
-	// turns every drained batch into one of these calls, so this is on the
+	// The per-shard slices are pooled batch to batch (the coalescer turns
+	// every drained batch into one of these calls, so this is on the
 	// sustained ingest path); only the merged slices below are per-call.
 	sc, _ := e.notePool.Get().(*noteScratch)
-	if sc == nil || len(sc.per) != len(groups) {
-		sc = &noteScratch{
-			per:   make([][]MonitorEvent, len(groups)),
-			grows: make([][]Vec2, len(groups)),
-		}
+	if sc == nil {
+		n := len(e.shards)
+		sc = &noteScratch{groups: make([][]Object, n), per: make([][]MonitorEvent, n), grows: make([][]Vec2, n)}
 	}
-	_ = parallel.Do(len(groups), 0, func(i int) error {
-		if len(groups[i]) == 0 {
-			return nil
+	for _, o := range objs {
+		si := e.store.shardIndex(o.ID)
+		sc.groups[si] = append(sc.groups[si], o)
+	}
+	_ = parallel.Do(len(sc.groups), 0, func(i int) error {
+		if len(sc.groups[i]) > 0 {
+			sc.per[i], sc.grows[i] = e.reconcileShard(i, sc.groups[i], nil, now)
 		}
-		sc.per[i], sc.grows[i] = e.reconcileShard(i, groups[i], nil, now)
 		return nil
 	})
 	var evs []MonitorEvent
@@ -360,7 +354,7 @@ func (e *subEngine) noteBatch(groups [][]Object) {
 	for i := range sc.per {
 		evs = append(evs, sc.per[i]...)
 		grow = append(grow, sc.grows[i]...)
-		sc.per[i], sc.grows[i] = nil, nil
+		sc.groups[i], sc.per[i], sc.grows[i] = sc.groups[i][:0], nil, nil
 	}
 	e.notePool.Put(sc)
 	monitor.SortEvents(evs)
@@ -563,7 +557,7 @@ func (s *Store) NumSubscriptions() int {
 // time, emitting the deltas caused purely by the passage of time (objects
 // drifting in or out of predicted regions without reporting). The
 // subscriptions are refreshed concurrently — each one's query fans out
-// across the Store's shards and partitions as usual — and the combined
+// across the partitions as usual — and the combined
 // deltas form a single batch sorted by Sub → ID → Kind, delivered to the
 // Events() stream and returned. On error, deltas of the subscriptions that
 // completed are still applied, returned, and streamed.

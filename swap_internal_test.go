@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -14,14 +15,19 @@ import (
 // budgetDisk is a PageStore whose Allocate starts failing once a budget is
 // spent, to make a partition swap die while it builds or fills a fresh
 // manager. Swapped in for Store.disk, it is seen only by managers built
-// afterwards: the live ones keep their pools over the real disk.
+// afterwards: the live ones keep their pools over the real disk. A swap fills
+// its partitions in parallel, so Allocate takes a lock; the test reads and
+// sets the fields only between swaps.
 type budgetDisk struct {
 	storage.PageStore
+	mu     sync.Mutex
 	left   int // allocations before failure; negative means unlimited
 	allocs int // successful allocations so far
 }
 
 func (d *budgetDisk) Allocate() (storage.PageID, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.left == 0 {
 		return 0, errors.New("budgetDisk: out of pages")
 	}
@@ -73,12 +79,29 @@ func mustMatchOracle(t *testing.T, s *Store, oracle *model.BruteForce, ids []Obj
 	}
 }
 
+// samePools reports whether the live pool set is exactly want, pointer for
+// pointer.
+func samePools(s *Store, want []*storage.BufferPool) bool {
+	got := s.Pools()
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSwapPartitionsFailureLeavesShardsServing pins the failure contract of
 // the one migration routine: a swap that is rejected outright, or that dies
-// after some shards already crossed, retires the fresh pools,
-// leaves every shard's manager — old epoch or new — answering exactly and
-// accepting updates and removals, and the next maintenance check finishes the
-// epoch mix whatever the drift threshold says.
+// while the fresh manager is being filled, retires the fresh pools without
+// ever making them live, frees their pages, consumes an epoch number but no
+// repartition count, and leaves the old manager — its k+1 pools, every
+// record, every partition size — answering exactly and accepting updates and
+// removals. There is no partial state to finish: the next drift check on
+// unchanged traffic does not swap, and the next Repartition simply succeeds.
 func TestSwapPartitionsFailureLeavesShardsServing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sample := make([]Vec2, 400)
@@ -103,93 +126,107 @@ func TestSwapPartitionsFailureLeavesShardsServing(t *testing.T) {
 		ids = append(ids, o.ID)
 	}
 	an, _ := s.Analysis()
-	wantPools := len(s.Pools())
+	sizesSum := func() int {
+		total := 0
+		for _, p := range s.Partitions() {
+			total += p.Size
+		}
+		return total
+	}
+	pools := s.Pools()
+	if len(pools) != len(an.Frames) || pools[0].Capacity() != 30*2 {
+		t.Fatalf("%d live pools of %d frames, want %d (one per partition) of 60 (pages x shards)",
+			len(pools), pools[0].Capacity(), len(an.Frames))
+	}
 
-	// A malformed analysis is rejected before any shard is touched (the
-	// attempt still consumes an epoch number, like every failed swap).
+	// A malformed analysis is rejected before anything is built (the attempt
+	// still consumes an epoch number, like every failed swap).
 	if err := s.swapPartitions(core.Analysis{Kind: core.KindSpeed, Frames: []core.Frame{{SpeedMax: 10}}}); err == nil {
 		t.Fatal("malformed analysis accepted")
 	}
 	if got, _ := s.Analysis(); got.Kind != an.Kind || len(s.Partitions()) != len(an.Frames) {
 		t.Fatalf("rejected swap changed the live analysis: %v, %d partitions", got.Kind, len(s.Partitions()))
 	}
-	if s.shards[0].epoch != 1 || s.shards[1].epoch != 1 || s.Stats().Repartitions != 0 {
-		t.Fatalf("rejected swap moved a shard: epochs %d/%d, %d repartitions",
-			s.shards[0].epoch, s.shards[1].epoch, s.Stats().Repartitions)
+	if st := s.Stats(); st.PartitionEpoch != 2 || st.Repartitions != 0 || !samePools(s, pools) {
+		t.Fatalf("rejected swap: %+v, pools unchanged %v; want epoch 2, 0 repartitions, the same pools", st, samePools(s, pools))
 	}
 	mustMatchOracle(t, s, oracle, ids, "after rejected analysis")
 
 	// Measure what a full swap allocates, then allow three quarters of it:
-	// shard 0 crosses, shard 1 dies mid-migration.
+	// the fresh manager is built and dies while the population moves in.
 	disk := &budgetDisk{PageStore: s.disk, left: -1}
 	s.disk = disk
 	if err := s.swapPartitions(an); err != nil {
 		t.Fatal(err)
 	}
+	if st := s.Stats(); st.PartitionEpoch != 3 || st.Repartitions != 1 || samePools(s, pools) || len(s.Pools()) != len(pools) {
+		t.Fatalf("completed swap: %+v, %d pools; want epoch 3, 1 repartition, %d fresh pools", st, len(s.Pools()), len(pools))
+	}
+	pools = s.Pools()
+	livePages := disk.NumPages()
 	disk.left = disk.allocs * 3 / 4
 	if err := s.swapPartitions(an); err == nil {
 		t.Fatal("swap over an exhausted disk succeeded")
 	}
-	if e0, e1 := s.shards[0].epoch, s.shards[1].epoch; e0 != 4 || e1 != 3 {
-		t.Fatalf("epochs after the partial swap: %d/%d, want 4/3", e0, e1)
+	if st := s.Stats(); st.PartitionEpoch != 4 || st.Repartitions != 1 || st.SwapInFlight {
+		t.Fatalf("failed swap: %+v; want epoch 4 consumed, still 1 repartition, no swap in flight", st)
 	}
-	if got := len(s.Pools()); got != wantPools {
-		t.Fatalf("live pools after the failed swap: %d, want %d (fresh pools not retired)", got, wantPools)
+	if !samePools(s, pools) {
+		t.Fatal("failed swap changed the live pools (fresh pools registered, or old ones retired)")
 	}
-	if n := s.Stats().Repartitions; n != 1 {
-		t.Fatalf("failed swap counted as a repartition: %d", n)
+	if got := disk.NumPages(); got != livePages {
+		t.Fatalf("failed swap left %d live pages, want %d (fresh pools' pages not freed)", got, livePages)
 	}
-	mustMatchOracle(t, s, oracle, ids, "after partial swap")
-	total := 0
-	for _, p := range s.Partitions() { // mid-mix snapshot: shard 0's epoch only
-		total += p.Size
+	if total := sizesSum(); total != oracle.Len() {
+		t.Fatalf("partition sizes after the failed swap sum to %d, want %d", total, oracle.Len())
 	}
-	if total == 0 || total >= oracle.Len() {
-		t.Fatalf("partition sizes across an epoch mix sum to %d of %d", total, oracle.Len())
-	}
-	// The disk heals. Both sides of the mix still take every verb.
+	mustMatchOracle(t, s, oracle, ids, "after failed swap")
+	// The disk heals. The old manager still takes every verb.
 	disk.left = -1
 	for _, id := range ids {
 		o, _ := oracle.Get(id)
 		upd := o
 		upd.Pos, upd.T = o.PosAt(5), 5
 		if err := s.Update(o, upd); err != nil {
-			t.Fatalf("update of %d across the epoch mix: %v", id, err)
+			t.Fatalf("update of %d after the failed swap: %v", id, err)
 		}
 		_ = oracle.Update(o, upd)
 	}
 	for _, id := range ids[:40] {
 		if err := s.Remove(id); err != nil {
-			t.Fatalf("remove of %d across the epoch mix: %v", id, err)
+			t.Fatalf("remove of %d after the failed swap: %v", id, err)
 		}
 		o, _ := oracle.Get(id)
 		_ = oracle.Delete(o)
 	}
-	mustMatchOracle(t, s, oracle, ids, "after writes across the mix")
+	mustMatchOracle(t, s, oracle, ids, "after writes following the failed swap")
 
-	// An automatic check on unchanged traffic reads ~zero drift, but must
-	// still finish the mix.
+	// A failed swap leaves nothing half-done, so an automatic check on
+	// unchanged traffic reads ~zero drift and has nothing to finish...
 	s.driftCheck()
-	if last.Err != nil || !last.Swapped || last.Drift > DefaultDriftThreshold {
-		t.Fatalf("finishing check: %+v (want a swap at sub-threshold drift)", last)
+	if last.Op != MaintDriftCheck || last.Err != nil || last.Swapped || last.Drift > DefaultDriftThreshold {
+		t.Fatalf("check after the failed swap: %+v (want a clean sub-threshold check, no swap)", last)
 	}
-	if e0, e1 := s.shards[0].epoch, s.shards[1].epoch; e0 != 5 || e1 != 5 {
-		t.Fatalf("epochs after the finishing check: %d/%d, want 5/5", e0, e1)
+	if !samePools(s, pools) {
+		t.Fatal("sub-threshold check replaced the pools")
 	}
-	total = 0
-	for _, p := range s.Partitions() {
-		total += p.Size
+	// ...and the manual trigger goes through.
+	if err := s.Repartition(); err != nil {
+		t.Fatal(err)
 	}
-	if total != oracle.Len() {
+	if st := s.Stats(); st.PartitionEpoch != 5 || st.Repartitions != 2 || len(s.Pools()) != len(pools) || samePools(s, pools) {
+		t.Fatalf("repartition after the failed swap: %+v, %d pools", st, len(s.Pools()))
+	}
+	if total := sizesSum(); total != oracle.Len() {
 		t.Fatalf("partition sizes sum to %d, want %d", total, oracle.Len())
 	}
-	mustMatchOracle(t, s, oracle, ids, "after finishing check")
+	mustMatchOracle(t, s, oracle, ids, "after repartition")
 }
 
 // TestBootstrapSwapFailureRearmsTrip drives the bootstrap — the first call of
 // the one migration routine — through a failed swap: the tripping write still
-// succeeds, the failure is a MaintBootstrap event, the unpartitioned managers
-// keep serving, and the trip re-arms a full sample later, when the bootstrap
+// succeeds, the failure is a MaintBootstrap event, the unpartitioned manager
+// and its one pool keep serving, and the trip re-arms a full sample later, when the bootstrap
 // analyzes everything collected so far and goes through.
 func TestBootstrapSwapFailureRearmsTrip(t *testing.T) {
 	const threshold = 100
@@ -202,6 +239,7 @@ func TestBootstrapSwapFailureRearmsTrip(t *testing.T) {
 	}
 	disk := &budgetDisk{PageStore: s.disk, left: 1}
 	s.disk = disk
+	pool := s.Pools()[0]
 	rng := rand.New(rand.NewSource(9))
 	oracle := model.NewBruteForce()
 	var ids []ObjectID
@@ -222,8 +260,8 @@ func TestBootstrapSwapFailureRearmsTrip(t *testing.T) {
 	if c, target := s.BootstrapProgress(); c != threshold || target != 2*threshold {
 		t.Fatalf("progress after the failed bootstrap: %d/%d", c, target)
 	}
-	if got := len(s.Pools()); got != 2 {
-		t.Fatalf("live pools after the failed bootstrap: %d, want one per shard", got)
+	if got := s.Pools(); len(got) != 1 || got[0] != pool {
+		t.Fatalf("live pools after the failed bootstrap: %d, want the one unpartitioned pool", len(got))
 	}
 	if _, ok := s.Analysis(); ok {
 		t.Fatal("analysis reported before a completed bootstrap")
@@ -261,7 +299,7 @@ func TestBootstrapSwapFailureRearmsTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustMatchOracle(t, s, oracle, ids, "after bootstrap")
-	// The velocity rings are bounded again once the shards are swapped.
+	// The velocity rings are bounded again once the Store is partitioned.
 	for i, sh := range s.shards {
 		if len(sh.res) > s.resCap {
 			t.Fatalf("shard %d ring holds %d velocities, cap %d", i, len(sh.res), s.resCap)

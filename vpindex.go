@@ -58,21 +58,23 @@
 // throughout.
 //
 // The partitions also stay adaptive after the bootstrap (Section 5.5 of
-// the paper): each shard keeps a bounded reservoir of recently reported
+// the paper): the Store keeps a bounded reservoir of recently reported
 // velocities, and a configured policy (WithRepartitionPolicy)
-// periodically re-analyzes it off the write path,
-// rebuilding the partitions shard by shard when the dominant axes have
-// drifted — Store.Repartition is the manual trigger. Maintenance outcomes
+// periodically re-analyzes it off the write path, rebuilding the
+// partitions in one swap when the dominant axes have drifted —
+// Store.Repartition is the manual trigger. Maintenance outcomes
 // are decoupled from the write verbs: see Store.LastMaintenanceError and
 // WithMaintenanceHook.
 //
 // # Concurrency
 //
-// The Store is sharded by ObjectID (WithShards, default GOMAXPROCS): each
-// shard has its own lock and index structure, so ID-keyed writes to
-// different shards run in parallel, and queries fan out across shards and
-// velocity partitions with bounded worker pools (WithSearchParallelism)
-// whose merged results are byte-identical to the sequential probe order.
+// The Store has one set of partition indexes — k+1 of them — and stripes its
+// id-keyed tables by ObjectID (WithShards, default GOMAXPROCS). Writes lock
+// their id's stripe and then only the one or two partitions they touch, so
+// writes to different partitions run in parallel; a query probes the k+1
+// partitions with a bounded worker pool (WithSearchParallelism) whose merged
+// results are byte-identical to the sequential probe order, and sees one
+// instant of the whole Store.
 //
 // # Storage
 //
