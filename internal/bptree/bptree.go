@@ -9,12 +9,25 @@
 // is charged through the same I/O accounting the paper measures. Duplicate
 // keys are supported naturally because the object id participates in the
 // ordering, keeping every composite key unique.
+//
+// The page is the data structure for point operations. Insert, Delete and
+// Get binary-search the separator keys of each internal page in place, one
+// pin per level released before the next, and finish with one pin on the
+// leaf whose closure binary-searches the packed record slots, shifts the
+// tail and patches the count: height page accesses, nothing decoded,
+// nothing allocated. Only a structural change — a full leaf, an underfull
+// child — decodes pages into nodes, and split, borrow and merge exist once,
+// on that decoded form. Range scans (Scan, ScanMany) keep a decoded path.
+//
+// Every reader validates a page's tag and count before trusting them; a page
+// that fails reports an error wrapping storage.ErrCorruptPage.
 package bptree
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/model"
@@ -89,12 +102,14 @@ type node struct {
 	children []storage.PageID // internal only, len(keys)+1
 }
 
-// Tree is the B+-tree handle. Mutations are not safe for concurrent use;
-// callers (the Bx-tree, which is itself wrapped by the VP manager's lock)
-// serialize them. Read-only operations (Scan, Get) may run concurrently
-// with each other — they share no mutable tree state and all page access is
-// serialized by the buffer pool — which is what lets the VP manager fan a
-// query out across partitions under a read lock.
+// Tree is the B+-tree handle. Mutations are not safe for concurrent use
+// with anything, reads included: Insert and Delete rewrite leaf bytes in
+// place inside the buffer-pool frame, which is sound only because
+// core.Manager holds the partition lock exclusively for writes and shared
+// for queries. Read-only operations (Scan, ScanMany, Get) may run
+// concurrently with each other — they share no mutable tree state and the
+// buffer pool serializes page residency — which is what lets the VP manager
+// fan a query out across partitions under read locks.
 type Tree struct {
 	pool   *storage.BufferPool
 	root   storage.PageID
@@ -162,7 +177,94 @@ func decodeEntry(b []byte) Entry {
 	}
 }
 
-// readNode decodes the page into a fresh node.
+// errCorrupt reports a page whose tag or count cannot be what this tree
+// wrote; it unwraps to storage.ErrCorruptPage.
+func errCorrupt(id storage.PageID) error {
+	return fmt.Errorf("bptree: page %d has a bad tag or count: %w", id, storage.ErrCorruptPage)
+}
+
+// pageCount returns the count field of a raw page, and whether the page
+// carries the wanted tag with a count that fits it (max is LeafCap or
+// InternalCap). Nothing may index a page by its count before this says ok.
+func pageCount(data []byte, tag byte, max int) (count int, ok bool) {
+	count = int(binary.LittleEndian.Uint16(data[1:3]))
+	return count, data[0] == tag && count <= max
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// decodeNode fills n from a raw page, reusing n's slice capacity; false
+// means the page is corrupt (see pageCount). It does not set n.id.
+func decodeNode(n *node, data []byte) bool {
+	n.leaf = data[0] == tagLeaf
+	n.next = storage.NilPage
+	n.entries = n.entries[:0]
+	n.keys = n.keys[:0]
+	n.children = n.children[:0]
+	if n.leaf {
+		count, ok := pageCount(data, tagLeaf, LeafCap)
+		if !ok {
+			return false
+		}
+		n.next = storage.PageID(binary.LittleEndian.Uint64(data[3:11]))
+		n.entries = resize(n.entries, count)
+		for i := range n.entries {
+			n.entries[i] = decodeEntry(data[leafHeader+i*entrySize:])
+		}
+		return true
+	}
+	count, ok := pageCount(data, tagInternal, InternalCap)
+	if !ok {
+		return false
+	}
+	n.children = resize(n.children, count+1)
+	for i := range n.children {
+		n.children[i] = storage.PageID(binary.LittleEndian.Uint64(data[3+i*8:]))
+	}
+	n.keys = resize(n.keys, count)
+	keys := data[3+(count+1)*8:]
+	for i := range n.keys {
+		n.keys[i] = getKey(keys[i*keySize:])
+	}
+	return true
+}
+
+// encodeNode is the inverse of decodeNode.
+func encodeNode(data []byte, n *node) {
+	if n.leaf {
+		data[0] = tagLeaf
+		binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.entries)))
+		binary.LittleEndian.PutUint64(data[3:11], uint64(n.next))
+		off := leafHeader
+		for _, e := range n.entries {
+			encodeEntry(data[off:off+entrySize], e)
+			off += entrySize
+		}
+		return
+	}
+	data[0] = tagInternal
+	binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.keys)))
+	off := 3
+	for _, c := range n.children {
+		binary.LittleEndian.PutUint64(data[off:off+8], uint64(c))
+		off += 8
+	}
+	for _, k := range n.keys {
+		putKey(data[off:off+keySize], k)
+		off += keySize
+	}
+}
+
+// readNode decodes the page into a fresh node. Only the structural slow
+// path (fixChild) and CheckInvariants use it: they hold several decoded
+// nodes alive at once.
 func (t *Tree) readNode(id storage.PageID) (*node, error) {
 	n := new(node)
 	if err := t.readNodeInto(n, id); err != nil {
@@ -171,104 +273,89 @@ func (t *Tree) readNode(id storage.PageID) (*node, error) {
 	return n, nil
 }
 
-// readNodeInto decodes the page into n, reusing n's slice capacity. The
-// read-only traversals (Scan, Get) recycle one node across a whole descent
-// plus leaf chain instead of allocating a decoded image per page; mutating
-// paths keep readNode because they hold several nodes alive at once.
+// readNodeInto decodes the page into n, reusing n's slice capacity, so Scan
+// recycles one node across its whole leaf chain instead of allocating a
+// decoded image per page (ScanMany does the same for its path stack in
+// readFrame).
 // Callers must not retain decoded slices across a subsequent readNodeInto of
 // the same node.
 func (t *Tree) readNodeInto(n *node, id storage.PageID) error {
-	n.id = id
-	n.leaf = false
-	n.next = storage.NilPage
-	n.entries = n.entries[:0]
-	n.keys = n.keys[:0]
-	n.children = n.children[:0]
-	err := t.pool.Read(id, func(data []byte) {
-		switch data[0] {
-		case tagLeaf:
-			n.leaf = true
-			count := int(binary.LittleEndian.Uint16(data[1:3]))
-			n.next = storage.PageID(binary.LittleEndian.Uint64(data[3:11]))
-			if cap(n.entries) < count {
-				n.entries = make([]Entry, count)
-			} else {
-				n.entries = n.entries[:count]
-			}
-			off := leafHeader
-			for i := 0; i < count; i++ {
-				n.entries[i] = decodeEntry(data[off : off+entrySize])
-				off += entrySize
-			}
-		case tagInternal:
-			count := int(binary.LittleEndian.Uint16(data[1:3]))
-			if cap(n.children) < count+1 {
-				n.children = make([]storage.PageID, count+1)
-			} else {
-				n.children = n.children[:count+1]
-			}
-			off := 3
-			for i := 0; i <= count; i++ {
-				n.children[i] = storage.PageID(binary.LittleEndian.Uint64(data[off : off+8]))
-				off += 8
-			}
-			if cap(n.keys) < count {
-				n.keys = make([]Key, count)
-			} else {
-				n.keys = n.keys[:count]
-			}
-			for i := 0; i < count; i++ {
-				n.keys[i] = getKey(data[off : off+keySize])
-				off += keySize
-			}
-		default:
-			// Signal through the closure by leaving n.leaf and counts zeroed;
-			// detect below via the tag copy.
-			n.id = storage.NilPage
-		}
-	})
-	if err != nil {
+	ok := false
+	if err := t.pool.Read(id, func(data []byte) { ok = decodeNode(n, data) }); err != nil {
 		return err
 	}
-	if n.id == storage.NilPage {
-		return fmt.Errorf("bptree: page %d has unknown tag", id)
+	if !ok {
+		return errCorrupt(id)
 	}
+	n.id = id
 	return nil
 }
 
 // writeNode encodes the node onto its page.
 func (t *Tree) writeNode(n *node) error {
-	return t.pool.Write(n.id, func(data []byte) {
-		if n.leaf {
-			data[0] = tagLeaf
-			binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.entries)))
-			binary.LittleEndian.PutUint64(data[3:11], uint64(n.next))
-			off := leafHeader
-			for _, e := range n.entries {
-				encodeEntry(data[off:off+entrySize], e)
-				off += entrySize
-			}
-		} else {
-			data[0] = tagInternal
-			binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.keys)))
-			off := 3
-			for _, c := range n.children {
-				binary.LittleEndian.PutUint64(data[off:off+8], uint64(c))
-				off += 8
-			}
-			for _, k := range n.keys {
-				putKey(data[off:off+keySize], k)
-				off += keySize
-			}
-		}
-	})
+	return t.pool.Write(n.id, func(data []byte) { encodeNode(data, n) })
 }
 
-// --- search helpers --------------------------------------------------------
+// --- raw page search -------------------------------------------------------
 
-// childIndex returns the child slot to descend for key k: the first i with
-// k < keys[i], else the last child. Separator keys[i] is the smallest key
-// in children[i+1].
+// childFor returns the child of internal page id to descend into for key k
+// and its slot: the first i with k < keys[i], else the last child (separator
+// keys[i] is the smallest key in children[i+1]). It binary-searches the
+// separators in the raw page under one pin and decodes nothing.
+func (t *Tree) childFor(id storage.PageID, k Key) (child storage.PageID, ci int, err error) {
+	perr := t.pool.Read(id, func(data []byte) {
+		count, ok := pageCount(data, tagInternal, InternalCap)
+		if !ok {
+			err = errCorrupt(id)
+			return
+		}
+		keys := data[3+(count+1)*8:]
+		lo, hi := 0, count
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if k.Less(getKey(keys[mid*keySize:])) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		child, ci = storage.PageID(binary.LittleEndian.Uint64(data[3+lo*8:])), lo
+	})
+	if perr != nil {
+		return storage.NilPage, 0, perr
+	}
+	return child, ci, err
+}
+
+// leafFor descends from the root to the leaf page owning k's key space.
+func (t *Tree) leafFor(k Key) (storage.PageID, error) {
+	id := t.root
+	for level := t.height; level > 1; level-- {
+		var err error
+		if id, _, err = t.childFor(id, k); err != nil {
+			return storage.NilPage, err
+		}
+	}
+	return id, nil
+}
+
+// leafSearch returns the first slot of a raw leaf page holding count records
+// whose key is >= k, and whether that slot holds exactly k.
+func leafSearch(data []byte, count int, k Key) (slot int, found bool) {
+	lo, hi := 0, count
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if getKey(data[leafHeader+mid*entrySize:]).Less(k) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < count && getKey(data[leafHeader+lo*entrySize:]) == k
+}
+
+// childIndex and leafLowerBound are the same two searches on decoded nodes,
+// for the scans.
 func childIndex(keys []Key, k Key) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
@@ -282,7 +369,6 @@ func childIndex(keys []Key, k Key) int {
 	return lo
 }
 
-// leafLowerBound returns the first entry index with entries[i].Key >= k.
 func leafLowerBound(entries []Entry, k Key) int {
 	lo, hi := 0, len(entries)
 	for lo < hi {
@@ -298,8 +384,17 @@ func leafLowerBound(entries []Entry, k Key) int {
 
 // --- insert ----------------------------------------------------------------
 
-// Insert adds an entry. Inserting an existing composite key returns an
-// error (updates are delete+insert, per the moving-object model).
+// Insert adds an entry. Inserting an existing composite key returns an error
+// wrapping model.ErrDuplicate and changes nothing (updates are delete+insert,
+// per the moving-object model).
+//
+// Page budget: height accesses — one read pin per internal level, one write
+// pin on the leaf. A full leaf (about 1 insert in 36) adds 3: its two halves'
+// writes and one read-modify-write pin on the parent; each further level
+// that splits adds 3 again, its halves and the next parent (or the new root).
+// The leaf pin marks the frame dirty even when the insert is rejected; the
+// callers above screen duplicates out against their id table, so that is an
+// error path, not a cost.
 func (t *Tree) Insert(e Entry) error {
 	split, err := t.insertRec(t.root, t.height, e)
 	if err != nil {
@@ -333,42 +428,84 @@ type splitResult struct {
 }
 
 func (t *Tree) insertRec(id storage.PageID, level int, e Entry) (*splitResult, error) {
-	n, err := t.readNode(id)
+	if level == 1 {
+		over, err := t.insertLeaf(id, e)
+		if over == nil {
+			return nil, err
+		}
+		return t.splitLeaf(over)
+	}
+	child, ci, err := t.childFor(id, e.Key)
 	if err != nil {
 		return nil, err
 	}
-	if level == 1 {
-		if !n.leaf {
-			return nil, fmt.Errorf("bptree: expected leaf at page %d", id)
-		}
-		i := leafLowerBound(n.entries, e.Key)
-		if i < len(n.entries) && n.entries[i].Key == e.Key {
-			return nil, fmt.Errorf("bptree: duplicate key (%d,%d)", e.Key.K, e.Key.ID)
-		}
-		n.entries = append(n.entries, Entry{})
-		copy(n.entries[i+1:], n.entries[i:])
-		n.entries[i] = e
-		if len(n.entries) <= LeafCap {
-			return nil, t.writeNode(n)
-		}
-		return t.splitLeaf(n)
-	}
-	ci := childIndex(n.keys, e.Key)
-	split, err := t.insertRec(n.children[ci], level-1, e)
+	split, err := t.insertRec(child, level-1, e)
 	if err != nil || split == nil {
 		return nil, err
 	}
-	// Insert the separator and right child at slot ci.
-	n.keys = append(n.keys, Key{})
-	copy(n.keys[ci+1:], n.keys[ci:])
-	n.keys[ci] = split.key
-	n.children = append(n.children, storage.NilPage)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = split.right
-	if len(n.keys) <= InternalCap {
-		return nil, t.writeNode(n)
+	over, err := t.insertSeparator(id, ci, split)
+	if over == nil {
+		return nil, err
 	}
-	return t.splitInternal(n)
+	return t.splitInternal(over)
+}
+
+// insertLeaf adds e to leaf page id in place under one write pin: search the
+// packed slots, shift the tail up one slot, patch the count. A leaf already
+// at LeafCap is instead returned decoded with e in position (LeafCap+1
+// entries) for splitLeaf, the page left as it was.
+func (t *Tree) insertLeaf(id storage.PageID, e Entry) (over *node, err error) {
+	perr := t.pool.Write(id, func(data []byte) {
+		count, ok := pageCount(data, tagLeaf, LeafCap)
+		if !ok {
+			err = errCorrupt(id)
+			return
+		}
+		i, dup := leafSearch(data, count, e.Key)
+		if dup {
+			err = fmt.Errorf("bptree: insert of key (%d,%d): %w", e.Key.K, e.Key.ID, model.ErrDuplicate)
+			return
+		}
+		if count == LeafCap {
+			over = &node{id: id, entries: make([]Entry, 0, LeafCap+1)}
+			decodeNode(over, data)
+			over.entries = slices.Insert(over.entries, i, e)
+			return
+		}
+		off, end := leafHeader+i*entrySize, leafHeader+count*entrySize
+		copy(data[off+entrySize:end+entrySize], data[off:end])
+		encodeEntry(data[off:off+entrySize], e)
+		binary.LittleEndian.PutUint16(data[1:3], uint16(count+1))
+	})
+	if perr != nil {
+		return nil, perr
+	}
+	return over, err
+}
+
+// insertSeparator records a child split in internal page id under one write
+// pin: decode, put the separator and right child in at slot ci, re-encode.
+// A node pushed past InternalCap is instead returned decoded for
+// splitInternal, the page left as it was.
+func (t *Tree) insertSeparator(id storage.PageID, ci int, split *splitResult) (over *node, err error) {
+	n := &node{id: id}
+	perr := t.pool.Write(id, func(data []byte) {
+		if !decodeNode(n, data) || n.leaf {
+			err = errCorrupt(id)
+			return
+		}
+		n.keys = slices.Insert(n.keys, ci, split.key)
+		n.children = slices.Insert(n.children, ci+1, split.right)
+		if len(n.keys) > InternalCap {
+			over = n
+			return
+		}
+		encodeNode(data, n)
+	})
+	if perr != nil {
+		return nil, perr
+	}
+	return over, err
 }
 
 func (t *Tree) splitLeaf(n *node) (*splitResult, error) {
@@ -421,8 +558,16 @@ func (t *Tree) splitInternal(n *node) (*splitResult, error) {
 
 // Delete removes the entry with the given composite key; model.ErrNotFound
 // if absent.
+//
+// Page budget: height accesses — one read pin per internal level, one write
+// pin on the leaf. A leaf that drops below half full tells its parent, which
+// alone then pays for the rebalance: its own decode, the two siblings, and
+// two (merge) or three (borrow) writes. A merge that leaves the parent
+// underfull repeats that one level up; one that empties the root collapses
+// it with no further access. As with Insert, the leaf pin marks the frame
+// dirty even when the key is absent.
 func (t *Tree) Delete(k Key) error {
-	found, err := t.deleteRec(t.root, t.height, k)
+	found, _, err := t.deleteRec(t.root, t.height, k)
 	if err != nil {
 		return err
 	}
@@ -430,59 +575,70 @@ func (t *Tree) Delete(k Key) error {
 		return model.ErrNotFound
 	}
 	t.size--
-	// Collapse the root if it became a trivial internal node.
-	if t.height > 1 {
-		root, err := t.readNode(t.root)
-		if err != nil {
-			return err
-		}
-		if len(root.keys) == 0 {
-			old := t.root
-			t.root = root.children[0]
-			t.height--
-			if err := t.pool.Free(old); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
-func (t *Tree) deleteRec(id storage.PageID, level int, k Key) (bool, error) {
+// deleteRec removes k from the subtree at id and reports whether that left
+// the node at id underfull, for the parent to rebalance.
+func (t *Tree) deleteRec(id storage.PageID, level int, k Key) (found, underfull bool, err error) {
+	if level == 1 {
+		return t.deleteLeaf(id, k)
+	}
+	child, ci, err := t.childFor(id, k)
+	if err != nil {
+		return false, false, err
+	}
+	found, underfull, err = t.deleteRec(child, level-1, k)
+	if err != nil || !underfull {
+		return found, false, err
+	}
 	n, err := t.readNode(id)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
-	if level == 1 {
-		i := leafLowerBound(n.entries, k)
-		if i >= len(n.entries) || n.entries[i].Key != k {
-			return false, nil
-		}
-		n.entries = append(n.entries[:i], n.entries[i+1:]...)
-		return true, t.writeNode(n)
-	}
-	ci := childIndex(n.keys, k)
-	found, err := t.deleteRec(n.children[ci], level-1, k)
-	if err != nil || !found {
-		return found, err
-	}
-	// Rebalance child ci if it underflowed.
 	if err := t.fixChild(n, ci, level-1); err != nil {
-		return false, err
+		return false, false, err
 	}
-	return true, nil
+	if id == t.root && len(n.keys) == 0 {
+		// The merge left the root one child: that child is the new root.
+		t.root = n.children[0]
+		t.height--
+		if err := t.pool.Free(id); err != nil {
+			return false, false, err
+		}
+	}
+	return true, len(n.keys) < internalMin, nil
 }
 
-// fixChild rebalances n.children[ci] (at the given level) if underfull,
-// borrowing from or merging with a sibling, then rewrites n.
+// deleteLeaf removes k from leaf page id in place under one write pin:
+// search the packed slots, shift the tail down one slot, patch the count.
+func (t *Tree) deleteLeaf(id storage.PageID, k Key) (found, underfull bool, err error) {
+	perr := t.pool.Write(id, func(data []byte) {
+		count, ok := pageCount(data, tagLeaf, LeafCap)
+		if !ok {
+			err = errCorrupt(id)
+			return
+		}
+		i, hit := leafSearch(data, count, k)
+		if !hit {
+			return
+		}
+		off, end := leafHeader+i*entrySize, leafHeader+count*entrySize
+		copy(data[off:], data[off+entrySize:end])
+		binary.LittleEndian.PutUint16(data[1:3], uint16(count-1))
+		found, underfull = true, count-1 < leafMin
+	})
+	if perr != nil {
+		return false, false, perr
+	}
+	return found, underfull, err
+}
+
+// fixChild rebalances the underfull n.children[ci] (at childLevel) by
+// borrowing from or merging with a sibling, then rewrites n. It runs only
+// for a child that reported underflow and is the only place sibling pages
+// are read.
 func (t *Tree) fixChild(n *node, ci, childLevel int) error {
-	child, err := t.readNode(n.children[ci])
-	if err != nil {
-		return err
-	}
-	if !t.underfull(child) {
-		return nil
-	}
 	// Prefer the left sibling, else the right.
 	var li, ri int // indexes of left/right pair to work with
 	if ci > 0 {
@@ -500,9 +656,12 @@ func (t *Tree) fixChild(n *node, ci, childLevel int) error {
 	if err != nil {
 		return err
 	}
+	if leaf := childLevel == 1; left.leaf != leaf || right.leaf != leaf {
+		return errCorrupt(n.id)
+	}
 	sep := n.keys[li] // separator between left and right
 
-	if child.leaf {
+	if left.leaf {
 		if len(left.entries)+len(right.entries) <= LeafCap {
 			// Merge right into left.
 			left.entries = append(left.entries, right.entries...)
@@ -572,38 +731,30 @@ func (t *Tree) fixChild(n *node, ci, childLevel int) error {
 	return t.writeNode(n)
 }
 
-func (t *Tree) underfull(n *node) bool {
-	if n.leaf {
-		return len(n.entries) < leafMin
-	}
-	return len(n.keys) < internalMin
-}
-
 // --- scans -----------------------------------------------------------------
 
 // Scan visits entries with loKey <= Key.K < hiKey in key order, following
-// the leaf chain. visit returning false stops the scan early. The whole
-// traversal decodes pages into one stack-allocated scratch node: the scan
-// path allocates nothing per page, so a query's cost is its I/O, not its
-// garbage. visit receives each entry by value and may retain it.
+// the leaf chain. visit returning false stops the scan early. The descent
+// searches raw pages and the leaf chain decodes into one stack-allocated
+// scratch node: the scan path allocates nothing per page, so a query's cost
+// is its I/O, not its garbage. visit receives each entry by value and may
+// retain it.
 func (t *Tree) Scan(loKey, hiKey uint64, visit func(Entry) bool) error {
 	if hiKey <= loKey {
 		return nil
 	}
 	lo := Key{K: loKey, ID: 0}
-	id := t.root
-	level := t.height
-	var n node
-	for level > 1 {
-		if err := t.readNodeInto(&n, id); err != nil {
-			return err
-		}
-		id = n.children[childIndex(n.keys, lo)]
-		level--
+	id, err := t.leafFor(lo)
+	if err != nil {
+		return err
 	}
+	var n node
 	for id != storage.NilPage {
 		if err := t.readNodeInto(&n, id); err != nil {
 			return err
+		}
+		if !n.leaf {
+			return errCorrupt(id)
 		}
 		i := leafLowerBound(n.entries, lo)
 		for ; i < len(n.entries); i++ {
@@ -620,26 +771,28 @@ func (t *Tree) Scan(loKey, hiKey uint64, visit func(Entry) bool) error {
 	return nil
 }
 
-// Get returns the entry with the exact composite key.
-func (t *Tree) Get(k Key) (Entry, bool, error) {
-	id := t.root
-	level := t.height
-	var n node
-	for level > 1 {
-		if err := t.readNodeInto(&n, id); err != nil {
-			return Entry{}, false, err
-		}
-		id = n.children[childIndex(n.keys, k)]
-		level--
-	}
-	if err := t.readNodeInto(&n, id); err != nil {
+// Get returns the entry with the exact composite key, in height page
+// accesses, decoding only the entry it returns.
+func (t *Tree) Get(k Key) (e Entry, found bool, err error) {
+	id, err := t.leafFor(k)
+	if err != nil {
 		return Entry{}, false, err
 	}
-	i := leafLowerBound(n.entries, k)
-	if i < len(n.entries) && n.entries[i].Key == k {
-		return n.entries[i], true, nil
+	perr := t.pool.Read(id, func(data []byte) {
+		count, ok := pageCount(data, tagLeaf, LeafCap)
+		if !ok {
+			err = errCorrupt(id)
+			return
+		}
+		var i int
+		if i, found = leafSearch(data, count, k); found {
+			e = decodeEntry(data[leafHeader+i*entrySize:])
+		}
+	})
+	if perr != nil {
+		return Entry{}, false, perr
 	}
-	return Entry{}, false, nil
+	return e, found, err
 }
 
 // --- invariants (tests) ----------------------------------------------------

@@ -1,7 +1,10 @@
 package bptree
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -67,15 +70,44 @@ func TestInsertGetSmall(t *testing.T) {
 	}
 }
 
+// TestDuplicateInsertRejected: a rejected insert is typed (errors.Is
+// model.ErrDuplicate, the counterpart of Delete's model.ErrNotFound) and
+// leaves the tree exactly as it was, full leaves included.
 func TestDuplicateInsertRejected(t *testing.T) {
 	tr := newTestTree(t, 50)
-	e := mkEntry(5, 5)
-	if err := tr.Insert(e); err != nil {
+	for k := uint64(0); k < LeafCap; k++ { // exactly one full root leaf
+		if err := tr.Insert(mkEntry(k, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := scanAll(t, tr)
+	dup := mkEntry(7, 5)
+	dup.T = -1 // a different payload under the same composite key must not land
+	err := tr.Insert(dup)
+	if !errors.Is(err, model.ErrDuplicate) {
+		t.Fatalf("duplicate insert: err = %v, want one wrapping model.ErrDuplicate", err)
+	}
+	if tr.Len() != LeafCap || tr.Height() != 1 {
+		t.Fatalf("after rejected insert: Len %d Height %d, want %d and 1", tr.Len(), tr.Height(), LeafCap)
+	}
+	if after := scanAll(t, tr); !slices.Equal(before, after) {
+		t.Fatal("rejected insert changed the leaf contents")
+	}
+	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(e); err == nil {
-		t.Fatal("duplicate composite key should be rejected")
+}
+
+func scanAll(t *testing.T, tr *Tree) []Entry {
+	t.Helper()
+	var out []Entry
+	if err := tr.Scan(0, ^uint64(0), func(e Entry) bool {
+		out = append(out, e)
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
+	return out
 }
 
 func TestSameKeyDifferentIDs(t *testing.T) {
@@ -211,65 +243,103 @@ func TestScanRange(t *testing.T) {
 
 // TestModelEquivalence drives the tree and a sorted-map model with the same
 // random operation stream and checks full agreement (property-based model
-// test).
+// test), with the pool both smaller than a root-to-leaf path's working set
+// and comfortably larger. A second phase grows the tree to height 3 and
+// drains it to empty, so the root collapses through both levels.
 func TestModelEquivalence(t *testing.T) {
-	tr := newTestTree(t, 30)
+	for _, pages := range []int{3, 30} {
+		t.Run(fmt.Sprintf("pool=%d", pages), func(t *testing.T) { testModelEquivalence(t, pages) })
+	}
+}
+
+func testModelEquivalence(t *testing.T, pages int) {
+	tr := newTestTree(t, pages)
 	oracle := make(map[Key]Entry)
 	rng := rand.New(rand.NewSource(99))
 
-	randKey := func() Key {
-		return Key{K: uint64(rng.Intn(300)), ID: model.ObjectID(rng.Intn(50))}
-	}
-	for step := 0; step < 20000; step++ {
-		k := randKey()
-		switch rng.Intn(3) {
-		case 0, 1: // insert
-			e := Entry{Key: k, Pos: geom.V(rng.Float64(), rng.Float64()), T: float64(step)}
-			_, exists := oracle[k]
-			err := tr.Insert(e)
-			if exists && err == nil {
-				t.Fatalf("step %d: duplicate insert accepted", step)
-			}
-			if !exists {
-				if err != nil {
-					t.Fatalf("step %d: insert failed: %v", step, err)
-				}
-				oracle[k] = e
-			}
-		case 2: // delete
-			_, exists := oracle[k]
-			err := tr.Delete(k)
-			if exists != (err == nil) {
-				t.Fatalf("step %d: delete mismatch: exists=%v err=%v", step, exists, err)
-			}
-			delete(oracle, k)
+	step := 0
+	insert := func(k Key) {
+		e := Entry{Key: k, Pos: geom.V(rng.Float64(), rng.Float64()), T: float64(step)}
+		_, exists := oracle[k]
+		err := tr.Insert(e)
+		if exists != errors.Is(err, model.ErrDuplicate) || (!exists && err != nil) {
+			t.Fatalf("step %d: insert of %v: exists=%v err=%v", step, k, exists, err)
 		}
+		if !exists {
+			oracle[k] = e
+		}
+	}
+	remove := func(k Key) {
+		_, exists := oracle[k]
+		err := tr.Delete(k)
+		if exists != (err == nil) || (!exists && err != model.ErrNotFound) {
+			t.Fatalf("step %d: delete of %v: exists=%v err=%v", step, k, exists, err)
+		}
+		delete(oracle, k)
+	}
+	check := func() {
+		t.Helper()
 		if tr.Len() != len(oracle) {
 			t.Fatalf("step %d: len %d vs oracle %d", step, tr.Len(), len(oracle))
 		}
+		if step%500 != 0 {
+			return
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	compare := func() {
+		t.Helper()
+		fromTree := scanAll(t, tr)
+		if len(fromTree) != len(oracle) {
+			t.Fatalf("scan %d vs oracle %d", len(fromTree), len(oracle))
+		}
+		for _, e := range fromTree {
+			if want, ok := oracle[e.Key]; !ok || want != e {
+				t.Fatalf("tree has %+v, oracle %+v (present=%v)", e, want, ok)
+			}
+			if got, ok, err := tr.Get(e.Key); err != nil || !ok || got != e {
+				t.Fatalf("Get(%v) = %+v, %v, %v; scan saw %+v", e.Key, got, ok, err, e)
+			}
+		}
+	}
+
+	// Phase 1: mixed churn over a small key space (many duplicates and misses).
+	for ; step < 20000; step++ {
+		k := Key{K: uint64(rng.Intn(300)), ID: model.ObjectID(rng.Intn(50))}
+		if rng.Intn(3) < 2 {
+			insert(k)
+		} else {
+			remove(k)
+		}
+		check()
+	}
+	compare()
+
+	// Phase 2: grow to height 3, then drain to empty in random order.
+	for tr.Height() < 3 {
+		insert(Key{K: uint64(rng.Intn(1 << 20)), ID: model.ObjectID(rng.Intn(4))})
+		step++
+		check()
+	}
+	compare()
+	keys := make([]Key, 0, len(oracle))
+	for k := range oracle {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, b int) bool { return keys[a].Less(keys[b]) }) // map order is not seeded
+	rng.Shuffle(len(keys), func(a, b int) { keys[a], keys[b] = keys[b], keys[a] })
+	for _, k := range keys {
+		remove(k)
+		step++
+		check()
+	}
+	if tr.Len() != 0 || tr.Height() != 1 {
+		t.Fatalf("after drain: Len %d Height %d, want 0 and 1", tr.Len(), tr.Height())
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	// Final full comparison via scan.
-	var fromTree []Entry
-	if err := tr.Scan(0, ^uint64(0), func(e Entry) bool {
-		fromTree = append(fromTree, e)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(fromTree) != len(oracle) {
-		t.Fatalf("scan %d vs oracle %d", len(fromTree), len(oracle))
-	}
-	for _, e := range fromTree {
-		want, ok := oracle[e.Key]
-		if !ok {
-			t.Fatalf("tree has stray key %v", e.Key)
-		}
-		if want.T != e.T {
-			t.Fatalf("payload mismatch for %v", e.Key)
-		}
 	}
 }
 

@@ -42,11 +42,11 @@ type batchScanner struct {
 func (s *batchScanner) readFrame(f *scanFrame, id storage.PageID) error {
 	ok := false
 	err := s.t.pool.Read(id, func(data []byte) {
-		if data[0] != tagInternal {
+		count := int(binary.LittleEndian.Uint16(data[1:3]))
+		if data[0] != tagInternal || count > InternalCap {
 			return
 		}
 		ok = true
-		count := int(binary.LittleEndian.Uint16(data[1:3]))
 		if cap(f.children) < count+1 {
 			f.children = make([]storage.PageID, count+1)
 		} else {
@@ -71,7 +71,7 @@ func (s *batchScanner) readFrame(f *scanFrame, id storage.PageID) error {
 		return err
 	}
 	if !ok {
-		return fmt.Errorf("bptree: page %d is not an internal node", id)
+		return errCorrupt(id)
 	}
 	f.id = id
 	return nil
@@ -177,6 +177,10 @@ func (t *Tree) ScanMany(ranges []ScanRange, visit func(Entry) bool) error {
 				return
 			}
 			count = int(binary.LittleEndian.Uint16(data[1:3]))
+			if count > LeafCap {
+				badLeaf = true
+				return
+			}
 			next = storage.PageID(binary.LittleEndian.Uint64(data[3:11]))
 			if count == 0 {
 				return
@@ -211,7 +215,7 @@ func (t *Tree) ScanMany(ranges []ScanRange, visit func(Entry) bool) error {
 			return err
 		}
 		if badLeaf {
-			return fmt.Errorf("bptree: page %d is not a leaf", leaf)
+			return errCorrupt(leaf)
 		}
 		for _, e := range s.scratch {
 			if !visit(e) {

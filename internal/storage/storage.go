@@ -347,11 +347,14 @@ func (b *BufferPool) Stats() Stats {
 }
 
 // evictOne writes back and drops the stripe's least recently used unpinned
-// frame. evicted is false (with a nil error) when every frame is pinned —
-// the caller waits for an unpin; err reports only real write-back failures.
-// Caller holds s.mu (write). Pin counts cannot rise while the write lock is
-// held (pinning needs at least the read lock), so a zero-pin victim stays
-// evictable through the write-back.
+// frame and hands it to the caller to reuse for the page it is making room
+// for, so a miss does not allocate a fresh 4 KB frame right after dropping
+// one: no goroutine can still hold the victim (zero pins, gone from the table
+// under the write lock). It returns nil (with a nil error) when every frame
+// is pinned — the caller waits for an unpin; err reports only real
+// write-back failures. Caller holds s.mu (write). Pin counts cannot rise
+// while the write lock is held (pinning needs at least the read lock), so a
+// zero-pin victim stays evictable through the write-back.
 //
 // Victim selection scans the stripe — O(stripe capacity) — instead of
 // popping an intrusive LRU list. That is the deliberate price of the hit
@@ -359,7 +362,7 @@ func (b *BufferPool) Stats() Stats {
 // which is exactly the serialization the stamp design removes, while the
 // scan runs only on evictions, which accompany a disk access anyway and are
 // bounded by the stripe (not pool) capacity.
-func (b *BufferPool) evictOne(s *poolStripe) (evicted bool, err error) {
+func (b *BufferPool) evictOne(s *poolStripe) (*frame, error) {
 	var victim *frame
 	for _, f := range s.frames {
 		if f.pins.Load() != 0 {
@@ -370,16 +373,17 @@ func (b *BufferPool) evictOne(s *poolStripe) (evicted bool, err error) {
 		}
 	}
 	if victim == nil {
-		return false, nil
+		return nil, nil
 	}
 	if victim.dirty.Load() {
 		if err := b.writePage(victim.id, &victim.data); err != nil {
-			return false, err
+			return nil, err
 		}
 		b.writes.Add(1)
 	}
 	delete(s.frames, victim.id)
-	return true, nil
+	victim.dirty.Store(false)
+	return victim, nil
 }
 
 // pin returns the frame for id with one pin taken, loading the page from
@@ -405,6 +409,7 @@ func (b *BufferPool) pin(id PageID) (*frame, error) {
 	s.mu.RUnlock()
 
 	s.mu.Lock()
+	var f *frame // the evicted frame, if one had to go; readPage overwrites all of data
 	for {
 		if f, ok := s.frames[id]; ok {
 			f.pins.Add(1)
@@ -416,18 +421,21 @@ func (b *BufferPool) pin(id PageID) (*frame, error) {
 		if len(s.frames) < s.capacity {
 			break
 		}
-		evicted, err := b.evictOne(s)
-		if err != nil {
+		var err error
+		if f, err = b.evictOne(s); err != nil {
 			s.mu.Unlock()
 			return nil, err
 		}
-		if !evicted {
+		if f == nil {
 			s.waiters.Add(1)
 			s.cond.Wait()
 			s.waiters.Add(-1)
 		}
 	}
-	f := &frame{id: id}
+	if f == nil {
+		f = new(frame)
+	}
+	f.id = id
 	if err := b.readPage(id, &f.data); err != nil {
 		s.mu.Unlock()
 		return nil, err
@@ -495,18 +503,23 @@ func (b *BufferPool) Allocate() (PageID, error) {
 	s := b.stripeFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var f *frame // the evicted frame, if one had to go
 	for len(s.frames) >= s.capacity {
-		evicted, err := b.evictOne(s)
-		if err != nil {
+		if f, err = b.evictOne(s); err != nil {
 			return NilPage, err
 		}
-		if !evicted {
+		if f == nil {
 			s.waiters.Add(1)
 			s.cond.Wait()
 			s.waiters.Add(-1)
 		}
 	}
-	f := &frame{id: id}
+	if f == nil {
+		f = new(frame)
+	} else {
+		f.data = [PageSize]byte{}
+	}
+	f.id = id
 	f.dirty.Store(true)
 	f.stamp.Store(b.clock.Add(1))
 	s.frames[id] = f

@@ -112,6 +112,64 @@ func TestBufferPoolEvictionLRU(t *testing.T) {
 	}
 }
 
+// TestMissRecyclesEvictedFrame: a miss in a full pool reuses the frame it
+// evicts — no allocation per miss — and the reuse is invisible: a recycled
+// frame shows its own page's bytes (Allocate: zeros), comes back clean, and
+// every access is counted as before.
+func TestMissRecyclesEvictedFrame(t *testing.T) {
+	d := NewDisk()
+	p := NewBufferPool(d, 2)
+	ids := make([]PageID, 6)
+	for i := range ids {
+		id, err := p.Allocate() // from the third on, into an evicted dirty frame
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+		if err := p.Read(id, func(data []byte) {
+			for _, c := range data {
+				if c != 0 {
+					t.Fatalf("page %d allocated into a frame still holding old bytes", id)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(id, func(data []byte) {
+			for j := range data {
+				data[j] = byte(i + 1)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	before, writesBefore := p.Stats(), d.PhysicalWrites()
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		want := byte(i%len(ids) + 1)
+		if err := p.Read(ids[i%len(ids)], func(data []byte) {
+			if data[0] != want || data[PageSize-1] != want {
+				t.Errorf("page %d read %d..%d through a recycled frame, want %d", ids[i%len(ids)], data[0], data[PageSize-1], want)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a miss allocated %.1f times, want 0", allocs)
+	}
+	// A cyclic walk of 6 pages through 2 frames never hits; the pages were
+	// clean, and a recycled frame must not carry its predecessor's dirty bit.
+	after := p.Stats()
+	if after.Misses-before.Misses != int64(i) || after.Hits != before.Hits || after.Writes != before.Writes || d.PhysicalWrites() != writesBefore {
+		t.Fatalf("%d cyclic reads: stats %+v -> %+v, physical writes %d -> %d", i, before, after, writesBefore, d.PhysicalWrites())
+	}
+}
+
 func TestBufferPoolWriteBackOnEviction(t *testing.T) {
 	d := NewDisk()
 	p := NewBufferPool(d, 1)
