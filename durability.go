@@ -1,6 +1,7 @@
 package vpindex
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,7 +52,11 @@ import (
 // so every operation is either fully inside the snapshot or entirely after
 // the captured LSN — replay is exactly once. The fsync wait happens after
 // the shared lock is released, so a checkpoint never stalls behind group
-// commit. Swap records are the one exception: they are appended without
+// commit. That sequence is written once, in logged, and every logging verb
+// goes through it; concurrent writers are batched by the log's own group
+// commit (wal.Commit elects a flush leader and shares one fsync among the
+// committers waiting on it), not by a queue in front of it. Swap records are
+// the one exception to the protocol: they are appended without
 // commitMu (a swap runs inside maintenance, not inside a verb's pair) and
 // tolerate it by being idempotent — replaying a swap against a store already
 // on that analysis rebuilds the same partitions.
@@ -183,11 +188,6 @@ func (s *Store) Close() error {
 	if !d.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Drain the write coalescer first: every Report acknowledged before
-	// this point must reach the log before it is flushed and closed.
-	// (Reports that race Close past this barrier fail on the closed log,
-	// exactly like direct writes racing Close.)
-	s.coalFlush()
 	if d.scrubStop != nil {
 		close(d.scrubStop)
 		<-d.scrubDone
@@ -212,113 +212,57 @@ func (s *Store) Close() error {
 	return first
 }
 
-// durableApply wraps a write verb's in-memory apply with logging: under the
-// shared commit lock, a successful apply appends its record; after release,
-// the caller waits for durability per the sync policy. Non-durable stores
-// (and replay during recovery) run the apply alone. encode appends the record
+// logged is the one durable write routine: every logging verb — Report,
+// Insert, Update, Remove, ReportBatch, Subscribe, Unsubscribe,
+// RefreshSubscriptions — is its in-memory apply run through it. After the
+// health gate, under the shared commit lock, apply runs and says whether
+// anything landed that the log must carry, alongside the verb's own error: a
+// rejected apply logs nothing, a partial failure (ReportBatch,
+// RefreshSubscriptions) logs the part that landed. encode appends the record
 // payload to dst — a pooled buffer that WAL.Append copies out of before
 // returning, so the steady-state write path allocates nothing per record.
-func (s *Store) durableApply(t wal.Type, encode func(dst []byte) []byte, apply func() error) error {
+// The wait on the sync policy comes after the lock is released. Every error
+// that escapes is classified by noteIOFault, and the returned one is the
+// append's, else the commit's, else apply's. Non-durable stores run apply
+// alone, and so does replay during recovery — without the health gate either:
+// a replayed record that degrades the store must not make the records after it
+// drop.
+func (s *Store) logged(t wal.Type, apply func() (landed bool, err error), encode func(dst []byte) []byte) error {
 	d := s.dur
 	if d == nil || d.recovering.Load() {
-		return apply()
-	}
-	if herr := s.writeAllowed(); herr != nil {
-		return herr
-	}
-	d.commitMu.RLock()
-	if err := apply(); err != nil {
-		d.commitMu.RUnlock()
-		s.noteIOFault(err)
-		return err
-	}
-	buf := wal.GetBuf()
-	*buf = encode((*buf)[:0])
-	lsn, werr := d.wal.Append(t, *buf)
-	d.commitMu.RUnlock()
-	wal.PutBuf(buf)
-	if werr != nil {
-		s.noteIOFault(werr)
-		return werr
-	}
-	if cerr := d.wal.Commit(lsn); cerr != nil {
-		s.noteIOFault(cerr)
-		return cerr
-	}
-	d.noteRecords(s, 1)
-	return nil
-}
-
-// durableApplyObject is durableApply specialized to the hot single-record
-// verbs — Report, Insert and Update, all logged as a plain report record,
-// which replays as the upsert that reproduces them, and Remove, logged by id:
-// the encode step is inlined over the pooled buffer and the apply half is
-// applyOne over a manager verb instead of a per-call closure, so the
-// uncoalesced single-record path allocates nothing per record in steady
-// state. A successful report then runs the maintenance it triggered.
-func (s *Store) durableApplyObject(verb core.Verb, o Object) error {
-	reports := 1
-	if verb == core.Remove {
-		reports = 0
-	}
-	d := s.dur
-	if d == nil || d.recovering.Load() {
-		err := s.applyOne(verb, o)
-		if err == nil {
-			s.afterReports(reports)
-		}
+		_, err := apply()
 		return err
 	}
 	if herr := s.writeAllowed(); herr != nil {
 		return herr
 	}
+	var (
+		lsn  uint64
+		lerr error // the append's error, else the commit's
+	)
 	d.commitMu.RLock()
-	if err := s.applyOne(verb, o); err != nil {
-		d.commitMu.RUnlock()
-		s.noteIOFault(err)
-		return err
+	landed, err := apply()
+	if landed {
+		buf := wal.GetBuf()
+		*buf = encode((*buf)[:0])
+		lsn, lerr = d.wal.Append(t, *buf)
+		wal.PutBuf(buf)
 	}
-	buf := wal.GetBuf()
-	t := wal.TypeReport
-	if verb == core.Remove {
-		t, *buf = wal.TypeRemove, wal.AppendRemove((*buf)[:0], o.ID)
-	} else {
-		*buf = wal.AppendObject((*buf)[:0], o)
-	}
-	lsn, werr := d.wal.Append(t, *buf)
 	d.commitMu.RUnlock()
-	wal.PutBuf(buf)
-	if werr != nil {
-		s.noteIOFault(werr)
-		return werr
+	if landed && lerr == nil {
+		lerr = d.wal.Commit(lsn)
 	}
-	if cerr := d.wal.Commit(lsn); cerr != nil {
-		s.noteIOFault(cerr)
-		return cerr
+	s.noteIOFault(lerr)
+	s.noteIOFault(err)
+	if landed && lerr == nil {
+		d.noteRecords(s, 1)
 	}
-	d.noteRecords(s, 1)
-	s.afterReports(reports)
-	return nil
+	return cmp.Or(lerr, err)
 }
 
-// commitBatch finishes a batch applyReportBatch logged: one wait on the sync
-// policy, fault classification, the checkpoint cadence. It returns the commit
-// error; a non-durable batch has nothing to wait for.
-func (s *Store) commitBatch(res batchResult) (cerr error) {
-	if !res.durable {
-		return nil
-	}
-	if res.werr == nil && res.n > 0 {
-		cerr = s.dur.wal.Commit(res.lsn)
-	}
-	s.noteIOFault(res.werr)
-	s.noteIOFault(cerr)
-	s.noteIOFault(res.err)
-	if res.n > 0 && res.werr == nil && cerr == nil {
-		s.dur.noteRecords(s, 1)
-	}
-	return cerr
-}
+// applied adapts an all-or-nothing apply to logged: it landed iff it did not
+// fail.
+func applied(err error) (bool, error) { return err == nil, err }
 
 // logSwap appends a partition-swap record carrying the completed analysis.
 // It runs outside commitMu — a swap fires from maintenance, and the
@@ -412,14 +356,6 @@ type DurabilityStats struct {
 	// policy across the live buffer pools and the log — faults the clients
 	// never saw.
 	IORetries int64
-	// CoalescedBatches / CoalescedRecords / FlushBarriers mirror the write
-	// coalescer's counters (see WithWriteCoalescing and Store.IngestStats):
-	// drained batches, the Reports they carried, and the flush-barrier
-	// waits run by the non-Report write verbs, Checkpoint, and Close. All
-	// zero when coalescing is off.
-	CoalescedBatches int64
-	CoalescedRecords int64
-	FlushBarriers    int64
 }
 
 // DurabilityStats returns the durable-mode counters, and whether the Store
@@ -436,7 +372,6 @@ func (s *Store) DurabilityStats() (DurabilityStats, bool) {
 	s.healthMu.Lock()
 	reason := s.healthReason
 	s.healthMu.Unlock()
-	ing, _ := s.IngestStats()
 	return DurabilityStats{
 		WALAppendedLSN:       d.wal.AppendedLSN(),
 		WALDurableLSN:        d.wal.DurableLSN(),
@@ -456,11 +391,17 @@ func (s *Store) DurabilityStats() (DurabilityStats, bool) {
 		ScrubPasses:          d.scrubPasses.Load(),
 		ScrubCorruptions:     d.scrubCorrupt.Load(),
 		IORetries:            retries,
-		CoalescedBatches:     ing.CoalescedBatches,
-		CoalescedRecords:     ing.CoalescedRecords,
-		FlushBarriers:        ing.FlushBarriers,
 	}, true
 }
+
+// IngestStats held the counters of the write coalescer, which no longer
+// exists. The type and the method are kept only for benchmark/trace.go, which
+// calls s.IngestStats() and cannot be edited outside a benchmark PR; delete
+// both with the replica ladder (ROADMAP item 1).
+type IngestStats struct{ CoalescedBatches, CoalescedRecords, FlushBarriers int64 }
+
+// IngestStats always returns (IngestStats{}, false).
+func (s *Store) IngestStats() (IngestStats, bool) { return IngestStats{}, false }
 
 // checkpointState is one chain element: a consistent cut of the Store's
 // logical state (full snapshot) or of everything that changed since the
@@ -521,13 +462,6 @@ func (s *Store) Checkpoint() error {
 	if Health(s.health.Load()) == HealthFailed {
 		return s.healthErr(ErrFailed)
 	}
-	// Flush barrier: drain every Report enqueued before this call, so the
-	// capture's coverage is deterministic with respect to the queue. (A
-	// drain can never be split by the capture either way — it holds the
-	// commit lock's read side across its apply and its append — so this is
-	// the same cross-verb ordering rule the other barriers enforce, not a
-	// consistency requirement.)
-	s.coalFlush()
 	ck, err := s.checkpointLocked(d)
 	ev := MaintenanceEvent{Op: MaintCheckpoint, Err: err, SampleSize: len(ck.objects), Swapped: err == nil}
 	s.recordMaintenance(ev)
@@ -1256,7 +1190,7 @@ func (s *Store) replayRecord(t wal.Type, p []byte) {
 		}
 	case wal.TypeSubscribe:
 		if id, sub, now, err := wal.DecodeSubscribe(p); err == nil {
-			s.replaySubscribe(id, sub, now)
+			_, _, _ = s.subscribeApply(id, sub, now)
 			d.replayed.Add(1)
 		}
 	case wal.TypeUnsubscribe:
@@ -1310,30 +1244,4 @@ func (s *Store) restoreSubscriptions(ck checkpointState) {
 			sh.mu.Unlock()
 		}
 	}
-}
-
-// replaySubscribe re-registers a logged subscription under its original id
-// and re-runs the seed evaluation at the logged clock — the same sequence
-// Subscribe ran the first time, minus the id allocation.
-func (s *Store) replaySubscribe(id SubscriptionID, sub Subscription, now float64) {
-	e := s.engine()
-	e.advance(now)
-	e.regMu.Lock()
-	if id > e.nextID {
-		e.nextID = id
-	}
-	e.subs[id] = sub
-	e.filter.Add(id, sub)
-	e.regMu.Unlock()
-	e.nsubs.Add(1)
-	evs, err := e.refreshSub(id, now)
-	if err != nil {
-		e.regMu.Lock()
-		delete(e.subs, id)
-		e.filter.Remove(id)
-		e.regMu.Unlock()
-		e.nsubs.Add(-1)
-		return
-	}
-	e.emit(evs)
 }

@@ -55,6 +55,18 @@ func TestDurableStoreRecoversState(t *testing.T) {
 		}
 		live[o.ID] = o
 	}
+	// Known IDs report again: the later report wins, visible at return.
+	for i := 1; i <= 20; i++ {
+		o := testObject(i, rng)
+		o.T = 1
+		if err := store.Report(o); err != nil {
+			t.Fatalf("re-report %d: %v", i, err)
+		}
+		live[o.ID] = o
+		if got, ok := store.Get(o.ID); !ok || got != o {
+			t.Fatalf("re-report %d not visible at return: got %+v ok=%v", i, got, ok)
+		}
+	}
 	for _, id := range []vpindex.ObjectID{7, 21, 40} {
 		if err := store.Remove(id); err != nil {
 			t.Fatalf("remove %d: %v", id, err)

@@ -121,13 +121,6 @@ type storeConfig struct {
 	mmapOn       bool
 	compactChain int
 	compactBytes int64
-
-	// coalesce enables the leader-drained write coalescer on Report
-	// (see WithWriteCoalescing); coalWindow is the leader's dwell, coalMax
-	// the drained batch cap.
-	coalesce   bool
-	coalWindow time.Duration
-	coalMax    int
 }
 
 // SyncPolicy says when a durable Store's acknowledged writes must reach
@@ -394,30 +387,6 @@ func WithTauRefreshInterval(n int) Option { return func(c *storeConfig) { c.tauR
 // WithSeed makes the DVA analysis' clustering deterministic.
 func WithSeed(seed int64) Option { return func(c *storeConfig) { c.seed = seed } }
 
-// WithWriteCoalescing turns on the write coalescer (see ingest.go):
-// concurrent Report calls enqueue into a FIFO and an elected leader drains
-// them as one batched apply plus one WAL record, waiting out the sync
-// policy once per batch instead of once per record. Report keeps its
-// synchronous, per-record-error contract; per-object order is preserved by
-// the FIFO drain; Insert/Update/Remove/ReportBatch, Checkpoint, and Close
-// act as flush barriers.
-//
-// window is the longest a leader dwells waiting for more callers before
-// draining — the latency a lone Report trades for batching. 0 disables the
-// dwell entirely: batches still form naturally from the Reports that arrive
-// while the previous batch drains and syncs, which is the right setting for
-// saturated pipelines. maxBatch caps one drained batch (<= 0 means
-// DefaultCoalesceBatch). Works on durable and in-memory stores alike; on
-// in-memory stores it amortizes lock acquisitions and subscription
-// evaluation only.
-func WithWriteCoalescing(window time.Duration, maxBatch int) Option {
-	return func(c *storeConfig) {
-		c.coalesce = true
-		c.coalWindow = window
-		c.coalMax = maxBatch
-	}
-}
-
 // vpEnabled reports whether any option asked for velocity partitioning.
 func (c *storeConfig) vpEnabled() bool {
 	return c.k > 0 || len(c.sample) > 0 || c.autoN > 0 || c.objectiveSet
@@ -431,14 +400,6 @@ func (c *storeConfig) normalize() {
 	}
 	if c.eventBuf <= 0 {
 		c.eventBuf = DefaultEventBuffer
-	}
-	if c.coalesce {
-		if c.coalWindow < 0 {
-			c.coalWindow = 0
-		}
-		if c.coalMax <= 0 {
-			c.coalMax = DefaultCoalesceBatch
-		}
 	}
 	if !c.vpEnabled() {
 		return

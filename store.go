@@ -98,16 +98,12 @@ type Store struct {
 	mgr   *core.Manager
 
 	// dur is the durable-mode state (WAL, checkpoints, recovery bookkeeping);
-	// nil unless WithDataDir was given. See durability.go.
+	// nil unless WithDataDir was given. Every logging verb reaches it through
+	// the one write routine, logged. See durability.go.
 	dur *durability
 
-	// coal is the leader-drained write coalescer; nil unless
-	// WithWriteCoalescing was given. See ingest.go.
-	coal *coalescer
-
-	// scratchPool recycles the scratch of the batched write paths
-	// (applyReportBatch, the coalescer drain), so a steady stream of batches
-	// allocates no per-batch slices.
+	// scratchPool recycles ReportBatch's scratch, so a steady stream of
+	// batches allocates no per-batch slices.
 	scratchPool sync.Pool
 
 	// pools are the live manager's buffer pools, one per partition, which
@@ -397,9 +393,6 @@ func Open(opts ...Option) (*Store, error) {
 	// (or manual Repartition) right after Open has a population to analyze.
 	for i, v := range cfg.sample {
 		s.shards[i%len(s.shards)].observeVel(v, s.resCap)
-	}
-	if cfg.coalesce {
-		s.coal = newCoalescer(s, cfg.coalWindow, cfg.coalMax)
 	}
 	if s.dur != nil {
 		if err := s.recover(); err != nil {
@@ -820,16 +813,20 @@ func (s *Store) noteReports(n int) {
 // write triggers (the bootstrap, drift checks) runs after the write
 // is applied and reports its outcome through LastMaintenanceError and the
 // maintenance hook instead.
-func (s *Store) Report(o Object) error {
-	// With WithWriteCoalescing on, concurrent Reports are drained in
-	// batches by an elected leader (see ingest.go); recovery replay
-	// bypasses the coalescer — replayed records must apply inline.
-	if c := s.coal; c != nil {
-		if d := s.dur; d == nil || !d.recovering.Load() {
-			return c.report(o)
-		}
+func (s *Store) Report(o Object) error { return s.reportOne(core.Upsert, o) }
+
+// reportOne is Report, Insert and Update, which differ only in the manager
+// verb: all three are logged as a plain report record, which replays as the
+// upsert that reproduces them, and a successful one then runs the maintenance
+// it triggered.
+func (s *Store) reportOne(verb core.Verb, o Object) error {
+	err := s.logged(wal.TypeReport,
+		func() (bool, error) { return applied(s.applyOne(verb, o)) },
+		func(dst []byte) []byte { return wal.AppendObject(dst, o) })
+	if err == nil {
+		s.afterReports(1)
 	}
-	return s.durableApplyObject(core.Upsert, o)
+	return err
 }
 
 // applyOne is the in-memory half of Report, Insert, Update and Remove, which
@@ -892,39 +889,38 @@ func (s *Store) ReportBatch(objs []Object) error {
 	if len(objs) == 0 {
 		return nil
 	}
-	// An explicit batch is a flush barrier for the coalescer: Reports
-	// enqueued before this call are acknowledged first, so per-object
-	// ordering across the two paths cannot invert.
-	s.coalFlush()
-	if herr := s.writeAllowed(); herr != nil {
-		return herr
-	}
 	sc := s.scratchPool.Get().(*batchScratch)
-	res := s.applyReportBatch(objs, sc)
+	var (
+		landed []Object
+		aerr   error
+	)
+	err := s.logged(wal.TypeReportBatch,
+		func() (bool, error) {
+			landed, aerr = s.applyBatch(objs, sc)
+			return len(landed) > 0, aerr
+		},
+		func(dst []byte) []byte {
+			sc.group[0] = landed
+			return wal.AppendReportBatch(dst, sc.group[:])
+		})
 	s.putBatchScratch(sc)
-	switch cerr := s.commitBatch(res); {
-	case res.werr != nil:
-		return res.werr
-	case cerr != nil:
-		return cerr
+	// The records that landed count toward maintenance unless logging them
+	// failed (err is then the log's error, not the apply's). Only landed's
+	// length is read: its backing array may be the recycled scratch's.
+	if err == aerr {
+		s.afterReports(len(landed))
 	}
-	s.afterReports(res.n)
-	return res.err
+	return err
 }
 
-// batchScratch is the pooled scratch behind the batched write paths: the
-// per-record outcomes, the records that landed when not all did, plus the
-// coalescer's flattened batch. Records are always copied in, never aliased
-// to caller memory, so a pooled scratch captures no caller slices.
+// batchScratch is ReportBatch's pooled scratch: the per-record outcomes and
+// the records that landed when not all did. Records are always copied in,
+// never aliased to caller memory, so a pooled scratch captures no caller
+// slices.
 type batchScratch struct {
 	errs   []error
 	landed []Object
 	group  [1][]Object // the landed records, as wal.AppendReportBatch takes them
-	objs   []Object
-	// slots is the coalescer's drained batch: it lives in the scratch (not
-	// on the coalescer) so pipelined drains — one batch in its sync wait
-	// while the next applies — never share a backing array.
-	slots []*pendingSlot
 }
 
 // putBatchScratch resets and recycles sc. The caller must be done with every
@@ -932,36 +928,15 @@ type batchScratch struct {
 func (s *Store) putBatchScratch(sc *batchScratch) {
 	clear(sc.errs)
 	sc.group[0] = nil
-	sc.objs = sc.objs[:0]
-	clear(sc.slots)
-	sc.slots = sc.slots[:0]
 	s.scratchPool.Put(sc)
 }
 
-// batchResult is what applyReportBatch did: n records landed (err: the first
-// failure in batch order) and, on a durable store, were appended at lsn
-// (werr: the append failed).
-type batchResult struct {
-	n       int
-	err     error
-	durable bool
-	lsn     uint64
-	werr    error
-}
-
-// applyReportBatch is the batched write of ReportBatch and the coalescer: one
-// manager Apply under every stripe, the marks of the records that landed,
-// their subscription deltas and — on a durable store outside recovery — one
-// TypeReportBatch record of exactly those records (they stay applied on a
-// partial failure), appended under the shared commit lock so a checkpoint
-// capture can never split the batch. It does not wait for durability
-// (commitBatch does). sc.errs carries each record's own outcome.
-func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (res batchResult) {
-	if d := s.dur; d != nil && !d.recovering.Load() {
-		res.durable = true
-		d.commitMu.RLock()
-		defer d.commitMu.RUnlock()
-	}
+// applyBatch is ReportBatch's in-memory half: one manager Apply under every
+// stripe, the marks of the records that landed and their subscription deltas.
+// It returns exactly those records — they stay applied on a partial failure,
+// and they are what the batch's log record carries — and the first failure in
+// batch order.
+func (s *Store) applyBatch(objs []Object, sc *batchScratch) (landed []Object, err error) {
 	if cap(sc.errs) < len(objs) {
 		sc.errs = make([]error, len(objs))
 	}
@@ -969,9 +944,9 @@ func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (res batchResu
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
-	landed := objs
-	if _, res.err = s.mgr.Apply(core.Upsert, objs, sc.errs); res.err != nil {
-		res.err = fmt.Errorf("vpindex: batch report: %w", res.err)
+	landed = objs
+	if _, err = s.mgr.Apply(core.Upsert, objs, sc.errs); err != nil {
+		err = fmt.Errorf("vpindex: batch report: %w", err)
 		landed = sc.landed[:0]
 		for i, o := range objs {
 			if sc.errs[i] == nil {
@@ -994,24 +969,16 @@ func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (res batchResu
 	if e := s.subEng.Load(); e != nil {
 		e.noteBatch(landed)
 	}
-	if res.n = len(landed); res.durable && res.n > 0 {
-		sc.group[0] = landed
-		buf := wal.GetBuf()
-		*buf = wal.AppendReportBatch((*buf)[:0], sc.group[:])
-		res.lsn, res.werr = s.dur.wal.Append(wal.TypeReportBatch, *buf)
-		wal.PutBuf(buf)
-	}
-	return res
+	return landed, err
 }
 
 // Remove deletes the object by ID. Returns ErrNotFound (errors.Is-able) when
 // no such object is indexed. The object leaves every subscription result
 // set it was in (evaluated after the stripe lock is released).
 func (s *Store) Remove(id ObjectID) error {
-	// Flush barrier: a coalesced Report of id enqueued before this call
-	// must land first, or the removal could be resurrected by it.
-	s.coalFlush()
-	return s.durableApplyObject(core.Remove, Object{ID: id})
+	return s.logged(wal.TypeRemove,
+		func() (bool, error) { return applied(s.applyOne(core.Remove, Object{ID: id})) },
+		func(dst []byte) []byte { return wal.AppendRemove(dst, id) })
 }
 
 // Get returns the current record for id, touching only its table stripe.
@@ -1217,12 +1184,9 @@ func (s *Store) IO() IOStats { return s.Stats().IOStats }
 // is already indexed returns ErrDuplicate. Application code should prefer
 // Report.
 func (s *Store) Insert(o Object) error {
-	// Flush barrier: strict duplicate rejection must observe every Report
-	// enqueued before this call.
-	s.coalFlush()
 	// A successful Insert is logged as a plain report record: the ID was
 	// absent, so replaying it as an upsert reproduces the insert exactly.
-	return s.durableApplyObject(core.InsertNew, o)
+	return s.reportOne(core.InsertNew, o)
 }
 
 // Delete implements model.Index. Only the ID of o is consulted — the stored
@@ -1236,12 +1200,9 @@ func (s *Store) Update(old, new Object) error {
 	if new.ID != old.ID {
 		return fmt.Errorf("vpindex: update changes object id %d -> %d", old.ID, new.ID)
 	}
-	// Flush barrier: strict not-found rejection must observe every Report
-	// enqueued before this call.
-	s.coalFlush()
 	// A successful Update is logged as a plain report record: the ID was
 	// present, so replaying it as an upsert reproduces the update exactly.
 	// Only new's fields are consulted past the ID check above: the old
 	// record comes from the manager's table.
-	return s.durableApplyObject(core.Replace, new)
+	return s.reportOne(core.Replace, new)
 }

@@ -152,48 +152,37 @@ func BenchmarkStoreReport(b *testing.B) {
 }
 
 // BenchmarkStoreIngestAllocs pins allocations per Report on the write path.
-// Disk latency is zeroed so the measurement is pure CPU + allocator work:
-// the coalesced path must stay allocation-free in steady state (pooled
-// pending slots, pooled per-shard batch scratch, pooled WAL encode buffers),
-// and the direct durable path must not allocate per-record encode closures.
-// The wal axis uses SyncNone so fsync stalls don't drown the numbers.
+// Disk latency is zeroed so the measurement is pure CPU + allocator work: the
+// one write routine must not allocate per-record closures or encode buffers
+// (pooled WAL encode buffers). The durable axis uses SyncNone so fsync stalls
+// don't drown the numbers.
 func BenchmarkStoreIngestAllocs(b *testing.B) {
 	objs := randomObjects(benchStoreObjects, 10)
-	modes := []struct {
-		name string
-		opts []vpindex.Option
-	}{
-		{"direct", nil},
-		{"coalesced", []vpindex.Option{vpindex.WithWriteCoalescing(0, vpindex.DefaultCoalesceBatch)}},
-	}
-	for _, mode := range modes {
-		for _, durable := range []bool{false, true} {
-			name := fmt.Sprintf("mode=%s/durable=%v", mode.name, durable)
-			b.Run(name, func(b *testing.B) {
-				extra := append([]vpindex.Option{vpindex.WithDiskLatency(0)}, mode.opts...)
-				if durable {
-					extra = append(extra,
-						vpindex.WithDataDir(b.TempDir()),
-						vpindex.WithSyncPolicy(vpindex.SyncNone()),
-					)
-				}
-				store := newBenchStore(b, runtime.GOMAXPROCS(0), objs, extra...)
-				defer store.Close()
-				var seq atomic.Int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					rng := rand.New(rand.NewSource(seq.Add(1)))
-					for pb.Next() {
-						o := objs[rng.Intn(len(objs))]
-						o.Pos = vpindex.V(rng.Float64()*100000, rng.Float64()*100000)
-						if err := store.Report(o); err != nil {
-							b.Fatal(err)
-						}
+	for _, durable := range []bool{false, true} {
+		b.Run(fmt.Sprintf("durable=%v", durable), func(b *testing.B) {
+			extra := []vpindex.Option{vpindex.WithDiskLatency(0)}
+			if durable {
+				extra = append(extra,
+					vpindex.WithDataDir(b.TempDir()),
+					vpindex.WithSyncPolicy(vpindex.SyncNone()),
+				)
+			}
+			store := newBenchStore(b, runtime.GOMAXPROCS(0), objs, extra...)
+			defer store.Close()
+			var seq atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				rng := rand.New(rand.NewSource(seq.Add(1)))
+				for pb.Next() {
+					o := objs[rng.Intn(len(objs))]
+					o.Pos = vpindex.V(rng.Float64()*100000, rng.Float64()*100000)
+					if err := store.Report(o); err != nil {
+						b.Fatal(err)
 					}
-				})
+				}
 			})
-		}
+		})
 	}
 }
 

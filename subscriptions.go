@@ -331,8 +331,7 @@ func (e *subEngine) noteBatch(objs []Object) {
 		tmax = math.Max(tmax, o.T)
 	}
 	now := e.advance(tmax)
-	// The per-shard slices are pooled batch to batch (the coalescer turns
-	// every drained batch into one of these calls, so this is on the
+	// The per-shard slices are pooled batch to batch (ReportBatch is the
 	// sustained ingest path); only the merged slices below are per-call.
 	sc, _ := e.notePool.Get().(*noteScratch)
 	if sc == nil {
@@ -415,49 +414,36 @@ func (s *Store) Subscribe(sub Subscription, now float64) (SubscriptionID, []Moni
 	if err := sub.Validate(); err != nil {
 		return 0, nil, err
 	}
-	if d := s.dur; d != nil && !d.recovering.Load() {
-		if herr := s.writeAllowed(); herr != nil {
-			return 0, nil, herr
-		}
-		d.commitMu.RLock()
-		id, evs, err := s.subscribeApply(sub, now)
-		var (
-			lsn  uint64
-			werr error
-		)
-		if err == nil {
-			buf := wal.GetBuf()
-			*buf = wal.AppendSubscribe((*buf)[:0], id, sub, now)
-			lsn, werr = d.wal.Append(wal.TypeSubscribe, *buf)
-			wal.PutBuf(buf)
-		}
-		d.commitMu.RUnlock()
-		if err != nil {
-			s.noteIOFault(err)
-			return 0, nil, err
-		}
-		if werr != nil {
-			s.noteIOFault(werr)
-			return 0, nil, werr
-		}
-		if cerr := d.wal.Commit(lsn); cerr != nil {
-			s.noteIOFault(cerr)
-			return 0, nil, cerr
-		}
-		d.noteRecords(s, 1)
-		return id, evs, nil
+	var (
+		id  SubscriptionID
+		evs []MonitorEvent
+	)
+	err := s.logged(wal.TypeSubscribe,
+		func() (_ bool, err error) {
+			id, evs, err = s.subscribeApply(0, sub, now)
+			return applied(err)
+		},
+		func(dst []byte) []byte { return wal.AppendSubscribe(dst, id, sub, now) })
+	if err != nil {
+		return 0, nil, err
 	}
-	return s.subscribeApply(sub, now)
+	return id, evs, nil
 }
 
-// subscribeApply is Subscribe's in-memory half: registration plus the seed
-// evaluation (rolled back if the seed query fails).
-func (s *Store) subscribeApply(sub Subscription, now float64) (SubscriptionID, []MonitorEvent, error) {
+// subscribeApply is Subscribe's in-memory half: registration under id — 0
+// allocates the next one; replay passes the logged id, re-running the same
+// sequence at the logged clock — plus the seed evaluation, rolled back if the
+// seed query fails.
+func (s *Store) subscribeApply(id SubscriptionID, sub Subscription, now float64) (SubscriptionID, []MonitorEvent, error) {
 	e := s.engine()
 	e.advance(now)
 	e.regMu.Lock()
-	e.nextID++
-	id := e.nextID
+	if id == 0 {
+		id = e.nextID + 1
+	}
+	if id > e.nextID {
+		e.nextID = id
+	}
 	e.subs[id] = sub
 	e.filter.Add(id, sub)
 	e.regMu.Unlock()
@@ -487,9 +473,9 @@ func (s *Store) subscribeApply(sub Subscription, now float64) (SubscriptionID, [
 // Unsubscribe removes a standing query and its result set, emitting no
 // events. Returns ErrNotFound (errors.Is-able) for an unknown id.
 func (s *Store) Unsubscribe(id SubscriptionID) error {
-	return s.durableApply(wal.TypeUnsubscribe,
-		func(dst []byte) []byte { return wal.AppendUnsubscribe(dst, id) },
-		func() error { return s.unsubscribeApply(id) })
+	return s.logged(wal.TypeUnsubscribe,
+		func() (bool, error) { return applied(s.unsubscribeApply(id)) },
+		func(dst []byte) []byte { return wal.AppendUnsubscribe(dst, id) })
 }
 
 // unsubscribeApply is Unsubscribe's in-memory half.
@@ -567,41 +553,27 @@ func (s *Store) NumSubscriptions() int {
 // regress until their next report or a quiescent refresh re-evaluates
 // them (see the concurrency notes at the top of this file).
 func (s *Store) RefreshSubscriptions(now float64) ([]MonitorEvent, error) {
-	d := s.dur
-	if d == nil || d.recovering.Load() || s.subEng.Load() == nil {
-		return s.refreshApply(now)
+	if s.subEng.Load() == nil {
+		return nil, nil
 	}
 	// A refresh mutates memberships as a function of time alone, so recovery
-	// must replay it at the same clock to reproduce the same result sets:
-	// it is logged like any other write, and gated like one.
-	if herr := s.writeAllowed(); herr != nil {
-		return nil, herr
-	}
-	d.commitMu.RLock()
-	evs, err := s.refreshApply(now)
-	buf := wal.GetBuf()
-	*buf = wal.AppendRefresh((*buf)[:0], now)
-	lsn, werr := d.wal.Append(wal.TypeRefresh, *buf)
-	wal.PutBuf(buf)
-	d.commitMu.RUnlock()
-	if werr != nil {
-		s.noteIOFault(werr)
-		return evs, werr
-	}
-	if cerr := d.wal.Commit(lsn); cerr != nil {
-		s.noteIOFault(cerr)
-		return evs, cerr
-	}
-	d.noteRecords(s, 1)
+	// must replay it at the same clock to reproduce the same result sets: it
+	// is logged like any other write, and gated like one — whatever part of
+	// it failed, since the subscriptions that completed stay applied.
+	var evs []MonitorEvent
+	err := s.logged(wal.TypeRefresh,
+		func() (_ bool, err error) {
+			evs, err = s.refreshApply(now)
+			return true, err
+		},
+		func(dst []byte) []byte { return wal.AppendRefresh(dst, now) })
 	return evs, err
 }
 
-// refreshApply is RefreshSubscriptions' in-memory half.
+// refreshApply is RefreshSubscriptions' in-memory half; the caller has checked
+// that the engine exists.
 func (s *Store) refreshApply(now float64) ([]MonitorEvent, error) {
 	e := s.subEng.Load()
-	if e == nil {
-		return nil, nil
-	}
 	e.advance(now)
 	if d := s.dur; d != nil {
 		d.subsDirty.Store(true)
