@@ -8,11 +8,11 @@
 // iterative-expansion refinement of Jensen et al. (MDM 2006, [14] in the
 // paper) that the paper's experimental configuration adopts.
 //
-// Deviations from the original presentation (both behaviour-preserving,
-// see DESIGN.md): the bucket prefix is the raw bucket boundary index rather
-// than its value modulo n+1 (the modulo is only a key-compression trick),
-// and velocity histograms are kept per active bucket so that stale maxima
-// age out exactly when their bucket empties.
+// Deviations from the original presentation (both behaviour-preserving):
+// the bucket prefix is the raw bucket boundary index rather than its value
+// modulo n+1 (the modulo is only a key-compression trick), and velocity
+// histograms are kept per active bucket so that stale maxima age out exactly
+// when their bucket empties.
 package bxtree
 
 import (

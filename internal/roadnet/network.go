@@ -6,7 +6,7 @@
 // The VP paper evaluates on four OSM-derived networks (Chicago, San
 // Francisco, Melbourne CBD, New York). Those extracts are not available
 // here, so the generator synthesizes networks that preserve the two
-// properties the paper's experiments actually exercise (see DESIGN.md):
+// properties the paper's experiments actually exercise:
 //
 //  1. the *direction skew* of the velocity distribution the network induces
 //     (CH most skewed ... NY least, Section 6), controlled by the angular

@@ -491,6 +491,22 @@ func (b *BufferPool) Write(id PageID, fn func(data []byte)) error {
 	return nil
 }
 
+// Update is Write for a closure that may find nothing to change: the page is
+// marked dirty only when fn reports that it modified the contents, so a
+// failed lookup does not cost a write-back. Pinning and hit/miss accounting
+// are Write's.
+func (b *BufferPool) Update(id PageID, fn func(data []byte) (modified bool)) error {
+	f, err := b.pin(id)
+	if err != nil {
+		return err
+	}
+	if fn(f.data[:]) {
+		f.dirty.Store(true)
+	}
+	b.unpin(b.stripeFor(id), f)
+	return nil
+}
+
 // Allocate reserves a new page and installs a zeroed, dirty frame for it so
 // the first access is not charged as a read miss (freshly allocated pages
 // have no on-disk image worth reading). Like pin, it waits out a stripe

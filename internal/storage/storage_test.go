@@ -191,6 +191,55 @@ func TestBufferPoolWriteBackOnEviction(t *testing.T) {
 	}
 }
 
+// TestBufferPoolUpdate: Update is Write whose closure decides whether the
+// page is dirty — same pin accounting, a write-back only for a reported
+// change, and a change reported once stays dirty through later clean visits.
+func TestBufferPoolUpdate(t *testing.T) {
+	d := NewDisk()
+	p := NewBufferPool(d, 2)
+	a, _ := p.Allocate()
+	if err := p.FlushAll(); err != nil { // a fresh page starts dirty
+		t.Fatal(err)
+	}
+	base, stats := d.PhysicalWrites(), p.Stats()
+
+	if err := p.Update(a, func(data []byte) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if w := d.PhysicalWrites() - base; w != 0 {
+		t.Fatalf("Update reporting no change cost %d write-backs", w)
+	}
+	if s := p.Stats(); s.Hits != stats.Hits+1 || s.Misses != stats.Misses {
+		t.Fatalf("Update of a cached page: stats %+v -> %+v, want one more hit", stats, s)
+	}
+
+	if err := p.Update(a, func(data []byte) bool { data[7] = 0x77; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Update(a, func(data []byte) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := p.Allocate()
+	c, _ := p.Allocate() // evicts a: the earlier change must reach the disk
+	_, _ = b, c
+	if w := d.PhysicalWrites() - base; w != 1 {
+		t.Fatalf("%d write-backs after evicting a modified page, want 1", w)
+	}
+	if err := p.Read(a, func(data []byte) {
+		if data[7] != 0x77 {
+			t.Error("Update's change lost through eviction")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Update(NilPage, func([]byte) bool { return true }); err == nil {
+		t.Fatal("Update of the nil page succeeded")
+	}
+}
+
 func TestBufferPoolManyPages(t *testing.T) {
 	d := NewDisk()
 	p := NewBufferPool(d, DefaultBufferPages)

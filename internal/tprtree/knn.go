@@ -15,7 +15,7 @@ import (
 // unvisited entry can be nearer, so it is the next neighbor.
 func (t *Tree) SearchKNN(q model.KNNQuery) ([]model.Neighbor, error) {
 	pq := &knnHeap{}
-	heap.Push(pq, knnItem{dist: 0, page: t.root, isNode: true})
+	heap.Push(pq, knnItem{dist: 0, page: t.root, level: t.height - 1, isNode: true})
 	var out []model.Neighbor
 	for pq.Len() > 0 && len(out) < q.K {
 		it := heap.Pop(pq).(knnItem)
@@ -23,25 +23,23 @@ func (t *Tree) SearchKNN(q model.KNNQuery) ([]model.Neighbor, error) {
 			out = append(out, model.Neighbor{ID: it.id, Dist: it.dist})
 			continue
 		}
-		n, err := t.readNode(it.page)
-		if err != nil {
-			return nil, err
-		}
-		if n.leaf() {
-			for _, o := range n.objs {
-				heap.Push(pq, knnItem{
-					dist: o.PosAt(q.T).DistTo(q.Center),
-					id:   o.ID,
-				})
+		if err := t.view(it.page, it.level, func(data []byte, count int) {
+			for i := 0; i < count; i++ {
+				if it.level == 0 {
+					o := getObj(leafSlot(data, i))
+					heap.Push(pq, knnItem{dist: o.PosAt(q.T).DistTo(q.Center), id: o.ID})
+				} else {
+					s := entrySlot(data, i)
+					heap.Push(pq, knnItem{
+						dist:   minDistAt(getMR(s), q.Center, q.T),
+						page:   getChild(s),
+						level:  it.level - 1,
+						isNode: true,
+					})
+				}
 			}
-			continue
-		}
-		for _, e := range n.entries {
-			heap.Push(pq, knnItem{
-				dist:   minDistAt(e.mr, q.Center, q.T),
-				page:   e.child,
-				isNode: true,
-			})
+		}); err != nil {
+			return nil, err
 		}
 	}
 	model.SortNeighbors(out)
@@ -69,7 +67,8 @@ func maxf(a, b float64) float64 {
 
 type knnItem struct {
 	dist   float64
-	page   storage.PageID
+	page   storage.PageID // with its level, when isNode
+	level  int
 	id     model.ObjectID
 	isNode bool
 }

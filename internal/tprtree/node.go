@@ -5,13 +5,32 @@
 // increase of the *integrated sweeping-region volume* over a horizon, node
 // rectangles are tightened to the current time whenever touched, overflow
 // triggers a forced reinsert of the worst entries before splitting, and
-// splits minimize the integrated volumes of the resulting groups.
+// splits minimize the integrated volumes of the resulting groups. The
+// "active tabu" path search of the original TPR* insertion is replaced by a
+// greedy descent on the same cost model; all cost formulas are the paper's.
 //
 // Nodes are stored on 4 KB pages behind a storage.BufferPool so that
-// queries are charged the same I/O metric the paper reports. The "active
-// tabu" path search of the original TPR* insertion is replaced by the
-// greedy cost-model descent (documented in DESIGN.md); all cost formulas
-// are the paper's.
+// queries are charged the same I/O metric the paper reports, and the page is
+// the data structure: Insert, Delete, Search and SearchKNN read slots and
+// entries out of the pinned page bytes and patch them in place. A point
+// operation on a tree of height h costs 2h-1 pool accesses — one read per
+// internal page going down (ChooseSubtree, or the delete's containment test,
+// runs inside the pin), one pin on the leaf that appends or removes the
+// 48-byte slot, and one write per internal page coming back up that replaces
+// the entry's rectangle with its child's new tight bound. It is 2h-1 and not
+// h because no pin may be held across another pool access (storage.Read) and
+// every ancestor is tightened to the current time on every touch; skipping
+// that would build a different tree. A Delete pays one more access per false
+// candidate its containment search visits. Only a structural change decodes
+// pages into nodes: an insert that finds its leaf full leaves it untouched
+// (one wasted descent, h accesses) and re-runs on the decoded path, where
+// forced reinsert and split live, each reinserted record being a point
+// insert of its own; a delete that leaves a child underfull decodes the
+// parent and that child to dissolve it, and reinserts the orphans the same
+// way. Nothing on the non-structural path allocates.
+//
+// Every reader validates a page's tag, level and count before trusting
+// them; a page that fails reports an error wrapping storage.ErrCorruptPage.
 package tprtree
 
 import (
@@ -42,6 +61,11 @@ const (
 	// LeafCap and InternalCap are the fanouts implied by the 4 KB page.
 	LeafCap     = (storage.PageSize - nodeHeader) / leafEntrySize     // 85
 	InternalCap = (storage.PageSize - nodeHeader) / internalEntrySize // 51
+
+	// maxHeight bounds the height, so a descent keeps its path in a fixed
+	// array and the per-level reinsert flags in one word. At the minimum
+	// fill of 20 entries per internal node it is out of reach (20^15 leaves).
+	maxHeight = 16
 )
 
 // Fill-factor bounds (R*-tree convention: 40 % minimum).
@@ -89,26 +113,71 @@ func (n *node) underfull() bool {
 }
 
 // boundAt returns the tight time-parameterized bound of the node's contents
-// referenced at time t (TPR* tightening).
+// referenced at time t (TPR* tightening). pageBound is the same fold over
+// the page bytes; the two agree bit for bit.
 func (n *node) boundAt(t float64) geom.MovingRect {
-	if n.leaf() {
-		if len(n.objs) == 0 {
-			return geom.MovingRect{MBR: geom.EmptyRect(), Ref: t}
-		}
-		out := objRect(n.objs[0]).Rebase(t)
-		for _, o := range n.objs[1:] {
-			out = out.Union(objRect(o), t)
-		}
-		return out
+	out := emptyBound(t)
+	for _, o := range n.objs {
+		out = unionRebased(out, objRect(o).Rebase(t))
 	}
-	if len(n.entries) == 0 {
-		return geom.MovingRect{MBR: geom.EmptyRect(), Ref: t}
+	for _, e := range n.entries {
+		out = unionRebased(out, e.mr.Rebase(t))
 	}
-	out := n.entries[0].mr.Rebase(t)
-	for _, e := range n.entries[1:] {
-		out = out.Union(e.mr, t)
+	if n.count() == 0 {
+		out.VBR = geom.Rect{}
 	}
 	return out
+}
+
+// pageBound is boundAt computed from the bytes of a validated page: the same
+// fold with the rectangles left in scalars — a record contributes the point
+// PosAt(t) and its velocity, an entry AtTime(t) and its VBR; none is ever
+// empty, so Rect.Union's empty-operand cases reduce to Min/Max too.
+func pageBound(data []byte, level, count int, t float64) geom.MovingRect {
+	out := emptyBound(t)
+	if count == 0 {
+		out.VBR = geom.Rect{}
+		return out
+	}
+	m, v := &out.MBR, &out.VBR
+	for i := 0; i < count; i++ {
+		var r, rv geom.Rect // slot i at time t, and its boundary speeds
+		if level == 0 {
+			o := getObj(leafSlot(data, i))
+			r, rv = geom.RectFromPoint(o.PosAt(t)), geom.RectFromPoint(o.Vel)
+		} else {
+			mr := getMR(entrySlot(data, i))
+			r, rv = mr.AtTime(t), mr.VBR
+		}
+		m.MinX, m.MinY = math.Min(m.MinX, r.MinX), math.Min(m.MinY, r.MinY)
+		m.MaxX, m.MaxY = math.Max(m.MaxX, r.MaxX), math.Max(m.MaxY, r.MaxY)
+		v.MinX, v.MinY = math.Min(v.MinX, rv.MinX), math.Min(v.MinY, rv.MinY)
+		v.MaxX, v.MaxY = math.Max(v.MaxX, rv.MaxX), math.Max(v.MaxY, rv.MaxY)
+	}
+	return out
+}
+
+// emptyBound is the identity of unionRebased: an empty MBR, and boundary
+// speeds that lose every Min/Max to an operand's.
+func emptyBound(t float64) geom.MovingRect {
+	return geom.MovingRect{MBR: geom.EmptyRect(), VBR: geom.EmptyRect(), Ref: t}
+}
+
+// unionRebased is a.Union(b, ref) for operands already rebased to ref, which
+// is what a fold over a node's slots has on its left and ChooseSubtree on
+// both sides: it skips Union's two Rebase calls (identities here) and keeps
+// its Min/Max operand order, so the floats are the ones Union produces.
+func unionRebased(a, b geom.MovingRect) geom.MovingRect {
+	return geom.MovingRect{
+		MBR: a.MBR.Union(b.MBR),
+		VBR: geom.Rect{
+			MinX: math.Min(a.VBR.MinX, b.VBR.MinX),
+			MinY: math.Min(a.VBR.MinY, b.VBR.MinY),
+			MaxX: math.Max(a.VBR.MaxX, b.VBR.MaxX),
+			MaxY: math.Max(a.VBR.MaxY, b.VBR.MaxY),
+		},
+		Ref: a.Ref,
+	}
 }
 
 // objRect returns the degenerate moving rectangle of an object record.
@@ -135,48 +204,93 @@ func getRect(b []byte) geom.Rect {
 	}
 }
 
-func (t *Tree) readNode(id storage.PageID) (*node, error) {
-	n := &node{id: id}
-	bad := false
-	err := t.pool.Read(id, func(data []byte) {
-		if data[0] != tagNode {
-			bad = true
+// header validates a raw page and returns its count: the tag must be ours,
+// the level the one the caller descended to (every reader knows it: the
+// root's is height-1 and a child's is one less, which also keeps a corrupt
+// child pointer from sending a traversal in circles), and the count must fit
+// the page — and be at least one on an internal page, which this tree never
+// writes empty. Nothing may index a page by its count before this passes; a
+// page that fails reports an error wrapping storage.ErrCorruptPage.
+func header(id storage.PageID, data []byte, level int) (count int, err error) {
+	count = int(binary.LittleEndian.Uint16(data[2:4]))
+	ok := data[0] == tagNode && int(data[1]) == level
+	if level == 0 {
+		ok = ok && count <= LeafCap
+	} else {
+		ok = ok && count >= 1 && count <= InternalCap
+	}
+	if !ok {
+		return 0, fmt.Errorf("tprtree: page %d has tag %#x, level %d, count %d where a level-%d node should be: %w",
+			id, data[0], data[1], count, level, storage.ErrCorruptPage)
+	}
+	return count, nil
+}
+
+func putCount(data []byte, count int) { binary.LittleEndian.PutUint16(data[2:4], uint16(count)) }
+
+// leafSlot and entrySlot return slot i of a leaf / internal page.
+func leafSlot(data []byte, i int) []byte {
+	off := nodeHeader + i*leafEntrySize
+	return data[off : off+leafEntrySize]
+}
+
+func entrySlot(data []byte, i int) []byte {
+	off := nodeHeader + i*internalEntrySize
+	return data[off : off+internalEntrySize]
+}
+
+func getObj(b []byte) model.Object {
+	return model.Object{
+		ID:  model.ObjectID(binary.LittleEndian.Uint64(b[0:8])),
+		Pos: geom.Vec2{X: getF64(b[8:16]), Y: getF64(b[16:24])},
+		Vel: geom.Vec2{X: getF64(b[24:32]), Y: getF64(b[32:40])},
+		T:   getF64(b[40:48]),
+	}
+}
+
+func putObj(b []byte, o model.Object) {
+	binary.LittleEndian.PutUint64(b[0:8], uint64(o.ID))
+	putF64(b[8:16], o.Pos.X)
+	putF64(b[16:24], o.Pos.Y)
+	putF64(b[24:32], o.Vel.X)
+	putF64(b[32:40], o.Vel.Y)
+	putF64(b[40:48], o.T)
+}
+
+func getChild(b []byte) storage.PageID { return storage.PageID(binary.LittleEndian.Uint64(b[0:8])) }
+
+// getMR and putMR move the rectangle of an internal slot.
+func getMR(b []byte) geom.MovingRect {
+	return geom.MovingRect{MBR: getRect(b[8:40]), VBR: getRect(b[40:72]), Ref: getF64(b[72:80])}
+}
+
+func putMR(b []byte, mr geom.MovingRect) {
+	putRect(b[8:40], mr.MBR)
+	putRect(b[40:72], mr.VBR)
+	putF64(b[72:80], mr.Ref)
+}
+
+// readNode decodes the page, which must hold a node of the given level. Only
+// the structural paths (overflow, underflow) and the diagnostics work on
+// decoded nodes.
+func (t *Tree) readNode(id storage.PageID, level int) (*node, error) {
+	n := &node{id: id, level: level}
+	err := t.view(id, level, func(data []byte, count int) {
+		if level == 0 {
+			n.objs = make([]model.Object, count)
+			for i := range n.objs {
+				n.objs[i] = getObj(leafSlot(data, i))
+			}
 			return
 		}
-		n.level = int(data[1])
-		count := int(binary.LittleEndian.Uint16(data[2:4]))
-		off := nodeHeader
-		if n.level == 0 {
-			n.objs = make([]model.Object, count)
-			for i := 0; i < count; i++ {
-				n.objs[i] = model.Object{
-					ID:  model.ObjectID(binary.LittleEndian.Uint64(data[off : off+8])),
-					Pos: geom.Vec2{X: getF64(data[off+8 : off+16]), Y: getF64(data[off+16 : off+24])},
-					Vel: geom.Vec2{X: getF64(data[off+24 : off+32]), Y: getF64(data[off+32 : off+40])},
-					T:   getF64(data[off+40 : off+48]),
-				}
-				off += leafEntrySize
-			}
-		} else {
-			n.entries = make([]entry, count)
-			for i := 0; i < count; i++ {
-				n.entries[i] = entry{
-					child: storage.PageID(binary.LittleEndian.Uint64(data[off : off+8])),
-					mr: geom.MovingRect{
-						MBR: getRect(data[off+8 : off+40]),
-						VBR: getRect(data[off+40 : off+72]),
-						Ref: getF64(data[off+72 : off+80]),
-					},
-				}
-				off += internalEntrySize
-			}
+		n.entries = make([]entry, count)
+		for i := range n.entries {
+			s := entrySlot(data, i)
+			n.entries[i] = entry{child: getChild(s), mr: getMR(s)}
 		}
 	})
 	if err != nil {
 		return nil, err
-	}
-	if bad {
-		return nil, fmt.Errorf("tprtree: page %d has unexpected tag", id)
 	}
 	return n, nil
 }
@@ -185,26 +299,45 @@ func (t *Tree) writeNode(n *node) error {
 	return t.pool.Write(n.id, func(data []byte) {
 		data[0] = tagNode
 		data[1] = byte(n.level)
-		binary.LittleEndian.PutUint16(data[2:4], uint16(n.count()))
-		off := nodeHeader
-		if n.leaf() {
-			for _, o := range n.objs {
-				binary.LittleEndian.PutUint64(data[off:off+8], uint64(o.ID))
-				putF64(data[off+8:off+16], o.Pos.X)
-				putF64(data[off+16:off+24], o.Pos.Y)
-				putF64(data[off+24:off+32], o.Vel.X)
-				putF64(data[off+32:off+40], o.Vel.Y)
-				putF64(data[off+40:off+48], o.T)
-				off += leafEntrySize
-			}
-		} else {
-			for _, e := range n.entries {
-				binary.LittleEndian.PutUint64(data[off:off+8], uint64(e.child))
-				putRect(data[off+8:off+40], e.mr.MBR)
-				putRect(data[off+40:off+72], e.mr.VBR)
-				putF64(data[off+72:off+80], e.mr.Ref)
-				off += internalEntrySize
-			}
+		putCount(data, n.count())
+		for i, o := range n.objs {
+			putObj(leafSlot(data, i), o)
+		}
+		for i, e := range n.entries {
+			s := entrySlot(data, i)
+			binary.LittleEndian.PutUint64(s[0:8], uint64(e.child))
+			putMR(s, e.mr)
 		}
 	})
+}
+
+// view runs fn on the validated bytes of page id, a node of the given level.
+// fn must not touch the pool (storage.Read).
+func (t *Tree) view(id storage.PageID, level int, fn func(data []byte, count int)) error {
+	var herr error
+	err := t.pool.Read(id, func(data []byte) {
+		count, e := header(id, data, level)
+		if herr = e; e == nil {
+			fn(data, count)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return herr
+}
+
+// edit is view with mutable access: the page is written back only if fn
+// reports a change, so a lookup that finds nothing costs no disk write.
+func (t *Tree) edit(id storage.PageID, level int, fn func(data []byte, count int) (modified bool)) error {
+	var herr error
+	err := t.pool.Update(id, func(data []byte) bool {
+		count, e := header(id, data, level)
+		herr = e
+		return e == nil && fn(data, count)
+	})
+	if err != nil {
+		return err
+	}
+	return herr
 }

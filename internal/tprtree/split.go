@@ -173,29 +173,34 @@ func (t *Tree) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 	qmr := q.AsMovingRect()
 	t0, t1 := q.T0, q.EndTime()
 	var out []model.ObjectID
-	stack := []storage.PageID{t.root}
+	var buf [64]pageRef
+	stack := append(buf[:0], pageRef{id: t.root, level: t.height - 1})
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n, err := t.readNode(id)
-		if err != nil {
-			return nil, err
-		}
-		if n.leaf() {
-			for _, o := range n.objs {
-				if model.Matches(o, q) {
-					out = append(out, o.ID)
+		if err := t.view(top.id, top.level, func(data []byte, count int) {
+			for i := 0; i < count; i++ {
+				if top.level == 0 {
+					if o := getObj(leafSlot(data, i)); model.Matches(o, q) {
+						out = append(out, o.ID)
+					}
+				} else if s := entrySlot(data, i); getMR(s).IntersectsDuring(qmr, t0, t1) {
+					stack = append(stack, pageRef{id: getChild(s), level: top.level - 1})
 				}
 			}
-			continue
-		}
-		for _, e := range n.entries {
-			if e.mr.IntersectsDuring(qmr, t0, t1) {
-				stack = append(stack, e.child)
-			}
+		}); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// pageRef is a page a traversal has yet to visit and the level it must hold:
+// checked on arrival (header), so a corrupt child pointer cannot send a
+// traversal in circles.
+type pageRef struct {
+	id    storage.PageID
+	level int
 }
 
 // --- diagnostics -------------------------------------------------------------
@@ -210,47 +215,42 @@ type LeafBound struct {
 // LeafBounds returns the bound of every leaf node at the given time.
 func (t *Tree) LeafBounds(now float64) ([]LeafBound, error) {
 	var out []LeafBound
-	stack := []storage.PageID{t.root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n, err := t.readNode(id)
-		if err != nil {
-			return nil, err
+	err := t.walk(func(n *node) {
+		if len(n.objs) > 0 {
+			out = append(out, LeafBound{MR: n.boundAt(now), Count: len(n.objs)})
 		}
-		if n.leaf() {
-			if len(n.objs) > 0 {
-				out = append(out, LeafBound{MR: n.boundAt(now), Count: len(n.objs)})
-			}
-			continue
-		}
-		for _, e := range n.entries {
-			stack = append(stack, e.child)
-		}
-	}
-	return out, nil
+	})
+	return out, err
 }
 
 // NodeCount returns (internal, leaf) node totals.
 func (t *Tree) NodeCount() (internal, leaves int, err error) {
-	stack := []storage.PageID{t.root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n, e := t.readNode(id)
-		if e != nil {
-			return 0, 0, e
-		}
+	err = t.walk(func(n *node) {
 		if n.leaf() {
 			leaves++
-			continue
+		} else {
+			internal++
 		}
-		internal++
-		for _, en := range n.entries {
-			stack = append(stack, en.child)
+	})
+	return internal, leaves, err
+}
+
+// walk decodes every node, depth first from the root, for the diagnostics.
+func (t *Tree) walk(fn func(n *node)) error {
+	stack := []pageRef{{id: t.root, level: t.height - 1}}
+	for len(stack) > 0 {
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n, err := t.readNode(top.id, top.level)
+		if err != nil {
+			return err
+		}
+		fn(n)
+		for _, e := range n.entries {
+			stack = append(stack, pageRef{id: e.child, level: top.level - 1})
 		}
 	}
-	return internal, leaves, nil
+	return nil
 }
 
 // CheckInvariants verifies structural invariants for tests: entry bounds
@@ -269,12 +269,9 @@ func (t *Tree) CheckInvariants() error {
 }
 
 func (t *Tree) checkNode(id storage.PageID, level int, bound *geom.MovingRect) (int, error) {
-	n, err := t.readNode(id)
+	n, err := t.readNode(id, level)
 	if err != nil {
 		return 0, err
-	}
-	if n.level != level {
-		return 0, errf("page %d: level %d, expected %d", id, n.level, level)
 	}
 	if id != t.root && n.underfull() {
 		return 0, errf("page %d: underfull (%d at level %d)", id, n.count(), n.level)
@@ -293,10 +290,17 @@ func (t *Tree) checkNode(id storage.PageID, level int, bound *geom.MovingRect) (
 	for _, e := range n.entries {
 		if bound != nil {
 			// Parent bound must contain the child entry bound from the
-			// parent's reference time onward; check at two times.
+			// parent's reference time onward; check at two times. At the
+			// later one the two edges are the same line evaluated from
+			// different reference times — equal in real arithmetic, a few
+			// ulps apart in floats — hence the slack (metres), the same kind
+			// entryMayContain allows.
+			const slack = 1e-6
 			r0 := math.Max(bound.Ref, e.mr.Ref)
-			if !bound.Contains(e.mr, r0, r0+t.cfg.Horizon) {
-				return 0, errf("page %d: child bound %v escapes parent %v", id, e.mr, *bound)
+			for _, at := range [2]float64{r0, r0 + t.cfg.Horizon} {
+				if !bound.AtTime(at).Expand(slack).ContainsRect(e.mr.AtTime(at)) {
+					return 0, errf("page %d: child bound %v escapes parent %v at t=%g", id, e.mr, *bound, at)
+				}
 			}
 		}
 		sub, err := t.checkNode(e.child, level-1, &e.mr)

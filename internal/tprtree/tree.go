@@ -47,11 +47,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Tree is a TPR*-tree. Mutations are not safe for concurrent use; the VP
-// index manager and the benchmark harness serialize them. Read-only queries
-// (Search, SearchKNN, LeafBounds) may run concurrently with each other —
+// Tree is a TPR*-tree. Insert, Delete and Update edit the pinned page bytes
+// in place, so a mutation needs the tree to itself: no other mutation and no
+// query may run beside it. core.Manager guarantees that by holding the
+// partition's lock exclusively around every write and shared around every
+// query; the figure harness is single-threaded. Read-only calls (Search,
+// SearchKNN, LeafBounds, NodeCount) may run concurrently with each other —
 // they touch no mutable tree state outside the lock-protected buffer pool —
-// which the VP manager's parallel partition fan-out relies on.
+// which the manager's parallel partition fan-out relies on.
 type Tree struct {
 	pool *storage.BufferPool
 	cfg  Config
@@ -68,9 +71,9 @@ type Tree struct {
 	// corrupt parent bounds.
 	clock float64
 
-	// reinsertedAt flags levels that already did a forced reinsert during
+	// reinserted has bit l set once level l did a forced reinsert during
 	// the current top-level operation (R* rule: once per level per insert).
-	reinsertedAt map[int]bool
+	reinserted uint64
 
 	// pendingObjs/pendingEntries queue evictions from forced reinserts.
 	// They are drained only after the triggering descent has fully unwound,
@@ -139,12 +142,6 @@ func (t *Tree) sweepCost(mr geom.MovingRect, now float64) float64 {
 	return inflated.SweepVolume(now, now+t.cfg.Horizon)
 }
 
-// enlargeCost is the increase in sweepCost caused by extending mr to also
-// cover o.
-func (t *Tree) enlargeCost(mr, o geom.MovingRect, now float64) float64 {
-	return t.sweepCost(mr.Union(o, now), now) - t.sweepCost(mr.Rebase(now), now)
-}
-
 // --- insert ------------------------------------------------------------------
 
 // Insert implements model.Index. The object's reference time is taken as
@@ -153,7 +150,7 @@ func (t *Tree) Insert(o model.Object) error {
 	if !o.Pos.IsFinite() || !o.Vel.IsFinite() {
 		return fmt.Errorf("tprtree: non-finite object %v", o)
 	}
-	t.reinsertedAt = make(map[int]bool)
+	t.reinserted = 0
 	if o.T > t.clock {
 		t.clock = o.T
 	}
@@ -191,9 +188,14 @@ func (t *Tree) drainPending(now float64) error {
 }
 
 // insertObj routes one object record to a leaf (no size bookkeeping; used
-// by both Insert and forced reinsertion).
+// by Insert, forced reinsertion and condensing). A leaf with room takes it
+// in place; a full one is left untouched and handed to the decoded descent,
+// the only code that restructures.
 func (t *Tree) insertObj(o model.Object, now float64) error {
-	split, _, err := t.insertRec(t.root, t.height-1, o, nil, -1, now)
+	if done, err := t.insertInPlace(o, now); done || err != nil {
+		return err
+	}
+	split, _, err := t.insertRec(t.root, t.height-1, o, now)
 	if err != nil {
 		return err
 	}
@@ -203,12 +205,76 @@ func (t *Tree) insertObj(o model.Object, now float64) error {
 	return nil
 }
 
+// pathStep is one internal level of a descent: the page visited and the
+// entry taken out of it.
+type pathStep struct {
+	id storage.PageID
+	ci int
+}
+
+// insertInPlace is the non-structural insert: read down choosing a subtree
+// per internal page, append the slot to the leaf, then patch each ancestor's
+// entry with its child's new tight bound on the way back up — 2*height-1
+// page accesses, nothing decoded. No pin is held across a pool access
+// (storage.Read), which is why a level is read going down and written coming
+// up. done is false, with the tree unchanged, when the chosen leaf is full.
+func (t *Tree) insertInPlace(o model.Object, now float64) (done bool, err error) {
+	var path [maxHeight]pathStep
+	mrNow := objRect(o).Rebase(now)
+	id := t.root
+	for level := t.height - 1; level > 0; level-- {
+		step := pathStep{id: id}
+		if err := t.view(id, level, func(data []byte, count int) {
+			step.ci = t.chooseSubtree(count, func(i int) geom.MovingRect { return getMR(entrySlot(data, i)) }, mrNow, now)
+			id = getChild(entrySlot(data, step.ci))
+		}); err != nil {
+			return false, err
+		}
+		path[level] = step
+	}
+	var bound geom.MovingRect
+	if err := t.edit(id, 0, func(data []byte, count int) bool {
+		if count == LeafCap {
+			return false
+		}
+		putObj(leafSlot(data, count), o)
+		putCount(data, count+1)
+		bound = pageBound(data, 0, count+1, now)
+		done = true
+		return true
+	}); err != nil || !done {
+		return false, err
+	}
+	for level := 1; level < t.height; level++ {
+		if bound, _, err = t.tighten(path[level].id, level, path[level].ci, bound, now); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// tighten is one step of the way back up: it replaces the rectangle of the
+// entry a point operation descended through with its child's new bound and
+// returns this node's own new bound (not the root's: nobody reads it) and
+// its count.
+func (t *Tree) tighten(id storage.PageID, level, ci int, childBound geom.MovingRect, now float64) (bound geom.MovingRect, count int, err error) {
+	err = t.edit(id, level, func(data []byte, n int) bool {
+		putMR(entrySlot(data, ci), childBound)
+		if id != t.root {
+			bound = pageBound(data, level, n, now)
+		}
+		count = n
+		return true
+	})
+	return bound, count, err
+}
+
 // insertEntry routes a subtree entry to the given level (> 0); used when
 // condensing after deletes and during internal-node reinsertion.
 func (t *Tree) insertEntry(e entry, level int, now float64) error {
 	if t.height-1 == level {
 		// Target level is the root itself: extend the root.
-		root, err := t.readNode(t.root)
+		root, err := t.readNode(t.root, level)
 		if err != nil {
 			return err
 		}
@@ -230,6 +296,9 @@ func (t *Tree) insertEntry(e entry, level int, now float64) error {
 
 // growRoot installs a new root above the current one after a root split.
 func (t *Tree) growRoot(split splitOut, now float64) error {
+	if t.height == maxHeight {
+		return fmt.Errorf("tprtree: height limit %d reached", maxHeight)
+	}
 	oldRootBound := split.leftBound
 	id, err := t.pool.Allocate()
 	if err != nil {
@@ -258,77 +327,57 @@ type splitOut struct {
 	rightBound geom.MovingRect
 }
 
-// insertRec descends to level 0 inserting o. It returns a split record if
-// the visited child split, and the new tight bound of the visited child
-// (so the parent can tighten its entry without re-reading).
-//
-// parent/parentIdx identify the entry pointing at this node (nil for root);
-// they are only used for error context.
-func (t *Tree) insertRec(id storage.PageID, level int, o model.Object, parent *node, parentIdx int, now float64) (*splitOut, geom.MovingRect, error) {
-	n, err := t.readNode(id)
+// insertRec is the decoded descent to level 0 for an insert that restructures
+// (the chosen leaf is full). It returns a split record if the visited child
+// split, and the new tight bound of the visited child (so the parent can
+// tighten its entry without re-reading).
+func (t *Tree) insertRec(id storage.PageID, level int, o model.Object, now float64) (*splitOut, geom.MovingRect, error) {
+	n, err := t.readNode(id, level)
 	if err != nil {
 		return nil, geom.MovingRect{}, err
 	}
-	if n.level != level {
-		return nil, geom.MovingRect{}, fmt.Errorf("tprtree: page %d level %d, expected %d", id, n.level, level)
-	}
 	if n.leaf() {
 		n.objs = append(n.objs, o)
-		if n.overflowing() {
-			return t.handleOverflow(n, now)
-		}
-		if err := t.writeNode(n); err != nil {
-			return nil, geom.MovingRect{}, err
-		}
-		return nil, n.boundAt(now), nil
+		return t.placed(n, 0, nil, now)
 	}
-	ci := t.chooseSubtree(n, objRect(o), now)
-	split, childBound, err := t.insertRec(n.entries[ci].child, level-1, o, n, ci, now)
+	ci := t.chooseSubtreeOf(n, objRect(o), now)
+	split, childBound, err := t.insertRec(n.entries[ci].child, level-1, o, now)
 	if err != nil {
 		return nil, geom.MovingRect{}, err
 	}
 	n.entries[ci].mr = childBound // tighten
-	if split != nil {
-		n.entries[ci].mr = split.leftBound
-		n.entries = append(n.entries, entry{child: split.right, mr: split.rightBound})
-		if n.overflowing() {
-			return t.handleOverflow(n, now)
-		}
-	}
-	if err := t.writeNode(n); err != nil {
-		return nil, geom.MovingRect{}, err
-	}
-	return nil, n.boundAt(now), nil
+	return t.placed(n, ci, split, now)
 }
 
 // insertEntryRec descends to targetLevel inserting subtree entry e.
 func (t *Tree) insertEntryRec(id storage.PageID, level int, e entry, targetLevel int, now float64) (*splitOut, geom.MovingRect, error) {
-	n, err := t.readNode(id)
+	n, err := t.readNode(id, level)
 	if err != nil {
 		return nil, geom.MovingRect{}, err
 	}
 	if level == targetLevel {
 		n.entries = append(n.entries, e)
-		if n.overflowing() {
-			return t.handleOverflow(n, now)
-		}
-		if err := t.writeNode(n); err != nil {
-			return nil, geom.MovingRect{}, err
-		}
-		return nil, n.boundAt(now), nil
+		return t.placed(n, 0, nil, now)
 	}
-	ci := t.chooseSubtree(n, e.mr, now)
+	ci := t.chooseSubtreeOf(n, e.mr, now)
 	split, childBound, err := t.insertEntryRec(n.entries[ci].child, level-1, e, targetLevel, now)
 	if err != nil {
 		return nil, geom.MovingRect{}, err
 	}
 	n.entries[ci].mr = childBound
+	return t.placed(n, ci, split, now)
+}
+
+// placed finishes a decoded node the descent has changed: it absorbs the
+// split of child ci, if any, resolves an overflow, and otherwise writes the
+// node back and reports its new tight bound.
+func (t *Tree) placed(n *node, ci int, split *splitOut, now float64) (*splitOut, geom.MovingRect, error) {
 	if split != nil {
 		n.entries[ci].mr = split.leftBound
 		n.entries = append(n.entries, entry{child: split.right, mr: split.rightBound})
-		if n.overflowing() {
-			return t.handleOverflow(n, now)
-		}
+	}
+	if n.overflowing() {
+		return t.handleOverflow(n, now)
 	}
 	if err := t.writeNode(n); err != nil {
 		return nil, geom.MovingRect{}, err
@@ -336,16 +385,19 @@ func (t *Tree) insertEntryRec(id storage.PageID, level int, e entry, targetLevel
 	return nil, n.boundAt(now), nil
 }
 
-// chooseSubtree picks the child entry whose integrated sweeping volume
-// grows least when extended to cover mr (ties: smaller resulting volume,
-// then smaller current area).
-func (t *Tree) chooseSubtree(n *node, mr geom.MovingRect, now float64) int {
+// chooseSubtree picks, among count entries, the one whose integrated
+// sweeping volume grows least when extended to cover mrNow (ties: smaller
+// current volume, then the earlier entry). entryAt reads entry i from a raw
+// page or a decoded node; mrNow is already rebased to now, once, and each
+// entry's own volume is integrated once for both keys.
+func (t *Tree) chooseSubtree(count int, entryAt func(i int) geom.MovingRect, mrNow geom.MovingRect, now float64) int {
 	best := 0
 	bestEnl := math.Inf(1)
 	bestVol := math.Inf(1)
-	for i, e := range n.entries {
-		enl := t.enlargeCost(e.mr, mr, now)
-		vol := t.sweepCost(e.mr.Rebase(now), now)
+	for i := 0; i < count; i++ {
+		eNow := entryAt(i).Rebase(now)
+		vol := t.sweepCost(eNow, now)
+		enl := t.sweepCost(unionRebased(eNow, mrNow), now) - vol
 		if enl < bestEnl || (enl == bestEnl && vol < bestVol) {
 			best, bestEnl, bestVol = i, enl, vol
 		}
@@ -353,16 +405,18 @@ func (t *Tree) chooseSubtree(n *node, mr geom.MovingRect, now float64) int {
 	return best
 }
 
+// chooseSubtreeOf is chooseSubtree on a decoded node.
+func (t *Tree) chooseSubtreeOf(n *node, mr geom.MovingRect, now float64) int {
+	return t.chooseSubtree(len(n.entries), func(i int) geom.MovingRect { return n.entries[i].mr }, mr.Rebase(now), now)
+}
+
 // handleOverflow resolves an overflowing node: forced reinsert on the first
 // overflow at this level during the current operation, otherwise split.
 // The node n is already 1 entry over capacity.
 func (t *Tree) handleOverflow(n *node, now float64) (*splitOut, geom.MovingRect, error) {
-	if t.reinsertedAt == nil {
-		t.reinsertedAt = make(map[int]bool)
-	}
 	atRoot := n.id == t.root
-	if !atRoot && !t.reinsertedAt[n.level] {
-		t.reinsertedAt[n.level] = true
+	if bit := uint64(1) << n.level; !atRoot && t.reinserted&bit == 0 {
+		t.reinserted |= bit
 		if err := t.forcedReinsert(n, now); err != nil {
 			return nil, geom.MovingRect{}, err
 		}
@@ -455,18 +509,24 @@ func sortByDesc(n int, key func(int) float64, swap func(i, j int)) {
 
 // --- delete ------------------------------------------------------------------
 
+// orphans collects what a delete's condensing dissolved, for reinsertion
+// once the descent has unwound.
+type orphans struct {
+	objs    []model.Object
+	entries []levelEntry
+}
+
 // Delete implements model.Index: removes the exact record o (located by its
 // trajectory; the record must equal the one inserted). Underfull nodes are
 // condensed by reinsertion.
 func (t *Tree) Delete(o model.Object) error {
-	t.reinsertedAt = make(map[int]bool)
-	var orphanObjs []model.Object
-	var orphanEntries []levelEntry
+	t.reinserted = 0
+	var orph orphans
 	// Anchor at the tree clock, never the (possibly stale) record time:
 	// bounds must not be rewound (see the clock field).
 	now := math.Max(t.clock, o.T)
 
-	found, _, err := t.deleteRec(t.root, o, now, &orphanObjs, &orphanEntries)
+	found, _, rootCount, err := t.deleteAt(t.root, t.height-1, o, now, &orph)
 	if err != nil {
 		return err
 	}
@@ -475,8 +535,9 @@ func (t *Tree) Delete(o model.Object) error {
 	}
 	t.size--
 	// Shrink the root: an internal root with one child is replaced by it.
-	for t.height > 1 {
-		root, err := t.readNode(t.root)
+	// The descent's own count says whether there is anything to look at.
+	for rootCount == 1 && t.height > 1 {
+		root, err := t.readNode(t.root, t.height-1)
 		if err != nil {
 			return err
 		}
@@ -491,16 +552,16 @@ func (t *Tree) Delete(o model.Object) error {
 		}
 	}
 	// Reinsert orphans (entries first, at their recorded levels).
-	for _, oe := range orphanEntries {
+	for _, oe := range orph.entries {
 		if oe.level >= t.height {
 			// The tree shrank below the orphan's level: splice its
 			// children back individually.
-			child, err := t.readNode(oe.e.child)
+			child, err := t.readNode(oe.e.child, oe.level-1)
 			if err != nil {
 				return err
 			}
 			if child.leaf() {
-				orphanObjs = append(orphanObjs, child.objs...)
+				orph.objs = append(orph.objs, child.objs...)
 			} else {
 				for _, e := range child.entries {
 					if err := t.insertEntry(e, child.level-1, now); err != nil {
@@ -517,7 +578,7 @@ func (t *Tree) Delete(o model.Object) error {
 			return err
 		}
 	}
-	for _, obj := range orphanObjs {
+	for _, obj := range orph.objs {
 		if err := t.insertObj(obj, now); err != nil {
 			return err
 		}
@@ -525,64 +586,91 @@ func (t *Tree) Delete(o model.Object) error {
 	return t.drainPending(now)
 }
 
-// deleteRec removes o from the subtree at id. Returns (found, new bound).
-// Underfull children are dissolved into the orphan lists.
-func (t *Tree) deleteRec(id storage.PageID, o model.Object, now float64,
-	orphanObjs *[]model.Object, orphanEntries *[]levelEntry) (bool, geom.MovingRect, error) {
-
-	n, err := t.readNode(id)
-	if err != nil {
-		return false, geom.MovingRect{}, err
-	}
-	if n.leaf() {
-		for i, cand := range n.objs {
-			if cand.ID == o.ID {
-				n.objs = append(n.objs[:i], n.objs[i+1:]...)
-				if err := t.writeNode(n); err != nil {
-					return false, geom.MovingRect{}, err
+// deleteAt removes o from the subtree at id, on the page bytes: the leaf step
+// closes the gap in the slots, and each ancestor on the way back is one
+// tighten — 2*height-1 accesses when the containment search has one
+// candidate per level, plus one per false candidate visited. It returns the
+// node's new bound and count, which is how the level above learns — without
+// reading the child again — whether to dissolve it (dissolveChild, decoded)
+// and how Delete learns whether the root collapsed.
+func (t *Tree) deleteAt(id storage.PageID, level int, o model.Object, now float64, orph *orphans) (found bool, bound geom.MovingRect, count int, err error) {
+	if level == 0 {
+		err = t.edit(id, 0, func(data []byte, n int) bool {
+			for i := 0; i < n; i++ {
+				if getObj(leafSlot(data, i)).ID != o.ID {
+					continue
 				}
-				return true, n.boundAt(now), nil
+				copy(data[nodeHeader+i*leafEntrySize:], data[nodeHeader+(i+1)*leafEntrySize:nodeHeader+n*leafEntrySize])
+				putCount(data, n-1)
+				found, bound, count = true, pageBound(data, 0, n-1, now), n-1
+				return true
+			}
+			return false
+		})
+		return found, bound, count, err
+	}
+	// The candidates are collected under one pin and visited after it is
+	// released (no pin across a pool access).
+	var cands [InternalCap]struct {
+		ci    int
+		child storage.PageID
+	}
+	nc := 0
+	if err := t.view(id, level, func(data []byte, n int) {
+		for i := 0; i < n; i++ {
+			if s := entrySlot(data, i); entryMayContain(getMR(s), o) {
+				cands[nc].ci, cands[nc].child = i, getChild(s)
+				nc++
 			}
 		}
-		return false, geom.MovingRect{}, nil
+	}); err != nil {
+		return false, geom.MovingRect{}, 0, err
 	}
-	for i := 0; i < len(n.entries); i++ {
-		e := n.entries[i]
-		if !entryMayContain(e.mr, o) {
-			continue
-		}
-		found, childBound, err := t.deleteRec(e.child, o, now, orphanObjs, orphanEntries)
+	minFill := internalMin
+	if level == 1 {
+		minFill = leafMin
+	}
+	for _, c := range cands[:nc] {
+		found, childBound, childCount, err := t.deleteAt(c.child, level-1, o, now, orph)
 		if err != nil {
-			return false, geom.MovingRect{}, err
+			return false, geom.MovingRect{}, 0, err
 		}
 		if !found {
 			continue
 		}
-		n.entries[i].mr = childBound
-		// Condense: dissolve an underfull child into the orphan lists.
-		child, err := t.readNode(e.child)
-		if err != nil {
-			return false, geom.MovingRect{}, err
+		if childCount < minFill {
+			return t.dissolveChild(id, level, c.ci, now, orph)
 		}
-		if child.underfull() {
-			if child.leaf() {
-				*orphanObjs = append(*orphanObjs, child.objs...)
-			} else {
-				for _, ce := range child.entries {
-					*orphanEntries = append(*orphanEntries, levelEntry{e: ce, level: child.level})
-				}
-			}
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
-			if err := t.pool.Free(child.id); err != nil {
-				return false, geom.MovingRect{}, err
-			}
-		}
-		if err := t.writeNode(n); err != nil {
-			return false, geom.MovingRect{}, err
-		}
-		return true, n.boundAt(now), nil
+		bound, count, err = t.tighten(id, level, c.ci, childBound, now)
+		return true, bound, count, err
 	}
-	return false, geom.MovingRect{}, nil
+	return false, geom.MovingRect{}, 0, nil
+}
+
+// dissolveChild condenses after a delete left child ci of node id underfull:
+// the child's contents go to the orphan lists, its page is freed and its
+// entry removed.
+func (t *Tree) dissolveChild(id storage.PageID, level, ci int, now float64, orph *orphans) (bool, geom.MovingRect, int, error) {
+	n, err := t.readNode(id, level)
+	if err != nil {
+		return false, geom.MovingRect{}, 0, err
+	}
+	child, err := t.readNode(n.entries[ci].child, level-1)
+	if err != nil {
+		return false, geom.MovingRect{}, 0, err
+	}
+	orph.objs = append(orph.objs, child.objs...)
+	for _, ce := range child.entries {
+		orph.entries = append(orph.entries, levelEntry{e: ce, level: child.level})
+	}
+	n.entries = append(n.entries[:ci], n.entries[ci+1:]...)
+	if err := t.pool.Free(child.id); err != nil {
+		return false, geom.MovingRect{}, 0, err
+	}
+	if err := t.writeNode(n); err != nil {
+		return false, geom.MovingRect{}, 0, err
+	}
+	return true, n.boundAt(now), n.count(), nil
 }
 
 // entryMayContain is the descent test for deletes: the entry's rectangle

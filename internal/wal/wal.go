@@ -138,7 +138,7 @@ type WAL struct {
 	f        *os.File
 	segStart uint64
 	appended uint64
-	failed   bool       // a write error poisoned the active segment
+	failed   error      // the write error that poisoned the active segment, if any
 	sealed   []*os.File // rotated-out, not yet fsynced files (SyncNone only)
 
 	flushMu sync.Mutex // the group-commit leader lock
@@ -293,19 +293,21 @@ func (w *WAL) Append(t Type, payload []byte) (lsn uint64, err error) {
 	if w.f == nil {
 		return 0, fmt.Errorf("wal: closed")
 	}
-	if w.failed {
-		return 0, fmt.Errorf("wal: log poisoned by earlier write failure")
+	if w.failed != nil {
+		// Wrapping the cause lets a writer that raced the failing one classify
+		// the error the same way (an injected crash stays an injected crash).
+		return 0, fmt.Errorf("wal: log poisoned by earlier write failure: %w", w.failed)
 	}
 	if _, err := w.f.Write(frame); err != nil {
 		// A partial frame may be on disk; nothing may be appended after it.
-		w.failed = true
+		w.failed = err
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	w.appended += uint64(len(frame))
 	lsn = w.appended
 	if w.appended-w.segStart >= uint64(w.opt.SegmentBytes) {
 		if err := w.rotateLocked(); err != nil {
-			w.failed = true
+			w.failed = err
 			return 0, err
 		}
 	}
