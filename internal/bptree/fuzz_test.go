@@ -12,7 +12,8 @@ import (
 // FuzzTreeOps decodes a byte string into tree operations and runs them
 // against a sorted-slice model. Each operation is four bytes — opcode, two
 // key bytes, an argument — and the opcodes cover single insert/delete/get, a
-// range scan checked through both Scan and ScanMany, and runs of up to 255
+// range scan checked through both Scan and ScanMany, the same scan through
+// ScanFiltered under an arbitrary predicate of the key, and runs of up to 255
 // consecutive inserts or deletes, so a few hundred bytes reach height 3 and
 // drain it again. The pool is smaller than a leaf split's working set, so
 // every page also round-trips through eviction.
@@ -24,7 +25,7 @@ func FuzzTreeOps(f *testing.F) {
 		drain = append(drain, 5, byte(39-i), 0, 255)
 	}
 	f.Add(grow)
-	f.Add(append(append(grow, 3, 0, 0, 0, 6, 10, 0, 200), drain...))
+	f.Add(append(append(grow, 3, 0, 0, 0, 6, 10, 0, 200, 7, 10, 0, 203), drain...))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tr, err := New(storage.NewBufferPool(storage.NewDisk(), 4))
@@ -66,7 +67,7 @@ func FuzzTreeOps(f *testing.F) {
 		}
 		for step := 0; len(ops) >= 4; step, ops = step+1, ops[4:] {
 			k := Key{K: uint64(ops[1])<<8 | uint64(ops[2]), ID: model.ObjectID(ops[3] % 3)}
-			switch ops[0] % 7 {
+			switch ops[0] % 8 {
 			case 0, 1:
 				insert(k, step)
 			case 2:
@@ -85,19 +86,37 @@ func FuzzTreeOps(f *testing.F) {
 				for i := uint64(0); i < uint64(ops[3]); i++ {
 					remove(Key{K: k.K + i, ID: 7}, step)
 				}
-			case 6:
+			case 6, 7:
 				lo, hi := k.K, k.K+uint64(ops[3])*8
 				first, _ := find(Key{K: lo})
 				last, _ := find(Key{K: hi})
+				// Opcode 6 keeps everything (ScanMany: a nil filter), 7 what an
+				// arbitrary predicate of the key keeps.
+				var keep func(Entry) bool
+				expect := want[first:last]
+				if mod := uint64(ops[3]%5 + 2); ops[0]%8 == 7 {
+					keep = func(e Entry) bool { return (e.Key.K+uint64(e.Key.ID))%mod != 0 }
+					expect = nil
+					for _, e := range want[first:last] {
+						if keep(e) {
+							expect = append(expect, e)
+						}
+					}
+				}
 				var scan, many []Entry
-				if err := tr.Scan(lo, hi, func(e Entry) bool { scan = append(scan, e); return true }); err != nil {
+				if err := tr.Scan(lo, hi, func(e Entry) bool {
+					if keep == nil || keep(e) {
+						scan = append(scan, e)
+					}
+					return true
+				}); err != nil {
 					t.Fatalf("op %d: Scan: %v", step, err)
 				}
-				if err := tr.ScanMany([]ScanRange{{Lo: lo, Hi: hi}}, func(e Entry) bool { many = append(many, e); return true }); err != nil {
-					t.Fatalf("op %d: ScanMany: %v", step, err)
+				if err := tr.ScanFiltered([]ScanRange{{Lo: lo, Hi: hi}}, keep, func(e Entry) bool { many = append(many, e); return true }); err != nil {
+					t.Fatalf("op %d: ScanFiltered: %v", step, err)
 				}
-				if !slices.Equal(scan, want[first:last]) || !slices.Equal(many, want[first:last]) {
-					t.Fatalf("op %d: [%d,%d): Scan %d entries, ScanMany %d, model %d", step, lo, hi, len(scan), len(many), last-first)
+				if !slices.Equal(scan, expect) || !slices.Equal(many, expect) {
+					t.Fatalf("op %d: [%d,%d): Scan %d entries, ScanFiltered %d, model %d", step, lo, hi, len(scan), len(many), len(expect))
 				}
 			}
 			if tr.Len() != len(want) {

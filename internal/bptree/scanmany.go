@@ -3,6 +3,7 @@ package bptree
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/storage"
 )
@@ -28,14 +29,27 @@ type scanFrame struct {
 	hiOK     bool
 }
 
-// batchScanner carries the reusable state of one ScanMany call: the decoded
-// path stack and the per-leaf result scratch. Everything is sized once per
-// call and recycled across leaves and re-seeks, so the steady-state scan
-// allocates nothing per page.
+// batchScanner carries the reusable state of one scan: the decoded path
+// stack and the per-leaf result scratch. Scanners are pooled across calls
+// and trees, so the steady-state scan allocates nothing; what a pooled
+// scanner remembers of its last path is stale by definition (see reset).
 type batchScanner struct {
 	t       *Tree
 	frames  []scanFrame // frames[0] = root; len = height-1 (internal levels)
-	scratch []Entry     // entries matched on the current leaf page
+	scratch []Entry     // entries kept on the current leaf page
+}
+
+var scanners = sync.Pool{New: func() any { return new(batchScanner) }}
+
+// reset points a pooled scanner at t with an empty path: the tree it last
+// walked may have been another one, or have split, merged or changed height
+// since, so only the frames' slice capacity survives, never a cached page.
+func (s *batchScanner) reset(t *Tree) {
+	s.t = t
+	s.frames = resize(s.frames, t.height-1)
+	for i := range s.frames {
+		s.frames[i].id = storage.NilPage
+	}
 }
 
 // readFrame decodes the internal page id into f, reusing f's slice capacity.
@@ -141,6 +155,15 @@ func (s *batchScanner) seek(target Key) (leaf storage.PageID, bound Key, boundOK
 // inside a range are decoded, so a leaf that merely bridges two ranges
 // costs one page access and no decoding.
 func (t *Tree) ScanMany(ranges []ScanRange, visit func(Entry) bool) error {
+	return t.ScanFiltered(ranges, nil, visit)
+}
+
+// ScanFiltered is ScanMany restricted to the entries keep accepts (nil keeps
+// all). keep runs on the pinned leaf, before an entry is copied anywhere, so
+// it must be a pure function of the entry — no pool access, no locks (the
+// pool's "no pin across a pool access" rule); visit runs after the unpin, as
+// in ScanMany, and may do anything.
+func (t *Tree) ScanFiltered(ranges []ScanRange, keep, visit func(Entry) bool) error {
 	for i := 1; i < len(ranges); i++ {
 		if ranges[i].Lo < ranges[i-1].Lo {
 			return fmt.Errorf("bptree: ScanMany ranges not sorted by Lo at index %d", i)
@@ -154,10 +177,12 @@ func (t *Tree) ScanMany(ranges []ScanRange, visit func(Entry) bool) error {
 		return nil
 	}
 
-	s := batchScanner{t: t}
-	if t.height > 1 {
-		s.frames = make([]scanFrame, t.height-1)
-	}
+	s := scanners.Get().(*batchScanner)
+	defer func() {
+		s.t = nil
+		scanners.Put(s)
+	}()
+	s.reset(t)
 	leaf, _, _, err := s.seek(Key{K: ranges[ri].Lo})
 	if err != nil {
 		return err
@@ -207,7 +232,9 @@ func (t *Tree) ScanMany(ranges []ScanRange, visit func(Entry) bool) error {
 					}
 				}
 				if k >= ranges[ri].Lo {
-					s.scratch = append(s.scratch, decodeEntry(data[off:off+entrySize]))
+					if e := decodeEntry(data[off : off+entrySize]); keep == nil || keep(e) {
+						s.scratch = append(s.scratch, e)
+					}
 				}
 			}
 		})

@@ -306,3 +306,49 @@ func TestScanManyMixedWorkloadInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPooledScannerSeesStructureChanges scans, changes the tree's shape and
+// scans again on the same goroutine — which gets the same pooled scanner back,
+// cached path and all — through a root split, a second height change and a
+// drain back to a single leaf, against a second tree in between. A scanner
+// that trusted any frame from its last call would walk freed or re-used pages.
+func TestPooledScannerSeesStructureChanges(t *testing.T) {
+	tr := newTestTree(t, 64)
+	other := buildTree(t, rand.New(rand.NewSource(2)), 3000, 1<<20)
+	ranges := []ScanRange{{Lo: 0, Hi: 50}, {Lo: 400, Hi: 900}, {Lo: 5000, Hi: 1 << 40}}
+	check := func(step string) {
+		t.Helper()
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		for _, tree := range []*Tree{tr, other, tr} {
+			got, want := runScanMany(t, tree, ranges, -1), oracleScan(t, tree, ranges, -1)
+			if !entriesEqual(got, want) {
+				t.Fatalf("%s (height %d): ScanMany returned %d entries, Scan %d", step, tree.Height(), len(got), len(want))
+			}
+		}
+	}
+	check("empty")
+	next := uint64(0)
+	for _, height := range []int{2, 3} {
+		for tr.Height() < height {
+			if err := tr.Insert(mkEntry(next, 1)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		check("grown")
+	}
+	for k := uint64(0); k < next; k++ {
+		if err := tr.Delete(Key{K: k, ID: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if k == next/2 || tr.Height() == 2 && k%64 == 0 {
+			check("draining")
+		}
+	}
+	if tr.Height() != 1 || tr.Len() != 0 {
+		t.Fatalf("drained tree has height %d, %d entries", tr.Height(), tr.Len())
+	}
+	check("drained")
+}

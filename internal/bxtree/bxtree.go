@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/bptree"
 	"repro/internal/geom"
@@ -284,88 +285,68 @@ func (t *Tree) Update(old, new model.Object) error {
 // --- queries -------------------------------------------------------------------
 
 // Search implements model.Index for all three query kinds of Section 2.1.
-// Matching IDs are collected directly through the scan visitor — no
-// intermediate []model.Object is materialized just to copy the IDs out.
 func (t *Tree) Search(q model.RangeQuery) ([]model.ObjectID, error) {
-	out := make([]model.ObjectID, 0, 8)
-	err := t.searchVisit(q, func(o model.Object) {
-		out = append(out, o.ID)
+	return t.SearchAppend(make([]model.ObjectID, 0, 8), q)
+}
+
+// SearchAppend is Search appending the matching ids to dst, for a caller
+// that recycles its result buffers (the VP manager).
+func (t *Tree) SearchAppend(dst []model.ObjectID, q model.RangeQuery) ([]model.ObjectID, error) {
+	err := t.searchVisit(q, func(e bptree.Entry) bool {
+		dst = append(dst, e.Key.ID)
+		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return dst, nil
 }
 
-// SearchObjects is Search returning full records (the kNN refinement needs
-// positions, not just ids).
-func (t *Tree) SearchObjects(q model.RangeQuery) ([]model.Object, error) {
-	var out []model.Object
-	err := t.searchVisit(q, func(o model.Object) {
-		out = append(out, o)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// queryScratch is the per-query scratch state searchVisit threads through
-// the buckets: the curve-interval buffer and the scan batch are each
-// allocated once and recycled bucket to bucket.
+// queryScratch is the scratch state of one range search: the curve-interval
+// buffer, recycled bucket to bucket, and the scan batch the buckets' ranges
+// accumulate in. It is pooled, so a steady-state search allocates neither.
 type queryScratch struct {
 	ivs    []sfc.Interval
 	ranges []bptree.ScanRange
 }
 
-// searchVisit runs q over every time bucket, emitting each matching object
-// exactly once. Buckets are visited in ascending boundary order so results
-// are deterministic for a given tree state — the property the parallel
-// partition fan-out leans on when asserting its merge is byte-identical to
-// the sequential path; within a bucket, objects stream in key order.
-func (t *Tree) searchVisit(q model.RangeQuery, emit func(model.Object)) error {
-	var sc queryScratch
-	for _, b := range t.buckets {
-		if err := t.searchBucket(b, q, &sc, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
-// searchBucket runs the enlarged-window scan over one time bucket: the
-// window is decomposed into curve intervals once, the interval list is
-// merged gap-aware down to the scan budget, and the whole batch is served
-// by a single bptree.ScanMany leaf walk (one descent, sibling hops between
-// nearby intervals, path-stack re-seeks across gaps).
-func (t *Tree) searchBucket(b *bucket, q model.RangeQuery, sc *queryScratch, emit func(model.Object)) error {
-	w := t.enlargedWindow(b, q)
-	if w.IsEmpty() {
-		return nil
-	}
-	// Map the window to cell coordinates through cellOf, which *saturates*
-	// at the boundary cells. Keys were generated from positions clamped the
-	// same way, so a window overshooting the domain still scans the
-	// boundary cells where clamped objects live; the exact Matches filter
-	// removes any false candidates this admits.
-	x0, y0 := t.cellOf(geom.V(w.MinX, w.MinY))
-	x1, y1 := t.cellOf(geom.V(w.MaxX, w.MaxY))
-	sc.ivs = t.curve.AppendWindow(sc.ivs[:0], x0, y0, x1, y1)
-	ivs := sfc.MergeIntervals(sc.ivs, t.cfg.MaxScanRanges)
-
-	prefix := uint64(b.idx) << (2 * t.cfg.GridOrder)
-	visit := func(e bptree.Entry) bool {
-		o := e.Object()
-		if model.Matches(o, q) {
-			emit(o)
-		}
-		return true
-	}
+// searchVisit runs q over every time bucket, visiting each matching entry
+// exactly once. Per bucket, the enlarged window is decomposed into curve
+// intervals and the interval list merged gap-aware down to the bucket's scan
+// budget; the ranges of all buckets then go to the B+-tree as one batch —
+// bucket prefixes ascend, so the concatenation is already sorted — and a
+// single leaf walk serves it: one descent per query, sibling hops between
+// nearby intervals, path-stack re-seeks across gaps and across buckets, and
+// the exact predicate run on each pinned leaf so that only hits are copied
+// out. Entries stream in bucket-then-key order, deterministic for a given
+// tree state — the property the parallel partition fan-out leans on when
+// asserting its merge is byte-identical to the sequential path.
+func (t *Tree) searchVisit(q model.RangeQuery, visit func(bptree.Entry) bool) error {
+	sc := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(sc)
 	sc.ranges = sc.ranges[:0]
-	for _, iv := range ivs {
-		sc.ranges = append(sc.ranges, bptree.ScanRange{Lo: prefix + iv.Lo, Hi: prefix + iv.Hi})
+	for _, b := range t.buckets {
+		w := t.enlargedWindow(b, q)
+		if w.IsEmpty() {
+			continue
+		}
+		// Map the window to cell coordinates through cellOf, which *saturates*
+		// at the boundary cells. Keys were generated from positions clamped the
+		// same way, so a window overshooting the domain still scans the
+		// boundary cells where clamped objects live; the exact predicate
+		// removes any false candidates this admits.
+		x0, y0 := t.cellOf(geom.V(w.MinX, w.MinY))
+		x1, y1 := t.cellOf(geom.V(w.MaxX, w.MaxY))
+		sc.ivs = t.curve.AppendWindow(sc.ivs[:0], x0, y0, x1, y1)
+		prefix := uint64(b.idx) << (2 * t.cfg.GridOrder)
+		for _, iv := range sfc.MergeIntervals(sc.ivs, t.cfg.MaxScanRanges) {
+			sc.ranges = append(sc.ranges, bptree.ScanRange{Lo: prefix + iv.Lo, Hi: prefix + iv.Hi})
+		}
 	}
-	return t.bt.ScanMany(sc.ranges, visit)
+	m := model.NewMatcher(q)
+	return t.bt.ScanFiltered(sc.ranges, func(e bptree.Entry) bool { return m.Matches(e.Object()) }, visit)
 }
 
 // enlargedWindow computes the query window in the bucket's reference frame.

@@ -371,3 +371,65 @@ func TestHeightReported(t *testing.T) {
 		t.Fatalf("height = %d after 5000 inserts", tr.Height())
 	}
 }
+
+// readLog is a PageStore that records which pages are physically read.
+type readLog struct {
+	storage.PageStore
+	ids []storage.PageID
+}
+
+func (l *readLog) ReadPage(id storage.PageID, dst *[storage.PageSize]byte) error {
+	l.ids = append(l.ids, id)
+	return l.PageStore.ReadPage(id, dst)
+}
+
+// TestSearchDescendsOncePerTree holds a range search to one descent per tree,
+// not one per time bucket: on a height-3 tree with three live buckets, every
+// page one Search touches — the root, the internal nodes on its path, the
+// leaves — it touches exactly once. The pool has a single frame, so every
+// access to a page other than the last one is a physical read and the log
+// shows the whole walk; a search that descended per bucket would read the
+// root three times.
+func TestSearchDescendsOncePerTree(t *testing.T) {
+	log := &readLog{PageStore: storage.NewDisk()}
+	pool := storage.NewBufferPool(log, 1)
+	tr, err := NewTree(pool, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	oracle := model.NewBruteForce()
+	for b, tref := range []float64{30, 90, 150} { // bucket width 60: three buckets
+		for _, o := range randomWorkload(5000, rng, tref) {
+			o.ID += model.ObjectID(b * 5000)
+			if err := tr.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+			_ = oracle.Insert(o)
+		}
+	}
+	if tr.Height() != 3 || tr.ActiveBuckets() != 3 {
+		t.Fatalf("height %d with %d live buckets, want 3 and 3", tr.Height(), tr.ActiveBuckets())
+	}
+	q := model.RangeQuery{Kind: model.TimeSlice, Circle: geom.Circle{C: geom.V(50000, 50000), R: 3000}, Now: 150, T0: 170}
+	log.ids = log.ids[:0]
+	before := pool.Stats()
+	got, err := tr.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := oracle.Search(q)
+	sameIDs(t, got, want, "search")
+	after := pool.Stats()
+	seen := make(map[storage.PageID]bool)
+	for _, id := range log.ids {
+		if seen[id] {
+			t.Errorf("page %d read twice in one search (the first page read, %d, is the root)", id, log.ids[0])
+		}
+		seen[id] = true
+	}
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 0 || int(misses) != len(log.ids) || len(log.ids) < 1+2+3 {
+		t.Fatalf("one search: %d hits and %d misses over %d logged reads; want no hit and at least a root, two internal nodes and three leaves",
+			hits, misses, len(log.ids))
+	}
+}

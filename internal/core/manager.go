@@ -143,8 +143,9 @@ type Manager struct {
 	routeMu             sync.Mutex
 	insertsSinceRefresh int
 
-	scratch sync.Pool // *applyScratch
-	name    string
+	scratch  sync.Pool // *applyScratch
+	qscratch sync.Pool // *queryScratch
+	name     string
 }
 
 var _ model.Index = (*Manager)(nil)
@@ -226,6 +227,9 @@ func NewManager(an Analysis, cfg ManagerConfig, factory IndexFactory) (*Manager,
 	np, ns := len(pars), cfg.Stripes
 	m.scratch.New = func() any {
 		return &applyScratch{lists: make([][]int32, np), next: make([]atomic.Int32, np), locked: make([]bool, ns)}
+	}
+	m.qscratch.New = func() any {
+		return &queryScratch{ids: make([][]model.ObjectID, np)}
 	}
 	return m, nil
 }
@@ -741,14 +745,29 @@ func (m *Manager) ReportBatch(objs []model.Object) (applied int, err error) {
 	return m.Apply(Upsert, objs, nil)
 }
 
+// queryScratch is the pooled working state of Search: one id buffer per
+// partition, recycled across queries.
+type queryScratch struct {
+	ids [][]model.ObjectID
+}
+
+// appendSearcher is the range search of an index that can fill a buffer of
+// the caller's (both built-in trees); any other index is asked through
+// model.Index.Search and its fresh slice used as is.
+type appendSearcher interface {
+	SearchAppend(dst []model.ObjectID, q model.RangeQuery) ([]model.ObjectID, error)
+}
+
 // Search implements model.Index: Algorithm 3. The query — which the caller
 // has validated — is transformed into each rotated partition frame (its
 // region bounded by an axis-aligned MBR there), the partitions are probed by
 // a bounded worker pool (cfg.SearchParallelism) into per-partition result
 // buffers, and after the joins the buffers are merged in partition order, so
-// the output is byte-identical to the sequential loop. Identity-rotation
-// partitions — the DVA layout's outlier index, every speed band, the
-// unpartitioned objective — take the query unchanged.
+// the output is byte-identical to the sequential loop. The fan-out is what
+// keeps the hold on every stripe and partition lock short; it is measured,
+// not assumed (ROADMAP item 3(v)). Identity-rotation partitions — the DVA
+// layout's outlier index, every speed band, the unpartitioned objective —
+// take the query unchanged.
 //
 // The merge is the exact refinement of Algorithm 3 line 8, driven entirely
 // by the lookup table: a candidate id counts only if the table places it in
@@ -759,25 +778,27 @@ func (m *Manager) ReportBatch(objs []model.Object) (applied int, err error) {
 // conservatively bounded by its MBR in the partition frame. Circular
 // queries skip that re-check on the hot path: rotations are isometries, so
 // the circle survives the frame change exactly and the partition index's
-// own Matches refinement already was the exact world-frame predicate.
+// own refinement already was the exact world-frame predicate.
 // Identity-rotation candidates always skip it: their partition ran the
 // query unchanged.
 func (m *Manager) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 	m.rlock(true)
 	defer m.runlock(true)
-	lists := make([][]model.ObjectID, len(m.pars))
-	err := parallel.Do(len(m.pars), m.cfg.SearchParallelism, func(i int) error {
+	sc := m.qscratch.Get().(*queryScratch)
+	defer m.qscratch.Put(sc)
+	lists := sc.ids
+	err := parallel.Do(len(m.pars), m.cfg.SearchParallelism, func(i int) (err error) {
 		p := &m.pars[i]
 		pq := q
 		if !p.identity {
 			pq = q.Transform(p.rot)
 		}
-		ids, err := p.idx.Search(pq)
-		if err != nil {
-			return err
+		if as, ok := p.idx.(appendSearcher); ok {
+			lists[i], err = as.SearchAppend(lists[i][:0], pq)
+		} else {
+			lists[i], err = p.idx.Search(pq)
 		}
-		lists[i] = ids
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -786,6 +807,7 @@ func (m *Manager) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 	for _, ids := range lists {
 		total += len(ids)
 	}
+	world := model.NewMatcher(q)
 	exactInFrame := q.IsCircle()
 	out := make([]model.ObjectID, 0, total)
 	for i, ids := range lists {
@@ -795,7 +817,7 @@ func (m *Manager) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 			if !ok || rec.part != i {
 				continue
 			}
-			if recheck && !model.Matches(rec.obj, q) {
+			if recheck && !world.Matches(rec.obj) {
 				continue
 			}
 			out = append(out, id)

@@ -1,8 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -45,11 +46,8 @@ type KNNIndex interface {
 
 // SortNeighbors orders by distance, ties by id (deterministic results).
 func SortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(a, b int) bool {
-		if ns[a].Dist != ns[b].Dist {
-			return ns[a].Dist < ns[b].Dist
-		}
-		return ns[a].ID < ns[b].ID
+	slices.SortFunc(ns, func(a, b Neighbor) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
 	})
 }
 
@@ -57,7 +55,11 @@ func SortNeighbors(ns []Neighbor) {
 // (used by the VP manager: rotations are isometries, so distances computed
 // in different partition frames are directly comparable).
 func MergeNeighbors(k int, lists ...[]Neighbor) []Neighbor {
-	var all []Neighbor
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	all := make([]Neighbor, 0, n)
 	for _, l := range lists {
 		all = append(all, l...)
 	}

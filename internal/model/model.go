@@ -177,25 +177,60 @@ func (q RangeQuery) Validate() error {
 	return nil
 }
 
-// Matches is the exact predicate: does object o satisfy q? It is used as
-// the refinement step after every index probe (Algorithm 3 line 8) and as
-// the test oracle. The math is closed-form: linear motion against a static
-// or linearly translating rectangle reduces to interval intersection per
-// axis; against a circle it reduces to a quadratic in t.
-func Matches(o Object, q RangeQuery) bool {
-	t0, t1 := q.T0, q.EndTime()
-	var regionVel geom.Vec2
+// Matcher is the exact predicate of one query — does an object satisfy it? —
+// with what does not depend on the object worked out once: it is the
+// refinement step after every index probe (Algorithm 3 line 8), run per
+// candidate on a pinned leaf, and the test oracle. The math is closed-form:
+// linear motion against a static or linearly translating rectangle reduces to
+// interval intersection per axis; against a circle it reduces to a quadratic
+// in t.
+type Matcher struct {
+	t0, t1 float64     // the query's time range; equal for a time slice
+	circle geom.Circle // the region when circle.R > 0, else rect is
+	rect   geom.Rect
+	vel    geom.Vec2 // region velocity (zero unless MovingRange)
+}
+
+// NewMatcher prepares q's predicate.
+func NewMatcher(q RangeQuery) (m Matcher) {
+	m.init(&q)
+	return m
+}
+
+func (m *Matcher) init(q *RangeQuery) {
+	m.t0, m.t1, m.circle, m.rect = q.T0, q.EndTime(), q.Circle, q.Rect
 	if q.Kind == MovingRange {
-		regionVel = q.Vel
+		m.vel = q.Vel
 	}
-	if q.IsCircle() {
-		return circleHit(o, q.Circle, regionVel, t0, t1)
+}
+
+// Matches reports whether o satisfies the query.
+func (m *Matcher) Matches(o Object) bool { return m.matches(&o) }
+
+// matches takes the record by pointer so that it stays in the caller's frame:
+// copying it per candidate costs a tenth of testing it.
+func (m *Matcher) matches(o *Object) bool {
+	if m.circle.R > 0 {
+		if m.t1 == m.t0 {
+			// circleHit at a single instant — the kNN inner loop and the
+			// commonest range query: its quadratic is evaluated at s = 0,
+			// where it is its constant term.
+			return o.PosAt(m.t0).Sub(m.circle.C).NormSq()-m.circle.R*m.circle.R <= 0
+		}
+		return circleHit(*o, m.circle, m.vel, m.t0, m.t1)
 	}
 	// Relative motion of the object with respect to the (possibly moving)
 	// rectangle.
-	rel := geom.MovingPointRect(o.PosAt(t0), o.Vel.Sub(regionVel), t0)
-	static := geom.MovingRect{MBR: q.Rect, VBR: geom.Rect{}, Ref: t0}
-	return rel.IntersectsDuring(static, t0, t1)
+	rel := geom.MovingPointRect(o.PosAt(m.t0), o.Vel.Sub(m.vel), m.t0)
+	static := geom.MovingRect{MBR: m.rect, VBR: geom.Rect{}, Ref: m.t0}
+	return rel.IntersectsDuring(static, m.t0, m.t1)
+}
+
+// Matches is NewMatcher(q).Matches(o) for callers with one object to test.
+func Matches(o Object, q RangeQuery) bool {
+	var m Matcher
+	m.init(&q)
+	return m.matches(&o)
 }
 
 // circleHit solves |p(t) - c(t)| <= r for t in [t0, t1] where both p and c
@@ -329,8 +364,9 @@ func (b *BruteForce) Search(q RangeQuery) ([]ObjectID, error) {
 		return nil, err
 	}
 	var out []ObjectID
+	m := NewMatcher(q)
 	for _, o := range b.objs {
-		if Matches(o, q) {
+		if m.Matches(o) {
 			out = append(out, o.ID)
 		}
 	}

@@ -348,3 +348,28 @@ func TestSentinelErrorsAreIsable(t *testing.T) {
 		t.Fatal("sentinel errors alias each other")
 	}
 }
+
+// TestMatcherTimeSliceIsCircleHit pins the one shortcut the Matcher takes: a
+// circle at a single instant is decided by the constant term of circleHit's
+// quadratic. Same answer as the general form, boundary cases included, for
+// time-slice queries and for interval and moving queries of zero length.
+func TestMatcherTimeSliceIsCircleHit(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 20000; i++ {
+		o := Object{Pos: geom.V(rng.Float64()*1000, rng.Float64()*1000), Vel: geom.V(rng.Float64()*20-10, rng.Float64()*20-10), T: float64(rng.Intn(50))}
+		q := RangeQuery{Kind: QueryKind(i % 3), Circle: geom.Circle{C: geom.V(rng.Float64()*1000, rng.Float64()*1000), R: 1 + rng.Float64()*400},
+			Vel: geom.V(rng.Float64()*10-5, rng.Float64()*10-5), Now: 50, T0: 50 + float64(rng.Intn(60))}
+		q.T1 = q.T0
+		if i%7 == 0 { // exactly on the boundary, up to the rounding of Pos + R
+			o.Vel, o.Pos = geom.Vec2{}, q.Circle.C.Add(geom.V(q.Circle.R, 0))
+		}
+		vel := geom.Vec2{}
+		if q.Kind == MovingRange {
+			vel = q.Vel
+		}
+		m := NewMatcher(q)
+		if got, want := m.Matches(o), circleHit(o, q.Circle, vel, q.T0, q.T0); got != want || got != Matches(o, q) {
+			t.Fatalf("%+v against %+v: Matcher %v, circleHit %v, Matches %v", o, q, got, want, Matches(o, q))
+		}
+	}
+}

@@ -12,9 +12,9 @@
 package sfc
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // MaxOrder bounds the grid resolution so that curve values fit comfortably
@@ -69,11 +69,17 @@ func MergeIntervals(ivs []Interval, max int) []Interval {
 	if max <= 0 || len(ivs) <= max {
 		return ivs
 	}
-	gaps := make([]uint64, len(ivs)-1)
+	// The gap lists live on the stack for any window of ordinary size: this
+	// runs once per time bucket of every Bx-tree query.
+	var stack [128]uint64
+	n, scratch := len(ivs)-1, stack[:]
+	if 2*n > len(scratch) {
+		scratch = make([]uint64, 2*n)
+	}
+	gaps, ordered := scratch[:n], scratch[n:2*n]
 	for i := range gaps {
 		gaps[i] = ivs[i+1].Lo - ivs[i].Hi
 	}
-	ordered := make([]uint64, len(gaps))
 	copy(ordered, gaps)
 	slices.Sort(ordered)
 	// Bridge every gap strictly below the selection threshold, plus the
@@ -128,7 +134,7 @@ func compactAppended(ivs []Interval, mark int) []Interval {
 	if len(tail) <= 1 {
 		return ivs
 	}
-	sort.Slice(tail, func(a, b int) bool { return tail[a].Lo < tail[b].Lo })
+	slices.SortFunc(tail, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
 	n := 1
 	for _, iv := range tail[1:] {
 		last := &tail[n-1]

@@ -2,23 +2,34 @@ package tprtree
 
 import (
 	"container/heap"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/storage"
 )
 
-// SearchKNN implements model.KNNIndex with the best-first traversal of
+// SearchKNN implements model.KNNIndex: SearchKNNWithin with no bound.
+func (t *Tree) SearchKNN(q model.KNNQuery) ([]model.Neighbor, error) {
+	return t.SearchKNNWithin(q, math.Inf(1))
+}
+
+// SearchKNNWithin returns the (up to) q.K nearest objects among those no
+// farther than bound from the centre, with the best-first traversal of
 // Hjaltason & Samet: a priority queue ordered by the minimum distance (at
 // the query's evaluation time) between the query point and the entry's
 // time-parameterized rectangle. When the queue's head is an object, no
-// unvisited entry can be nearer, so it is the next neighbor.
-func (t *Tree) SearchKNN(q model.KNNQuery) ([]model.Neighbor, error) {
+// unvisited entry can be nearer, so it is the next neighbor; when the head is
+// past bound, so is everything unvisited.
+func (t *Tree) SearchKNNWithin(q model.KNNQuery, bound float64) ([]model.Neighbor, error) {
 	pq := &knnHeap{}
 	heap.Push(pq, knnItem{dist: 0, page: t.root, level: t.height - 1, isNode: true})
 	var out []model.Neighbor
 	for pq.Len() > 0 && len(out) < q.K {
 		it := heap.Pop(pq).(knnItem)
+		if it.dist > bound {
+			break
+		}
 		if !it.isNode {
 			out = append(out, model.Neighbor{ID: it.id, Dist: it.dist})
 			continue

@@ -167,12 +167,18 @@ func identityPerm(n int) []int {
 
 // Search implements model.Index: all three query types of Section 2.1 via
 // the time-parameterized intersection test, with exact refinement of leaf
-// candidates through model.Matches (this also restricts circular queries
-// from their MBR to the disk).
+// candidates through the query's model.Matcher (this also restricts circular
+// queries from their MBR to the disk).
 func (t *Tree) Search(q model.RangeQuery) ([]model.ObjectID, error) {
+	return t.SearchAppend(nil, q)
+}
+
+// SearchAppend is Search appending the matching ids to out, for a caller
+// that recycles its result buffers (the VP manager).
+func (t *Tree) SearchAppend(out []model.ObjectID, q model.RangeQuery) ([]model.ObjectID, error) {
 	qmr := q.AsMovingRect()
 	t0, t1 := q.T0, q.EndTime()
-	var out []model.ObjectID
+	m := model.NewMatcher(q)
 	var buf [64]pageRef
 	stack := append(buf[:0], pageRef{id: t.root, level: t.height - 1})
 	for len(stack) > 0 {
@@ -181,7 +187,7 @@ func (t *Tree) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 		if err := t.view(top.id, top.level, func(data []byte, count int) {
 			for i := 0; i < count; i++ {
 				if top.level == 0 {
-					if o := getObj(leafSlot(data, i)); model.Matches(o, q) {
+					if o := getObj(leafSlot(data, i)); m.Matches(o) {
 						out = append(out, o.ID)
 					}
 				} else if s := entrySlot(data, i); getMR(s).IntersectsDuring(qmr, t0, t1) {

@@ -1059,9 +1059,10 @@ func (s *Store) Search(q RangeQuery) ([]ObjectID, error) {
 }
 
 // SearchKNN returns the k objects nearest the query center at the query's
-// evaluation time: the manager merges its partitions' top-k lists. Returns
-// ErrUnsupported if the configured base structure has no kNN implementation
-// (both built-in kinds do).
+// evaluation time: the manager probes its most populous partition for the k
+// nearest, the others for what lies within that k-th distance, and merges.
+// Returns ErrUnsupported if the configured base structure has no kNN
+// implementation (both built-in kinds do).
 func (s *Store) SearchKNN(q KNNQuery) ([]Neighbor, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

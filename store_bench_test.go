@@ -209,3 +209,32 @@ func BenchmarkStoreSearch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStoreSearchKNN is one SearchKNN(k=10) per iteration from a single
+// caller, with every index page cached and with a cache a tenth of the index
+// (20,000 objects are about 480 pages over three pools); no disk latency, so
+// the time is the engine's own. pages/op is pool accesses (hits + misses) per
+// query: the count the partition bound shrinks.
+func BenchmarkStoreSearchKNN(b *testing.B) {
+	objs := randomObjects(benchStoreObjects, 11)
+	for _, c := range []struct {
+		name  string
+		pages int
+	}{{"cached", 1024}, {"cache=10%", 16}} {
+		b.Run(c.name, func(b *testing.B) {
+			store := newBenchStore(b, 1, objs, vpindex.WithDiskLatency(0), vpindex.WithBufferPages(c.pages))
+			rng := rand.New(rand.NewSource(1))
+			before := store.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := vpindex.V(rng.Float64()*100000, rng.Float64()*100000)
+				if _, err := store.SearchKNN(vpindex.KNNQuery{Center: c, K: 10, Now: 0, T: 60}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			io := store.Stats().IOStats.Sub(before.IOStats)
+			b.ReportMetric(float64(io.Reads+io.Hits)/float64(b.N), "pages/op")
+		})
+	}
+}
