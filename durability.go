@@ -2,18 +2,17 @@ package vpindex
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -32,19 +31,22 @@ import (
 //   - Checkpoints are incremental: the first one snapshots the full logical
 //     state — objects, the partition analysis, the subscription registry with
 //     its memberships — and every later one captures only what changed since
-//     the previous checkpoint (per-stripe dirty sets of touched ObjectIDs,
-//     removed-ID tombstones, and registry/partition dirty flags) into a delta
-//     file (ckpt-<gen>.delta) chained to the last full snapshot. Every file
-//     uses the same shadow-write protocol — tmp, fsync, atomic rename, dir
-//     fsync — so a crash never leaves a torn element. A compaction policy
-//     (WithCheckpointCompaction) folds a long chain back into a single full
-//     snapshot in the background, off the commit lock.
-//   - Recovery loads the full snapshot plus its deltas in generation order and
-//     replays the log tail through the normal write paths, so every index
-//     invariant, subscription evaluation, and maintenance hook behaves exactly
-//     as it did the first time. The page file (FileStore) is rebuilt from
-//     logical state at every open: index pages newer than the checkpoint are
-//     never trusted.
+//     the previous checkpoint (per-stripe sets of the ObjectIDs written
+//     since, each resolved at capture to its current record or a tombstone,
+//     and registry/partition dirty flags) into a delta file chained to the
+//     last full snapshot. The element type, its byte format, the shadow-write
+//     file protocol, the chain's linkage rules and the fold are internal/ckpt;
+//     what stays here is what only the Store knows: what to capture, when to
+//     compact, how to apply. A compaction policy (WithCheckpointCompaction)
+//     folds a long chain back into a single full snapshot in the background,
+//     off the commit lock.
+//   - Recovery folds the chain into one snapshot, loads it once — one
+//     partition swap, one batch, one registry restore — and replays the log
+//     tail through the normal write paths, so every index invariant,
+//     subscription evaluation, and maintenance hook behaves exactly as it did
+//     the first time. The page file (FileStore) is scratch space for this
+//     process: it starts empty at every Open and nothing in it is ever read by
+//     a later one.
 //
 // Consistency between a checkpoint and the log is the commitMu protocol:
 // each write verb holds commitMu shared across its {apply, append} pair and
@@ -119,13 +121,7 @@ type durability struct {
 const (
 	pagesFileName = "pages.dat"
 	walDirName    = "wal"
-	ckptFileName  = "checkpoint.ckpt"
-	ckptTmpName   = "checkpoint.tmp"
 )
-
-// deltaFileName names one delta-chain element. The zero-padded generation
-// makes lexical directory order equal generation order.
-func deltaFileName(gen uint64) string { return fmt.Sprintf("ckpt-%020d.delta", gen) }
 
 // initDurable opens the data directory's page file and log. Called from Open
 // before any index is built; recovery itself runs after the manager exists.
@@ -135,8 +131,8 @@ func (s *Store) initDurable() error {
 		return fmt.Errorf("vpindex: data dir: %w", err)
 	}
 	fstore, err := storage.OpenFileStore(filepath.Join(cfg.dataDir, pagesFileName), storage.FileStoreOptions{
-		// Index pages are rebuilt from checkpoint + log replay at every
-		// open; stale images must not survive into the new generation.
+		// The page file is scratch: every index page is rebuilt from
+		// checkpoint + log replay, so a previous process's file is discarded.
 		Truncate: true,
 		Injector: cfg.injector,
 		Mmap:     cfg.mmapOn,
@@ -174,12 +170,12 @@ func (s *Store) closeFiles() {
 	}
 }
 
-// Close flushes the log and the page file and closes both, stopping the
-// background scrubber first. A non-durable Store has nothing to flush; Close
-// is then a no-op. Close is idempotent and safe for concurrent callers —
-// exactly one does the shutdown, the rest return nil — and leaves the store
-// Failed ("closed"): later writes return ErrFailed, reads keep serving the
-// final in-memory state.
+// Close flushes the log and closes it and the page file (scratch, so not
+// flushed), stopping the background scrubber first. A non-durable Store has
+// nothing to flush; Close is then a no-op. Close is idempotent and safe for
+// concurrent callers — exactly one does the shutdown, the rest return nil —
+// and leaves the store Failed ("closed"): later writes return ErrFailed, reads
+// keep serving the final in-memory state.
 func (s *Store) Close() error {
 	d := s.dur
 	if d == nil {
@@ -403,42 +399,14 @@ type IngestStats struct{ CoalescedBatches, CoalescedRecords, FlushBarriers int64
 // IngestStats always returns (IngestStats{}, false).
 func (s *Store) IngestStats() (IngestStats, bool) { return IngestStats{}, false }
 
-// checkpointState is one chain element: a consistent cut of the Store's
-// logical state (full snapshot) or of everything that changed since the
-// previous element (delta). partitioned doubles as "this element carries an
-// analysis to apply": always set for a partitioned full snapshot, set on a
-// delta only when the partitions changed since the previous element.
-type checkpointState struct {
-	gen       uint64 // chain generation; monotonic across fulls and deltas
-	parentGen uint64 // generation this delta chains onto (0 for a full)
-	delta     bool
-
-	lsn         uint64
-	partitioned bool
-	analysis    core.Analysis
-	objects     []Object
-	tombs       []ObjectID // IDs removed since the previous element (delta only)
-
-	hasEngine bool
-	clock     float64
-	nextID    SubscriptionID
-	subs      []checkpointSub
-
-	// Capture bookkeeping, never encoded: the dirty/gone maps swapped out of
-	// the stripes (restored if the write fails) and the captured dirty-flag
-	// values; size is the on-disk element size filled in by readChain.
+// captured is one checkpoint capture: the chain element to write, plus what a
+// failed write needs to undo the capture — the per-stripe dirty sets swapped
+// out of the stripes and the dirty-flag values read. None of it is encoded.
+type captured struct {
+	ckpt.Element
 	savedDirty []map[ObjectID]struct{}
-	savedGone  []map[ObjectID]struct{}
 	savedSubs  bool
 	savedPart  bool
-	size       int64
-}
-
-// checkpointSub is one subscription with its full membership.
-type checkpointSub struct {
-	id      SubscriptionID
-	sub     Subscription
-	members []ObjectID
 }
 
 // Checkpoint persists a consistent cut of the Store's logical state to the
@@ -463,10 +431,10 @@ func (s *Store) Checkpoint() error {
 		return s.healthErr(ErrFailed)
 	}
 	ck, err := s.checkpointLocked(d)
-	ev := MaintenanceEvent{Op: MaintCheckpoint, Err: err, SampleSize: len(ck.objects), Swapped: err == nil}
+	ev := MaintenanceEvent{Op: MaintCheckpoint, Err: err, SampleSize: len(ck.Objects), Swapped: err == nil}
 	s.recordMaintenance(ev)
 	s.notifyMaintenance(ev)
-	if err == nil && ck.delta {
+	if err == nil && ck.Delta {
 		s.maybeCompact(d)
 	}
 	return err
@@ -476,23 +444,18 @@ func (s *Store) Checkpoint() error {
 // Hook notification and compaction scheduling stay outside the lock so a
 // maintenance hook may call any Store method — including Close, which drains
 // in-flight checkpoints by acquiring ckptMu itself.
-func (s *Store) checkpointLocked(d *durability) (checkpointState, error) {
+func (s *Store) checkpointLocked(d *durability) (captured, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	// Re-check under the lock: a Close that won the race has already drained
 	// the files, and a checkpoint written now would recreate them.
 	if d.closed.Load() {
-		return checkpointState{}, s.healthErr(ErrFailed)
+		return captured{}, s.healthErr(ErrFailed)
 	}
 	full := d.ckptGen.Load() == 0 // nothing durable yet: the chain needs its base
 	start := time.Now()
 	d.commitMu.Lock()
-	var ck checkpointState
-	if full {
-		ck = s.captureCheckpoint(d)
-	} else {
-		ck = s.captureDelta(d)
-	}
+	ck := s.capture(d, full)
 	d.commitMu.Unlock()
 	pause := time.Since(start).Nanoseconds()
 	d.pauseLast.Store(pause)
@@ -502,150 +465,111 @@ func (s *Store) checkpointLocked(d *durability) (checkpointState, error) {
 			break
 		}
 	}
-	name := ckptFileName
-	if ck.delta {
-		name = deltaFileName(ck.gen)
-	}
-	n, err := d.writeCheckpointFile(name, ck)
+	n, err := ckpt.Write(d.dir, ck.Element, d.fstore.Injector())
 	if err != nil {
 		// The capture emptied the dirty sets; the write never became durable,
-		// so fold them back in (newer marks win) for the next attempt.
+		// so put them back for the next attempt.
 		s.restoreDirty(d, ck)
 	} else {
-		d.ckptGen.Store(ck.gen)
-		d.ckptLSN.Store(ck.lsn)
+		d.ckptGen.Store(ck.Gen)
+		d.ckptLSN.Store(ck.LSN)
 		d.ckptBytes.Store(n)
 		d.ckpts.Add(1)
-		if ck.delta {
+		if ck.Delta {
 			d.chainLen.Add(1)
 			d.chainBytes.Add(n)
 		} else {
-			d.resetChain(ck.gen)
+			d.chainReplaced(ck.Gen)
 		}
 		// Reclamation is best-effort: a failure leaves extra segments whose
 		// replay is harmless (the next recovery starts at the checkpoint's
 		// LSN and skips everything before it).
-		_ = d.wal.TruncateBefore(ck.lsn)
+		_ = d.wal.TruncateBefore(ck.LSN)
 	}
 	return ck, err
 }
 
-// captureCheckpoint snapshots the full logical state. Caller holds
-// d.commitMu exclusively, so no write verb is between its apply and its
-// append: every operation is either fully reflected here or entirely after
-// ck.lsn. The dirty sets are consumed — the snapshot covers everything —
-// and stashed on the returned state so a failed write can restore them.
-func (s *Store) captureCheckpoint(d *durability) checkpointState {
-	ck := checkpointState{lsn: d.wal.AppendedLSN(), gen: d.ckptGen.Load() + 1}
-	ck.analysis, ck.partitioned = s.Analysis()
-	ck.savedSubs = d.subsDirty.Swap(false)
-	ck.savedPart = d.partDirty.Swap(false)
-	s.mgrMu.RLock()
-	ck.objects = s.mgr.Objects()
-	s.mgrMu.RUnlock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		ck.savedDirty = append(ck.savedDirty, sh.dirty)
-		ck.savedGone = append(ck.savedGone, sh.gone)
-		if sh.dirty != nil {
-			sh.dirty = make(map[ObjectID]struct{})
-			sh.gone = make(map[ObjectID]struct{})
-		}
-		sh.mu.Unlock()
-	}
-	s.captureEngine(&ck)
-	return ck
-}
-
-// captureDelta snapshots only the state dirtied since the previous
-// checkpoint: the current records of the dirty IDs, tombstones for the
-// removed ones, the analysis only if the partitions changed, and the
-// subscription registry whenever it exists and could have changed (a live
-// subscription's membership moves on every report, so the engine section
-// rides every delta while subscriptions are registered). Caller holds
-// d.commitMu exclusively; the locking discipline matches captureCheckpoint.
-func (s *Store) captureDelta(d *durability) checkpointState {
+// capture cuts one chain element. Caller holds d.commitMu exclusively, so no
+// write verb is between its apply and its append: every operation is either
+// fully reflected here or entirely after ck.LSN. A full capture snapshots the
+// whole logical state — every object, the analysis, the registry. A delta
+// carries only what changed since the previous element: each id written since
+// resolved to its current record or, when it is gone, a tombstone (the lookup
+// runs under the id's stripe lock, which is what makes one set enough — a set
+// of "removed" ids would decide nothing the lookup does not); the analysis only
+// if the partitions changed; and the subscription registry whenever it exists
+// and could have changed (a live subscription's membership moves on every
+// report, so the engine section rides every delta while subscriptions are
+// registered). Either way the dirty sets are consumed and stashed on the
+// returned capture so a failed write can restore them.
+func (s *Store) capture(d *durability, full bool) captured {
 	prev := d.ckptGen.Load()
-	ck := checkpointState{lsn: d.wal.AppendedLSN(), gen: prev + 1, parentGen: prev, delta: true}
+	ck := captured{Element: ckpt.Element{LSN: d.wal.AppendedLSN(), Gen: prev + 1}}
 	ck.savedSubs = d.subsDirty.Swap(false)
 	ck.savedPart = d.partDirty.Swap(false)
-	if ck.savedPart {
-		ck.analysis, ck.partitioned = s.Analysis()
+	if full {
+		s.mgrMu.RLock()
+		ck.Objects = s.mgr.Objects()
+		s.mgrMu.RUnlock()
+	} else {
+		ck.Delta, ck.ParentGen = true, prev
+	}
+	if full || ck.savedPart {
+		ck.Analysis, ck.Partitioned = s.Analysis()
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for id := range sh.dirty {
-			if o, ok := s.mgr.Get(id); ok {
-				ck.objects = append(ck.objects, o)
-			} else {
-				ck.tombs = append(ck.tombs, id)
+		if !full {
+			for id := range sh.dirty {
+				if o, ok := s.mgr.Get(id); ok {
+					ck.Objects = append(ck.Objects, o)
+				} else {
+					ck.Tombs = append(ck.Tombs, id)
+				}
 			}
 		}
-		for id := range sh.gone {
-			ck.tombs = append(ck.tombs, id)
-		}
 		ck.savedDirty = append(ck.savedDirty, sh.dirty)
-		ck.savedGone = append(ck.savedGone, sh.gone)
-		if sh.dirty != nil {
-			sh.dirty = make(map[ObjectID]struct{})
-			sh.gone = make(map[ObjectID]struct{})
-		}
+		sh.dirty = make(map[ObjectID]struct{})
 		sh.mu.Unlock()
 	}
-	if e := s.subEng.Load(); e != nil && (e.nsubs.Load() > 0 || ck.savedSubs) {
-		s.captureEngine(&ck)
+	if e := s.subEng.Load(); e != nil && (full || e.nsubs.Load() > 0 || ck.savedSubs) {
+		e.capture(&ck.Element)
 	}
 	return ck
 }
 
-// captureEngine fills ck's subscription-registry section from the live
-// engine (no-op when none exists).
-func (s *Store) captureEngine(ck *checkpointState) {
-	e := s.subEng.Load()
-	if e == nil {
-		return
-	}
-	ck.hasEngine = true
-	ck.clock = e.now()
+// capture fills ck's subscription-registry section from the live engine.
+func (e *subEngine) capture(ck *ckpt.Element) {
+	ck.HasEngine = true
+	ck.Clock = e.now()
 	e.regMu.RLock()
 	defer e.regMu.RUnlock()
-	ck.nextID = e.nextID
+	ck.NextID = e.nextID
 	ids := make([]SubscriptionID, 0, len(e.subs))
 	for id := range e.subs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
-		cs := checkpointSub{id: id, sub: e.subs[id]}
+		cs := ckpt.Sub{ID: id, Sub: e.subs[id]}
 		for si := range e.shards {
 			sh := &e.shards[si]
 			sh.mu.Lock()
-			cs.members = append(cs.members, sh.rs.Members(id)...)
+			cs.Members = append(cs.Members, sh.rs.Members(id)...)
 			sh.mu.Unlock()
 		}
-		ck.subs = append(ck.subs, cs)
+		ck.Subs = append(ck.Subs, cs)
 	}
 }
 
-// restoreDirty folds a failed checkpoint's captured dirty state back into
-// the live stripes so the next attempt re-covers it. Marks made after the
-// capture win: an ID re-dirtied since stays dirty, one removed since stays
-// gone.
-func (s *Store) restoreDirty(d *durability, ck checkpointState) {
+// restoreDirty puts a failed capture's dirty state back into the live stripes
+// so the next attempt re-covers it: the union of what the capture took and
+// what has been written since, each id resolved afresh by the next capture.
+func (s *Store) restoreDirty(d *durability, ck captured) {
 	for i, sh := range s.shards {
-		if i >= len(ck.savedDirty) || ck.savedDirty[i] == nil {
-			continue
-		}
 		sh.mu.Lock()
 		for id := range ck.savedDirty[i] {
-			if _, newer := sh.gone[id]; !newer {
-				sh.dirty[id] = struct{}{}
-			}
-		}
-		for id := range ck.savedGone[i] {
-			if _, newer := sh.dirty[id]; !newer {
-				sh.gone[id] = struct{}{}
-			}
+			sh.dirty[id] = struct{}{}
 		}
 		sh.mu.Unlock()
 	}
@@ -658,38 +582,25 @@ func (s *Store) restoreDirty(d *durability, ck checkpointState) {
 }
 
 // clearDirtyState empties every stripe's dirty set and both dirty flags.
-// Recovery calls it after applying the on-disk chain (whose contents are by
+// Recovery calls it after loading the on-disk chain (whose contents are by
 // definition already durable) and before replaying the WAL tail, whose
 // records re-mark exactly the state the next delta must cover.
 func (s *Store) clearDirtyState(d *durability) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.dirty != nil {
-			sh.dirty = make(map[ObjectID]struct{})
-			sh.gone = make(map[ObjectID]struct{})
-		}
+		sh.dirty = make(map[ObjectID]struct{})
 		sh.mu.Unlock()
 	}
 	d.subsDirty.Store(false)
 	d.partDirty.Store(false)
 }
 
-// resetChain records that a full snapshot at gen replaced the chain, and
-// removes any delta files it made stale (best-effort; recovery also skips
-// deltas at or below the full snapshot's generation).
-func (d *durability) resetChain(gen uint64) {
+// chainReplaced records that a full snapshot at gen replaced the chain, and
+// removes the delta files it made stale.
+func (d *durability) chainReplaced(gen uint64) {
 	d.chainLen.Store(0)
 	d.chainBytes.Store(0)
-	names, err := filepath.Glob(filepath.Join(d.dir, "ckpt-*.delta"))
-	if err != nil {
-		return
-	}
-	stale := filepath.Join(d.dir, deltaFileName(gen))
-	for _, name := range names {
-		if name <= stale {
-			_ = os.Remove(name)
-		}
-	}
+	ckpt.RemoveDeltas(d.dir, gen)
 }
 
 // compactionDue reports whether the delta chain has outgrown the
@@ -728,412 +639,52 @@ func (s *Store) compactCheckpoints() error {
 	if d.closed.Load() || Health(s.health.Load()) == HealthFailed {
 		return nil
 	}
-	elems, err := d.readChain()
-	if err != nil || len(elems) < 2 {
+	chain, _, err := ckpt.ReadChain(d.dir)
+	if err != nil || len(chain) < 2 {
 		return err
 	}
-	folded := foldChain(elems)
-	if _, err := d.writeCheckpointFile(ckptFileName, folded); err != nil {
+	folded := ckpt.Fold(chain)
+	if _, err := ckpt.Write(d.dir, folded, d.fstore.Injector()); err != nil {
 		return err
 	}
-	for _, e := range elems[1:] {
-		_ = os.Remove(filepath.Join(d.dir, deltaFileName(e.gen)))
-	}
-	d.chainLen.Store(0)
-	d.chainBytes.Store(0)
+	d.chainReplaced(folded.Gen)
 	d.compactions.Add(1)
 	return nil
 }
 
-// foldChain merges a full snapshot and its deltas (in chain order) into one
-// full checkpointState carrying the last element's generation and LSN:
-// later object versions win, tombstones delete, and the newest analysis and
-// registry sections carry over (an element without those sections means
-// "unchanged since the previous one").
-func foldChain(elems []checkpointState) checkpointState {
-	out := checkpointState{
-		gen: elems[len(elems)-1].gen,
-		lsn: elems[len(elems)-1].lsn,
-	}
-	objs := make(map[ObjectID]Object, len(elems[0].objects))
-	for _, e := range elems {
-		for _, o := range e.objects {
-			objs[o.ID] = o
-		}
-		for _, id := range e.tombs {
-			delete(objs, id)
-		}
-		if e.partitioned {
-			out.analysis, out.partitioned = e.analysis, true
-		}
-		if e.hasEngine {
-			out.hasEngine = true
-			out.clock, out.nextID, out.subs = e.clock, e.nextID, e.subs
-		}
-	}
-	out.objects = make([]Object, 0, len(objs))
-	for _, o := range objs {
-		out.objects = append(out.objects, o)
-	}
-	sort.Slice(out.objects, func(i, j int) bool { return out.objects[i].ID < out.objects[j].ID })
-	return out
-}
-
-// Checkpoint file layout: magic, version, payload, CRC32 of the payload.
-// Version 2 added the chain fields (generation, parent generation, delta
-// flag, tombstones) and made the analysis section conditional on its flag;
-// it is the only version read or written.
-const (
-	ckptMagic   = 0x5650434B // "VPCK"
-	ckptVersion = 2
-)
-
-// Flag bits in the checkpoint payload.
-const (
-	ckptFlagAnalysis = 1 << 0 // element carries a partition analysis
-	ckptFlagEngine   = 1 << 1 // element carries the subscription registry
-	ckptFlagDelta    = 1 << 2 // element is a delta, not a full snapshot
-)
-
-// encodeCheckpoint serializes a checkpointState.
-func encodeCheckpoint(ck checkpointState) []byte {
-	b := make([]byte, 0, 96+len(ck.objects)*48+len(ck.tombs)*8)
-	b = binary.LittleEndian.AppendUint32(b, ckptMagic)
-	b = binary.LittleEndian.AppendUint32(b, ckptVersion)
-	payloadStart := len(b)
-	b = binary.LittleEndian.AppendUint64(b, ck.gen)
-	b = binary.LittleEndian.AppendUint64(b, ck.parentGen)
-	b = binary.LittleEndian.AppendUint64(b, ck.lsn)
-	var flags byte
-	if ck.partitioned {
-		flags |= ckptFlagAnalysis
-	}
-	if ck.hasEngine {
-		flags |= ckptFlagEngine
-	}
-	if ck.delta {
-		flags |= ckptFlagDelta
-	}
-	b = append(b, flags)
-	if ck.partitioned {
-		an := core.EncodeAnalysis(ck.analysis)
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(an)))
-		b = append(b, an...)
-	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(ck.objects)))
-	for _, o := range ck.objects {
-		b = wal.AppendObject(b, o)
-	}
-	if ck.delta {
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(ck.tombs)))
-		for _, id := range ck.tombs {
-			b = binary.LittleEndian.AppendUint64(b, uint64(id))
-		}
-	}
-	if ck.hasEngine {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ck.clock))
-		b = binary.LittleEndian.AppendUint64(b, uint64(ck.nextID))
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(ck.subs)))
-		for _, cs := range ck.subs {
-			b = binary.LittleEndian.AppendUint64(b, uint64(cs.id))
-			b = wal.AppendSubscription(b, cs.sub)
-			b = binary.LittleEndian.AppendUint64(b, uint64(len(cs.members)))
-			for _, id := range cs.members {
-				b = binary.LittleEndian.AppendUint64(b, uint64(id))
-			}
-		}
-	}
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[payloadStart:]))
-}
-
-// decodeCheckpoint reverses encodeCheckpoint, validating magic, version,
-// and CRC. The rename protocol makes a torn checkpoint impossible, so any
-// validation failure is real corruption and surfaces as an error.
-func decodeCheckpoint(b []byte) (checkpointState, error) {
-	var ck checkpointState
-	bad := func(what string) (checkpointState, error) {
-		return ck, fmt.Errorf("vpindex: checkpoint: %s", what)
-	}
-	if len(b) < 12 {
-		return bad("truncated header")
-	}
-	if binary.LittleEndian.Uint32(b) != ckptMagic {
-		return bad("bad magic")
-	}
-	if ver := binary.LittleEndian.Uint32(b[4:]); ver != ckptVersion {
-		return bad(fmt.Sprintf("unsupported version %d", ver))
-	}
-	payload := b[8 : len(b)-4]
-	if got, want := binary.LittleEndian.Uint32(b[len(b)-4:]), crc32.ChecksumIEEE(payload); got != want {
-		return bad("CRC mismatch")
-	}
-	r := payload
-	u64 := func() (uint64, bool) {
-		if len(r) < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(r)
-		r = r[8:]
-		return v, true
-	}
-	gen, ok1 := u64()
-	parentGen, ok2 := u64()
-	lsn, ok3 := u64()
-	if !ok1 || !ok2 || !ok3 || len(r) < 1 {
-		return bad("truncated")
-	}
-	ck.gen, ck.parentGen, ck.lsn = gen, parentGen, lsn
-	flags := r[0]
-	r = r[1:]
-	ck.partitioned = flags&ckptFlagAnalysis != 0
-	ck.hasEngine = flags&ckptFlagEngine != 0
-	ck.delta = flags&ckptFlagDelta != 0
-	if ck.partitioned {
-		anLen, ok := u64()
-		if !ok || uint64(len(r)) < anLen {
-			return bad("truncated analysis")
-		}
-		var err error
-		if ck.analysis, err = core.DecodeAnalysis(r[:anLen]); err != nil {
-			return ck, err
-		}
-		r = r[anLen:]
-	}
-	nObjs, ok := u64()
-	if !ok || uint64(len(r)) < nObjs*48 {
-		return bad("truncated objects")
-	}
-	ck.objects = make([]Object, nObjs)
-	for i := range ck.objects {
-		ck.objects[i], r, _ = wal.TakeObject(r)
-	}
-	if ck.delta {
-		nTombs, ok := u64()
-		if !ok || uint64(len(r)) < nTombs*8 {
-			return bad("truncated tombstones")
-		}
-		ck.tombs = make([]ObjectID, nTombs)
-		for i := range ck.tombs {
-			v, _ := u64()
-			ck.tombs[i] = ObjectID(v)
-		}
-	}
-	if !ck.hasEngine {
-		if len(r) != 0 {
-			return bad("trailing bytes")
-		}
-		return ck, nil
-	}
-	clockBits, ok1 := u64()
-	nextID, ok2 := u64()
-	nSubs, ok3 := u64()
-	if !ok1 || !ok2 || !ok3 {
-		return bad("truncated registry")
-	}
-	ck.clock = math.Float64frombits(clockBits)
-	ck.nextID = SubscriptionID(nextID)
-	ck.subs = make([]checkpointSub, 0, nSubs)
-	for i := uint64(0); i < nSubs; i++ {
-		id, ok := u64()
-		if !ok {
-			return bad("truncated subscription")
-		}
-		sub, rest, err := wal.TakeSubscription(r)
-		if err != nil {
-			return ck, err
-		}
-		r = rest
-		nMem, ok := u64()
-		if !ok || uint64(len(r)) < nMem*8 {
-			return bad("truncated members")
-		}
-		cs := checkpointSub{id: SubscriptionID(id), sub: sub, members: make([]ObjectID, nMem)}
-		for j := range cs.members {
-			v, _ := u64()
-			cs.members[j] = ObjectID(v)
-		}
-		ck.subs = append(ck.subs, cs)
-	}
-	if len(r) != 0 {
-		return bad("trailing bytes")
-	}
-	return ck, nil
-}
-
-// writeCheckpointFile persists ck as name (checkpoint.ckpt or a delta file)
-// with the shadow-file protocol: write to a tmp file, fsync it, rename to
-// the target, fsync the directory. A crash anywhere leaves either the old
-// element set or the new one, never a torn file. The fault injector gates
-// the write and both fsyncs, so the kill matrix exercises every crash
-// position. Returns the element's encoded size.
-func (d *durability) writeCheckpointFile(name string, ck checkpointState) (int64, error) {
-	fi := d.fstore.Injector()
-	if err := fi.BeforeWrite(); err != nil {
-		return 0, err
-	}
-	tmp := filepath.Join(d.dir, ckptTmpName)
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("vpindex: checkpoint: %w", err)
-	}
-	cleanup := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	enc := encodeCheckpoint(ck)
-	if _, err := f.Write(enc); err != nil {
-		return cleanup(fmt.Errorf("vpindex: checkpoint write: %w", err))
-	}
-	if err := fi.BeforeSync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(fmt.Errorf("vpindex: checkpoint fsync: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("vpindex: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, name)); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("vpindex: checkpoint rename: %w", err)
-	}
-	if err := fi.BeforeSync(); err != nil {
-		return 0, err
-	}
-	dir, err := os.Open(d.dir)
-	if err == nil {
-		err = dir.Sync()
-		dir.Close()
-	}
-	if err != nil {
-		return 0, fmt.Errorf("vpindex: checkpoint dir fsync: %w", err)
-	}
-	return int64(len(enc)), nil
-}
-
-// loadCheckpointFile reads and decodes one chain element; ok is false when
-// the file does not exist.
-func (d *durability) loadCheckpointFile(name string) (ck checkpointState, ok bool, err error) {
-	b, err := os.ReadFile(filepath.Join(d.dir, name))
-	if os.IsNotExist(err) {
-		return checkpointState{}, false, nil
-	}
-	if err != nil {
-		return checkpointState{}, false, err
-	}
-	ck, err = decodeCheckpoint(b)
-	ck.size = int64(len(b))
-	return ck, err == nil, err
-}
-
-// readChain loads the on-disk checkpoint chain: the full snapshot followed
-// by its delta files in generation order. Deltas at or below the full
-// snapshot's generation are pre-compaction leftovers and are deleted; a gap
-// in the parent linkage means a missing element, which is corruption the
-// shadow-write protocol cannot produce, so it surfaces as an error rather
-// than a silently shortened history. Returns an empty chain when no
-// checkpoint exists yet.
-func (d *durability) readChain() ([]checkpointState, error) {
-	full, ok, err := d.loadCheckpointFile(ckptFileName)
-	if err != nil {
-		return nil, err
-	}
-	names, gerr := filepath.Glob(filepath.Join(d.dir, "ckpt-*.delta"))
-	if gerr != nil {
-		return nil, gerr
-	}
-	sort.Strings(names) // zero-padded generations: lexical order == chain order
-	if !ok {
-		if len(names) > 0 {
-			return nil, fmt.Errorf("vpindex: checkpoint: %d delta file(s) with no full snapshot", len(names))
-		}
-		return nil, nil
-	}
-	chain := []checkpointState{full}
-	for _, name := range names {
-		e, ok, err := d.loadCheckpointFile(filepath.Base(name))
-		if err != nil {
-			return nil, err
-		}
-		if !ok || !e.delta {
-			return nil, fmt.Errorf("vpindex: checkpoint: %s is not a delta element", filepath.Base(name))
-		}
-		if e.gen <= full.gen {
-			_ = os.Remove(name) // folded into the full snapshot by a compaction
-			continue
-		}
-		if e.parentGen != chain[len(chain)-1].gen {
-			return nil, fmt.Errorf("vpindex: checkpoint: delta chain gap at gen %d (parent %d, want %d)",
-				e.gen, e.parentGen, chain[len(chain)-1].gen)
-		}
-		chain = append(chain, e)
-	}
-	return chain, nil
-}
-
-// recover restores the Store from the data directory: load the checkpoint
-// chain (full snapshot plus deltas in generation order), rebuild partitions
-// and objects and subscriptions from it through the normal code paths, then
-// replay the log tail. Runs inside Open with the recovering flag set, so
-// nothing is re-logged and no maintenance analyses launch; the subscription
-// filter's velocity classes are re-armed at the end from whatever analysis
-// survived.
+// recover restores the Store from the data directory: fold the checkpoint
+// chain into one snapshot, load it — partitions, then every object once, then
+// the subscription registry — through the normal code paths, then replay the
+// log tail. Runs inside Open with the recovering flag set, so nothing is
+// re-logged and no maintenance analyses launch; the subscription filter's
+// velocity classes are re-armed at the end from whatever analysis survived.
 func (s *Store) recover() error {
 	d := s.dur
 	defer d.recovering.Store(false)
-	chain, err := d.readChain()
+	chain, deltaBytes, err := ckpt.ReadChain(d.dir)
 	if err != nil {
 		return err
 	}
 	var replayFrom uint64
 	if len(chain) > 0 {
-		// The newest analysis in the chain is the partition layout at the
-		// last capture; apply it first so every object lands in the right
-		// partitions directly (per-element swap replay would re-migrate the
-		// population once per layout change for nothing).
-		for i := len(chain) - 1; i >= 0; i-- {
-			if chain[i].partitioned {
-				_ = s.swapPartitions(chain[i].analysis)
-				break
-			}
+		snap := ckpt.Fold(chain)
+		// Partitions first, so every object lands in its partition directly.
+		if snap.Partitioned {
+			_ = s.swapPartitions(snap.Analysis)
 		}
-		// Objects and tombstones must apply in chain order: a later delta
-		// can re-report an ID an earlier one tombstoned, and vice versa.
-		// Within one element the two sets are disjoint. A tombstone may
-		// target an ID no earlier element carried (insert+remove between two
-		// checkpoints), so unknown IDs are ignored.
-		for _, e := range chain {
-			if len(e.objects) > 0 {
-				if err := s.ReportBatch(e.objects); err != nil {
-					return fmt.Errorf("vpindex: recover objects: %w", err)
-				}
-			}
-			for _, id := range e.tombs {
-				_ = s.Remove(id)
-			}
+		if err := s.ReportBatch(snap.Objects); err != nil {
+			return fmt.Errorf("vpindex: recover objects: %w", err)
 		}
-		// The newest registry section is the registry at the last capture
-		// (an element without one means "unchanged").
-		for i := len(chain) - 1; i >= 0; i-- {
-			if chain[i].hasEngine {
-				s.restoreSubscriptions(chain[i])
-				break
-			}
+		if snap.HasEngine {
+			s.restoreSubscriptions(snap)
 		}
-		last := chain[len(chain)-1]
-		replayFrom = last.lsn
-		d.ckptLSN.Store(last.lsn)
-		d.ckptGen.Store(last.gen)
+		replayFrom = snap.LSN
+		d.ckptLSN.Store(snap.LSN)
+		d.ckptGen.Store(snap.Gen)
 		d.chainLen.Store(int64(len(chain) - 1))
-		var bytes int64
-		for _, e := range chain[1:] {
-			bytes += e.size
-		}
-		d.chainBytes.Store(bytes)
-		// Everything the chain just re-applied is already durable; only the
-		// WAL tail below re-marks state the next delta must cover.
+		d.chainBytes.Store(deltaBytes)
+		// Everything just loaded is already durable; only the WAL tail below
+		// re-marks state the next delta must cover.
 		s.clearDirtyState(d)
 	}
 	if err := d.wal.Replay(replayFrom, func(_ uint64, t wal.Type, p []byte) error {
@@ -1217,20 +768,20 @@ func (s *Store) replayRecord(t wal.Type, p []byte) {
 // registered ids, the engine clock, and the membership sets are restored
 // verbatim (no seed queries run — memberships are history-dependent, so
 // re-deriving them could differ from what the crashed process acknowledged).
-func (s *Store) restoreSubscriptions(ck checkpointState) {
+func (s *Store) restoreSubscriptions(ck ckpt.Element) {
 	e := s.engine()
-	e.clock.Store(math.Float64bits(ck.clock))
+	e.clock.Store(math.Float64bits(ck.Clock))
 	e.regMu.Lock()
-	e.nextID = ck.nextID
-	for _, cs := range ck.subs {
-		e.subs[cs.id] = cs.sub
-		e.filter.Add(cs.id, cs.sub)
+	e.nextID = ck.NextID
+	for _, cs := range ck.Subs {
+		e.subs[cs.ID] = cs.Sub
+		e.filter.Add(cs.ID, cs.Sub)
 	}
 	e.regMu.Unlock()
-	e.nsubs.Store(int64(len(ck.subs)))
-	for _, cs := range ck.subs {
+	e.nsubs.Store(int64(len(ck.Subs)))
+	for _, cs := range ck.Subs {
 		byShard := make([][]ObjectID, len(e.shards))
-		for _, id := range cs.members {
+		for _, id := range cs.Members {
 			si := s.shardIndex(id)
 			byShard[si] = append(byShard[si], id)
 		}
@@ -1240,7 +791,7 @@ func (s *Store) restoreSubscriptions(ck checkpointState) {
 			}
 			sh := &e.shards[si]
 			sh.mu.Lock()
-			sh.rs.Seed(cs.id, byShard[si])
+			sh.rs.Seed(cs.ID, byShard[si])
 			sh.mu.Unlock()
 		}
 	}

@@ -129,7 +129,7 @@ func TestTransientFaultsAreInvisibleToClients(t *testing.T) {
 
 // corruptLiveSlot flips one byte inside the first non-zero data slot of the
 // page file, behind the store's back. Slot layout: 4096-byte page + 8-byte
-// CRC trailer; slot 0 is the superblock.
+// CRC trailer; slot 0 is never a page.
 func corruptLiveSlot(t *testing.T, path string) {
 	t.Helper()
 	const slotSize = 4096 + 8

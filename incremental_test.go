@@ -17,12 +17,38 @@ import (
 // states to be identical: same objects, same search results, same
 // subscription result set. The checkpointed store must also replay a
 // strictly shorter WAL tail, proving the chain actually covered the prefix.
+//
+// Spliced into the random script are the histories the chain fold and the
+// single per-stripe dirty set must get right: id 100 is in the full snapshot,
+// tombstoned in delta 1, re-reported in delta 2 and removed in the WAL tail;
+// id 101 is inserted and removed between two captures (a tombstone for an id
+// no element carries); and delta 2's first write fails (scripted fsync fault),
+// after which ids it had captured are written again — 100 re-reported, 102
+// removed — while 103 is not, before the retry that must cover all three.
 func TestDeltaChainRecoveryEquivalence(t *testing.T) {
-	script := oracleScript(7101, 48)
+	base := oracleScript(7101, 48)
+	rng := rand.New(rand.NewSource(7102))
+	report := func(id int) durOp { return durOp{kind: 'r', obj: testObject(id, rng)} }
+	remove := func(id vpindex.ObjectID) durOp { return durOp{kind: 'd', id: id} }
+	var script []durOp
+	ckptAfter := map[int]bool{} // op index -> the Checkpoint after it must succeed
+	add := func(wantCkpt bool, ops ...durOp) {
+		script = append(script, ops...)
+		ckptAfter[len(script)-1] = wantCkpt
+	}
+	add(true, append(base[:16:16], report(100), report(102), report(103))...)     // full
+	add(true, append(base[16:28:28], remove(100), report(101), remove(101))...)   // delta 1
+	add(false, append(base[28:40:40], report(100), report(102), report(103))...)  // delta 2 fails
+	add(true, report(100), remove(102))                                           // delta 2, retried
+	script = append(script, append(base[40:len(base):len(base)], remove(100))...) // WAL tail
+
 	dirA, dirB := t.TempDir(), t.TempDir()
 	optsA := durableOpts(vpindex.WithDataDir(dirA))
 	optsB := durableOpts(vpindex.WithDataDir(dirB))
-	storeA, err := vpindex.Open(optsA...)
+	// Each element write makes two checkpoint fsyncs; the fifth is the first
+	// of delta 2's.
+	fi := vpindex.NewScriptedInjector(vpindex.FaultRule{Op: vpindex.OpCheckpointSync, Seq: 5, Kind: vpindex.FaultSyncFail})
+	storeA, err := vpindex.Open(append(optsA, vpindex.WithFaultInjector(fi))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +56,6 @@ func TestDeltaChainRecoveryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckptAfter := map[int]bool{15: true, 27: true, 39: true}
 	for i, op := range script {
 		if err := applyOp(storeA, op); err != nil {
 			t.Fatalf("store A op %d: %v", i, err)
@@ -38,9 +63,9 @@ func TestDeltaChainRecoveryEquivalence(t *testing.T) {
 		if err := applyOp(storeB, op); err != nil {
 			t.Fatalf("store B op %d: %v", i, err)
 		}
-		if ckptAfter[i] {
-			if err := storeA.Checkpoint(); err != nil {
-				t.Fatalf("checkpoint after op %d: %v", i, err)
+		if want, ok := ckptAfter[i]; ok {
+			if err := storeA.Checkpoint(); (err == nil) != want {
+				t.Fatalf("checkpoint after op %d: err = %v, want success = %v", i, err, want)
 			}
 		}
 	}

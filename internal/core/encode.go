@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/model"
 )
 
 // Analysis wire codec, used by the durable Store: partition-swap WAL records
@@ -77,10 +79,10 @@ func DecodeAnalysis(p []byte) (Analysis, error) {
 	an.SampleSize = int(binary.LittleEndian.Uint64(p[17:]))
 	an.TotalOutliers = int(binary.LittleEndian.Uint64(p[25:]))
 	n := binary.LittleEndian.Uint64(p[33:])
-	if uint64(len(p)-v2Header) != n*v2FrameBytes {
+	p = p[v2Header:]
+	if nb, ok := model.CountBytes(n, v2FrameBytes, len(p)); !ok || nb != len(p) {
 		return Analysis{}, fmt.Errorf("core: analysis length mismatch")
 	}
-	p = p[v2Header:]
 	an.Frames = make([]Frame, n)
 	for i := range an.Frames {
 		f := &an.Frames[i]

@@ -6,43 +6,22 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 )
 
-// FileStore on-disk layout. Each logical 4 KB page occupies one slot of
+// FileStore file layout. Each logical 4 KB page occupies one slot of
 // slotSize bytes: the page image followed by an integrity trailer holding a
 // CRC-32C over (page id || page data). Binding the id into the checksum
 // catches misdirected writes (a valid page persisted at the wrong offset) as
 // well as torn writes and bit rot. An all-zero slot is also valid — it is
 // the state of a freshly extended or just-recycled page — so allocation
-// never has to write trailers.
-//
-// Slot 0 holds the superblock twice (copies A and B at sbCopyStride apart),
-// written alternately with a monotonically increasing generation: a torn
-// superblock write destroys at most the copy being written, and load picks
-// the valid copy with the highest generation. The free list is threaded
-// through the freed pages themselves — each free page's first 8 bytes hold
-// the next free id — so the superblock stays O(1) no matter how many pages
-// are free.
+// never has to write trailers. Slot 0 is never a page (id 0 is NilPage) and
+// holds nothing: which ids exist and which are free is in-memory state, gone
+// with the process like every page image in the file.
 const (
-	fsMagic   = 0x56504653 // "VPFS"
-	fsVersion = 2          // v2: checksummed slots + dual-generation superblock
-
 	pageTrailerLen = 8 // [4]CRC-32C(id || data)  [4]reserved (zero)
 	slotSize       = PageSize + pageTrailerLen
-
-	sbOffMagic    = 0
-	sbOffVersion  = 4
-	sbOffGen      = 8
-	sbOffNextID   = 16
-	sbOffFreeHead = 24
-	sbOffNFree    = 32
-	sbOffCRC      = 40
-	sbSize        = 44
-
-	sbCopyStride = 512 // copy A at offset 0, copy B at offset 512 of slot 0
 )
 
 // castagnoli is the CRC-32C polynomial table used for page trailers.
@@ -87,35 +66,32 @@ func pageCRC(id PageID, data []byte) uint32 {
 // serializing the data path (writers share a stripe with RLock).
 const nScrubLocks = 64
 
-// FileStore is a durable PageStore over a single data file: page id N lives
-// at byte offset N*slotSize (slot 0 holds the superblock copies), reads and
-// writes are slot-aligned pread/pwrite on a shared descriptor (no lock on
-// the data path), every data slot carries a CRC-32C trailer verified on
-// read, Sync persists the superblock and fsyncs, and freed pages form an
-// intrusive free list whose head is in the superblock so allocation state
-// survives restarts.
+// FileStore is a PageStore over a single scratch file: real disk I/O for one
+// process lifetime, and nothing a later process reads. Page id N lives at
+// byte offset N*slotSize, reads and writes are slot-aligned pread/pwrite on a
+// shared descriptor (no lock on the data path), every data slot carries a
+// CRC-32C trailer verified on read, and the allocator — high-water mark and
+// free stack — lives in memory only. The file always starts empty
+// (OpenFileStore) and is never reopened.
 //
 // Pages that fail their checksum are quarantined: further reads fail fast
 // with CorruptPageError until a successful full-page write repairs the slot.
 // A background scrubber (see VerifyPage/LivePages) sweeps cold pages on a
 // cadence so corruption is found before a query trips over it.
 //
-// FileStore carries no redo information of its own — crash consistency of
-// the pages comes from the Store's write-ahead log, which is why the Store's
-// durable mode rebuilds index pages from logical state at open rather than
-// trusting page images newer than the last checkpoint.
+// FileStore carries no redo information and no restart format — the Store's
+// durable mode keeps object state in its checkpoint chain and write-ahead log
+// and rebuilds every index page from them at open.
 type FileStore struct {
 	f      *os.File
 	path   string
 	fi     *FaultInjector
 	closed atomic.Bool
 
-	mu      sync.Mutex // allocator + superblock state
+	mu      sync.Mutex // allocator state
 	nextID  uint64     // high-water mark: ids 1..nextID exist
-	free    []PageID   // recycle stack; top of stack == on-disk chain head
+	free    []PageID   // recycle stack
 	freeSet map[PageID]struct{}
-	sbDirty bool
-	gen     uint64 // superblock generation last persisted
 
 	// quarantined pages failed a checksum and fail fast on read until
 	// rewritten in full.
@@ -148,8 +124,9 @@ func (fs *FileStore) scrubLock(id PageID) *sync.RWMutex {
 
 // FileStoreOptions configures OpenFileStore.
 type FileStoreOptions struct {
-	// Truncate discards any existing contents (the Store's durable mode does
-	// this at every open: pages are rebuilt from checkpoint + WAL replay).
+	// Truncate discards an existing file (the Store's durable mode does this
+	// at every open: pages are rebuilt from checkpoint + WAL replay). Without
+	// it, an existing non-empty file is an error rather than silently lost.
 	Truncate bool
 	// Injector, when non-nil, injects crashes and media faults (fault.go).
 	Injector *FaultInjector
@@ -166,18 +143,29 @@ func (fs *FileStore) errClosed(op string) error {
 	return fmt.Errorf("storage: %s on closed store %s: %w", op, fs.path, os.ErrClosed)
 }
 
-// OpenFileStore opens (creating if needed) the single-file page store at
-// path. Without Truncate, the superblock and free list of a previous
-// generation are validated and restored. A fresh store is made durable
-// before return: the initial superblock is written and fsynced and the
-// parent directory entry is fsynced, so a crash immediately after creation
-// leaves a well-formed (empty) store. Those creation-time syncs are raw —
-// never routed through the injector — so fault scripts model a misbehaving
-// disk under load, not a store that failed to be born.
+// OpenFileStore creates the single-file page store at path, empty. Page
+// files are scratch and are not reopened: Truncate discards an existing file,
+// and without it an existing non-empty file is an error. Nothing is fsynced —
+// not the file, not its directory entry — because nothing here has to survive
+// a crash.
 func OpenFileStore(path string, opt FileStoreOptions) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+	}
+	st, err := f.Stat()
+	if err == nil && st.Size() != 0 && !opt.Truncate {
+		err = fmt.Errorf("file exists: page files are scratch and are not reopened")
+	}
+	if err == nil {
+		err = f.Truncate(0)
+	}
+	if err == nil {
+		err = f.Truncate(slotSize) // slot 0 is never a page: page 1 starts at slotSize
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: init %s: %w", path, err)
 	}
 	fs := &FileStore{
 		f:           f,
@@ -186,45 +174,7 @@ func OpenFileStore(path string, opt FileStoreOptions) (*FileStore, error) {
 		freeSet:     make(map[PageID]struct{}),
 		quarantined: make(map[PageID]struct{}),
 	}
-	if opt.Truncate {
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: truncate %s: %w", path, err)
-		}
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if st.Size() < slotSize {
-		// Fresh store: reserve slot 0 for the superblock copies and persist
-		// them (plus the directory entry) before first use.
-		if err := f.Truncate(slotSize); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: init %s: %w", path, err)
-		}
-		fs.mu.Lock()
-		werr := fs.writeSuperblockLocked()
-		fs.mu.Unlock()
-		if werr == nil {
-			werr = f.Sync()
-		}
-		if werr == nil {
-			werr = SyncDir(filepath.Dir(path))
-		}
-		if werr != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: init %s: %w", path, werr)
-		}
-		fs.enableMmap(opt.Mmap, slotSize)
-		return fs, nil
-	}
-	if err := fs.loadSuperblock(st.Size()); err != nil {
-		f.Close()
-		return nil, err
-	}
-	fs.enableMmap(opt.Mmap, st.Size())
+	fs.enableMmap(opt.Mmap, slotSize)
 	return fs, nil
 }
 
@@ -264,103 +214,6 @@ func (fs *FileStore) MmapActive() bool {
 	fs.mapMu.RLock()
 	defer fs.mapMu.RUnlock()
 	return fs.mapped != nil
-}
-
-// parseSuperblock validates one superblock copy and returns its fields.
-func parseSuperblock(sb []byte) (gen, nextID uint64, head PageID, nfree uint64, ok bool) {
-	if binary.LittleEndian.Uint32(sb[sbOffMagic:]) != fsMagic {
-		return 0, 0, 0, 0, false
-	}
-	if binary.LittleEndian.Uint32(sb[sbOffVersion:]) != fsVersion {
-		return 0, 0, 0, 0, false
-	}
-	if binary.LittleEndian.Uint32(sb[sbOffCRC:]) != crc32.ChecksumIEEE(sb[:sbOffCRC]) {
-		return 0, 0, 0, 0, false
-	}
-	gen = binary.LittleEndian.Uint64(sb[sbOffGen:])
-	nextID = binary.LittleEndian.Uint64(sb[sbOffNextID:])
-	head = PageID(binary.LittleEndian.Uint64(sb[sbOffFreeHead:]))
-	nfree = binary.LittleEndian.Uint64(sb[sbOffNFree:])
-	return gen, nextID, head, nfree, true
-}
-
-// loadSuperblock restores allocator state from the newest valid superblock
-// copy, rebuilding the in-memory free stack by walking the on-disk chain.
-func (fs *FileStore) loadSuperblock(size int64) error {
-	var raw [sbCopyStride + sbSize]byte
-	if _, err := fs.f.ReadAt(raw[:], 0); err != nil {
-		return fmt.Errorf("storage: superblock read: %w", err)
-	}
-	genA, nextA, headA, nfreeA, okA := parseSuperblock(raw[0:sbSize])
-	genB, nextB, headB, nfreeB, okB := parseSuperblock(raw[sbCopyStride : sbCopyStride+sbSize])
-	var gen, nextID, nfree uint64
-	var head PageID
-	switch {
-	case okA && (!okB || genA >= genB):
-		gen, nextID, head, nfree = genA, nextA, headA, nfreeA
-	case okB:
-		gen, nextID, head, nfree = genB, nextB, headB, nfreeB
-	default:
-		return fmt.Errorf("storage: %s: no valid superblock copy", fs.path)
-	}
-	fs.gen = gen
-	fs.nextID = nextID
-	if have := uint64(size/slotSize) - 1; fs.nextID > have {
-		return fmt.Errorf("storage: %s: superblock claims %d pages, file holds %d", fs.path, fs.nextID, have)
-	}
-	chain := make([]PageID, 0, nfree)
-	var next [8]byte
-	for id := head; id != NilPage; {
-		if uint64(id) > fs.nextID || uint64(len(chain)) >= nfree {
-			return fmt.Errorf("storage: %s: corrupt free list at page %d", fs.path, id)
-		}
-		if _, ok := fs.freeSet[id]; ok {
-			return fmt.Errorf("storage: %s: free-list cycle at page %d", fs.path, id)
-		}
-		chain = append(chain, id)
-		fs.freeSet[id] = struct{}{}
-		if _, err := fs.f.ReadAt(next[:], int64(id)*slotSize); err != nil {
-			return fmt.Errorf("storage: %s: free-list read: %w", fs.path, err)
-		}
-		id = PageID(binary.LittleEndian.Uint64(next[:]))
-	}
-	if uint64(len(chain)) != nfree {
-		return fmt.Errorf("storage: %s: free list holds %d pages, superblock claims %d", fs.path, len(chain), nfree)
-	}
-	// Stack pop order must match chain order: top of stack = chain head.
-	fs.free = make([]PageID, len(chain))
-	for i, id := range chain {
-		fs.free[len(chain)-1-i] = id
-	}
-	return nil
-}
-
-// writeSuperblockLocked persists allocator state into the next superblock
-// copy (alternating by generation). Caller holds fs.mu.
-func (fs *FileStore) writeSuperblockLocked() error {
-	var head PageID
-	if n := len(fs.free); n > 0 {
-		head = fs.free[n-1]
-	}
-	fs.gen++
-	var sb [sbSize]byte
-	binary.LittleEndian.PutUint32(sb[sbOffMagic:], fsMagic)
-	binary.LittleEndian.PutUint32(sb[sbOffVersion:], fsVersion)
-	binary.LittleEndian.PutUint64(sb[sbOffGen:], fs.gen)
-	binary.LittleEndian.PutUint64(sb[sbOffNextID:], fs.nextID)
-	binary.LittleEndian.PutUint64(sb[sbOffFreeHead:], uint64(head))
-	binary.LittleEndian.PutUint64(sb[sbOffNFree:], uint64(len(fs.free)))
-	binary.LittleEndian.PutUint32(sb[sbOffCRC:], crc32.ChecksumIEEE(sb[:sbOffCRC]))
-	off := int64(0)
-	if fs.gen&1 == 0 {
-		off = sbCopyStride
-	}
-	if _, err := fs.f.WriteAt(sb[:], off); err != nil {
-		fs.gen--
-		return fmt.Errorf("storage: superblock write: %w", err)
-	}
-	fs.sbDirty = false
-	return nil
 }
 
 // checkLocked validates that id is a live page. Caller holds fs.mu.
@@ -415,10 +268,9 @@ func (fs *FileStore) Allocate() (PageID, error) {
 		id := fs.free[n-1]
 		fs.free = fs.free[:n-1]
 		delete(fs.freeSet, id)
-		fs.sbDirty = true
-		// The recycled slot holds a stale image, its stale trailer, and the
-		// free-list next pointer; contract says zeroed contents, and a fully
-		// zero slot is checksum-valid by the all-zero rule.
+		// The recycled slot holds a stale image and its stale trailer;
+		// contract says zeroed contents, and a fully zero slot is
+		// checksum-valid by the all-zero rule.
 		zero := slotPool.Get().(*[slotSize]byte)
 		clear(zero[:])
 		lk := fs.scrubLock(id)
@@ -438,7 +290,6 @@ func (fs *FileStore) Allocate() (PageID, error) {
 		fs.nextID--
 		return NilPage, fmt.Errorf("storage: extend: %w", err)
 	}
-	fs.sbDirty = true
 	if fs.mmapOn {
 		// Remap to cover the new slot; a failed remap just leaves reads on
 		// the pread fallback until the next growth.
@@ -449,7 +300,8 @@ func (fs *FileStore) Allocate() (PageID, error) {
 	return id, nil
 }
 
-// Free releases a page onto the intrusive free list.
+// Free releases a page onto the in-memory free stack; the file is not
+// touched (Allocate zeroes the slot when it recycles the id).
 func (fs *FileStore) Free(id PageID) error {
 	if fs.closed.Load() {
 		return fs.errClosed("free")
@@ -462,22 +314,8 @@ func (fs *FileStore) Free(id PageID) error {
 	if err := fs.checkLocked(id, "free"); err != nil {
 		return err
 	}
-	var head PageID
-	if n := len(fs.free); n > 0 {
-		head = fs.free[n-1]
-	}
-	var next [8]byte
-	binary.LittleEndian.PutUint64(next[:], uint64(head))
-	lk := fs.scrubLock(id)
-	lk.RLock()
-	_, err := fs.f.WriteAt(next[:], int64(id)*slotSize)
-	lk.RUnlock()
-	if err != nil {
-		return fmt.Errorf("storage: free-list write: %w", err)
-	}
 	fs.free = append(fs.free, id)
 	fs.freeSet[id] = struct{}{}
-	fs.sbDirty = true
 	return nil
 }
 
@@ -636,8 +474,8 @@ func (fs *FileStore) VerifyPage(id PageID) error {
 	if ok {
 		return nil
 	}
-	// The slot may legitimately mismatch if the page was freed (next-pointer
-	// scribble) or recycled between our liveness check and the read.
+	// The slot may legitimately mismatch if the page was freed and recycled
+	// (or is being zeroed for reuse) between our liveness check and the read.
 	fs.mu.Lock()
 	err = fs.checkLocked(id, "verify")
 	fs.mu.Unlock()
@@ -662,52 +500,36 @@ func (fs *FileStore) LivePages() []PageID {
 	return out
 }
 
-// Sync persists the superblock (if allocator state changed) and fsyncs the
-// data file: on return every prior WritePage/Allocate/Free is stable.
+// Sync fsyncs the data file: on return every prior WritePage has reached the
+// disk. Nothing depends on it for recovery — the file is scratch — but it is
+// a real, injector-gated barrier for callers that measure or script one.
 func (fs *FileStore) Sync() error {
 	if fs.closed.Load() {
 		return fs.errClosed("sync")
 	}
-	return fs.sync()
-}
-
-// sync is Sync without the closed check, shared with Close.
-func (fs *FileStore) sync() error {
 	if err := fs.fi.SyncPoint(OpPageSync); err != nil {
 		return err
 	}
-	fs.mu.Lock()
-	if fs.sbDirty {
-		if err := fs.writeSuperblockLocked(); err != nil {
-			fs.mu.Unlock()
-			return err
-		}
-	}
-	fs.mu.Unlock()
 	if err := fs.f.Sync(); err != nil {
 		return fmt.Errorf("storage: fsync %s: %w", fs.path, err)
 	}
 	return nil
 }
 
-// Close flushes allocator state and closes the file. Close is idempotent
+// Close unmaps and closes the file without flushing it. Close is idempotent
 // and concurrency-safe: the first call does the work, every later call
 // returns nil.
 func (fs *FileStore) Close() error {
 	if !fs.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	syncErr := fs.sync()
 	fs.mapMu.Lock()
 	if fs.mapped != nil {
 		_ = munmapFile(fs.mapped)
 		fs.mapped = nil
 	}
 	fs.mapMu.Unlock()
-	if err := fs.f.Close(); err != nil {
-		return err
-	}
-	return syncErr
+	return fs.f.Close()
 }
 
 // Path returns the data file path.

@@ -8,9 +8,9 @@ import (
 
 // PageStore is the backend contract behind every BufferPool: fixed 4 KB
 // pages addressed by PageID, an allocator with a free list (freed ids are
-// recycled), raw page I/O, and a durability barrier. Two implementations
-// exist: MemStore (the paper's simulated disk, default) and FileStore (a
-// real single-file store used by the Store's WithDataDir mode).
+// recycled), raw page I/O, and a write barrier. Two implementations exist:
+// MemStore (the paper's simulated disk, default) and FileStore (a real
+// single-file scratch store used by the Store's WithDataDir mode).
 //
 // All methods are safe for concurrent use. PhysicalReads/PhysicalWrites
 // count only successful page transfers — the "query I/O" the paper plots is
@@ -25,8 +25,10 @@ type PageStore interface {
 	ReadPage(id PageID, dst *[PageSize]byte) error
 	// WritePage stores the page image.
 	WritePage(id PageID, src *[PageSize]byte) error
-	// Sync is a durability barrier: on return, every page written before the
-	// call has reached stable storage (no-op for MemStore).
+	// Sync is a write barrier: on return, every page written before the call
+	// has reached the disk (no-op for MemStore). It makes nothing recoverable
+	// — no backend is reopened — and exists for callers that measure or
+	// script an fsync.
 	Sync() error
 	// NumPages returns the number of live (allocated, not freed) pages.
 	NumPages() int

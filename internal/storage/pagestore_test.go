@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -52,7 +53,7 @@ func withBackends(t *testing.T, fn func(t *testing.T, ps PageStore)) {
 
 // fileVariants runs a FileStore-specific subtest once per read path: the
 // plain pread configuration and, where supported, the mmap one. Corruption,
-// quarantine, and superblock handling must be identical in both.
+// and quarantine handling must be identical in both.
 func fileVariants(t *testing.T, fn func(t *testing.T, opts FileStoreOptions)) {
 	t.Helper()
 	t.Run("pread", func(t *testing.T) { fn(t, FileStoreOptions{}) })
@@ -264,70 +265,6 @@ func TestPageStoreAfterClose(t *testing.T) {
 	})
 }
 
-func TestFileStorePersistsAcrossReopen(t *testing.T) {
-	fileVariants(t, testFileStorePersistsAcrossReopen)
-}
-
-func testFileStorePersistsAcrossReopen(t *testing.T, opts FileStoreOptions) {
-	path := filepath.Join(t.TempDir(), "pages.dat")
-	fs, err := OpenFileStore(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]PageID, 5)
-	for i := range ids {
-		if ids[i], err = fs.Allocate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var page [PageSize]byte
-	copy(page[:], "persisted payload")
-	if err := fs.WritePage(ids[2], &page); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Free(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Free(ids[4]); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: allocator state (high-water mark, free list) and page images
-	// must survive.
-	fs2, err := OpenFileStore(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs2.Close()
-	if got := fs2.NumPages(); got != 3 {
-		t.Fatalf("NumPages after reopen = %d, want 3", got)
-	}
-	if got := fs2.FreePages(); got != 2 {
-		t.Fatalf("FreePages after reopen = %d, want 2", got)
-	}
-	var got [PageSize]byte
-	if err := fs2.ReadPage(ids[2], &got); err != nil {
-		t.Fatal(err)
-	}
-	if got != page {
-		t.Fatal("page image lost across reopen")
-	}
-	if err := fs2.ReadPage(ids[0], &got); err == nil {
-		t.Fatal("freed page readable after reopen")
-	}
-	// Free-list order survives too: last freed is recycled first.
-	id, err := fs2.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != ids[4] {
-		t.Fatalf("recycled %d after reopen, want %d", id, ids[4])
-	}
-}
-
 func TestFileStoreTruncateDiscards(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.dat")
 	fs, err := OpenFileStore(path, FileStoreOptions{})
@@ -350,109 +287,53 @@ func TestFileStoreTruncateDiscards(t *testing.T) {
 	}
 }
 
-func TestFileStoreRejectsCorruptSuperblock(t *testing.T) {
+// TestOpenFileStoreRefusesExistingFile pins the scratch-file contract: a page
+// file is never reopened. Without Truncate an existing non-empty file is an
+// error (nothing is silently discarded, nothing is read back); with it the
+// store starts from zero pages.
+func TestOpenFileStoreRefusesExistingFile(t *testing.T) {
 	fileVariants(t, func(t *testing.T, opts FileStoreOptions) {
 		path := filepath.Join(t.TempDir(), "pages.dat")
 		fs, err := OpenFileStore(path, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Allocate(); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Both superblock copies must be destroyed before open fails.
-		flipByte(t, path, sbOffNextID+2)              // copy A's nextID field
-		flipByte(t, path, sbCopyStride+sbOffNextID+2) // copy B's nextID field
-		if _, err := OpenFileStore(path, opts); err == nil {
-			t.Fatal("corrupt superblock accepted")
-		}
-	})
-}
-
-func TestFileStoreSuperblockSurvivesTornCopy(t *testing.T) {
-	fileVariants(t, testFileStoreSuperblockSurvivesTornCopy)
-}
-
-func testFileStoreSuperblockSurvivesTornCopy(t *testing.T, opts FileStoreOptions) {
-	path := filepath.Join(t.TempDir(), "pages.dat")
-	fs, err := OpenFileStore(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []PageID
-	for i := 0; i < 3; i++ {
 		id, err := fs.Allocate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
-	}
-	var page [PageSize]byte
-	copy(page[:], "survives torn superblock")
-	if err := fs.WritePage(ids[1], &page); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Superblock writes alternate copies by generation; destroying the copy
-	// the *last* write landed in must fall back to the older copy, while
-	// destroying the stale copy must be a no-op. Probe both offsets: exactly
-	// one of them holds the newest generation, and the store must open with
-	// a usable allocator either way.
-	for _, off := range []int64{sbOffGen, sbCopyStride + sbOffGen} {
-		func() {
-			dir := t.TempDir()
-			cp := filepath.Join(dir, "pages.dat")
-			b, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(cp, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			flipByte(t, cp, off)
-			fs2, err := OpenFileStore(cp, opts)
-			if err != nil {
-				t.Fatalf("open with one torn superblock copy (off %d): %v", off, err)
-			}
-			defer fs2.Close()
-			if got := fs2.NumPages(); got != 3 && got != 0 {
-				t.Fatalf("NumPages = %d after torn copy at %d", got, off)
-			}
-		}()
-	}
-}
-
-func TestFileStoreSuperblockGenerationAdvances(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.dat")
-	var lastGen uint64
-	for i := 0; i < 3; i++ {
-		fs, err := OpenFileStore(path, FileStoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fs.Allocate(); err != nil {
+		var page [PageSize]byte
+		copy(page[:], "left behind by a previous process")
+		if err := fs.WritePage(id, &page); err != nil {
 			t.Fatal(err)
 		}
 		if err := fs.Close(); err != nil {
 			t.Fatal(err)
 		}
-		fs2, err := OpenFileStore(path, FileStoreOptions{})
+		if _, err := OpenFileStore(path, opts); err == nil || !strings.Contains(err.Error(), "not reopened") {
+			t.Fatalf("open over an existing page file = %v, want a refusal", err)
+		}
+		opts.Truncate = true
+		fs2, err := OpenFileStore(path, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fs2.gen <= lastGen {
-			t.Fatalf("generation %d did not advance past %d", fs2.gen, lastGen)
+		defer fs2.Close()
+		if got := fs2.NumPages() + fs2.FreePages(); got != 0 {
+			t.Fatalf("%d pages after a truncating open, want 0", got)
 		}
-		lastGen = fs2.gen
-		if err := fs2.Close(); err != nil {
-			t.Fatal(err)
+		if err := fs2.ReadPage(id, &page); err == nil {
+			t.Fatal("a previous process's page is readable after a truncating open")
 		}
-	}
+		// The first page of the new lifetime reuses the id and reads zero.
+		id2, err := fs2.Allocate()
+		if err != nil || id2 != id {
+			t.Fatalf("first Allocate = %d, %v; want %d", id2, err, id)
+		}
+		if err := fs2.ReadPage(id2, &page); err != nil || page != ([PageSize]byte{}) {
+			t.Fatalf("fresh page not zero (err %v)", err)
+		}
+	})
 }
 
 func TestFileStoreMmapRemapOnGrow(t *testing.T) {

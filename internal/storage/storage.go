@@ -9,9 +9,10 @@
 // page images with read/write counters and an optional per-access latency so
 // wall-clock time tracks I/O the way a spinning disk would; it is the
 // default and keeps benchmark figures comparable to the paper. The FileStore
-// backend (filestore.go) is a real single-file page store with page-aligned
-// pread/pwrite, fsync on Sync, and a free list persisted through a
-// superblock — the durable half of the Store's WithDataDir mode.
+// backend (filestore.go) is a real single-file page store with slot-aligned
+// pread/pwrite, checksummed slots and fsync on Sync — the pages of the Store's
+// WithDataDir mode, as scratch: the file starts empty at every open and holds
+// nothing a later process reads.
 package storage
 
 import (

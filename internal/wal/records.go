@@ -63,11 +63,6 @@ func TakeObject(b []byte) (model.Object, []byte, error) {
 	return o, b[objectBytes:], nil
 }
 
-// EncodeReport encodes a single-object report record.
-func EncodeReport(o model.Object) []byte {
-	return AppendObject(make([]byte, 0, objectBytes), o)
-}
-
 // DecodeReport decodes a TypeReport payload.
 func DecodeReport(p []byte) (model.Object, error) {
 	o, rest, err := TakeObject(p)
@@ -110,19 +105,16 @@ func DecodeReportBatch(p []byte) ([]model.Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(rest)) != n*objectBytes {
+	if nb, ok := model.CountBytes(n, objectBytes, len(rest)); !ok || nb != len(rest) {
 		return nil, fmt.Errorf("wal: batch record length mismatch")
 	}
 	objs := make([]model.Object, n)
 	for i := range objs {
-		objs[i], rest, _ = TakeObject(rest)
+		if objs[i], rest, err = TakeObject(rest); err != nil {
+			return nil, err
+		}
 	}
 	return objs, nil
-}
-
-// EncodeRemove encodes a remove record.
-func EncodeRemove(id model.ObjectID) []byte {
-	return AppendRemove(make([]byte, 0, 8), id)
 }
 
 // AppendRemove appends a remove record to b.
@@ -199,14 +191,9 @@ func TakeSubscription(b []byte) (monitor.Subscription, []byte, error) {
 	return sub, rest, nil
 }
 
-// EncodeSubscribe encodes a subscribe record: the engine-assigned id, the
-// subscription, and the registration time (replay must re-seed the result
+// AppendSubscribe appends a subscribe record to b: the engine-assigned id,
+// the subscription, and the registration time (replay must re-seed the result
 // set at the same clock).
-func EncodeSubscribe(id monitor.SubscriptionID, sub monitor.Subscription, now float64) []byte {
-	return AppendSubscribe(make([]byte, 0, 8+1+14*8), id, sub, now)
-}
-
-// AppendSubscribe appends a subscribe record to b.
 func AppendSubscribe(b []byte, id monitor.SubscriptionID, sub monitor.Subscription, now float64) []byte {
 	b = appendU64(b, uint64(id))
 	b = AppendSubscription(b, sub)
@@ -231,11 +218,6 @@ func DecodeSubscribe(p []byte) (monitor.SubscriptionID, monitor.Subscription, fl
 	return monitor.SubscriptionID(id), sub, now, err
 }
 
-// EncodeUnsubscribe encodes an unsubscribe record.
-func EncodeUnsubscribe(id monitor.SubscriptionID) []byte {
-	return AppendUnsubscribe(make([]byte, 0, 8), id)
-}
-
 // AppendUnsubscribe appends an unsubscribe record to b.
 func AppendUnsubscribe(b []byte, id monitor.SubscriptionID) []byte {
 	return appendU64(b, uint64(id))
@@ -250,12 +232,8 @@ func DecodeUnsubscribe(p []byte) (monitor.SubscriptionID, error) {
 	return monitor.SubscriptionID(id), err
 }
 
-// EncodeRefresh encodes a subscription-refresh record (pure time advance).
-func EncodeRefresh(now float64) []byte {
-	return AppendRefresh(make([]byte, 0, 8), now)
-}
-
-// AppendRefresh appends a subscription-refresh record to b.
+// AppendRefresh appends a subscription-refresh record (pure time advance)
+// to b.
 func AppendRefresh(b []byte, now float64) []byte {
 	return appendF64(b, now)
 }

@@ -327,7 +327,7 @@ func TestTruncateBeforeKeepsLastSegment(t *testing.T) {
 
 func TestRecordCodecsRoundTrip(t *testing.T) {
 	o := model.Object{ID: 42, Pos: geom.Vec2{X: 1.5, Y: -2.25}, Vel: geom.Vec2{X: 0.125, Y: 9}, T: 77.5}
-	if got, err := DecodeReport(EncodeReport(o)); err != nil || got != o {
+	if got, err := DecodeReport(AppendObject(nil, o)); err != nil || got != o {
 		t.Fatalf("report round trip: %+v, %v", got, err)
 	}
 	batch := []model.Object{o, {ID: 7, T: 1}, {ID: 9, Pos: geom.Vec2{X: 3, Y: 4}}}
@@ -340,7 +340,7 @@ func TestRecordCodecsRoundTrip(t *testing.T) {
 			t.Fatalf("batch[%d] = %+v, want %+v", i, got[i], batch[i])
 		}
 	}
-	if id, err := DecodeRemove(EncodeRemove(99)); err != nil || id != 99 {
+	if id, err := DecodeRemove(AppendRemove(nil, 99)); err != nil || id != 99 {
 		t.Fatalf("remove round trip: %d, %v", id, err)
 	}
 	sub := monitor.Subscription{
@@ -352,21 +352,21 @@ func TestRecordCodecsRoundTrip(t *testing.T) {
 		Horizon: 30,
 		Window:  5,
 	}
-	id, gotSub, now, err := DecodeSubscribe(EncodeSubscribe(17, sub, 123.5))
+	id, gotSub, now, err := DecodeSubscribe(AppendSubscribe(nil, 17, sub, 123.5))
 	if err != nil || id != 17 || now != 123.5 || gotSub != sub {
 		t.Fatalf("subscribe round trip: id=%d now=%v err=%v sub=%+v", id, now, err, gotSub)
 	}
-	if id, err := DecodeUnsubscribe(EncodeUnsubscribe(17)); err != nil || id != 17 {
+	if id, err := DecodeUnsubscribe(AppendUnsubscribe(nil, 17)); err != nil || id != 17 {
 		t.Fatalf("unsubscribe round trip: %d, %v", id, err)
 	}
-	if now, err := DecodeRefresh(EncodeRefresh(55.25)); err != nil || now != 55.25 {
+	if now, err := DecodeRefresh(AppendRefresh(nil, 55.25)); err != nil || now != 55.25 {
 		t.Fatalf("refresh round trip: %v, %v", now, err)
 	}
 	// Truncated and trailing-byte payloads must error, not misdecode.
 	if _, err := DecodeReport([]byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated report decoded")
 	}
-	if _, err := DecodeReport(append(EncodeReport(o), 0)); err == nil {
+	if _, err := DecodeReport(append(AppendObject(nil, o), 0)); err == nil {
 		t.Fatal("oversized report decoded")
 	}
 	if _, err := DecodeReportBatch(EncodeReportBatch(batch)[:20]); err == nil {

@@ -222,14 +222,12 @@ type MaintenanceEvent struct {
 type storeShard struct {
 	mu sync.Mutex
 
-	// dirty / gone are the shard's incremental-checkpoint sets (durable
-	// stores only; both nil otherwise): the IDs reported/inserted/updated
-	// and the IDs removed since the last checkpoint capture. An ID is in at
-	// most one of the two — the newest verb wins — so a delta checkpoint
-	// reads each dirty ID's current record and tombstones the gone ones.
-	// Guarded by mu like the tables they shadow.
+	// dirty is the shard's incremental-checkpoint set (durable stores only;
+	// nil otherwise): the IDs written — reported, inserted, updated or
+	// removed — since the last checkpoint capture. A delta checkpoint looks
+	// each one up and writes its current record, or a tombstone when it is
+	// gone. Guarded by mu like the table it shadows.
 	dirty map[ObjectID]struct{}
-	gone  map[ObjectID]struct{}
 
 	// res is the ring of the stripe's most recently reported velocities —
 	// the sample every analysis pools; resPos is the next overwrite position
@@ -268,24 +266,13 @@ func (sh *storeShard) observeQuery(q core.QueryShape, cap int) {
 	sh.qmu.Unlock()
 }
 
-// markDirty records that id's record changed since the last checkpoint
-// capture. Caller holds sh.mu. No-op on non-durable stores.
+// markDirty records that id was written — its record changed or it was
+// removed — since the last checkpoint capture. Caller holds sh.mu. No-op on
+// non-durable stores.
 func (sh *storeShard) markDirty(id ObjectID) {
-	if sh.dirty == nil {
-		return
+	if sh.dirty != nil {
+		sh.dirty[id] = struct{}{}
 	}
-	delete(sh.gone, id)
-	sh.dirty[id] = struct{}{}
-}
-
-// markGone records that id was removed since the last checkpoint capture.
-// Caller holds sh.mu. No-op on non-durable stores.
-func (sh *storeShard) markGone(id ObjectID) {
-	if sh.gone == nil {
-		return
-	}
-	delete(sh.dirty, id)
-	sh.gone[id] = struct{}{}
 }
 
 // observeVel records a reported velocity in the shard's recent-velocity
@@ -362,7 +349,6 @@ func Open(opts ...Option) (*Store, error) {
 		if cfg.dataDir != "" {
 			// Durable stores track per-stripe dirty sets for delta checkpoints.
 			s.shards[i].dirty = make(map[ObjectID]struct{})
-			s.shards[i].gone = make(map[ObjectID]struct{})
 		}
 	}
 	// The Store runs a partition manager from Open on: the analysis of the
@@ -836,13 +822,11 @@ func (s *Store) applyOne(verb core.Verb, o Object) error {
 	sh := s.shardFor(o.ID)
 	core.LockBusy(&sh.mu)
 	err := s.mgr.ApplyOne(verb, o)
-	switch {
-	case err != nil:
-	case verb == core.Remove:
-		sh.markGone(o.ID)
-	default:
+	if err == nil {
 		sh.markDirty(o.ID)
-		sh.observeVel(o.Vel, s.velCap())
+		if verb != core.Remove {
+			sh.observeVel(o.Vel, s.velCap())
+		}
 	}
 	sh.mu.Unlock()
 	if e := s.subEng.Load(); e != nil && err == nil {
