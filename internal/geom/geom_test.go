@@ -370,6 +370,42 @@ func TestSweepVolumeNumericAgreement(t *testing.T) {
 	}
 }
 
+// FuzzSweepKernel: wherever the closed form applies — positive widths,
+// boundaries that do not converge, a non-negative span and a finite result —
+// BoxSweep over the whole span and SweepVolume's piecewise integral of the
+// same box produce the same float bits. Seeds cover the shapes the TPR*-tree
+// integrates (query-inflated bounds over a 120 ts horizon), zero growth,
+// subnormal and overflowing products, and a zero span.
+func FuzzSweepKernel(f *testing.F) {
+	for _, s := range [][5]float64{
+		{1000, 1000, 0, 0, 120},
+		{1523.25, 1001.5, 180, 199.75, 120.00000000000001},
+		{1000, 1000, 200, 200, 120},
+		{1, 1, 2, 2, 1},
+		{5e-324, 1, 0, 1e-300, 3},
+		{1e200, 1e200, 1, 1, 120},
+		{1e100, 1e100, 1e100, 1e100, 1e100},
+		{7, 3, 0, 0, 0},
+		{7, 3, 1, 1, math.Copysign(0, -1)},
+	} {
+		f.Add(s[0], s[1], s[2], s[3], s[4])
+	}
+	f.Fuzz(func(t *testing.T, w0, h0, dw, dh, T float64) {
+		if !(w0 > 0 && h0 > 0 && dw >= 0 && dh >= 0 && T >= 0) {
+			return
+		}
+		v := BoxSweep(w0, h0, dw, dh, T)
+		if !(v <= math.MaxFloat64) {
+			return
+		}
+		box := MovingRect{MBR: Rect{MaxX: w0, MaxY: h0}, VBR: Rect{MaxX: dw, MaxY: dh}}
+		if g := box.SweepVolume(0, T); math.Float64bits(v) != math.Float64bits(g) {
+			t.Fatalf("BoxSweep(%g, %g, %g, %g, %g) = %g (%#x), SweepVolume %g (%#x)",
+				w0, h0, dw, dh, T, v, math.Float64bits(v), g, math.Float64bits(g))
+		}
+	})
+}
+
 func TestTransformedNodeTrick(t *testing.T) {
 	// Per Section 3.1: N intersects Q during [0,1] iff the transformed N'
 	// contains Q's center (a moving point) during [0,1].

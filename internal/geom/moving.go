@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MovingRect is a time-parameterized rectangle: the MBR/VBR pair of the
 // TPR-tree family (Section 3.1 of the VP paper). At time t >= Ref the
@@ -61,10 +58,10 @@ func (m MovingRect) Union(o MovingRect, ref float64) MovingRect {
 	return MovingRect{
 		MBR: a.MBR.Union(b.MBR),
 		VBR: Rect{
-			math.Min(a.VBR.MinX, b.VBR.MinX),
-			math.Min(a.VBR.MinY, b.VBR.MinY),
-			math.Max(a.VBR.MaxX, b.VBR.MaxX),
-			math.Max(a.VBR.MaxY, b.VBR.MaxY),
+			min(a.VBR.MinX, b.VBR.MinX),
+			min(a.VBR.MinY, b.VBR.MinY),
+			max(a.VBR.MaxX, b.VBR.MaxX),
+			max(a.VBR.MaxY, b.VBR.MaxY),
 		},
 		Ref: ref,
 	}
@@ -122,10 +119,10 @@ func (m MovingRect) IntersectsDuring(o MovingRect, t0, t1 float64) bool {
 		bound := -c.c0 / c.cv
 		if c.cv > 0 {
 			// satisfied for s <= bound
-			hi = math.Min(hi, t0+bound)
+			hi = min(hi, t0+bound)
 		} else {
 			// satisfied for s >= bound
-			lo = math.Max(lo, t0+bound)
+			lo = max(lo, t0+bound)
 		}
 		if lo > hi {
 			return false
@@ -159,9 +156,9 @@ func (m MovingRect) IntersectionInterval(o MovingRect, t0, t1 float64) (lo, hi f
 		}
 		bound := t0 - c.c0/c.cv
 		if c.cv > 0 {
-			hi = math.Min(hi, bound)
+			hi = min(hi, bound)
 		} else {
-			lo = math.Max(lo, bound)
+			lo = max(lo, bound)
 		}
 		if lo > hi {
 			return 0, 0, false
@@ -177,7 +174,10 @@ func (m MovingRect) IntersectionInterval(o MovingRect, t0, t1 float64) (lo, hi f
 //
 // The integrand is a piecewise quadratic w(t)*h(t) with w, h linear and
 // clamped at 0; we split [t0,t1] at the (at most two) clamp roots and
-// integrate each quadratic piece exactly.
+// integrate each quadratic piece exactly with BoxSweep, the one copy of the
+// polynomial. A rectangle of positive width and height whose boundaries do
+// not converge — every conservative bound inflated by a query extent — is a
+// single piece, and its volume is BoxSweep over the whole span.
 func (m MovingRect) SweepVolume(t0, t1 float64) float64 {
 	if t1 <= t0 {
 		return 0
@@ -213,13 +213,19 @@ func (m MovingRect) SweepVolume(t0, t1 float64) float64 {
 		if w0+dw*mid <= 0 || h0+dh*mid <= 0 {
 			continue // area is zero on this piece
 		}
-		// Integrate (w0+dw*s)(h0+dh*s) ds from s0 to s1.
-		ii := func(s float64) float64 {
-			return w0*h0*s + (w0*dh+h0*dw)*s*s/2 + dw*dh*s*s*s/3
-		}
-		total += ii(s1) - ii(s0)
+		total += BoxSweep(w0, h0, dw, dh, s1) - BoxSweep(w0, h0, dw, dh, s0)
 	}
 	return total
+}
+
+// BoxSweep is the integral over s in [0, T] of (w0+dw*s)*(h0+dh*s): the
+// sweep volume of a box with widths w0, h0 growing at dw, dh, evaluated as
+// the antiderivative at T. Whenever w0 > 0, h0 > 0, dw >= 0, dh >= 0,
+// T >= 0 and the result is finite, it equals — bit for bit — SweepVolume of
+// that box over [0, T]: nothing clamps, there is one piece, and the
+// antiderivative at 0 is exactly +0. FuzzSweepKernel holds it to that.
+func BoxSweep(w0, h0, dw, dh, T float64) float64 {
+	return w0*h0*T + (w0*dh+h0*dw)*T*T/2 + dw*dh*T*T*T/3
 }
 
 // sortFloats is a tiny insertion sort; the slices here have <= 4 elements.

@@ -92,8 +92,8 @@ func (r Rect) Intersects(s Rect) bool {
 // Intersect returns the intersection of r and s (possibly empty).
 func (r Rect) Intersect(s Rect) Rect {
 	out := Rect{
-		math.Max(r.MinX, s.MinX), math.Max(r.MinY, s.MinY),
-		math.Min(r.MaxX, s.MaxX), math.Min(r.MaxY, s.MaxY),
+		max(r.MinX, s.MinX), max(r.MinY, s.MinY),
+		min(r.MaxX, s.MaxX), min(r.MaxY, s.MaxY),
 	}
 	if out.IsEmpty() {
 		return EmptyRect()
@@ -110,8 +110,8 @@ func (r Rect) Union(s Rect) Rect {
 		return r
 	}
 	return Rect{
-		math.Min(r.MinX, s.MinX), math.Min(r.MinY, s.MinY),
-		math.Max(r.MaxX, s.MaxX), math.Max(r.MaxY, s.MaxY),
+		min(r.MinX, s.MinX), min(r.MinY, s.MinY),
+		max(r.MaxX, s.MaxX), max(r.MaxY, s.MaxY),
 	}
 }
 
@@ -196,7 +196,7 @@ func (c Circle) IntersectsRect(r Rect) bool {
 	if r.IsEmpty() {
 		return false
 	}
-	dx := math.Max(math.Max(r.MinX-c.C.X, 0), c.C.X-r.MaxX)
-	dy := math.Max(math.Max(r.MinY-c.C.Y, 0), c.C.Y-r.MaxY)
+	dx := max(max(r.MinX-c.C.X, 0), c.C.X-r.MaxX)
+	dy := max(max(r.MinY-c.C.Y, 0), c.C.Y-r.MaxY)
 	return dx*dx+dy*dy <= c.R*c.R
 }

@@ -29,6 +29,18 @@
 // parent and that child to dissolve it, and reinserts the orphans the same
 // way. Nothing on the non-structural path allocates.
 //
+// What a level costs once its page is pinned is arithmetic, and each piece
+// is computed once, from the slot bytes. ChooseSubtree prices an entry by
+// one cubic (geom.BoxSweep: the entry's query-inflated sweep volume over the
+// horizon, in closed form because a conservative bound never clamps) and a
+// second for its union with the new bound — skipped, growth exactly 0, when
+// the union is the entry bit for bit. The decoded descent chooses from the
+// same bytes with the same function. The bound folds (pageBound, unions) use
+// the builtin min/max, and the delete's containment test and leaf scan read
+// only the fields they compare. All of it yields the floats the general
+// integral and the math package's Min/Max gave, so the tree is the same
+// tree.
+//
 // Every reader validates a page's tag, level and count before trusting
 // them; a page that fails reports an error wrapping storage.ErrCorruptPage.
 package tprtree
@@ -131,8 +143,12 @@ func (n *node) boundAt(t float64) geom.MovingRect {
 
 // pageBound is boundAt computed from the bytes of a validated page: the same
 // fold with the rectangles left in scalars — a record contributes the point
-// PosAt(t) and its velocity, an entry AtTime(t) and its VBR; none is ever
-// empty, so Rect.Union's empty-operand cases reduce to Min/Max too.
+// PosAt(t) (read from its position, velocity and time; the id is never
+// decoded) and its velocity, an entry AtTime(t) and its VBR; none is ever
+// empty, so Rect.Union's empty-operand cases reduce to min/max too. The
+// builtin min/max follow the math package's NaN and signed-zero rules but
+// compile inline, where the math functions are an assembly call per
+// boundary.
 func pageBound(data []byte, level, count int, t float64) geom.MovingRect {
 	out := emptyBound(t)
 	if count == 0 {
@@ -143,16 +159,18 @@ func pageBound(data []byte, level, count int, t float64) geom.MovingRect {
 	for i := 0; i < count; i++ {
 		var r, rv geom.Rect // slot i at time t, and its boundary speeds
 		if level == 0 {
-			o := getObj(leafSlot(data, i))
-			r, rv = geom.RectFromPoint(o.PosAt(t)), geom.RectFromPoint(o.Vel)
+			s := leafSlot(data, i)
+			vx, vy, dt := getF64(s[24:32]), getF64(s[32:40]), t-getF64(s[40:48])
+			x, y := getF64(s[8:16])+vx*dt, getF64(s[16:24])+vy*dt
+			r, rv = geom.Rect{MinX: x, MinY: y, MaxX: x, MaxY: y}, geom.Rect{MinX: vx, MinY: vy, MaxX: vx, MaxY: vy}
 		} else {
 			mr := getMR(entrySlot(data, i))
 			r, rv = mr.AtTime(t), mr.VBR
 		}
-		m.MinX, m.MinY = math.Min(m.MinX, r.MinX), math.Min(m.MinY, r.MinY)
-		m.MaxX, m.MaxY = math.Max(m.MaxX, r.MaxX), math.Max(m.MaxY, r.MaxY)
-		v.MinX, v.MinY = math.Min(v.MinX, rv.MinX), math.Min(v.MinY, rv.MinY)
-		v.MaxX, v.MaxY = math.Max(v.MaxX, rv.MaxX), math.Max(v.MaxY, rv.MaxY)
+		m.MinX, m.MinY = min(m.MinX, r.MinX), min(m.MinY, r.MinY)
+		m.MaxX, m.MaxY = max(m.MaxX, r.MaxX), max(m.MaxY, r.MaxY)
+		v.MinX, v.MinY = min(v.MinX, rv.MinX), min(v.MinY, rv.MinY)
+		v.MaxX, v.MaxY = max(v.MaxX, rv.MaxX), max(v.MaxY, rv.MaxY)
 	}
 	return out
 }
@@ -166,18 +184,25 @@ func emptyBound(t float64) geom.MovingRect {
 // unionRebased is a.Union(b, ref) for operands already rebased to ref, which
 // is what a fold over a node's slots has on its left and ChooseSubtree on
 // both sides: it skips Union's two Rebase calls (identities here) and keeps
-// its Min/Max operand order, so the floats are the ones Union produces.
+// its min/max operand order, so the floats are the ones Union produces.
 func unionRebased(a, b geom.MovingRect) geom.MovingRect {
 	return geom.MovingRect{
 		MBR: a.MBR.Union(b.MBR),
 		VBR: geom.Rect{
-			MinX: math.Min(a.VBR.MinX, b.VBR.MinX),
-			MinY: math.Min(a.VBR.MinY, b.VBR.MinY),
-			MaxX: math.Max(a.VBR.MaxX, b.VBR.MaxX),
-			MaxY: math.Max(a.VBR.MaxY, b.VBR.MaxY),
+			MinX: min(a.VBR.MinX, b.VBR.MinX),
+			MinY: min(a.VBR.MinY, b.VBR.MinY),
+			MaxX: max(a.VBR.MaxX, b.VBR.MaxX),
+			MaxY: max(a.VBR.MaxY, b.VBR.MaxY),
 		},
 		Ref: a.Ref,
 	}
+}
+
+// sameBits reports whether a and b hold the same float bits in every
+// boundary (== would equate -0 with +0).
+func sameBits(a, b geom.Rect) bool {
+	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) && math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
+		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) && math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
 }
 
 // objRect returns the degenerate moving rectangle of an object record.
@@ -239,9 +264,11 @@ func entrySlot(data []byte, i int) []byte {
 	return data[off : off+internalEntrySize]
 }
 
+func getID(b []byte) model.ObjectID { return model.ObjectID(binary.LittleEndian.Uint64(b[0:8])) }
+
 func getObj(b []byte) model.Object {
 	return model.Object{
-		ID:  model.ObjectID(binary.LittleEndian.Uint64(b[0:8])),
+		ID:  getID(b),
 		Pos: geom.Vec2{X: getF64(b[8:16]), Y: getF64(b[16:24])},
 		Vel: geom.Vec2{X: getF64(b[24:32]), Y: getF64(b[32:40])},
 		T:   getF64(b[40:48]),
@@ -275,24 +302,26 @@ func putMR(b []byte, mr geom.MovingRect) {
 // decoded nodes.
 func (t *Tree) readNode(id storage.PageID, level int) (*node, error) {
 	n := &node{id: id, level: level}
-	err := t.view(id, level, func(data []byte, count int) {
-		if level == 0 {
-			n.objs = make([]model.Object, count)
-			for i := range n.objs {
-				n.objs[i] = getObj(leafSlot(data, i))
-			}
-			return
-		}
-		n.entries = make([]entry, count)
-		for i := range n.entries {
-			s := entrySlot(data, i)
-			n.entries[i] = entry{child: getChild(s), mr: getMR(s)}
-		}
-	})
-	if err != nil {
+	if err := t.view(id, level, n.decode); err != nil {
 		return nil, err
 	}
 	return n, nil
+}
+
+// decode fills n, whose level is set, from the validated bytes of its page.
+func (n *node) decode(data []byte, count int) {
+	if n.leaf() {
+		n.objs = make([]model.Object, count)
+		for i := range n.objs {
+			n.objs[i] = getObj(leafSlot(data, i))
+		}
+		return
+	}
+	n.entries = make([]entry, count)
+	for i := range n.entries {
+		s := entrySlot(data, i)
+		n.entries[i] = entry{child: getChild(s), mr: getMR(s)}
+	}
 }
 
 func (t *Tree) writeNode(n *node) error {

@@ -55,12 +55,12 @@ func accesses(pool *storage.BufferPool) int64 {
 // records it holds.
 func insertLeaf(t *testing.T, tr *Tree, o model.Object) (id storage.PageID, count int) {
 	t.Helper()
-	now := math.Max(tr.clock, o.T)
+	now := max(tr.clock, o.T)
 	id = tr.root
 	for level := tr.height - 1; level >= 0; level-- {
 		if err := tr.view(id, level, func(data []byte, n int) {
 			if count = n; level > 0 {
-				ci := tr.chooseSubtree(n, func(i int) geom.MovingRect { return getMR(entrySlot(data, i)) }, objRect(o).Rebase(now), now)
+				ci := tr.chooseSubtree(data, n, objRect(o).Rebase(now), now)
 				id = getChild(entrySlot(data, ci))
 			}
 		}); err != nil {
@@ -88,7 +88,9 @@ func deleteVisits(t *testing.T, tr *Tree, o model.Object) (visits int, leaf stor
 			}
 		}
 		for _, e := range n.entries {
-			if entryMayContain(e.mr, o) && rec(e.child, level-1) {
+			var slot [internalEntrySize]byte
+			putMR(slot[:], e.mr)
+			if entryMayContain(slot[:], o) && rec(e.child, level-1) {
 				return true
 			}
 		}

@@ -3,7 +3,7 @@ package tprtree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/model"
@@ -21,14 +21,13 @@ import (
 // moving objects), and every prefix/suffix cut respecting the minimum fill
 // is evaluated.
 func (t *Tree) split(n *node, now float64) (*splitOut, geom.MovingRect, error) {
-	var rects []geom.MovingRect
+	var sc splitScratch
+	rects := sc.rects[:n.count()]
 	if n.leaf() {
-		rects = make([]geom.MovingRect, len(n.objs))
 		for i, o := range n.objs {
 			rects[i] = objRect(o).Rebase(now)
 		}
 	} else {
-		rects = make([]geom.MovingRect, len(n.entries))
 		for i, e := range n.entries {
 			rects[i] = e.mr.Rebase(now)
 		}
@@ -37,9 +36,10 @@ func (t *Tree) split(n *node, now float64) (*splitOut, geom.MovingRect, error) {
 	if !n.leaf() {
 		minFill = internalMin
 	}
-	perm, cut := t.chooseSplit(rects, minFill, now)
+	perm, cut := t.chooseSplit(&sc, rects, minFill, now)
 
-	// Materialize the two groups.
+	// Materialize the two groups, which share one backing array (the left
+	// group's capacity stops at the cut).
 	rid, err := t.pool.Allocate()
 	if err != nil {
 		return nil, geom.MovingRect{}, err
@@ -50,15 +50,13 @@ func (t *Tree) split(n *node, now float64) (*splitOut, geom.MovingRect, error) {
 		for i, p := range perm {
 			objs[i] = n.objs[p]
 		}
-		n.objs = append([]model.Object(nil), objs[:cut]...)
-		right.objs = append([]model.Object(nil), objs[cut:]...)
+		n.objs, right.objs = objs[:cut:cut], objs[cut:]
 	} else {
 		ents := make([]entry, len(n.entries))
 		for i, p := range perm {
 			ents[i] = n.entries[p]
 		}
-		n.entries = append([]entry(nil), ents[:cut]...)
-		right.entries = append([]entry(nil), ents[cut:]...)
+		n.entries, right.entries = ents[:cut:cut], ents[cut:]
 	}
 	if err := t.writeNode(n); err != nil {
 		return nil, geom.MovingRect{}, err
@@ -74,49 +72,61 @@ func (t *Tree) split(n *node, now float64) (*splitOut, geom.MovingRect, error) {
 	return out, out.leftBound, nil
 }
 
+// splitScratch is the working memory of one split, sized for the largest
+// overflowing node (a leaf of LeafCap+1 records), so that trying the sort
+// keys allocates nothing.
+type splitScratch struct {
+	rects, prefix, suffix [LeafCap + 1]geom.MovingRect
+	keys                  [LeafCap + 1]float64
+	perm, bestPerm        [LeafCap + 1]int
+}
+
 // chooseSplit returns the permutation of rects and the cut index k (left
-// group = perm[:k]) minimizing the split objective.
-func (t *Tree) chooseSplit(rects []geom.MovingRect, minFill int, now float64) ([]int, int) {
+// group = perm[:k]) minimizing the split objective. The permutation lives in
+// sc.
+func (t *Tree) chooseSplit(sc *splitScratch, rects []geom.MovingRect, minFill int, now float64) ([]int, int) {
 	n := len(rects)
 	if minFill < 1 {
 		minFill = 1
 	}
 	maxFill := n - minFill
+	bestPerm := sc.bestPerm[:n]
 	if maxFill < minFill {
 		// Degenerate capacity; split in the middle.
-		perm := identityPerm(n)
-		return perm, n / 2
+		for i := range bestPerm {
+			bestPerm[i] = i
+		}
+		return bestPerm, n / 2
 	}
 
-	type sortKey func(geom.MovingRect) float64
-	keys := []sortKey{
-		func(r geom.MovingRect) float64 { return r.MBR.MinX },
-		func(r geom.MovingRect) float64 { return r.MBR.MaxX },
-		func(r geom.MovingRect) float64 { return r.MBR.MinY },
-		func(r geom.MovingRect) float64 { return r.MBR.MaxY },
-	}
-	if !t.cfg.PositionOnlySplits {
-		keys = append(keys,
-			func(r geom.MovingRect) float64 { return r.VBR.MinX },
-			func(r geom.MovingRect) float64 { return r.VBR.MaxX },
-			func(r geom.MovingRect) float64 { return r.VBR.MinY },
-			func(r geom.MovingRect) float64 { return r.VBR.MaxY },
-		)
+	// Sort keys: the four MBR boundaries, then (unless disabled) the four
+	// VBR boundaries.
+	nkeys := 8
+	if t.cfg.PositionOnlySplits {
+		nkeys = 4
 	}
 
 	bestCost := math.Inf(1)
 	bestOverlap := math.Inf(1)
-	var bestPerm []int
 	bestCut := -1
+	perm, keys, prefix, suffix := sc.perm[:n], sc.keys[:n], sc.prefix[:n], sc.suffix[:n]
 
-	for _, key := range keys {
-		perm := identityPerm(n)
-		sort.SliceStable(perm, func(a, b int) bool {
-			return key(rects[perm[a]]) < key(rects[perm[b]])
+	for key := 0; key < nkeys; key++ {
+		for i, r := range rects {
+			perm[i] = i
+			keys[i] = [8]float64{r.MBR.MinX, r.MBR.MaxX, r.MBR.MinY, r.MBR.MaxY, r.VBR.MinX, r.VBR.MaxX, r.VBR.MinY, r.VBR.MaxY}[key]
+		}
+		// sort.SliceStable's algorithm and its less, as a three-way compare.
+		slices.SortStableFunc(perm, func(a, b int) int {
+			if keys[a] < keys[b] {
+				return -1
+			}
+			if keys[b] < keys[a] {
+				return 1
+			}
+			return 0
 		})
 		// Prefix/suffix bounding rects for O(n) cut evaluation.
-		prefix := make([]geom.MovingRect, n)
-		suffix := make([]geom.MovingRect, n)
 		prefix[0] = rects[perm[0]]
 		for i := 1; i < n; i++ {
 			prefix[i] = prefix[i-1].Union(rects[perm[i]], now)
@@ -135,7 +145,7 @@ func (t *Tree) chooseSplit(rects []geom.MovingRect, minFill int, now float64) ([
 			if cost < bestCost || ov < bestOverlap {
 				bestCost = cost
 				bestOverlap = ov
-				bestPerm = append(bestPerm[:0], perm...)
+				copy(bestPerm, perm)
 				bestCut = k
 			}
 		}
@@ -153,14 +163,6 @@ func overlapSweep(a, b geom.MovingRect, t0, t1 float64) float64 {
 	}
 	h := t1 - t0
 	return h / 6 * (f(t0) + 4*f(t0+h/2) + f(t1))
-}
-
-func identityPerm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
 }
 
 // --- queries -----------------------------------------------------------------
@@ -284,8 +286,10 @@ func (t *Tree) checkNode(id storage.PageID, level int, bound *geom.MovingRect) (
 	}
 	if n.leaf() {
 		if bound != nil {
+			var slot [internalEntrySize]byte
+			putMR(slot[:], *bound)
 			for _, o := range n.objs {
-				if !entryMayContain(*bound, o) {
+				if !entryMayContain(slot[:], o) {
 					return 0, errf("page %d: object %d escapes parent bound %v", id, o.ID, *bound)
 				}
 			}
@@ -302,7 +306,7 @@ func (t *Tree) checkNode(id storage.PageID, level int, bound *geom.MovingRect) (
 			// ulps apart in floats — hence the slack (metres), the same kind
 			// entryMayContain allows.
 			const slack = 1e-6
-			r0 := math.Max(bound.Ref, e.mr.Ref)
+			r0 := max(bound.Ref, e.mr.Ref)
 			for _, at := range [2]float64{r0, r0 + t.cfg.Horizon} {
 				if !bound.AtTime(at).Expand(slack).ContainsRect(e.mr.AtTime(at)) {
 					return 0, errf("page %d: child bound %v escapes parent %v at t=%g", id, e.mr, *bound, at)

@@ -129,11 +129,25 @@ func (t *Tree) IO() model.IOStats {
 
 // --- cost model --------------------------------------------------------------
 
-// sweepCost integrates the (query-inflated) area of mr over [t, t+Horizon]:
-// the metric of Eq. 1 with the query extent folded in, used for
-// ChooseSubtree and splits.
+// sweepCost integrates the (query-inflated) area of mr over [now,
+// now+Horizon]: the metric of Eq. 1 with the query extent folded in, used for
+// ChooseSubtree and splits. A bound already referenced at now, with positive
+// inflated widths and boundaries that do not converge, is one geom.BoxSweep
+// on its widths — the same floats SweepVolume would produce, without the
+// rebase, the expansion and the clamp search. Anything else (zero width,
+// QueryExtent 0, a negative velocity extent, non-finite values) takes
+// SweepVolume itself.
 func (t *Tree) sweepCost(mr geom.MovingRect, now float64) float64 {
 	h := t.cfg.QueryExtent / 2
+	w0 := (mr.MBR.MaxX + h) - (mr.MBR.MinX - h)
+	h0 := (mr.MBR.MaxY + h) - (mr.MBR.MinY - h)
+	dw := mr.VBR.MaxX - mr.VBR.MinX
+	dh := mr.VBR.MaxY - mr.VBR.MinY
+	if mr.Ref == now && w0 > 0 && h0 > 0 && dw >= 0 && dh >= 0 {
+		if v := geom.BoxSweep(w0, h0, dw, dh, (now+t.cfg.Horizon)-now); v <= math.MaxFloat64 {
+			return v
+		}
+	}
 	inflated := geom.MovingRect{
 		MBR: mr.MBR.ExpandXY(h, h),
 		VBR: mr.VBR,
@@ -225,7 +239,7 @@ func (t *Tree) insertInPlace(o model.Object, now float64) (done bool, err error)
 	for level := t.height - 1; level > 0; level-- {
 		step := pathStep{id: id}
 		if err := t.view(id, level, func(data []byte, count int) {
-			step.ci = t.chooseSubtree(count, func(i int) geom.MovingRect { return getMR(entrySlot(data, i)) }, mrNow, now)
+			step.ci = t.chooseSubtree(data, count, mrNow, now)
 			id = getChild(entrySlot(data, step.ci))
 		}); err != nil {
 			return false, err
@@ -332,7 +346,7 @@ type splitOut struct {
 // split, and the new tight bound of the visited child (so the parent can
 // tighten its entry without re-reading).
 func (t *Tree) insertRec(id storage.PageID, level int, o model.Object, now float64) (*splitOut, geom.MovingRect, error) {
-	n, err := t.readNode(id, level)
+	n, ci, err := t.readChoosing(id, level, 0, objRect(o).Rebase(now), now)
 	if err != nil {
 		return nil, geom.MovingRect{}, err
 	}
@@ -340,7 +354,6 @@ func (t *Tree) insertRec(id storage.PageID, level int, o model.Object, now float
 		n.objs = append(n.objs, o)
 		return t.placed(n, 0, nil, now)
 	}
-	ci := t.chooseSubtreeOf(n, objRect(o), now)
 	split, childBound, err := t.insertRec(n.entries[ci].child, level-1, o, now)
 	if err != nil {
 		return nil, geom.MovingRect{}, err
@@ -351,7 +364,7 @@ func (t *Tree) insertRec(id storage.PageID, level int, o model.Object, now float
 
 // insertEntryRec descends to targetLevel inserting subtree entry e.
 func (t *Tree) insertEntryRec(id storage.PageID, level int, e entry, targetLevel int, now float64) (*splitOut, geom.MovingRect, error) {
-	n, err := t.readNode(id, level)
+	n, ci, err := t.readChoosing(id, level, targetLevel, e.mr.Rebase(now), now)
 	if err != nil {
 		return nil, geom.MovingRect{}, err
 	}
@@ -359,7 +372,6 @@ func (t *Tree) insertEntryRec(id storage.PageID, level int, e entry, targetLevel
 		n.entries = append(n.entries, e)
 		return t.placed(n, 0, nil, now)
 	}
-	ci := t.chooseSubtreeOf(n, e.mr, now)
 	split, childBound, err := t.insertEntryRec(n.entries[ci].child, level-1, e, targetLevel, now)
 	if err != nil {
 		return nil, geom.MovingRect{}, err
@@ -385,19 +397,24 @@ func (t *Tree) placed(n *node, ci int, split *splitOut, now float64) (*splitOut,
 	return nil, n.boundAt(now), nil
 }
 
-// chooseSubtree picks, among count entries, the one whose integrated
-// sweeping volume grows least when extended to cover mrNow (ties: smaller
-// current volume, then the earlier entry). entryAt reads entry i from a raw
-// page or a decoded node; mrNow is already rebased to now, once, and each
-// entry's own volume is integrated once for both keys.
-func (t *Tree) chooseSubtree(count int, entryAt func(i int) geom.MovingRect, mrNow geom.MovingRect, now float64) int {
+// chooseSubtree picks, among the count entries of an internal page, the one
+// whose integrated sweeping volume grows least when extended to cover add,
+// already rebased to now (ties: smaller current volume, then the earlier
+// entry). Each slot's rectangle is read once and integrated once for both
+// keys; an entry that already covers add — the union is the entry, bit for
+// bit — grows by vol - vol, exactly what integrating that union would give,
+// so its second integral is skipped.
+func (t *Tree) chooseSubtree(data []byte, count int, add geom.MovingRect, now float64) int {
 	best := 0
 	bestEnl := math.Inf(1)
 	bestVol := math.Inf(1)
 	for i := 0; i < count; i++ {
-		eNow := entryAt(i).Rebase(now)
-		vol := t.sweepCost(eNow, now)
-		enl := t.sweepCost(unionRebased(eNow, mrNow), now) - vol
+		e := getMR(entrySlot(data, i)).Rebase(now)
+		vol := t.sweepCost(e, now)
+		enl := vol - vol
+		if u := unionRebased(e, add); !sameBits(u.MBR, e.MBR) || !sameBits(u.VBR, e.VBR) {
+			enl = t.sweepCost(u, now) - vol
+		}
 		if enl < bestEnl || (enl == bestEnl && vol < bestVol) {
 			best, bestEnl, bestVol = i, enl, vol
 		}
@@ -405,9 +422,20 @@ func (t *Tree) chooseSubtree(count int, entryAt func(i int) geom.MovingRect, mrN
 	return best
 }
 
-// chooseSubtreeOf is chooseSubtree on a decoded node.
-func (t *Tree) chooseSubtreeOf(n *node, mr geom.MovingRect, now float64) int {
-	return t.chooseSubtree(len(n.entries), func(i int) geom.MovingRect { return n.entries[i].mr }, mr.Rebase(now), now)
+// readChoosing is readNode for a decoded descent toward level target: above
+// it, the subtree for add (rebased to now) is chosen from the same pinned
+// bytes the node is decoded from.
+func (t *Tree) readChoosing(id storage.PageID, level, target int, add geom.MovingRect, now float64) (n *node, ci int, err error) {
+	n = &node{id: id, level: level}
+	if err := t.view(id, level, func(data []byte, count int) {
+		n.decode(data, count)
+		if level > target {
+			ci = t.chooseSubtree(data, count, add, now)
+		}
+	}); err != nil {
+		return nil, 0, err
+	}
+	return n, ci, nil
 }
 
 // handleOverflow resolves an overflowing node: forced reinsert on the first
@@ -494,8 +522,10 @@ func (t *Tree) forcedReinsert(n *node, now float64) error {
 // sortByDesc sorts indices [0,n) descending by key using swap (a tiny
 // selection-friendly shell to avoid materializing a slice of structs).
 func sortByDesc(n int, key func(int) float64, swap func(i, j int)) {
-	// Simple insertion sort: n <= InternalCap+1 (~52) or LeafCap+1 (~86).
-	keys := make([]float64, n)
+	// Simple insertion sort: n <= InternalCap+1 (~52) or LeafCap+1 (~86),
+	// so the keys fit a stack array.
+	var buf [LeafCap + 1]float64
+	keys := buf[:n]
 	for i := range keys {
 		keys[i] = key(i)
 	}
@@ -524,7 +554,7 @@ func (t *Tree) Delete(o model.Object) error {
 	var orph orphans
 	// Anchor at the tree clock, never the (possibly stale) record time:
 	// bounds must not be rewound (see the clock field).
-	now := math.Max(t.clock, o.T)
+	now := max(t.clock, o.T)
 
 	found, _, rootCount, err := t.deleteAt(t.root, t.height-1, o, now, &orph)
 	if err != nil {
@@ -597,7 +627,7 @@ func (t *Tree) deleteAt(id storage.PageID, level int, o model.Object, now float6
 	if level == 0 {
 		err = t.edit(id, 0, func(data []byte, n int) bool {
 			for i := 0; i < n; i++ {
-				if getObj(leafSlot(data, i)).ID != o.ID {
+				if getID(leafSlot(data, i)) != o.ID {
 					continue
 				}
 				copy(data[nodeHeader+i*leafEntrySize:], data[nodeHeader+(i+1)*leafEntrySize:nodeHeader+n*leafEntrySize])
@@ -618,7 +648,7 @@ func (t *Tree) deleteAt(id storage.PageID, level int, o model.Object, now float6
 	nc := 0
 	if err := t.view(id, level, func(data []byte, n int) {
 		for i := 0; i < n; i++ {
-			if s := entrySlot(data, i); entryMayContain(getMR(s), o) {
+			if s := entrySlot(data, i); entryMayContain(s, o) {
 				cands[nc].ci, cands[nc].child = i, getChild(s)
 				nc++
 			}
@@ -673,19 +703,23 @@ func (t *Tree) dissolveChild(id storage.PageID, level, ci int, now float64, orph
 	return true, n.boundAt(now), n.count(), nil
 }
 
-// entryMayContain is the descent test for deletes: the entry's rectangle
-// must contain the object's position at the entry's reference time and its
-// velocity bounds must cover the object's velocity. Both hold for every
-// ancestor of the leaf the object lives in (bounds are conservative from
-// their reference time both forward in space and across velocities).
-func entryMayContain(mr geom.MovingRect, o model.Object) bool {
+// entryMayContain is the descent test for deletes, on the bytes of internal
+// slot s: the entry's rectangle must contain the object's position at the
+// entry's reference time and its velocity bounds must cover the object's
+// velocity. Both hold for every ancestor of the leaf the object lives in
+// (bounds are conservative from their reference time both forward in space
+// and across velocities). The comparisons are Rect.Expand(eps) and
+// ContainsPoint's, in their order: an Expand that comes out empty leaves no
+// point inside either way.
+func entryMayContain(s []byte, o model.Object) bool {
 	const eps = 1e-7
-	p := o.PosAt(mr.Ref)
-	if !mr.MBR.Expand(eps).ContainsPoint(p) {
+	p := o.PosAt(getF64(s[72:80]))
+	if !(p.X >= getF64(s[8:16])-eps && p.X <= getF64(s[24:32])+eps &&
+		p.Y >= getF64(s[16:24])-eps && p.Y <= getF64(s[32:40])+eps) {
 		return false
 	}
-	return o.Vel.X >= mr.VBR.MinX-eps && o.Vel.X <= mr.VBR.MaxX+eps &&
-		o.Vel.Y >= mr.VBR.MinY-eps && o.Vel.Y <= mr.VBR.MaxY+eps
+	return o.Vel.X >= getF64(s[40:48])-eps && o.Vel.X <= getF64(s[56:64])+eps &&
+		o.Vel.Y >= getF64(s[48:56])-eps && o.Vel.Y <= getF64(s[64:72])+eps
 }
 
 // Update implements model.Index as deletion followed by insertion (the
