@@ -8,6 +8,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -149,12 +150,18 @@ func (r *ResultSet) Reconcile(id model.ObjectID, o model.Object, present bool, n
 		}
 		return evs
 	}
+	// Membership is read from the object's own set, a map of the few
+	// subscriptions it is in, rather than from each candidate's result set.
+	// set may create the object's map; clear may empty and drop it, which
+	// leaves mem a valid, empty map until the next set.
+	mem := r.byObj[id]
 	eval := func(sub SubscriptionID, s Subscription) {
-		member := r.bySub[sub][id]
+		member := mem[sub]
 		match := MatchesAt(o, s, now)
 		switch {
 		case match && !member:
 			r.set(sub, id)
+			mem = r.byObj[id]
 			evs = append(evs, Event{Sub: sub, ID: id, Kind: Enter, T: now})
 		case !match && member:
 			r.clear(sub, id)
@@ -173,21 +180,16 @@ func (r *ResultSet) Reconcile(id model.ObjectID, o model.Object, present bool, n
 		}
 	}
 	// Memberships the candidate list did not cover: the object moved out of
-	// the filter's expanded region for these subscriptions, so they are
-	// (almost certainly) leaves — but each is re-proved with the exact
-	// predicate, so a too-tight filter can never evict a true member.
-	if mem := r.byObj[id]; len(mem) > 0 {
-		inCands := make(map[SubscriptionID]bool, len(cands))
-		for _, sub := range cands {
-			inCands[sub] = true
+	// the filter's reach for these subscriptions, so they are (almost
+	// certainly) leaves — but each is re-proved with the exact predicate, so
+	// a too-tight filter can never evict a true member. A filtered report has
+	// about one candidate, so a scan of the list beats building a set of it.
+	for sub := range r.byObj[id] {
+		if slices.Contains(cands, sub) {
+			continue
 		}
-		for sub := range mem {
-			if inCands[sub] {
-				continue
-			}
-			if s, ok := subs[sub]; ok {
-				eval(sub, s)
-			}
+		if s, ok := subs[sub]; ok {
+			eval(sub, s)
 		}
 	}
 	return evs

@@ -31,12 +31,13 @@ import (
 //     their subscriptions genuinely in parallel.
 //   - The coarse filter (internal/monitor.Filter) keeps one grid per
 //     velocity class — one per DVA of the current partition epoch plus an
-//     isotropic catch-all — so a report only exact-tests the subscriptions
-//     whose horizon-expanded region could contain it. The per-partition τ
-//     makes that expansion near-linear in the horizon instead of quadratic
-//     in the global maximum speed: the VP analysis paying off a second
-//     time, now on the continuous-query path. The Store re-seeds the
-//     filter's classes after every partition swap (the bootstrap included).
+//     isotropic catch-all — so a report only looks at the subscriptions
+//     whose horizon-expanded region could contain it, and exact-tests only
+//     those its own path comes near. The per-partition τ makes that
+//     expansion near-linear in the horizon instead of quadratic in the
+//     global maximum speed: the VP analysis paying off a second time, now
+//     on the continuous-query path. The Store re-seeds the filter's classes
+//     after every partition swap (the bootstrap included).
 //
 // Deltas are computed outside the stripe locks, from the records the write
 // path just applied: a write verb applies its records under the shard lock,
@@ -89,10 +90,11 @@ type eventStream struct {
 }
 
 // subShard is one evaluation shard: the memberships of the objects whose
-// IDs hash here.
+// IDs hash here, and the filter's candidate scratch, used only under mu.
 type subShard struct {
-	mu sync.Mutex
-	rs *monitor.ResultSet
+	mu    sync.Mutex
+	rs    *monitor.ResultSet
+	cands []SubscriptionID
 }
 
 // subEngine is the Store's subscription engine, created lazily by the
@@ -229,11 +231,12 @@ func (e *subEngine) reconcileShard(si int, objs []Object, removed []ObjectID, no
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, o := range objs {
-		cands, ok := e.filter.Candidates(o, now)
+		var ok bool
+		sh.cands, ok = e.filter.AppendCandidates(sh.cands[:0], o, now)
 		if !ok {
 			grow = append(grow, o.Vel)
 		}
-		evs = append(evs, sh.rs.Reconcile(o.ID, o, true, now, cands, !ok, e.subs)...)
+		evs = append(evs, sh.rs.Reconcile(o.ID, o, true, now, sh.cands, !ok, e.subs)...)
 	}
 	for _, id := range removed {
 		evs = append(evs, sh.rs.Reconcile(id, Object{}, false, now, nil, false, nil)...)

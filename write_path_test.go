@@ -477,20 +477,27 @@ func TestLoggedVerbContract(t *testing.T) {
 // TestReportSteadyStateAllocs is the allocation gate on the one write routine:
 // its closures must not escape and its encode buffer is pooled, so a
 // steady-state Report of a known object allocates nothing in memory and at
-// most the log's own one allocation on a durable store (SyncNone).
+// most the log's own one allocation on a durable store (SyncNone). With 500
+// standing subscriptions a report that changes no membership allocates
+// nothing either: the filter appends its candidates to the evaluation shard's
+// scratch and Reconcile reads the object's own membership set.
 func TestReportSteadyStateAllocs(t *testing.T) {
 	if poolsDropItems() {
 		t.Skip("sync.Pool is discarding items (race detector): every pooled path allocates")
 	}
-	for _, durable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		durable bool
+		subs    int
+	}{{"durable=false", false, 0}, {"durable=true", true, 0}, {"subscriptions=500", false, 500}} {
+		t.Run(c.name, func(t *testing.T) {
 			opts := []vpindex.Option{
 				vpindex.WithKind(vpindex.Bx),
 				vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
 				vpindex.WithShards(2),
 			}
 			limit := 0.0
-			if durable {
+			if c.durable {
 				opts = append(opts, vpindex.WithDataDir(t.TempDir()), vpindex.WithSyncPolicy(vpindex.SyncNone()))
 				limit = 1
 			}
@@ -507,11 +514,48 @@ func TestReportSteadyStateAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// Every measured report moves its object to the mirrored position.
+			for i := range objs {
+				objs[i].Pos = vpindex.V(objs[i].Pos.Y, objs[i].Pos.X)
+			}
+			// Each subscription watches where one of the objects will be, so
+			// that every measured report has candidates and memberships; each
+			// object is moved to its mirrored position first, so that the
+			// measured reports change none of them.
+			for i := 0; i < c.subs; i++ {
+				o := objs[i%len(objs)]
+				sub := vpindex.Subscription{Horizon: 10 * rng.Float64()}
+				at := o.PosAt(sub.Horizon)
+				sub.Query.Rect = vpindex.R(at.X-300, at.Y-300, at.X+300, at.Y+300)
+				if i%2 == 1 {
+					sub.Query.Kind, sub.Query.Vel, sub.Window = vpindex.MovingRange, vpindex.V(rng.Float64()*20-10, rng.Float64()*20-10), 5
+				}
+				if _, _, err := store.Subscribe(sub, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.subs > 0 {
+				for _, o := range objs {
+					if err := store.Report(o); err != nil {
+						t.Fatal(err)
+					}
+				}
+				members := 0
+				for id := vpindex.SubscriptionID(1); id <= vpindex.SubscriptionID(c.subs); id++ {
+					ids, err := store.SubscriptionResults(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					members += len(ids)
+				}
+				if members < c.subs {
+					t.Fatalf("%d memberships, want at least one per subscription", members)
+				}
+			}
 			i := 0
 			got := testing.AllocsPerRun(2000, func() {
 				o := objs[i%len(objs)]
 				i++
-				o.Pos = vpindex.V(o.Pos.Y, o.Pos.X)
 				if err := store.Report(o); err != nil {
 					t.Fatal(err)
 				}
