@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -48,30 +49,23 @@ import (
 //     process: it starts empty at every Open and nothing in it is ever read by
 //     a later one.
 //
-// Consistency between a checkpoint and the log is the commitMu protocol:
-// each write verb holds commitMu shared across its {apply, append} pair and
-// a checkpoint holds it exclusively while capturing {snapshot, log position},
-// so every operation is either fully inside the snapshot or entirely after
-// the captured LSN — replay is exactly once. The fsync wait happens after
-// the shared lock is released, so a checkpoint never stalls behind group
-// commit. That sequence is written once, in logged, and every logging verb
-// goes through it; concurrent writers are batched by the log's own group
-// commit (wal.Commit elects a flush leader and shares one fsync among the
-// committers waiting on it), not by a queue in front of it. Swap records are
-// the one exception to the protocol: they are appended without
-// commitMu (a swap runs inside maintenance, not inside a verb's pair) and
-// tolerate it by being idempotent — replaying a swap against a store already
-// on that analysis rebuilds the same partitions.
+// Consistency between a checkpoint and the log is the write gate
+// (Store.commitMu): each write verb holds it shared across its {apply,
+// append} pair, and a checkpoint holds it exclusively while capturing
+// {snapshot, log position}, as a partition swap does across its {flip, swap
+// record} pair, so every operation is either fully inside the snapshot or
+// entirely after the captured LSN — replay is exactly once. The fsync wait
+// happens after the shared lock is released, so a checkpoint never stalls
+// behind group commit. That sequence is written once, in logged, and every
+// logging verb goes through it; concurrent writers are batched by the log's
+// own group commit (wal.Commit elects a flush leader and shares one fsync
+// among the committers waiting on it), not by a queue in front of it.
 
 // durability is the durable-mode state hanging off a Store.
 type durability struct {
 	dir    string
 	wal    *wal.WAL
 	fstore *storage.FileStore
-
-	// commitMu orders write-verb {apply, append} pairs against checkpoint
-	// {snapshot, LSN} capture; see the file comment.
-	commitMu sync.RWMutex
 
 	ckptMu    sync.Mutex // serializes checkpoint writers (incl. compaction)
 	ckptEvery int64
@@ -84,7 +78,7 @@ type durability struct {
 	// chainLen / chainBytes describe the delta chain behind the last full
 	// snapshot and drive the compaction policy; subsDirty / partDirty flag
 	// subscription-registry and partition-analysis changes since the last
-	// checkpoint (the per-object dirty sets live on the stripes). ckptInFlight
+	// checkpoint (the per-object dirty sets live in the stripes). ckptInFlight
 	// dedups the auto-checkpoint cadence's background trigger; compacting
 	// dedups background compactions. pauseLast / pauseMax / ckptBytes are the
 	// observability counters behind DurabilityStats.
@@ -218,15 +212,18 @@ func (s *Store) Close() error {
 // payload to dst — a pooled buffer that WAL.Append copies out of before
 // returning, so the steady-state write path allocates nothing per record.
 // The wait on the sync policy comes after the lock is released. Every error
-// that escapes is classified by noteIOFault, and the returned one is the
-// append's, else the commit's, else apply's. Non-durable stores run apply
-// alone, and so does replay during recovery — without the health gate either:
-// a replayed record that degrades the store must not make the records after it
-// drop.
+// that escapes is classified by noteIOFault once the gate is released, and
+// the returned one is the append's, else the commit's, else apply's.
+// Non-durable stores run apply alone under the gate, and so does replay
+// during recovery — without the health gate either: a replayed record that
+// degrades the store must not make the records after it drop.
 func (s *Store) logged(t wal.Type, apply func() (landed bool, err error), encode func(dst []byte) []byte) error {
 	d := s.dur
 	if d == nil || d.recovering.Load() {
+		s.commitMu.RLock()
 		_, err := apply()
+		s.commitMu.RUnlock()
+		s.noteIOFault(err)
 		return err
 	}
 	if herr := s.writeAllowed(); herr != nil {
@@ -236,7 +233,7 @@ func (s *Store) logged(t wal.Type, apply func() (landed bool, err error), encode
 		lsn  uint64
 		lerr error // the append's error, else the commit's
 	)
-	d.commitMu.RLock()
+	s.commitMu.RLock()
 	landed, err := apply()
 	if landed {
 		buf := wal.GetBuf()
@@ -244,7 +241,7 @@ func (s *Store) logged(t wal.Type, apply func() (landed bool, err error), encode
 		lsn, lerr = d.wal.Append(t, *buf)
 		wal.PutBuf(buf)
 	}
-	d.commitMu.RUnlock()
+	s.commitMu.RUnlock()
 	if landed && lerr == nil {
 		lerr = d.wal.Commit(lsn)
 	}
@@ -261,25 +258,25 @@ func (s *Store) logged(t wal.Type, apply func() (landed bool, err error), encode
 func applied(err error) (bool, error) { return err == nil, err }
 
 // logSwap appends a partition-swap record carrying the completed analysis.
-// It runs outside commitMu — a swap fires from maintenance, and the
-// record is idempotent under replay (see the file comment) — and does not
-// wait for the fsync: no caller is blocked on the swap, and the record
-// becomes durable with the next committed record, checkpoint, or Close.
-func (s *Store) logSwap(an core.Analysis) {
+// The caller holds the write gate exclusively, and classifies the returned
+// append error once it is released. It does not wait for the fsync: no
+// caller is blocked on the swap, and the record becomes durable with the next
+// committed record, checkpoint, or Close.
+func (s *Store) logSwap(an core.Analysis) error {
 	d := s.dur
 	if d == nil || d.recovering.Load() {
-		return
+		return nil
 	}
 	// Mark the partitions dirty before the append: a delta capture that sees
 	// the flag clear is guaranteed to have cut before this record's LSN, so
 	// the swap is covered by the WAL tail instead; seeing it set merely adds
 	// a redundant analysis to the next delta.
 	d.partDirty.Store(true)
-	if _, err := d.wal.Append(wal.TypePartitionSwap, core.EncodeAnalysis(an)); err != nil {
-		s.noteIOFault(err)
-	} else {
+	_, err := d.wal.Append(wal.TypePartitionSwap, core.EncodeAnalysis(an))
+	if err == nil {
 		d.noteRecords(s, 1)
 	}
+	return err
 }
 
 // noteRecords advances the auto-checkpoint cadence by n logged records and
@@ -454,9 +451,9 @@ func (s *Store) checkpointLocked(d *durability) (captured, error) {
 	}
 	full := d.ckptGen.Load() == 0 // nothing durable yet: the chain needs its base
 	start := time.Now()
-	d.commitMu.Lock()
+	s.commitMu.Lock()
 	ck := s.capture(d, full)
-	d.commitMu.Unlock()
+	s.commitMu.Unlock()
 	pause := time.Since(start).Nanoseconds()
 	d.pauseLast.Store(pause)
 	for {
@@ -489,15 +486,16 @@ func (s *Store) checkpointLocked(d *durability) (captured, error) {
 	return ck, err
 }
 
-// capture cuts one chain element. Caller holds d.commitMu exclusively, so no
-// write verb is between its apply and its append: every operation is either
+// capture cuts one chain element. Caller holds the write gate exclusively, so
+// no write verb is between its apply and its append: every operation is either
 // fully reflected here or entirely after ck.LSN. A full capture snapshots the
 // whole logical state — every object, the analysis, the registry. A delta
 // carries only what changed since the previous element: each id written since
-// resolved to its current record or, when it is gone, a tombstone (the lookup
-// runs under the id's stripe lock, which is what makes one set enough — a set
-// of "removed" ids would decide nothing the lookup does not); the analysis only
-// if the partitions changed; and the subscription registry whenever it exists
+// resolved to its current record or, when it is gone, a tombstone (no writer
+// can move the table under the gate, which is what makes one set enough — a
+// set of "removed" ids would decide nothing the lookup does not); the
+// analysis only if the partitions changed; and the subscription registry
+// whenever it exists
 // and could have changed (a live subscription's membership moves on every
 // report, so the engine section rides every delta while subscriptions are
 // registered). Either way the dirty sets are consumed and stashed on the
@@ -517,20 +515,20 @@ func (s *Store) capture(d *durability, full bool) captured {
 	if full || ck.savedPart {
 		ck.Analysis, ck.Partitioned = s.Analysis()
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if !full {
-			for id := range sh.dirty {
-				if o, ok := s.mgr.Get(id); ok {
-					ck.Objects = append(ck.Objects, o)
-				} else {
-					ck.Tombs = append(ck.Tombs, id)
-				}
+	for i := range s.stripes {
+		s.inStripe(i, func(st *stripe) {
+			ck.savedDirty = append(ck.savedDirty, st.dirty)
+			st.dirty = make(map[ObjectID]struct{})
+		})
+	}
+	for i := 0; !full && i < len(ck.savedDirty); i++ {
+		for id := range ck.savedDirty[i] {
+			if o, ok := s.mgr.Get(id); ok {
+				ck.Objects = append(ck.Objects, o)
+			} else {
+				ck.Tombs = append(ck.Tombs, id)
 			}
 		}
-		ck.savedDirty = append(ck.savedDirty, sh.dirty)
-		sh.dirty = make(map[ObjectID]struct{})
-		sh.mu.Unlock()
 	}
 	if e := s.subEng.Load(); e != nil && (full || e.nsubs.Load() > 0 || ck.savedSubs) {
 		e.capture(&ck.Element)
@@ -551,14 +549,7 @@ func (e *subEngine) capture(ck *ckpt.Element) {
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		cs := ckpt.Sub{ID: id, Sub: e.subs[id]}
-		for si := range e.shards {
-			sh := &e.shards[si]
-			sh.mu.Lock()
-			cs.Members = append(cs.Members, sh.rs.Members(id)...)
-			sh.mu.Unlock()
-		}
-		ck.Subs = append(ck.Subs, cs)
+		ck.Subs = append(ck.Subs, ckpt.Sub{ID: id, Sub: e.subs[id], Members: e.members(id)})
 	}
 }
 
@@ -566,12 +557,8 @@ func (e *subEngine) capture(ck *ckpt.Element) {
 // so the next attempt re-covers it: the union of what the capture took and
 // what has been written since, each id resolved afresh by the next capture.
 func (s *Store) restoreDirty(d *durability, ck captured) {
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		for id := range ck.savedDirty[i] {
-			sh.dirty[id] = struct{}{}
-		}
-		sh.mu.Unlock()
+	for i := range s.stripes {
+		s.inStripe(i, func(st *stripe) { maps.Copy(st.dirty, ck.savedDirty[i]) })
 	}
 	if ck.savedSubs {
 		d.subsDirty.Store(true)
@@ -586,10 +573,8 @@ func (s *Store) restoreDirty(d *durability, ck captured) {
 // definition already durable) and before replaying the WAL tail, whose
 // records re-mark exactly the state the next delta must cover.
 func (s *Store) clearDirtyState(d *durability) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.dirty = make(map[ObjectID]struct{})
-		sh.mu.Unlock()
+	for i := range s.stripes {
+		s.inStripe(i, func(st *stripe) { st.dirty = make(map[ObjectID]struct{}) })
 	}
 	d.subsDirty.Store(false)
 	d.partDirty.Store(false)
@@ -718,7 +703,7 @@ func (s *Store) recover() error {
 }
 
 // replayRecord applies one log record through the normal write paths.
-// Replay is exactly-once (the commitMu protocol), so per-record errors are
+// Replay is exactly-once (the write-gate protocol), so per-record errors are
 // not expected; any that occur are swallowed — a partially recovered store
 // beats none, and the differential oracle would catch real divergence.
 func (s *Store) replayRecord(t wal.Type, p []byte) {
@@ -741,7 +726,9 @@ func (s *Store) replayRecord(t wal.Type, p []byte) {
 		}
 	case wal.TypeSubscribe:
 		if id, sub, now, err := wal.DecodeSubscribe(p); err == nil {
-			_, _, _ = s.subscribeApply(id, sub, now)
+			_, evs, err := s.subscribeApply(id, sub, now)
+			s.engine().emit(evs)
+			s.noteIOFault(err)
 			d.replayed.Add(1)
 		}
 	case wal.TypeUnsubscribe:
@@ -780,19 +767,10 @@ func (s *Store) restoreSubscriptions(ck ckpt.Element) {
 	e.regMu.Unlock()
 	e.nsubs.Store(int64(len(ck.Subs)))
 	for _, cs := range ck.Subs {
-		byShard := make([][]ObjectID, len(e.shards))
-		for _, id := range cs.Members {
-			si := s.shardIndex(id)
-			byShard[si] = append(byShard[si], id)
-		}
-		for si := range e.shards {
-			if len(byShard[si]) == 0 {
-				continue
+		for i, ids := range s.byStripe(cs.Members) {
+			if len(ids) > 0 {
+				s.inStripe(i, func(st *stripe) { st.rs.Seed(cs.ID, ids) })
 			}
-			sh := &e.shards[si]
-			sh.mu.Lock()
-			sh.rs.Seed(cs.ID, byShard[si])
-			sh.mu.Unlock()
 		}
 	}
 }

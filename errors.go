@@ -28,7 +28,8 @@ var (
 	ErrUnsupported = model.ErrUnsupported
 	// ErrInvalidQuery reports a Search or SearchKNN query the validators
 	// reject: a non-finite field, an empty or negative region, a time before
-	// the issue time, an inverted interval, k <= 0.
+	// the issue time, an inverted interval, k <= 0. Subscribe and
+	// RefreshSubscriptions return it for a non-finite now.
 	ErrInvalidQuery = model.ErrInvalidQuery
 	// ErrInjectedCrash reports that a WithFaultInjector kill point fired:
 	// the simulated process image is dead and every further durable write

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
-	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,41 +226,52 @@ func mustAnyID(t *testing.T, live map[vpindex.ObjectID]vpindex.Object) vpindex.O
 
 // TestBackgroundCheckpointNoPileup is the regression test for the unbounded
 // cadence goroutines: with a checkpoint every record, a burst of reports used
-// to spawn one background checkpoint goroutine per record, all queued on the
-// checkpoint mutex. The in-flight guard must keep the goroutine count flat
-// while the burst runs.
+// to spawn one background checkpoint per record, all queued on the checkpoint
+// mutex and then running back to back. The in-flight guard admits one at a
+// time. The maintenance hook holds the first background checkpoint open for
+// the whole burst and counts how many are in it at once: never more than one.
 func TestBackgroundCheckpointNoPileup(t *testing.T) {
+	var inHook, most atomic.Int32
+	entered, release := make(chan struct{}, 1), make(chan struct{})
 	store, err := vpindex.Open(durableOpts(
 		vpindex.WithDataDir(t.TempDir()),
 		vpindex.WithCheckpointEvery(1),
+		vpindex.WithMaintenanceHook(func(ev vpindex.MaintenanceEvent) {
+			if ev.Op != vpindex.MaintCheckpoint {
+				return
+			}
+			n := inHook.Add(1)
+			for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+			}
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-release
+			inHook.Add(-1)
+		}),
 	)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
+	defer close(release)
 	rng := rand.New(rand.NewSource(6))
-	base := runtime.NumGoroutine()
-	peak := base
 	for i := 1; i <= 300; i++ {
 		if err := store.Report(testObject(i, rng)); err != nil {
 			t.Fatal(err)
 		}
-		if n := runtime.NumGoroutine(); n > peak {
-			peak = n
-		}
 	}
-	if peak > base+16 {
-		t.Fatalf("goroutines grew from %d to %d during the burst: background checkpoints piled up", base, peak)
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no background checkpoint completed")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st, _ := store.DurabilityStats(); st.Checkpoints >= 1 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no background checkpoint completed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if n := most.Load(); n != 1 {
+		t.Fatalf("%d background checkpoints in flight at once during the burst, want 1", n)
+	}
+	if st, _ := store.DurabilityStats(); st.Checkpoints < 1 {
+		t.Fatalf("hook ran before its checkpoint was counted: %+v", st)
 	}
 }
 

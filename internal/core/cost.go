@@ -8,7 +8,7 @@ import (
 
 // QueryShape summarizes one observed query for the partitioning cost model:
 // the region's half-extents and how far into the future it reached. The
-// Store keeps a bounded per-shard log of these next to its velocity
+// Store keeps a bounded log of these next to its velocity
 // reservoirs; kNN queries log with zero extent (their cost is dominated by
 // the velocity-spread term alone).
 type QueryShape struct {

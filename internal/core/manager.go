@@ -122,23 +122,30 @@ type tableStripe struct {
 //
 // # Lock order
 //
-// table stripe (by id hash, ascending) → partition. A write (Apply) holds the
-// stripes of its ids exclusively from start to finish: under them it reads
-// the old records, routes the new ones and updates the table; then it takes
-// the partition locks its deletes and inserts touch, one at a time. A query
-// holds every stripe and then every partition shared, so it sees the table
-// and all indexes at one instant between writes: an object migrating between
+// The order is written down once, on the package-root Store, whose locks sit
+// above these: batchMu → table stripe (by id hash, ascending) → partition →
+// routeMu. A write (Apply; a multi-record one queues on batchMu first) holds
+// the stripes of its ids exclusively from start to finish: under them it
+// reads the old records, routes the new ones, updates the table and runs the
+// caller's Settler on each landed record; the partition locks its
+// deletes and inserts touch are taken one at a time. A query holds every
+// stripe and then every partition shared, so it sees the table and all
+// indexes at one instant between writes: an object migrating between
 // partitions is never observed missing (the locking concern of Section 5.3)
-// and the table-driven refinement of Search stays exact. routeMu (the tau
-// thresholds, their histograms, the refresh counter) is a leaf, held for one
-// routing decision. Two writers therefore overlap whenever their ids are on
-// different stripes and their records in different partitions: index-write
-// concurrency is bounded by the partition count.
+// and the table-driven refinement of Search stays exact. Two writers overlap
+// whenever their ids are on different stripes and their records in different
+// partitions: index-write concurrency is bounded by the partition count.
 type Manager struct {
 	cfg     ManagerConfig
 	kind    PartitionerKind
 	pars    []partition // one per analysis frame, in frame order
 	stripes []tableStripe
+
+	// batchMu queues multi-record Applies before the stripes. A batch holds
+	// every stripe it touches for a whole batch of index updates, and a
+	// writer waiting on an RWMutex lets no new reader past it: a second batch
+	// queued on the stripes would hold every query back behind both batches.
+	batchMu sync.Mutex
 
 	routeMu             sync.Mutex
 	insertsSinceRefresh int
@@ -234,13 +241,24 @@ func NewManager(an Analysis, cfg ManagerConfig, factory IndexFactory) (*Manager,
 	return m, nil
 }
 
-// stripeIndex hashes an id to its table stripe. Fibonacci hashing spreads
+// StripeOf hashes an id to one of n table stripes. Fibonacci hashing spreads
 // the dense sequential id ranges real device fleets use evenly.
-func (m *Manager) stripeIndex(id model.ObjectID) int {
-	if len(m.stripes) == 1 {
+func StripeOf(id model.ObjectID, n int) int {
+	if n == 1 {
 		return 0
 	}
-	return int(uint64(id) * 0x9E3779B97F4A7C15 % uint64(len(m.stripes)))
+	return int(uint64(id) * 0x9E3779B97F4A7C15 % uint64(n))
+}
+
+func (m *Manager) stripeIndex(id model.ObjectID) int { return StripeOf(id, len(m.stripes)) }
+
+// WithStripe runs fn holding table stripe i exclusively: the lock under which
+// a caller keeps its own per-stripe state beside the table's.
+func (m *Manager) WithStripe(i int, fn func()) {
+	st := &m.stripes[i]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	fn()
 }
 
 // rlock takes every stripe and, for a query, then every partition, shared.
@@ -416,8 +434,16 @@ type applyScratch struct {
 	recs   []writeState
 	lists  [][]int32 // per partition, in batch order: record index<<1, |1 for its insert
 	next   []atomic.Int32
-	locked []bool // stripes this Apply holds
+	locked []bool  // stripes this Apply holds
+	errs   []error // the outcomes a Settler needs when the caller passed none
 	seen   map[model.ObjectID]struct{}
+}
+
+// A Settler is told of every record an Apply landed — for a removal, a
+// record carrying only the id — in batch order, once every round of the
+// Apply has settled, while the record's table stripe is still held.
+type Settler interface {
+	Settled(stripe int, o model.Object)
 }
 
 // Apply is the one routine that writes to the partition indexes; every verb
@@ -435,24 +461,36 @@ type applyScratch struct {
 // each in order under its partition's lock, in parallel (see drain). Settle:
 // undo the other half of a record whose index operation failed and restore
 // its table entry. A round ends before the second occurrence of an id, so
-// within one a record's two halves may run in either order.
-func (m *Manager) Apply(verb Verb, objs []model.Object, errs []error) (applied int, err error) {
+// within one a record's two halves may run in either order. A non-nil step
+// then settles each landed record (see Settler).
+func (m *Manager) Apply(verb Verb, objs []model.Object, errs []error, step Settler) (applied int, err error) {
 	sc := m.scratch.Get().(*applyScratch)
-	applied, err = m.apply(verb, objs, errs, sc)
+	applied, err = m.apply(verb, objs, errs, step, sc)
 	m.scratch.Put(sc)
 	return applied, err
 }
 
 // ApplyOne is Apply for a single record.
-func (m *Manager) ApplyOne(verb Verb, o model.Object) error {
+func (m *Manager) ApplyOne(verb Verb, o model.Object, step Settler) error {
 	sc := m.scratch.Get().(*applyScratch)
 	sc.one[0] = o
-	_, err := m.apply(verb, sc.one[:], nil, sc)
+	_, err := m.apply(verb, sc.one[:], nil, step, sc)
 	m.scratch.Put(sc)
 	return err
 }
 
-func (m *Manager) apply(verb Verb, objs []model.Object, errs []error, sc *applyScratch) (applied int, first error) {
+func (m *Manager) apply(verb Verb, objs []model.Object, errs []error, step Settler, sc *applyScratch) (applied int, first error) {
+	ownErrs := errs == nil && step != nil
+	if ownErrs {
+		if cap(sc.errs) < len(objs) {
+			sc.errs = make([]error, len(objs))
+		}
+		errs = sc.errs[:len(objs)]
+	}
+	if len(objs) > 1 {
+		m.batchMu.Lock()
+		defer m.batchMu.Unlock()
+	}
 	for _, o := range objs {
 		sc.locked[m.stripeIndex(o.ID)] = true
 	}
@@ -483,6 +521,16 @@ func (m *Manager) apply(verb Verb, objs []model.Object, errs []error, sc *applyS
 			}
 		}
 		start += round
+	}
+	if step != nil {
+		for i, o := range objs {
+			if errs[i] == nil {
+				step.Settled(m.stripeIndex(o.ID), o)
+			}
+		}
+	}
+	if ownErrs {
+		clear(errs)
 	}
 	for i, held := range sc.locked {
 		if held {
@@ -708,19 +756,19 @@ func (m *Manager) undo(rs *writeState, o model.Object) {
 }
 
 // Insert implements model.Index.
-func (m *Manager) Insert(o model.Object) error { return m.ApplyOne(InsertNew, o) }
+func (m *Manager) Insert(o model.Object) error { return m.ApplyOne(InsertNew, o, nil) }
 
 // InsertBulk loads many new objects in one Apply, its partitions filled in
 // parallel: the migration hook of the Store's partition swap, and the
 // loaders' way to amortize locking. A duplicate is reported and skipped.
 func (m *Manager) InsertBulk(objs []model.Object) error {
-	_, err := m.Apply(InsertNew, objs, nil)
+	_, err := m.Apply(InsertNew, objs, nil, nil)
 	return err
 }
 
 // Delete implements model.Index. Only the ID is consulted: the partition
 // and exact stored record come from the lookup table.
-func (m *Manager) Delete(o model.Object) error { return m.ApplyOne(Remove, o) }
+func (m *Manager) Delete(o model.Object) error { return m.ApplyOne(Remove, o, nil) }
 
 // Update implements model.Index: deletion followed by insertion, migrating
 // the object when its direction of travel changed (Section 5.3). Only old.ID
@@ -729,20 +777,20 @@ func (m *Manager) Update(old, new model.Object) error {
 	if new.ID != old.ID {
 		return fmt.Errorf("core: update changes object id %d -> %d", old.ID, new.ID)
 	}
-	return m.ApplyOne(Replace, new)
+	return m.ApplyOne(Replace, new, nil)
 }
 
 // UpdateByID is Update for callers that only track current state.
-func (m *Manager) UpdateByID(new model.Object) error { return m.ApplyOne(Replace, new) }
+func (m *Manager) UpdateByID(new model.Object) error { return m.ApplyOne(Replace, new, nil) }
 
 // Report applies an ID-keyed upsert: insert if the object is new, otherwise
 // an update driven entirely by the lookup table.
-func (m *Manager) Report(o model.Object) error { return m.ApplyOne(Upsert, o) }
+func (m *Manager) Report(o model.Object) error { return m.ApplyOne(Upsert, o, nil) }
 
 // ReportBatch applies many upserts in one Apply (one tau-refresh check) and
 // returns how many landed and the first failure.
 func (m *Manager) ReportBatch(objs []model.Object) (applied int, err error) {
-	return m.Apply(Upsert, objs, nil)
+	return m.Apply(Upsert, objs, nil, nil)
 }
 
 // queryScratch is the pooled working state of Search: one id buffer per

@@ -2,7 +2,7 @@
 // and result-set diffing, decoupled from any index. The legacy Monitor and
 // the package-root Store's subscription engine both build on this file —
 // the Monitor with a single ResultSet under one lock, the Store with one
-// ResultSet per shard so reports to different shards evaluate their
+// ResultSet per table stripe so reports to different stripes evaluate their
 // subscriptions concurrently.
 package monitor
 
@@ -71,9 +71,9 @@ func MatchesAt(o model.Object, s Subscription, now float64) bool {
 //
 // A ResultSet does no locking and holds no reference to an index or a
 // subscription registry; the caller owns both and serializes access. The
-// package-root Store partitions one logical result set into per-shard
-// ResultSets (each object's memberships live in the ResultSet of the shard
-// its ID hashes to); the legacy Monitor uses a single instance.
+// package-root Store partitions one logical result set into per-stripe
+// ResultSets (each object's memberships live in the ResultSet of the table
+// stripe its ID hashes to); the legacy Monitor uses a single instance.
 type ResultSet struct {
 	bySub map[SubscriptionID]map[model.ObjectID]bool
 	byObj map[model.ObjectID]map[SubscriptionID]bool
@@ -199,7 +199,7 @@ func (r *ResultSet) Reconcile(id model.ObjectID, o model.Object, present bool, n
 // object population) with the given fresh membership — the output of a full
 // index query — and returns the deltas sorted by (ID, Kind). The caller
 // guarantees fresh contains only objects belonging to this ResultSet (the
-// Store pre-partitions a query result by shard; the Monitor owns the whole
+// Store pre-partitions a query result by stripe; the Monitor owns the whole
 // population).
 func (r *ResultSet) ApplySnapshot(sub SubscriptionID, fresh []model.ObjectID, now float64) []Event {
 	next := make(map[model.ObjectID]bool, len(fresh))

@@ -267,15 +267,17 @@ func WithMaintenanceHook(h func(MaintenanceEvent)) Option {
 	return func(c *storeConfig) { c.maintHook = h }
 }
 
-// WithShards stripes what the Store keys by ObjectID n ways, each stripe
-// behind its own lock: the id→record table, the checkpoint dirty sets, the
-// recent-velocity rings and the subscription evaluation state. It does not
-// multiply index structures: a Store has one index (and one buffer pool) per
-// partition, k+1 whatever n is, and a query probes exactly those. Writes on
-// different stripes overlap their table, log and subscription work, and their
-// index updates when the records live in different partitions: index-write
-// parallelism is bounded by k+1, not by n (see the Store type docs). n <= 0
-// (the default) uses GOMAXPROCS. n also scales the cache, see WithBufferPages.
+// WithShards stripes the Store's per-object state n ways by ObjectID hash,
+// under one lock per stripe — the only id-hashed lock family: each stripe
+// holds its objects' id→record table rows, checkpoint dirty set,
+// recent-velocity ring and subscription memberships, all updated in the one
+// critical section of a write. It does not multiply index structures: a
+// Store has one index (and one buffer pool) per partition, k+1 whatever n is,
+// and a query probes exactly those. Writes on different stripes overlap their
+// table, log and subscription work, and their index updates when the records
+// live in different partitions: index-write parallelism is bounded by k+1,
+// not by n (see the Store type docs). n <= 0 (the default) uses GOMAXPROCS. n
+// also scales the cache, see WithBufferPages.
 func WithShards(n int) Option { return func(c *storeConfig) { c.shards = n } }
 
 // WithSearchParallelism bounds the worker pool that fans a query (Search,

@@ -3,6 +3,7 @@ package vpindex
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,7 +27,7 @@ import (
 // devices send bare position/velocity reports; nobody ships the server's
 // previous state back to it.
 //
-// # Concurrency: one partition set, striped tables
+// # Concurrency: one partition set, one lock per object
 //
 // A Store is safe for concurrent use. It owns exactly one partition manager
 // (core.Manager: the id→record table plus one index per partition frame, so
@@ -34,30 +35,64 @@ import (
 // Close; a Store without velocity partitioning, and one still collecting its
 // auto-partition sample, is that same manager under the unpartitioned
 // objective: a single identity frame over the whole domain. WithShards(n)
-// stripes what is keyed by ObjectID: the manager's table, the Store's own
-// per-stripe state (storeShard) and the subscription evaluation state.
+// stripes the manager's table n ways, and that stripe's lock is the only
+// id-hashed lock there is: everything else the Store keys by object — the
+// checkpoint dirty set, the recent-velocity ring, the subscription
+// memberships — lives in the Store's stripe of the same index and is updated
+// in the same critical section as the table row (core.Settler).
 //
-// Lock order: Store stripe (storeShard.mu, ascending) → the manager's own
-// hierarchy (table stripe → partition; see core.Manager). A write verb holds
-// its id's Store stripe (a batch: all of them) around the manager call and the
-// marks it makes afterwards, so two writers contend only when their ids share a stripe or
-// their records a partition: index-write parallelism is bounded by k+1, and a
-// Store with a single frame (no velocity partitioning, or the none objective)
-// has one index writer at a time — its table, log and subscription work still
-// overlap. Queries take no Store stripe: they hold mgrMu shared, which only
-// the pointer flip of a swap takes exclusively, and the manager shows them
-// one instant of the whole Store. Every partition index has its own LRU
-// buffer pool over one shared disk; Stats aggregates their counters.
+// # Lock order
+//
+// This is the one statement of it. A goroutine that holds one of these locks
+// takes only locks to its right:
+//
+//	maintMu → ckptMu → commitMu → regMu → mgrMu → batchMu → table stripe → partition → routeMu
+//
+// The remaining mutexes (anMu, poolMu, qmu, maintErrMu, healthMu, the event
+// stream's) are leaves: nothing is taken under them. What each lock of the
+// chain guards, and who takes it:
+//
+//   - maintMu serializes maintenance (bootstrap, drift checks, Repartition);
+//     ckptMu serializes checkpoint writers and compactions.
+//   - commitMu is the write gate. Every write verb holds it shared across its
+//     apply — and, durable, the append of its log record — in memory-only
+//     stores too, and reads s.mgr under it. A checkpoint capture and a
+//     partition swap hold it exclusively, so neither ever sees a verb between
+//     its apply and its append.
+//   - regMu (the subscription registry) is taken shared by a write that finds
+//     subscriptions registered, before the manager call, so that its records
+//     reconcile under their stripes with no lock taken after the stripe.
+//   - mgrMu guards the manager pointer for everything but writers: queries,
+//     Get, the snapshot paths. Only the pointer flip of a swap, which also
+//     holds the gate, takes it exclusively. A query holds it shared, then
+//     every table stripe and every partition shared (see core.Manager), so it
+//     sees one instant of the whole Store; queries take no gate and keep being
+//     served by the old manager while a swap rebuilds.
+//   - A writer holds the stripes of its ids (a batch: each stripe it touches,
+//     after queueing on the manager's batchMu, so that a waiting batch never
+//     holds queries back) for its whole manager call, and takes the one or
+//     two partitions each record's delete and insert touch one at a time,
+//     then routeMu for a routing decision. Two writers contend only when
+//     their ids share a stripe or their records a partition: index-write
+//     parallelism is bounded by k+1, and a Store with a single frame (no
+//     velocity partitioning, or the none objective) has one index writer at a
+//     time.
+//
+// Subscription deltas are sorted and emitted, and the subscription filter
+// grown, only once a verb has released every lock: a BlockOnFull stream never
+// waits under one. Every partition index has its own LRU buffer pool over one
+// shared disk; Stats aggregates their counters.
 //
 // # One swap
 //
 // Exactly one routine moves the live population between partition sets
-// (swapPartitions): it builds a fresh manager with fresh pools, locks every
-// Store stripe — writers wait for the one rebuild, queries keep being served
-// by the old manager — migrates the population with a partition-parallel
-// InsertBulk, flips the manager pointer under mgrMu, and retires the old
-// pools once the flip has drained the queries using them. Queries answer
-// identically before, during, and after. Every partition transition calls it:
+// (swapPartitions): it builds a fresh manager with fresh pools, takes the
+// write gate exclusively — writers wait for the one rebuild, queries keep
+// being served by the old manager — migrates the population with a
+// partition-parallel InsertBulk, flips the manager pointer under mgrMu, logs
+// the swap, and retires the old pools once the flip has drained the queries
+// using them. Queries answer identically before, during, and after. Every
+// partition transition calls it:
 //
 //   - Online bootstrap. With velocity partitioning enabled but no upfront
 //     sample, every stripe records the velocities reported to it (counted
@@ -81,19 +116,23 @@ import (
 //
 // Standing subscriptions (Subscribe, Unsubscribe, SubscriptionResults,
 // RefreshSubscriptions, Events) are served by a Store-native engine whose
-// evaluation state is striped with the same ObjectID hash as the write
-// path and updated outside the stripe locks — see subscriptions.go.
-// Subscription result sets reference ObjectIDs, not index internals, so
-// they ride through partition swaps unchanged; only the engine's coarse
-// velocity-class filter is re-seeded from each new epoch's analysis.
+// memberships live in the stripes and are reconciled in each record's own
+// critical section — see subscriptions.go. Subscription result sets
+// reference ObjectIDs, not index internals, so they ride through partition
+// swaps unchanged; only the engine's coarse velocity-class filter is
+// re-seeded from each new epoch's analysis.
 type Store struct {
-	cfg    storeConfig
-	disk   storage.PageStore
-	shards []*storeShard
+	cfg     storeConfig
+	disk    storage.PageStore
+	stripes []stripe
+
+	// commitMu is the write gate (see "Lock order"): write verbs hold it
+	// shared, checkpoint capture and swapPartitions exclusively.
+	commitMu sync.RWMutex
 
 	// mgr is the one partition manager, replaced only by swapPartitions under
-	// every stripe lock and mgrMu: write verbs read it under their stripe
-	// lock, everything else under mgrMu shared, held while in use.
+	// the gate and mgrMu: write verbs read it under the gate, everything else
+	// under mgrMu shared, held while in use.
 	mgrMu sync.RWMutex
 	mgr   *core.Manager
 
@@ -102,9 +141,9 @@ type Store struct {
 	// the one write routine, logged. See durability.go.
 	dur *durability
 
-	// scratchPool recycles ReportBatch's scratch, so a steady stream of
-	// batches allocates no per-batch slices.
-	scratchPool sync.Pool
+	// writePool recycles the write verbs' scratch (see write), so a steady
+	// stream of reports and batches allocates no per-call state.
+	writePool sync.Pool
 
 	// pools are the live manager's buffer pools, one per partition, which
 	// Stats aggregates. When a swap replaces the manager, the outgoing
@@ -144,12 +183,13 @@ type Store struct {
 	repartitions atomic.Int64
 	swapping     atomic.Bool
 
-	// Query-shape logging for the partitioning cost model: qlogCap is each
-	// shard's ring capacity; qrr distributes observed queries round-robin
-	// across the shard rings so one ring's mutex never becomes a global
-	// query-path bottleneck.
+	// qlog is the query-shape log of the partitioning cost model: a ring of
+	// the most recently observed query shapes, qlogCap of them (0 unless
+	// velocity partitioning is on), qpos the next overwrite once full.
+	qmu     sync.Mutex
+	qlog    []core.QueryShape
+	qpos    int
 	qlogCap int
-	qrr     atomic.Uint64
 
 	maintErrMu sync.Mutex
 	maintErr   error
@@ -157,8 +197,7 @@ type Store struct {
 	// subEng is the Store-native continuous-query engine (see
 	// subscriptions.go), created lazily by the first Subscribe or Events
 	// call; nil until then, so sub-less stores pay one atomic load per
-	// write. Its evaluation state is sharded with the same ObjectID hash
-	// as the write path and updated outside the stripe locks.
+	// write.
 	subEng atomic.Pointer[subEngine]
 
 	// Health state machine (see health.go): health holds the current Health
@@ -216,17 +255,16 @@ type MaintenanceEvent struct {
 	Objective PartitionObjective
 }
 
-// storeShard is one ObjectID-hash stripe of the Store's own per-object state.
-// Its lock is also the write gate: a write verb holds its id's stripe (a
-// batch, all of them) around the manager call, a swap all while it rebuilds.
-type storeShard struct {
-	mu sync.Mutex
-
-	// dirty is the shard's incremental-checkpoint set (durable stores only;
+// stripe is the Store's state for the objects of one manager table stripe,
+// touched only under that stripe's lock: by a write's Settled step, in the
+// critical section that updates the table row, and by everything else through
+// inStripe.
+type stripe struct {
+	// dirty is the stripe's incremental-checkpoint set (durable stores only;
 	// nil otherwise): the IDs written — reported, inserted, updated or
 	// removed — since the last checkpoint capture. A delta checkpoint looks
 	// each one up and writes its current record, or a tombstone when it is
-	// gone. Guarded by mu like the table it shadows.
+	// gone.
 	dirty map[ObjectID]struct{}
 
 	// res is the ring of the stripe's most recently reported velocities —
@@ -236,60 +274,45 @@ type storeShard struct {
 	res    []Vec2
 	resPos int
 
-	// qlog is a bounded ring of recently observed query shapes (the cost
-	// model's workload evidence), under its own mutex because queries take
-	// no stripe lock.
-	qmu  sync.Mutex
-	qlog []core.QueryShape
-	qpos int
+	// rs holds the subscription memberships of the stripe's objects; cands is
+	// the filter's candidate scratch.
+	rs    *monitor.ResultSet
+	cands []SubscriptionID
 }
 
-// observeQuery records one query shape in the shard's ring (capacity cap;
-// oldest entry overwritten first). Takes qmu itself.
-func (sh *storeShard) observeQuery(q core.QueryShape, cap int) {
+// observeVel records a reported velocity in the stripe's recent-velocity
+// ring (capacity cap; oldest entry overwritten first).
+func (st *stripe) observeVel(v Vec2, cap int) {
 	if cap <= 0 {
 		return
 	}
-	sh.qmu.Lock()
-	if len(sh.qlog) < cap {
-		if sh.qlog == nil {
-			sh.qlog = make([]core.QueryShape, 0, cap)
-		}
-		sh.qlog = append(sh.qlog, q)
-	} else {
-		sh.qlog[sh.qpos] = q
-		sh.qpos++
-		if sh.qpos == len(sh.qlog) {
-			sh.qpos = 0
-		}
+	if len(st.res) < cap {
+		st.res = append(st.res, v)
+		return
 	}
-	sh.qmu.Unlock()
-}
-
-// markDirty records that id was written — its record changed or it was
-// removed — since the last checkpoint capture. Caller holds sh.mu. No-op on
-// non-durable stores.
-func (sh *storeShard) markDirty(id ObjectID) {
-	if sh.dirty != nil {
-		sh.dirty[id] = struct{}{}
+	st.res[st.resPos] = v
+	st.resPos++
+	if st.resPos == len(st.res) {
+		st.resPos = 0
 	}
 }
 
-// observeVel records a reported velocity in the shard's recent-velocity
-// ring (capacity cap; oldest entry overwritten first). Caller holds sh.mu.
-func (sh *storeShard) observeVel(v Vec2, cap int) {
-	if cap <= 0 {
-		return
+// inStripe runs fn on stripe i under the live manager's lock of that stripe.
+// Callers hold no stripe and not mgrMu.
+func (s *Store) inStripe(i int, fn func(st *stripe)) {
+	s.mgrMu.RLock()
+	defer s.mgrMu.RUnlock()
+	s.mgr.WithStripe(i, func() { fn(&s.stripes[i]) })
+}
+
+// byStripe groups ids by the stripe that holds their state.
+func (s *Store) byStripe(ids []ObjectID) [][]ObjectID {
+	out := make([][]ObjectID, len(s.stripes))
+	for _, id := range ids {
+		i := core.StripeOf(id, len(s.stripes))
+		out[i] = append(out[i], id)
 	}
-	if len(sh.res) < cap {
-		sh.res = append(sh.res, v)
-		return
-	}
-	sh.res[sh.resPos] = v
-	sh.resPos++
-	if sh.resPos == len(sh.res) {
-		sh.resPos = 0
-	}
+	return out
 }
 
 // Store satisfies the full index interface, so it drops into every API that
@@ -306,7 +329,7 @@ var (
 //	s, err := vpindex.Open()
 //
 //	// VP-partitioned Bx-tree that bootstraps its own partitions after
-//	// the first 10,000 reports, with 8 Store shards.
+//	// the first 10,000 reports, with 8 table stripes.
 //	s, err := vpindex.Open(
 //		vpindex.WithKind(vpindex.Bx),
 //		vpindex.WithShards(8),
@@ -325,7 +348,8 @@ func Open(opts ...Option) (*Store, error) {
 	if cfg.autoN > 0 && cfg.autoN < cfg.k {
 		return nil, fmt.Errorf("vpindex: auto-partition sample of %d cannot form %d partitions", cfg.autoN, cfg.k)
 	}
-	s := &Store{cfg: cfg, scratchPool: sync.Pool{New: func() any { return new(batchScratch) }}}
+	s := &Store{cfg: cfg}
+	s.writePool.New = func() any { return &write{s: s} }
 	if cfg.dataDir != "" {
 		if err := s.initDurable(); err != nil {
 			return nil, err
@@ -341,14 +365,14 @@ func Open(opts ...Option) (*Store, error) {
 	}
 	if cfg.vpEnabled() {
 		s.resCap = (cfg.repart.ReservoirSize + cfg.shards - 1) / cfg.shards
-		s.qlogCap = (defaultQueryLogSize + cfg.shards - 1) / cfg.shards
+		s.qlogCap = defaultQueryLogSize
 	}
-	s.shards = make([]*storeShard, cfg.shards)
-	for i := range s.shards {
-		s.shards[i] = &storeShard{}
+	s.stripes = make([]stripe, cfg.shards)
+	for i := range s.stripes {
+		s.stripes[i].rs = monitor.NewResultSet()
 		if cfg.dataDir != "" {
 			// Durable stores track per-stripe dirty sets for delta checkpoints.
-			s.shards[i].dirty = make(map[ObjectID]struct{})
+			s.stripes[i].dirty = make(map[ObjectID]struct{})
 		}
 	}
 	// The Store runs a partition manager from Open on: the analysis of the
@@ -378,7 +402,7 @@ func Open(opts ...Option) (*Store, error) {
 	// Seed the recent-velocity rings from the upfront sample so a drift check
 	// (or manual Repartition) right after Open has a population to analyze.
 	for i, v := range cfg.sample {
-		s.shards[i%len(s.shards)].observeVel(v, s.resCap)
+		s.stripes[i%len(s.stripes)].observeVel(v, s.resCap)
 	}
 	if s.dur != nil {
 		if err := s.recover(); err != nil {
@@ -404,19 +428,6 @@ func (s *Store) replacePools(fresh []*storage.BufferPool) {
 	for _, p := range old {
 		p.Retire()
 	}
-}
-
-// shardFor routes an ObjectID to its stripe. Fibonacci hashing spreads the
-// dense sequential ID ranges real device fleets use evenly across stripes.
-func (s *Store) shardFor(id ObjectID) *storeShard {
-	return s.shards[s.shardIndex(id)]
-}
-
-func (s *Store) shardIndex(id ObjectID) int {
-	if len(s.shards) == 1 {
-		return 0
-	}
-	return int(uint64(id) * 0x9E3779B97F4A7C15 % uint64(len(s.shards)))
 }
 
 // buildManager constructs a partition manager from the completed analysis,
@@ -448,8 +459,7 @@ func (s *Store) buildManager(an core.Analysis, pools *[]*storage.BufferPool) (*c
 	return mgr, nil
 }
 
-// defaultQueryLogSize is the total capacity of the query-shape log, split
-// evenly across the stripes (mirroring the velocity reservoir's split).
+// defaultQueryLogSize is the capacity of the query-shape log.
 const defaultQueryLogSize = 1024
 
 // partitionerFor builds the configured Partitioner for one objective.
@@ -473,12 +483,9 @@ func (s *Store) partitionerFor(obj PartitionObjective) core.Partitioner {
 // extent (1000 m, Table 1) and a medium prediction window, so the chooser is
 // never blind.
 func (s *Store) costQueries() []core.QueryShape {
-	out := make([]core.QueryShape, 0, s.qlogCap*len(s.shards))
-	for _, sh := range s.shards {
-		sh.qmu.Lock()
-		out = append(out, sh.qlog...)
-		sh.qmu.Unlock()
-	}
+	s.qmu.Lock()
+	out := slices.Clone(s.qlog)
+	s.qmu.Unlock()
 	if len(out) > 0 {
 		return out
 	}
@@ -698,11 +705,9 @@ func (s *Store) repartitionRound(force bool, forced *PartitionObjective) Mainten
 
 // reservoirSnapshot pools every stripe's recent-velocity ring.
 func (s *Store) reservoirSnapshot() []Vec2 {
-	out := make([]Vec2, 0, s.resCap*len(s.shards))
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		out = append(out, sh.res...)
-		sh.mu.Unlock()
+	out := make([]Vec2, 0, s.resCap*len(s.stripes))
+	for i := range s.stripes {
+		s.inStripe(i, func(st *stripe) { out = append(out, st.res...) })
 	}
 	return out
 }
@@ -718,12 +723,13 @@ func (s *Store) swapPartitions(an core.Analysis) error {
 	s.swapping.Store(true)
 	defer s.swapping.Store(false)
 	s.epoch.Add(1)
-	var fresh []*storage.BufferPool
+	var (
+		fresh []*storage.BufferPool
+		lerr  error
+	)
 	mgr, err := s.buildManager(an, &fresh)
 	if err == nil {
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-		}
+		s.commitMu.Lock()
 		if err = mgr.InsertBulk(s.mgr.Objects()); err == nil {
 			s.mgrMu.Lock()
 			s.mgr = mgr
@@ -738,15 +744,16 @@ func (s *Store) swapPartitions(an core.Analysis) error {
 			if s.partitioned.Swap(true) {
 				s.repartitions.Add(1)
 			}
-			for _, sh := range s.shards {
-				if n := len(sh.res) - s.resCap; n > 0 {
-					sh.res, sh.resPos = append(make([]Vec2, 0, s.resCap), sh.res[n:]...), 0
-				}
+			for i := range s.stripes {
+				s.inStripe(i, func(st *stripe) {
+					if n := len(st.res) - s.resCap; n > 0 {
+						st.res, st.resPos = append(make([]Vec2, 0, s.resCap), st.res[n:]...), 0
+					}
+				})
 			}
+			lerr = s.logSwap(an)
 		}
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
+		s.commitMu.Unlock()
 	}
 	if err != nil {
 		for _, p := range fresh {
@@ -754,17 +761,17 @@ func (s *Store) swapPartitions(an core.Analysis) error {
 		}
 		return fmt.Errorf("vpindex: partition swap: %w", err)
 	}
+	s.noteIOFault(lerr)
 	s.replacePools(fresh)
-	s.logSwap(an)
 	// Re-seed the subscription filter's velocity classes from the new
-	// epoch's analysis (no stripe locks are held here).
+	// epoch's analysis (no Store lock is held here).
 	s.refreshSubClasses()
 	return nil
 }
 
 // velCap is the capacity of the stripes' velocity rings: unbounded while the
 // Store collects the auto-partition sample (the bootstrap analyzes all of it),
-// the reservoir share once partitioned. Caller holds a stripe lock.
+// the reservoir share once partitioned. Caller holds the write gate.
 func (s *Store) velCap() int {
 	if s.cfg.autoN > 0 && !s.partitioned.Load() {
 		return math.MaxInt
@@ -793,7 +800,7 @@ func (s *Store) noteReports(n int) {
 // its previous record (routing between partitions as the velocity dictates).
 // The record's T must carry the report timestamp; the Store never needs the
 // previous record from the caller. Only the object's stripe, and the one or
-// two partitions the move touches, are locked.
+// two partitions the move touches, are locked exclusively.
 //
 // Report returns an error only when the write itself fails. Maintenance the
 // write triggers (the bootstrap, drift checks) runs after the write
@@ -806,35 +813,13 @@ func (s *Store) Report(o Object) error { return s.reportOne(core.Upsert, o) }
 // upsert that reproduces them, and a successful one then runs the maintenance
 // it triggered.
 func (s *Store) reportOne(verb core.Verb, o Object) error {
+	w := s.writePool.Get().(*write)
 	err := s.logged(wal.TypeReport,
-		func() (bool, error) { return applied(s.applyOne(verb, o)) },
+		func() (bool, error) { return applied(w.applyOne(verb, o)) },
 		func(dst []byte) []byte { return wal.AppendObject(dst, o) })
+	w.finish()
 	if err == nil {
 		s.afterReports(1)
-	}
-	return err
-}
-
-// applyOne is the in-memory half of Report, Insert, Update and Remove, which
-// differ only in the manager verb: the stripe-locked write, the checkpoint
-// mark and velocity sample, and — after the lock — the subscription delta.
-func (s *Store) applyOne(verb core.Verb, o Object) error {
-	sh := s.shardFor(o.ID)
-	core.LockBusy(&sh.mu)
-	err := s.mgr.ApplyOne(verb, o)
-	if err == nil {
-		sh.markDirty(o.ID)
-		if verb != core.Remove {
-			sh.observeVel(o.Vel, s.velCap())
-		}
-	}
-	sh.mu.Unlock()
-	if e := s.subEng.Load(); e != nil && err == nil {
-		if verb == core.Remove {
-			e.noteRemove(o.ID)
-		} else {
-			e.noteReport(o)
-		}
 	}
 	return err
 }
@@ -873,21 +858,21 @@ func (s *Store) ReportBatch(objs []Object) error {
 	if len(objs) == 0 {
 		return nil
 	}
-	sc := s.scratchPool.Get().(*batchScratch)
+	w := s.writePool.Get().(*write)
 	var (
 		landed []Object
 		aerr   error
 	)
 	err := s.logged(wal.TypeReportBatch,
 		func() (bool, error) {
-			landed, aerr = s.applyBatch(objs, sc)
+			landed, aerr = w.applyBatch(objs)
 			return len(landed) > 0, aerr
 		},
 		func(dst []byte) []byte {
-			sc.group[0] = landed
-			return wal.AppendReportBatch(dst, sc.group[:])
+			w.group[0] = landed
+			return wal.AppendReportBatch(dst, w.group[:])
 		})
-	s.putBatchScratch(sc)
+	w.finish()
 	// The records that landed count toward maintenance unless logging them
 	// failed (err is then the log's error, not the apply's). Only landed's
 	// length is read: its backing array may be the recycled scratch's.
@@ -897,72 +882,153 @@ func (s *Store) ReportBatch(objs []Object) error {
 	return err
 }
 
-// batchScratch is ReportBatch's pooled scratch: the per-record outcomes and
-// the records that landed when not all did. Records are always copied in,
-// never aliased to caller memory, so a pooled scratch captures no caller
-// slices.
-type batchScratch struct {
+// Remove deletes the object by ID. Returns ErrNotFound (errors.Is-able) when
+// no such object is indexed. The object leaves every subscription result
+// set it was in.
+func (s *Store) Remove(id ObjectID) error {
+	w := s.writePool.Get().(*write)
+	err := s.logged(wal.TypeRemove,
+		func() (bool, error) { return applied(w.applyOne(core.Remove, Object{ID: id})) },
+		func(dst []byte) []byte { return wal.AppendRemove(dst, id) })
+	w.finish()
+	return err
+}
+
+// write is one write verb's pooled scratch and its core.Settler: the step
+// that runs in each landed record's critical section, under its table stripe,
+// to mark the record dirty, sample its velocity and reconcile its
+// subscription memberships. The deltas it collects are emitted by finish,
+// once the verb holds no lock. Records are always copied in, never aliased to
+// caller memory, so a pooled write captures no caller slices.
+type write struct {
+	s *Store
+
+	// Set for the verb's one manager call (see begin).
+	remove bool
+	velCap int
+	e      *subEngine // non-nil: subscriptions are registered and regMu is held shared
+	batch  []Object   // a batch's records and their outcomes; nil for one record
 	errs   []error
-	landed []Object
+	now    float64 // a batch's evaluation instant, once timed
+	timed  bool
+
+	evs  []MonitorEvent
+	grow []Vec2
+
+	landed []Object    // a partial batch's records that landed
 	group  [1][]Object // the landed records, as wal.AppendReportBatch takes them
 }
 
-// putBatchScratch resets and recycles sc. The caller must be done with every
-// slice view into it (the landed records included).
-func (s *Store) putBatchScratch(sc *batchScratch) {
-	clear(sc.errs)
-	sc.group[0] = nil
-	s.scratchPool.Put(sc)
+// applyOne is the in-memory half of Report, Insert, Update and Remove, which
+// differ only in the manager verb.
+func (w *write) applyOne(verb core.Verb, o Object) error {
+	w.begin(verb == core.Remove)
+	err := w.s.mgr.ApplyOne(verb, o, w)
+	w.end()
+	return err
 }
 
-// applyBatch is ReportBatch's in-memory half: one manager Apply under every
-// stripe, the marks of the records that landed and their subscription deltas.
-// It returns exactly those records — they stay applied on a partial failure,
+// applyBatch is ReportBatch's in-memory half: one manager Apply. It returns
+// exactly the records that landed — they stay applied on a partial failure,
 // and they are what the batch's log record carries — and the first failure in
 // batch order.
-func (s *Store) applyBatch(objs []Object, sc *batchScratch) (landed []Object, err error) {
-	if cap(sc.errs) < len(objs) {
-		sc.errs = make([]error, len(objs))
+func (w *write) applyBatch(objs []Object) (landed []Object, err error) {
+	if cap(w.errs) < len(objs) {
+		w.errs = make([]error, len(objs))
 	}
-	sc.errs = sc.errs[:len(objs)]
-	for _, sh := range s.shards {
-		sh.mu.Lock()
+	w.batch, w.errs = objs, w.errs[:len(objs)]
+	w.begin(false)
+	_, err = w.s.mgr.Apply(core.Upsert, objs, w.errs, w)
+	w.end()
+	if err == nil {
+		return objs, nil
 	}
-	landed = objs
-	if _, err = s.mgr.Apply(core.Upsert, objs, sc.errs); err != nil {
-		err = fmt.Errorf("vpindex: batch report: %w", err)
-		landed = sc.landed[:0]
-		for i, o := range objs {
-			if sc.errs[i] == nil {
-				landed = append(landed, o)
-			}
+	landed = w.landed[:0]
+	for i, o := range objs {
+		if w.errs[i] == nil {
+			landed = append(landed, o)
 		}
-		sc.landed = landed
 	}
-	velCap := s.velCap()
-	for _, o := range landed {
-		sh := s.shardFor(o.ID)
-		sh.markDirty(o.ID)
-		sh.observeVel(o.Vel, velCap)
-	}
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
-	// Subscription deltas are computed after the stripe locks are released
-	// and emitted as one sorted batch.
-	if e := s.subEng.Load(); e != nil {
-		e.noteBatch(landed)
-	}
-	return landed, err
+	w.landed = landed
+	return landed, fmt.Errorf("vpindex: batch report: %w", err)
 }
 
-// Remove deletes the object by ID. Returns ErrNotFound (errors.Is-able) when
-// no such object is indexed. The object leaves every subscription result
-// set it was in (evaluated after the stripe lock is released).
-func (s *Store) Remove(id ObjectID) error {
-	return s.logged(wal.TypeRemove,
-		func() (bool, error) { return applied(s.applyOne(core.Remove, Object{ID: id})) },
-		func(dst []byte) []byte { return wal.AppendRemove(dst, id) })
+// begin readies w for one manager call. Caller holds the write gate; with
+// subscriptions registered, begin takes regMu shared until end, before any
+// stripe, so that no lock is taken under a stripe.
+func (w *write) begin(remove bool) {
+	w.remove, w.velCap = remove, w.s.velCap()
+	if e := w.s.subEng.Load(); e != nil && e.nsubs.Load() > 0 {
+		e.regMu.RLock()
+		if len(e.subs) == 0 {
+			e.regMu.RUnlock()
+			return
+		}
+		w.e = e
+	}
+}
+
+func (w *write) end() {
+	if w.e != nil {
+		w.e.regMu.RUnlock()
+	}
+}
+
+// Settled implements core.Settler. A single report is evaluated at its own
+// time, a removal at the engine clock, and a batch at one instant: the
+// largest time among the records that landed.
+func (w *write) Settled(i int, o Object) {
+	st := &w.s.stripes[i]
+	if st.dirty != nil {
+		st.dirty[o.ID] = struct{}{}
+	}
+	if w.remove {
+		if w.e != nil {
+			w.evs = append(w.evs, st.rs.Reconcile(o.ID, o, false, w.e.now(), nil, false, nil)...)
+		}
+		return
+	}
+	st.observeVel(o.Vel, w.velCap)
+	if w.e == nil {
+		return
+	}
+	now := w.now
+	switch {
+	case w.batch == nil:
+		now = w.e.advance(o.T)
+	case !w.timed:
+		t := math.Inf(-1)
+		for j, b := range w.batch {
+			if w.errs[j] == nil {
+				t = max(t, b.T)
+			}
+		}
+		w.now, w.timed = w.e.advance(t), true
+		now = w.now
+	}
+	var ok bool
+	st.cands, ok = w.e.filter.AppendCandidates(st.cands[:0], o, now)
+	if !ok {
+		w.grow = append(w.grow, o.Vel)
+	}
+	w.evs = append(w.evs, st.rs.Reconcile(o.ID, o, true, now, st.cands, !ok, w.e.subs)...)
+}
+
+// finish emits the deltas the verb collected as one sorted batch, grows the
+// filter to the velocities it did not cover, and recycles w. Caller holds no
+// Store lock.
+func (w *write) finish() {
+	if e := w.e; e != nil {
+		if len(w.evs) > 0 {
+			e.emit(monitor.SortEvents(w.evs))
+		}
+		e.growFilter(w.grow)
+	}
+	clear(w.errs)
+	w.errs = w.errs[:0]
+	w.e, w.batch, w.timed, w.group[0] = nil, nil, false, nil
+	w.evs, w.grow = w.evs[:0], w.grow[:0]
+	w.s.writePool.Put(w)
 }
 
 // Get returns the current record for id, touching only its table stripe.
@@ -1000,27 +1066,32 @@ func knnQueryShape(q KNNQuery) core.QueryShape {
 	return core.QueryShape{Window: w}
 }
 
-// observeQueryShape records one observed query in the per-stripe query-shape
-// log, round-robin across stripes so no single ring mutex serializes the
-// query path. Disabled (qlogCap == 0) unless velocity partitioning is on.
+// observeQueryShape records one observed query in the query-shape log
+// (oldest entry overwritten first). Disabled (qlogCap == 0) unless velocity
+// partitioning is on.
 func (s *Store) observeQueryShape(q core.QueryShape) {
 	if s.qlogCap <= 0 {
 		return
 	}
-	sh := s.shards[int(s.qrr.Add(1)%uint64(len(s.shards)))]
-	sh.observeQuery(q, s.qlogCap)
+	s.qmu.Lock()
+	if len(s.qlog) < s.qlogCap {
+		if s.qlog == nil {
+			s.qlog = make([]core.QueryShape, 0, s.qlogCap)
+		}
+		s.qlog = append(s.qlog, q)
+	} else {
+		s.qlog[s.qpos] = q
+		s.qpos = (s.qpos + 1) % len(s.qlog)
+	}
+	s.qmu.Unlock()
 }
 
 // QueryLogSize reports how many query shapes the partitioning cost model
 // currently has as workload evidence (0 when velocity partitioning is off).
 func (s *Store) QueryLogSize() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.qmu.Lock()
-		n += len(sh.qlog)
-		sh.qmu.Unlock()
-	}
-	return n
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	return len(s.qlog)
 }
 
 // Search answers a predictive range query, identically in unpartitioned and
@@ -1028,18 +1099,26 @@ func (s *Store) QueryLogSize() int {
 // once; the manager probes its k+1 partition indexes and merges their buffers
 // in partition order, so the result is deterministic for a given Store state.
 func (s *Store) Search(q RangeQuery) ([]ObjectID, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	s.observeQueryShape(rangeQueryShape(q))
-	s.mgrMu.RLock()
-	ids, err := s.mgr.Search(q)
-	s.mgrMu.RUnlock()
+	ids, err := s.search(q)
 	// Reads are never gated by health — a degraded store keeps serving
 	// queries — but a read that surfaced a media fault still moves the
 	// health state machine.
 	s.noteIOFault(err)
 	return ids, err
+}
+
+// search is Search without the fault classification, for the searches a
+// logged verb runs inside its apply: logged classifies apply's error once
+// the gate is released, and classifying it here could run a maintenance hook
+// — which may Checkpoint or Repartition — under the gate.
+func (s *Store) search(q RangeQuery) ([]ObjectID, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	s.observeQueryShape(rangeQueryShape(q))
+	s.mgrMu.RLock()
+	defer s.mgrMu.RUnlock()
+	return s.mgr.Search(q)
 }
 
 // SearchKNN returns the k objects nearest the query center at the query's
@@ -1067,7 +1146,7 @@ func (s *Store) Len() int {
 }
 
 // NumShards returns the Store's stripe count (WithShards).
-func (s *Store) NumShards() int { return len(s.shards) }
+func (s *Store) NumShards() int { return len(s.stripes) }
 
 // Partitioned reports whether the Store's manager was built from a velocity
 // analysis (immediately true with an upfront sample; flips true when the

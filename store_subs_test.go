@@ -585,3 +585,78 @@ func TestStoreSubscriptionsConcurrentStorm(t *testing.T) {
 		t.Fatal("storm emitted no events")
 	}
 }
+
+// TestSubscriptionConcurrentSameIDMembership: goroutines report the same ids
+// at one instant, some one record at a time and some in batches, each record
+// inside or outside a subscription's region at random. A record's membership
+// is reconciled in the critical section that installs it in the table, so
+// whichever report of an id lands last also decided its membership: at
+// quiescence every membership equals the exact predicate on the stored record.
+func TestSubscriptionConcurrentSameIDMembership(t *testing.T) {
+	const (
+		ids     = 64
+		writers = 4
+		rounds  = 25
+		now     = 100.0
+	)
+	store, err := vpindex.Open(vpindex.WithKind(vpindex.Bx), vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)), vpindex.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := vpindex.R(5000, 5000, 15000, 15000)
+	sub := vpindex.Subscription{Query: vpindex.RectSliceQuery(region, 0, 0), Horizon: 5}
+	sid, _, err := store.Subscribe(sub, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := func(id int, rng *rand.Rand) vpindex.Object {
+		at := vpindex.V(1000+rng.Float64()*3000, 1000+rng.Float64()*3000) // outside
+		if rng.Intn(2) == 0 {
+			at = vpindex.V(6000+rng.Float64()*8000, 6000+rng.Float64()*8000) // inside
+		}
+		return vpindex.Object{ID: vpindex.ObjectID(id), Pos: at, Vel: vpindex.V(rng.Float64()*20-10, rng.Float64()*20-10), T: now}
+	}
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(rng *rand.Rand, batched bool) {
+				defer wg.Done()
+				batch := make([]vpindex.Object, 0, 16)
+				for id := 1; id <= ids; id++ {
+					o := object(id, rng)
+					if !batched {
+						if err := store.Report(o); err != nil {
+							t.Error(err)
+						}
+						continue
+					}
+					if batch = append(batch, o); len(batch) == cap(batch) {
+						if err := store.ReportBatch(batch); err != nil {
+							t.Error(err)
+						}
+						batch = batch[:0]
+					}
+				}
+			}(rand.New(rand.NewSource(int64(round*writers+w))), w%2 == 1)
+		}
+		wg.Wait()
+		members, err := store.SubscriptionResults(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make(map[vpindex.ObjectID]bool, len(members))
+		for _, id := range members {
+			in[id] = true
+		}
+		for id := vpindex.ObjectID(1); id <= ids; id++ {
+			o, ok := store.Get(id)
+			if !ok {
+				t.Fatalf("round %d: object %d missing", round, id)
+			}
+			if want := monitor.MatchesAt(o, sub, now); in[id] != want {
+				t.Fatalf("round %d: object %d member %v, but its record %+v matches: %v", round, id, in[id], o, want)
+			}
+		}
+	}
+}

@@ -3,7 +3,7 @@ package vpindex
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,10 +25,10 @@ import (
 //     spatial filter) is read-mostly state under one RWMutex: every report
 //     evaluation takes the read lock, only Subscribe/Unsubscribe and filter
 //     rebuilds take the write lock.
-//   - Result-set membership is sharded by ObjectID with the same hash as
-//     the Store's stripes: each evaluation shard owns a monitor.ResultSet
-//     under its own mutex, so reports of ids on different stripes evaluate
-//     their subscriptions genuinely in parallel.
+//   - Result-set membership lives with the rest of an object's state, in the
+//     Store stripe of the manager's table stripe it hashes to: each stripe
+//     owns a monitor.ResultSet under that stripe's lock, so reports of ids on
+//     different stripes evaluate their subscriptions genuinely in parallel.
 //   - The coarse filter (internal/monitor.Filter) keeps one grid per
 //     velocity class — one per DVA of the current partition epoch plus an
 //     isotropic catch-all — so a report only looks at the subscriptions
@@ -39,11 +39,12 @@ import (
 //     on the continuous-query path. The Store re-seeds the filter's classes
 //     after every partition swap (the bootstrap included).
 //
-// Deltas are computed outside the stripe locks, from the records the write
-// path just applied: a write verb applies its records under the shard lock,
-// releases it, and only then reconciles the subscription state. Result sets
-// therefore survive repartition and epoch swaps untouched — they reference
-// ObjectIDs, not index internals — and a swap never blocks evaluation.
+// Deltas are computed in each record's own critical section: the write path
+// reconciles a record under the table stripe that updates its row (the
+// write's core.Settler), so an object's memberships are always evaluated
+// against the record the table holds. They are sorted and emitted once the
+// verb has released every lock. Result sets reference ObjectIDs, not index
+// internals, so they survive repartition and epoch swaps untouched.
 //
 // # Ordering and concurrency semantics
 //
@@ -51,15 +52,10 @@ import (
 // Subscribe seed) emits its deltas as a single batch sorted by
 // Sub → ID → Kind — the same deterministic contract the monitor package
 // established. Batches from concurrent callers interleave in an
-// unspecified order. Reports for a single object issued from different
-// goroutines may be evaluated in either order (last evaluation wins), and
-// a RefreshSubscriptions or Subscribe running concurrently with reports
-// applies a query snapshot that may predate the newest of them — either
-// way a membership can transiently reflect the earlier state, and the
-// next evaluation of the object (or the next quiescent refresh)
-// converges it. Drive reports for one object from one goroutine and
-// don't overlap refreshes with reports — the differential oracle's
-// regime — and streams are exact.
+// unspecified order. A RefreshSubscriptions or Subscribe seed applies a
+// query snapshot taken before it takes the stripes, so it must not overlap
+// reports of the objects it covers to be exact (the next evaluation of such
+// an object converges it).
 
 // BackpressurePolicy says what an event emission does when the Events()
 // channel buffer is full.
@@ -89,14 +85,6 @@ type eventStream struct {
 	policy BackpressurePolicy
 }
 
-// subShard is one evaluation shard: the memberships of the objects whose
-// IDs hash here, and the filter's candidate scratch, used only under mu.
-type subShard struct {
-	mu    sync.Mutex
-	rs    *monitor.ResultSet
-	cands []SubscriptionID
-}
-
 // subEngine is the Store's subscription engine, created lazily by the
 // first Subscribe or Events call.
 type subEngine struct {
@@ -104,7 +92,7 @@ type subEngine struct {
 
 	// regMu guards the subscription registry: subs, filter, nextID. Report
 	// evaluation holds it shared; Subscribe/Unsubscribe/SetClasses/Grow
-	// hold it exclusively. Lock order: regMu before any subShard.mu.
+	// hold it exclusively. See "Lock order" on Store.
 	regMu  sync.RWMutex
 	subs   map[SubscriptionID]Subscription
 	filter *monitor.Filter
@@ -119,39 +107,16 @@ type subEngine struct {
 	// Subscribe/RefreshSubscriptions.
 	clock atomic.Uint64
 
-	shards []subShard
-
 	stream  atomic.Pointer[eventStream]
 	dropped atomic.Int64
-
-	// notePool recycles noteBatch's per-shard delta scratch (see
-	// noteScratch) so sustained batched ingest does not allocate two
-	// slices per batch.
-	notePool sync.Pool
-}
-
-// noteScratch is noteBatch's pooled per-shard scratch: the batch grouped by
-// evaluation shard, and the per-shard event and filter-growth slices the
-// parallel reconcile writes into before the merge. Those two are nilled on
-// return to the pool — they alias reconcile results that escape into the
-// merged batch.
-type noteScratch struct {
-	groups [][]Object
-	per    [][]MonitorEvent
-	grows  [][]Vec2
 }
 
 func newSubEngine(s *Store) *subEngine {
-	e := &subEngine{
+	return &subEngine{
 		store:  s,
 		subs:   make(map[SubscriptionID]Subscription),
 		filter: monitor.NewFilter(s.cfg.base.Domain, 0),
-		shards: make([]subShard, len(s.shards)),
 	}
-	for i := range e.shards {
-		e.shards[i].rs = monitor.NewResultSet()
-	}
-	return e
 }
 
 // engine returns the Store's subscription engine, creating it on first use.
@@ -170,10 +135,9 @@ func (s *Store) engine() *subEngine {
 }
 
 // refreshSubClasses re-seeds the engine filter's velocity classes from the
-// Store's current analysis. Called with no Store stripe locks held — from
-// engine creation and at the end of every partition swap — because it takes
-// the registry write lock, which report evaluation holds shared while
-// reading shard state.
+// Store's current analysis. Called with no Store lock held — from engine
+// creation and at the end of every partition swap — because it takes the
+// registry write lock.
 func (s *Store) refreshSubClasses() {
 	e := s.subEng.Load()
 	if e == nil {
@@ -215,34 +179,6 @@ func (e *subEngine) advance(t float64) float64 {
 }
 
 func (e *subEngine) now() float64 { return math.Float64frombits(e.clock.Load()) }
-
-// reconcileShard evaluates a group of applied records (present == true) or
-// removed IDs against the subscriptions, under the registry read lock and
-// the group's evaluation-shard mutex. It returns the raw (unsorted) deltas
-// plus any velocities the filter's online bounds did not cover yet; the
-// caller sorts, emits, and grows the filter.
-func (e *subEngine) reconcileShard(si int, objs []Object, removed []ObjectID, now float64) (evs []MonitorEvent, grow []Vec2) {
-	e.regMu.RLock()
-	defer e.regMu.RUnlock()
-	if len(e.subs) == 0 {
-		return nil, nil
-	}
-	sh := &e.shards[si]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, o := range objs {
-		var ok bool
-		sh.cands, ok = e.filter.AppendCandidates(sh.cands[:0], o, now)
-		if !ok {
-			grow = append(grow, o.Vel)
-		}
-		evs = append(evs, sh.rs.Reconcile(o.ID, o, true, now, sh.cands, !ok, e.subs)...)
-	}
-	for _, id := range removed {
-		evs = append(evs, sh.rs.Reconcile(id, Object{}, false, now, nil, false, nil)...)
-	}
-	return evs, grow
-}
 
 // growFilter raises the filter's online velocity bounds to cover the given
 // velocities and rebuilds the affected class grids.
@@ -296,78 +232,30 @@ func (e *subEngine) emit(evs []MonitorEvent) {
 	}
 }
 
-// noteReport is the write-path hook for a single applied record: advance
-// the clock to the report time, reconcile, emit.
-func (e *subEngine) noteReport(o Object) {
-	if e.nsubs.Load() == 0 {
-		return
+// members returns sub's result set, stripe by stripe, each part in ascending
+// ObjectID order.
+func (e *subEngine) members(sub SubscriptionID) []ObjectID {
+	var out []ObjectID
+	for i := range e.store.stripes {
+		e.store.inStripe(i, func(st *stripe) { out = append(out, st.rs.Members(sub)...) })
 	}
-	now := e.advance(o.T)
-	evs, grow := e.reconcileShard(e.store.shardIndex(o.ID), []Object{o}, nil, now)
-	monitor.SortEvents(evs)
-	e.emit(evs)
-	e.growFilter(grow)
+	return out
 }
 
-// noteRemove is the write-path hook for a removed ID: the object leaves
-// every result set, at the current clock (a removal carries no timestamp).
-func (e *subEngine) noteRemove(id ObjectID) {
-	if e.nsubs.Load() == 0 {
-		return
+// dropSub forgets sub's memberships in every stripe, with no events. The
+// caller has already removed it from the registry.
+func (e *subEngine) dropSub(sub SubscriptionID) {
+	for i := range e.store.stripes {
+		e.store.inStripe(i, func(st *stripe) { st.rs.DropSub(sub) })
 	}
-	evs, _ := e.reconcileShard(e.store.shardIndex(id), nil, []ObjectID{id}, e.now())
-	monitor.SortEvents(evs)
-	e.emit(evs)
-}
-
-// noteBatch is the write-path hook for ReportBatch: the applied records, in
-// batch order. The whole batch is evaluated at one instant — the clock after
-// advancing to the batch's largest report time — with the records grouped by
-// evaluation shard, the groups reconciled in parallel and the deltas merged
-// into a single sorted batch.
-func (e *subEngine) noteBatch(objs []Object) {
-	if e.nsubs.Load() == 0 || len(objs) == 0 {
-		return
-	}
-	tmax := math.Inf(-1)
-	for _, o := range objs {
-		tmax = math.Max(tmax, o.T)
-	}
-	now := e.advance(tmax)
-	// The per-shard slices are pooled batch to batch (ReportBatch is the
-	// sustained ingest path); only the merged slices below are per-call.
-	sc, _ := e.notePool.Get().(*noteScratch)
-	if sc == nil {
-		n := len(e.shards)
-		sc = &noteScratch{groups: make([][]Object, n), per: make([][]MonitorEvent, n), grows: make([][]Vec2, n)}
-	}
-	for _, o := range objs {
-		si := e.store.shardIndex(o.ID)
-		sc.groups[si] = append(sc.groups[si], o)
-	}
-	_ = parallel.Do(len(sc.groups), 0, func(i int) error {
-		if len(sc.groups[i]) > 0 {
-			sc.per[i], sc.grows[i] = e.reconcileShard(i, sc.groups[i], nil, now)
-		}
-		return nil
-	})
-	var evs []MonitorEvent
-	var grow []Vec2
-	for i := range sc.per {
-		evs = append(evs, sc.per[i]...)
-		grow = append(grow, sc.grows[i]...)
-		sc.groups[i], sc.per[i], sc.grows[i] = sc.groups[i][:0], nil, nil
-	}
-	e.notePool.Put(sc)
-	monitor.SortEvents(evs)
-	e.emit(evs)
-	e.growFilter(grow)
 }
 
 // refreshSub re-runs one subscription's query at time now and applies the
-// snapshot shard by shard. The registry read lock is held across the
+// snapshot stripe by stripe. The registry read lock is held across the
 // apply so a racing Unsubscribe (which holds the write lock, then clears
-// the shards) can never leave behind memberships for a dead subscription.
+// the stripes) can never leave behind memberships for a dead subscription.
+// It runs inside a logged verb, so its search leaves fault classification to
+// logged.
 func (e *subEngine) refreshSub(id SubscriptionID, now float64) ([]MonitorEvent, error) {
 	e.regMu.RLock()
 	s, ok := e.subs[id]
@@ -376,14 +264,9 @@ func (e *subEngine) refreshSub(id SubscriptionID, now float64) ([]MonitorEvent, 
 		return nil, nil
 	}
 	e.regMu.RUnlock()
-	ids, err := e.store.Search(s.QueryAt(now))
+	ids, err := e.store.search(s.QueryAt(now))
 	if err != nil {
 		return nil, err
-	}
-	byShard := make([][]ObjectID, len(e.shards))
-	for _, oid := range ids {
-		si := e.store.shardIndex(oid)
-		byShard[si] = append(byShard[si], oid)
 	}
 	var evs []MonitorEvent
 	e.regMu.RLock()
@@ -391,11 +274,8 @@ func (e *subEngine) refreshSub(id SubscriptionID, now float64) ([]MonitorEvent, 
 	if _, ok := e.subs[id]; !ok {
 		return nil, nil // unsubscribed between the search and the apply
 	}
-	for si := range e.shards {
-		sh := &e.shards[si]
-		sh.mu.Lock()
-		evs = append(evs, sh.rs.ApplySnapshot(id, byShard[si], now)...)
-		sh.mu.Unlock()
+	for i, fresh := range e.store.byStripe(ids) {
+		e.store.inStripe(i, func(st *stripe) { evs = append(evs, st.rs.ApplySnapshot(id, fresh, now)...) })
 	}
 	monitor.SortEvents(evs)
 	return evs, nil
@@ -409,12 +289,16 @@ func (e *subEngine) refreshSub(id SubscriptionID, now float64) ([]MonitorEvent, 
 // membership history of every subscription.
 //
 // now advances the engine's evaluation clock (monotonically); the seed is
-// evaluated at now, like Monitor.Subscribe. Subsequent reports re-evaluate
-// the subscription incrementally; call RefreshSubscriptions periodically to
-// catch objects drifting in or out of the predicted region purely through
-// the passage of time.
+// evaluated at now, like Monitor.Subscribe. A non-finite now is rejected with
+// ErrInvalidQuery before anything is registered, logged or advanced.
+// Subsequent reports re-evaluate the subscription incrementally; call
+// RefreshSubscriptions periodically to catch objects drifting in or out of
+// the predicted region purely through the passage of time.
 func (s *Store) Subscribe(sub Subscription, now float64) (SubscriptionID, []MonitorEvent, error) {
 	if err := sub.Validate(); err != nil {
+		return 0, nil, err
+	}
+	if err := finiteNow(now); err != nil {
 		return 0, nil, err
 	}
 	var (
@@ -430,13 +314,23 @@ func (s *Store) Subscribe(sub Subscription, now float64) (SubscriptionID, []Moni
 	if err != nil {
 		return 0, nil, err
 	}
+	s.engine().emit(evs)
 	return id, evs, nil
+}
+
+// finiteNow rejects a non-finite evaluation clock: it would stick in the
+// engine clock and evaluate every later report at it.
+func finiteNow(now float64) error {
+	if math.IsNaN(now) || math.IsInf(now, 0) {
+		return fmt.Errorf("vpindex: subscription clock %v: %w", now, ErrInvalidQuery)
+	}
+	return nil
 }
 
 // subscribeApply is Subscribe's in-memory half: registration under id — 0
 // allocates the next one; replay passes the logged id, re-running the same
 // sequence at the logged clock — plus the seed evaluation, rolled back if the
-// seed query fails.
+// seed query fails. The caller emits the seed deltas.
 func (s *Store) subscribeApply(id SubscriptionID, sub Subscription, now float64) (SubscriptionID, []MonitorEvent, error) {
 	e := s.engine()
 	e.advance(now)
@@ -458,15 +352,9 @@ func (s *Store) subscribeApply(id SubscriptionID, sub Subscription, now float64)
 		e.filter.Remove(id)
 		e.regMu.Unlock()
 		e.nsubs.Add(-1)
-		for si := range e.shards {
-			sh := &e.shards[si]
-			sh.mu.Lock()
-			sh.rs.DropSub(id)
-			sh.mu.Unlock()
-		}
+		e.dropSub(id)
 		return 0, nil, err
 	}
-	e.emit(evs)
 	if d := s.dur; d != nil {
 		d.subsDirty.Store(true)
 	}
@@ -496,12 +384,7 @@ func (s *Store) unsubscribeApply(id SubscriptionID) error {
 	e.filter.Remove(id)
 	e.regMu.Unlock()
 	e.nsubs.Add(-1)
-	for si := range e.shards {
-		sh := &e.shards[si]
-		sh.mu.Lock()
-		sh.rs.DropSub(id)
-		sh.mu.Unlock()
-	}
+	e.dropSub(id)
 	if d := s.dur; d != nil {
 		d.subsDirty.Store(true)
 	}
@@ -522,14 +405,8 @@ func (s *Store) SubscriptionResults(id SubscriptionID) ([]ObjectID, error) {
 	if !ok {
 		return nil, fmt.Errorf("vpindex: subscription %d: %w", id, ErrNotFound)
 	}
-	var out []ObjectID
-	for si := range e.shards {
-		sh := &e.shards[si]
-		sh.mu.Lock()
-		out = append(out, sh.rs.Members(id)...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := e.members(id)
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -552,11 +429,14 @@ func (s *Store) NumSubscriptions() int {
 // completed are still applied, returned, and streamed.
 //
 // A refresh overlapping in-flight reports installs a query snapshot that
-// may predate them; memberships of exactly those objects can transiently
-// regress until their next report or a quiescent refresh re-evaluates
-// them (see the concurrency notes at the top of this file).
+// may predate them (see the concurrency notes at the top of this file). A
+// non-finite now is rejected with ErrInvalidQuery, logging nothing.
 func (s *Store) RefreshSubscriptions(now float64) ([]MonitorEvent, error) {
-	if s.subEng.Load() == nil {
+	if err := finiteNow(now); err != nil {
+		return nil, err
+	}
+	e := s.subEng.Load()
+	if e == nil {
 		return nil, nil
 	}
 	// A refresh mutates memberships as a function of time alone, so recovery
@@ -570,6 +450,7 @@ func (s *Store) RefreshSubscriptions(now float64) ([]MonitorEvent, error) {
 			return true, err
 		},
 		func(dst []byte) []byte { return wal.AppendRefresh(dst, now) })
+	e.emit(evs)
 	return evs, err
 }
 
@@ -587,7 +468,7 @@ func (s *Store) refreshApply(now float64) ([]MonitorEvent, error) {
 		ids = append(ids, id)
 	}
 	e.regMu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	per := make([][]MonitorEvent, len(ids))
 	err := parallel.Do(len(ids), s.cfg.searchPar, func(i int) error {
 		evs, err := e.refreshSub(ids[i], now)
@@ -603,8 +484,7 @@ func (s *Store) refreshApply(now float64) ([]MonitorEvent, error) {
 	}
 	// Each subscription's deltas are sorted by (ID, Kind) and concatenated
 	// in ascending subscription order, so the batch is already globally
-	// sorted by Sub → ID → Kind.
-	e.emit(evs)
+	// sorted by Sub → ID → Kind; the caller emits it.
 	return evs, err
 }
 

@@ -300,9 +300,9 @@ func TestBootstrapSwapFailureRearmsTrip(t *testing.T) {
 	}
 	mustMatchOracle(t, s, oracle, ids, "after bootstrap")
 	// The velocity rings are bounded again once the Store is partitioned.
-	for i, sh := range s.shards {
-		if len(sh.res) > s.resCap {
-			t.Fatalf("shard %d ring holds %d velocities, cap %d", i, len(sh.res), s.resCap)
+	for i := range s.stripes {
+		if n := len(s.stripes[i].res); n > s.resCap {
+			t.Fatalf("stripe %d ring holds %d velocities, cap %d", i, n, s.resCap)
 		}
 	}
 }

@@ -27,9 +27,9 @@
 //
 // Standing queries are first-class on the Store: Subscribe registers a
 // region plus a prediction horizon, every report incrementally maintains
-// the result sets (evaluation is sharded like the write path and filtered
-// by a velocity-class spatial grid, so a report only tests the
-// subscriptions it could affect), RefreshSubscriptions picks up pure time
+// the result sets (each object's memberships are reconciled under its own
+// table stripe, filtered by a velocity-class spatial grid, so a report only
+// tests the subscriptions it could affect), RefreshSubscriptions picks up pure time
 // drift, and Events delivers the enter/leave deltas as an ordered
 // asynchronous stream with configurable back-pressure (WithEventBuffer).
 //
@@ -68,13 +68,17 @@
 //
 // # Concurrency
 //
-// The Store has one set of partition indexes — k+1 of them — and stripes its
-// id-keyed tables by ObjectID (WithShards, default GOMAXPROCS). Writes lock
-// their id's stripe and then only the one or two partitions they touch, so
-// writes to different partitions run in parallel; a query probes the k+1
-// partitions with a bounded worker pool (WithSearchParallelism) whose merged
-// results are byte-identical to the sequential probe order, and sees one
-// instant of the whole Store.
+// The Store has one set of partition indexes — k+1 of them — and one family
+// of id-hashed locks: the stripes of the partition manager's id→record table
+// (WithShards, default GOMAXPROCS). A stripe guards everything the Store
+// keeps per object — the table row, the checkpoint dirty set, the
+// recent-velocity ring, the subscription memberships — so a write updates all
+// of it in one critical section, then locks only the one or two partitions it
+// touches, and writes to different partitions run in parallel. A query probes
+// the k+1 partitions with a bounded worker pool (WithSearchParallelism) whose
+// merged results are byte-identical to the sequential probe order, and sees
+// one instant of the whole Store. The full lock order is written once, on
+// Store.
 //
 // # Storage
 //
@@ -237,7 +241,7 @@ func buildBase(pool *storage.BufferPool, opts baseOptions, domain Rect, nameSuff
 // Continuous-query types: standing subscriptions with incremental
 // enter/leave events as reports stream in. The Store serves them natively —
 // Subscribe/Unsubscribe/SubscriptionResults/RefreshSubscriptions/Events —
-// with sharded incremental evaluation and a coarse velocity-class spatial
+// with striped incremental evaluation and a coarse velocity-class spatial
 // filter, so the cost per report is proportional to the subscriptions the
 // report could actually affect (see subscriptions.go).
 type (

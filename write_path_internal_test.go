@@ -3,10 +3,14 @@ package vpindex
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -50,14 +54,20 @@ func TestReplaySkipsHealthGate(t *testing.T) {
 	}
 }
 
-// deadReads is a PageStore whose reads fail with EIO once dead is set.
+// deadReads is a PageStore whose reads fail with EIO once dead is set. The
+// first failing read runs onFail, if set.
 type deadReads struct {
 	storage.PageStore
-	dead atomic.Bool
+	dead   atomic.Bool
+	onFail func()
+	once   sync.Once
 }
 
 func (d *deadReads) ReadPage(id storage.PageID, dst *[storage.PageSize]byte) error {
 	if d.dead.Load() {
+		if d.onFail != nil {
+			d.once.Do(d.onFail)
+		}
 		return fmt.Errorf("deadReads: page %d: %w", id, syscall.EIO)
 	}
 	return d.PageStore.ReadPage(id, dst)
@@ -68,22 +78,18 @@ func (d *deadReads) ReadPage(id storage.PageID, dst *[storage.PageSize]byte) err
 // id, and a seed query that fails rolls the registration back completely —
 // the registry entry, the filter entry and, in every stripe, whatever
 // membership a report reconciled against the subscription between the
-// registration and the failure (the maintenance hook plays that writer: it
-// runs inside the failing Search, when the fault degrades the store).
+// registration and the failure. The racing report is started by the seed
+// search's failing read, once the reads work again, and holds the registry
+// shared before the search lets go of the stripes, so it reconciles before
+// the rollback can take the registry.
 func TestReplayedSubscribeFailedSeedLeavesNoMembership(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	sample := make([]Vec2, 400)
 	for i := range sample {
 		sample[i] = gridObject(i, rng).Vel
 	}
-	var onDegrade func()
 	s, err := Open(WithKind(Bx), WithDomain(R(0, 0, 20000, 20000)), WithShards(2), WithBufferPages(1),
-		WithVelocitySample(sample), WithSeed(3),
-		WithMaintenanceHook(func(ev MaintenanceEvent) {
-			if ev.Op == MaintHealth && onDegrade != nil {
-				onDegrade()
-			}
-		}))
+		WithVelocitySample(sample), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,30 +106,35 @@ func TestReplayedSubscribeFailedSeedLeavesNoMembership(t *testing.T) {
 	if err := s.ReportBatch(objs); err != nil {
 		t.Fatal(err)
 	}
+	events := s.Events()
 	const id = SubscriptionID(7)
 	sub := Subscription{Query: RectSliceQuery(R(-1e6, -1e6, 1e6, 1e6), 0, 0), Horizon: 10}
-	members := func() (n int) {
-		e := s.subEng.Load()
-		for si := range e.shards {
-			sh := &e.shards[si]
-			sh.mu.Lock()
-			n += len(sh.rs.Members(id))
-			sh.mu.Unlock()
-		}
-		return n
-	}
+	members := func() int { return len(s.subEng.Load().members(id)) }
 
-	reconciled := 0
-	onDegrade = func() {
-		s.subEng.Load().noteReport(objs[0])
-		reconciled = members()
+	reported := make(chan error, 1)
+	disk.onFail = func() {
+		disk.dead.Store(false)
+		e := s.subEng.Load()
+		go func() { reported <- s.Report(objs[0]) }()
+		for e.regMu.TryLock() { // until the report holds the registry shared
+			e.regMu.Unlock()
+			runtime.Gosched()
+		}
 	}
 	disk.dead.Store(true)
 	if _, _, err := s.subscribeApply(id, sub, 0); !storage.IsMediaFault(err) {
 		t.Fatalf("subscribe over dead reads = %v, want the media fault", err)
 	}
-	if reconciled != 1 {
-		t.Fatalf("the racing report reconciled %d memberships before the rollback, want 1", reconciled)
+	if err := <-reported; err != nil {
+		t.Fatalf("the racing report: %v", err)
+	}
+	select {
+	case ev := <-events:
+		if ev.Sub != id || ev.ID != objs[0].ID || ev.Kind != Enter {
+			t.Fatalf("the racing report emitted %+v, want the enter of %d into %d", ev, objs[0].ID, id)
+		}
+	default:
+		t.Fatal("the racing report reconciled no membership before the rollback")
 	}
 	if n := members(); n != 0 || s.NumSubscriptions() != 0 {
 		t.Fatalf("failed seed left %d memberships and %d subscriptions behind", n, s.NumSubscriptions())
@@ -134,7 +145,6 @@ func TestReplayedSubscribeFailedSeedLeavesNoMembership(t *testing.T) {
 
 	// The same record applies cleanly once the reads are back: the logged id,
 	// the whole population as its seed, and the next fresh id after it.
-	disk.dead.Store(false)
 	got, evs, err := s.subscribeApply(id, sub, 0)
 	if err != nil || got != id || len(evs) != len(objs) || members() != len(objs) {
 		t.Fatalf("replayed subscribe = id %d, %d events, %d members, %v; want id %d and %d of each",
@@ -142,5 +152,141 @@ func TestReplayedSubscribeFailedSeedLeavesNoMembership(t *testing.T) {
 	}
 	if next, _, err := s.Subscribe(sub, 0); err != nil || next != id+1 {
 		t.Fatalf("Subscribe after the replayed id %d = %d, %v", id, next, err)
+	}
+}
+
+// TestNonFiniteClockRejected: Subscribe and RefreshSubscriptions refuse a
+// non-finite now with ErrInvalidQuery before touching anything — no log
+// record, no clock advance — so a later report is still reconciled at its own
+// time and keeps its membership.
+func TestNonFiniteClockRejected(t *testing.T) {
+	s, err := Open(WithKind(Bx), WithDomain(R(0, 0, 20000, 20000)), WithShards(2), WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(4))
+	objs := []Object{gridObject(1, rng), gridObject(2, rng)}
+	if err := s.ReportBatch(objs); err != nil {
+		t.Fatal(err)
+	}
+	sub := Subscription{Query: RectSliceQuery(R(-1e6, -1e6, 1e6, 1e6), 0, 0), Horizon: 10}
+	id, _, err := s.Subscribe(sub, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := s.SubscriptionResults(id)
+	if len(want) != len(objs) {
+		t.Fatalf("%d members, want %d", len(want), len(objs))
+	}
+	check := func(call string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrInvalidQuery) {
+			t.Fatalf("%s = %v, want ErrInvalidQuery", call, err)
+		}
+		if c := s.subEng.Load().now(); c != 0 {
+			t.Fatalf("%s moved the clock to %v", call, c)
+		}
+		if ds, _ := s.DurabilityStats(); ds.WALAppendedLSN != lsn(s) {
+			t.Fatalf("%s appended to the log", call)
+		}
+		if err := s.Report(objs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := s.SubscriptionResults(id); len(got) != len(want) || s.NumSubscriptions() != 1 {
+			t.Fatalf("after %s: members %v, %d subscriptions; want %v and 1", call, got, s.NumSubscriptions(), want)
+		}
+	}
+	for _, now := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		before := lsn(s)
+		_, _, err := s.Subscribe(sub, now)
+		if lsn(s) != before {
+			t.Fatalf("Subscribe(%v) appended to the log", now)
+		}
+		check(fmt.Sprintf("Subscribe(%v)", now), err)
+		before = lsn(s)
+		_, err = s.RefreshSubscriptions(now)
+		if lsn(s) != before {
+			t.Fatalf("RefreshSubscriptions(%v) appended to the log", now)
+		}
+		check(fmt.Sprintf("RefreshSubscriptions(%v)", now), err)
+	}
+}
+
+func lsn(s *Store) uint64 {
+	ds, _ := s.DurabilityStats()
+	return ds.WALAppendedLSN
+}
+
+// TestSubscriptionSearchFaultHookMayCheckpoint: the seed search of Subscribe
+// and the searches of RefreshSubscriptions run inside the write gate, so they
+// leave fault classification to the write routine, which runs it — and with
+// it the MaintHealth hook — after the gate is released. A hook that calls
+// Checkpoint therefore completes instead of waiting for a gate its own verb
+// holds.
+func TestSubscriptionSearchFaultHookMayCheckpoint(t *testing.T) {
+	for _, verb := range []string{"Subscribe", "RefreshSubscriptions"} {
+		t.Run(verb, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			sample := make([]Vec2, 400)
+			for i := range sample {
+				sample[i] = gridObject(i, rng).Vel
+			}
+			var s *Store
+			hooked := make(chan error, 1)
+			s, err := Open(WithKind(Bx), WithDomain(R(0, 0, 20000, 20000)), WithShards(2), WithBufferPages(1),
+				WithVelocitySample(sample), WithSeed(3), WithDataDir(t.TempDir()),
+				WithMaintenanceHook(func(ev MaintenanceEvent) {
+					if ev.Op == MaintHealth {
+						hooked <- s.Checkpoint()
+					}
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			disk := &deadReads{PageStore: s.disk}
+			s.disk = disk
+			if err := s.Repartition(); err != nil {
+				t.Fatal(err)
+			}
+			objs := make([]Object, 2000)
+			for i := range objs {
+				objs[i] = gridObject(i+1, rng)
+			}
+			if err := s.ReportBatch(objs); err != nil {
+				t.Fatal(err)
+			}
+			sub := Subscription{Query: RectSliceQuery(R(-1e6, -1e6, 1e6, 1e6), 0, 0), Horizon: 10}
+			call := func() error { _, _, err := s.Subscribe(sub, 0); return err }
+			if verb == "RefreshSubscriptions" {
+				if err := call(); err != nil {
+					t.Fatal(err)
+				}
+				call = func() error { _, err := s.RefreshSubscriptions(1); return err }
+			}
+			disk.dead.Store(true)
+			done := make(chan error, 1)
+			go func() { done <- call() }()
+			select {
+			case err := <-done:
+				if !storage.IsMediaFault(err) {
+					t.Fatalf("%s over dead reads = %v, want the media fault", verb, err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s did not return: the hook's Checkpoint waits for the gate it holds", verb)
+			}
+			select {
+			case err := <-hooked:
+				if err != nil {
+					t.Fatalf("the hook's Checkpoint: %v", err)
+				}
+			default:
+				t.Fatal("the fault did not degrade the store")
+			}
+			if s.Health() != HealthDegraded {
+				t.Fatalf("health %v, want degraded", s.Health())
+			}
+		})
 	}
 }
