@@ -1,6 +1,7 @@
 package tprtree
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -18,12 +19,17 @@ import (
 // the opcodes cover single insert/delete/update, runs of up to 255 inserts
 // or deletes (so a few hundred bytes reach height 3, overflow, reinsert,
 // split, underflow and collapse the root again), a time-slice or
-// time-interval window and a kNN. Positions, velocities and times are
+// time-interval window, and a kNN — K up to 15 or math.MaxInt, unbounded and
+// then bounded by some object's distance — checked id for id against the
+// oracle's sorted list. Positions, velocities and times are
 // multiples of 400 m, 12 m/ts and 0.25 ts, so every product is exact and a
 // disagreement with the oracle is the tree's, not rounding's; windows sit
 // off that grid so no trajectory grazes one.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 10, 10, 0x9c, 0, 200, 40, 0x37, 6, 10, 10, 50, 3, 0, 0, 0x11, 7, 12, 9, 3, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0})
+	// Three parked records on one point and K = 2: the K-th distance is tied
+	// and ids 1 and 2 must make the cut (heap order once gave 1 and 3).
+	f.Add([]byte{0, 10, 10, 0x88, 0, 10, 10, 0x88, 0, 10, 10, 0x88, 7, 10, 12, 0x01})
 	var grow, drain []byte
 	for i := 0; i < 24; i++ { // 24 runs of 255 objects: height 3
 		grow = append(grow, 4, byte(i*11), byte(i*29), 255)
@@ -127,15 +133,34 @@ func fuzzRun(t *testing.T, ops []byte, pages int) {
 			}
 		case 7:
 			q := model.KNNQuery{Center: geom.V(float64(a)*400, float64(b)*400), K: int(c&15) + 1, Now: now, T: now + float64(c>>4)}
+			if q.K == 16 {
+				q.K = math.MaxInt
+			}
+			// Ids and distances: objects share grid points, and of equidistant
+			// ones the lower ids make the cut, as in the oracle.
 			got, err := tr.SearchKNN(q)
 			if err != nil {
 				t.Fatalf("pool %d op %d: SearchKNN: %v", pages, step, err)
 			}
-			want, _ := oracle.SearchKNN(q)
-			// Distances, not ids: objects share grid points, and which of
-			// two equidistant ones makes the cut is not defined.
-			if !slices.EqualFunc(got, want, func(g, w model.Neighbor) bool { return g.Dist == w.Dist }) {
+			all, _ := oracle.SearchKNN(model.KNNQuery{Center: q.Center, K: math.MaxInt, Now: q.Now, T: q.T})
+			if want := all[:min(q.K, len(all))]; !slices.Equal(got, want) {
 				t.Fatalf("pool %d op %d: SearchKNN(%+v) = %v, oracle %v", pages, step, q, got, want)
+			}
+			if len(all) == 0 {
+				break
+			}
+			// Bounded by some object's distance, so the bound is often a
+			// distance several objects share: it is inclusive.
+			bound := all[(pick+int(c))%len(all)].Dist
+			if got, err = tr.SearchKNNWithin(q, bound); err != nil {
+				t.Fatalf("pool %d op %d: SearchKNNWithin: %v", pages, step, err)
+			}
+			within := 0
+			for within < len(all) && all[within].Dist <= bound {
+				within++
+			}
+			if want := all[:min(q.K, within)]; !slices.Equal(got, want) {
+				t.Fatalf("pool %d op %d: SearchKNNWithin(%+v, %g) = %v, oracle %v", pages, step, q, bound, got, want)
 			}
 		}
 		if tr.Len() != oracle.Len() {

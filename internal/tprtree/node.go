@@ -41,6 +41,20 @@
 // integral and the math package's Min/Max gave, so the tree is the same
 // tree.
 //
+// A kNN query is priced by K, not by every slot it opens. SearchKNN is
+// best-first over two heaps in pooled scratch: pending nodes by minimum
+// distance, and the K best objects so far by (distance, id), sized by
+// min(K, Len()). The limit is the caller's bound, lowered to the K-th best
+// distance once K objects are held. An entry beyond the limit is never
+// queued, and the search stops when the nearest pending node lies beyond it.
+// A node at exactly the limit is still opened: it may hold an object at the
+// K-th distance with a lower id, and ties there go to the lower id, as in
+// model.BruteForce. A leaf slot is screened by its squared distance, read
+// from the slot bytes; only a slot that passes gets the exact
+// PosAt(T).DistTo(centre), so every distance returned is the oracle's to the
+// bit. The nodes opened are every node no farther than the final limit, the
+// ones a search that queued every slot opened.
+//
 // Every reader validates a page's tag, level and count before trusting
 // them; a page that fails reports an error wrapping storage.ErrCorruptPage.
 package tprtree

@@ -458,22 +458,6 @@ func TestVelocityAwareSplitsReduceSweep(t *testing.T) {
 	}
 }
 
-func TestKNNHeapOrdering(t *testing.T) {
-	// Nodes sort before objects at equal distance (required so an object
-	// is only reported when nothing nearer can hide in a subtree).
-	h := knnHeap{
-		{dist: 1, isNode: false},
-		{dist: 1, isNode: true},
-		{dist: 0.5, isNode: false},
-	}
-	if !h.Less(1, 0) {
-		t.Fatal("node should order before object at equal distance")
-	}
-	if !h.Less(2, 0) {
-		t.Fatal("smaller distance first")
-	}
-}
-
 // TestSoakMixedOperations hammers the tree with a long random mix of
 // inserts, deletes and updates while repeatedly validating structural
 // invariants and query agreement with the oracle — the kind of churn a

@@ -142,6 +142,30 @@ func TestKNNEdgeCases(t *testing.T) {
 			t.Fatal("neighbors out of order")
 		}
 	}
+	// K = math.MaxInt is every live object, sorted, on both trees: nothing may
+	// size an allocation by K (make(…, 0, K) panics: cap out of range).
+	for _, kind := range []vpindex.Kind{vpindex.TPRStar, vpindex.Bx} {
+		store, err := vpindex.Open(vpindex.WithKind(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := model.NewBruteForce()
+		for _, o := range knnFleet(300, 3) {
+			if err := store.Report(o); err != nil {
+				t.Fatal(err)
+			}
+			_ = oracle.Insert(o)
+		}
+		q := vpindex.KNNQuery{Center: vpindex.V(50000, 50000), K: math.MaxInt, Now: 0, T: 30}
+		got, err := store.SearchKNN(q)
+		if err != nil {
+			t.Fatalf("%s: K = math.MaxInt: %v", kind, err)
+		}
+		if want, _ := oracle.SearchKNN(q); !slices.Equal(got, want) {
+			t.Fatalf("%s: K = math.MaxInt returned %d neighbours, want all %d in order", kind, len(got), len(want))
+		}
+		store.Close()
+	}
 }
 
 func TestKNNBxSparseFallback(t *testing.T) {

@@ -568,12 +568,14 @@ func TestReportSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSearchSteadyStateAllocs is the allocation gate on the read path of a
-// cached, velocity-partitioned Bx Store: the scan frames, the interval and
-// range scratch and the manager's per-partition buffers are pooled and the
-// predicate runs on the pinned leaf, so what a query allocates is its result,
-// the fan-out's goroutines and, for kNN, each partition's candidate list. The
-// limits sit a tenth above what this measures (Search 11, SearchKNN 15; 95 and
-// 133 before the scratch was pooled).
+// cached, velocity-partitioned Store of either kind: the scan frames, the
+// interval and range scratch, the TPR* kNN heaps and the manager's
+// per-partition buffers are pooled and the predicate runs on the pinned leaf,
+// so what a query allocates is its result, the fan-out's goroutines and, for
+// kNN, each partition's candidate list. The limits sit a tenth above what this
+// measures (Search 11 on both; SearchKNN 15 on Bx, 14 on TPR*). Before the
+// scratch was pooled Bx measured 95 and 133; a TPR* kNN that boxed every slot
+// it opened onto a heap measured 882.
 func TestSearchSteadyStateAllocs(t *testing.T) {
 	if poolsDropItems() {
 		t.Skip("sync.Pool is discarding items (race detector): every pooled path allocates")
@@ -583,39 +585,41 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 	for i, o := range objs {
 		sample[i] = o.Vel
 	}
-	store, err := vpindex.Open(vpindex.WithKind(vpindex.Bx), vpindex.WithBufferPages(1024), vpindex.WithSearchParallelism(4),
-		vpindex.WithVelocityPartitioning(2), vpindex.WithVelocitySample(sample), vpindex.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if err := store.ReportBatch(objs); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	centre := func() vpindex.Vec2 { return vpindex.V(rng.Float64()*100000, rng.Float64()*100000) }
-	for _, c := range []struct {
-		name  string
-		limit float64
-		call  func() error
-	}{
-		{"Search", 12, func() error {
-			_, err := store.Search(vpindex.SliceQuery(vpindex.Circle{C: centre(), R: 1500}, 0, 60))
-			return err
-		}},
-		{"SearchKNN", 16, func() error {
-			_, err := store.SearchKNN(vpindex.KNNQuery{Center: centre(), K: 10, Now: 0, T: 60})
-			return err
-		}},
-	} {
-		got := testing.AllocsPerRun(500, func() {
-			if err := c.call(); err != nil {
-				t.Fatal(err)
+	for _, kind := range []vpindex.Kind{vpindex.Bx, vpindex.TPRStar} {
+		store, err := vpindex.Open(vpindex.WithKind(kind), vpindex.WithBufferPages(1024), vpindex.WithSearchParallelism(4),
+			vpindex.WithVelocityPartitioning(2), vpindex.WithVelocitySample(sample), vpindex.WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		if err := store.ReportBatch(objs); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		centre := func() vpindex.Vec2 { return vpindex.V(rng.Float64()*100000, rng.Float64()*100000) }
+		for _, c := range []struct {
+			name  string
+			limit float64
+			call  func() error
+		}{
+			{"Search", 12, func() error {
+				_, err := store.Search(vpindex.SliceQuery(vpindex.Circle{C: centre(), R: 1500}, 0, 60))
+				return err
+			}},
+			{"SearchKNN", 16, func() error {
+				_, err := store.SearchKNN(vpindex.KNNQuery{Center: centre(), K: 10, Now: 0, T: 60})
+				return err
+			}},
+		} {
+			got := testing.AllocsPerRun(500, func() {
+				if err := c.call(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("steady-state %s %s allocates %.1f/op", kind, c.name, got)
+			if got > c.limit {
+				t.Errorf("steady-state %s %s allocates %.1f/op, want <= %v", kind, c.name, got, c.limit)
 			}
-		})
-		t.Logf("steady-state %s allocates %.1f/op", c.name, got)
-		if got > c.limit {
-			t.Errorf("steady-state %s allocates %.1f/op, want <= %v", c.name, got, c.limit)
 		}
 	}
 }
