@@ -129,7 +129,6 @@ func (s *Store) initDurable() error {
 		// checkpoint + log replay, so a previous process's file is discarded.
 		Truncate: true,
 		Injector: cfg.injector,
-		Mmap:     cfg.mmapOn,
 	})
 	if err != nil {
 		return err
@@ -203,7 +202,7 @@ func (s *Store) Close() error {
 }
 
 // logged is the one durable write routine: every logging verb — Report,
-// Insert, Update, Remove, ReportBatch, Subscribe, Unsubscribe,
+// Insert, Remove, ReportBatch, Subscribe, Unsubscribe,
 // RefreshSubscriptions — is its in-memory apply run through it. After the
 // health gate, under the shared commit lock, apply runs and says whether
 // anything landed that the log must carry, alongside the verb's own error: a
@@ -329,9 +328,6 @@ type DurabilityStats struct {
 	// last full snapshot; Compactions counts background chain folds.
 	DeltaChainLen int64
 	Compactions   int64
-	// MmapReads reports whether page reads are currently served from a
-	// read-only memory mapping of the data file (WithMmap) rather than pread.
-	MmapReads bool
 	// ReplayedRecords counts log records replayed by this process's Open.
 	ReplayedRecords int64
 	// Health / HealthReason mirror Store.Health with the reason recorded at
@@ -376,7 +372,6 @@ func (s *Store) DurabilityStats() (DurabilityStats, bool) {
 		CheckpointBytes:      d.ckptBytes.Load(),
 		DeltaChainLen:        d.chainLen.Load(),
 		Compactions:          d.compactions.Load(),
-		MmapReads:            d.fstore.MmapActive(),
 		ReplayedRecords:      d.replayed.Load(),
 		Health:               s.Health(),
 		HealthReason:         reason,

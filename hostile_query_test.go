@@ -75,3 +75,34 @@ func TestStoreRejectsHostileQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreRejectsHostileSubscriptions: a NaN or infinite horizon or window
+// is refused with ErrInvalidQuery before anything is registered or logged. A
+// NaN window used to pass validation (NaN < 0 is false), evaluate as a
+// time-slice (NaN > 0 is false too) and land in the log and the checkpoint.
+func TestStoreRejectsHostileSubscriptions(t *testing.T) {
+	store, err := vpindex.Open(vpindex.WithShards(2), vpindex.WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	good := vpindex.Subscription{Query: vpindex.SliceQuery(vpindex.Circle{C: vpindex.V(500, 500), R: 100}, 0, 0), Horizon: 5}
+	if _, _, err := store.Subscribe(good, 0); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := store.DurabilityStats()
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		horizon, window := good, good
+		horizon.Horizon, window.Window = v, v
+		for field, sub := range map[string]vpindex.Subscription{"horizon": horizon, "window": window} {
+			if id, _, err := store.Subscribe(sub, 0); !errors.Is(err, vpindex.ErrInvalidQuery) {
+				t.Errorf("Subscribe with %s %v = %d, %v; want ErrInvalidQuery", field, v, id, err)
+			}
+		}
+	}
+	after, _ := store.DurabilityStats()
+	if n := store.NumSubscriptions(); n != 1 || after.WALAppendedLSN != before.WALAppendedLSN {
+		t.Fatalf("rejected subscribes left %d subscriptions and moved the log %d -> %d",
+			n, before.WALAppendedLSN, after.WALAppendedLSN)
+	}
+}

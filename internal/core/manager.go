@@ -280,9 +280,6 @@ func (m *Manager) runlock(query bool) {
 	}
 }
 
-// SetName overrides the reported index name.
-func (m *Manager) SetName(s string) { m.name = s }
-
 // Name implements model.Index.
 func (m *Manager) Name() string { return m.name }
 

@@ -1,18 +1,92 @@
-// Evaluation core: subscription instantiation, exact predicate evaluation,
-// and result-set diffing, decoupled from any index. The legacy Monitor and
-// the package-root Store's subscription engine both build on this file —
-// the Monitor with a single ResultSet under one lock, the Store with one
-// ResultSet per table stripe so reports to different stripes evaluate their
-// subscriptions concurrently.
+// Package monitor is the evaluation core of continuous (standing) range
+// queries over moving objects. This is the service shape the VP paper's
+// introduction motivates: GPS devices "report their locations to a server
+// in order to get location based services", and those services watch
+// regions — a dispatch zone, a geofence, a protective box — continuously
+// rather than asking one-shot queries.
+//
+// A subscription is a region plus a prediction horizon h. At evaluation
+// time t its result set is every object that satisfies the region at t+h.
+// The package holds no index and takes no lock; the package-root Store's
+// subscription engine composes it:
+//
+//   - eval.go (this file) is subscription instantiation (QueryAt),
+//     validation, the exact predicate (MatchesAt), and the ResultSet
+//     membership table with incremental reconcile and snapshot diffing.
+//   - filter.go is the coarse spatial subscription filter: per-velocity-
+//     class grids that map one report to the few subscriptions it could
+//     affect, with per-partition τ bounds keeping the expansion tight.
 package monitor
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
 	"repro/internal/model"
 )
+
+// SubscriptionID identifies a standing query.
+type SubscriptionID uint64
+
+// EventKind says how a result set changed.
+type EventKind int
+
+const (
+	// Enter: the object joined the subscription's result set.
+	Enter EventKind = iota
+	// Leave: the object left the result set.
+	Leave
+)
+
+// String implements fmt.Stringer.
+func (k EventKind) String() string {
+	if k == Enter {
+		return "enter"
+	}
+	return "leave"
+}
+
+// Event is one result-set delta.
+type Event struct {
+	Sub  SubscriptionID
+	ID   model.ObjectID
+	Kind EventKind
+	T    float64 // evaluation time that produced the delta
+}
+
+// SortEvents orders one delta batch deterministically: by subscription,
+// then object, then kind. The result sets live in Go maps, whose iteration
+// order is deliberately randomized, so without this two identical runs
+// would emit identical deltas in shuffled order — and a consumer diffing or
+// replaying event logs would see phantom differences. Every emitting verb
+// sorts its batch before returning it.
+func SortEvents(evs []Event) []Event {
+	sort.Slice(evs, func(i, j int) bool {
+		if evs[i].Sub != evs[j].Sub {
+			return evs[i].Sub < evs[j].Sub
+		}
+		if evs[i].ID != evs[j].ID {
+			return evs[i].ID < evs[j].ID
+		}
+		return evs[i].Kind < evs[j].Kind
+	})
+	return evs
+}
+
+// Subscription describes a standing query.
+type Subscription struct {
+	// Query is the region template. Kind/T0/T1 are managed by the
+	// evaluation: at evaluation time t the query is executed as a time-slice
+	// (or interval of length Window) at t+Horizon.
+	Query model.RangeQuery
+	// Horizon is the prediction lookahead (ts).
+	Horizon float64
+	// Window extends the evaluation to an interval [t+Horizon,
+	// t+Horizon+Window]; 0 means a pure time-slice.
+	Window float64
+}
 
 // QueryAt instantiates the subscription's query template for evaluation
 // time t: the region is evaluated as a time-slice at t+Horizon, or over
@@ -38,14 +112,19 @@ func (s Subscription) QueryAt(t float64) model.RangeQuery {
 	return q
 }
 
-// Validate reports a descriptive error for malformed subscriptions: a
-// negative horizon or window, or a region template (negative radius, empty
-// rectangle with no circle) that every later instantiation would reject.
-// Subscribe calls it so a broken subscription fails once, immediately,
-// instead of failing every subsequent refresh.
+// Validate reports a descriptive error, wrapping model.ErrInvalidQuery, for
+// malformed subscriptions: a negative or non-finite horizon or window, or a
+// region template (negative radius, empty rectangle with no circle) that
+// every later instantiation would reject. Subscribe calls it so a broken
+// subscription fails once, immediately, instead of failing every subsequent
+// refresh. Non-finite values are checked here because the instantiated query
+// cannot catch them all: a NaN window evaluates as a time-slice (NaN > 0 is
+// false).
 func (s Subscription) Validate() error {
-	if s.Horizon < 0 || s.Window < 0 {
-		return fmt.Errorf("monitor: negative horizon/window")
+	for _, v := range [...]float64{s.Horizon, s.Window} {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("monitor: horizon %g / window %g: %w", s.Horizon, s.Window, model.ErrInvalidQuery)
+		}
 	}
 	// The time fields of an instantiated query are valid by construction
 	// (T0 = t+Horizon >= t = Now, T1 >= T0), so this checks exactly the
@@ -72,8 +151,8 @@ func MatchesAt(o model.Object, s Subscription, now float64) bool {
 // A ResultSet does no locking and holds no reference to an index or a
 // subscription registry; the caller owns both and serializes access. The
 // package-root Store partitions one logical result set into per-stripe
-// ResultSets (each object's memberships live in the ResultSet of the table
-// stripe its ID hashes to); the legacy Monitor uses a single instance.
+// ResultSets: each object's memberships live in the ResultSet of the table
+// stripe its ID hashes to.
 type ResultSet struct {
 	bySub map[SubscriptionID]map[model.ObjectID]bool
 	byObj map[model.ObjectID]map[SubscriptionID]bool
@@ -199,8 +278,7 @@ func (r *ResultSet) Reconcile(id model.ObjectID, o model.Object, present bool, n
 // object population) with the given fresh membership — the output of a full
 // index query — and returns the deltas sorted by (ID, Kind). The caller
 // guarantees fresh contains only objects belonging to this ResultSet (the
-// Store pre-partitions a query result by stripe; the Monitor owns the whole
-// population).
+// Store pre-partitions a query result by stripe).
 func (r *ResultSet) ApplySnapshot(sub SubscriptionID, fresh []model.ObjectID, now float64) []Event {
 	next := make(map[model.ObjectID]bool, len(fresh))
 	var evs []Event

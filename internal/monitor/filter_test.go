@@ -11,55 +11,28 @@ import (
 	"repro/internal/model"
 )
 
-// TestResultsSorted pins the satellite fix: Results returns ascending
-// ObjectIDs, not Go map iteration order.
+// TestResultsSorted: Members returns ascending ObjectIDs, not Go map
+// iteration order.
 func TestResultsSorted(t *testing.T) {
-	m := New(reporterIndex{model.NewBruteForce()})
-	id, _, err := m.Subscribe(circleSub(geom.V(0, 0), 1e6, 0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	subs := map[SubscriptionID]Subscription{1: circleSub(geom.V(0, 0), 1e6, 0)}
+	rs := NewResultSet()
 	rng := rand.New(rand.NewSource(7))
 	for _, oid := range rng.Perm(64) {
-		if _, err := m.ProcessReport(model.Object{ID: model.ObjectID(oid + 1), T: 0}); err != nil {
-			t.Fatal(err)
-		}
+		o := model.Object{ID: model.ObjectID(oid + 1), T: 0}
+		rs.Reconcile(o.ID, o, true, 0, nil, true, subs)
 	}
-	got := m.Results(id)
+	got := rs.Members(1)
 	if len(got) != 64 {
 		t.Fatalf("got %d members", len(got))
 	}
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Fatalf("Results not sorted: %v", got)
+		t.Fatalf("Members not sorted: %v", got)
 	}
 }
 
-// TestSubscribeValidatesQuery pins the other satellite fix: a subscription
-// whose embedded region template fails validation is rejected at Subscribe
-// time, not at every later refresh.
-func TestSubscribeValidatesQuery(t *testing.T) {
-	m := New(reporterIndex{model.NewBruteForce()})
-	// Empty (inverted) rectangle, no circle: every instantiation of this
-	// template would be rejected by RangeQuery.Validate.
-	empty := Subscription{Query: model.RangeQuery{Rect: geom.EmptyRect()}, Horizon: 10}
-	if _, _, err := m.Subscribe(empty, 0); err == nil {
-		t.Fatal("empty-region subscription accepted")
-	}
-	// Negative radius.
-	bad := Subscription{Query: model.RangeQuery{Circle: geom.Circle{C: geom.V(0, 0), R: -1}}}
-	if _, _, err := m.Subscribe(bad, 0); err == nil {
-		t.Fatal("negative-radius subscription accepted")
-	}
-	// The failed subscribes must leave no residue: a valid subscribe works
-	// and a refresh sees no broken subscriptions.
-	if _, _, err := m.Subscribe(circleSub(geom.V(0, 0), 10, 5), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Refresh(1); err != nil {
-		t.Fatalf("refresh after rejected subscribes: %v", err)
-	}
-}
-
+// TestSubscriptionValidateValues: a region template that every instantiation
+// would reject — an empty (inverted) rectangle with no circle, a negative
+// radius — fails Validate once, as an invalid query.
 func TestSubscriptionValidateValues(t *testing.T) {
 	ok := circleSub(geom.V(0, 0), 5, 3)
 	if err := ok.Validate(); err != nil {
@@ -68,11 +41,11 @@ func TestSubscriptionValidateValues(t *testing.T) {
 	for _, bad := range []Subscription{
 		{Query: ok.Query, Horizon: -1},
 		{Query: ok.Query, Window: -1},
-		{Query: model.RangeQuery{Rect: geom.EmptyRect()}},
+		{Query: model.RangeQuery{Rect: geom.EmptyRect()}, Horizon: 10},
 		{Query: model.RangeQuery{Circle: geom.Circle{R: -2}}},
 	} {
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("invalid subscription %+v accepted", bad)
+		if err := bad.Validate(); !errors.Is(err, model.ErrInvalidQuery) {
+			t.Fatalf("invalid subscription %+v: Validate = %v, want ErrInvalidQuery", bad, err)
 		}
 	}
 }
@@ -242,20 +215,5 @@ func TestFilterRemove(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("remaining subscription missing from candidates")
-	}
-}
-
-// TestMonitorSubscribeStillRejectsNegativeHorizon keeps the original
-// validation error reachable through the new Validate path.
-func TestMonitorSubscribeStillRejectsNegativeHorizon(t *testing.T) {
-	m := New(reporterIndex{model.NewBruteForce()})
-	_, _, err := m.Subscribe(Subscription{Horizon: -1}, 0)
-	if err == nil {
-		t.Fatal("negative horizon accepted")
-	}
-	var ignored *model.Object
-	_ = ignored
-	if errors.Is(err, model.ErrUnsupported) {
-		t.Fatalf("unexpected sentinel: %v", err)
 	}
 }

@@ -2,25 +2,13 @@ package monitor
 
 import (
 	"errors"
-	"math/rand"
-	"sort"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/model"
-	"repro/internal/storage"
-	"repro/internal/tprtree"
 )
-
-func newMonitor(t *testing.T) *Monitor {
-	t.Helper()
-	pool := storage.NewBufferPool(storage.NewDisk(), 100)
-	tr, err := tprtree.NewTree(pool, tprtree.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return New(tr)
-}
 
 func circleSub(c geom.Vec2, r, horizon float64) Subscription {
 	return Subscription{
@@ -29,99 +17,90 @@ func circleSub(c geom.Vec2, r, horizon float64) Subscription {
 	}
 }
 
+// snapshot is what a subscription's full query would return at now: every
+// object of objs that the exact predicate accepts, in ascending id order.
+func snapshot(objs []model.Object, s Subscription, now float64) []model.ObjectID {
+	var ids []model.ObjectID
+	for _, o := range objs {
+		if MatchesAt(o, s, now) {
+			ids = append(ids, o.ID)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestSubscribeSeedsResults: a subscription's seed is its first snapshot,
+// applied to an empty result set — one Enter per member.
 func TestSubscribeSeedsResults(t *testing.T) {
-	m := newMonitor(t)
 	// Object heading toward the watched zone: at t=0+h(10) it is at x=100.
 	o := model.Object{ID: 1, Pos: geom.V(0, 0), Vel: geom.V(10, 0), T: 0}
-	if _, err := m.ProcessInsert(o); err != nil {
-		t.Fatal(err)
-	}
-	id, evs, err := m.Subscribe(circleSub(geom.V(100, 0), 20, 10), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := circleSub(geom.V(100, 0), 20, 10)
+	rs := NewResultSet()
+	evs := rs.ApplySnapshot(1, snapshot([]model.Object{o}, s, 0), 0)
 	if len(evs) != 1 || evs[0].Kind != Enter || evs[0].ID != 1 {
 		t.Fatalf("seed events: %v", evs)
 	}
-	if got := m.Results(id); len(got) != 1 || got[0] != 1 {
+	if got := rs.Members(1); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("results: %v", got)
 	}
 }
 
 func TestUpdateEmitsEnterLeave(t *testing.T) {
-	m := newMonitor(t)
+	subs := map[SubscriptionID]Subscription{1: circleSub(geom.V(100, 0), 20, 10)}
+	rs := NewResultSet()
 	o := model.Object{ID: 1, Pos: geom.V(0, 0), Vel: geom.V(10, 0), T: 0}
-	if _, err := m.ProcessInsert(o); err != nil {
-		t.Fatal(err)
-	}
-	id, _, err := m.Subscribe(circleSub(geom.V(100, 0), 20, 10), 0)
-	if err != nil {
-		t.Fatal(err)
+	if evs := rs.Reconcile(1, o, true, 0, nil, true, subs); len(evs) != 1 || evs[0].Kind != Enter {
+		t.Fatalf("events: %v", evs)
 	}
 	// Turn the object away: at t=0 it reports velocity -10; predicted
 	// position at t+10 is x=-100 -> leave.
 	turned := model.Object{ID: 1, Pos: geom.V(0, 0), Vel: geom.V(-10, 0), T: 0}
-	evs, err := m.ProcessUpdate(o, turned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != Leave {
+	if evs := rs.Reconcile(1, turned, true, 0, nil, true, subs); len(evs) != 1 || evs[0].Kind != Leave {
 		t.Fatalf("events: %v", evs)
 	}
-	if len(m.Results(id)) != 0 {
+	if rs.MemberCount(1) != 0 {
 		t.Fatal("result set should be empty")
 	}
-	// Turn it back -> enter again.
-	back := model.Object{ID: 1, Pos: geom.V(0, 0), Vel: geom.V(10, 0), T: 0}
-	evs, err = m.ProcessUpdate(turned, back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != Enter {
+	// Turn it back -> enter again, found through the filtered path: the
+	// candidate list names the subscription.
+	if evs := rs.Reconcile(1, o, true, 0, []SubscriptionID{1}, false, subs); len(evs) != 1 || evs[0].Kind != Enter {
 		t.Fatalf("events: %v", evs)
 	}
 }
 
+// TestRefreshCatchesTimeDrift: with no report at all, a later snapshot
+// evicts the object that drifted out of the predicted region, stamped with
+// the snapshot's time.
 func TestRefreshCatchesTimeDrift(t *testing.T) {
-	m := newMonitor(t)
 	// Object moving through the zone: inside the prediction at t=0
 	// (predicted x=100), far past it by t=20 (predicted x=300).
-	o := model.Object{ID: 1, Pos: geom.V(0, 0), Vel: geom.V(10, 0), T: 0}
-	if _, err := m.ProcessInsert(o); err != nil {
-		t.Fatal(err)
-	}
-	id, evs, err := m.Subscribe(circleSub(geom.V(100, 0), 20, 10), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 {
+	objs := []model.Object{{ID: 1, Pos: geom.V(0, 0), Vel: geom.V(10, 0), T: 0}}
+	s := circleSub(geom.V(100, 0), 20, 10)
+	rs := NewResultSet()
+	if evs := rs.ApplySnapshot(1, snapshot(objs, s, 0), 0); len(evs) != 1 {
 		t.Fatalf("seed: %v", evs)
 	}
-	// No updates happen; time passes.
-	evs, err = m.Refresh(20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs := rs.ApplySnapshot(1, snapshot(objs, s, 20), 20)
 	if len(evs) != 1 || evs[0].Kind != Leave || evs[0].T != 20 {
 		t.Fatalf("refresh events: %v", evs)
 	}
-	if len(m.Results(id)) != 0 {
+	if rs.MemberCount(1) != 0 {
 		t.Fatal("drifted object should have left")
 	}
 }
 
 func TestDeleteLeavesAllSets(t *testing.T) {
-	m := newMonitor(t)
+	subs := map[SubscriptionID]Subscription{
+		1: circleSub(geom.V(100, 0), 50, 0),
+		2: circleSub(geom.V(120, 0), 50, 0),
+	}
+	rs := NewResultSet()
 	o := model.Object{ID: 7, Pos: geom.V(100, 0), Vel: geom.V(0, 0), T: 0}
-	if _, err := m.ProcessInsert(o); err != nil {
-		t.Fatal(err)
+	if evs := rs.Reconcile(o.ID, o, true, 0, nil, true, subs); len(evs) != 2 {
+		t.Fatalf("expected 2 enter events, got %v", evs)
 	}
-	a, _, _ := m.Subscribe(circleSub(geom.V(100, 0), 50, 0), 0)
-	b, _, _ := m.Subscribe(circleSub(geom.V(120, 0), 50, 0), 0)
-	evs, err := m.ProcessDelete(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs := rs.Reconcile(o.ID, model.Object{}, false, 0, nil, false, nil)
 	if len(evs) != 2 {
 		t.Fatalf("expected 2 leave events, got %v", evs)
 	}
@@ -130,268 +109,77 @@ func TestDeleteLeavesAllSets(t *testing.T) {
 			t.Fatalf("expected leave: %v", e)
 		}
 	}
-	if len(m.Results(a))+len(m.Results(b)) != 0 {
+	if rs.MemberCount(1)+rs.MemberCount(2) != 0 {
 		t.Fatal("result sets not emptied")
 	}
 }
 
+// TestUnsubscribe: DropSub forgets a subscription in both directions with no
+// events, so the object's later removal emits nothing for it.
 func TestUnsubscribe(t *testing.T) {
-	m := newMonitor(t)
-	id, _, err := m.Subscribe(circleSub(geom.V(0, 0), 10, 0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Unsubscribe(id)
+	subs := map[SubscriptionID]Subscription{1: circleSub(geom.V(0, 0), 10, 0)}
+	rs := NewResultSet()
 	o := model.Object{ID: 1, Pos: geom.V(0, 0), Vel: geom.V(0, 0), T: 0}
-	evs, err := m.ProcessInsert(o)
-	if err != nil {
-		t.Fatal(err)
+	rs.Reconcile(o.ID, o, true, 0, nil, true, subs)
+	rs.DropSub(1)
+	if rs.Contains(1, 1) || rs.MemberCount(1) != 0 {
+		t.Fatal("membership survived DropSub")
 	}
-	if len(evs) != 0 {
+	if evs := rs.Reconcile(o.ID, model.Object{}, false, 0, nil, false, nil); len(evs) != 0 {
 		t.Fatalf("events after unsubscribe: %v", evs)
 	}
 }
 
+// TestSubscriptionValidation: a negative or non-finite horizon or window is
+// rejected as an invalid query. A NaN window would otherwise evaluate as a
+// time-slice, since NaN > 0 is false.
 func TestSubscriptionValidation(t *testing.T) {
-	m := newMonitor(t)
-	if _, _, err := m.Subscribe(Subscription{Horizon: -1}, 0); err == nil {
-		t.Fatal("negative horizon accepted")
-	}
-}
-
-// TestMonitorConsistencyUnderStream drives a random update stream and
-// checks after every batch that the incrementally maintained result sets
-// equal a from-scratch evaluation.
-func TestMonitorConsistencyUnderStream(t *testing.T) {
-	m := newMonitor(t)
-	rng := rand.New(rand.NewSource(9))
-	objs := make([]model.Object, 300)
-	for i := range objs {
-		objs[i] = model.Object{
-			ID:  model.ObjectID(i + 1),
-			Pos: geom.V(rng.Float64()*10000, rng.Float64()*10000),
-			Vel: geom.V(rng.Float64()*100-50, rng.Float64()*100-50),
-			T:   0,
-		}
-		if _, err := m.ProcessInsert(objs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	subs := []SubscriptionID{}
-	for i := 0; i < 5; i++ {
-		id, _, err := m.Subscribe(circleSub(
-			geom.V(rng.Float64()*10000, rng.Float64()*10000), 1500, 30), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs = append(subs, id)
-	}
-	check := func(now float64) {
-		for _, id := range subs {
-			got := m.Results(id)
-			s := m.subs[id]
-			want := []model.ObjectID{}
-			for _, o := range objs {
-				if model.Matches(o, s.QueryAt(now)) {
-					want = append(want, o.ID)
-				}
-			}
-			sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-			sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-			if len(got) != len(want) {
-				t.Fatalf("sub %d at t=%g: %d vs %d members", id, now, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("sub %d at t=%g: member %d differs", id, now, i)
-				}
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, s := range []Subscription{
+			{Query: circleSub(geom.V(0, 0), 5, 0).Query, Horizon: v},
+			{Query: circleSub(geom.V(0, 0), 5, 0).Query, Window: v},
+		} {
+			if err := s.Validate(); !errors.Is(err, model.ErrInvalidQuery) {
+				t.Fatalf("horizon %g window %g: Validate = %v, want ErrInvalidQuery", s.Horizon, s.Window, err)
 			}
 		}
 	}
-	for round := 1; round <= 5; round++ {
-		now := float64(round) * 10
-		for i := range objs {
-			if rng.Intn(3) != 0 {
-				continue
-			}
-			upd := objs[i]
-			upd.Pos = upd.PosAt(now)
-			upd.Vel = geom.V(rng.Float64()*100-50, rng.Float64()*100-50)
-			upd.T = now
-			if _, err := m.ProcessUpdate(objs[i], upd); err != nil {
-				t.Fatal(err)
-			}
-			objs[i] = upd
-		}
-		// Incremental sets may lag time drift until Refresh.
-		if _, err := m.Refresh(now); err != nil {
-			t.Fatal(err)
-		}
-		check(now)
-	}
-	if m.Now() != 50 {
-		t.Fatalf("clock: %g", m.Now())
-	}
 }
 
-// reporterIndex adapts the brute-force oracle to the Reporter surface so
-// the ID-keyed monitor verbs can be tested without the package-root Store
-// (which would be an import cycle from here).
-type reporterIndex struct{ *model.BruteForce }
-
-func (r reporterIndex) Report(o model.Object) error {
-	if _, ok := r.Get(o.ID); ok {
-		if err := r.BruteForce.Delete(model.Object{ID: o.ID}); err != nil {
-			return err
-		}
-	}
-	return r.BruteForce.Insert(o)
-}
-
-func (r reporterIndex) Remove(id model.ObjectID) error {
-	return r.BruteForce.Delete(model.Object{ID: id})
-}
-
-func TestProcessReportAndRemove(t *testing.T) {
-	m := New(reporterIndex{model.NewBruteForce()})
-	id, _, err := m.Subscribe(Subscription{
-		Query: model.RangeQuery{Kind: model.TimeSlice, Circle: geom.Circle{C: geom.V(100, 100), R: 50}},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// First report (an insert) inside the fence.
-	evs, err := m.ProcessReport(model.Object{ID: 1, Pos: geom.V(110, 100), Vel: geom.V(0, 0), T: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != Enter || evs[0].Sub != id {
-		t.Fatalf("report insert events: %v", evs)
-	}
-	// Second report (an upsert — no old record supplied) outside.
-	evs, err = m.ProcessReport(model.Object{ID: 1, Pos: geom.V(500, 500), Vel: geom.V(0, 0), T: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != Leave {
-		t.Fatalf("report upsert events: %v", evs)
-	}
-	// Back inside, then removed by bare ID.
-	if _, err := m.ProcessReport(model.Object{ID: 1, Pos: geom.V(90, 100), Vel: geom.V(0, 0), T: 2}); err != nil {
-		t.Fatal(err)
-	}
-	evs, err = m.ProcessRemove(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != Leave {
-		t.Fatalf("remove events: %v", evs)
-	}
-	if _, err := m.ProcessRemove(1); !errors.Is(err, model.ErrNotFound) {
-		t.Fatalf("remove absent: %v", err)
-	}
-}
-
-func TestProcessReportUnsupportedIndex(t *testing.T) {
-	// A bare base index has no ID-keyed surface.
-	m := newMonitor(t)
-	if _, err := m.ProcessReport(model.Object{ID: 1, T: 0}); !errors.Is(err, model.ErrUnsupported) {
-		t.Fatalf("report on plain index: %v", err)
-	}
-	if _, err := m.ProcessRemove(1); !errors.Is(err, model.ErrUnsupported) {
-		t.Fatalf("remove on plain index: %v", err)
-	}
-}
-
-// TestEventDeterminism pins the event-ordering contract: every emitting
-// verb returns its delta batch sorted by (Sub, ID, Kind), so two identical
-// runs produce byte-identical event streams even though the result sets
-// live in randomized-iteration Go maps.
+// TestEventDeterminism pins the event-ordering contract at the core: two
+// identical histories through a ResultSet give byte-identical sorted event
+// logs, even though the result sets live in randomized-iteration Go maps.
 func TestEventDeterminism(t *testing.T) {
-	build := func() (*Monitor, []model.Object) {
-		m := New(reporterIndex{model.NewBruteForce()})
-		// Three overlapping fences, so most objects produce several events
-		// per verb — the shuffled-order symptom needs multi-event batches.
-		for _, c := range []geom.Vec2{geom.V(500, 500), geom.V(520, 500), geom.V(500, 540)} {
-			if _, _, err := m.Subscribe(circleSub(c, 300, 0), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rng := rand.New(rand.NewSource(31))
-		objs := make([]model.Object, 40)
-		for i := range objs {
-			objs[i] = model.Object{
-				ID:  model.ObjectID(i + 1),
-				Pos: geom.V(rng.Float64()*1000, rng.Float64()*1000),
-				Vel: geom.V(rng.Float64()*20-10, rng.Float64()*20-10),
-				T:   0,
-			}
-		}
-		return m, objs
+	// Three overlapping fences, so most objects produce several events per
+	// step — the shuffled-order symptom needs multi-event batches.
+	subs := map[SubscriptionID]Subscription{}
+	for i, c := range []geom.Vec2{geom.V(500, 500), geom.V(520, 500), geom.V(500, 540)} {
+		subs[SubscriptionID(i+1)] = circleSub(c, 300, 0)
 	}
-
-	sorted := func(evs []Event) bool {
-		return sort.SliceIsSorted(evs, func(i, j int) bool {
-			if evs[i].Sub != evs[j].Sub {
-				return evs[i].Sub < evs[j].Sub
-			}
-			if evs[i].ID != evs[j].ID {
-				return evs[i].ID < evs[j].ID
-			}
-			return evs[i].Kind < evs[j].Kind
-		})
-	}
-
-	// drive runs the identical scenario and returns the full event log.
 	drive := func() []Event {
-		m, objs := build()
+		rs := NewResultSet()
+		var objs []model.Object
 		var log []Event
-		emit := func(evs []Event, err error, verb string) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%s: %v", verb, err)
-			}
-			if !sorted(evs) {
-				t.Fatalf("%s batch not sorted: %v", verb, evs)
-			}
-			log = append(log, evs...)
-		}
-		for _, o := range objs {
-			evs, err := m.ProcessReport(o)
-			emit(evs, err, "report")
+		for i := 0; i < 40; i++ {
+			o := model.Object{ID: model.ObjectID(i + 1), Pos: geom.V(float64(i*37%1000), float64(i*53%1000)), Vel: geom.V(float64(i%7-3), float64(i%5-2))}
+			objs = append(objs, o)
+			log = append(log, SortEvents(rs.Reconcile(o.ID, o, true, 0, nil, true, subs))...)
 		}
 		// Time passes: every membership is re-derived at once.
-		evs, err := m.Refresh(30)
-		emit(evs, err, "refresh")
-		// Move a batch of objects far away and re-report.
-		for i := 0; i < len(objs); i += 3 {
-			o := objs[i]
-			o.Pos = geom.V(5000, 5000)
-			o.T = 30
-			evs, err := m.ProcessReport(o)
-			emit(evs, err, "re-report")
+		for sub := SubscriptionID(1); sub <= 3; sub++ {
+			log = append(log, rs.ApplySnapshot(sub, snapshot(objs, subs[sub], 30), 30)...)
 		}
-		// Removes leave every fence at once.
+		var evs []Event
 		for i := 1; i < len(objs); i += 4 {
-			evs, err := m.ProcessRemove(objs[i].ID)
-			emit(evs, err, "remove")
+			evs = append(evs, rs.Reconcile(objs[i].ID, model.Object{}, false, 30, nil, false, nil)...)
 		}
-		evs, err = m.Refresh(60)
-		emit(evs, err, "refresh2")
-		return log
+		return append(log, SortEvents(evs)...)
 	}
-
 	a, b := drive(), drive()
-	if len(a) != len(b) {
-		t.Fatalf("event logs differ in length: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
 	if len(a) == 0 {
 		t.Fatal("scenario emitted no events")
+	}
+	if !slices.Equal(a, b) {
+		t.Fatalf("event logs differ:\n%v\n%v", a, b)
 	}
 }

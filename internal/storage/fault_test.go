@@ -10,16 +10,10 @@ import (
 	"time"
 )
 
+// openTestStore opens a scratch FileStore with the given injector.
 func openTestStore(t *testing.T, fi *FaultInjector) *FileStore {
-	return openTestStoreWith(t, fi, FileStoreOptions{})
-}
-
-// openTestStoreWith opens a scratch FileStore with the given options (read
-// path, truncation) plus the injector; fileVariants feeds it both read paths.
-func openTestStoreWith(t *testing.T, fi *FaultInjector, opts FileStoreOptions) *FileStore {
 	t.Helper()
-	opts.Injector = fi
-	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "pages.dat"), opts)
+	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "pages.dat"), FileStoreOptions{Injector: fi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +22,11 @@ func openTestStoreWith(t *testing.T, fi *FaultInjector, opts FileStoreOptions) *
 }
 
 func TestCorruptPageDetectedOnRead(t *testing.T) {
-	fileVariants(t, testCorruptPageDetectedOnRead)
+	preadPath(t, testCorruptPageDetectedOnRead)
 }
 
-func testCorruptPageDetectedOnRead(t *testing.T, opts FileStoreOptions) {
-	fs := openTestStoreWith(t, nil, opts)
+func testCorruptPageDetectedOnRead(t *testing.T) {
+	fs := openTestStore(t, nil)
 	id, err := fs.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -77,12 +71,12 @@ func testCorruptPageDetectedOnRead(t *testing.T, opts FileStoreOptions) {
 }
 
 func TestTornWriteCaughtByChecksum(t *testing.T) {
-	fileVariants(t, testTornWriteCaughtByChecksum)
+	preadPath(t, testTornWriteCaughtByChecksum)
 }
 
-func testTornWriteCaughtByChecksum(t *testing.T, opts FileStoreOptions) {
+func testTornWriteCaughtByChecksum(t *testing.T) {
 	fi := NewScriptedInjector(FaultRule{Op: OpPageWrite, Seq: 2, Kind: FaultTornWrite})
-	fs := openTestStoreWith(t, fi, opts)
+	fs := openTestStore(t, fi)
 	id, err := fs.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -112,12 +106,12 @@ func testTornWriteCaughtByChecksum(t *testing.T, opts FileStoreOptions) {
 }
 
 func TestBitFlipCaughtByChecksum(t *testing.T) {
-	fileVariants(t, testBitFlipCaughtByChecksum)
+	preadPath(t, testBitFlipCaughtByChecksum)
 }
 
-func testBitFlipCaughtByChecksum(t *testing.T, opts FileStoreOptions) {
+func testBitFlipCaughtByChecksum(t *testing.T) {
 	fi := NewScriptedInjector(FaultRule{Op: OpPageWrite, Seq: 1, Kind: FaultBitFlip})
-	fs := openTestStoreWith(t, fi, opts)
+	fs := openTestStore(t, fi)
 	id, err := fs.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +128,11 @@ func testBitFlipCaughtByChecksum(t *testing.T, opts FileStoreOptions) {
 }
 
 func TestVerifyPageScrubPrimitive(t *testing.T) {
-	fileVariants(t, testVerifyPageScrubPrimitive)
+	preadPath(t, testVerifyPageScrubPrimitive)
 }
 
-func testVerifyPageScrubPrimitive(t *testing.T, opts FileStoreOptions) {
-	fs := openTestStoreWith(t, nil, opts)
+func testVerifyPageScrubPrimitive(t *testing.T) {
+	fs := openTestStore(t, nil)
 	id, err := fs.Allocate()
 	if err != nil {
 		t.Fatal(err)

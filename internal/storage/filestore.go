@@ -102,16 +102,6 @@ type FileStore struct {
 	// takes Lock so its read-verify pair is atomic vs in-flight writes.
 	scrub [nScrubLocks]sync.RWMutex
 
-	// Read-only shared mapping of the data file (FileStoreOptions.Mmap).
-	// mapMu orders readers against remap-on-grow and unmap-on-close; mapped
-	// is nil whenever the mapping is off, failed, or torn down, and every
-	// read falls back to pread then. Writes never go through the mapping —
-	// they stay positioned pwrites on f, which a MAP_SHARED mapping of the
-	// same file observes coherently.
-	mapMu  sync.RWMutex
-	mapped []byte
-	mmapOn bool // mapping requested (and supported); remap after growth
-
 	reads  atomic.Int64
 	writes atomic.Int64
 }
@@ -130,12 +120,6 @@ type FileStoreOptions struct {
 	Truncate bool
 	// Injector, when non-nil, injects crashes and media faults (fault.go).
 	Injector *FaultInjector
-	// Mmap serves reads from a read-only shared mapping of the data file
-	// (checksums verified straight off the mapping, no pread and no copy
-	// into a scratch slot); writes keep their pwrite+fsync path. The store
-	// remaps after the file grows and falls back to pread gracefully when
-	// the platform or the mapping call refuses.
-	Mmap bool
 }
 
 // errClosed builds the after-Close error for op; it unwraps to os.ErrClosed.
@@ -167,53 +151,13 @@ func OpenFileStore(path string, opt FileStoreOptions) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: init %s: %w", path, err)
 	}
-	fs := &FileStore{
+	return &FileStore{
 		f:           f,
 		path:        path,
 		fi:          opt.Injector,
 		freeSet:     make(map[PageID]struct{}),
 		quarantined: make(map[PageID]struct{}),
-	}
-	fs.enableMmap(opt.Mmap, slotSize)
-	return fs, nil
-}
-
-// enableMmap arms the mmap read path when requested and supported. A refused
-// mapping is not an error — the store simply keeps the pread path, and the
-// next remapLocked (after growth) tries again.
-func (fs *FileStore) enableMmap(want bool, size int64) {
-	if !want || !mmapSupported {
-		return
-	}
-	fs.mmapOn = true
-	fs.mapMu.Lock()
-	fs.remapLocked(size)
-	fs.mapMu.Unlock()
-}
-
-// remapLocked replaces the mapping with one covering size bytes; on failure
-// the mapping is left down (readers fall back to pread). Caller holds mapMu
-// exclusively.
-func (fs *FileStore) remapLocked(size int64) {
-	if fs.mapped != nil {
-		_ = munmapFile(fs.mapped)
-		fs.mapped = nil
-	}
-	if size <= 0 || int64(int(size)) != size {
-		return
-	}
-	m, err := mmapFile(fs.f, int(size))
-	if err != nil {
-		return
-	}
-	fs.mapped = m
-}
-
-// MmapActive reports whether reads are currently served from the mapping.
-func (fs *FileStore) MmapActive() bool {
-	fs.mapMu.RLock()
-	defer fs.mapMu.RUnlock()
-	return fs.mapped != nil
+	}, nil
 }
 
 // checkLocked validates that id is a live page. Caller holds fs.mu.
@@ -290,13 +234,6 @@ func (fs *FileStore) Allocate() (PageID, error) {
 		fs.nextID--
 		return NilPage, fmt.Errorf("storage: extend: %w", err)
 	}
-	if fs.mmapOn {
-		// Remap to cover the new slot; a failed remap just leaves reads on
-		// the pread fallback until the next growth.
-		fs.mapMu.Lock()
-		fs.remapLocked(int64(fs.nextID+1) * slotSize)
-		fs.mapMu.Unlock()
-	}
 	return id, nil
 }
 
@@ -320,8 +257,7 @@ func (fs *FileStore) Free(id PageID) error {
 }
 
 // verifySlot checks a slot image against its trailer; an all-zero slot is a
-// valid zero page. slot must be slotSize bytes (a scratch buffer or a window
-// straight into the mapping).
+// valid zero page. slot must be slotSize bytes.
 func verifySlot(id PageID, slot []byte) bool {
 	want := binary.LittleEndian.Uint32(slot[PageSize:])
 	if pageCRC(id, slot[:PageSize]) == want {
@@ -333,26 +269,6 @@ func verifySlot(id PageID, slot []byte) bool {
 		}
 	}
 	return true
-}
-
-// readMapped serves one slot read from the mapping: verify the checksum
-// against the mapped bytes and copy only the page image out. Returns false
-// when the mapping is down or does not cover the slot yet (a grow raced the
-// remap) — the caller falls back to pread. corrupt distinguishes a checksum
-// failure (handled like the pread path: quarantine) from a miss.
-func (fs *FileStore) readMapped(id PageID, dst *[PageSize]byte) (served, corrupt bool) {
-	fs.mapMu.RLock()
-	defer fs.mapMu.RUnlock()
-	off := int64(id) * slotSize
-	if fs.mapped == nil || off+slotSize > int64(len(fs.mapped)) {
-		return false, false
-	}
-	slot := fs.mapped[off : off+slotSize]
-	if !verifySlot(id, slot) {
-		return true, true
-	}
-	copy(dst[:], slot[:PageSize])
-	return true, false
 }
 
 // ReadPage reads the page image with a positioned read (no allocator lock
@@ -375,16 +291,6 @@ func (fs *FileStore) ReadPage(id PageID, dst *[PageSize]byte) error {
 	}
 	if err := fs.fi.PageRead(id); err != nil {
 		return err
-	}
-	if fs.mmapOn {
-		if served, corrupt := fs.readMapped(id, dst); served {
-			if corrupt {
-				fs.setQuarantined(id, true)
-				return &CorruptPageError{Path: fs.path, ID: id}
-			}
-			fs.reads.Add(1)
-			return nil
-		}
 	}
 	slot := slotPool.Get().(*[slotSize]byte)
 	defer slotPool.Put(slot)
@@ -516,19 +422,13 @@ func (fs *FileStore) Sync() error {
 	return nil
 }
 
-// Close unmaps and closes the file without flushing it. Close is idempotent
+// Close closes the file without flushing it. Close is idempotent
 // and concurrency-safe: the first call does the work, every later call
 // returns nil.
 func (fs *FileStore) Close() error {
 	if !fs.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	fs.mapMu.Lock()
-	if fs.mapped != nil {
-		_ = munmapFile(fs.mapped)
-		fs.mapped = nil
-	}
-	fs.mapMu.Unlock()
 	return fs.f.Close()
 }
 

@@ -21,8 +21,7 @@ func flipByte(t *testing.T, path string, off int64) {
 	}
 }
 
-// withBackends runs a subtest against each PageStore implementation — and
-// against the FileStore's mmap read path where the platform has one — so the
+// withBackends runs a subtest against each PageStore implementation, so the
 // interface contract (allocation, validation errors, free-list ID reuse) is
 // asserted once for all of them.
 func withBackends(t *testing.T, fn func(t *testing.T, ps PageStore)) {
@@ -38,31 +37,13 @@ func withBackends(t *testing.T, fn func(t *testing.T, ps PageStore)) {
 		t.Cleanup(func() { fs.Close() })
 		fn(t, fs)
 	})
-	t.Run("FileStoreMmap", func(t *testing.T) {
-		if !mmapSupported {
-			t.Skip("no mmap on this platform")
-		}
-		fs, err := OpenFileStore(filepath.Join(t.TempDir(), "pages.dat"), FileStoreOptions{Mmap: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { fs.Close() })
-		fn(t, fs)
-	})
 }
 
-// fileVariants runs a FileStore-specific subtest once per read path: the
-// plain pread configuration and, where supported, the mmap one. Corruption,
-// and quarantine handling must be identical in both.
-func fileVariants(t *testing.T, fn func(t *testing.T, opts FileStoreOptions)) {
+// preadPath runs a FileStore-specific test as the "pread" subtest, named
+// for the FileStore's read path, so its results keep one stable name.
+func preadPath(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	t.Run("pread", func(t *testing.T) { fn(t, FileStoreOptions{}) })
-	t.Run("mmap", func(t *testing.T) {
-		if !mmapSupported {
-			t.Skip("no mmap on this platform")
-		}
-		fn(t, FileStoreOptions{Mmap: true})
-	})
+	t.Run("pread", fn)
 }
 
 func TestPageStoreContract(t *testing.T) {
@@ -292,88 +273,48 @@ func TestFileStoreTruncateDiscards(t *testing.T) {
 // error (nothing is silently discarded, nothing is read back); with it the
 // store starts from zero pages.
 func TestOpenFileStoreRefusesExistingFile(t *testing.T) {
-	fileVariants(t, func(t *testing.T, opts FileStoreOptions) {
-		path := filepath.Join(t.TempDir(), "pages.dat")
-		fs, err := OpenFileStore(path, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := fs.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var page [PageSize]byte
-		copy(page[:], "left behind by a previous process")
-		if err := fs.WritePage(id, &page); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenFileStore(path, opts); err == nil || !strings.Contains(err.Error(), "not reopened") {
-			t.Fatalf("open over an existing page file = %v, want a refusal", err)
-		}
-		opts.Truncate = true
-		fs2, err := OpenFileStore(path, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fs2.Close()
-		if got := fs2.NumPages() + fs2.FreePages(); got != 0 {
-			t.Fatalf("%d pages after a truncating open, want 0", got)
-		}
-		if err := fs2.ReadPage(id, &page); err == nil {
-			t.Fatal("a previous process's page is readable after a truncating open")
-		}
-		// The first page of the new lifetime reuses the id and reads zero.
-		id2, err := fs2.Allocate()
-		if err != nil || id2 != id {
-			t.Fatalf("first Allocate = %d, %v; want %d", id2, err, id)
-		}
-		if err := fs2.ReadPage(id2, &page); err != nil || page != ([PageSize]byte{}) {
-			t.Fatalf("fresh page not zero (err %v)", err)
-		}
-	})
+	preadPath(t, testOpenFileStoreRefusesExistingFile)
 }
 
-func TestFileStoreMmapRemapOnGrow(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
-	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "pages.dat"), FileStoreOptions{Mmap: true})
+func testOpenFileStoreRefusesExistingFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.dat")
+	fs, err := OpenFileStore(path, FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fs.Close()
-	if !fs.MmapActive() {
-		t.Fatal("mmap requested but not active")
+	id, err := fs.Allocate()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Pages allocated after the initial mapping force remaps; every image
-	// must read back intact through the (re)mapped window.
-	var ids []PageID
-	for i := 0; i < 64; i++ {
-		id, err := fs.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var page [PageSize]byte
-		page[0], page[PageSize-1] = byte(i), byte(255-i)
-		if err := fs.WritePage(id, &page); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+	var page [PageSize]byte
+	copy(page[:], "left behind by a previous process")
+	if err := fs.WritePage(id, &page); err != nil {
+		t.Fatal(err)
 	}
-	for i, id := range ids {
-		var got [PageSize]byte
-		if err := fs.ReadPage(id, &got); err != nil {
-			t.Fatalf("read page %d: %v", id, err)
-		}
-		if got[0] != byte(i) || got[PageSize-1] != byte(255-i) {
-			t.Fatalf("page %d read back wrong image", id)
-		}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if fs.PhysicalReads() != int64(len(ids)) {
-		t.Fatalf("PhysicalReads = %d, want %d", fs.PhysicalReads(), len(ids))
+	if _, err := OpenFileStore(path, FileStoreOptions{}); err == nil || !strings.Contains(err.Error(), "not reopened") {
+		t.Fatalf("open over an existing page file = %v, want a refusal", err)
+	}
+	fs2, err := OpenFileStore(path, FileStoreOptions{Truncate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs2.Close()
+	if got := fs2.NumPages() + fs2.FreePages(); got != 0 {
+		t.Fatalf("%d pages after a truncating open, want 0", got)
+	}
+	if err := fs2.ReadPage(id, &page); err == nil {
+		t.Fatal("a previous process's page is readable after a truncating open")
+	}
+	// The first page of the new lifetime reuses the id and reads zero.
+	id2, err := fs2.Allocate()
+	if err != nil || id2 != id {
+		t.Fatalf("first Allocate = %d, %v; want %d", id2, err, id)
+	}
+	if err := fs2.ReadPage(id2, &page); err != nil || page != ([PageSize]byte{}) {
+		t.Fatalf("fresh page not zero (err %v)", err)
 	}
 }
 

@@ -114,11 +114,9 @@ type storeConfig struct {
 	retry      RetryPolicy
 	scrubEvery time.Duration
 
-	// mmapOn maps pages.dat read-only so page reads skip the pread syscall
-	// (see WithMmap); compactChain / compactBytes bound the delta-checkpoint
-	// chain before a background compaction folds it into a full snapshot
-	// (see WithCheckpointCompaction; 0 = unbounded).
-	mmapOn       bool
+	// compactChain / compactBytes bound the delta-checkpoint chain before a
+	// background compaction folds it into a full snapshot (see
+	// WithCheckpointCompaction; 0 = unbounded).
 	compactChain int
 	compactBytes int64
 }
@@ -172,12 +170,6 @@ func WithBufferPages(n int) Option { return func(c *storeConfig) { c.base.Buffer
 // execution time tracks I/O like a disk would; 0 (default) disables it.
 func WithDiskLatency(d time.Duration) Option {
 	return func(c *storeConfig) { c.base.DiskLatency = d }
-}
-
-// WithMaxUpdateInterval sets the guaranteed max time between an object's
-// updates, which sizes the Bx-tree's bucket rotation (default 120 ts).
-func WithMaxUpdateInterval(d float64) Option {
-	return func(c *storeConfig) { c.base.MaxUpdateInterval = d }
 }
 
 // WithVelocityPartitioning enables the VP technique with k DVA partitions
@@ -357,16 +349,6 @@ func WithRetryPolicy(p RetryPolicy) Option { return func(c *storeConfig) { c.ret
 // read trip over it. d <= 0 (the default) disables the scrubber; ScrubNow
 // remains the manual trigger. Only meaningful with WithDataDir.
 func WithScrubEvery(d time.Duration) Option { return func(c *storeConfig) { c.scrubEvery = d } }
-
-// WithMmap serves durable page reads from a read-only memory mapping of the
-// data file instead of pread: slot checksums are verified straight from the
-// mapping and the page is copied out with no syscall per read. Writes keep
-// going through pwrite + fsync (the shared mapping observes them), the
-// mapping is re-established when the file grows, and the Store silently
-// falls back to pread when the platform lacks mmap or a mapping attempt
-// fails — behavior is identical either way, only the syscall count differs.
-// Only meaningful with WithDataDir.
-func WithMmap() Option { return func(c *storeConfig) { c.mmapOn = true } }
 
 // WithCheckpointCompaction bounds a durable Store's delta-checkpoint chain:
 // when a checkpoint leaves more than maxChain delta files, or more than

@@ -10,8 +10,8 @@ import (
 
 // TestStoreRejectedWriteLeavesRecordIntact pins the hostile-input contract of
 // the ID-keyed write verbs in every partitioning state of the Store: a Report
-// or Update of a known ID that the index rejects (non-finite position or
-// velocity) must leave the old record exactly where it was — Get, a
+// of a known ID that the index rejects (non-finite position or velocity)
+// must leave the old record exactly where it was — Get, a
 // whole-domain Search and Len still show it — and the ID must stay writable:
 // a following good Report and a Remove succeed. (A rejected update that
 // deletes the old record and does not roll back wedges the ID: the table
@@ -97,10 +97,10 @@ func TestStoreRejectedWriteLeavesRecordIntact(t *testing.T) {
 					shows(store, "after rejected Report", victim)
 					infVel := victim
 					infVel.Vel = vpindex.V(victim.Vel.X, math.Inf(1))
-					if err := store.Update(victim, infVel); err == nil {
-						t.Fatal("Update with an infinite velocity accepted")
+					if err := store.Report(infVel); err == nil {
+						t.Fatal("Report with an infinite velocity accepted")
 					}
-					shows(store, "after rejected Update", victim)
+					shows(store, "after rejected infinite-velocity Report", victim)
 
 					moved := victim
 					moved.Pos = vpindex.V(victim.Pos.X/2, victim.Pos.Y/2)

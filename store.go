@@ -19,8 +19,8 @@ import (
 // package: one type that is plain or velocity-partitioned, TPR*- or
 // Bx-backed, depending only on the Options passed to Open.
 //
-// Unlike the raw index interface — where Delete and Update need the caller
-// to hand back the exact old record — the Store keeps an id→record table
+// Unlike a raw base index — where Delete and Update need the caller to hand
+// back the exact old record — the Store keeps an id→record table
 // (the partition manager's lookup table of Section 5.3), so clients speak in
 // production verbs: Report (insert-or-update by ID), Remove (by ID), Get,
 // ReportBatch. This is the operational shape of a live location service:
@@ -315,14 +315,6 @@ func (s *Store) byStripe(ids []ObjectID) [][]ObjectID {
 	return out
 }
 
-// Store satisfies the full index interface, so it drops into every API that
-// accepts one (monitors, benchmarks, the oracle tests).
-var (
-	_ model.Index      = (*Store)(nil)
-	_ model.KNNIndex   = (*Store)(nil)
-	_ monitor.Reporter = (*Store)(nil)
-)
-
 // Open builds a Store from functional options. Examples:
 //
 //	// Unpartitioned TPR*-tree with defaults (sharded across GOMAXPROCS).
@@ -395,9 +387,6 @@ func Open(opts ...Option) (*Store, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if !upfront {
-		mgr.SetName(cfg.base.Kind.String())
-	}
 	s.mgr = mgr
 	// Seed the recent-velocity rings from the upfront sample so a drift check
 	// (or manual Repartition) right after Open has a population to analyze.
@@ -455,7 +444,6 @@ func (s *Store) buildManager(an core.Analysis, pools *[]*storage.BufferPool) (*c
 	if err != nil {
 		return nil, err
 	}
-	mgr.SetName(s.cfg.base.Kind.String() + "(vp)")
 	return mgr, nil
 }
 
@@ -808,10 +796,10 @@ func (s *Store) noteReports(n int) {
 // maintenance hook instead.
 func (s *Store) Report(o Object) error { return s.reportOne(core.Upsert, o) }
 
-// reportOne is Report, Insert and Update, which differ only in the manager
-// verb: all three are logged as a plain report record, which replays as the
-// upsert that reproduces them, and a successful one then runs the maintenance
-// it triggered.
+// reportOne is Report and Insert, which differ only in the manager verb: both
+// are logged as a plain report record, which replays as the upsert that
+// reproduces them, and a successful one then runs the maintenance it
+// triggered.
 func (s *Store) reportOne(verb core.Verb, o Object) error {
 	w := s.writePool.Get().(*write)
 	err := s.logged(wal.TypeReport,
@@ -919,7 +907,7 @@ type write struct {
 	group  [1][]Object // the landed records, as wal.AppendReportBatch takes them
 }
 
-// applyOne is the in-memory half of Report, Insert, Update and Remove, which
+// applyOne is the in-memory half of Report, Insert and Remove, which
 // differ only in the manager verb.
 func (w *write) applyOne(verb core.Verb, o Object) error {
 	w.begin(verb == core.Remove)
@@ -1234,39 +1222,10 @@ func (s *Store) Pools() []*storage.BufferPool {
 	return append([]*storage.BufferPool(nil), s.pools...)
 }
 
-// Name implements model.Index.
-func (s *Store) Name() string {
-	s.mgrMu.RLock()
-	defer s.mgrMu.RUnlock()
-	return s.mgr.Name()
-}
-
-// IO implements model.Index (same counters as Stats).
-func (s *Store) IO() IOStats { return s.Stats().IOStats }
-
-// Insert implements model.Index with strict semantics: reporting an ID that
-// is already indexed returns ErrDuplicate. Application code should prefer
-// Report.
+// Insert is the strict-create verb: reporting an ID that is already indexed
+// returns ErrDuplicate. Application code should prefer Report, the upsert.
 func (s *Store) Insert(o Object) error {
 	// A successful Insert is logged as a plain report record: the ID was
 	// absent, so replaying it as an upsert reproduces the insert exactly.
 	return s.reportOne(core.InsertNew, o)
-}
-
-// Delete implements model.Index. Only the ID of o is consulted — the stored
-// record comes from the Store's own table.
-func (s *Store) Delete(o Object) error { return s.Remove(o.ID) }
-
-// Update implements model.Index. Only old.ID is consulted; the rest of the
-// old record comes from the table, so legacy delete+insert call sites keep
-// working without tracking server state.
-func (s *Store) Update(old, new Object) error {
-	if new.ID != old.ID {
-		return fmt.Errorf("vpindex: update changes object id %d -> %d", old.ID, new.ID)
-	}
-	// A successful Update is logged as a plain report record: the ID was
-	// present, so replaying it as an upsert reproduces the update exactly.
-	// Only new's fields are consulted past the ID check above: the old
-	// record comes from the manager's table.
-	return s.reportOne(core.Replace, new)
 }

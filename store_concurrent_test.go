@@ -484,7 +484,7 @@ func TestStoreConcurrentRepartitionOracle(t *testing.T) {
 
 // TestStoreMigrationAtomicityOracle is the test the manager's lock hierarchy
 // answers to. Every write migrates an object between partitions: flipper
-// goroutines Report or Update their own ids with the velocity cycling
+// goroutines Report their own ids with the velocity cycling
 // x-axis → y-axis → diagonal (dva0 → dva1 → outlier), batch writers send
 // batches in which one id occurs three times and another twice with a
 // different target partition each time, and churners Remove and Insert
@@ -579,11 +579,7 @@ func TestStoreMigrationAtomicityOracle(t *testing.T) {
 					switch {
 					case w < flippers: // every write turns the object: a migration
 						o := object(id, round*steps+i, now, rng)
-						if i%2 == 0 {
-							err = store.Report(o)
-						} else {
-							err = store.Update(mine[o.ID], o)
-						}
+						err = store.Report(o)
 						mine[o.ID] = o
 					case w < flippers+batchers: // duplicates inside one batch, a different partition each time
 						other := base + 1 + (id-base)%idsPer

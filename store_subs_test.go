@@ -1,9 +1,11 @@
 package vpindex_test
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,25 +14,7 @@ import (
 
 	vpindex "repro"
 	"repro/internal/model"
-	"repro/internal/monitor"
 )
-
-// bfReporter adapts the brute-force oracle index to the Reporter surface so
-// a legacy Monitor over it can mirror the Store's subscription engine.
-type bfReporter struct{ *model.BruteForce }
-
-func (r bfReporter) Report(o model.Object) error {
-	if _, ok := r.BruteForce.Get(o.ID); ok {
-		if err := r.BruteForce.Delete(model.Object{ID: o.ID}); err != nil {
-			return err
-		}
-	}
-	return r.BruteForce.Insert(o)
-}
-
-func (r bfReporter) Remove(id model.ObjectID) error {
-	return r.BruteForce.Delete(model.Object{ID: id})
-}
 
 // drainEvents empties the Store's event channel without blocking. The
 // oracle driver is single-threaded and every verb emits its batch before
@@ -81,15 +65,123 @@ func eventsEqual(t *testing.T, step int, verb string, got, want []vpindex.Monito
 	}
 }
 
+// subModel is the differential oracle's reference for Store subscriptions:
+// the objects, the subscriptions, one membership set per subscription and a
+// monotone clock. Every expected delta comes from the exact predicate over the
+// (subscription, object) pairs a verb can affect, so it shares no code with
+// the engine under test — no ResultSet, no filter, no index.
+type subModel struct {
+	objs    map[vpindex.ObjectID]vpindex.Object
+	subs    map[vpindex.SubscriptionID]vpindex.Subscription
+	members map[vpindex.SubscriptionID]map[vpindex.ObjectID]bool
+	nextID  vpindex.SubscriptionID
+	clock   float64
+}
+
+func newSubModel() *subModel {
+	return &subModel{
+		objs:    map[vpindex.ObjectID]vpindex.Object{},
+		subs:    map[vpindex.SubscriptionID]vpindex.Subscription{},
+		members: map[vpindex.SubscriptionID]map[vpindex.ObjectID]bool{},
+	}
+}
+
+func (m *subModel) advance(t float64) { m.clock = max(m.clock, t) }
+
+// eval re-tests one pair at now and appends the delta it causes, if any.
+func (m *subModel) eval(evs []vpindex.MonitorEvent, sub vpindex.SubscriptionID, o vpindex.Object, now float64) []vpindex.MonitorEvent {
+	in := model.Matches(o, m.subs[sub].QueryAt(now))
+	switch set := m.members[sub]; {
+	case in && !set[o.ID]:
+		set[o.ID] = true
+		return append(evs, vpindex.MonitorEvent{Sub: sub, ID: o.ID, Kind: vpindex.Enter, T: now})
+	case !in && set[o.ID]:
+		delete(set, o.ID)
+		return append(evs, vpindex.MonitorEvent{Sub: sub, ID: o.ID, Kind: vpindex.Leave, T: now})
+	}
+	return evs
+}
+
+// report lands records with distinct ids and evaluates each against every
+// subscription at one instant: the clock advanced to their largest time.
+func (m *subModel) report(objs ...vpindex.Object) []vpindex.MonitorEvent {
+	var evs []vpindex.MonitorEvent
+	for _, o := range objs {
+		m.advance(o.T)
+		m.objs[o.ID] = o
+	}
+	for sub := range m.subs {
+		for _, o := range objs {
+			evs = m.eval(evs, sub, o, m.clock)
+		}
+	}
+	return evs
+}
+
+// remove drops the object from every result set at the clock; false when the
+// id is unknown.
+func (m *subModel) remove(id vpindex.ObjectID) ([]vpindex.MonitorEvent, bool) {
+	if _, ok := m.objs[id]; !ok {
+		return nil, false
+	}
+	delete(m.objs, id)
+	var evs []vpindex.MonitorEvent
+	for sub, set := range m.members {
+		if set[id] {
+			delete(set, id)
+			evs = append(evs, vpindex.MonitorEvent{Sub: sub, ID: id, Kind: vpindex.Leave, T: m.clock})
+		}
+	}
+	return evs, true
+}
+
+// subscribe registers s under the next id and seeds it at now.
+func (m *subModel) subscribe(s vpindex.Subscription, now float64) (vpindex.SubscriptionID, []vpindex.MonitorEvent) {
+	m.advance(now)
+	m.nextID++
+	m.subs[m.nextID] = s
+	m.members[m.nextID] = map[vpindex.ObjectID]bool{}
+	return m.nextID, m.reevaluate(nil, m.nextID, now)
+}
+
+func (m *subModel) unsubscribe(id vpindex.SubscriptionID) {
+	delete(m.subs, id)
+	delete(m.members, id)
+}
+
+// refresh re-evaluates every (subscription, object) pair at now.
+func (m *subModel) refresh(now float64) []vpindex.MonitorEvent {
+	m.advance(now)
+	var evs []vpindex.MonitorEvent
+	for sub := range m.subs {
+		evs = m.reevaluate(evs, sub, now)
+	}
+	return evs
+}
+
+func (m *subModel) reevaluate(evs []vpindex.MonitorEvent, sub vpindex.SubscriptionID, now float64) []vpindex.MonitorEvent {
+	for _, o := range m.objs {
+		evs = m.eval(evs, sub, o, now)
+	}
+	return evs
+}
+
+func (m *subModel) results(id vpindex.SubscriptionID) []vpindex.ObjectID {
+	out := []vpindex.ObjectID{}
+	for oid := range m.members[id] {
+		out = append(out, oid)
+	}
+	return sortedIDs(out)
+}
+
 // TestStoreSubscriptionDifferentialOracle is the brute-force differential
 // oracle for Store-native subscriptions: a single-threaded random script of
 // reports, uniform-time batches, removes, subscribes, unsubscribes and
-// refreshes is mirrored into a BruteForce-backed legacy Monitor, and after
-// every step the Store's event stream (drained from Events()) must match
-// the monitor's returned deltas exactly, and all result sets must agree.
-// The whole run races a background goroutine firing manual repartition
-// swaps, so under -race this also proves the engine's evaluation state
-// survives epoch swaps untouched.
+// refreshes is mirrored into subModel, and after every step the Store's event
+// stream (drained from Events()) must match the model's deltas exactly, and
+// all result sets must agree. The whole run races a background goroutine
+// firing manual repartition swaps, so under -race this also proves the
+// engine's evaluation state survives epoch swaps untouched.
 func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 	store, err := vpindex.Open(
 		vpindex.WithKind(vpindex.Bx),
@@ -105,7 +197,7 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirror := monitor.New(bfReporter{model.NewBruteForce()})
+	mirror := newSubModel()
 	ch := store.Events()
 
 	// Background repartition swaps racing the whole script.
@@ -150,30 +242,29 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: results %d: %v", step, id, err)
 			}
-			want := mirror.Results(id)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
+			if want := mirror.results(id); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("step %d: sub %d result set %v vs oracle %v", step, id, got, want)
 			}
 		}
 	}
-
-	// Seed a few subscriptions before traffic.
-	for i := 0; i < 4; i++ {
+	subscribe := func(step int) {
 		s := newSub()
 		sid, seed, err := store.Subscribe(s, now)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("step %d subscribe: %v", step, err)
 		}
-		mid, mseed, err := mirror.Subscribe(s, now)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mid, mseed := mirror.subscribe(s, now)
 		if sid != mid {
-			t.Fatalf("subscription ids diverged: %d vs %d", sid, mid)
+			t.Fatalf("step %d: subscription ids diverged: %d vs %d", step, sid, mid)
 		}
 		live = append(live, sid)
-		eventsEqual(t, -i, "subscribe-seed", seed, mseed)
-		eventsEqual(t, -i, "subscribe-stream", drainEvents(ch), mseed)
+		eventsEqual(t, step, "subscribe-seed", seed, mseed)
+		eventsEqual(t, step, "subscribe-stream", drainEvents(ch), mseed)
+	}
+
+	// Seed a few subscriptions before traffic.
+	for i := 0; i < 4; i++ {
+		subscribe(-i)
 	}
 
 	for step := 0; step < 1200; step++ {
@@ -184,19 +275,14 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 			if err := store.Report(o); err != nil {
 				t.Fatalf("step %d report: %v", step, err)
 			}
-			mevs, err := mirror.ProcessReport(o)
-			if err != nil {
-				t.Fatalf("step %d mirror report: %v", step, err)
-			}
-			eventsEqual(t, step, "report", drainEvents(ch), mevs)
+			eventsEqual(t, step, "report", drainEvents(ch), mirror.report(o))
 		case r < 13: // uniform-time batch
 			batch := make([]vpindex.Object, 0, 12)
 			seen := map[vpindex.ObjectID]bool{}
 			for i := 0; i < 12; i++ {
 				o := object()
-				// One record per ID per batch keeps the mirror's
-				// per-report evaluation equivalent to the Store's
-				// batch-instant evaluation.
+				// One record per ID per batch: a batch evaluates each id's
+				// last record, and the model lands distinct ids.
 				if seen[o.ID] {
 					continue
 				}
@@ -206,42 +292,20 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 			if err := store.ReportBatch(batch); err != nil {
 				t.Fatalf("step %d batch: %v", step, err)
 			}
-			var mevs []vpindex.MonitorEvent
-			for _, o := range batch {
-				evs, err := mirror.ProcessReport(o)
-				if err != nil {
-					t.Fatalf("step %d mirror batch: %v", step, err)
-				}
-				mevs = append(mevs, evs...)
-			}
-			eventsEqual(t, step, "batch", drainEvents(ch), mevs)
+			eventsEqual(t, step, "batch", drainEvents(ch), mirror.report(batch...))
 		case r < 16: // remove
 			id := vpindex.ObjectID(1 + rng.Intn(250))
 			serr := store.Remove(id)
-			mevs, merr := mirror.ProcessRemove(id)
-			if (serr == nil) != (merr == nil) {
-				t.Fatalf("step %d remove %d: store err %v, oracle err %v", step, id, serr, merr)
+			mevs, known := mirror.remove(id)
+			if (serr == nil) != known {
+				t.Fatalf("step %d remove %d: store err %v, oracle knows the id: %v", step, id, serr, known)
 			}
 			if serr != nil && !errors.Is(serr, vpindex.ErrNotFound) {
 				t.Fatalf("step %d remove: %v", step, serr)
 			}
 			eventsEqual(t, step, "remove", drainEvents(ch), mevs)
 		case r < 17 && len(live) < 10: // subscribe
-			s := newSub()
-			sid, seed, err := store.Subscribe(s, now)
-			if err != nil {
-				t.Fatalf("step %d subscribe: %v", step, err)
-			}
-			mid, mseed, err := mirror.Subscribe(s, now)
-			if err != nil {
-				t.Fatalf("step %d mirror subscribe: %v", step, err)
-			}
-			if sid != mid {
-				t.Fatalf("step %d: subscription ids diverged: %d vs %d", step, sid, mid)
-			}
-			live = append(live, sid)
-			eventsEqual(t, step, "subscribe-seed", seed, mseed)
-			eventsEqual(t, step, "subscribe-stream", drainEvents(ch), mseed)
+			subscribe(step)
 		case r < 18 && len(live) > 2: // unsubscribe
 			i := rng.Intn(len(live))
 			id := live[i]
@@ -249,7 +313,7 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 			if err := store.Unsubscribe(id); err != nil {
 				t.Fatalf("step %d unsubscribe: %v", step, err)
 			}
-			mirror.Unsubscribe(id)
+			mirror.unsubscribe(id)
 			if evs := drainEvents(ch); len(evs) != 0 {
 				t.Fatalf("step %d: unsubscribe emitted %v", step, evs)
 			}
@@ -261,12 +325,9 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d refresh: %v", step, err)
 			}
-			mevs, err := mirror.Refresh(now)
-			if err != nil {
-				t.Fatalf("step %d mirror refresh: %v", step, err)
-			}
-			eventsEqual(t, step, "refresh", sevs, mevs)
+			mevs := mirror.refresh(now)
 			eventsEqual(t, step, "refresh-stream", drainEvents(ch), mevs)
+			eventsEqual(t, step, "refresh", sevs, mevs)
 		}
 		if step%100 == 99 {
 			checkResults(step)
@@ -284,13 +345,111 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mevs, err := mirror.Refresh(now)
+	eventsEqual(t, -1, "final refresh", sevs, mirror.refresh(now))
+	drainEvents(ch)
+	checkResults(-1)
+}
+
+// TestStoreEventDeterminism pins the event-ordering contract on the Store:
+// every emitting verb delivers its batch sorted by (Sub, ID, Kind), so two
+// identical runs produce identical event streams even though memberships
+// live in randomized-iteration Go maps spread over several stripes.
+func TestStoreEventDeterminism(t *testing.T) {
+	drive := func() []vpindex.MonitorEvent {
+		store, err := vpindex.Open(vpindex.WithShards(4), vpindex.WithEventBuffer(1<<12, vpindex.BlockOnFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := store.Events()
+		var log []vpindex.MonitorEvent
+		emitted := func(verb string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", verb, err)
+			}
+			evs := drainEvents(ch)
+			if !slices.IsSortedFunc(evs, func(a, b vpindex.MonitorEvent) int {
+				return cmp.Or(cmp.Compare(a.Sub, b.Sub), cmp.Compare(a.ID, b.ID), cmp.Compare(a.Kind, b.Kind))
+			}) {
+				t.Fatalf("%s batch not sorted: %v", verb, evs)
+			}
+			log = append(log, evs...)
+		}
+		// Three overlapping fences, so most objects produce several events
+		// per verb — the shuffled-order symptom needs multi-event batches.
+		for _, c := range []vpindex.Vec2{vpindex.V(500, 500), vpindex.V(520, 500), vpindex.V(500, 540)} {
+			_, _, err := store.Subscribe(vpindex.Subscription{Query: vpindex.SliceQuery(vpindex.Circle{C: c, R: 300}, 0, 0)}, 0)
+			emitted("subscribe", err)
+		}
+		rng := rand.New(rand.NewSource(31))
+		objs := make([]vpindex.Object, 40)
+		for i := range objs {
+			objs[i] = vpindex.Object{
+				ID:  vpindex.ObjectID(i + 1),
+				Pos: vpindex.V(rng.Float64()*1000, rng.Float64()*1000),
+				Vel: vpindex.V(rng.Float64()*20-10, rng.Float64()*20-10),
+			}
+		}
+		emitted("batch", store.ReportBatch(objs[:20]))
+		for _, o := range objs[20:] {
+			emitted("report", store.Report(o))
+		}
+		// Time passes: every membership is re-derived at once.
+		_, err = store.RefreshSubscriptions(30)
+		emitted("refresh", err)
+		// Move a third of the objects far away, then remove a quarter.
+		for i := 0; i < len(objs); i += 3 {
+			o := objs[i]
+			o.Pos, o.T = vpindex.V(5000, 5000), 30
+			emitted("re-report", store.Report(o))
+		}
+		for i := 1; i < len(objs); i += 4 {
+			emitted("remove", store.Remove(objs[i].ID))
+		}
+		_, err = store.RefreshSubscriptions(60)
+		emitted("refresh2", err)
+		return log
+	}
+	a, b := drive(), drive()
+	if len(a) == 0 {
+		t.Fatal("scenario emitted no events")
+	}
+	if !slices.Equal(a, b) {
+		t.Fatalf("event streams differ:\n%v\n%v", a, b)
+	}
+}
+
+// TestStoreRefreshCatchesTimeDrift: an object that never reports again
+// drifts out of a subscription's predicted region, and RefreshSubscriptions
+// — not a report — evicts it, stamped with the refresh time.
+func TestStoreRefreshCatchesTimeDrift(t *testing.T) {
+	store, err := vpindex.Open(vpindex.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eventsEqual(t, -1, "final refresh", sevs, mevs)
-	drainEvents(ch)
-	checkResults(-1)
+	// Inside the prediction at t=0 (predicted x=100), far past it by t=20
+	// (predicted x=300).
+	if err := store.Report(vpindex.Object{ID: 1, Pos: vpindex.V(0, 0), Vel: vpindex.V(10, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	sub := vpindex.Subscription{Query: vpindex.SliceQuery(vpindex.Circle{C: vpindex.V(100, 0), R: 20}, 0, 0), Horizon: 10}
+	id, seed, err := store.Subscribe(sub, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seed) != 1 || seed[0].Kind != vpindex.Enter {
+		t.Fatalf("seed: %v", seed)
+	}
+	evs, err := store.RefreshSubscriptions(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 1 || evs[0].Kind != vpindex.Leave || evs[0].ID != 1 || evs[0].T != 20 {
+		t.Fatalf("refresh events: %v", evs)
+	}
+	if got, err := store.SubscriptionResults(id); err != nil || len(got) != 0 {
+		t.Fatalf("drifted object still a member: %v, %v", got, err)
+	}
 }
 
 // TestStoreSubscribeValidation pins the up-front validation and typed
@@ -654,7 +813,7 @@ func TestSubscriptionConcurrentSameIDMembership(t *testing.T) {
 			if !ok {
 				t.Fatalf("round %d: object %d missing", round, id)
 			}
-			if want := monitor.MatchesAt(o, sub, now); in[id] != want {
+			if want := model.Matches(o, sub.QueryAt(now)); in[id] != want {
 				t.Fatalf("round %d: object %d member %v, but its record %+v matches: %v", round, id, in[id], o, want)
 			}
 		}

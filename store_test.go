@@ -12,7 +12,6 @@ import (
 
 	vpindex "repro"
 	"repro/internal/model"
-	"repro/internal/monitor"
 )
 
 // storeConfigs enumerates the Store configurations under test. The auto
@@ -376,9 +375,6 @@ func TestStoreTypedErrors(t *testing.T) {
 	if err := store.Remove(1); !errors.Is(err, vpindex.ErrNotFound) {
 		t.Fatalf("remove absent: %v", err)
 	}
-	if err := store.Update(o, o); !errors.Is(err, vpindex.ErrNotFound) {
-		t.Fatalf("update absent: %v", err)
-	}
 	if err := store.Insert(o); err != nil {
 		t.Fatal(err)
 	}
@@ -422,65 +418,6 @@ func TestStoreTypedErrors(t *testing.T) {
 	// Neither can an upfront sample with fewer points than partitions.
 	if _, err := vpindex.Open(vpindex.WithVelocityPartitioning(2), vpindex.WithVelocitySample([]vpindex.Vec2{{X: 1}})); err == nil {
 		t.Fatal("upfront sample below k accepted")
-	}
-}
-
-// TestStoreMonitorIntegration wraps a Store with the continuous-query layer
-// and drives it exclusively through the ID-keyed report verbs.
-func TestStoreMonitorIntegration(t *testing.T) {
-	store, err := vpindex.Open(
-		vpindex.WithVelocityPartitioning(2),
-		vpindex.WithVelocitySample(testSample(500, 4)),
-		vpindex.WithSeed(4),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := monitor.New(store)
-
-	// Watch a disk around (5000, 5000) with no prediction lookahead.
-	subID, seed, err := mon.Subscribe(vpindex.Subscription{
-		Query: vpindex.SliceQuery(vpindex.Circle{C: vpindex.V(5000, 5000), R: 1000}, 0, 0),
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seed) != 0 {
-		t.Fatalf("seed events on empty store: %v", seed)
-	}
-
-	// Report an object inside the fence: one Enter.
-	evs, err := mon.ProcessReport(vpindex.Object{ID: 1, Pos: vpindex.V(5100, 5000), Vel: vpindex.V(1, 0), T: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != vpindex.Enter || evs[0].Sub != subID {
-		t.Fatalf("enter events: %v", evs)
-	}
-	// Re-report it far away: one Leave.
-	evs, err = mon.ProcessReport(vpindex.Object{ID: 1, Pos: vpindex.V(15000, 15000), Vel: vpindex.V(1, 0), T: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != vpindex.Leave {
-		t.Fatalf("leave events: %v", evs)
-	}
-	// Report back inside, then remove: Enter then Leave.
-	if _, err := mon.ProcessReport(vpindex.Object{ID: 1, Pos: vpindex.V(4900, 5000), Vel: vpindex.V(0, 0), T: 2}); err != nil {
-		t.Fatal(err)
-	}
-	evs, err = mon.ProcessRemove(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != vpindex.Leave {
-		t.Fatalf("remove events: %v", evs)
-	}
-	if store.Len() != 0 {
-		t.Fatalf("store len after remove: %d", store.Len())
-	}
-	if _, err := mon.ProcessRemove(1); !errors.Is(err, vpindex.ErrNotFound) {
-		t.Fatalf("remove absent via monitor: %v", err)
 	}
 }
 

@@ -50,12 +50,11 @@ import (
 //
 // Every evaluation batch (one Report, one ReportBatch, one Refresh, one
 // Subscribe seed) emits its deltas as a single batch sorted by
-// Sub → ID → Kind — the same deterministic contract the monitor package
-// established. Batches from concurrent callers interleave in an
-// unspecified order. A RefreshSubscriptions or Subscribe seed applies a
-// query snapshot taken before it takes the stripes, so it must not overlap
-// reports of the objects it covers to be exact (the next evaluation of such
-// an object converges it).
+// Sub → ID → Kind (monitor.SortEvents). Batches from concurrent callers
+// interleave in an unspecified order. A RefreshSubscriptions or Subscribe
+// seed applies a query snapshot taken before it takes the stripes, so it
+// must not overlap reports of the objects it covers to be exact (the next
+// evaluation of such an object converges it).
 
 // BackpressurePolicy says what an event emission does when the Events()
 // channel buffer is full.
@@ -289,7 +288,7 @@ func (e *subEngine) refreshSub(id SubscriptionID, now float64) ([]MonitorEvent, 
 // membership history of every subscription.
 //
 // now advances the engine's evaluation clock (monotonically); the seed is
-// evaluated at now, like Monitor.Subscribe. A non-finite now is rejected with
+// evaluated at now. A non-finite now is rejected with
 // ErrInvalidQuery before anything is registered, logged or advanced.
 // Subsequent reports re-evaluate the subscription incrementally; call
 // RefreshSubscriptions periodically to catch objects drifting in or out of

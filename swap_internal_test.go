@@ -187,7 +187,7 @@ func TestSwapPartitionsFailureLeavesShardsServing(t *testing.T) {
 		o, _ := oracle.Get(id)
 		upd := o
 		upd.Pos, upd.T = o.PosAt(5), 5
-		if err := s.Update(o, upd); err != nil {
+		if err := s.Report(upd); err != nil {
 			t.Fatalf("update of %d after the failed swap: %v", id, err)
 		}
 		_ = oracle.Update(o, upd)

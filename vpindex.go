@@ -82,11 +82,13 @@
 //
 // # Storage
 //
-// All indexes store nodes on simulated 4 KB disk pages behind LRU buffer
-// pools (50 pages each by default) over one shared disk; the Store gives
-// every partition its own pool so page-cache hits on independent partitions
-// never contend on one pool mutex. Stats reports the buffer-pool misses
-// that the paper plots as "query I/O", aggregated across all pools.
+// All indexes store nodes on 4 KB pages behind LRU buffer pools over one
+// shared page store — simulated in memory, or the data directory's scratch
+// page file with WithDataDir. Every partition has its own pool of
+// WithBufferPages × WithShards frames (50 × shards by default), so page-cache
+// hits on independent partitions never contend on one pool mutex. Stats
+// reports the buffer-pool misses that the paper plots as "query I/O",
+// aggregated across all pools.
 package vpindex
 
 import (
@@ -194,9 +196,6 @@ type baseOptions struct {
 	// DiskLatency injects a delay per physical page access so execution
 	// time tracks I/O like a disk would; 0 (default) disables it.
 	DiskLatency time.Duration
-	// MaxUpdateInterval is the guaranteed max time between an object's
-	// updates (default 120 ts); it sizes the Bx-tree's bucket rotation.
-	MaxUpdateInterval float64
 }
 
 func (o baseOptions) withDefaults() baseOptions {
@@ -222,10 +221,7 @@ func buildBase(pool *storage.BufferPool, opts baseOptions, domain Rect, nameSuff
 		}
 		return t, nil
 	case Bx:
-		t, err := bxtree.NewTree(pool, bxtree.Config{
-			Domain:            domain,
-			MaxUpdateInterval: opts.MaxUpdateInterval,
-		})
+		t, err := bxtree.NewTree(pool, bxtree.Config{Domain: domain})
 		if err != nil {
 			return nil, err
 		}

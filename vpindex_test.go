@@ -31,7 +31,7 @@ func TestOpenDefaults(t *testing.T) {
 		if len(ids) != 1 || ids[0] != 1 {
 			t.Fatalf("%v: ids = %v", kind, ids)
 		}
-		if err := idx.Delete(o); err != nil {
+		if err := idx.Remove(o.ID); err != nil {
 			t.Fatal(err)
 		}
 		if idx.Len() != 0 {
@@ -102,9 +102,6 @@ func TestVPAnalysisExposed(t *testing.T) {
 	}
 	if n := len(idx.Partitions()); n != 3 {
 		t.Fatalf("partitions: %d", n)
-	}
-	if idx.Name() != "bx(vp)" {
-		t.Fatalf("name: %q", idx.Name())
 	}
 }
 
@@ -299,7 +296,7 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 						break
 					}
 					check(ev.T)
-					if err := idx.Update(ev.Old, ev.New); err != nil {
+					if err := idx.Report(ev.New); err != nil {
 						t.Fatalf("update at t=%g: %v", ev.T, err)
 					}
 					if err := oracle.Update(ev.Old, ev.New); err != nil {

@@ -34,7 +34,7 @@ func writerOpts(extra ...vpindex.Option) []vpindex.Option {
 
 // TestStoreConcurrentWritersDifferentialOracle is the write path's -race
 // differential oracle: N concurrent writers drive the store with a mixed
-// Report/Remove/Update/Insert stream while a maintenance goroutine forces
+// Report/Remove/Insert stream while a maintenance goroutine forces
 // repartition swaps under the load; each writer owns a disjoint ID range, so
 // replaying its interleaving through a brute-force shadow map is exact. The
 // final store state must equal the shadow, and — for the durable variant,
@@ -84,15 +84,6 @@ func TestStoreConcurrentWritersDifferentialOracle(t *testing.T) {
 						}
 						if err == nil {
 							delete(shadow[w], o.ID)
-						}
-					case i%23 == 17: // Update: strict not-found
-						err := store.Update(vpindex.Object{ID: o.ID}, o)
-						if err != nil && !errors.Is(err, vpindex.ErrNotFound) {
-							errs <- fmt.Errorf("writer %d update: %w", w, err)
-							return
-						}
-						if err == nil {
-							shadow[w][o.ID] = o
 						}
 					case i%23 == 5: // Insert: strict duplicate
 						err := store.Insert(o)
@@ -329,7 +320,7 @@ func TestPostCrashReportsRefused(t *testing.T) {
 }
 
 // TestLoggedVerbContract pins what the one write routine promises for each of
-// the eight logging verbs, on a durable store under SyncAlways: a rejected
+// the seven logging verbs, on a durable store under SyncAlways: a rejected
 // apply appends nothing; an acknowledged call appends exactly one record,
 // already durable when the call returns (a ReportBatch of which only a part
 // landed included, though it returns the rejected part's error); and a
@@ -369,13 +360,6 @@ func TestLoggedVerbContract(t *testing.T) {
 		{name: "Insert",
 			reject: func(s *vpindex.Store) error { return s.Insert(objs[0]) },
 			ok:     func(s *vpindex.Store) error { return s.Insert(objs[2]) }},
-		{name: "Update",
-			reject: func(s *vpindex.Store) error { return s.Update(objs[3], objs[3]) },
-			ok: func(s *vpindex.Store) error {
-				moved := objs[2]
-				moved.ID = 1
-				return s.Update(objs[0], moved)
-			}},
 		{name: "Remove",
 			reject: func(s *vpindex.Store) error { return s.Remove(9) },
 			ok:     func(s *vpindex.Store) error { return s.Remove(1) }},
