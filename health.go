@@ -21,11 +21,12 @@ import (
 // writes with ErrFailed.
 //
 // Classification happens at the write-verb exits via the error taxonomy of
-// internal/storage: transient faults are retried by the configured
-// RetryPolicy and never move the state machine; a persistent media fault
-// (permanent EIO, exhausted retries, a checksum failure) degrades; an
-// injected crash fails. The background scrubber (WithScrubEvery, ScrubNow)
-// degrades proactively when it finds latent corruption.
+// internal/storage: transient faults are retried with bounded exponential
+// backoff (4 attempts, 1ms base, 50ms cap) and never move the state
+// machine; a persistent media fault (permanent EIO, exhausted retries, a
+// checksum failure) degrades; an injected crash fails. The background
+// scrubber (WithScrubEvery, ScrubNow) degrades proactively when it finds
+// latent corruption.
 type Health int32
 
 const (

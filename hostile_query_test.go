@@ -3,6 +3,7 @@ package vpindex_test
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	vpindex "repro"
@@ -104,5 +105,57 @@ func TestStoreRejectsHostileSubscriptions(t *testing.T) {
 	if n := store.NumSubscriptions(); n != 1 || after.WALAppendedLSN != before.WALAppendedLSN {
 		t.Fatalf("rejected subscribes left %d subscriptions and moved the log %d -> %d",
 			n, before.WALAppendedLSN, after.WALAppendedLSN)
+	}
+}
+
+// TestOpenRejectsHostileOptions pins the option side of the hostile-input
+// contract: Open refuses the values that would hang or thrash a Store, and
+// RepartitionTo refuses what is not one of the three partitioners. A domain
+// with a non-finite coordinate made Bx kNN spin forever with every stripe
+// held (its search radius was NaN), a NaN drift threshold rebuilt the
+// partitions at every drift check, and an unknown objective silently ran DVA.
+func TestOpenRejectsHostileOptions(t *testing.T) {
+	coords := []string{"MinX", "MinY", "MaxX", "MaxY"}
+	for _, kind := range []vpindex.Kind{vpindex.TPRStar, vpindex.Bx} {
+		for i, coord := range coords {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				c := [4]float64{0, 0, 1000, 1000}
+				c[i] = v
+				d := vpindex.Rect{MinX: c[0], MinY: c[1], MaxX: c[2], MaxY: c[3]}
+				s, err := vpindex.Open(vpindex.WithKind(kind), vpindex.WithDomain(d))
+				if err == nil {
+					s.Close()
+					t.Errorf("%v: Open with domain %s = %v succeeded", kind, coord, v)
+				} else if !strings.Contains(err.Error(), coord) {
+					t.Errorf("%v: Open with domain %s = %v: error %q does not name the coordinate", kind, coord, v, err)
+				}
+			}
+		}
+	}
+
+	policy := vpindex.RepartitionPolicy{Every: 500, DriftThreshold: math.NaN()}
+	if s, err := vpindex.Open(vpindex.WithKind(vpindex.Bx), vpindex.WithAutoPartition(500), vpindex.WithRepartitionPolicy(policy)); err == nil {
+		s.Close()
+		t.Error("Open with a NaN drift threshold succeeded")
+	}
+
+	if s, err := vpindex.Open(vpindex.WithPartitioner(vpindex.PartitionObjective(9))); !errors.Is(err, vpindex.ErrUnsupported) {
+		if s != nil {
+			s.Close()
+		}
+		t.Errorf("Open with objective 9: %v, want ErrUnsupported", err)
+	}
+	s, err := vpindex.Open(vpindex.WithVelocitySample(axisSample(400, 0, 3)), vpindex.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, obj := range []vpindex.PartitionObjective{9, vpindex.ObjectiveAuto} {
+		if err := s.RepartitionTo(obj); !errors.Is(err, vpindex.ErrUnsupported) {
+			t.Errorf("RepartitionTo(%v) = %v, want ErrUnsupported", obj, err)
+		}
+		if an, _ := s.Analysis(); an.Kind != vpindex.ObjectiveDVA {
+			t.Errorf("RepartitionTo(%v) installed %v", obj, an.Kind)
+		}
 	}
 }

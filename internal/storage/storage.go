@@ -20,7 +20,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // PageSize is the simulated disk page size in bytes (Table 1: 4 KB).
@@ -46,14 +45,13 @@ type Disk = MemStore
 // store). Freed page ids are recycled by Allocate (most recently freed
 // first), so long-lived stores with index rebuild churn do not leak ids.
 type MemStore struct {
-	mu      sync.Mutex
-	pages   map[PageID][]byte
-	free    []PageID // LIFO recycle stack of freed ids
-	nextID  uint64
-	closed  atomic.Bool
-	reads   atomic.Int64
-	writes  atomic.Int64
-	latency atomic.Int64 // injected ns per successful physical access
+	mu     sync.Mutex
+	pages  map[PageID][]byte
+	free   []PageID // LIFO recycle stack of freed ids
+	nextID uint64
+	closed atomic.Bool
+	reads  atomic.Int64
+	writes atomic.Int64
 }
 
 // errMemClosed builds the after-Close error for op; it unwraps to
@@ -69,10 +67,6 @@ func NewMemStore() *MemStore {
 
 // NewDisk returns an empty in-memory page store (historical name).
 func NewDisk() *MemStore { return NewMemStore() }
-
-// SetLatency injects an artificial delay per successful physical read/write.
-// Zero (default) disables it. Safe to call while the store is in use.
-func (d *MemStore) SetLatency(l time.Duration) { d.latency.Store(int64(l)) }
 
 // Allocate reserves a page id, recycling the most recently freed id if any.
 // The page contents start zeroed.
@@ -110,9 +104,9 @@ func (d *MemStore) Free(id PageID) error {
 	return nil
 }
 
-// ReadPage copies the page image into dst. The physical-read counter and the
-// injected latency apply only to successful accesses: a read of an
-// unallocated page fails fast and is not an I/O.
+// ReadPage copies the page image into dst. The physical-read counter counts
+// only successful accesses: a read of an unallocated page fails fast and is
+// not an I/O.
 func (d *MemStore) ReadPage(id PageID, dst *[PageSize]byte) error {
 	if d.closed.Load() {
 		return errMemClosed("read")
@@ -126,15 +120,12 @@ func (d *MemStore) ReadPage(id PageID, dst *[PageSize]byte) error {
 	if !ok {
 		return fmt.Errorf("storage: read of unallocated page %d", id)
 	}
-	if l := d.latency.Load(); l > 0 {
-		time.Sleep(time.Duration(l))
-	}
 	d.reads.Add(1)
 	return nil
 }
 
-// WritePage stores the page image. Counting and latency follow the same rule
-// as ReadPage: only successful accesses are I/O.
+// WritePage stores the page image. Counting follows the same rule as
+// ReadPage: only successful accesses are I/O.
 func (d *MemStore) WritePage(id PageID, src *[PageSize]byte) error {
 	if d.closed.Load() {
 		return errMemClosed("write")
@@ -147,9 +138,6 @@ func (d *MemStore) WritePage(id PageID, src *[PageSize]byte) error {
 	d.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("storage: write of unallocated page %d", id)
-	}
-	if l := d.latency.Load(); l > 0 {
-		time.Sleep(time.Duration(l))
 	}
 	d.writes.Add(1)
 	return nil

@@ -1,6 +1,8 @@
 package vpindex
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -10,7 +12,7 @@ import (
 )
 
 // PartitionObjective selects a partitioning objective for a
-// velocity-partitioned Store (see WithPartitioner / WithPartitionerAuto).
+// velocity-partitioned Store (see WithPartitioner).
 type PartitionObjective = core.PartitionerKind
 
 const (
@@ -24,6 +26,9 @@ const (
 	// ObjectiveNone keeps a single unpartitioned index inside the
 	// partition machinery — the baseline the auto chooser can fall back to.
 	ObjectiveNone = core.KindNone
+	// ObjectiveAuto is not an objective but the cost-driven chooser among
+	// the three: see WithPartitioner. No analysis carries it.
+	ObjectiveAuto PartitionObjective = 255
 )
 
 // DefaultAutoPartitionSample is the bootstrap sample size used when velocity
@@ -65,7 +70,10 @@ type RepartitionPolicy struct {
 type Option func(*storeConfig)
 
 // storeConfig is the resolved configuration behind Open's functional
-// options.
+// options. tauRefresh, searchPar, walSegBytes and retry have no option: the
+// package's tests set them through seams in export_test.go, and a production
+// Store runs their zero values (no tau refresh, GOMAXPROCS query workers,
+// 4 MiB log segments, the storage retry defaults).
 type storeConfig struct {
 	base baseOptions
 
@@ -78,20 +86,18 @@ type storeConfig struct {
 	tauRefresh int
 	seed       int64
 
-	// objective is the fixed partitioning objective (default ObjectiveDVA);
-	// objectiveSet marks that WithPartitioner was given (which alone enables
-	// velocity partitioning); autoObjective turns on the cost-driven chooser.
-	objective     PartitionObjective
-	objectiveSet  bool
-	autoObjective bool
+	// objective is the partitioning objective (default ObjectiveDVA;
+	// ObjectiveAuto runs the chooser); objectiveSet marks that
+	// WithPartitioner was given, which alone enables velocity partitioning.
+	objective    PartitionObjective
+	objectiveSet bool
 
 	// repart is the adaptive repartitioning policy; maintHook observes
 	// maintenance outcomes (the bootstrap, drift checks, swaps).
 	repart    RepartitionPolicy
 	maintHook func(MaintenanceEvent)
 
-	// shards is the ObjectID-hash stripe count (normalized to >= 1);
-	// searchPar bounds the query fan-out worker pools (0 = GOMAXPROCS).
+	// shards is the ObjectID-hash stripe count (normalized to >= 1).
 	shards    int
 	searchPar int
 
@@ -108,10 +114,9 @@ type storeConfig struct {
 	walSegBytes int64
 	injector    *FaultInjector
 
-	// retry bounds the transient-fault retry loops in the buffer pools and
-	// the WAL (the zero value takes the storage defaults); scrubEvery is the
-	// background integrity scrubber's cadence (0 disables it).
-	retry      RetryPolicy
+	// scrubEvery is the background integrity scrubber's cadence (0
+	// disables it).
+	retry      storage.RetryPolicy
 	scrubEvery time.Duration
 
 	// compactChain / compactBytes bound the delta-checkpoint chain before a
@@ -166,12 +171,6 @@ func WithDomain(r Rect) Option { return func(c *storeConfig) { c.base.Domain = r
 // left to a change that may re-base the benchmark's settings.)
 func WithBufferPages(n int) Option { return func(c *storeConfig) { c.base.BufferPages = n } }
 
-// WithDiskLatency injects a delay per simulated physical page access so
-// execution time tracks I/O like a disk would; 0 (default) disables it.
-func WithDiskLatency(d time.Duration) Option {
-	return func(c *storeConfig) { c.base.DiskLatency = d }
-}
-
 // WithVelocityPartitioning enables the VP technique with k DVA partitions
 // (plus the outlier partition). k <= 0 keeps the paper's default of 2 ("most
 // road networks have two dominant traffic directions"). Unless
@@ -211,32 +210,22 @@ func WithAutoPartition(n int) Option {
 	}
 }
 
-// WithPartitioner fixes the partitioning objective: every analysis — the
+// WithPartitioner sets the partitioning objective: every analysis — the
 // bootstrap, drift checks, manual Repartition — runs that objective's
 // partitioner. Implies velocity partitioning (the partition count comes
 // from WithVelocityPartitioning, default 2: k DVA partitions plus the
 // outlier index, or k speed bands). The default objective is ObjectiveDVA,
 // the paper's technique; ObjectiveNone runs the partition machinery with a
-// single unpartitioned index.
+// single unpartitioned index. ObjectiveAuto runs every candidate partitioner
+// — DVA, speed bands, none — over the velocity sample, scores each against
+// the recent query-shape log with the enlargement cost model (see
+// core.EstimateCost), and installs the cheapest, with a 10% preference for
+// the live objective so near-ties cannot flap the partitions. Open rejects
+// any other value with ErrUnsupported.
 func WithPartitioner(obj PartitionObjective) Option {
 	return func(c *storeConfig) {
 		c.objective = obj
 		c.objectiveSet = true
-		c.autoObjective = false
-	}
-}
-
-// WithPartitionerAuto enables the cost-driven objective chooser: each
-// analysis (bootstrap, drift checks, manual Repartition) runs every
-// candidate partitioner — DVA, speed bands, none — over the velocity
-// sample, scores each candidate against the recent query-shape log with
-// the enlargement cost model (see core.EstimateCost), and installs the
-// cheapest, with a 10% preference for the live objective so near-ties
-// cannot flap the partitions. Implies velocity partitioning.
-func WithPartitionerAuto() Option {
-	return func(c *storeConfig) {
-		c.objectiveSet = true
-		c.autoObjective = true
 	}
 }
 
@@ -271,14 +260,6 @@ func WithMaintenanceHook(h func(MaintenanceEvent)) Option {
 // not by n (see the Store type docs). n <= 0 (the default) uses GOMAXPROCS. n
 // also scales the cache, see WithBufferPages.
 func WithShards(n int) Option { return func(c *storeConfig) { c.shards = n } }
-
-// WithSearchParallelism bounds the worker pool that fans a query (Search,
-// SearchKNN) out across the velocity partitions. 0 (the default) uses
-// GOMAXPROCS; 1 forces the strictly sequential probe order, which is the
-// baseline the parallel path is tested byte-identical against. It does not
-// affect ReportBatch's partition-parallel apply, which is always bounded by
-// GOMAXPROCS.
-func WithSearchParallelism(n int) Option { return func(c *storeConfig) { c.searchPar = n } }
 
 // WithEventBuffer configures the Store's subscription event stream (see
 // Store.Events): n is the channel buffer capacity (n <= 0 takes
@@ -317,13 +298,6 @@ func WithCheckpointEvery(n int) Option {
 	return func(c *storeConfig) { c.ckptEvery = int64(n) }
 }
 
-// WithWALSegmentBytes sets the log segment rotation size (default 4 MiB).
-// Smaller segments mean finer-grained reclamation after checkpoints; tests
-// use tiny segments to exercise rotation. Only meaningful with WithDataDir.
-func WithWALSegmentBytes(n int64) Option {
-	return func(c *storeConfig) { c.walSegBytes = n }
-}
-
 // WithFaultInjector wires a crash simulator into the durable Store's data
 // file and log: at the injector's chosen sync point the fsync fails and all
 // later file writes are refused, modeling kill -9 where everything already
@@ -332,15 +306,6 @@ func WithWALSegmentBytes(n int64) Option {
 func WithFaultInjector(fi *FaultInjector) Option {
 	return func(c *storeConfig) { c.injector = fi }
 }
-
-// WithRetryPolicy bounds the exponential-backoff loop that retries
-// transient storage faults (intermittent EIO, failed fsyncs) under every
-// physical page access and log append before the error ever reaches a Store
-// verb: MaxAttempts total tries, delays doubling from BaseDelay up to
-// MaxDelay. Zero fields take the defaults (4 attempts, 1ms base, 50ms cap).
-// Permanent faults and checksum failures are never retried — they degrade
-// the store instead (see Store.Health).
-func WithRetryPolicy(p RetryPolicy) Option { return func(c *storeConfig) { c.retry = p } }
 
 // WithScrubEvery starts a background scrubber on a durable Store: every d it
 // checksum-verifies each live page of the page file and re-scans the sealed
@@ -364,16 +329,32 @@ func WithCheckpointCompaction(maxChain int, maxBytes int64) Option {
 	}
 }
 
-// WithTauRefreshInterval recomputes each partition's outlier threshold after
-// this many routed inserts (Section 5.5); 0 (default) disables refresh.
-func WithTauRefreshInterval(n int) Option { return func(c *storeConfig) { c.tauRefresh = n } }
-
 // WithSeed makes the DVA analysis' clustering deterministic.
 func WithSeed(seed int64) Option { return func(c *storeConfig) { c.seed = seed } }
 
 // vpEnabled reports whether any option asked for velocity partitioning.
 func (c *storeConfig) vpEnabled() bool {
 	return c.k > 0 || len(c.sample) > 0 || c.autoN > 0 || c.objectiveSet
+}
+
+// validate rejects the option values that would hang or thrash the Store: a
+// domain with a non-finite coordinate (the Bx kNN radius never converges), a
+// NaN drift threshold (every drift check would rebuild the partitions), and
+// an objective that is neither a partitioner nor ObjectiveAuto.
+func (c *storeConfig) validate() error {
+	d := c.base.Domain
+	for i, v := range [4]float64{d.MinX, d.MinY, d.MaxX, d.MaxY} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("vpindex: domain %s is %v, want a finite coordinate", [4]string{"MinX", "MinY", "MaxX", "MaxY"}[i], v)
+		}
+	}
+	if math.IsNaN(c.repart.DriftThreshold) {
+		return fmt.Errorf("vpindex: repartition drift threshold is NaN")
+	}
+	if c.objective != ObjectiveAuto && !knownObjective(c.objective) {
+		return fmt.Errorf("vpindex: unknown partitioning objective %v: %w", c.objective, ErrUnsupported)
+	}
+	return nil
 }
 
 // normalize fills defaults and reconciles the VP trio.

@@ -155,7 +155,7 @@ func TestStoreFixedObjectives(t *testing.T) {
 	}
 }
 
-// TestStoreAutoObjectiveChooser pins WithPartitionerAuto: on an axis-bundle
+// TestStoreAutoObjectiveChooser pins WithPartitioner(ObjectiveAuto): on an axis-bundle
 // workload the chooser installs DVA partitions, on an isotropic speed
 // mixture it installs speed bands, and the query-shape log feeds it real
 // workload evidence.
@@ -167,7 +167,7 @@ func TestStoreAutoObjectiveChooser(t *testing.T) {
 			vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
 			vpindex.WithBufferPages(30),
 			vpindex.WithShards(2),
-			vpindex.WithPartitionerAuto(),
+			vpindex.WithPartitioner(vpindex.ObjectiveAuto),
 			vpindex.WithVelocitySample(sample),
 			vpindex.WithSeed(5),
 		)

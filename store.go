@@ -336,6 +336,9 @@ func Open(opts ...Option) (*Store, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg.normalize()
 	if cfg.autoN > 0 && cfg.autoN < cfg.k {
 		return nil, fmt.Errorf("vpindex: auto-partition sample of %d cannot form %d partitions", cfg.autoN, cfg.k)
@@ -347,9 +350,7 @@ func Open(opts ...Option) (*Store, error) {
 			return nil, err
 		}
 	} else {
-		ms := storage.NewMemStore()
-		ms.SetLatency(cfg.base.DiskLatency)
-		s.disk = ms
+		s.disk = storage.NewMemStore()
 	}
 	fail := func(err error) (*Store, error) {
 		s.closeFiles()
@@ -450,7 +451,13 @@ func (s *Store) buildManager(an core.Analysis, pools *[]*storage.BufferPool) (*c
 // defaultQueryLogSize is the capacity of the query-shape log.
 const defaultQueryLogSize = 1024
 
-// partitionerFor builds the configured Partitioner for one objective.
+// knownObjective reports whether obj names one of the three partitioners.
+func knownObjective(obj PartitionObjective) bool {
+	return obj == ObjectiveDVA || obj == ObjectiveSpeed || obj == ObjectiveNone
+}
+
+// partitionerFor builds the configured Partitioner for one known objective
+// (Open and RepartitionTo reject the rest).
 func (s *Store) partitionerFor(obj PartitionObjective) core.Partitioner {
 	switch obj {
 	case ObjectiveSpeed:
@@ -483,8 +490,8 @@ func (s *Store) costQueries() []core.QueryShape {
 // chooseAnalysis picks the analysis the next partition epoch is built from.
 // forced pins one objective (RepartitionTo); otherwise a fixed objective
 // (WithPartitioner) analyzes with that partitioner only, and the auto
-// chooser (WithPartitionerAuto) runs every candidate partitioner over the
-// sample, scores each result against the recent query-shape log with
+// chooser (WithPartitioner(ObjectiveAuto)) runs every candidate partitioner
+// over the sample, scores each result against the recent query-shape log with
 // core.EstimateCost, and takes the cheapest — with a 10% preference for the
 // live objective so cost-model noise near a tie cannot flap the partitions
 // between objectives on every drift check.
@@ -496,7 +503,7 @@ func (s *Store) chooseAnalysis(sample []Vec2, forced *PartitionObjective) (core.
 		}
 		return an, nil
 	}
-	if !s.cfg.autoObjective {
+	if s.cfg.objective != ObjectiveAuto {
 		an, err := s.partitionerFor(s.cfg.objective).Analyze(sample)
 		if err != nil {
 			return core.Analysis{}, fmt.Errorf("vpindex: velocity analysis: %w", err)
@@ -606,7 +613,7 @@ func (s *Store) LastMaintenanceError() error {
 
 // driftCheck is the automatic repartition probe launched by the policy
 // cadence: re-analyze the recent-velocity reservoir off the write path —
-// under WithPartitionerAuto, evaluating every candidate objective against
+// under ObjectiveAuto, evaluating every candidate objective against
 // the recent query log — and rebuild the partitions when the live set
 // drifted past the threshold or a different objective won. At most one
 // maintenance action runs at a time; a probe that finds one in flight
@@ -643,8 +650,14 @@ func (s *Store) Repartition() error {
 // objective, and the auto chooser's cost ranking — the operational override
 // for pinning an objective on a live store (and the lever the cross-
 // objective swap tests drive). Like Repartition it requires the Store to be
-// partitioned already and records its outcome as a maintenance action.
+// partitioned already and records its outcome as a maintenance action. obj
+// must be ObjectiveDVA, ObjectiveSpeed or ObjectiveNone; anything else —
+// ObjectiveAuto too, which Repartition runs when configured — is refused with
+// ErrUnsupported before any maintenance starts.
 func (s *Store) RepartitionTo(obj PartitionObjective) error {
+	if !knownObjective(obj) {
+		return fmt.Errorf("vpindex: repartition to objective %v: %w", obj, ErrUnsupported)
+	}
 	s.maintMu.Lock()
 	ev := s.repartitionRound(true, &obj)
 	s.recordMaintenance(ev)
@@ -1074,14 +1087,6 @@ func (s *Store) observeQueryShape(q core.QueryShape) {
 	s.qmu.Unlock()
 }
 
-// QueryLogSize reports how many query shapes the partitioning cost model
-// currently has as workload evidence (0 when velocity partitioning is off).
-func (s *Store) QueryLogSize() int {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	return len(s.qlog)
-}
-
 // Search answers a predictive range query, identically in unpartitioned and
 // partitioned configurations and during a swap. The query is validated here,
 // once; the manager probes its k+1 partition indexes and merges their buffers
@@ -1132,9 +1137,6 @@ func (s *Store) Len() int {
 	defer s.mgrMu.RUnlock()
 	return s.mgr.Len()
 }
-
-// NumShards returns the Store's stripe count (WithShards).
-func (s *Store) NumShards() int { return len(s.stripes) }
 
 // Partitioned reports whether the Store's manager was built from a velocity
 // analysis (immediately true with an upfront sample; flips true when the

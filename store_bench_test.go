@@ -5,7 +5,10 @@
 //
 // The index structures are the same k+1 on both sides of the axis; shards=1
 // serializes the id-keyed table work, shards=N is the GOMAXPROCS default.
-// These are for measuring while you work; the record is benchmark/run.sh.
+// Every page lives in the in-memory page store, so the time is CPU and lock
+// work, as in benchmark/run.sh; page I/O shows as buffer-pool misses, the
+// paper's metric. These are for measuring while you work; the record is
+// benchmark/run.sh.
 package vpindex_test
 
 import (
@@ -14,20 +17,12 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	vpindex "repro"
 )
 
 // benchStoreObjects is the live population the Store benchmarks run over.
 const benchStoreObjects = 20000
-
-// benchDiskLatency injects the simulated per-page-access delay. The Store's
-// performance model is disk-bound (every structure lives on simulated 4 KB
-// pages; the paper's metric is page I/O), so the scaling win is overlapping
-// those waits: writers whose records live in different partitions sleep on
-// their misses side by side. 20µs is a fast-SSD-class page cost.
-const benchDiskLatency = 20 * time.Microsecond
 
 // benchTotalPages is the aggregate page-cache budget, held constant across
 // the shard axis so the comparison isolates lock overlap instead of also
@@ -73,7 +68,6 @@ func newBenchStore(b *testing.B, shards int, objs []vpindex.Object, extra ...vpi
 		vpindex.WithKind(vpindex.Bx),
 		vpindex.WithShards(shards),
 		vpindex.WithBufferPages(max(benchTotalPages/(pools*shards), 1)),
-		vpindex.WithDiskLatency(benchDiskLatency),
 		vpindex.WithVelocityPartitioning(2),
 		vpindex.WithVelocitySample(sample),
 		vpindex.WithSeed(1),
@@ -152,15 +146,14 @@ func BenchmarkStoreReport(b *testing.B) {
 }
 
 // BenchmarkStoreIngestAllocs pins allocations per Report on the write path.
-// Disk latency is zeroed so the measurement is pure CPU + allocator work: the
-// one write routine must not allocate per-record closures or encode buffers
+// The measurement is pure CPU + allocator work: the one write routine must not allocate per-record closures or encode buffers
 // (pooled WAL encode buffers). The durable axis uses SyncNone so fsync stalls
 // don't drown the numbers.
 func BenchmarkStoreIngestAllocs(b *testing.B) {
 	objs := randomObjects(benchStoreObjects, 10)
 	for _, durable := range []bool{false, true} {
 		b.Run(fmt.Sprintf("durable=%v", durable), func(b *testing.B) {
-			extra := []vpindex.Option{vpindex.WithDiskLatency(0)}
+			var extra []vpindex.Option
 			if durable {
 				extra = append(extra,
 					vpindex.WithDataDir(b.TempDir()),
@@ -212,8 +205,8 @@ func BenchmarkStoreSearch(b *testing.B) {
 
 // BenchmarkStoreSearchKNN is one SearchKNN(k=10) per iteration from a single
 // caller, with every index page cached and with a cache a tenth of the index
-// (20,000 objects are about 480 pages over three pools); no disk latency, so
-// the time is the engine's own. pages/op is pool accesses (hits + misses) per
+// (20,000 objects are about 480 pages over three pools); the time is the
+// engine's own. pages/op is pool accesses (hits + misses) per
 // query: the count the partition bound shrinks.
 func BenchmarkStoreSearchKNN(b *testing.B) {
 	objs := randomObjects(benchStoreObjects, 11)
@@ -222,7 +215,7 @@ func BenchmarkStoreSearchKNN(b *testing.B) {
 		pages int
 	}{{"cached", 1024}, {"cache=10%", 16}} {
 		b.Run(c.name, func(b *testing.B) {
-			store := newBenchStore(b, 1, objs, vpindex.WithDiskLatency(0), vpindex.WithBufferPages(c.pages))
+			store := newBenchStore(b, 1, objs, vpindex.WithBufferPages(c.pages))
 			rng := rand.New(rand.NewSource(1))
 			before := store.Stats()
 			b.ReportAllocs()

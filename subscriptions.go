@@ -520,16 +520,3 @@ func (s *Store) DroppedEvents() int64 {
 	}
 	return e.dropped.Load()
 }
-
-// SubscriptionFilterClasses reports how many velocity classes the coarse
-// subscription filter currently maintains (the DVA classes of the live
-// partition epoch plus the isotropic catch-all), for instrumentation.
-func (s *Store) SubscriptionFilterClasses() int {
-	e := s.subEng.Load()
-	if e == nil {
-		return 0
-	}
-	e.regMu.RLock()
-	defer e.regMu.RUnlock()
-	return e.filter.NumClasses()
-}

@@ -75,9 +75,9 @@
 // recent-velocity ring, the subscription memberships — so a write updates all
 // of it in one critical section, then locks only the one or two partitions it
 // touches, and writes to different partitions run in parallel. A query probes
-// the k+1 partitions with a bounded worker pool (WithSearchParallelism) whose
-// merged results are byte-identical to the sequential probe order, and sees
-// one instant of the whole Store. The full lock order is written once, on
+// the k+1 partitions with a worker pool of GOMAXPROCS goroutines whose merged
+// results are byte-identical to the sequential probe order, and sees one
+// instant of the whole Store. The full lock order is written once, on
 // Store.
 //
 // # Storage
@@ -93,7 +93,6 @@ package vpindex
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bxtree"
 	"repro/internal/geom"
@@ -193,9 +192,6 @@ type baseOptions struct {
 	Domain Rect
 	// BufferPages sizes each LRU buffer pool (default 50, Table 1).
 	BufferPages int
-	// DiskLatency injects a delay per physical page access so execution
-	// time tracks I/O like a disk would; 0 (default) disables it.
-	DiskLatency time.Duration
 }
 
 func (o baseOptions) withDefaults() baseOptions {
