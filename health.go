@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // Health is the Store's fault-tolerance state. Transitions are one-way:
@@ -181,32 +182,40 @@ func (s *Store) ScrubNow() error {
 }
 
 // scrubOnce verifies every live page and the sealed log segments once,
-// recording the pass and degrading on corruption.
+// recording the pass and degrading on corruption. Only a checksum mismatch
+// counts as corruption; any other error is classified like a verb's, by
+// noteIOFault.
 func (s *Store) scrubOnce() error {
 	d := s.dur
 	var (
-		first   error
-		corrupt int64
+		first, firstCorrupt error
+		corrupt             int64
 	)
-	live := d.fstore.LivePages()
-	for _, id := range live {
-		if err := d.fstore.VerifyPage(id); err != nil {
-			corrupt++
-			if first == nil {
-				first = err
-			}
+	note := func(err error) {
+		if err == nil {
+			return
 		}
-	}
-	if err := d.wal.Verify(); err != nil {
-		corrupt++
 		if first == nil {
 			first = err
 		}
+		if !errors.Is(err, storage.ErrCorruptPage) && !errors.Is(err, wal.ErrCorrupt) {
+			s.noteIOFault(err)
+			return
+		}
+		corrupt++
+		if firstCorrupt == nil {
+			firstCorrupt = err
+		}
 	}
+	live := d.fstore.LivePages()
+	for _, id := range live {
+		note(d.fstore.VerifyPage(id))
+	}
+	note(d.wal.Verify())
 	d.scrubPasses.Add(1)
 	if corrupt > 0 {
 		d.scrubCorrupt.Add(corrupt)
-		s.degrade("scrub found corruption", first)
+		s.degrade("scrub found corruption", firstCorrupt)
 	}
 	ev := MaintenanceEvent{Op: MaintScrub, Err: first, SampleSize: len(live)}
 	s.recordMaintenance(ev)

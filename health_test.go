@@ -233,6 +233,59 @@ func TestBackgroundScrubberDegrades(t *testing.T) {
 	}
 }
 
+// TestScrubRacingCheckpointStaysHealthy runs scrubs back to back while
+// checkpoints reclaim WAL segments. A segment the scrub listed can vanish
+// before it is read; that is reclamation, not corruption, and must leave a
+// healthy store healthy.
+func TestScrubRacingCheckpointStaysHealthy(t *testing.T) {
+	store, err := vpindex.Open(
+		vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
+		vpindex.WithDataDir(t.TempDir()),
+		vpindex.WithSyncPolicy(vpindex.SyncNone()),
+		vpindex.WithWALSegmentBytes(4096),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := store.ScrubNow(); err != nil {
+				t.Errorf("scrub: %v", err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	rng := rand.New(rand.NewSource(6))
+	for i := 1; i <= 20000; i++ {
+		if err := store.Report(testObject(i, rng)); err != nil {
+			t.Fatal(err)
+		}
+		if i%200 == 0 {
+			if err := store.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := store.Health(); got != vpindex.HealthHealthy {
+		st, _ := store.DurabilityStats()
+		t.Fatalf("Health = %v (%s), want healthy", got, st.HealthReason)
+	}
+}
+
 func TestScrubNowNonDurable(t *testing.T) {
 	store, err := vpindex.Open()
 	if err != nil {

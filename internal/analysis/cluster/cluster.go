@@ -37,23 +37,15 @@ type CentroidCluster struct {
 	Members  []int
 }
 
-// Options controls the iteration bounds shared by both algorithms.
-type Options struct {
-	MaxIter  int   // cap on reassignment rounds (default 100)
-	Restarts int   // extra random restarts, best objective wins (default 2)
-	Seed     int64 // RNG seed for the random initial assignment
-}
+// The iteration bounds shared by both algorithms.
+const (
+	maxIter  = 100 // cap on reassignment rounds
+	restarts = 2   // extra random restarts of KMeansAxes, best objective wins
+)
 
-func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
-	if o.Restarts < 0 {
-		o.Restarts = 0
-	} else if o.Restarts == 0 {
-		o.Restarts = 2
-	}
-	return o
+// Options controls the clustering run.
+type Options struct {
+	Seed int64 // RNG seed for the random initial assignment
 }
 
 // KMeansAxes partitions points into k clusters by perpendicular distance to
@@ -72,15 +64,13 @@ func KMeansAxes(points []geom.Vec2, k int, opt Options) ([]AxisCluster, []int, e
 	if len(points) < k {
 		return nil, nil, fmt.Errorf("cluster: %d points cannot form %d clusters", len(points), k)
 	}
-	opt = opt.withDefaults()
-
 	bestObjective := -1.0
 	var bestAssign []int
 	var bestAxes []geom.Vec2
 	rng := rand.New(rand.NewSource(opt.Seed))
 
-	for attempt := 0; attempt <= opt.Restarts; attempt++ {
-		assign, axes, obj := runAxesOnce(points, k, opt.MaxIter, rng)
+	for attempt := 0; attempt <= restarts; attempt++ {
+		assign, axes, obj := runAxesOnce(points, k, rng)
 		if bestObjective < 0 || obj < bestObjective {
 			bestObjective = obj
 			bestAssign = assign
@@ -118,7 +108,7 @@ func KMeansAxes(points []geom.Vec2, k int, opt Options) ([]AxisCluster, []int, e
 
 // runAxesOnce performs one randomized run of Algorithm 2 and returns the
 // assignment, the final axes and the total squared perpendicular distance.
-func runAxesOnce(points []geom.Vec2, k, maxIter int, rng *rand.Rand) ([]int, []geom.Vec2, float64) {
+func runAxesOnce(points []geom.Vec2, k int, rng *rand.Rand) ([]int, []geom.Vec2, float64) {
 	n := len(points)
 	assign := make([]int, n)
 	// Line 3-4: random initial partition, but guarantee every cluster gets
@@ -201,7 +191,6 @@ func KMeansCentroids(points []geom.Vec2, k int, opt Options) ([]CentroidCluster,
 	if len(points) < k {
 		return nil, nil, fmt.Errorf("cluster: %d points cannot form %d clusters", len(points), k)
 	}
-	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	n := len(points)
 
@@ -211,7 +200,7 @@ func KMeansCentroids(points []geom.Vec2, k int, opt Options) ([]CentroidCluster,
 		centroids[i] = points[p]
 	}
 	assign := make([]int, n)
-	for iter := 0; iter < opt.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		moved := false
 		for i, p := range points {
 			best, bestD := 0, p.DistTo(centroids[0])

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bxtree"
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -146,48 +144,6 @@ func BenchmarkFig24RectPredictiveTime(b *testing.B) {
 			p.PredictiveTime = x
 			p.UseRectQueries = true
 		})
-}
-
-// benchBxAblation replays the Chicago workload against one unpartitioned
-// Bx-tree built from cfg (its Domain is filled in from the workload).
-func benchBxAblation(b *testing.B, cfg bxtree.Config) {
-	sc := benchScale()
-	p := params(workload.Chicago, sc, benchSeed)
-	cfg.Domain = p.Domain
-	for i := 0; i < b.N; i++ {
-		gen, err := workload.NewGenerator(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pool := storage.NewBufferPool(storage.NewMemStore(), sc.Buffer)
-		tree, err := bxtree.NewTree(pool, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := RunOn(&Index{Index: tree, pool: pool}, SetupBx, gen)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(m.QueryIO, "queryIO/op")
-	}
-}
-
-// BenchmarkAblationCurve compares Hilbert against Z-order under the Bx-tree
-// (the paper permits either; its configuration uses Hilbert).
-func BenchmarkAblationCurve(b *testing.B) {
-	b.Run("hilbert", func(b *testing.B) { benchBxAblation(b, bxtree.Config{}) })
-	b.Run("zorder", func(b *testing.B) { benchBxAblation(b, bxtree.Config{UseZOrder: true}) })
-}
-
-// BenchmarkAblationHistogramResolution sweeps the Bx velocity-histogram
-// grid (the paper uses 1000x1000; resolution trades enlargement precision
-// against CPU).
-func BenchmarkAblationHistogramResolution(b *testing.B) {
-	for _, cells := range []int{8, 64, 256} {
-		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
-			benchBxAblation(b, bxtree.Config{HistogramCells: cells})
-		})
-	}
 }
 
 // BenchmarkAblationOutlierPartition compares the automatic tau against

@@ -15,7 +15,7 @@ import (
 
 func newTestTree(t *testing.T, bufferPages int) *Tree {
 	t.Helper()
-	pool := storage.NewBufferPool(storage.NewDisk(), bufferPages)
+	pool := storage.NewBufferPool(storage.NewMemStore(), bufferPages)
 	tr, err := New(pool)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestEntryRoundTripThroughPages(t *testing.T) {
 }
 
 func TestIOAccountedThroughPool(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewDisk(), 5)
+	pool := storage.NewBufferPool(storage.NewMemStore(), 5)
 	tr, err := New(pool)
 	if err != nil {
 		t.Fatal(err)

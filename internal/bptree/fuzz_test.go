@@ -28,7 +28,7 @@ func FuzzTreeOps(f *testing.F) {
 	f.Add(append(append(grow, 3, 0, 0, 0, 6, 10, 0, 200, 7, 10, 0, 203), drain...))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tr, err := New(storage.NewBufferPool(storage.NewDisk(), 4))
+		tr, err := New(storage.NewBufferPool(storage.NewMemStore(), 4))
 		if err != nil {
 			t.Fatal(err)
 		}

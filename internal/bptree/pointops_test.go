@@ -14,7 +14,7 @@ import (
 // it with its disk, so tests can count pool accesses and page allocations.
 func newHeight3Tree(tb testing.TB, n, poolPages int) (*Tree, *storage.BufferPool, *storage.MemStore) {
 	tb.Helper()
-	disk := storage.NewDisk()
+	disk := storage.NewMemStore()
 	pool := storage.NewBufferPool(disk, poolPages)
 	tr, err := New(pool)
 	if err != nil {

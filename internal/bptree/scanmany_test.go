@@ -15,7 +15,7 @@ import (
 // returns the tree plus the sorted entry list.
 func buildTree(t *testing.T, rng *rand.Rand, n int, keySpace uint64) *Tree {
 	t.Helper()
-	pool := storage.NewBufferPool(storage.NewDisk(), 64)
+	pool := storage.NewBufferPool(storage.NewMemStore(), 64)
 	tr, err := New(pool)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestScanManyRejectsUnsorted(t *testing.T) {
 func TestScanManyMixedWorkloadInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const keySpace = 1 << 12
-	pool := storage.NewBufferPool(storage.NewDisk(), 48)
+	pool := storage.NewBufferPool(storage.NewMemStore(), 48)
 	tr, err := New(pool)
 	if err != nil {
 		t.Fatal(err)

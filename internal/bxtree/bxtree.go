@@ -1,12 +1,12 @@
 // Package bxtree implements the Bx-tree of Jensen, Lin and Ooi (VLDB 2004)
 // as described in Section 3.2 of the VP paper: moving objects are
-// discretized onto a grid, linearized with a space-filling curve (Hilbert
-// by default) and stored in a paged B+-tree under keys prefixed by a time
-// bucket. Predictive queries enlarge their window by the min/max velocities
-// of the data (kept in grid-based velocity histograms) scaled by the gap
-// between the query time and the bucket's reference time, using the
-// iterative-expansion refinement of Jensen et al. (MDM 2006, [14] in the
-// paper) that the paper's experimental configuration adopts.
+// discretized onto a grid, linearized with the Hilbert curve and stored in
+// a paged B+-tree under keys prefixed by a time bucket. Predictive queries
+// enlarge their window by the min/max velocities of the data (kept in
+// grid-based velocity histograms) scaled by the gap between the query time
+// and the bucket's reference time, using the iterative-expansion refinement
+// of Jensen et al. (MDM 2006, [14] in the paper) that the paper's
+// experimental configuration adopts.
 //
 // Deviations from the original presentation (both behaviour-preserving):
 // the bucket prefix is the raw bucket boundary index rather than its value
@@ -28,57 +28,45 @@ import (
 	"repro/internal/storage"
 )
 
+// The tree's fixed structure: the paper's Bx-tree configuration.
+const (
+	// gridOrder is the number of bits per axis of the Hilbert grid
+	// (256x256 cells). The key layout puts the curve value in the low
+	// 2*gridOrder bits and the bucket index above it.
+	gridOrder = 8
+	// timeBuckets is the number of time buckets n (paper setting: 2). The
+	// bucket width is MaxUpdateInterval / timeBuckets.
+	timeBuckets = 2
+	// histogramCells is the velocity histogram resolution per axis. The
+	// paper uses 1000 on a 100k-object workload; resolution only trades
+	// enlargement precision against CPU, and on the Chicago workload 64
+	// cells come within 0.1 % of 256 cells' query I/O.
+	histogramCells = 64
+	// maxScanRanges caps the number of key ranges scanned per bucket per
+	// query; curve intervals beyond the cap are bridged smallest-gap-first
+	// (scanning a few extra keys instead of fragmenting the scan).
+	maxScanRanges = 16
+	// expansionRounds bounds the iterative query enlargement.
+	expansionRounds = 4
+)
+
 // Config parameterizes a Bx-tree. The zero value is completed with the
 // paper's defaults by NewTree.
 type Config struct {
 	// Domain is the indexed data space (Table 1: 100,000 x 100,000 m).
 	// Positions outside are clamped to the boundary for key purposes.
 	Domain geom.Rect
-	// GridOrder is the number of bits per axis of the space-filling-curve
-	// grid (default 8, i.e. 256x256 cells).
-	GridOrder uint
-	// Buckets is the number of time buckets n (paper setting: 2). The
-	// bucket width is MaxUpdateInterval / Buckets.
-	Buckets int
 	// MaxUpdateInterval is the guaranteed maximum time between an object's
 	// consecutive updates (Table 1: 120 ts).
 	MaxUpdateInterval float64
-	// UseZOrder selects the Z-curve instead of the Hilbert curve.
-	UseZOrder bool
-	// HistogramCells is the velocity histogram resolution per axis
-	// (the paper uses 1000 on a 100k-object workload; default here 64 —
-	// resolution is a pure precision/CPU knob, see the ablation bench).
-	HistogramCells int
-	// MaxScanRanges caps the number of key ranges scanned per bucket per
-	// query; curve intervals beyond the cap are bridged smallest-gap-first
-	// (scanning a few extra keys instead of fragmenting the scan). Default
-	// 16.
-	MaxScanRanges int
-	// ExpansionRounds bounds the iterative query enlargement (default 4).
-	ExpansionRounds int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Domain.IsEmpty() || c.Domain.Area() == 0 {
 		c.Domain = geom.R(0, 0, 100000, 100000)
 	}
-	if c.GridOrder == 0 {
-		c.GridOrder = 8
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 2
-	}
 	if c.MaxUpdateInterval <= 0 {
 		c.MaxUpdateInterval = 120
-	}
-	if c.HistogramCells <= 0 {
-		c.HistogramCells = 64
-	}
-	if c.MaxScanRanges <= 0 {
-		c.MaxScanRanges = 16
-	}
-	if c.ExpansionRounds <= 0 {
-		c.ExpansionRounds = 4
 	}
 	return c
 }
@@ -99,13 +87,13 @@ type bucket struct {
 // fan-out relies on.
 type Tree struct {
 	cfg   Config
-	curve sfc.Curve
+	curve *sfc.Hilbert
 	bt    *bptree.Tree
 	pool  *storage.BufferPool
 
 	bucketWidth float64
 	// buckets are the active time buckets in ascending boundary order, kept
-	// sorted as they are created and retired: there are Buckets+1 of them
+	// sorted as they are created and retired: there are timeBuckets+1 of them
 	// while objects honour MaxUpdateInterval, so lookups scan from the
 	// newest.
 	buckets []*bucket
@@ -118,31 +106,16 @@ var _ model.Index = (*Tree)(nil)
 // NewTree creates an empty Bx-tree drawing pages from pool.
 func NewTree(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 	cfg = cfg.withDefaults()
-	var curve sfc.Curve
-	var err error
-	if cfg.UseZOrder {
-		curve, err = sfc.NewZOrder(cfg.GridOrder)
-	} else {
-		curve, err = sfc.NewHilbert(cfg.GridOrder)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The key layout dedicates 2*GridOrder low bits to the curve value;
-	// the bucket index must fit in what remains.
-	if 2*cfg.GridOrder > 48 {
-		return nil, fmt.Errorf("bxtree: grid order %d leaves too few bucket bits", cfg.GridOrder)
-	}
 	bt, err := bptree.New(pool)
 	if err != nil {
 		return nil, err
 	}
 	return &Tree{
 		cfg:         cfg,
-		curve:       curve,
+		curve:       sfc.MustHilbert(gridOrder),
 		bt:          bt,
 		pool:        pool,
-		bucketWidth: cfg.MaxUpdateInterval / float64(cfg.Buckets),
+		bucketWidth: cfg.MaxUpdateInterval / timeBuckets,
 		name:        "bx",
 	}, nil
 }
@@ -215,7 +188,7 @@ func (t *Tree) keyFor(o model.Object) (uint64, int64) {
 	idx := t.boundaryIndex(o.T)
 	ref := t.refTime(idx)
 	cx, cy := t.cellOf(o.PosAt(ref))
-	k := uint64(idx)<<(2*t.cfg.GridOrder) | t.curve.Encode(cx, cy)
+	k := uint64(idx)<<(2*gridOrder) | t.curve.Encode(cx, cy)
 	return k, idx
 }
 
@@ -241,7 +214,7 @@ func (t *Tree) Insert(o model.Object) error {
 		t.buckets = slices.Insert(t.buckets, i, &bucket{
 			idx:  idx,
 			ref:  t.refTime(idx),
-			hist: newVelocityHistogram(t.cfg.Domain, t.cfg.HistogramCells),
+			hist: newVelocityHistogram(t.cfg.Domain, histogramCells),
 		})
 		i++
 	}
@@ -340,8 +313,8 @@ func (t *Tree) searchVisit(q model.RangeQuery, visit func(bptree.Entry) bool) er
 		x0, y0 := t.cellOf(geom.V(w.MinX, w.MinY))
 		x1, y1 := t.cellOf(geom.V(w.MaxX, w.MaxY))
 		sc.ivs = t.curve.AppendWindow(sc.ivs[:0], x0, y0, x1, y1)
-		prefix := uint64(b.idx) << (2 * t.cfg.GridOrder)
-		for _, iv := range sfc.MergeIntervals(sc.ivs, t.cfg.MaxScanRanges) {
+		prefix := uint64(b.idx) << (2 * gridOrder)
+		for _, iv := range sfc.MergeIntervals(sc.ivs, maxScanRanges) {
 			sc.ranges = append(sc.ranges, bptree.ScanRange{Lo: prefix + iv.Lo, Hi: prefix + iv.Hi})
 		}
 	}
@@ -360,7 +333,7 @@ func (t *Tree) searchVisit(q model.RangeQuery, visit func(bptree.Entry) bool) er
 // so the iteration decreases monotonically and — by induction from the
 // provably safe global start — every stored position of a matching object
 // stays inside every iterate. We stop at a fixpoint or after
-// ExpansionRounds rounds.
+// expansionRounds rounds.
 func (t *Tree) enlargedWindow(b *bucket, q model.RangeQuery) geom.Rect {
 	r0, r1, dt0, dt1 := t.queryEndpoints(b, q)
 	if b.hist.total == 0 {
@@ -370,7 +343,7 @@ func (t *Tree) enlargedWindow(b *bucket, q model.RangeQuery) geom.Rect {
 		return enlargeForGap(r0, vmin, vmax, dt0).Union(enlargeForGap(r1, vmin, vmax, dt1))
 	}
 	w := enlarge(b.hist.gMin, b.hist.gMax)
-	for round := 0; round < t.cfg.ExpansionRounds; round++ {
+	for round := 0; round < expansionRounds; round++ {
 		vmin, vmax, ok := b.hist.Range(w)
 		if !ok {
 			return geom.EmptyRect()

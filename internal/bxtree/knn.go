@@ -68,8 +68,8 @@ func (t *Tree) SearchKNNWithin(q model.KNNQuery, bound float64) ([]model.Neighbo
 func (t *Tree) knnFullScan(q model.KNNQuery, k int) ([]model.Neighbor, error) {
 	ns := make([]model.Neighbor, 0, t.size)
 	for _, b := range t.buckets {
-		prefix := uint64(b.idx) << (2 * t.cfg.GridOrder)
-		end := prefix + (uint64(1) << (2 * t.cfg.GridOrder))
+		prefix := uint64(b.idx) << (2 * gridOrder)
+		end := prefix + (uint64(1) << (2 * gridOrder))
 		err := t.bt.Scan(prefix, end, func(e bptree.Entry) bool {
 			ns = append(ns, neighbor(e, q))
 			return true

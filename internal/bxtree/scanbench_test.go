@@ -11,7 +11,7 @@ import (
 
 func benchTree(b *testing.B) *Tree {
 	b.Helper()
-	pool := storage.NewBufferPool(storage.NewDisk(), 8)
+	pool := storage.NewBufferPool(storage.NewMemStore(), 8)
 	tr, err := NewTree(pool, Config{})
 	if err != nil {
 		b.Fatal(err)

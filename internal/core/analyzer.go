@@ -31,26 +31,25 @@ import (
 	"repro/internal/geom"
 )
 
+// tauBuckets is the resolution of the |v_perp| histograms tau is picked
+// from, at analysis and online, and of the speed histogram the speed-band
+// thresholds are searched over (paper: "a velocity histogram containing 100
+// buckets for determining tau").
+const tauBuckets = 100
+
 // AnalyzerConfig parameterizes the DVA velocity analyzer. Zero values take
 // the paper's settings.
 type AnalyzerConfig struct {
 	// K is the number of DVA partitions. The paper sets 2 for road
 	// networks ("most road networks have two dominant traffic directions").
 	K int
-	// TauBuckets is the resolution of the cumulative |v_perp| histogram
-	// used to pick tau (paper: "a velocity histogram containing 100
-	// buckets for determining tau").
-	TauBuckets int
-	// Cluster carries the k-means iteration bounds and seed.
+	// Cluster carries the k-means seed.
 	Cluster cluster.Options
 }
 
 func (c AnalyzerConfig) withDefaults() AnalyzerConfig {
 	if c.K <= 0 {
 		c.K = 2
-	}
-	if c.TauBuckets <= 0 {
-		c.TauBuckets = 100
 	}
 	return c
 }
@@ -87,7 +86,7 @@ func Analyze(sample []geom.Vec2, cfg AnalyzerConfig) (Analysis, error) {
 		for i, v := range member {
 			perp[i] = v.PerpDistToAxis(cl.Axis)
 		}
-		f.Tau = OptimalTau(perp, cfg.TauBuckets)
+		f.Tau = OptimalTau(perp)
 		// Line 5: shed the outliers.
 		kept := member[:0]
 		for i, v := range member {
@@ -116,19 +115,17 @@ func Analyze(sample []geom.Vec2, cfg AnalyzerConfig) (Analysis, error) {
 
 // OptimalTau picks the outlier threshold for one DVA partition by
 // minimizing Eq. 10 of the paper, n_d(tau) * (v_yd(tau) - v_ymax), over an
-// equal-width cumulative histogram of the partition's perpendicular speeds
-// (v_yd(tau) = tau itself: the maximum perpendicular speed retained).
+// equal-width cumulative histogram of tauBuckets buckets over the
+// partition's perpendicular speeds (v_yd(tau) = tau itself: the maximum
+// perpendicular speed retained).
 //
 // Intuition: retaining more objects (larger n_d) is good only while the
 // retained perpendicular speed stays well below the partition-wide maximum;
 // the product trades the DVA partition's own expansion rate against pushing
 // everything to the 2-D outlier partition.
-func OptimalTau(perpSpeeds []float64, buckets int) float64 {
+func OptimalTau(perpSpeeds []float64) float64 {
 	if len(perpSpeeds) == 0 {
 		return 0
-	}
-	if buckets <= 0 {
-		buckets = 100
 	}
 	vymax := 0.0
 	for _, v := range perpSpeeds {
@@ -141,20 +138,20 @@ func OptimalTau(perpSpeeds []float64, buckets int) float64 {
 		return 0
 	}
 	// Cumulative histogram over [0, vymax].
-	counts := make([]int, buckets)
+	var counts [tauBuckets]int
 	for _, v := range perpSpeeds {
-		b := int(v / vymax * float64(buckets))
-		if b >= buckets {
-			b = buckets - 1
+		b := int(v / vymax * tauBuckets)
+		if b >= tauBuckets {
+			b = tauBuckets - 1
 		}
 		counts[b]++
 	}
 	bestTau := vymax
 	bestCost := math.Inf(1)
 	cum := 0
-	for b := 0; b < buckets; b++ {
+	for b := 0; b < tauBuckets; b++ {
 		cum += counts[b]
-		tau := vymax * float64(b+1) / float64(buckets)
+		tau := vymax * float64(b+1) / tauBuckets
 		cost := float64(cum) * (tau - vymax)
 		if cost < bestCost {
 			bestCost = cost
@@ -198,14 +195,11 @@ type tauHistogram struct {
 	maxVal float64
 }
 
-func newTauHistogram(limit float64, buckets int) *tauHistogram {
+func newTauHistogram(limit float64) *tauHistogram {
 	if limit <= 0 {
 		limit = 1
 	}
-	if buckets <= 0 {
-		buckets = 100
-	}
-	return &tauHistogram{limit: limit, counts: make([]int, buckets)}
+	return &tauHistogram{limit: limit, counts: make([]int, tauBuckets)}
 }
 
 func (h *tauHistogram) Add(v float64) {

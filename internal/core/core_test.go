@@ -117,8 +117,7 @@ func TestOptimalTauMatchesExhaustiveSearch(t *testing.T) {
 				perp[i] = rng.Float64() * 100
 			}
 		}
-		const buckets = 100
-		got := OptimalTau(perp, buckets)
+		got := OptimalTau(perp)
 		gotCost := TauCost(perp, got)
 		// Exhaustive sweep over the same candidate set.
 		vymax := 0.0
@@ -128,8 +127,8 @@ func TestOptimalTauMatchesExhaustiveSearch(t *testing.T) {
 			}
 		}
 		best := math.Inf(1)
-		for b := 1; b <= buckets; b++ {
-			c := TauCost(perp, vymax*float64(b)/buckets)
+		for b := 1; b <= tauBuckets; b++ {
+			c := TauCost(perp, vymax*float64(b)/tauBuckets)
 			if c < best {
 				best = c
 			}
@@ -142,10 +141,10 @@ func TestOptimalTauMatchesExhaustiveSearch(t *testing.T) {
 }
 
 func TestOptimalTauEdgeCases(t *testing.T) {
-	if got := OptimalTau(nil, 100); got != 0 {
+	if got := OptimalTau(nil); got != 0 {
 		t.Fatalf("empty input tau = %g", got)
 	}
-	if got := OptimalTau([]float64{0, 0, 0}, 100); got != 0 {
+	if got := OptimalTau([]float64{0, 0, 0}); got != 0 {
 		t.Fatalf("all-zero tau = %g", got)
 	}
 	// Bimodal: many near zero, few at 100 -> tau should cut below 100.
@@ -156,14 +155,14 @@ func TestOptimalTauEdgeCases(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		perp = append(perp, 100)
 	}
-	tau := OptimalTau(perp, 100)
+	tau := OptimalTau(perp)
 	if tau >= 100 || tau < 4 {
 		t.Fatalf("bimodal tau = %g, want in [4, 100)", tau)
 	}
 }
 
 func TestTauHistogramTracksDistribution(t *testing.T) {
-	h := newTauHistogram(50, 100)
+	h := newTauHistogram(50)
 	rng := rand.New(rand.NewSource(2))
 	var vals []float64
 	for i := 0; i < 5000; i++ {
@@ -175,7 +174,7 @@ func TestTauHistogramTracksDistribution(t *testing.T) {
 		h.Add(v)
 	}
 	got := h.Optimal()
-	want := OptimalTau(vals, 100)
+	want := OptimalTau(vals)
 	// The histogram discretizes over a different range; allow slack.
 	if math.Abs(got-want) > want/2+2 {
 		t.Fatalf("online tau %g far from batch tau %g", got, want)
@@ -276,7 +275,7 @@ func TestManagerAgainstOracleBothBases(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
-			pool := storage.NewBufferPool(storage.NewDisk(), 500)
+			pool := storage.NewBufferPool(storage.NewMemStore(), 500)
 			objs := roadObjects(2500, rng)
 			sample := make([]geom.Vec2, len(objs))
 			for i, o := range objs {
@@ -329,7 +328,7 @@ func TestManagerAgainstOracleBothBases(t *testing.T) {
 
 func TestManagerUpdateMigratesPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	pool := storage.NewBufferPool(storage.NewDisk(), 500)
+	pool := storage.NewBufferPool(storage.NewMemStore(), 500)
 	sample := sfLikeSample(5000, 0, math.Pi/2, 2.0, 0.03, 3)
 	m := newManager(t, tprFactory(pool), sample)
 
@@ -384,7 +383,7 @@ func TestManagerUpdateMigratesPartitions(t *testing.T) {
 }
 
 func TestManagerDeleteAndErrors(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewDisk(), 200)
+	pool := storage.NewBufferPool(storage.NewMemStore(), 200)
 	sample := sfLikeSample(2000, 0, math.Pi/2, 2.0, 0, 4)
 	m := newManager(t, bxFactory(pool), sample)
 	o := model.Object{ID: 7, Pos: geom.V(100, 100), Vel: geom.V(50, 0), T: 0}
@@ -412,7 +411,7 @@ func TestManagerDeleteAndErrors(t *testing.T) {
 }
 
 func TestManagerTauOverrideAndRefresh(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewDisk(), 200)
+	pool := storage.NewBufferPool(storage.NewMemStore(), 200)
 	sample := sfLikeSample(3000, 0, math.Pi/2, 2.0, 0.05, 5)
 	an, err := Analyze(sample, AnalyzerConfig{K: 2, Cluster: cluster.Options{Seed: 1}})
 	if err != nil {
@@ -486,7 +485,7 @@ func TestManagerVPBeatsUnpartitionedOnSkewedData(t *testing.T) {
 		return pool.Stats().Misses - before
 	}
 
-	poolU := storage.NewBufferPool(storage.NewDisk(), 50)
+	poolU := storage.NewBufferPool(storage.NewMemStore(), 50)
 	flat, err := tprtree.NewTree(poolU, tprtree.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +496,7 @@ func TestManagerVPBeatsUnpartitionedOnSkewedData(t *testing.T) {
 		}
 	}
 
-	poolP := storage.NewBufferPool(storage.NewDisk(), 50)
+	poolP := storage.NewBufferPool(storage.NewMemStore(), 50)
 	m := newManager(t, tprFactory(poolP), sample)
 	for _, o := range objs {
 		if err := m.Insert(o); err != nil {
@@ -515,8 +514,8 @@ func TestManagerVPBeatsUnpartitionedOnSkewedData(t *testing.T) {
 
 func TestManagerConfigDefaults(t *testing.T) {
 	c := ManagerConfig{}.withDefaults()
-	if c.Domain.Area() == 0 || c.TauBuckets != 100 {
-		t.Fatalf("defaults: %+v", c)
+	if c.Domain.Area() == 0 || c.Stripes != 1 || tauBuckets != 100 {
+		t.Fatalf("defaults: %+v, %d tau buckets", c, tauBuckets)
 	}
 }
 
@@ -525,7 +524,7 @@ func TestManagerConcurrentSearchDuringUpdates(t *testing.T) {
 	// that migrates an object between partitions must never observe the
 	// object as missing. Hammer the manager with concurrent searches and
 	// partition-migrating updates under the race detector.
-	pool := storage.NewBufferPool(storage.NewDisk(), 200)
+	pool := storage.NewBufferPool(storage.NewMemStore(), 200)
 	sample := sfLikeSample(3000, 0, math.Pi/2, 2.0, 0.02, 21)
 	m := newManager(t, tprFactory(pool), sample)
 
@@ -610,7 +609,7 @@ func TestManagerConcurrentSearchDuringUpdates(t *testing.T) {
 }
 
 func TestManagerReportUpserts(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewDisk(), 200)
+	pool := storage.NewBufferPool(storage.NewMemStore(), 200)
 	sample := sfLikeSample(2000, 0, math.Pi/2, 2.0, 0, 4)
 	m := newManager(t, bxFactory(pool), sample)
 
@@ -683,7 +682,7 @@ func TestManagerReportUpserts(t *testing.T) {
 // TestManagerObjectsSnapshot covers the migration surface used by the
 // Store's repartition swap.
 func TestManagerObjectsSnapshot(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewDisk(), 200)
+	pool := storage.NewBufferPool(storage.NewMemStore(), 200)
 	m := newManager(t, bxFactory(pool), sfLikeSample(1000, 0, math.Pi/2, 2.0, 0, 4))
 	rng := rand.New(rand.NewSource(3))
 	objs := roadObjects(120, rng)

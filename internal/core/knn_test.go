@@ -47,7 +47,7 @@ func TestKNNBoundShrinksSmallPartitionScan(t *testing.T) {
 			build := func(hideBound bool) (*Manager, *storage.BufferPool) {
 				var outlier *storage.BufferPool
 				m, err := NewManager(an, ManagerConfig{}, func(spec PartitionSpec) (model.Index, error) {
-					pool := storage.NewBufferPool(storage.NewDisk(), 1024)
+					pool := storage.NewBufferPool(storage.NewMemStore(), 1024)
 					if spec.IsOutlier {
 						outlier = pool
 					}

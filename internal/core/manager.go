@@ -44,8 +44,6 @@ type ManagerConfig struct {
 	// TauRefreshInterval recomputes each partition's tau after this many
 	// routed inserts (Section 5.5). <= 0 disables refresh.
 	TauRefreshInterval int
-	// TauBuckets sizes the online tau histograms (default 100).
-	TauBuckets int
 	// SearchParallelism bounds the worker pool that fans Search/SearchKNN
 	// out across the partitions. 0 means GOMAXPROCS; 1 forces the strictly
 	// sequential partition loop (the baseline the parallel path must match
@@ -58,9 +56,6 @@ type ManagerConfig struct {
 func (c ManagerConfig) withDefaults() ManagerConfig {
 	if c.Domain.IsEmpty() || c.Domain.Area() == 0 {
 		c.Domain = geom.R(0, 0, 100000, 100000)
-	}
-	if c.TauBuckets <= 0 {
-		c.TauBuckets = 100
 	}
 	if c.Stripes <= 0 {
 		c.Stripes = 1
@@ -204,7 +199,7 @@ func buildPartitions(an Analysis, cfg ManagerConfig, factory IndexFactory) ([]pa
 			if limit <= 0 {
 				limit = 1
 			}
-			p.hist = newTauHistogram(limit, cfg.TauBuckets)
+			p.hist = newTauHistogram(limit)
 		}
 	}
 	return pars, nil

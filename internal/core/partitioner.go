@@ -224,9 +224,6 @@ type SpeedPartitioner struct {
 	// Bands is the number of speed bands (<= 0 takes 2, matching the DVA
 	// default K so the chooser compares equal structure counts).
 	Bands int
-	// Buckets is the speed-histogram resolution for the threshold search
-	// (<= 0 takes 100, the paper's tau-histogram setting).
-	Buckets int
 }
 
 // Kind implements Partitioner.
@@ -246,7 +243,7 @@ func (p SpeedPartitioner) Analyze(sample []geom.Vec2) (Analysis, error) {
 	for i, v := range sample {
 		speeds[i] = v.Norm()
 	}
-	cuts := OptimalSpeedThresholds(speeds, bands, p.Buckets)
+	cuts := OptimalSpeedThresholds(speeds, bands, tauBuckets)
 	an := Analysis{Kind: KindSpeed, SampleSize: len(sample)}
 	lo := 0.0
 	for i, hi := range cuts {
@@ -279,9 +276,6 @@ func (p SpeedPartitioner) Analyze(sample []geom.Vec2) (Analysis, error) {
 func OptimalSpeedThresholds(speeds []float64, bands, buckets int) []float64 {
 	if bands <= 0 {
 		bands = 2
-	}
-	if buckets <= 0 {
-		buckets = 100
 	}
 	smax := 0.0
 	for _, s := range speeds {

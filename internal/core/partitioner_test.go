@@ -169,7 +169,7 @@ func TestAnalysisValidateRejectsMalformed(t *testing.T) {
 // read as maximally drifted — never as a partial match over mismatched
 // indices, never a panic.
 func TestDriftStructuralMismatchGuard(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewDisk(), 200)
+	pool := storage.NewBufferPool(storage.NewMemStore(), 200)
 	sample := sfLikeSample(3000, 0, math.Pi/2, 2.0, 0.05, 8)
 	m := newManager(t, tprFactory(pool), sample) // K=2 DVA manager
 

@@ -2,9 +2,8 @@ package sfc
 
 import "fmt"
 
-// Hilbert is the Hilbert curve over a 2^order x 2^order grid. It is the
-// Bx-tree's default curve (the paper's configuration uses the Hilbert
-// curve, Section 6).
+// Hilbert is the Hilbert curve over a 2^order x 2^order grid, the Bx-tree's
+// curve (the paper's configuration, Section 6).
 //
 // The implementation descends quadrants: at each level the point is
 // translated into its quadrant and the quadrant's local frame is
@@ -34,14 +33,8 @@ func MustHilbert(order uint) *Hilbert {
 	return h
 }
 
-// Order implements Curve.
-func (h *Hilbert) Order() uint { return h.order }
-
-// Size implements Curve.
+// Size returns the grid side length, 2^order.
 func (h *Hilbert) Size() uint32 { return uint32(1) << h.order }
-
-// Name implements Curve.
-func (h *Hilbert) Name() string { return "hilbert" }
 
 // rot applies the level-s quadrant frame transform for quadrant (rx, ry).
 // It is an involution (flip-both-axes commutes with swap), so it serves as
@@ -66,7 +59,7 @@ func rankQuad(q uint64) (rx, ry uint32) {
 	return rx, ry
 }
 
-// Encode implements Curve.
+// Encode maps a cell to its curve value. Coordinates must be < Size.
 func (h *Hilbert) Encode(x, y uint32) uint64 {
 	size := h.Size()
 	if x >= size || y >= size {
@@ -89,7 +82,7 @@ func (h *Hilbert) Encode(x, y uint32) uint64 {
 	return d
 }
 
-// Decode implements Curve.
+// Decode inverts Encode.
 func (h *Hilbert) Decode(d uint64) (uint32, uint32) {
 	size := h.Size()
 	if d >= uint64(size)*uint64(size) {
@@ -107,7 +100,9 @@ func (h *Hilbert) Decode(d uint64) (uint32, uint32) {
 	return x, y
 }
 
-// DecomposeWindow implements Curve. It walks the implicit quadtree of the
+// DecomposeWindow returns the sorted, disjoint, maximal half-open intervals
+// [Lo, Hi) of curve values covering the inclusive cell window [x0, x1] x
+// [y0, y1] (clipped to the grid). It walks the implicit quadtree of the
 // curve: a quadrant fully inside the window contributes its whole
 // (contiguous) curve range; a partially covered quadrant is recursed into
 // with the window translated and un-rotated into the child frame.
@@ -115,7 +110,11 @@ func (h *Hilbert) DecomposeWindow(x0, y0, x1, y1 uint32) []Interval {
 	return h.AppendWindow(nil, x0, y0, x1, y1)
 }
 
-// AppendWindow implements Curve.
+// AppendWindow is DecomposeWindow appending into dst (like append), so a
+// caller decomposing many windows — the Bx-tree does one per time bucket
+// per query — can reuse a single scratch buffer instead of allocating a
+// fresh interval list each time. The appended region is itself sorted,
+// disjoint and maximal; dst's existing contents are not touched.
 func (h *Hilbert) AppendWindow(dst []Interval, x0, y0, x1, y1 uint32) []Interval {
 	size := h.Size()
 	if !normalizeWindow(size, &x0, &y0, &x1, &y1) {

@@ -1,14 +1,15 @@
-// Package sfc implements the space-filling curves the Bx-tree uses to
+// Package sfc implements the space-filling curve the Bx-tree uses to
 // linearize 2-D grid cells into B+-tree keys (Section 3.2 of the VP paper:
 // "a space-filling curve (Hilbert-curve or Z-curve) to map the location of
 // each grid cell to a 1D space where 2D proximity is approximately
-// preserved").
+// preserved"). The paper's configuration uses the Hilbert curve, the one
+// implemented here.
 //
-// Both curves expose the same interface: a bijection between (x, y) cells of
-// a 2^order x 2^order grid and [0, 4^order), plus an exact decomposition of
-// an axis-aligned cell window into maximal runs of consecutive curve values.
-// The decomposition drives Bx-tree range scans; a post-pass can merge
-// nearby runs to trade a few extra scanned keys for fewer B+-tree probes.
+// The curve is a bijection between (x, y) cells of a 2^order x 2^order grid
+// and [0, 4^order), plus an exact decomposition of an axis-aligned cell
+// window into maximal runs of consecutive curve values. The decomposition
+// drives Bx-tree range scans; a post-pass can merge nearby runs to trade a
+// few extra scanned keys for fewer B+-tree probes.
 package sfc
 
 import (
@@ -20,31 +21,6 @@ import (
 // MaxOrder bounds the grid resolution so that curve values fit comfortably
 // in a uint64 alongside the Bx-tree's bucket prefix.
 const MaxOrder = 24
-
-// Curve is a 2-D space-filling curve over a 2^Order x 2^Order grid.
-type Curve interface {
-	// Order returns the number of bits per axis.
-	Order() uint
-	// Size returns the grid side length, 2^Order.
-	Size() uint32
-	// Encode maps a cell to its curve value. Coordinates must be < Size.
-	Encode(x, y uint32) uint64
-	// Decode inverts Encode.
-	Decode(d uint64) (x, y uint32)
-	// DecomposeWindow returns the sorted, disjoint, maximal half-open
-	// intervals [Lo, Hi) of curve values covering the inclusive cell
-	// window [x0, x1] x [y0, y1] (clipped to the grid).
-	DecomposeWindow(x0, y0, x1, y1 uint32) []Interval
-	// AppendWindow is DecomposeWindow appending into dst (like append),
-	// so a caller decomposing many windows — the Bx-tree does one per time
-	// bucket per query — can reuse a single scratch buffer instead of
-	// allocating a fresh interval list each time. The appended region is
-	// itself sorted, disjoint and maximal; dst's existing contents are not
-	// touched.
-	AppendWindow(dst []Interval, x0, y0, x1, y1 uint32) []Interval
-	// Name identifies the curve ("hilbert" or "zorder").
-	Name() string
-}
 
 // Interval is a half-open range [Lo, Hi) of curve values.
 type Interval struct {

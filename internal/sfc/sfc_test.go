@@ -6,30 +6,25 @@ import (
 	"testing/quick"
 )
 
-func curves(order uint) []Curve {
-	return []Curve{MustHilbert(order), MustZOrder(order)}
-}
-
 func TestBijectionSmallGrids(t *testing.T) {
 	for order := uint(1); order <= 6; order++ {
-		for _, c := range curves(order) {
-			size := c.Size()
-			seen := make(map[uint64]bool, int(size)*int(size))
-			for x := uint32(0); x < size; x++ {
-				for y := uint32(0); y < size; y++ {
-					d := c.Encode(x, y)
-					if d >= uint64(size)*uint64(size) {
-						t.Fatalf("%s order %d: value %d out of range", c.Name(), order, d)
-					}
-					if seen[d] {
-						t.Fatalf("%s order %d: duplicate value %d", c.Name(), order, d)
-					}
-					seen[d] = true
-					gx, gy := c.Decode(d)
-					if gx != x || gy != y {
-						t.Fatalf("%s order %d: decode(%d) = (%d,%d), want (%d,%d)",
-							c.Name(), order, d, gx, gy, x, y)
-					}
+		c := MustHilbert(order)
+		size := c.Size()
+		seen := make(map[uint64]bool, int(size)*int(size))
+		for x := uint32(0); x < size; x++ {
+			for y := uint32(0); y < size; y++ {
+				d := c.Encode(x, y)
+				if d >= uint64(size)*uint64(size) {
+					t.Fatalf("order %d: value %d out of range", order, d)
+				}
+				if seen[d] {
+					t.Fatalf("order %d: duplicate value %d", order, d)
+				}
+				seen[d] = true
+				gx, gy := c.Decode(d)
+				if gx != x || gy != y {
+					t.Fatalf("order %d: decode(%d) = (%d,%d), want (%d,%d)",
+						order, d, gx, gy, x, y)
 				}
 			}
 		}
@@ -38,7 +33,7 @@ func TestBijectionSmallGrids(t *testing.T) {
 
 func TestHilbertAdjacency(t *testing.T) {
 	// Consecutive Hilbert values must be 4-adjacent cells — the defining
-	// locality property (Z-order does not have it).
+	// locality property.
 	for order := uint(1); order <= 7; order++ {
 		h := MustHilbert(order)
 		n := uint64(h.Size()) * uint64(h.Size())
@@ -57,31 +52,26 @@ func TestHilbertAdjacency(t *testing.T) {
 }
 
 func TestBijectionPropertyLargeOrder(t *testing.T) {
-	for _, c := range curves(16) {
-		c := c
-		f := func(x, y uint32) bool {
-			x %= c.Size()
-			y %= c.Size()
-			gx, gy := c.Decode(c.Encode(x, y))
-			return gx == x && gy == y
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
+	c := MustHilbert(16)
+	f := func(x, y uint32) bool {
+		x %= c.Size()
+		y %= c.Size()
+		gx, gy := c.Decode(c.Encode(x, y))
+		return gx == x && gy == y
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestEncodePanicsOutOfRange(t *testing.T) {
-	for _, c := range curves(4) {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic for out-of-range encode", c.Name())
-				}
-			}()
-			c.Encode(c.Size(), 0)
-		}()
-	}
+	c := MustHilbert(4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for out-of-range encode")
+		}
+	}()
+	c.Encode(c.Size(), 0)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -91,13 +81,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := NewHilbert(MaxOrder + 1); err == nil {
 		t.Fatal("order > MaxOrder should fail")
 	}
-	if _, err := NewZOrder(0); err == nil {
-		t.Fatal("z-order 0 should fail")
-	}
 }
 
 // windowOracle computes the exact value set of a window by brute force.
-func windowOracle(c Curve, x0, y0, x1, y1 uint32) map[uint64]bool {
+func windowOracle(c *Hilbert, x0, y0, x1, y1 uint32) map[uint64]bool {
 	out := make(map[uint64]bool)
 	size := c.Size()
 	for x := x0; x <= x1 && x < size; x++ {
@@ -111,48 +98,46 @@ func windowOracle(c Curve, x0, y0, x1, y1 uint32) map[uint64]bool {
 func TestDecomposeWindowExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, order := range []uint{3, 5, 7} {
-		for _, c := range curves(order) {
-			size := c.Size()
-			for trial := 0; trial < 200; trial++ {
-				x0 := uint32(rng.Intn(int(size)))
-				y0 := uint32(rng.Intn(int(size)))
-				x1 := x0 + uint32(rng.Intn(int(size-x0)))
-				y1 := y0 + uint32(rng.Intn(int(size-y0)))
-				ivs := c.DecomposeWindow(x0, y0, x1, y1)
-				want := windowOracle(c, x0, y0, x1, y1)
-				var total uint64
-				prevHi := uint64(0)
-				for i, iv := range ivs {
-					if iv.Hi <= iv.Lo {
-						t.Fatalf("%s: empty interval %v", c.Name(), iv)
-					}
-					if i > 0 && iv.Lo <= prevHi {
-						t.Fatalf("%s: intervals not disjoint/sorted", c.Name())
-					}
-					prevHi = iv.Hi
-					total += iv.Len()
-					for d := iv.Lo; d < iv.Hi; d++ {
-						if !want[d] {
-							t.Fatalf("%s: window [%d,%d]x[%d,%d] decomposition includes stray %d",
-								c.Name(), x0, x1, y0, y1, d)
-						}
+		c := MustHilbert(order)
+		size := c.Size()
+		for trial := 0; trial < 200; trial++ {
+			x0 := uint32(rng.Intn(int(size)))
+			y0 := uint32(rng.Intn(int(size)))
+			x1 := x0 + uint32(rng.Intn(int(size-x0)))
+			y1 := y0 + uint32(rng.Intn(int(size-y0)))
+			ivs := c.DecomposeWindow(x0, y0, x1, y1)
+			want := windowOracle(c, x0, y0, x1, y1)
+			var total uint64
+			prevHi := uint64(0)
+			for i, iv := range ivs {
+				if iv.Hi <= iv.Lo {
+					t.Fatalf("empty interval %v", iv)
+				}
+				if i > 0 && iv.Lo <= prevHi {
+					t.Fatal("intervals not disjoint/sorted")
+				}
+				prevHi = iv.Hi
+				total += iv.Len()
+				for d := iv.Lo; d < iv.Hi; d++ {
+					if !want[d] {
+						t.Fatalf("window [%d,%d]x[%d,%d] decomposition includes stray %d",
+							x0, x1, y0, y1, d)
 					}
 				}
-				if total != uint64(len(want)) {
-					t.Fatalf("%s: decomposition covers %d values, want %d", c.Name(), total, len(want))
-				}
+			}
+			if total != uint64(len(want)) {
+				t.Fatalf("decomposition covers %d values, want %d", total, len(want))
 			}
 		}
 	}
 }
 
 func TestDecomposeWindowFullGrid(t *testing.T) {
-	for _, c := range curves(6) {
-		size := c.Size()
-		ivs := c.DecomposeWindow(0, 0, size-1, size-1)
-		if len(ivs) != 1 || ivs[0].Lo != 0 || ivs[0].Hi != uint64(size)*uint64(size) {
-			t.Fatalf("%s: full grid should be one interval, got %v", c.Name(), ivs)
-		}
+	c := MustHilbert(6)
+	size := c.Size()
+	ivs := c.DecomposeWindow(0, 0, size-1, size-1)
+	if len(ivs) != 1 || ivs[0].Lo != 0 || ivs[0].Hi != uint64(size)*uint64(size) {
+		t.Fatalf("full grid should be one interval, got %v", ivs)
 	}
 }
 
@@ -268,50 +253,31 @@ func TestMergeIntervalsPrefersSmallestGaps(t *testing.T) {
 
 func TestAppendWindowMatchesDecomposeAndKeepsPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, c := range []Curve{MustHilbert(5), MustZOrder(5)} {
-		size := c.Size()
-		prefix := []Interval{{999, 1000}}
-		buf := append([]Interval(nil), prefix...)
-		for trial := 0; trial < 200; trial++ {
-			x0 := rng.Uint32() % size
-			x1 := x0 + rng.Uint32()%(size-x0)
-			y0 := rng.Uint32() % size
-			y1 := y0 + rng.Uint32()%(size-y0)
-			want := c.DecomposeWindow(x0, y0, x1, y1)
-			buf = c.AppendWindow(buf[:len(prefix)], x0, y0, x1, y1)
-			if buf[0] != prefix[0] {
-				t.Fatalf("%s: AppendWindow clobbered the prefix: %v", c.Name(), buf[0])
-			}
-			got := buf[len(prefix):]
-			if len(got) != len(want) {
-				t.Fatalf("%s window (%d,%d)-(%d,%d): append %v != decompose %v",
-					c.Name(), x0, y0, x1, y1, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s window (%d,%d)-(%d,%d): append %v != decompose %v",
-						c.Name(), x0, y0, x1, y1, got, want)
-				}
+	c := MustHilbert(5)
+	size := c.Size()
+	prefix := []Interval{{999, 1000}}
+	buf := append([]Interval(nil), prefix...)
+	for trial := 0; trial < 200; trial++ {
+		x0 := rng.Uint32() % size
+		x1 := x0 + rng.Uint32()%(size-x0)
+		y0 := rng.Uint32() % size
+		y1 := y0 + rng.Uint32()%(size-y0)
+		want := c.DecomposeWindow(x0, y0, x1, y1)
+		buf = c.AppendWindow(buf[:len(prefix)], x0, y0, x1, y1)
+		if buf[0] != prefix[0] {
+			t.Fatalf("AppendWindow clobbered the prefix: %v", buf[0])
+		}
+		got := buf[len(prefix):]
+		if len(got) != len(want) {
+			t.Fatalf("window (%d,%d)-(%d,%d): append %v != decompose %v",
+				x0, y0, x1, y1, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("window (%d,%d)-(%d,%d): append %v != decompose %v",
+					x0, y0, x1, y1, got, want)
 			}
 		}
-	}
-}
-
-func TestHilbertLocalityBeatsZOrder(t *testing.T) {
-	// Sanity for the paper's choice: average number of intervals per window
-	// should be no worse for Hilbert than Z-order on random windows.
-	rng := rand.New(rand.NewSource(77))
-	h, z := MustHilbert(8), MustZOrder(8)
-	var hTotal, zTotal int
-	for trial := 0; trial < 300; trial++ {
-		x0 := uint32(rng.Intn(200))
-		y0 := uint32(rng.Intn(200))
-		w := uint32(rng.Intn(40) + 1)
-		hTotal += len(h.DecomposeWindow(x0, y0, x0+w, y0+w))
-		zTotal += len(z.DecomposeWindow(x0, y0, x0+w, y0+w))
-	}
-	if hTotal > zTotal*12/10 {
-		t.Fatalf("hilbert fragmentation %d should not be much worse than z-order %d", hTotal, zTotal)
 	}
 }
 

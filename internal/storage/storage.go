@@ -6,9 +6,8 @@
 // plotted throughout Section 6 of the paper.
 //
 // The MemStore backend is the paper's simulated disk: a map from PageID to
-// page images with read/write counters and an optional per-access latency so
-// wall-clock time tracks I/O the way a spinning disk would; it is the
-// default and keeps benchmark figures comparable to the paper. The FileStore
+// page images with read/write counters; it is the default and keeps
+// benchmark figures comparable to the paper. The FileStore
 // backend (filestore.go) is a real single-file page store with slot-aligned
 // pread/pwrite, checksummed slots and fsync on Sync — the pages of the Store's
 // WithDataDir mode, as scratch: the file starts empty at every open and holds
@@ -35,10 +34,6 @@ type PageID uint64
 // NilPage is the invalid page id.
 const NilPage PageID = 0
 
-// Disk is the historical name of the simulated in-memory backend; it remains
-// as an alias so existing call sites keep compiling unchanged.
-type Disk = MemStore
-
 // MemStore is the simulated non-volatile store the paper measures against.
 // It is safe for concurrent use: multiple buffer pools may front a single
 // MemStore (the Store gives every partition its own pool over one shared
@@ -64,9 +59,6 @@ func errMemClosed(op string) error {
 func NewMemStore() *MemStore {
 	return &MemStore{pages: make(map[PageID][]byte)}
 }
-
-// NewDisk returns an empty in-memory page store (historical name).
-func NewDisk() *MemStore { return NewMemStore() }
 
 // Allocate reserves a page id, recycling the most recently freed id if any.
 // The page contents start zeroed.

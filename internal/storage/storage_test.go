@@ -8,7 +8,7 @@ import (
 )
 
 func TestDiskAllocateReadWrite(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	id, err := d.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestDiskAllocateReadWrite(t *testing.T) {
 }
 
 func TestDiskFreedPageErrors(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	id, _ := d.Allocate()
 	if err := d.Free(id); err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestDiskFreedPageErrors(t *testing.T) {
 }
 
 func TestBufferPoolHitMiss(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 2)
 	a, _ := p.Allocate()
 	if err := p.Write(a, func(data []byte) { data[0] = 1 }); err != nil {
@@ -76,7 +76,7 @@ func TestBufferPoolHitMiss(t *testing.T) {
 }
 
 func TestBufferPoolEvictionLRU(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 2)
 	a, _ := p.Allocate()
 	b, _ := p.Allocate()
@@ -117,7 +117,7 @@ func TestBufferPoolEvictionLRU(t *testing.T) {
 // frame shows its own page's bytes (Allocate: zeros), comes back clean, and
 // every access is counted as before.
 func TestMissRecyclesEvictedFrame(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 2)
 	ids := make([]PageID, 6)
 	for i := range ids {
@@ -171,7 +171,7 @@ func TestMissRecyclesEvictedFrame(t *testing.T) {
 }
 
 func TestBufferPoolWriteBackOnEviction(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 1)
 	a, _ := p.Allocate()
 	if err := p.Write(a, func(data []byte) { data[7] = 0x77 }); err != nil {
@@ -195,7 +195,7 @@ func TestBufferPoolWriteBackOnEviction(t *testing.T) {
 // page is dirty — same pin accounting, a write-back only for a reported
 // change, and a change reported once stays dirty through later clean visits.
 func TestBufferPoolUpdate(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 2)
 	a, _ := p.Allocate()
 	if err := p.FlushAll(); err != nil { // a fresh page starts dirty
@@ -241,7 +241,7 @@ func TestBufferPoolUpdate(t *testing.T) {
 }
 
 func TestBufferPoolManyPages(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, DefaultBufferPages)
 	const n = 500
 	ids := make([]PageID, n)
@@ -272,7 +272,7 @@ func TestBufferPoolManyPages(t *testing.T) {
 }
 
 func TestBufferPoolFree(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 4)
 	a, _ := p.Allocate()
 	if err := p.Free(a); err != nil {
@@ -284,7 +284,7 @@ func TestBufferPoolFree(t *testing.T) {
 }
 
 func TestBufferPoolFlushAll(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 8)
 	a, _ := p.Allocate()
 	if err := p.Write(a, func(data []byte) { data[0] = 9 }); err != nil {
@@ -312,11 +312,11 @@ func TestBufferPoolCapacityPanics(t *testing.T) {
 			t.Fatal("expected panic for capacity 0")
 		}
 	}()
-	NewBufferPool(NewDisk(), 0)
+	NewBufferPool(NewMemStore(), 0)
 }
 
 func TestBufferPoolConcurrentAccess(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 16)
 	const pages = 64
 	ids := make([]PageID, pages)
@@ -350,7 +350,7 @@ func TestBufferPoolConcurrentAccess(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 1)
 	a, _ := p.Allocate()
 	b, _ := p.Allocate() // evicts a
@@ -371,7 +371,7 @@ func TestStripeCountPureFunctionOfCapacity(t *testing.T) {
 		{64, 4}, {128, 8}, {384, 8}, {10_000, 8},
 	}
 	for _, c := range cases {
-		p := NewBufferPool(NewDisk(), c.capacity)
+		p := NewBufferPool(NewMemStore(), c.capacity)
 		if got := p.Stripes(); got != c.want {
 			t.Errorf("stripes(capacity=%d) = %d, want %d", c.capacity, got, c.want)
 		}
@@ -391,7 +391,7 @@ func TestStripeCountPureFunctionOfCapacity(t *testing.T) {
 // produce exactly N*perG hits — a fast-path hit that went uncounted (or
 // double-counted) shows up as a wrong total, not a flaky ratio.
 func TestStatsExactUnderConcurrentReaders(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 64) // multiple stripes; everything stays resident
 	const pages = 48
 	ids := make([]PageID, pages)
@@ -430,7 +430,7 @@ func TestStatsExactUnderConcurrentReaders(t *testing.T) {
 // working set overflows the pool: every Read is either a hit or a miss,
 // never both, never neither, even while evictions race the fast path.
 func TestStatsExactUnderConcurrentThrash(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 32)
 	const pages = 96
 	ids := make([]PageID, pages)
@@ -470,7 +470,7 @@ func TestStatsExactUnderConcurrentThrash(t *testing.T) {
 // stripe must still pick the least recently used unpinned frame (the global
 // access clock makes "least recent" exact, not approximate).
 func TestStripedPoolEvictionStillLRU(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 32) // 2 stripes of 16
 	if p.Stripes() < 2 {
 		t.Skip("striping thresholds changed; test needs >= 2 stripes")
@@ -522,7 +522,7 @@ func TestStripedPoolEvictionStillLRU(t *testing.T) {
 }
 
 func ExampleBufferPool() {
-	disk := NewDisk()
+	disk := NewMemStore()
 	pool := NewBufferPool(disk, DefaultBufferPages)
 	id, _ := pool.Allocate()
 	_ = pool.Write(id, func(data []byte) { data[0] = 42 })
@@ -534,7 +534,7 @@ func TestFullPoolBlocksUntilUnpin(t *testing.T) {
 	// With a 1-frame pool, a fetch that finds the only frame pinned by
 	// another goroutine must wait for the pin to release (back-pressure),
 	// not evict the pinned frame and not fail.
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 1)
 	a, _ := p.Allocate()
 	b, _ := d.Allocate()
@@ -567,7 +567,7 @@ func TestFullPoolBlocksUntilUnpin(t *testing.T) {
 func TestTinyPoolConcurrentReaders(t *testing.T) {
 	// More concurrent readers than frames: every read must still succeed
 	// (waiting as needed), and pinned frames must never be evicted.
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 2)
 	var ids []PageID
 	for i := 0; i < 6; i++ {
@@ -603,7 +603,7 @@ func TestTinyPoolConcurrentReaders(t *testing.T) {
 }
 
 func TestFreePinnedPageRejected(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	p := NewBufferPool(d, 2)
 	a, _ := p.Allocate()
 	var freeErr error
@@ -621,7 +621,7 @@ func TestFreePinnedPageRejected(t *testing.T) {
 }
 
 func TestReadUnallocatedThroughPool(t *testing.T) {
-	p := NewBufferPool(NewDisk(), 2)
+	p := NewBufferPool(NewMemStore(), 2)
 	if err := p.Read(PageID(12345), func([]byte) {}); err == nil {
 		t.Fatal("read of never-allocated page should fail")
 	}
@@ -631,7 +631,7 @@ func TestReadUnallocatedThroughPool(t *testing.T) {
 }
 
 func TestDiskFailedAccessNotCounted(t *testing.T) {
-	d := NewDisk()
+	d := NewMemStore()
 	var buf [PageSize]byte
 
 	if err := d.ReadPage(PageID(999), &buf); err == nil {

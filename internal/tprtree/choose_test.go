@@ -60,7 +60,7 @@ func refSweepVolume(m geom.MovingRect, t0, t1 float64) float64 {
 }
 
 func refSweepCost(cfg Config, mr geom.MovingRect, now float64) float64 {
-	h := cfg.QueryExtent / 2
+	h := queryExtent / 2
 	inflated := geom.MovingRect{
 		MBR: mr.MBR.ExpandXY(h, h),
 		VBR: mr.VBR,
@@ -221,41 +221,28 @@ func TestSweepKernelMatchesSweepVolume(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	type probe struct {
 		name string
-		cfg  Config
 		mr   geom.MovingRect // rebased to now below
 		now  float64
 	}
 	box := func(x0, y0, x1, y1, vx0, vy0, vx1, vy1 float64) geom.MovingRect {
 		return geom.MovingRect{MBR: geom.Rect{MinX: x0, MinY: y0, MaxX: x1, MaxY: y1}, VBR: geom.Rect{MinX: vx0, MinY: vy0, MaxX: vx1, MaxY: vy1}}
 	}
-	pointExtent := Config{QueryExtent: -1} // withDefaults: a query of extent 0
 	probes := []probe{
-		{"zero width", pointExtent, box(5, 5, 5, 9, -1, -1, 1, 1), 10},
-		{"zero width, zero growth", pointExtent, box(5, 5, 5, 9, 2, -1, 2, 1), 10},
-		{"zero velocity extent", Config{}, box(100, 200, 300, 400, 7, -3, 7, -3), 10},
-		{"point, QueryExtent 0", pointExtent, box(5, 5, 5, 5, -1, 2, -1, 2), 10},
-		{"box, QueryExtent 0", pointExtent, box(0, 0, 40, 30, -2, -1, 3, 1), 10},
-		{"clamp root inside the horizon", Config{}, box(0, 0, 10, 10, 20, 1, -20, 2), 10},
-		{"clamp root, QueryExtent 0", pointExtent, box(0, 0, 10, 10, 1, 1, -1, 0), 10},
-		{"huge coordinates absorb the extent", Config{}, box(1e300, 1e300, 1e300, 1e300, -1, -1, 1, 1), 10},
-		{"huge widths overflow", Config{}, box(-1e300, -1e300, 1e300, 1e300, -1, -1, 1, 1), 10},
-		{"huge speeds overflow", Config{}, box(0, 0, 1, 1, -1e300, -1e300, 1e300, 1e300), 10},
-		{"odd now", Config{}, box(100, 200, 300, 400, -50, -40, 60, 70), odd},
-		{"odd now, QueryExtent 0", pointExtent, box(100, 200, 300, 400, -50, -40, 60, 70), odd},
+		{"zero velocity extent", box(100, 200, 300, 400, 7, -3, 7, -3), 10},
+		{"clamp root inside the horizon", box(0, 0, 10, 10, 20, 1, -20, 2), 10},
+		{"huge coordinates absorb the extent", box(1e300, 1e300, 1e300, 1e300, -1, -1, 1, 1), 10},
+		{"huge widths overflow", box(-1e300, -1e300, 1e300, 1e300, -1, -1, 1, 1), 10},
+		{"huge speeds overflow", box(0, 0, 1, 1, -1e300, -1e300, 1e300, 1e300), 10},
+		{"odd now", box(100, 200, 300, 400, -50, -40, 60, 70), odd},
 	}
 	for i := 0; i < 2000; i++ {
 		x, y := rng.Float64()*100000, rng.Float64()*100000
 		vx, vy := rng.Float64()*200-100, rng.Float64()*200-100
-		probes = append(probes, probe{"random", Config{}, box(x, y, x+rng.Float64()*3000, y+rng.Float64()*3000,
+		probes = append(probes, probe{"random", box(x, y, x+rng.Float64()*3000, y+rng.Float64()*3000,
 			vx, vy, vx+rng.Float64()*(100-vx), vy+rng.Float64()*(100-vy)), rng.Float64() * 1000})
 	}
-	trees := map[Config]*Tree{}
+	tr := newTestTree(t, 4, Config{})
 	for _, p := range probes {
-		tr := trees[p.cfg]
-		if tr == nil {
-			tr = newTestTree(t, 4, p.cfg)
-			trees[p.cfg] = tr
-		}
 		stored := p.mr
 		stored.Ref = p.now - 3 // a stored bound, referenced before now
 		// The chooser's and the split's rectangles are rebased to now; a
@@ -263,7 +250,7 @@ func TestSweepKernelMatchesSweepVolume(t *testing.T) {
 		for _, mr := range []geom.MovingRect{stored.Rebase(p.now), stored} {
 			got := tr.sweepCost(mr, p.now)
 			want := refSweepCost(tr.cfg, mr, p.now)
-			h := tr.cfg.QueryExtent / 2
+			h := queryExtent / 2
 			viaGeom := geom.MovingRect{MBR: mr.MBR.ExpandXY(h, h), VBR: mr.VBR, Ref: mr.Ref}.SweepVolume(p.now, p.now+tr.cfg.Horizon)
 			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(viaGeom) != math.Float64bits(want) {
 				t.Fatalf("%s: sweepCost(%v, %g) = %g (%#x), SweepVolume %g (%#x), reference %g (%#x)", p.name, mr, p.now,

@@ -46,7 +46,7 @@ func FuzzTreeOps(f *testing.F) {
 }
 
 func fuzzRun(t *testing.T, ops []byte, pages int) {
-	tr, err := NewTree(storage.NewBufferPool(storage.NewDisk(), pages), Config{})
+	tr, err := NewTree(storage.NewBufferPool(storage.NewMemStore(), pages), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

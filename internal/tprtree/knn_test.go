@@ -84,7 +84,7 @@ func knnHistory(tb testing.TB, seed int64, skew bool, pages int) (*Tree, *storag
 	tb.Helper()
 	const load, updates = 4000, 3000
 	rng := rand.New(rand.NewSource(seed))
-	pool := storage.NewBufferPool(storage.NewDisk(), pages)
+	pool := storage.NewBufferPool(storage.NewMemStore(), pages)
 	tr, err := NewTree(pool, Config{})
 	if err != nil {
 		tb.Fatal(err)

@@ -28,7 +28,7 @@ func uniformObj(rng *rand.Rand, id model.ObjectID, now float64) model.Object {
 func newHeight3Tree(tb testing.TB, n, poolPages int) (*Tree, *storage.BufferPool, []model.Object) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(5))
-	pool := storage.NewBufferPool(storage.NewDisk(), poolPages)
+	pool := storage.NewBufferPool(storage.NewMemStore(), poolPages)
 	tr, err := NewTree(pool, Config{})
 	if err != nil {
 		tb.Fatal(err)

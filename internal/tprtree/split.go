@@ -99,19 +99,15 @@ func (t *Tree) chooseSplit(sc *splitScratch, rects []geom.MovingRect, minFill in
 		return bestPerm, n / 2
 	}
 
-	// Sort keys: the four MBR boundaries, then (unless disabled) the four
-	// VBR boundaries.
-	nkeys := 8
-	if t.cfg.PositionOnlySplits {
-		nkeys = 4
-	}
-
+	// Sort keys: the four MBR boundaries, then the four VBR boundaries. The
+	// velocity keys are what lets a split group objects travelling in the
+	// same direction (the property the VP paper leans on, §6.3).
 	bestCost := math.Inf(1)
 	bestOverlap := math.Inf(1)
 	bestCut := -1
 	perm, keys, prefix, suffix := sc.perm[:n], sc.keys[:n], sc.prefix[:n], sc.suffix[:n]
 
-	for key := 0; key < nkeys; key++ {
+	for key := 0; key < 8; key++ {
 		for i, r := range rects {
 			perm[i] = i
 			keys[i] = [8]float64{r.MBR.MinX, r.MBR.MaxX, r.MBR.MinY, r.MBR.MaxY, r.VBR.MinX, r.VBR.MaxX, r.VBR.MinY, r.VBR.MaxY}[key]

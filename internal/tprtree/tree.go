@@ -9,40 +9,29 @@ import (
 	"repro/internal/storage"
 )
 
+// The cost model's fixed settings: the paper's TPR*-tree configuration.
+const (
+	// queryExtent is the query side length (m) the tree is optimized for;
+	// the paper states "optimized for query size of 1000x1000 m^2". Cost
+	// integrals inflate node extents by half this value per side. It is a
+	// float constant so that queryExtent/2 is not an integer division.
+	queryExtent = 1000.0
+	// reinsertFraction is the share of entries force-reinserted on first
+	// overflow (the R*/TPR* convention).
+	reinsertFraction = 0.3
+)
+
 // Config tunes the tree. The zero value is usable; NewTree fills defaults.
 type Config struct {
 	// Horizon is the time window (ts) over which insertion/split costs
 	// integrate sweeping-region volumes. The TPR* convention ties it to the
 	// maximum update interval (Table 1: 120 ts).
 	Horizon float64
-	// QueryExtent is the query side length (m) the tree is optimized for;
-	// the paper states "optimized for query size of 1000x1000 m^2". Cost
-	// integrals inflate node extents by half this value per side.
-	QueryExtent float64
-	// ReinsertFraction is the share of entries force-reinserted on first
-	// overflow (R*/TPR* convention: 0.3).
-	ReinsertFraction float64
-	// PositionOnlySplits disables the velocity sort keys during node
-	// splits, reducing the split search to the classic R*-tree's four
-	// position boundaries. The TPR*-tree's velocity-aware splits are one
-	// of the properties the VP paper leans on ("the insertion algorithm of
-	// the TPR*-tree attempts to group objects travelling in the same
-	// direction", §6.3); this switch exists for the ablation bench that
-	// quantifies it.
-	PositionOnlySplits bool
 }
 
 func (c Config) withDefaults() Config {
 	if c.Horizon <= 0 {
 		c.Horizon = 120
-	}
-	if c.QueryExtent < 0 {
-		c.QueryExtent = 0
-	} else if c.QueryExtent == 0 {
-		c.QueryExtent = 1000
-	}
-	if c.ReinsertFraction <= 0 || c.ReinsertFraction >= 1 {
-		c.ReinsertFraction = 0.3
 	}
 	return c
 }
@@ -134,11 +123,10 @@ func (t *Tree) IO() model.IOStats {
 // ChooseSubtree and splits. A bound already referenced at now, with positive
 // inflated widths and boundaries that do not converge, is one geom.BoxSweep
 // on its widths — the same floats SweepVolume would produce, without the
-// rebase, the expansion and the clamp search. Anything else (zero width,
-// QueryExtent 0, a negative velocity extent, non-finite values) takes
-// SweepVolume itself.
+// rebase, the expansion and the clamp search. Anything else (zero width, a
+// negative velocity extent, non-finite values) takes SweepVolume itself.
 func (t *Tree) sweepCost(mr geom.MovingRect, now float64) float64 {
-	h := t.cfg.QueryExtent / 2
+	h := queryExtent / 2
 	w0 := (mr.MBR.MaxX + h) - (mr.MBR.MinX - h)
 	h0 := (mr.MBR.MaxY + h) - (mr.MBR.MinY - h)
 	dw := mr.VBR.MaxX - mr.VBR.MinX
@@ -465,7 +453,7 @@ func (t *Tree) handleOverflowRoot(root *node, now float64) error {
 	return nil
 }
 
-// forcedReinsert removes the ReinsertFraction of entries with the largest
+// forcedReinsert removes the reinsertFraction of entries with the largest
 // integrated center distance from the node's center trajectory (TPR* "pick
 // worst") and queues them for reinsertion after the current descent
 // unwinds. The node is written back immediately, so the tree is consistent
@@ -493,7 +481,7 @@ func (t *Tree) forcedReinsert(n *node, now float64) error {
 	}
 
 	if n.leaf() {
-		k := int(float64(len(n.objs)) * t.cfg.ReinsertFraction)
+		k := int(float64(len(n.objs)) * reinsertFraction)
 		if k < 1 {
 			k = 1
 		}
@@ -505,7 +493,7 @@ func (t *Tree) forcedReinsert(n *node, now float64) error {
 		return t.writeNode(n)
 	}
 
-	k := int(float64(len(n.entries)) * t.cfg.ReinsertFraction)
+	k := int(float64(len(n.entries)) * reinsertFraction)
 	if k < 1 {
 		k = 1
 	}

@@ -143,6 +143,7 @@ type WAL struct {
 
 	flushMu sync.Mutex // the group-commit leader lock
 	syncMu  sync.Mutex // serializes fsync with segment close (rotation)
+	segMu   sync.Mutex // serializes segment removal with Verify's reads
 	durable atomic.Uint64
 
 	retries atomic.Int64  // transient-fault retry attempts taken
@@ -473,6 +474,8 @@ func (w *WAL) Close() error {
 // after a checkpoint has made those records redundant. The active segment is
 // never removed.
 func (w *WAL) TruncateBefore(lsn uint64) error {
+	w.segMu.Lock()
+	defer w.segMu.Unlock()
 	segs, err := listSegments(w.dir)
 	if err != nil {
 		return err
@@ -531,30 +534,17 @@ func replaySegment(s segment, from, expectedEnd uint64, fn func(lsn uint64, t Ty
 	if err != nil {
 		return fmt.Errorf("wal: replay %s: %w", s.path, err)
 	}
-	pos := 0
-	stop := func() error {
-		if expectedEnd != 0 && uint64(pos) < expectedEnd {
-			return &CorruptError{Path: s.path, LSN: s.start + uint64(pos)}
+	for pos := 0; ; {
+		t, payload, ok := frameAt(data, pos)
+		if !ok {
+			// A clean end, a torn tail or corruption: short of the
+			// successor's start, it is corruption.
+			if expectedEnd != 0 && uint64(pos) < expectedEnd {
+				return &CorruptError{Path: s.path, LSN: s.start + uint64(pos)}
+			}
+			return nil
 		}
-		return nil
-	}
-	for {
-		if pos+frameHeader > len(data) {
-			return stop() // clean end or torn header
-		}
-		n := int(binary.LittleEndian.Uint32(data[pos:]))
-		if n > maxRecord || pos+frameHeader+n > len(data) {
-			return stop() // torn or garbage length
-		}
-		t := Type(data[pos+4])
-		want := binary.LittleEndian.Uint32(data[pos+5:])
-		payload := data[pos+frameHeader : pos+frameHeader+n]
-		crc := crc32.Update(0, crc32.IEEETable, data[pos+4:pos+5])
-		crc = crc32.Update(crc, crc32.IEEETable, payload)
-		if crc != want {
-			return stop() // torn tail or corruption
-		}
-		pos += frameHeader + n
+		pos += frameHeader + len(payload)
 		end := s.start + uint64(pos)
 		if end > from {
 			if err := fn(end, t, payload); err != nil {
@@ -567,8 +557,11 @@ func replaySegment(s segment, from, expectedEnd uint64, fn func(lsn uint64, t Ty
 // Verify checks the integrity of every sealed segment that has a successor:
 // its CRC-valid prefix must reach the successor's start. The active segment
 // (and a trailing sealed one with no successor) is skipped — its tail is
-// legitimately in flux. This is the scrubber's WAL primitive.
+// legitimately in flux. This is the scrubber's WAL primitive; it holds off
+// TruncateBefore, so a segment it listed is still there when it reads it.
 func (w *WAL) Verify() error {
+	w.segMu.Lock()
+	defer w.segMu.Unlock()
 	segs, err := listSegments(w.dir)
 	if err != nil {
 		return err
@@ -637,31 +630,24 @@ func scanTail(path string) (valid uint64, resync bool, err error) {
 	if err != nil {
 		return 0, false, fmt.Errorf("wal: scan %s: %w", path, err)
 	}
-	pos := int(validPrefix(data))
-	if pos >= len(data) {
-		return uint64(pos), false, nil
-	}
-	// Try every offset after the invalid frame as a candidate frame start.
-	limit := len(data)
-	if pos+resyncWindow < limit {
-		limit = pos + resyncWindow
-	}
+	valid = validPrefix(data)
+	return valid, resyncAt(data, int(valid)) >= 0, nil
+}
+
+// resyncAt returns the offset of the first whole, CRC-valid frame of a known
+// record type that starts past the invalid frame at pos and within
+// resyncWindow of it, or -1 when there is none.
+func resyncAt(data []byte, pos int) int {
+	limit := min(len(data), pos+resyncWindow)
 	for off := pos + 1; off+frameHeader <= limit; off++ {
 		if t := data[off+4]; t < byte(TypeReport) || t > byte(TypeRefresh) {
 			continue
 		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if n > maxRecord || off+frameHeader+n > len(data) {
-			continue
-		}
-		payload := data[off+frameHeader : off+frameHeader+n]
-		crc := crc32.Update(0, crc32.IEEETable, data[off+4:off+5])
-		crc = crc32.Update(crc, crc32.IEEETable, payload)
-		if crc == binary.LittleEndian.Uint32(data[off+5:]) {
-			return uint64(pos), true, nil
+		if _, _, ok := frameAt(data, off); ok {
+			return off
 		}
 	}
-	return uint64(pos), false, nil
+	return -1
 }
 
 // validBytes measures the CRC-valid prefix of one segment file.
@@ -677,19 +663,31 @@ func validBytes(path string) (uint64, error) {
 func validPrefix(data []byte) uint64 {
 	pos := 0
 	for {
-		if pos+frameHeader > len(data) {
+		_, payload, ok := frameAt(data, pos)
+		if !ok {
 			return uint64(pos)
 		}
-		n := int(binary.LittleEndian.Uint32(data[pos:]))
-		if n > maxRecord || pos+frameHeader+n > len(data) {
-			return uint64(pos)
-		}
-		payload := data[pos+frameHeader : pos+frameHeader+n]
-		crc := crc32.Update(0, crc32.IEEETable, data[pos+4:pos+5])
-		crc = crc32.Update(crc, crc32.IEEETable, payload)
-		if crc != binary.LittleEndian.Uint32(data[pos+5:]) {
-			return uint64(pos)
-		}
-		pos += frameHeader + n
+		pos += frameHeader + len(payload)
 	}
+}
+
+// frameAt decodes the frame starting at data[pos]. ok is false unless the
+// image holds a whole frame there — header, a length within maxRecord, and
+// the payload — whose CRC matches: a torn header, a torn or garbage length
+// and a CRC mismatch all read as no frame.
+func frameAt(data []byte, pos int) (t Type, payload []byte, ok bool) {
+	if pos+frameHeader > len(data) {
+		return 0, nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(data[pos:]))
+	if n > maxRecord || pos+frameHeader+n > len(data) {
+		return 0, nil, false
+	}
+	payload = data[pos+frameHeader : pos+frameHeader+n]
+	crc := crc32.Update(0, crc32.IEEETable, data[pos+4:pos+5])
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	if crc != binary.LittleEndian.Uint32(data[pos+5:]) {
+		return 0, nil, false
+	}
+	return Type(data[pos+4]), payload, true
 }

@@ -316,7 +316,7 @@ func TestKNNBoundedMatchesBruteForce(t *testing.T) {
 			for _, par := range []int{1, 4} {
 				t.Run(fmt.Sprintf("manager/%s/par=%d/%s", kind, par, c.name), func(t *testing.T) {
 					m, err := core.NewManager(axes, core.ManagerConfig{SearchParallelism: par}, func(spec core.PartitionSpec) (model.Index, error) {
-						pool := storage.NewBufferPool(storage.NewDisk(), 64)
+						pool := storage.NewBufferPool(storage.NewMemStore(), 64)
 						if kind == vpindex.Bx {
 							return bxtree.NewTree(pool, bxtree.Config{Domain: spec.Domain})
 						}
