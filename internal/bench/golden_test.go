@@ -17,7 +17,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/figures.golden")
 // TestScale, seed 42: for Fig. 19's dataset x setup grid the simulated I/O
 // per query and per update (buffer-pool misses) and the average result
 // count; for the Fig. 20-24 sweeps the I/O columns of the printed table at
-// one sweep point each. Wall-clock columns are dropped. The numbers were
+// one sweep point each; and Fig. 17's whole tau sweep on CH. Wall-clock
+// columns are dropped. The numbers were
 // captured from the root package's former flat and partitioned index
 // constructors before Build took over their job, so any drift in pool sharing, probe order or
 // analyzer seeding shows up as a byte diff.
@@ -47,6 +48,7 @@ func TestFigureGolden(t *testing.T) {
 		func() (Table, error) { return RunFig22([]float64{800}, sc, seed) },
 		func() (Table, error) { return RunFig23([]float64{100}, sc, seed) },
 		func() (Table, error) { return RunFig24([]float64{100}, sc, seed) },
+		func() (Table, error) { return RunFig17(workload.Chicago, sc, seed) },
 	} {
 		tab, err := fig()
 		if err != nil {
