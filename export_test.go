@@ -10,10 +10,6 @@ import "repro/internal/storage"
 // pool (0 = GOMAXPROCS; 1 is the sequential probe order).
 func WithSearchParallelism(n int) Option { return func(c *storeConfig) { c.searchPar = n } }
 
-// WithTauRefreshInterval is a test seam: it recomputes each partition's
-// outlier threshold after this many routed inserts (Section 5.5).
-func WithTauRefreshInterval(n int) Option { return func(c *storeConfig) { c.tauRefresh = n } }
-
 // WithWALSegmentBytes is a test seam: the log segment rotation size (default
 // 4 MiB), so tests can exercise rotation with tiny segments.
 func WithWALSegmentBytes(n int64) Option { return func(c *storeConfig) { c.walSegBytes = n } }

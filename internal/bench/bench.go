@@ -76,10 +76,6 @@ func ScaleFor(objects, queries int, duration float64) Scale {
 // TestScale is small enough for go test / testing.B.
 func TestScale() Scale { return ScaleFor(4000, 60, 40) }
 
-// DefaultScale is the CLI default: large enough for stable trends, minutes
-// per figure.
-func DefaultScale() Scale { return ScaleFor(20000, 200, 120) }
-
 // PaperScale is Table 1: 100K objects on the full 100 km domain, 240 ts,
 // 50 buffer pages.
 func PaperScale() Scale {
@@ -109,6 +105,13 @@ func (ix *Index) Stats() model.IOStats {
 // Build constructs one of the four setups for the given workload generator.
 // VP setups analyze the generator's velocity sample first.
 func Build(s Setup, gen *workload.Generator, bufferPages int) (*Index, error) {
+	return buildTau(s, gen, bufferPages, -1)
+}
+
+// buildTau is Build with every DVA partition's outlier threshold set to tau
+// before the manager is built (the fixed-tau sweep of Fig. 17); a negative
+// tau keeps the analyzed thresholds.
+func buildTau(s Setup, gen *workload.Generator, bufferPages int, tau float64) (*Index, error) {
 	p := gen.Params()
 	pool := storage.NewBufferPool(storage.NewMemStore(), bufferPages)
 	tree := func(domain geom.Rect) (model.Index, error) {
@@ -133,6 +136,9 @@ func Build(s Setup, gen *workload.Generator, bufferPages int) (*Index, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	for i := 0; tau >= 0 && i < len(an.Frames)-1; i++ {
+		an.Frames[i].Tau = tau
 	}
 	mgr, err := core.NewManager(an, core.ManagerConfig{
 		Domain: p.Domain,
@@ -174,7 +180,7 @@ func Run(s Setup, gen *workload.Generator, bufferPages int) (Metrics, error) {
 }
 
 // RunOn replays the workload against a pre-built index (used by the
-// fixed-tau sweep, which tweaks the index before loading).
+// fixed-tau sweep, which builds its indexes with buildTau).
 func RunOn(idx Instrumented, s Setup, gen *workload.Generator) (Metrics, error) {
 	m := Metrics{Setup: s, Dataset: gen.Params().Dataset}
 

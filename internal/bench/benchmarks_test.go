@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -157,15 +156,13 @@ func BenchmarkAblationOutlierPartition(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				idx, err := Build(SetupTPRVP, gen, sc.Buffer)
+				tau := -1.0
+				if mode == "no-outlier-partition" {
+					tau = 1e18
+				}
+				idx, err := buildTau(SetupTPRVP, gen, sc.Buffer, tau)
 				if err != nil {
 					b.Fatal(err)
-				}
-				if mode == "no-outlier-partition" {
-					vp := idx.Index.(*core.Manager)
-					for pi := 0; pi < vp.NumPartitions()-1; pi++ {
-						vp.SetTau(pi, 1e18)
-					}
 				}
 				m, err := RunOn(idx, SetupTPRVP, gen)
 				if err != nil {

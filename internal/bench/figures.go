@@ -195,20 +195,15 @@ func RunFig17(ds workload.Dataset, sc Scale, seed int64) (Table, error) {
 		Title:  fmt.Sprintf("Fig. 17 — tau sweep on %s (query I/O)", ds),
 		Header: []string{"tau", "Bx(VP)", "TPR*(VP)"},
 	}
-	run := func(s Setup, tau float64, auto bool) (float64, error) {
+	// run measures one setup at a fixed tau; tau < 0 is the analyzed one.
+	run := func(s Setup, tau float64) (float64, error) {
 		gen, err := workload.NewGenerator(params(ds, sc, seed))
 		if err != nil {
 			return 0, err
 		}
-		idx, err := Build(s, gen, sc.Buffer)
+		idx, err := buildTau(s, gen, sc.Buffer, tau)
 		if err != nil {
 			return 0, err
-		}
-		vp := idx.Index.(*core.Manager)
-		if !auto {
-			for i := 0; i < vp.NumPartitions()-1; i++ {
-				vp.SetTau(i, tau)
-			}
 		}
 		m, err := RunOn(idx, s, gen)
 		if err != nil {
@@ -217,21 +212,21 @@ func RunFig17(ds workload.Dataset, sc Scale, seed int64) (Table, error) {
 		return m.QueryIO, nil
 	}
 	for _, tau := range TauSweepValues {
-		bxIO, err := run(SetupBxVP, tau, false)
+		bxIO, err := run(SetupBxVP, tau)
 		if err != nil {
 			return tab, err
 		}
-		tprIO, err := run(SetupTPRVP, tau, false)
+		tprIO, err := run(SetupTPRVP, tau)
 		if err != nil {
 			return tab, err
 		}
 		tab.Rows = append(tab.Rows, []string{f1(tau), f1(bxIO), f1(tprIO)})
 	}
-	bxAuto, err := run(SetupBxVP, 0, true)
+	bxAuto, err := run(SetupBxVP, -1)
 	if err != nil {
 		return tab, err
 	}
-	tprAuto, err := run(SetupTPRVP, 0, true)
+	tprAuto, err := run(SetupTPRVP, -1)
 	if err != nil {
 		return tab, err
 	}

@@ -18,10 +18,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/figures.golden")
 // per query and per update (buffer-pool misses) and the average result
 // count; for the Fig. 20-24 sweeps the I/O columns of the printed table at
 // one sweep point each; and Fig. 17's whole tau sweep on CH. Wall-clock
-// columns are dropped. The numbers were
-// captured from the root package's former flat and partitioned index
-// constructors before Build took over their job, so any drift in pool sharing, probe order or
-// analyzer seeding shows up as a byte diff.
+// columns are dropped. The numbers were captured from the root package's
+// former flat and partitioned index constructors before Build took over
+// their job, so any drift in pool sharing, probe order or analyzer seeding
+// shows up as a byte diff.
 func TestFigureGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

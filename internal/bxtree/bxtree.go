@@ -98,7 +98,6 @@ type Tree struct {
 	// newest.
 	buckets []*bucket
 	size    int
-	name    string
 }
 
 var _ model.Index = (*Tree)(nil)
@@ -116,15 +115,11 @@ func NewTree(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 		bt:          bt,
 		pool:        pool,
 		bucketWidth: cfg.MaxUpdateInterval / timeBuckets,
-		name:        "bx",
 	}, nil
 }
 
-// SetName overrides the reported index name.
-func (t *Tree) SetName(s string) { t.name = s }
-
 // Name implements model.Index.
-func (t *Tree) Name() string { return t.name }
+func (t *Tree) Name() string { return "bx" }
 
 // Len implements model.Index.
 func (t *Tree) Len() int { return t.size }

@@ -31,10 +31,10 @@ import (
 	"repro/internal/geom"
 )
 
-// tauBuckets is the resolution of the |v_perp| histograms tau is picked
-// from, at analysis and online, and of the speed histogram the speed-band
-// thresholds are searched over (paper: "a velocity histogram containing 100
-// buckets for determining tau").
+// tauBuckets is the resolution of the |v_perp| histogram tau is picked
+// from and of the speed histogram the speed-band thresholds are searched
+// over (paper: "a velocity histogram containing 100 buckets for determining
+// tau").
 const tauBuckets = 100
 
 // AnalyzerConfig parameterizes the DVA velocity analyzer. Zero values take
@@ -178,69 +178,4 @@ func TauCost(perpSpeeds []float64, tau float64) float64 {
 		}
 	}
 	return float64(nd) * (tau - vymax)
-}
-
-// tauHistogram is the online |v_perp| histogram kept per DVA partition so
-// tau can be recomputed as the speed distribution drifts (Section 5.5:
-// "we handle this situation by continuously updating the histogram used to
-// determine tau, and then periodically computing an updated tau").
-//
-// The histogram range is fixed at creation (from the analysis sample's
-// maximum, padded); values beyond it saturate into the last bucket, which
-// only makes tau conservative.
-type tauHistogram struct {
-	limit  float64
-	counts []int
-	total  int
-	maxVal float64
-}
-
-func newTauHistogram(limit float64) *tauHistogram {
-	if limit <= 0 {
-		limit = 1
-	}
-	return &tauHistogram{limit: limit, counts: make([]int, tauBuckets)}
-}
-
-func (h *tauHistogram) Add(v float64) {
-	b := int(v / h.limit * float64(len(h.counts)))
-	if b >= len(h.counts) {
-		b = len(h.counts) - 1
-	}
-	if b < 0 {
-		b = 0
-	}
-	h.counts[b]++
-	h.total++
-	if v > h.maxVal {
-		h.maxVal = v
-	}
-}
-
-// Optimal recomputes tau from the accumulated distribution (same objective
-// as OptimalTau, evaluated on bucket upper edges).
-func (h *tauHistogram) Optimal() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	vymax := math.Min(h.maxVal, h.limit)
-	if vymax == 0 {
-		return 0
-	}
-	bestTau := vymax
-	bestCost := math.Inf(1)
-	cum := 0
-	for b := range h.counts {
-		cum += h.counts[b]
-		tau := h.limit * float64(b+1) / float64(len(h.counts))
-		if tau > vymax {
-			tau = vymax
-		}
-		cost := float64(cum) * (tau - vymax)
-		if cost < bestCost {
-			bestCost = cost
-			bestTau = tau
-		}
-	}
-	return bestTau
 }

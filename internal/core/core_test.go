@@ -161,53 +161,18 @@ func TestOptimalTauEdgeCases(t *testing.T) {
 	}
 }
 
-func TestTauHistogramTracksDistribution(t *testing.T) {
-	h := newTauHistogram(50)
-	rng := rand.New(rand.NewSource(2))
-	var vals []float64
-	for i := 0; i < 5000; i++ {
-		v := math.Abs(rng.NormFloat64()) * 2
-		if rng.Float64() < 0.1 {
-			v = rng.Float64() * 45
-		}
-		vals = append(vals, v)
-		h.Add(v)
-	}
-	got := h.Optimal()
-	want := OptimalTau(vals)
-	// The histogram discretizes over a different range; allow slack.
-	if math.Abs(got-want) > want/2+2 {
-		t.Fatalf("online tau %g far from batch tau %g", got, want)
-	}
-	// Saturation above the limit must not panic and stays conservative.
-	h.Add(1e9)
-	if h.Optimal() <= 0 {
-		t.Fatal("tau collapsed after saturating value")
-	}
-}
-
 // --- manager integration -------------------------------------------------------
 
 // factories for both base index types over one shared pool.
 func tprFactory(pool *storage.BufferPool) IndexFactory {
 	return func(spec PartitionSpec) (model.Index, error) {
-		tr, err := tprtree.NewTree(pool, tprtree.Config{})
-		if err != nil {
-			return nil, err
-		}
-		tr.SetName("tpr*:" + spec.Name)
-		return tr, nil
+		return tprtree.NewTree(pool, tprtree.Config{})
 	}
 }
 
 func bxFactory(pool *storage.BufferPool) IndexFactory {
 	return func(spec PartitionSpec) (model.Index, error) {
-		tr, err := bxtree.NewTree(pool, bxtree.Config{Domain: spec.Domain})
-		if err != nil {
-			return nil, err
-		}
-		tr.SetName("bx:" + spec.Name)
-		return tr, nil
+		return bxtree.NewTree(pool, bxtree.Config{Domain: spec.Domain})
 	}
 }
 
@@ -297,9 +262,9 @@ func TestManagerAgainstOracleBothBases(t *testing.T) {
 			if len(parts) != 3 {
 				t.Fatalf("partitions = %d", len(parts))
 			}
-			for _, p := range parts[:2] {
+			for i, p := range parts[:2] {
 				if p.Size < len(objs)/5 {
-					t.Fatalf("partition %s only has %d objects", p.Spec.Name, p.Size)
+					t.Fatalf("partition %d only has %d objects", i, p.Size)
 				}
 			}
 			for trial := 0; trial < 40; trial++ {
@@ -405,11 +370,15 @@ func TestManagerDeleteAndErrors(t *testing.T) {
 	if m.Len() != 0 {
 		t.Fatal("len after delete")
 	}
-	if err := m.UpdateByID(o); !errors.Is(err, model.ErrNotFound) {
-		t.Fatalf("UpdateByID absent: %v", err)
+	if err := m.Update(o, o); !errors.Is(err, model.ErrNotFound) {
+		t.Fatalf("update absent: %v", err)
 	}
 }
 
+// TestManagerTauOverrideAndRefresh: a manager routes by the tau of the
+// analysis it was built from, and a fresh analysis of the live population —
+// the repartition round, Section 5.5's refresh — brings the DVA partitions
+// back into use.
 func TestManagerTauOverrideAndRefresh(t *testing.T) {
 	pool := storage.NewBufferPool(storage.NewMemStore(), 200)
 	sample := sfLikeSample(3000, 0, math.Pi/2, 2.0, 0.05, 5)
@@ -417,13 +386,12 @@ func TestManagerTauOverrideAndRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(an, ManagerConfig{TauRefreshInterval: 500}, tprFactory(pool))
+	// With tau forced to 0, everything lands in the outlier partition.
+	an.Frames[0].Tau, an.Frames[1].Tau = 0, 0
+	m, err := NewManager(an, ManagerConfig{}, tprFactory(pool))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With tau forced to 0, everything lands in the outlier partition.
-	m.SetTau(0, 0)
-	m.SetTau(1, 0)
 	rng := rand.New(rand.NewSource(6))
 	for i, o := range roadObjects(400, rng) {
 		o.ID = model.ObjectID(i + 1)
@@ -434,24 +402,125 @@ func TestManagerTauOverrideAndRefresh(t *testing.T) {
 		}
 	}
 	parts := m.Partitions()
-	outlier := parts[len(parts)-1]
-	if outlier.Size != 400 {
+	if outlier := parts[len(parts)-1]; outlier.Size != 400 {
 		t.Fatalf("tau=0 should route all to outlier, got %d there", outlier.Size)
 	}
-	// Keep inserting past the refresh interval: tau recomputes from the
-	// online histograms and objects start landing in DVA partitions again.
-	for i, o := range roadObjects(400, rng) {
-		o.ID = model.ObjectID(1000 + i)
-		if err := m.Insert(o); err != nil {
-			t.Fatal(err)
+	for i, p := range parts {
+		if p.Tau != 0 {
+			t.Fatalf("partition %d reports tau %g, want the analysis' 0", i, p.Tau)
 		}
 	}
-	if m.Tau(0) == 0 && m.Tau(1) == 0 {
-		t.Fatal("tau refresh never fired")
+	// Refresh: re-analyze the live velocities and move the population into a
+	// manager built from the result.
+	objs := m.Objects()
+	vels := make([]geom.Vec2, len(objs))
+	for i, o := range objs {
+		vels[i] = o.Vel
 	}
-	parts = m.Partitions()
+	fresh, err := Analyze(vels, AnalyzerConfig{K: 2, Cluster: cluster.Options{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := NewManager(fresh, ManagerConfig{}, tprFactory(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.InsertBulk(objs); err != nil {
+		t.Fatal(err)
+	}
+	parts = m2.Partitions()
+	if parts[0].Tau == 0 && parts[1].Tau == 0 {
+		t.Fatal("re-analysis left tau at 0")
+	}
 	if parts[0].Size+parts[1].Size == 0 {
-		t.Fatal("no objects in DVA partitions after tau refresh")
+		t.Fatal("no objects in DVA partitions after the re-analysis")
+	}
+}
+
+// TestManagerRoutesByAnalysis: the manager places every record where the
+// analysis' own router (Analysis.RouteVel) sends it — under DVA, speed and
+// unpartitioned analyses, for records exactly on a tau or band threshold,
+// standing still or moving along an axis — after a bulk load and again after
+// every record changed velocity.
+func TestManagerRoutesByAnalysis(t *testing.T) {
+	const tau0, tau1 = 2.5, 4
+	dva := Analysis{Kind: KindDVA, Frames: []Frame{
+		{Axis: geom.V(1, 0), Tau: tau0}, {Axis: geom.V(0, 1), Tau: tau1}, {IsOutlier: true},
+	}}
+	// A perpendicular distance of exactly tau stays in the DVA partition
+	// (Analyze sheds only perp > tau).
+	if dva.RouteVel(geom.V(40, tau0)) != 0 || dva.RouteVel(geom.V(tau1, -40)) != 1 ||
+		dva.RouteVel(geom.V(40, math.Nextafter(tau0, 10))) != 2 {
+		t.Fatal("RouteVel does not retain perp == tau in the DVA partition")
+	}
+	sample := sfLikeSample(3000, 0.3, 0.3+math.Pi/2, 2.0, 0.05, 8)
+	analyzed, err := Analyze(sample, AnalyzerConfig{K: 2, Cluster: cluster.Options{Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	speed, err := SpeedPartitioner{Bands: 2}.Analyze(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	none, _ := NonePartitioner{}.Analyze(sample)
+	cut := speed.Frames[0].SpeedMax
+
+	vels := []geom.Vec2{
+		{}, geom.V(60, 0), geom.V(-60, 0), geom.V(0, 60), geom.V(0, -60),
+		geom.V(40, tau0), geom.V(40, -tau0), geom.V(tau1, 40), geom.V(-tau1, 40),
+		geom.V(40, math.Nextafter(tau0, 10)), geom.V(30, 30),
+		geom.V(cut, 0), geom.V(0, -cut), geom.V(math.Nextafter(cut, 0), 0),
+	}
+	for _, f := range analyzed.Frames[:2] {
+		perp := f.Axis.Perp().Normalize()
+		vels = append(vels, f.Axis.Scale(50), f.Axis.Scale(50).Add(perp.Scale(f.Tau)))
+	}
+	vels = append(vels, sample[:200]...)
+	objs := make([]model.Object, len(vels))
+	for i, v := range vels {
+		objs[i] = model.Object{ID: model.ObjectID(i + 1), Pos: geom.V(float64(i%50)*1000, float64(i/50)*1000), Vel: v}
+	}
+
+	for name, an := range map[string]Analysis{"dva": dva, "dva-analyzed": analyzed, "speed": speed, "none": none} {
+		t.Run(name, func(t *testing.T) {
+			m, err := NewManager(an, ManagerConfig{}, bxFactory(storage.NewBufferPool(storage.NewMemStore(), 100)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(when string, objs []model.Object) {
+				t.Helper()
+				want := make([]int, len(an.Frames))
+				for _, o := range objs {
+					want[an.RouteVel(o.Vel)]++
+				}
+				parts := m.Partitions()
+				if len(parts) != len(want) {
+					t.Fatalf("%s: %d partitions, analysis has %d frames", when, len(parts), len(want))
+				}
+				for i, p := range parts {
+					if p.Size != want[i] {
+						t.Fatalf("%s: partition %d holds %d, RouteVel sends %d", when, i, p.Size, want[i])
+					}
+					if p.Tau != an.Frames[i].Tau {
+						t.Fatalf("%s: partition %d reports tau %g, analysis has %g", when, i, p.Tau, an.Frames[i].Tau)
+					}
+				}
+			}
+			if err := m.InsertBulk(objs); err != nil {
+				t.Fatal(err)
+			}
+			check("after InsertBulk", objs)
+			// Turn every record 90 degrees: it migrates where RouteVel sends
+			// its new velocity.
+			turned := make([]model.Object, len(objs))
+			for i, o := range objs {
+				turned[i] = model.Object{ID: o.ID, Pos: o.PosAt(10), Vel: geom.V(-o.Vel.Y, o.Vel.X), T: 10}
+				if err := m.Update(o, turned[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("after Update", turned)
+		})
 	}
 }
 

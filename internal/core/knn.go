@@ -48,8 +48,8 @@ func (m *Manager) SearchKNN(q model.KNNQuery) ([]model.Neighbor, error) {
 		case model.KNNIndex:
 			lists[i], err = idx.SearchKNN(pq)
 		default:
-			err = fmt.Errorf("core: partition %s index %T does not support kNN: %w",
-				p.spec.Name, p.idx, model.ErrUnsupported)
+			err = fmt.Errorf("core: partition %d index %T does not support kNN: %w",
+				i, p.idx, model.ErrUnsupported)
 		}
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,9 +17,6 @@ import (
 
 // PartitionSpec describes one partition to the index factory.
 type PartitionSpec struct {
-	// Name labels the partition ("dva0", ..., "outlier"; "speed0", ...;
-	// "all" for the unpartitioned objective).
-	Name string
 	// Domain is the data-space bound in the partition's own coordinate
 	// frame: the rotated bound of the world domain for DVA partitions, the
 	// world domain itself for identity-rotation partitions. Grid-based
@@ -41,9 +39,6 @@ type IndexFactory func(spec PartitionSpec) (model.Index, error)
 type ManagerConfig struct {
 	// Domain is the world data space (Table 1: 100,000 x 100,000 m).
 	Domain geom.Rect
-	// TauRefreshInterval recomputes each partition's tau after this many
-	// routed inserts (Section 5.5). <= 0 disables refresh.
-	TauRefreshInterval int
 	// SearchParallelism bounds the worker pool that fans Search/SearchKNN
 	// out across the partitions. 0 means GOMAXPROCS; 1 forces the strictly
 	// sequential partition loop (the baseline the parallel path must match
@@ -64,16 +59,13 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 }
 
 // partition is one live partition: the underlying index plus the frame
-// transform and routing state.
+// transform.
 type partition struct {
 	mu       sync.RWMutex // guards idx: one writer at a time; queries hold it shared
 	spec     PartitionSpec
 	idx      model.Index
 	rot      geom.Mat2 // world -> partition frame
 	identity bool      // rot is the identity: skip query/object transforms
-	// tau and hist are routing state, guarded by Manager.routeMu.
-	tau  float64       // live outlier threshold (DVA partitions)
-	hist *tauHistogram // online |v_perp| distribution (DVA partitions)
 }
 
 // insert stores o (world frame) into the partition, transforming into its
@@ -118,8 +110,8 @@ type tableStripe struct {
 // # Lock order
 //
 // The order is written down once, on the package-root Store, whose locks sit
-// above these: batchMu → table stripe (by id hash, ascending) → partition →
-// routeMu. A write (Apply; a multi-record one queues on batchMu first) holds
+// above these: batchMu → table stripe (by id hash, ascending) → partition.
+// A write (Apply; a multi-record one queues on batchMu first) holds
 // the stripes of its ids exclusively from start to finish: under them it
 // reads the old records, routes the new ones, updates the table and runs the
 // caller's Settler on each landed record; the partition locks its
@@ -130,9 +122,13 @@ type tableStripe struct {
 // and the table-driven refinement of Search stays exact. Two writers overlap
 // whenever their ids are on different stripes and their records in different
 // partitions: index-write concurrency is bounded by the partition count.
+//
+// Routing is a pure function of the analysis the manager was built from
+// (Analysis.RouteVel): a partition's tau changes only when a new analysis
+// builds a new manager (Section 5.5's refresh is the repartition round).
 type Manager struct {
 	cfg     ManagerConfig
-	kind    PartitionerKind
+	an      Analysis
 	pars    []partition // one per analysis frame, in frame order
 	stripes []tableStripe
 
@@ -142,33 +138,14 @@ type Manager struct {
 	// queued on the stripes would hold every query back behind both batches.
 	batchMu sync.Mutex
 
-	routeMu             sync.Mutex
-	insertsSinceRefresh int
-
 	scratch  sync.Pool // *applyScratch
 	qscratch sync.Pool // *queryScratch
-	name     string
 }
 
 var _ model.Index = (*Manager)(nil)
 
-// frameName labels one partition frame for the index factory.
-func frameName(kind PartitionerKind, i int, f Frame) string {
-	switch {
-	case f.IsOutlier:
-		return "outlier"
-	case kind == KindSpeed:
-		return fmt.Sprintf("speed%d", i)
-	case kind == KindNone:
-		return "all"
-	default:
-		return fmt.Sprintf("dva%d", i)
-	}
-}
-
 // buildPartitions constructs the live partition set for a validated
-// analysis: one index per frame, rotated domains for DVA frames, online tau
-// histograms only where tau routing applies.
+// analysis: one index per frame, rotated domains for DVA frames.
 func buildPartitions(an Analysis, cfg ManagerConfig, factory IndexFactory) ([]partition, error) {
 	pars := make([]partition, len(an.Frames))
 	for i, f := range an.Frames {
@@ -179,7 +156,6 @@ func buildPartitions(an Analysis, cfg ManagerConfig, factory IndexFactory) ([]pa
 			domain = cfg.Domain.BoundOfTransformed(rot)
 		}
 		spec := PartitionSpec{
-			Name:      frameName(an.Kind, i, f),
 			Domain:    domain,
 			Axis:      f.Axis,
 			IsOutlier: f.IsOutlier,
@@ -187,20 +163,10 @@ func buildPartitions(an Analysis, cfg ManagerConfig, factory IndexFactory) ([]pa
 		}
 		idx, err := factory(spec)
 		if err != nil {
-			return nil, fmt.Errorf("core: building %s: %w", spec.Name, err)
+			return nil, fmt.Errorf("core: building partition %d: %w", i, err)
 		}
 		p := &pars[i]
-		p.spec, p.idx, p.rot, p.identity, p.tau = spec, idx, rot, identity, f.Tau
-		if an.Kind == KindDVA && !f.IsOutlier {
-			// The online tau histogram spans up to the world-domain diagonal
-			// speed scale: use 4x the analysis tau (or 1 if zero) padded; the
-			// exact limit only affects resolution, not correctness.
-			limit := f.Tau * 4
-			if limit <= 0 {
-				limit = 1
-			}
-			p.hist = newTauHistogram(limit)
-		}
+		p.spec, p.idx, p.rot, p.identity = spec, idx, rot, identity
 	}
 	return pars, nil
 }
@@ -216,12 +182,13 @@ func NewManager(an Analysis, cfg ManagerConfig, factory IndexFactory) (*Manager,
 	if err != nil {
 		return nil, err
 	}
+	an.Frames = slices.Clone(an.Frames) // the caller's copy cannot reroute
+
 	m := &Manager{
 		cfg:     cfg,
-		kind:    an.Kind,
+		an:      an,
 		pars:    pars,
 		stripes: make([]tableStripe, cfg.Stripes),
-		name:    "vp",
 	}
 	for i := range m.stripes {
 		m.stripes[i].objs = make(map[model.ObjectID]record)
@@ -276,7 +243,7 @@ func (m *Manager) runlock(query bool) {
 }
 
 // Name implements model.Index.
-func (m *Manager) Name() string { return m.name }
+func (m *Manager) Name() string { return "vp" }
 
 // Len implements model.Index.
 func (m *Manager) Len() int {
@@ -297,6 +264,14 @@ func (m *Manager) IO() model.IOStats { return m.pars[len(m.pars)-1].idx.IO() }
 // NumPartitions returns the number of partitions including the outlier.
 func (m *Manager) NumPartitions() int { return len(m.pars) }
 
+// Analysis returns the velocity analysis the manager was built from and
+// routes by.
+func (m *Manager) Analysis() Analysis {
+	an := m.an
+	an.Frames = slices.Clone(an.Frames)
+	return an
+}
+
 // PartitionInfo is the read-only view of one partition used by experiments
 // and diagnostics.
 type PartitionInfo struct {
@@ -313,82 +288,12 @@ type PartitionInfo struct {
 func (m *Manager) Partitions() []PartitionInfo {
 	m.rlock(true)
 	defer m.runlock(true)
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
 	out := make([]PartitionInfo, len(m.pars))
 	for i := range m.pars {
 		p := &m.pars[i]
-		out[i] = PartitionInfo{Spec: p.spec, Index: p.idx, Rot: p.rot, Frame: p.spec.Frame, Tau: p.tau, Size: p.idx.Len()}
+		out[i] = PartitionInfo{Spec: p.spec, Index: p.idx, Rot: p.rot, Frame: p.spec.Frame, Tau: p.spec.Frame.Tau, Size: p.idx.Len()}
 	}
 	return out
-}
-
-// route decides the partition for an object under the live objective.
-// KindDVA: the DVA whose axis is closest in perpendicular velocity
-// distance, or the outlier partition when that distance exceeds the DVA's
-// (online-refreshed) tau (Section 5.3) — feeding the chosen DVA's tau
-// histogram on the way. KindSpeed: the band containing |v|. KindNone: the
-// single partition.
-func (m *Manager) route(o model.Object) int {
-	switch m.kind {
-	case KindSpeed:
-		s := o.Vel.Norm()
-		for i := range m.pars {
-			if s < m.pars[i].spec.Frame.SpeedMax {
-				return i
-			}
-		}
-		return len(m.pars) - 1
-	case KindNone:
-		return 0
-	}
-	best := -1
-	bestDist := 0.0
-	for i := range m.pars {
-		p := &m.pars[i]
-		if p.spec.IsOutlier {
-			continue
-		}
-		d := o.Vel.PerpDistToAxis(p.spec.Axis)
-		if best == -1 || d < bestDist {
-			best = i
-			bestDist = d
-		}
-	}
-	if best == -1 {
-		return len(m.pars) - 1
-	}
-	m.routeMu.Lock()
-	m.pars[best].hist.Add(bestDist)
-	tau := m.pars[best].tau
-	m.routeMu.Unlock()
-	if bestDist > tau {
-		return len(m.pars) - 1 // outlier partition
-	}
-	return best
-}
-
-// maybeRefreshTau recomputes every DVA's tau from its online histogram
-// after TauRefreshInterval routed inserts (Section 5.5). n is how many
-// routed inserts the caller just performed — a batch counts at once so the
-// refresh check runs once per batch instead of once per record.
-func (m *Manager) maybeRefreshTau(n int) {
-	if m.cfg.TauRefreshInterval <= 0 || n <= 0 {
-		return
-	}
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
-	m.insertsSinceRefresh += n
-	if m.insertsSinceRefresh < m.cfg.TauRefreshInterval {
-		return
-	}
-	m.insertsSinceRefresh = 0
-	for i := range m.pars {
-		if m.pars[i].hist == nil || m.pars[i].hist.total == 0 {
-			continue
-		}
-		m.pars[i].tau = m.pars[i].hist.Optimal()
-	}
 }
 
 // Verb says how Apply treats the id of each record it is given.
@@ -447,8 +352,8 @@ type Settler interface {
 //
 // Under the stripes of the batch's ids it works in rounds of three phases.
 // Resolve, in batch order: look the id up, reject what the verb or a
-// non-finite field rules out, route the new record (feeding the tau
-// histograms), update the table, and append the delete of the old record and
+// non-finite field rules out, route the new record by the analysis, update
+// the table, and append the delete of the old record and
 // the insert of the new one to their partitions' lists. Apply: run the lists,
 // each in order under its partition's lock, in parallel (see drain). Settle:
 // undo the other half of a record whose index operation failed and restore
@@ -491,7 +396,6 @@ func (m *Manager) apply(verb Verb, objs []model.Object, errs []error, step Settl
 			LockBusy(&m.stripes[i].mu)
 		}
 	}
-	routed := 0
 	for start := 0; start < len(objs); {
 		round := m.resolve(verb, objs[start:], sc)
 		m.run(sc, objs[start:start+round])
@@ -504,9 +408,6 @@ func (m *Manager) apply(verb Verb, objs []model.Object, errs []error, step Settl
 				}
 			} else {
 				applied++
-				if rs.part >= 0 {
-					routed++
-				}
 			}
 			if errs != nil {
 				errs[start+i] = rs.err
@@ -530,7 +431,6 @@ func (m *Manager) apply(verb Verb, objs []model.Object, errs []error, step Settl
 			sc.locked[i] = false
 		}
 	}
-	m.maybeRefreshTau(routed)
 	return applied, first
 }
 
@@ -580,7 +480,7 @@ func (m *Manager) resolve(verb Verb, objs []model.Object, sc *applyScratch) int 
 			delete(st.objs, o.ID)
 			continue
 		}
-		rs.part = m.route(o)
+		rs.part = m.an.RouteVel(o.Vel)
 		sc.lists[rs.part] = append(sc.lists[rs.part], int32(i)<<1|1)
 		st.objs[o.ID] = record{obj: o, part: rs.part}
 	}
@@ -772,15 +672,12 @@ func (m *Manager) Update(old, new model.Object) error {
 	return m.ApplyOne(Replace, new, nil)
 }
 
-// UpdateByID is Update for callers that only track current state.
-func (m *Manager) UpdateByID(new model.Object) error { return m.ApplyOne(Replace, new, nil) }
-
 // Report applies an ID-keyed upsert: insert if the object is new, otherwise
 // an update driven entirely by the lookup table.
 func (m *Manager) Report(o model.Object) error { return m.ApplyOne(Upsert, o, nil) }
 
-// ReportBatch applies many upserts in one Apply (one tau-refresh check) and
-// returns how many landed and the first failure.
+// ReportBatch applies many upserts in one Apply and returns how many landed
+// and the first failure.
 func (m *Manager) ReportBatch(objs []model.Object) (applied int, err error) {
 	return m.Apply(Upsert, objs, nil, nil)
 }
@@ -891,21 +788,6 @@ func (m *Manager) Get(id model.ObjectID) (model.Object, bool) {
 	return rec.obj, ok
 }
 
-// Tau returns the current outlier threshold of DVA partition i.
-func (m *Manager) Tau(i int) float64 {
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
-	return m.pars[i].tau
-}
-
-// SetTau overrides the outlier threshold of DVA partition i; used by the
-// fixed-tau sweep experiment (Fig. 17). It affects future routing only.
-func (m *Manager) SetTau(i int, tau float64) {
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
-	m.pars[i].tau = tau
-}
-
 // DriftMax is the objective distance Drift reports when a fresh analysis is
 // structurally incomparable to the live partition set (different objective
 // kind or partition count): the largest possible axis angle, so any
@@ -928,11 +810,11 @@ const DriftMax = math.Pi / 2
 //     a structurally different candidate always reads as maximally
 //     drifted, never as a partial match over mismatched indices.
 func (m *Manager) Drift(an Analysis) float64 {
-	if an.Kind != m.kind || len(an.Frames) != len(m.pars) {
+	if an.Kind != m.an.Kind || len(an.Frames) != len(m.pars) {
 		return DriftMax
 	}
 	worst := 0.0
-	switch m.kind {
+	switch m.an.Kind {
 	case KindNone:
 		return 0
 	case KindSpeed:

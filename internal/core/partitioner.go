@@ -159,9 +159,11 @@ func (an Analysis) Validate() error {
 }
 
 // RouteVel returns the frame index a velocity routes to under the analysis'
-// own thresholds. The live Manager routes with its online-refreshed taus
-// instead; this static router serves the cost model, which scores candidate
-// analyses that have no manager yet.
+// own thresholds: KindDVA, the DVA whose axis is closest in perpendicular
+// velocity distance, or the outlier frame when that distance exceeds the
+// DVA's tau (Section 5.3); KindSpeed, the band containing |v|; KindNone, the
+// single frame. It is the one router: the Manager places every record with
+// it, and EstimateCost scores candidate analyses that have no manager yet.
 func (an Analysis) RouteVel(v geom.Vec2) int {
 	switch an.Kind {
 	case KindSpeed:

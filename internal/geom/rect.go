@@ -162,12 +162,6 @@ func (r Rect) BoundOfTransformed(m Mat2) Rect {
 	return out
 }
 
-// EnlargementArea returns Union(r, s).Area() - r.Area(): the classic R-tree
-// insertion metric (used as a static fallback and in tests).
-func (r Rect) EnlargementArea(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%g,%g]x[%g,%g]", r.MinX, r.MaxX, r.MinY, r.MaxY)

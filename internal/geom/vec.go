@@ -125,13 +125,5 @@ func (m Mat2) Apply(v Vec2) Vec2 {
 // inverse, so it maps DVA-frame coordinates back to the world frame.
 func (m Mat2) Transpose() Mat2 { return Mat2{m.A, m.C, m.B, m.D} }
 
-// Mul returns the matrix product m * n.
-func (m Mat2) Mul(n Mat2) Mat2 {
-	return Mat2{
-		m.A*n.A + m.B*n.C, m.A*n.B + m.B*n.D,
-		m.C*n.A + m.D*n.C, m.C*n.B + m.D*n.D,
-	}
-}
-
 // Det returns the determinant of m.
 func (m Mat2) Det() float64 { return m.A*m.D - m.B*m.C }

@@ -291,8 +291,8 @@ func (s IOStats) Total() int64 { return s.Reads + s.Writes }
 // Insert adds a (new) object record. Delete removes the record previously
 // inserted for the object — the full record is required because both base
 // indexes locate entries by position/velocity/time, not by ID alone (the VP
-// manager keeps the id->record table so callers can use UpdateByID). Update
-// is delete-then-insert, as in the paper.
+// manager's id->record table lets it consult only the ID). Update is
+// delete-then-insert, as in the paper.
 type Index interface {
 	Insert(o Object) error
 	Delete(o Object) error

@@ -323,15 +323,6 @@ const (
 	DefaultRetryMaxDelay  = 50 * time.Millisecond
 )
 
-// DefaultRetryPolicy returns the default bounded-backoff policy.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: DefaultRetryAttempts,
-		BaseDelay:   DefaultRetryBaseDelay,
-		MaxDelay:    DefaultRetryMaxDelay,
-	}
-}
-
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = DefaultRetryAttempts

@@ -70,8 +70,6 @@ type Tree struct {
 	// being restructured underneath it.
 	pendingObjs    []model.Object
 	pendingEntries []levelEntry
-
-	name string
 }
 
 // levelEntry is a subtree entry together with the level of the node it must
@@ -85,7 +83,7 @@ var _ model.Index = (*Tree)(nil)
 
 // NewTree creates an empty TPR*-tree drawing pages from pool.
 func NewTree(pool *storage.BufferPool, cfg Config) (*Tree, error) {
-	t := &Tree{pool: pool, cfg: cfg.withDefaults(), height: 1, name: "tpr*"}
+	t := &Tree{pool: pool, cfg: cfg.withDefaults(), height: 1}
 	id, err := pool.Allocate()
 	if err != nil {
 		return nil, err
@@ -97,12 +95,8 @@ func NewTree(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// SetName overrides the reported index name (the VP manager labels its
-// partitions).
-func (t *Tree) SetName(s string) { t.name = s }
-
 // Name implements model.Index.
-func (t *Tree) Name() string { return t.name }
+func (t *Tree) Name() string { return "tpr*" }
 
 // Len implements model.Index.
 func (t *Tree) Len() int { return t.size }

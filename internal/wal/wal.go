@@ -102,7 +102,7 @@ type Options struct {
 	// storage.FaultInjector).
 	Injector *storage.FaultInjector
 	// Retry bounds the backoff loop around appends and fsyncs for transient
-	// faults; the zero value takes storage.DefaultRetryPolicy behavior.
+	// faults; a zero field takes the storage.DefaultRetry* value.
 	Retry storage.RetryPolicy
 }
 

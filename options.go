@@ -70,10 +70,10 @@ type RepartitionPolicy struct {
 type Option func(*storeConfig)
 
 // storeConfig is the resolved configuration behind Open's functional
-// options. tauRefresh, searchPar, walSegBytes and retry have no option: the
-// package's tests set them through seams in export_test.go, and a production
-// Store runs their zero values (no tau refresh, GOMAXPROCS query workers,
-// 4 MiB log segments, the storage retry defaults).
+// options. searchPar, walSegBytes and retry have no option: the package's
+// tests set them through seams in export_test.go, and a production Store runs
+// their zero values (GOMAXPROCS query workers, 4 MiB log segments, the
+// storage retry defaults).
 type storeConfig struct {
 	base baseOptions
 
@@ -83,8 +83,7 @@ type storeConfig struct {
 	sample []Vec2
 	autoN  int
 
-	tauRefresh int
-	seed       int64
+	seed int64
 
 	// objective is the partitioning objective (default ObjectiveDVA;
 	// ObjectiveAuto runs the chooser); objectiveSet marks that

@@ -299,7 +299,6 @@ func TestStoreCrossObjectiveSwapStormOracle(t *testing.T) {
 		vpindex.WithShards(4),
 		vpindex.WithVelocityPartitioning(2),
 		vpindex.WithVelocitySample(testSample(800, 11)),
-		vpindex.WithTauRefreshInterval(250),
 		vpindex.WithSeed(6),
 	)
 	if err != nil {
@@ -374,7 +373,7 @@ func TestStoreCrossObjectiveSwapStormOracle(t *testing.T) {
 	}
 	// The maintenance goroutine walks the objective ladder at roughly one
 	// quarter, one half, and three quarters of the write volume, racing the
-	// writers, readers, and tau refreshes.
+	// writers and readers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

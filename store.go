@@ -46,9 +46,9 @@ import (
 // This is the one statement of it. A goroutine that holds one of these locks
 // takes only locks to its right:
 //
-//	maintMu → ckptMu → commitMu → regMu → mgrMu → batchMu → table stripe → partition → routeMu
+//	maintMu → ckptMu → commitMu → regMu → mgrMu → batchMu → table stripe → partition
 //
-// The remaining mutexes (anMu, poolMu, qmu, maintErrMu, healthMu, the event
+// The remaining mutexes (poolMu, qmu, maintErrMu, healthMu, the event
 // stream's) are leaves: nothing is taken under them. What each lock of the
 // chain guards, and who takes it:
 //
@@ -71,12 +71,12 @@ import (
 //   - A writer holds the stripes of its ids (a batch: each stripe it touches,
 //     after queueing on the manager's batchMu, so that a waiting batch never
 //     holds queries back) for its whole manager call, and takes the one or
-//     two partitions each record's delete and insert touch one at a time,
-//     then routeMu for a routing decision. Two writers contend only when
-//     their ids share a stripe or their records a partition: index-write
-//     parallelism is bounded by k+1, and a Store with a single frame (no
-//     velocity partitioning, or the none objective) has one index writer at a
-//     time.
+//     two partitions each record's delete and insert touch one at a time
+//     (routing reads only the manager's immutable analysis). Two writers
+//     contend only when their ids share a stripe or their records a
+//     partition: index-write parallelism is bounded by k+1, and a Store with
+//     a single frame (no velocity partitioning, or the none objective) has
+//     one index writer at a time.
 //
 // Subscription deltas are sorted and emitted, and the subscription filter
 // grown, only once a verb has released every lock: a BlockOnFull stream never
@@ -165,9 +165,6 @@ type Store struct {
 	sampled     atomic.Int64
 	nextTrip    atomic.Int64
 	partitioned atomic.Bool
-
-	anMu     sync.RWMutex
-	analysis core.Analysis
 
 	// Adaptive repartitioning: resCap is each stripe's velocity-ring
 	// capacity; reports counts post-partition reports toward the policy
@@ -380,7 +377,6 @@ func Open(opts ...Option) (*Store, error) {
 			return fail(err)
 		}
 		s.epoch.Store(1)
-		s.analysis = an
 		s.partitioned.Store(true)
 	}
 	s.nextTrip.Store(int64(cfg.autoN))
@@ -428,14 +424,13 @@ func (s *Store) replacePools(fresh []*storage.BufferPool) {
 // caller installs them on commit.
 func (s *Store) buildManager(an core.Analysis, pools *[]*storage.BufferPool) (*core.Manager, error) {
 	mgr, err := core.NewManager(an, core.ManagerConfig{
-		Domain:             s.cfg.base.Domain,
-		TauRefreshInterval: s.cfg.tauRefresh,
-		SearchParallelism:  s.cfg.searchPar,
-		Stripes:            s.cfg.shards,
+		Domain:            s.cfg.base.Domain,
+		SearchParallelism: s.cfg.searchPar,
+		Stripes:           s.cfg.shards,
 	}, func(spec core.PartitionSpec) (model.Index, error) {
 		p := storage.NewBufferPool(s.disk, s.cfg.base.BufferPages*s.cfg.shards)
 		p.SetRetryPolicy(s.cfg.retry)
-		idx, err := buildBase(p, s.cfg.base, spec.Domain, spec.Name)
+		idx, err := buildBase(p, s.cfg.base, spec.Domain)
 		if err != nil {
 			return nil, err
 		}
@@ -514,9 +509,9 @@ func (s *Store) chooseAnalysis(sample []Vec2, forced *PartitionObjective) (core.
 	live := ObjectiveDVA
 	haveLive := false
 	if s.partitioned.Load() {
-		s.anMu.RLock()
-		live = s.analysis.Kind
-		s.anMu.RUnlock()
+		s.mgrMu.RLock()
+		live = s.mgr.Analysis().Kind
+		s.mgrMu.RUnlock()
 		haveLive = true
 	}
 	var (
@@ -735,9 +730,6 @@ func (s *Store) swapPartitions(an core.Analysis) error {
 			s.mgrMu.Lock()
 			s.mgr = mgr
 			s.mgrMu.Unlock()
-			s.anMu.Lock()
-			s.analysis = an
-			s.anMu.Unlock()
 			// The swap that first partitions the Store is the bootstrap, not
 			// a repartition. It also bounds the velocity rings from here on:
 			// keep each one's most recent entries (in a right-sized array, so
@@ -1146,11 +1138,12 @@ func (s *Store) Partitioned() bool { return s.partitioned.Load() }
 
 // Analysis returns the velocity analysis that shaped the current partition
 // epoch (the bootstrap analysis, or the most recent completed repartition
-// swap's), and whether one has run yet.
+// swap's) and routes every report, and whether one has run yet; before that
+// it is the unpartitioned objective's single frame.
 func (s *Store) Analysis() (core.Analysis, bool) {
-	s.anMu.RLock()
-	defer s.anMu.RUnlock()
-	return s.analysis, s.partitioned.Load()
+	s.mgrMu.RLock()
+	defer s.mgrMu.RUnlock()
+	return s.mgr.Analysis(), s.partitioned.Load()
 }
 
 // BootstrapProgress reports how many velocities have been collected toward

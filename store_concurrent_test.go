@@ -36,7 +36,6 @@ func TestStoreConcurrentMixedOracle(t *testing.T) {
 		vpindex.WithBufferPages(30),
 		vpindex.WithVelocityPartitioning(2),
 		vpindex.WithAutoPartition(threshold),
-		vpindex.WithTauRefreshInterval(300),
 		vpindex.WithSeed(6),
 	)
 	if err != nil {
@@ -317,7 +316,6 @@ func TestStoreConcurrentRepartitionOracle(t *testing.T) {
 			DriftThreshold: 0.3,
 			ReservoirSize:  400,
 		}),
-		vpindex.WithTauRefreshInterval(250),
 		vpindex.WithSeed(6),
 	)
 	if err != nil {

@@ -190,7 +190,6 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 		vpindex.WithShards(4),
 		vpindex.WithVelocityPartitioning(2),
 		vpindex.WithVelocitySample(testSample(800, 9)),
-		vpindex.WithTauRefreshInterval(300),
 		vpindex.WithSeed(5),
 		vpindex.WithEventBuffer(1<<16, vpindex.BlockOnFull),
 	)

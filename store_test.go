@@ -33,7 +33,7 @@ func storeConfigs() map[string][]vpindex.Option {
 		"tpr-vp":     append(base(vpindex.TPRStar), vpindex.WithVelocityPartitioning(2), vpindex.WithVelocitySample(sample), vpindex.WithSeed(5)),
 		"bx-vp":      append(base(vpindex.Bx), vpindex.WithVelocityPartitioning(2), vpindex.WithVelocitySample(sample), vpindex.WithSeed(5)),
 		"tpr-vpauto": append(base(vpindex.TPRStar), vpindex.WithVelocityPartitioning(2), vpindex.WithAutoPartition(250), vpindex.WithSeed(5)),
-		"bx-vpauto":  append(base(vpindex.Bx), vpindex.WithVelocityPartitioning(2), vpindex.WithAutoPartition(250), vpindex.WithTauRefreshInterval(200), vpindex.WithSeed(5)),
+		"bx-vpauto":  append(base(vpindex.Bx), vpindex.WithVelocityPartitioning(2), vpindex.WithAutoPartition(250), vpindex.WithSeed(5)),
 	}
 }
 
@@ -273,6 +273,60 @@ func TestStoreAutoPartitionBootstrap(t *testing.T) {
 	}
 }
 
+// TestStorePartitionsRouteByAnalysis: after 20,000 reports every partition
+// still reports its analysis frame's tau (what the benchmark's core.tau_max
+// reads), and holds exactly the objects the analysis' router sends to it.
+func TestStorePartitionsRouteByAnalysis(t *testing.T) {
+	store, err := vpindex.Open(
+		vpindex.WithKind(vpindex.Bx),
+		vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
+		vpindex.WithShards(4),
+		vpindex.WithVelocityPartitioning(2),
+		vpindex.WithVelocitySample(testSample(800, 11)),
+		vpindex.WithSeed(5),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	rng := rand.New(rand.NewSource(12))
+	last := make(map[vpindex.ObjectID]vpindex.Object)
+	batch := make([]vpindex.Object, 0, 500)
+	for round := 0; round < 4; round++ {
+		for id := 1; id <= 5000; id++ {
+			o := testObject(id, rng)
+			o.T = float64(round)
+			last[o.ID] = o
+			if batch = append(batch, o); len(batch) == cap(batch) {
+				if err := store.ReportBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+		}
+	}
+	an, ok := store.Analysis()
+	if !ok {
+		t.Fatal("store not partitioned")
+	}
+	want := make([]int, len(an.Frames))
+	for _, o := range last {
+		want[an.RouteVel(o.Vel)]++
+	}
+	parts := store.Partitions()
+	if len(parts) != len(an.Frames) {
+		t.Fatalf("%d partitions, analysis has %d frames", len(parts), len(an.Frames))
+	}
+	for i, p := range parts {
+		if p.Tau != an.Frames[i].Tau {
+			t.Fatalf("partition %d reports tau %g, analysis has %g", i, p.Tau, an.Frames[i].Tau)
+		}
+		if p.Size != want[i] {
+			t.Fatalf("partition %d holds %d objects, the analysis routes %d there", i, p.Size, want[i])
+		}
+	}
+}
+
 // TestStoreConcurrentReportSearch exercises the Store's RWMutex under the
 // race detector: concurrent writers streaming ID-keyed reports (crossing
 // the auto-partition cutover mid-test) while readers run Search, SearchKNN,
@@ -283,7 +337,6 @@ func TestStoreConcurrentReportSearch(t *testing.T) {
 		vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
 		vpindex.WithVelocityPartitioning(2),
 		vpindex.WithAutoPartition(300),
-		vpindex.WithTauRefreshInterval(250),
 		vpindex.WithSeed(1),
 	)
 	if err != nil {

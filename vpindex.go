@@ -205,26 +205,12 @@ func (o baseOptions) withDefaults() baseOptions {
 }
 
 // buildBase constructs the configured base index over the given pool.
-func buildBase(pool *storage.BufferPool, opts baseOptions, domain Rect, nameSuffix string) (model.Index, error) {
+func buildBase(pool *storage.BufferPool, opts baseOptions, domain Rect) (model.Index, error) {
 	switch opts.Kind {
 	case TPRStar:
-		t, err := tprtree.NewTree(pool, tprtree.Config{})
-		if err != nil {
-			return nil, err
-		}
-		if nameSuffix != "" {
-			t.SetName("tpr*:" + nameSuffix)
-		}
-		return t, nil
+		return tprtree.NewTree(pool, tprtree.Config{})
 	case Bx:
-		t, err := bxtree.NewTree(pool, bxtree.Config{Domain: domain})
-		if err != nil {
-			return nil, err
-		}
-		if nameSuffix != "" {
-			t.SetName("bx:" + nameSuffix)
-		}
-		return t, nil
+		return bxtree.NewTree(pool, bxtree.Config{Domain: domain})
 	default:
 		return nil, fmt.Errorf("vpindex: unknown index kind %v: %w", opts.Kind, ErrUnsupported)
 	}

@@ -247,7 +247,6 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 					vpindex.WithDomain(p.Domain),
 					vpindex.WithBufferPages(20),
 					vpindex.WithSeed(5),
-					vpindex.WithTauRefreshInterval(400),
 				)
 				oracle := model.NewBruteForce()
 				var ids []vpindex.ObjectID
