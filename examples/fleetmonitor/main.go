@@ -3,9 +3,9 @@
 // other tanks within one kilometer of itself", Section 6) — served as a
 // Store-native standing subscription over a Store that bootstraps its own
 // velocity partitions online. No upfront velocity sample is supplied: the
-// Store opens unpartitioned, accumulates the first reported velocities, then
-// runs the DVA analysis and migrates the live fleet into the partitions
-// mid-stream — and the standing subscription's result set rides through the
+// Store opens unpartitioned, counts reports, then runs the DVA analysis over
+// the live vehicles' current velocities and migrates the fleet into the
+// partitions mid-stream — and the standing subscription's result set rides through the
 // swap untouched, because subscription state lives above the index epochs.
 //
 // Every 20 ts the protective zone is re-centered on the convoy's current
@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	collected, target := store.BootstrapProgress()
-	fmt.Printf("unpartitioned store loaded: %d vehicles, bootstrap sample %d/%d\n\n",
+	fmt.Printf("unpartitioned store loaded: %d vehicles, %d/%d reports toward the bootstrap\n\n",
 		store.Len(), collected, target)
 
 	// The convoy: vehicle 1. Its protective zone is a 2 km box that

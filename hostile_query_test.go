@@ -44,7 +44,7 @@ func TestStoreRejectsHostileQueries(t *testing.T) {
 	}
 	for _, kind := range []vpindex.Kind{vpindex.Bx, vpindex.TPRStar} {
 		store, err := vpindex.Open(vpindex.WithKind(kind), vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
-			vpindex.WithVelocitySample(testSample(400, 3)), vpindex.WithSeed(3))
+			vpindex.WithPartitioner(vpindex.ObjectiveAuto), vpindex.WithVelocitySample(testSample(400, 3)), vpindex.WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,6 +74,22 @@ func TestStoreRejectsHostileQueries(t *testing.T) {
 		if n := store.QueryLogSize(); n != 2 {
 			t.Errorf("%v: rejected queries reached the query log: %d shapes, want 2", kind, n)
 		}
+	}
+	// Only the auto chooser reads the log: a store with a fixed objective
+	// keeps none.
+	dva, err := vpindex.Open(vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
+		vpindex.WithVelocitySample(testSample(400, 3)), vpindex.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dva.Search(vpindex.SliceQuery(c, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dva.SearchKNN(vpindex.KNNQuery{Center: c.C, K: 3, T: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := dva.QueryLogSize(); n != 0 {
+		t.Fatalf("DVA store logged %d query shapes, want 0", n)
 	}
 }
 

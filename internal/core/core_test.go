@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -770,5 +771,76 @@ func TestManagerObjectsSnapshot(t *testing.T) {
 		if got, ok := byID[o.ID]; !ok || got != o {
 			t.Fatalf("object %d: snapshot %+v, want %+v", o.ID, got, o)
 		}
+	}
+}
+
+// TestVelocitySample pins the analysis sample: the live objects' current
+// velocities in ObjectID order, whatever order, batching or stripe count
+// built the table; n evenly spaced picks of a larger population; and no
+// removed object.
+func TestVelocitySample(t *testing.T) {
+	objs := roadObjects(120, rand.New(rand.NewSource(5)))
+	build := func(stripes int) *Manager {
+		an, _ := NonePartitioner{}.Analyze(nil)
+		m, err := NewManager(an, ManagerConfig{Stripes: stripes}, bxFactory(storage.NewBufferPool(storage.NewMemStore(), 100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	inOrder := build(1)
+	if _, err := inOrder.ReportBatch(objs); err != nil {
+		t.Fatal(err)
+	}
+	// The other table sees every object first with a stale velocity, then the
+	// current one in reverse order and in batches of 7.
+	shuffled := build(4)
+	for _, o := range objs {
+		o.Vel = o.Vel.Scale(-3)
+		if err := shuffled.Report(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rev := slices.Clone(objs)
+	slices.Reverse(rev)
+	for len(rev) > 0 {
+		n := min(7, len(rev))
+		if _, err := shuffled.ReportBatch(rev[:n]); err != nil {
+			t.Fatal(err)
+		}
+		rev = rev[n:]
+	}
+	vels := func(objs []model.Object) []geom.Vec2 {
+		out := make([]geom.Vec2, len(objs))
+		for i, o := range objs {
+			out[i] = o.Vel
+		}
+		return out
+	}
+	all := vels(objs) // roadObjects numbers its objects 1..n in order
+	for _, n := range []int{50, 120, 500} {
+		a, b := inOrder.VelocitySample(n), shuffled.VelocitySample(n)
+		if !slices.Equal(a, b) {
+			t.Fatalf("n=%d: samples differ between the two tables", n)
+		}
+		want := all
+		if n < len(all) {
+			want = make([]geom.Vec2, n)
+			for i := range want {
+				want[i] = all[i*len(all)/n]
+			}
+		}
+		if !slices.Equal(a, want) {
+			t.Fatalf("n=%d: sample of %d velocities is not the %d evenly spaced picks in id order", n, len(a), len(want))
+		}
+	}
+
+	removed := objs[59]
+	if err := shuffled.Delete(removed); err != nil {
+		t.Fatal(err)
+	}
+	want := vels(slices.Delete(slices.Clone(objs), 59, 60))
+	if got := shuffled.VelocitySample(500); !slices.Equal(got, want) {
+		t.Fatalf("sample after removing object %d: %d velocities, want the other %d", removed.ID, len(got), len(want))
 	}
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // QueryShape summarizes one observed query for the partitioning cost model:
-// the region's half-extents and how far into the future it reached. The
-// Store keeps a bounded log of these next to its velocity
-// reservoirs; kNN queries log with zero extent (their cost is dominated by
-// the velocity-spread term alone).
+// the region's half-extents and how far into the future it reached. A Store
+// running the auto chooser keeps a bounded log of these; kNN queries log with
+// zero extent (their cost is dominated by the velocity-spread term alone).
 type QueryShape struct {
 	// HalfW/HalfH are the query region's half-extents (world frame).
 	HalfW, HalfH float64

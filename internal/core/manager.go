@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -260,9 +261,6 @@ func (m *Manager) Len() int {
 // buffer pool (internal/bench): any partition's counters are the manager's.
 // The Store, with a pool per partition, aggregates across its pools itself.
 func (m *Manager) IO() model.IOStats { return m.pars[len(m.pars)-1].idx.IO() }
-
-// NumPartitions returns the number of partitions including the outlier.
-func (m *Manager) NumPartitions() int { return len(m.pars) }
 
 // Analysis returns the velocity analysis the manager was built from and
 // routes by.
@@ -775,6 +773,34 @@ func (m *Manager) Objects() []model.Object {
 		for _, rec := range m.stripes[i].objs {
 			out = append(out, rec.obj)
 		}
+	}
+	return out
+}
+
+// VelocitySample returns the current velocities of the live objects in
+// ascending ObjectID order, or, when there are more than n, n evenly spaced
+// picks of them: the sample a velocity analysis runs over, one velocity per
+// object whatever order or how often the objects reported. It holds one
+// table stripe's read lock at a time, so writers on the other stripes keep
+// landing while it reads.
+func (m *Manager) VelocitySample(n int) []geom.Vec2 {
+	type pair struct {
+		id  model.ObjectID
+		vel geom.Vec2
+	}
+	var pairs []pair
+	for i := range m.stripes {
+		st := &m.stripes[i]
+		st.mu.RLock()
+		for id, rec := range st.objs {
+			pairs = append(pairs, pair{id, rec.obj.Vel})
+		}
+		st.mu.RUnlock()
+	}
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.id, b.id) })
+	out := make([]geom.Vec2, min(len(pairs), max(n, 0)))
+	for i := range out {
+		out[i] = pairs[i*len(pairs)/len(out)].vel
 	}
 	return out
 }

@@ -195,7 +195,7 @@ func (an Analysis) RouteVel(v geom.Vec2) int {
 }
 
 // Partitioner is a pluggable partitioning objective: it turns a velocity
-// sample reservoir into partition frames plus diagnostics. Implementations
+// sample into partition frames plus diagnostics. Implementations
 // must be deterministic for a given sample (the durable Store replays swap
 // decisions from logged analyses, never by re-running a partitioner).
 type Partitioner interface {

@@ -131,42 +131,6 @@ func (m MovingRect) IntersectsDuring(o MovingRect, t0, t1 float64) bool {
 	return lo <= hi
 }
 
-// IntersectionInterval returns the sub-interval of [t0, t1] during which m
-// and o intersect, and ok=false if they never do. Used by interval queries
-// to report first-contact times and by tests as an oracle.
-func (m MovingRect) IntersectionInterval(o MovingRect, t0, t1 float64) (lo, hi float64, ok bool) {
-	if t1 < t0 {
-		return 0, 0, false
-	}
-	lo, hi = t0, t1
-	ma, oa := m.Rebase(t0), o.Rebase(t0)
-	type lin struct{ c0, cv float64 }
-	cons := [4]lin{
-		{ma.MBR.MinX - oa.MBR.MaxX, ma.VBR.MinX - oa.VBR.MaxX},
-		{oa.MBR.MinX - ma.MBR.MaxX, oa.VBR.MinX - ma.VBR.MaxX},
-		{ma.MBR.MinY - oa.MBR.MaxY, ma.VBR.MinY - oa.VBR.MaxY},
-		{oa.MBR.MinY - ma.MBR.MaxY, oa.VBR.MinY - ma.VBR.MaxY},
-	}
-	for _, c := range cons {
-		if c.cv == 0 {
-			if c.c0 > 0 {
-				return 0, 0, false
-			}
-			continue
-		}
-		bound := t0 - c.c0/c.cv
-		if c.cv > 0 {
-			hi = min(hi, bound)
-		} else {
-			lo = max(lo, bound)
-		}
-		if lo > hi {
-			return 0, 0, false
-		}
-	}
-	return lo, hi, true
-}
-
 // SweepVolume returns the integral of Area(t) dt for t in [t0, t1]: the
 // "volume of the sweeping region" V_N'(qT) of the TPR* cost model (Eq. 1).
 // Widths are clamped at zero, handling transformed rectangles that start
@@ -235,35 +199,6 @@ func sortFloats(xs []float64) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// Transformed returns the "transformed node" N' of m with respect to the
-// moving query q, per Section 3.1: the MBR is inflated by half the query
-// extent per axis and the VBR takes the relative velocities, so that m
-// intersects q during [t0,t1] iff N' contains the (moving) center point of
-// q. Both operands are rebased to ref first.
-func (m MovingRect) Transformed(q MovingRect, ref float64) MovingRect {
-	a, b := m.Rebase(ref), q.Rebase(ref)
-	hx := b.MBR.Width() / 2
-	hy := b.MBR.Height() / 2
-	return MovingRect{
-		MBR: a.MBR.ExpandXY(hx, hy),
-		VBR: Rect{
-			a.VBR.MinX - b.VBR.MaxX,
-			a.VBR.MinY - b.VBR.MaxY,
-			a.VBR.MaxX - b.VBR.MinX,
-			a.VBR.MaxY - b.VBR.MinY,
-		},
-		Ref: ref,
-	}
-}
-
-// EnlargedSweep returns the integrated sweeping volume over [t0, t1] of the
-// union of m with o, minus that of m alone: the ChooseSubtree metric of the
-// TPR*-tree ("minimal increase in integrated area").
-func (m MovingRect) EnlargedSweep(o MovingRect, t0, t1 float64) float64 {
-	u := m.Union(o, t0)
-	return u.SweepVolume(t0, t1) - m.Rebase(t0).SweepVolume(t0, t1)
 }
 
 // String implements fmt.Stringer.

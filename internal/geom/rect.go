@@ -61,10 +61,6 @@ func (r Rect) Height() float64 {
 // Area returns the area of r.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Perimeter returns the perimeter (margin) of r; used by R*-style split
-// tie-breaking.
-func (r Rect) Perimeter() float64 { return 2 * (r.Width() + r.Height()) }
-
 // Center returns the center point of r.
 func (r Rect) Center() Vec2 { return Vec2{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2} }
 
@@ -184,13 +180,3 @@ func (c Circle) ContainsPoint(p Vec2) bool { return c.C.DistTo(p) <= c.R }
 
 // Bound returns the axis-aligned bounding rectangle of the circle.
 func (c Circle) Bound() Rect { return RectFromCenter(c.C, c.R, c.R) }
-
-// IntersectsRect reports whether the disk and rectangle share a point.
-func (c Circle) IntersectsRect(r Rect) bool {
-	if r.IsEmpty() {
-		return false
-	}
-	dx := max(max(r.MinX-c.C.X, 0), c.C.X-r.MaxX)
-	dy := max(max(r.MinY-c.C.Y, 0), c.C.Y-r.MaxY)
-	return dx*dx+dy*dy <= c.R*c.R
-}

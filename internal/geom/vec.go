@@ -120,10 +120,3 @@ func RotationByAngle(theta float64) Mat2 {
 func (m Mat2) Apply(v Vec2) Vec2 {
 	return Vec2{m.A*v.X + m.B*v.Y, m.C*v.X + m.D*v.Y}
 }
-
-// Transpose returns the transpose of m. For rotation matrices this is the
-// inverse, so it maps DVA-frame coordinates back to the world frame.
-func (m Mat2) Transpose() Mat2 { return Mat2{m.A, m.C, m.B, m.D} }
-
-// Det returns the determinant of m.
-func (m Mat2) Det() float64 { return m.A*m.D - m.B*m.C }

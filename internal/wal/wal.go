@@ -415,16 +415,24 @@ func (w *WAL) Sync() error {
 	if f == nil {
 		return fmt.Errorf("wal: closed")
 	}
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	for _, s := range sealed {
-		if err := w.fsync(s); err != nil {
-			return err
+	// The sealed files are this call's alone until it parks them again: what
+	// it did not fsync goes back ahead of any sealed since, so the next Sync
+	// (or Close) still reaches it.
+	for i, s := range sealed {
+		err := w.fsync(s)
+		if err == nil {
+			i++ // s is synced: only the files after it still need a Sync
+			err = s.Close()
 		}
-		if err := s.Close(); err != nil {
+		if err != nil {
+			w.mu.Lock()
+			w.sealed = append(sealed[i:], w.sealed...)
+			w.mu.Unlock()
 			return err
 		}
 	}
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	if w.durable.Load() < target {
 		if err := w.fsync(f); err != nil {
 			return err

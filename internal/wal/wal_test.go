@@ -651,3 +651,44 @@ func TestWALPermanentAppendFaultSurfaces(t *testing.T) {
 		t.Fatal("latched permanent append fault cleared itself")
 	}
 }
+
+// TestSyncKeepsSealedSegmentsAfterFailedFsync pins that a Sync whose fsync of
+// a parked (SyncNone-rotated) segment fails leaves every segment it did not
+// sync parked: the next Sync fsyncs all of them, plus the active segment,
+// before it returns nil.
+func TestSyncKeepsSealedSegmentsAfterFailedFsync(t *testing.T) {
+	const attempts = 2
+	fi := storage.NewScriptedInjector(
+		storage.FaultRule{Op: storage.OpWALSync, Kind: storage.FaultSyncFail, Count: attempts},
+	)
+	w, err := Open(t.TempDir(), Options{
+		Policy:       None(),
+		SegmentBytes: 64,
+		Injector:     fi,
+		Retry:        storage.RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i := 0; i < 8; i++ {
+		appendRecord(t, w, TypeReport, bytes.Repeat([]byte{byte(i)}, 40))
+	}
+	parked := len(w.sealed)
+	if parked < 2 {
+		t.Fatalf("%d sealed segments parked, want >= 2", parked)
+	}
+	if err := w.Sync(); err == nil {
+		t.Fatal("Sync with every fsync attempt failing returned nil")
+	}
+	before := fi.SyncPoints()
+	if err := w.Sync(); err != nil {
+		t.Fatalf("Sync after the faults ran out: %v", err)
+	}
+	if got, want := fi.SyncPoints()-before, int64(parked+1); got != want {
+		t.Fatalf("second Sync reached %d sync points, want %d (%d parked segments + the active one)", got, want, parked)
+	}
+	if got := w.DurableLSN(); got != w.AppendedLSN() {
+		t.Fatalf("durable LSN %d after Sync, appended %d", got, w.AppendedLSN())
+	}
+}

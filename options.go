@@ -31,10 +31,12 @@ const (
 	ObjectiveAuto PartitionObjective = 255
 )
 
-// DefaultAutoPartitionSample is the bootstrap sample size used when velocity
-// partitioning is requested without an explicit WithVelocitySample or
-// WithAutoPartition setting. It matches the paper's analyzer input ("a
-// sample set of 10,000 velocities").
+// DefaultAutoPartitionSample is the size of the sample every online analysis
+// runs over — the bootstrap, drift checks, Repartition and RepartitionTo: the
+// current velocities of at most this many live objects, evenly spaced in
+// ObjectID order. It matches the paper's analyzer input ("a sample set of
+// 10,000 velocities"), and is the bootstrap's report count when velocity
+// partitioning is requested without WithVelocitySample or WithAutoPartition.
 const DefaultAutoPartitionSample = 10_000
 
 // DefaultDriftThreshold is the axis-drift angle (radians, ~11.5 degrees)
@@ -44,12 +46,11 @@ const DefaultDriftThreshold = 0.2
 
 // RepartitionPolicy configures adaptive online repartitioning (Section 5.5
 // of the paper: re-run the velocity analyzer when "the dominant direction of
-// object travel changes significantly"). Once the Store is partitioned it
-// keeps a bounded reservoir of recently reported velocities; after Every
-// post-partition reports a fresh DVA analysis runs over the reservoir off
-// the write path, and when any live axis has drifted past DriftThreshold the
-// Store rebuilds its partitions from the new analysis while queries keep
-// being served.
+// object travel changes significantly"). Once the Store is partitioned, after
+// every Every post-partition reports a fresh analysis of the live objects'
+// velocities runs off the write path, and when any live axis has drifted past
+// DriftThreshold the Store rebuilds its partitions from the new analysis
+// while queries keep being served.
 type RepartitionPolicy struct {
 	// Every is the check cadence in post-partition reports. <= 0 disables
 	// automatic checks; Store.Repartition remains available as the manual
@@ -59,10 +60,6 @@ type RepartitionPolicy struct {
 	// from the matching axis of a fresh analysis before the partitions are
 	// rebuilt. <= 0 takes DefaultDriftThreshold.
 	DriftThreshold float64
-	// ReservoirSize bounds the pooled recent-velocity reservoir that feeds
-	// the fresh analysis (split evenly across the stripes). <= 0 takes
-	// DefaultAutoPartitionSample.
-	ReservoirSize int
 }
 
 // Option configures a Store. Pass any combination to Open; later options
@@ -193,11 +190,12 @@ func WithVelocitySample(sample []Vec2) Option {
 }
 
 // WithAutoPartition enables the online bootstrap: the Store starts with its
-// partition manager on the unpartitioned objective (one index), collects the
-// first n reported velocities as the analysis sample, then runs the analysis
-// and swaps to a manager built from it — the same swap a later repartition
-// uses, so queries keep being served throughout, writers wait for the one
-// rebuild, and no upfront sample is needed. Implies velocity
+// partition manager on the unpartitioned objective (one index) and, once n
+// reports have been applied, analyzes its live objects' velocities (see
+// DefaultAutoPartitionSample) and swaps to a manager built from the result —
+// n sets when the bootstrap trips, not the sample. It is the same swap a
+// later repartition uses, so queries keep being served throughout, writers
+// wait for the one rebuild, and no upfront sample is needed. Implies velocity
 // partitioning. n <= 0 uses DefaultAutoPartitionSample. Ignored when
 // WithVelocitySample provides a sample.
 func WithAutoPartition(n int) Option {
@@ -229,9 +227,9 @@ func WithPartitioner(obj PartitionObjective) Option {
 }
 
 // WithRepartitionPolicy sets the adaptive repartitioning policy: with
-// Every > 0 the Store re-analyzes its recent-velocity reservoir off the
-// write path after every Every post-partition reports and rebuilds the
-// partitions if the dominant axes drifted past DriftThreshold.
+// Every > 0 the Store re-analyzes its live objects' velocities off the write
+// path after every Every post-partition reports and rebuilds the partitions
+// if the dominant axes drifted past DriftThreshold.
 func WithRepartitionPolicy(p RepartitionPolicy) Option {
 	return func(c *storeConfig) { c.repart = p }
 }
@@ -249,9 +247,9 @@ func WithMaintenanceHook(h func(MaintenanceEvent)) Option {
 
 // WithShards stripes the Store's per-object state n ways by ObjectID hash,
 // under one lock per stripe — the only id-hashed lock family: each stripe
-// holds its objects' id→record table rows, checkpoint dirty set,
-// recent-velocity ring and subscription memberships, all updated in the one
-// critical section of a write. It does not multiply index structures: a
+// holds its objects' id→record table rows, checkpoint dirty set and
+// subscription memberships, all updated in the one critical section of a
+// write. It does not multiply index structures: a
 // Store has one index (and one buffer pool) per partition, k+1 whatever n is,
 // and a query probes exactly those. Writes on different stripes overlap their
 // table, log and subscription work, and their index updates when the records
@@ -375,12 +373,6 @@ func (c *storeConfig) normalize() {
 		c.autoN = 0 // upfront sample wins; nothing to bootstrap
 	} else if c.autoN <= 0 {
 		c.autoN = DefaultAutoPartitionSample
-	}
-	// The velocity reservoir is always collected once partitioned (it is
-	// what the manual Repartition analyzes); the policy's Every only gates
-	// the automatic checks.
-	if c.repart.ReservoirSize <= 0 {
-		c.repart.ReservoirSize = DefaultAutoPartitionSample
 	}
 	if c.repart.DriftThreshold <= 0 {
 		c.repart.DriftThreshold = DefaultDriftThreshold

@@ -204,7 +204,14 @@ func TestStoreAutoObjectiveChooser(t *testing.T) {
 	}
 
 	// A chooser-driven repartition over unchanged traffic keeps the layout:
-	// the stickiness multiplier stops near-ties from flapping.
+	// the stickiness multiplier stops near-ties from flapping. The analysis
+	// samples the live objects, so the mixture reports first.
+	rng := rand.New(rand.NewSource(13))
+	for i := 1; i <= 800; i++ {
+		if err := mixed.Report(mixObject(i, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := mixed.Repartition(); err != nil {
 		t.Fatal(err)
 	}

@@ -32,14 +32,15 @@ import (
 // A Store is safe for concurrent use. It owns exactly one partition manager
 // (core.Manager: the id→record table plus one index per partition frame, so
 // k+1 indexes over k+1 buffer pools whatever WithShards is) from Open to
-// Close; a Store without velocity partitioning, and one still collecting its
-// auto-partition sample, is that same manager under the unpartitioned
+// Close; a Store without velocity partitioning, and one still counting
+// reports toward its bootstrap, is that same manager under the unpartitioned
 // objective: a single identity frame over the whole domain. WithShards(n)
 // stripes the manager's table n ways, and that stripe's lock is the only
 // id-hashed lock there is: everything else the Store keys by object — the
-// checkpoint dirty set, the recent-velocity ring, the subscription
-// memberships — lives in the Store's stripe of the same index and is updated
-// in the same critical section as the table row (core.Settler).
+// checkpoint dirty set and the subscription memberships — lives in the
+// Store's stripe of the same index and is updated in the same critical
+// section as the table row (core.Settler). The table row is the one record of
+// an object's velocity: every analysis samples it.
 //
 // # Lock order
 //
@@ -95,22 +96,22 @@ import (
 // partition transition calls it:
 //
 //   - Online bootstrap. With velocity partitioning enabled but no upfront
-//     sample, every stripe records the velocities reported to it (counted
-//     globally); the writer whose report brings the count to the
-//     WithAutoPartition threshold pools them, runs the analysis once, and
-//     swaps from the unpartitioned manager to the analysed one.
-//   - Adaptive repartitioning. Once partitioned, each stripe's velocity
-//     record is a bounded ring of the most recent reports. With a policy
-//     configured (WithRepartitionPolicy), every policy-cadence reports a
-//     fresh analysis of the pooled rings runs in the background and, when
-//     any live axis has drifted past the threshold, swaps. Repartition and
+//     sample, the Store counts reports; the writer whose report brings the
+//     count to the WithAutoPartition threshold runs the analysis once over
+//     the live objects' velocities and swaps from the unpartitioned manager
+//     to the analysed one.
+//   - Adaptive repartitioning. With a policy configured
+//     (WithRepartitionPolicy), every policy-cadence reports a fresh analysis
+//     of the live objects' velocities runs in the background and, when any
+//     live axis has drifted past the threshold, swaps. Repartition and
 //     RepartitionTo are the synchronous manual triggers.
 //   - Recovery. A logged swap record replays through the same routine.
 //
 // Maintenance is decoupled from the write path: a failed background
-// analysis (e.g. a degenerate reservoir) is recorded — LastMaintenanceError,
-// WithMaintenanceHook — never returned from Report/ReportBatch, and the
-// cadence keeps counting so the next multiple re-arms the check.
+// analysis (e.g. fewer live objects than partitions) is recorded —
+// LastMaintenanceError, WithMaintenanceHook — never returned from
+// Report/ReportBatch, and the cadence keeps counting so the next multiple
+// re-arms the check.
 //
 // # Continuous queries
 //
@@ -155,25 +156,23 @@ type Store struct {
 	pools   []*storage.BufferPool
 	retired IOStats
 
-	// Bootstrap coordination: sampled counts the velocities reported across
-	// all stripes while the auto-partition sample is being collected; a
-	// report that brings it to nextTrip attempts the bootstrap (under
-	// maintMu, like every other maintenance action); partitioned flips true
-	// exactly once, when the first swap completes. A rejected (degenerate)
-	// sample re-arms nextTrip a full sample size later instead of retrying
-	// the O(n) analysis on every subsequent write.
+	// Bootstrap coordination: sampled counts the reports applied while an
+	// auto-partitioning Store is unpartitioned; a report that brings it to
+	// nextTrip attempts the bootstrap (under maintMu, like every other
+	// maintenance action); partitioned flips true exactly once, when the
+	// first swap completes. A rejected (degenerate) sample re-arms nextTrip a
+	// full WithAutoPartition count later instead of retrying the O(n)
+	// analysis on every subsequent write.
 	sampled     atomic.Int64
 	nextTrip    atomic.Int64
 	partitioned atomic.Bool
 
-	// Adaptive repartitioning: resCap is each stripe's velocity-ring
-	// capacity; reports counts post-partition reports toward the policy
-	// cadence (never reset — each multiple of Every fires exactly once);
-	// maintMu serializes maintenance actions (drift checks, swaps) without
-	// ever blocking the write path (background checks TryLock and yield);
-	// epoch counts partition generations started and repartitions counts
-	// completed swaps.
-	resCap       int
+	// Adaptive repartitioning: reports counts post-partition reports toward
+	// the policy cadence (never reset — each multiple of Every fires exactly
+	// once); maintMu serializes maintenance actions (drift checks, swaps)
+	// without ever blocking the write path (background checks TryLock and
+	// yield); epoch counts partition generations started and repartitions
+	// counts completed swaps.
 	reports      atomic.Int64
 	maintMu      sync.Mutex
 	epoch        atomic.Int64
@@ -181,8 +180,9 @@ type Store struct {
 	swapping     atomic.Bool
 
 	// qlog is the query-shape log of the partitioning cost model: a ring of
-	// the most recently observed query shapes, qlogCap of them (0 unless
-	// velocity partitioning is on), qpos the next overwrite once full.
+	// the most recently observed query shapes, qlogCap of them (0 unless the
+	// auto chooser, its one reader, is configured), qpos the next overwrite
+	// once full.
 	qmu     sync.Mutex
 	qlog    []core.QueryShape
 	qpos    int
@@ -264,34 +264,10 @@ type stripe struct {
 	// gone.
 	dirty map[ObjectID]struct{}
 
-	// res is the ring of the stripe's most recently reported velocities —
-	// the sample every analysis pools; resPos is the next overwrite position
-	// once the ring is full. Its capacity is velCap: unbounded while the
-	// Store collects the auto-partition sample, Store.resCap afterwards.
-	res    []Vec2
-	resPos int
-
 	// rs holds the subscription memberships of the stripe's objects; cands is
 	// the filter's candidate scratch.
 	rs    *monitor.ResultSet
 	cands []SubscriptionID
-}
-
-// observeVel records a reported velocity in the stripe's recent-velocity
-// ring (capacity cap; oldest entry overwritten first).
-func (st *stripe) observeVel(v Vec2, cap int) {
-	if cap <= 0 {
-		return
-	}
-	if len(st.res) < cap {
-		st.res = append(st.res, v)
-		return
-	}
-	st.res[st.resPos] = v
-	st.resPos++
-	if st.resPos == len(st.res) {
-		st.resPos = 0
-	}
 }
 
 // inStripe runs fn on stripe i under the live manager's lock of that stripe.
@@ -338,7 +314,7 @@ func Open(opts ...Option) (*Store, error) {
 	}
 	cfg.normalize()
 	if cfg.autoN > 0 && cfg.autoN < cfg.k {
-		return nil, fmt.Errorf("vpindex: auto-partition sample of %d cannot form %d partitions", cfg.autoN, cfg.k)
+		return nil, fmt.Errorf("vpindex: auto-partition threshold of %d reports cannot form %d partitions", cfg.autoN, cfg.k)
 	}
 	s := &Store{cfg: cfg}
 	s.writePool.New = func() any { return &write{s: s} }
@@ -353,8 +329,7 @@ func Open(opts ...Option) (*Store, error) {
 		s.closeFiles()
 		return nil, err
 	}
-	if cfg.vpEnabled() {
-		s.resCap = (cfg.repart.ReservoirSize + cfg.shards - 1) / cfg.shards
+	if cfg.objective == ObjectiveAuto {
 		s.qlogCap = defaultQueryLogSize
 	}
 	s.stripes = make([]stripe, cfg.shards)
@@ -367,8 +342,8 @@ func Open(opts ...Option) (*Store, error) {
 	}
 	// The Store runs a partition manager from Open on: the analysis of the
 	// upfront sample when there is one, the unpartitioned objective's single
-	// identity frame otherwise (no VP options, or the auto-partition sample
-	// still to be collected).
+	// identity frame otherwise (no VP options, or the bootstrap still to
+	// come).
 	an, _ := core.NonePartitioner{}.Analyze(nil)
 	upfront := len(cfg.sample) > 0
 	if upfront {
@@ -385,11 +360,6 @@ func Open(opts ...Option) (*Store, error) {
 		return fail(err)
 	}
 	s.mgr = mgr
-	// Seed the recent-velocity rings from the upfront sample so a drift check
-	// (or manual Repartition) right after Open has a population to analyze.
-	for i, v := range cfg.sample {
-		s.stripes[i%len(s.stripes)].observeVel(v, s.resCap)
-	}
 	if s.dur != nil {
 		if err := s.recover(); err != nil {
 			return fail(err)
@@ -543,23 +513,23 @@ func (s *Store) chooseAnalysis(sample []Vec2, forced *PartitionObjective) (core.
 }
 
 // bootstrap is the first partition swap of an auto-partitioning Store, run by
-// a writer whose report brought the collected sample to the trip threshold:
-// pool the stripes' velocity records, choose the analysis, swap. Any number of
+// a writer whose report brought the report count to the trip threshold:
+// sample the live objects' velocities, choose the analysis, swap. Any number of
 // tripping writers may call it; they serialize on maintMu like every other
 // maintenance action and only the first does the work. The outcome is
 // recorded as a maintenance event — never returned to the tripping writer,
 // whose own report was already applied. A sample the analysis rejects (or a
 // failed swap) leaves the current manager serving and re-arms the trip a
-// full sample size later, so the O(n) analysis is not retried on every
-// subsequent write but gets a fresh chance once the workload has produced
-// new velocities.
+// full WithAutoPartition count later, so the O(n) analysis is not retried on
+// every subsequent write but gets a fresh chance once the workload has
+// produced new velocities.
 func (s *Store) bootstrap() {
 	s.maintMu.Lock()
 	if s.partitioned.Load() || s.sampled.Load() < s.nextTrip.Load() {
 		s.maintMu.Unlock()
 		return
 	}
-	sample := s.reservoirSnapshot()
+	sample := s.velocitySample()
 	ev := MaintenanceEvent{Op: MaintBootstrap, SampleSize: len(sample)}
 	an, err := s.chooseAnalysis(sample, nil)
 	if err == nil {
@@ -607,7 +577,7 @@ func (s *Store) LastMaintenanceError() error {
 }
 
 // driftCheck is the automatic repartition probe launched by the policy
-// cadence: re-analyze the recent-velocity reservoir off the write path —
+// cadence: re-analyze the live objects' velocities off the write path —
 // under ObjectiveAuto, evaluating every candidate objective against
 // the recent query log — and rebuild the partitions when the live set
 // drifted past the threshold or a different objective won. At most one
@@ -624,11 +594,11 @@ func (s *Store) driftCheck() {
 	s.notifyMaintenance(ev)
 }
 
-// Repartition synchronously re-analyzes the recent-velocity reservoir and
+// Repartition synchronously re-analyzes the live objects' velocities and
 // rebuilds the partitions from the result, regardless of the drift
 // threshold — the manual maintenance trigger of Section 5.5. It requires the
 // Store to be velocity-partitioned already (the bootstrap handles the first
-// partitioning) and at least k reservoir velocities. Queries keep being
+// partitioning) and at least k live objects. Queries keep being
 // served while it runs; writers wait for the one rebuild. The outcome is also
 // recorded like any other maintenance action (LastMaintenanceError, hook).
 func (s *Store) Repartition() error {
@@ -673,7 +643,7 @@ func (s *Store) repartitionRound(force bool, forced *PartitionObjective) Mainten
 		ev.Err = fmt.Errorf("vpindex: repartition before the store is partitioned: %w", ErrUnsupported)
 		return ev
 	}
-	sample := s.reservoirSnapshot()
+	sample := s.velocitySample()
 	ev.SampleSize = len(sample)
 	an, err := s.chooseAnalysis(sample, forced)
 	if err != nil {
@@ -699,13 +669,13 @@ func (s *Store) repartitionRound(force bool, forced *PartitionObjective) Mainten
 	return ev
 }
 
-// reservoirSnapshot pools every stripe's recent-velocity ring.
-func (s *Store) reservoirSnapshot() []Vec2 {
-	out := make([]Vec2, 0, s.resCap*len(s.stripes))
-	for i := range s.stripes {
-		s.inStripe(i, func(st *stripe) { out = append(out, st.res...) })
-	}
-	return out
+// velocitySample is what every analysis runs over: the live objects' current
+// velocities, DefaultAutoPartitionSample of them at most (see
+// core.Manager.VelocitySample).
+func (s *Store) velocitySample() []Vec2 {
+	s.mgrMu.RLock()
+	defer s.mgrMu.RUnlock()
+	return s.mgr.VelocitySample(DefaultAutoPartitionSample)
 }
 
 // swapPartitions is the one routine that moves the live population between
@@ -731,18 +701,9 @@ func (s *Store) swapPartitions(an core.Analysis) error {
 			s.mgr = mgr
 			s.mgrMu.Unlock()
 			// The swap that first partitions the Store is the bootstrap, not
-			// a repartition. It also bounds the velocity rings from here on:
-			// keep each one's most recent entries (in a right-sized array, so
-			// the sample's is released).
+			// a repartition.
 			if s.partitioned.Swap(true) {
 				s.repartitions.Add(1)
-			}
-			for i := range s.stripes {
-				s.inStripe(i, func(st *stripe) {
-					if n := len(st.res) - s.resCap; n > 0 {
-						st.res, st.resPos = append(make([]Vec2, 0, s.resCap), st.res[n:]...), 0
-					}
-				})
 			}
 			lerr = s.logSwap(an)
 		}
@@ -760,16 +721,6 @@ func (s *Store) swapPartitions(an core.Analysis) error {
 	// epoch's analysis (no Store lock is held here).
 	s.refreshSubClasses()
 	return nil
-}
-
-// velCap is the capacity of the stripes' velocity rings: unbounded while the
-// Store collects the auto-partition sample (the bootstrap analyzes all of it),
-// the reservoir share once partitioned. Caller holds the write gate.
-func (s *Store) velCap() int {
-	if s.cfg.autoN > 0 && !s.partitioned.Load() {
-		return math.MaxInt
-	}
-	return s.resCap
 }
 
 // noteReports advances the repartition cadence by n post-partition reports
@@ -819,10 +770,10 @@ func (s *Store) reportOne(verb core.Verb, o Object) error {
 
 // afterReports runs the maintenance n successfully applied reports trigger:
 // the repartition cadence once partitioned, the bootstrap trip while an
-// auto-partition sample is being collected. Maintenance is suppressed during
+// auto-partitioning Store is unpartitioned. Maintenance is suppressed during
 // crash recovery — replayed records must not launch analyses of their own;
 // partition transitions replay from their logged swap records — but the
-// sample count still advances, so a trip left pending by the crash fires on
+// report count still advances, so a trip left pending by the crash fires on
 // the first post-recovery report.
 func (s *Store) afterReports(n int) {
 	if n <= 0 {
@@ -889,8 +840,7 @@ func (s *Store) Remove(id ObjectID) error {
 
 // write is one write verb's pooled scratch and its core.Settler: the step
 // that runs in each landed record's critical section, under its table stripe,
-// to mark the record dirty, sample its velocity and reconcile its
-// subscription memberships. The deltas it collects are emitted by finish,
+// to mark the record dirty and reconcile its subscription memberships. The deltas it collects are emitted by finish,
 // once the verb holds no lock. Records are always copied in, never aliased to
 // caller memory, so a pooled write captures no caller slices.
 type write struct {
@@ -898,7 +848,6 @@ type write struct {
 
 	// Set for the verb's one manager call (see begin).
 	remove bool
-	velCap int
 	e      *subEngine // non-nil: subscriptions are registered and regMu is held shared
 	batch  []Object   // a batch's records and their outcomes; nil for one record
 	errs   []error
@@ -950,7 +899,7 @@ func (w *write) applyBatch(objs []Object) (landed []Object, err error) {
 // subscriptions registered, begin takes regMu shared until end, before any
 // stripe, so that no lock is taken under a stripe.
 func (w *write) begin(remove bool) {
-	w.remove, w.velCap = remove, w.s.velCap()
+	w.remove = remove
 	if e := w.s.subEng.Load(); e != nil && e.nsubs.Load() > 0 {
 		e.regMu.RLock()
 		if len(e.subs) == 0 {
@@ -981,7 +930,6 @@ func (w *write) Settled(i int, o Object) {
 		}
 		return
 	}
-	st.observeVel(o.Vel, w.velCap)
 	if w.e == nil {
 		return
 	}
@@ -1060,8 +1008,9 @@ func knnQueryShape(q KNNQuery) core.QueryShape {
 }
 
 // observeQueryShape records one observed query in the query-shape log
-// (oldest entry overwritten first). Disabled (qlogCap == 0) unless velocity
-// partitioning is on.
+// (oldest entry overwritten first). Disabled (qlogCap == 0) unless the Store
+// runs the auto chooser (WithPartitioner(ObjectiveAuto)), which alone reads
+// it.
 func (s *Store) observeQueryShape(q core.QueryShape) {
 	if s.qlogCap <= 0 {
 		return
@@ -1146,10 +1095,10 @@ func (s *Store) Analysis() (core.Analysis, bool) {
 	return s.mgr.Analysis(), s.partitioned.Load()
 }
 
-// BootstrapProgress reports how many velocities have been collected toward
-// the auto-partition threshold, and the threshold itself. The threshold is
-// the currently armed one: after a rejected bootstrap attempt it moves a full
-// sample size out, so collected never sits above target while the Store is
+// BootstrapProgress reports how many reports have been counted toward the
+// auto-partition threshold, and the threshold itself. The threshold is the
+// currently armed one: after a rejected bootstrap attempt it moves a full
+// WithAutoPartition count out, so collected never sits above target while the Store is
 // still unpartitioned. After the bootstrap (or when auto-partitioning is off)
 // it returns (0, 0).
 func (s *Store) BootstrapProgress() (collected, target int) {

@@ -314,7 +314,6 @@ func TestStoreConcurrentRepartitionOracle(t *testing.T) {
 		vpindex.WithRepartitionPolicy(vpindex.RepartitionPolicy{
 			Every:          300,
 			DriftThreshold: 0.3,
-			ReservoirSize:  400,
 		}),
 		vpindex.WithSeed(6),
 	)

@@ -207,6 +207,7 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 	swaps.Add(1)
 	go func() {
 		defer swaps.Done()
+		waitForObjects(store, 50)
 		for !stop.Load() {
 			if err := store.Repartition(); err != nil {
 				t.Errorf("repartition: %v", err)
@@ -584,6 +585,16 @@ func TestStoreSubscriptionsSurviveRepartition(t *testing.T) {
 	}
 }
 
+// waitForObjects polls until the store holds n objects, or 10 s have passed:
+// a repartition analyzes the live objects, so a swap loop racing a script
+// starts once the script has reported some.
+func waitForObjects(store *vpindex.Store, n int) {
+	deadline := time.Now().Add(10 * time.Second)
+	for store.Len() < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestStoreSubscriptionsConcurrentStorm extends the PR 3 -race oracle to
 // the subscription engine: writers with disjoint ID ranges, readers polling
 // result sets and refreshing, and manual repartition swaps all race; after
@@ -695,6 +706,7 @@ func TestStoreSubscriptionsConcurrentStorm(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
+		waitForObjects(store, 50)
 		for i := 0; i < 3; i++ {
 			if err := store.Repartition(); err != nil {
 				errs <- fmt.Errorf("repartition: %w", err)

@@ -542,7 +542,7 @@ func maxAxisAngle(t *testing.T, s *vpindex.Store, angle float64) float64 {
 
 // TestStoreRepartitionManual drives the full manual repartition path: a
 // store partitioned for one axis grid serves a population whose traffic has
-// rotated 45°; Repartition must re-analyze the recent-velocity reservoir,
+// rotated 45°; Repartition must re-analyze the live objects' velocities,
 // swap every shard to axes matching the new grid, preserve every record,
 // and keep answering queries exactly.
 func TestStoreRepartitionManual(t *testing.T) {
@@ -556,10 +556,6 @@ func TestStoreRepartitionManual(t *testing.T) {
 				vpindex.WithShards(3),
 				vpindex.WithVelocityPartitioning(2),
 				vpindex.WithVelocitySample(axisSample(600, 0, 8)),
-				// Bounded reservoir (no automatic cadence): by analysis time
-				// the rings hold only the most recent — rotated — traffic,
-				// not the seeded bootstrap sample.
-				vpindex.WithRepartitionPolicy(vpindex.RepartitionPolicy{ReservoirSize: 300}),
 				vpindex.WithSeed(5),
 			)
 			if err != nil {
@@ -659,14 +655,12 @@ func TestStoreAutoRepartition(t *testing.T) {
 		vpindex.WithShards(2),
 		vpindex.WithVelocityPartitioning(2),
 		vpindex.WithVelocitySample(axisSample(400, 0, 8)),
-		// The drift threshold must sit below the test's 0.15 rad convergence
-		// bound: a first swap fired on a mixed reservoir can land anywhere
-		// between the grids, and only drift above the threshold triggers
-		// the follow-up swap that corrects it.
+		// The drift threshold sits below the test's 0.15 rad convergence
+		// bound, so axes a swap leaves off the grid by more than the bound
+		// trigger the follow-up swap that corrects them.
 		vpindex.WithRepartitionPolicy(vpindex.RepartitionPolicy{
 			Every:          150,
 			DriftThreshold: 0.12,
-			ReservoirSize:  400,
 		}),
 		vpindex.WithMaintenanceHook(func(ev vpindex.MaintenanceEvent) {
 			hookMu.Lock()
@@ -680,11 +674,10 @@ func TestStoreAutoRepartition(t *testing.T) {
 	}
 
 	// Stream rotated traffic until the background checks have swapped the
-	// partitions AND the axes have converged on the rotated grid. The first
-	// swap can fire on a reservoir still mixed with pre-drift velocities
-	// (its axes land in between); as rotated reports keep flowing the
-	// reservoir purifies and a follow-up check corrects the axes — the
-	// property to pin is convergence, with a generous deadline.
+	// partitions AND the axes have converged on the rotated grid: every
+	// check samples the live objects, all of which move on the rotated grid
+	// (the upfront sample is not an object). The property to pin is
+	// convergence, with a generous deadline.
 	rng := rand.New(rand.NewSource(33))
 	deadline := time.Now().Add(30 * time.Second)
 	id := 0
@@ -730,8 +723,8 @@ func TestStoreAutoRepartition(t *testing.T) {
 }
 
 // TestStoreMaintenanceFailureDecoupled pins the error contract of ISSUE 3:
-// a failing background analysis (here: a reservoir too small to form k
-// partitions) must never surface through Report, must be visible via
+// a failing background analysis (here: a store of one object, too few to
+// form k partitions) must never surface through Report, must be visible via
 // LastMaintenanceError and the hook, and must not wedge the repartition
 // loop — the cadence keeps re-arming, producing a fresh failed check every
 // interval.
@@ -747,11 +740,9 @@ func TestStoreMaintenanceFailureDecoupled(t *testing.T) {
 		vpindex.WithShards(1),
 		vpindex.WithVelocityPartitioning(2),
 		vpindex.WithVelocitySample(axisSample(300, 0, 8)),
-		// ReservoirSize 1 < k=2: every analysis must fail.
 		vpindex.WithRepartitionPolicy(vpindex.RepartitionPolicy{
 			Every:          50,
 			DriftThreshold: 0.2,
-			ReservoirSize:  1,
 		}),
 		vpindex.WithMaintenanceHook(func(ev vpindex.MaintenanceEvent) {
 			hookMu.Lock()
@@ -768,7 +759,7 @@ func TestStoreMaintenanceFailureDecoupled(t *testing.T) {
 
 	// The manual trigger reports the analysis failure synchronously...
 	if err := store.Repartition(); err == nil {
-		t.Fatal("repartition with a degenerate reservoir should fail")
+		t.Fatal("repartition of an empty store should fail")
 	}
 	if err := store.LastMaintenanceError(); err == nil {
 		t.Fatal("LastMaintenanceError nil after failed repartition")
@@ -792,7 +783,7 @@ func TestStoreMaintenanceFailureDecoupled(t *testing.T) {
 		}
 		for i := 0; i < 50; i++ {
 			id++
-			if err := store.Report(axisObject(id%600+1, 0, rng)); err != nil {
+			if err := store.Report(axisObject(1, 0, rng)); err != nil {
 				t.Fatalf("report surfaced a maintenance error: %v", err)
 			}
 		}
@@ -821,7 +812,6 @@ func TestStoreRepartitionRetiresOldEpochs(t *testing.T) {
 		vpindex.WithShards(2),
 		vpindex.WithVelocityPartitioning(2),
 		vpindex.WithVelocitySample(axisSample(400, 0, 8)),
-		vpindex.WithRepartitionPolicy(vpindex.RepartitionPolicy{ReservoirSize: 400}),
 		vpindex.WithSeed(5),
 	)
 	if err != nil {
@@ -872,5 +862,124 @@ func TestStoreRepartitionRetiresOldEpochs(t *testing.T) {
 	}
 	if store.Len() != 400 {
 		t.Fatalf("population changed across swaps: %d", store.Len())
+	}
+}
+
+// onAxis builds a mover travelling along the axis at angle, either way, at
+// 30–90 m/ts with unit-σ perpendicular noise.
+func onAxis(id int, angle float64, rng *rand.Rand) vpindex.Object {
+	dir := vpindex.V(math.Cos(angle), math.Sin(angle))
+	speed := 30 + rng.Float64()*60
+	if rng.Intn(2) == 0 {
+		speed = -speed
+	}
+	return vpindex.Object{
+		ID:  vpindex.ObjectID(id),
+		Pos: vpindex.V(rng.Float64()*20000, rng.Float64()*20000),
+		Vel: dir.Scale(speed).Add(vpindex.V(-dir.Y, dir.X).Scale(rng.NormFloat64())),
+	}
+}
+
+// axisGap is the angle (radians, in [0, π/2]) between an axis and the
+// direction at angle.
+func axisGap(axis vpindex.Vec2, angle float64) float64 {
+	return math.Acos(min(1, math.Abs(axis.Normalize().Dot(vpindex.V(math.Cos(angle), math.Sin(angle))))))
+}
+
+// TestAnalysisSamplesObjectsNotReports pins that the analysis samples the
+// live objects, one velocity each, not the stream of reports: 100 objects
+// reporting 20 times each weigh 100 in the bootstrap's sample, not 2,000, so
+// the 900 objects of the other axis keep the larger partition.
+func TestAnalysisSamplesObjectsNotReports(t *testing.T) {
+	const axisA, axisB = 0.0, math.Pi / 3
+	var evs []vpindex.MaintenanceEvent
+	store, err := vpindex.Open(
+		vpindex.WithKind(vpindex.Bx),
+		vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
+		vpindex.WithShards(2),
+		vpindex.WithVelocityPartitioning(2),
+		vpindex.WithAutoPartition(2900),
+		vpindex.WithMaintenanceHook(func(ev vpindex.MaintenanceEvent) { evs = append(evs, ev) }),
+		vpindex.WithSeed(5),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for id := 1; id <= 900; id++ {
+		if err := store.Report(onAxis(id, axisA, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		for id := 901; id <= 1000; id++ {
+			if err := store.Report(onAxis(id, axisB, rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(evs) != 1 || evs[0].Op != vpindex.MaintBootstrap || evs[0].Err != nil || !evs[0].Swapped {
+		t.Fatalf("bootstrap events: %+v", evs)
+	}
+	if evs[0].SampleSize != 1000 {
+		t.Fatalf("bootstrap sampled %d velocities, want one per object: 1000", evs[0].SampleSize)
+	}
+	parts := store.Partitions()
+	nearest := func(angle float64) int {
+		best, gap := -1, math.Inf(1)
+		for i, p := range parts {
+			if g := axisGap(p.Frame.Axis, angle); !p.Frame.IsOutlier && g < gap {
+				best, gap = i, g
+			}
+		}
+		return best
+	}
+	a, b := nearest(axisA), nearest(axisB)
+	if parts[a].Size <= parts[b].Size {
+		t.Fatalf("frame nearest A holds %d objects, frame nearest B %d: want A's larger (partitions %+v)",
+			parts[a].Size, parts[b].Size, parts)
+	}
+}
+
+// TestRepartitionForgetsRemovedObjects pins that a removed object's velocity
+// no longer steers the analysis: after the objects on axis A are removed and
+// others report on axis B, 90° away, Repartition finds no axis near A.
+func TestRepartitionForgetsRemovedObjects(t *testing.T) {
+	const axisA, axisB = 0.0, math.Pi / 2
+	store, err := vpindex.Open(
+		vpindex.WithKind(vpindex.Bx),
+		vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
+		vpindex.WithShards(2),
+		vpindex.WithVelocityPartitioning(2),
+		vpindex.WithVelocitySample(axisSample(400, axisA, 8)),
+		vpindex.WithSeed(5),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for id := 1; id <= 500; id++ {
+		if err := store.Report(onAxis(id, axisA, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := 1; id <= 500; id++ {
+		if err := store.Remove(vpindex.ObjectID(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := 501; id <= 1000; id++ {
+		if err := store.Report(onAxis(id, axisB, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Repartition(); err != nil {
+		t.Fatal(err)
+	}
+	an, _ := store.Analysis()
+	for _, f := range an.Frames {
+		if g := axisGap(f.Axis, axisA); !f.IsOutlier && g < 0.15 {
+			t.Fatalf("axis %v lies %g rad from the removed objects' axis", f.Axis, g)
+		}
 	}
 }

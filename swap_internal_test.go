@@ -285,11 +285,11 @@ func TestBootstrapSwapFailureRearmsTrip(t *testing.T) {
 		_ = oracle.Update(old, o)
 	}
 	an, ok := s.Analysis()
-	if !ok || !s.Partitioned() || an.SampleSize != 2*threshold || len(s.Partitions()) != 3 {
+	if !ok || !s.Partitioned() || an.SampleSize != threshold || len(s.Partitions()) != 3 {
 		t.Fatalf("after the re-armed trip: partitioned %v, analysis %+v", s.Partitioned(), an)
 	}
 	if len(evs) != 2 || evs[1].Op != MaintBootstrap || evs[1].Err != nil || !evs[1].Swapped ||
-		evs[1].SampleSize != 2*threshold || evs[1].Objective != ObjectiveDVA {
+		evs[1].SampleSize != threshold || evs[1].Objective != ObjectiveDVA {
 		t.Fatalf("events after the bootstrap: %+v", evs)
 	}
 	if st := s.Stats(); st.Repartitions != 0 || st.PartitionEpoch != 2 {
@@ -299,10 +299,4 @@ func TestBootstrapSwapFailureRearmsTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustMatchOracle(t, s, oracle, ids, "after bootstrap")
-	// The velocity rings are bounded again once the Store is partitioned.
-	for i := range s.stripes {
-		if n := len(s.stripes[i].res); n > s.resCap {
-			t.Fatalf("stripe %d ring holds %d velocities, cap %d", i, n, s.resCap)
-		}
-	}
 }

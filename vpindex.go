@@ -52,16 +52,16 @@
 // near linear (Section 4).
 //
 // The analysis sample can be supplied upfront (WithVelocitySample) or — the
-// production path — collected online: with WithAutoPartition(n), the Store
-// starts unpartitioned, accumulates the first n reported velocities, then
-// partitions itself and migrates every live object, with queries serving
-// throughout.
+// production path — taken online: with WithAutoPartition(n), the Store
+// starts unpartitioned and, after n reports, analyzes the current velocities
+// of its live objects (one each, up to DefaultAutoPartitionSample of them),
+// then partitions itself and migrates every live object, with queries
+// serving throughout.
 //
 // The partitions also stay adaptive after the bootstrap (Section 5.5 of
-// the paper): the Store keeps a bounded reservoir of recently reported
-// velocities, and a configured policy (WithRepartitionPolicy)
-// periodically re-analyzes it off the write path, rebuilding the
-// partitions in one swap when the dominant axes have drifted —
+// the paper): a configured policy (WithRepartitionPolicy) periodically
+// re-analyzes the live objects' velocities off the write path, rebuilding
+// the partitions in one swap when the dominant axes have drifted —
 // Store.Repartition is the manual trigger. Maintenance outcomes
 // are decoupled from the write verbs: see Store.LastMaintenanceError and
 // WithMaintenanceHook.
@@ -72,9 +72,9 @@
 // of id-hashed locks: the stripes of the partition manager's id→record table
 // (WithShards, default GOMAXPROCS). A stripe guards everything the Store
 // keeps per object — the table row, the checkpoint dirty set, the
-// recent-velocity ring, the subscription memberships — so a write updates all
-// of it in one critical section, then locks only the one or two partitions it
-// touches, and writes to different partitions run in parallel. A query probes
+// subscription memberships — so a write updates all of it in one critical
+// section, then locks only the one or two partitions it touches, and writes
+// to different partitions run in parallel. A query probes
 // the k+1 partitions with a worker pool of GOMAXPROCS goroutines whose merged
 // results are byte-identical to the sequential probe order, and sees one
 // instant of the whole Store. The full lock order is written once, on

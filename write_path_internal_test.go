@@ -93,17 +93,17 @@ func TestReplayedSubscribeFailedSeedLeavesNoMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild the partitions over a disk the test can kill.
-	disk := &deadReads{PageStore: s.disk}
-	s.disk = disk
-	if err := s.Repartition(); err != nil {
-		t.Fatal(err)
-	}
 	objs := make([]Object, 300)
 	for i := range objs {
 		objs[i] = gridObject(i+1, rng)
 	}
 	if err := s.ReportBatch(objs); err != nil {
+		t.Fatal(err)
+	}
+	// Rebuild the partitions over a disk the test can kill.
+	disk := &deadReads{PageStore: s.disk}
+	s.disk = disk
+	if err := s.Repartition(); err != nil {
 		t.Fatal(err)
 	}
 	events := s.Events()
@@ -245,16 +245,16 @@ func TestSubscriptionSearchFaultHookMayCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			disk := &deadReads{PageStore: s.disk}
-			s.disk = disk
-			if err := s.Repartition(); err != nil {
-				t.Fatal(err)
-			}
 			objs := make([]Object, 2000)
 			for i := range objs {
 				objs[i] = gridObject(i+1, rng)
 			}
 			if err := s.ReportBatch(objs); err != nil {
+				t.Fatal(err)
+			}
+			disk := &deadReads{PageStore: s.disk}
+			s.disk = disk
+			if err := s.Repartition(); err != nil {
 				t.Fatal(err)
 			}
 			sub := Subscription{Query: RectSliceQuery(R(-1e6, -1e6, 1e6, 1e6), 0, 0), Horizon: 10}
