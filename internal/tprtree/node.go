@@ -55,6 +55,17 @@
 // bit. The nodes opened are every node no farther than the final limit, the
 // ones a search that queued every slot opened.
 //
+// A range search is priced by the slots it tests, not by decoding them.
+// SearchAppend prepares the query once — its moving rectangle rebased to T0
+// and its model.Matcher — and tests each internal entry from the page bytes
+// by IntersectsDuring's constraint loop on the entry's nine scalars. A
+// time-slice circle tests each leaf record by the Matcher's own expression on
+// its five scalars, the id decoded only on a hit; other queries hand the
+// decoded record to the Matcher. Each slot test performs the operations of
+// the function it stands for, in the same order, so its verdict is that
+// function's for every input, NaN and signed zeros included, and the pages
+// opened and the answers are the decoding search's.
+//
 // Every reader validates a page's tag, level and count before trusting
 // them; a page that fails reports an error wrapping storage.ErrCorruptPage.
 package tprtree

@@ -439,23 +439,36 @@ func BenchmarkPointOps(b *testing.B) {
 	}
 }
 
+// benchTrees holds the detached 100,000-object trees of BenchmarkKNN and
+// BenchmarkSearch, one per pool size, so each is built once (~1.5 s)
+// whatever b.N and however many benchmarks run. Neither benchmark writes.
+var benchTrees = map[int]*Tree{}
+
+func benchTree(b *testing.B, pages int) *Tree {
+	tr := benchTrees[pages]
+	if tr == nil {
+		tr, _, _ = newHeight3Tree(b, 100000, pages)
+		benchTrees[pages] = tr
+	}
+	return tr
+}
+
+// benchPools are the pool sizes of the kernel query benchmarks: every page
+// of the 1,599-page tree cached, and a tenth of it.
+var benchPools = []struct {
+	name  string
+	pages int
+}{{"cached", 4096}, {"cache=10%", 160}}
+
 // BenchmarkKNN measures the kNN kernel without the Store: one
 // SearchKNN(K=10) per iteration, at a uniform centre 60 ts ahead, on a
 // detached tree of 100,000 uniform objects (1,599 pages, height 3) with every
 // page cached and with the pool a tenth of the tree. pages/op is pool
-// accesses, hits and misses. Each tree is built once, whatever b.N.
+// accesses, hits and misses.
 func BenchmarkKNN(b *testing.B) {
-	trees := map[int]*Tree{}
-	for _, bc := range []struct {
-		name  string
-		pages int
-	}{{"cached", 4096}, {"cache=10%", 160}} {
+	for _, bc := range benchPools {
 		b.Run(bc.name, func(b *testing.B) {
-			tr := trees[bc.pages]
-			if tr == nil {
-				tr, _, _ = newHeight3Tree(b, 100000, bc.pages)
-				trees[bc.pages] = tr
-			}
+			tr := benchTree(b, bc.pages)
 			rng := rand.New(rand.NewSource(12))
 			now := tr.clock
 			b.ReportAllocs()
@@ -464,6 +477,41 @@ func BenchmarkKNN(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := model.KNNQuery{Center: geom.V(rng.Float64()*100000, rng.Float64()*100000), K: 10, Now: now, T: now + 60}
 				if _, err := tr.SearchKNN(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(accesses(tr.pool)-before)/float64(b.N), "pages/op")
+		})
+	}
+}
+
+// BenchmarkSearch measures the range-search kernel without the Store, on the
+// trees of BenchmarkKNN: per iteration one query 60 ts ahead at a uniform
+// centre, cycling through the canonical benchmark's shapes — a time-slice
+// circle of radius 500 m, a 1,000 m square over a 30 ts interval, and the
+// same square moving at up to 50 m/ts per axis — into a recycled result
+// slice. pages/op is pool accesses, hits and misses.
+func BenchmarkSearch(b *testing.B) {
+	for _, bc := range benchPools {
+		b.Run(bc.name, func(b *testing.B) {
+			tr := benchTree(b, bc.pages)
+			rng := rand.New(rand.NewSource(13))
+			now := tr.clock
+			var dst []model.ObjectID
+			b.ReportAllocs()
+			b.ResetTimer()
+			before := accesses(tr.pool)
+			for i := 0; i < b.N; i++ {
+				c := geom.V(rng.Float64()*100000, rng.Float64()*100000)
+				q := model.RangeQuery{Kind: model.QueryKind(i % 3), Rect: geom.RectFromCenter(c, 500, 500), Now: now, T0: now + 60, T1: now + 90}
+				switch q.Kind {
+				case model.TimeSlice:
+					q.Circle = geom.Circle{C: c, R: 500}
+				case model.MovingRange:
+					q.Vel = geom.V(rng.Float64()*100-50, rng.Float64()*100-50)
+				}
+				var err error
+				if dst, err = tr.SearchAppend(dst[:0], q); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -161,52 +161,6 @@ func overlapSweep(a, b geom.MovingRect, t0, t1 float64) float64 {
 	return h / 6 * (f(t0) + 4*f(t0+h/2) + f(t1))
 }
 
-// --- queries -----------------------------------------------------------------
-
-// Search implements model.Index: all three query types of Section 2.1 via
-// the time-parameterized intersection test, with exact refinement of leaf
-// candidates through the query's model.Matcher (this also restricts circular
-// queries from their MBR to the disk).
-func (t *Tree) Search(q model.RangeQuery) ([]model.ObjectID, error) {
-	return t.SearchAppend(nil, q)
-}
-
-// SearchAppend is Search appending the matching ids to out, for a caller
-// that recycles its result buffers (the VP manager).
-func (t *Tree) SearchAppend(out []model.ObjectID, q model.RangeQuery) ([]model.ObjectID, error) {
-	qmr := q.AsMovingRect()
-	t0, t1 := q.T0, q.EndTime()
-	m := model.NewMatcher(q)
-	var buf [64]pageRef
-	stack := append(buf[:0], pageRef{id: t.root, level: t.height - 1})
-	for len(stack) > 0 {
-		top := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if err := t.view(top.id, top.level, func(data []byte, count int) {
-			for i := 0; i < count; i++ {
-				if top.level == 0 {
-					if o := getObj(leafSlot(data, i)); m.Matches(o) {
-						out = append(out, o.ID)
-					}
-				} else if s := entrySlot(data, i); getMR(s).IntersectsDuring(qmr, t0, t1) {
-					stack = append(stack, pageRef{id: getChild(s), level: top.level - 1})
-				}
-			}
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// pageRef is a page a traversal has yet to visit and the level it must hold:
-// checked on arrival (header), so a corrupt child pointer cannot send a
-// traversal in circles.
-type pageRef struct {
-	id    storage.PageID
-	level int
-}
-
 // --- diagnostics -------------------------------------------------------------
 
 // LeafBound describes one leaf node's time-parameterized bound; the Fig. 7
