@@ -73,9 +73,6 @@ func ScaleFor(objects, queries int, duration float64) Scale {
 	}
 }
 
-// TestScale is small enough for go test / testing.B.
-func TestScale() Scale { return ScaleFor(4000, 60, 40) }
-
 // PaperScale is Table 1: 100K objects on the full 100 km domain, 240 ts,
 // 50 buffer pages.
 func PaperScale() Scale {

@@ -12,9 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// BufferPages is the paper's RAM buffer (Table 1).
-const BufferPages = 50
-
 // --- Fig. 7: search space expansion ------------------------------------------
 
 // ExpansionPoint is one scatter point of Fig. 7: the per-axis expansion

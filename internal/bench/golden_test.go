@@ -14,7 +14,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/figures.golden")
 
 // TestFigureGolden pins the deterministic columns of Fig. 19-24 at
-// TestScale, seed 42: for Fig. 19's dataset x setup grid the simulated I/O
+// ScaleFor(4000, 60, 40), seed 42: for Fig. 19's dataset x setup grid the simulated I/O
 // per query and per update (buffer-pool misses) and the average result
 // count; for the Fig. 20-24 sweeps the I/O columns of the printed table at
 // one sweep point each; and Fig. 17's whole tau sweep on CH. Wall-clock
@@ -26,7 +26,7 @@ func TestFigureGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	sc, seed := TestScale(), int64(42)
+	sc, seed := ScaleFor(4000, 60, 40), int64(42)
 	var b strings.Builder
 	b.WriteString("## Fig. 19 grid: dataset setup query-I/O update-I/O avg-results\n")
 	for _, ds := range workload.Datasets() {

@@ -131,9 +131,6 @@ func New(pool *storage.BufferPool) (*Tree, error) {
 	return t, nil
 }
 
-// Len returns the number of entries.
-func (t *Tree) Len() int { return t.size }
-
 // Height returns the tree height (1 = single leaf).
 func (t *Tree) Height() int { return t.height }
 
@@ -769,30 +766,6 @@ func (t *Tree) Scan(loKey, hiKey uint64, visit func(Entry) bool) error {
 		id = n.next
 	}
 	return nil
-}
-
-// Get returns the entry with the exact composite key, in height page
-// accesses, decoding only the entry it returns.
-func (t *Tree) Get(k Key) (e Entry, found bool, err error) {
-	id, err := t.leafFor(k)
-	if err != nil {
-		return Entry{}, false, err
-	}
-	perr := t.pool.Read(id, func(data []byte) {
-		count, ok := pageCount(data, tagLeaf, LeafCap)
-		if !ok {
-			err = errCorrupt(id)
-			return
-		}
-		var i int
-		if i, found = leafSearch(data, count, k); found {
-			e = decodeEntry(data[leafHeader+i*entrySize:])
-		}
-	})
-	if perr != nil {
-		return Entry{}, false, perr
-	}
-	return e, found, err
 }
 
 // --- invariants (tests) ----------------------------------------------------

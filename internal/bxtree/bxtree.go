@@ -130,13 +130,6 @@ func (t *Tree) IO() model.IOStats {
 	return model.IOStats{Reads: s.Misses, Writes: s.Writes, Hits: s.Hits}
 }
 
-// Height returns the underlying B+-tree height (update cost is directly
-// proportional to it — Section 6.3 of the paper).
-func (t *Tree) Height() int { return t.bt.Height() }
-
-// ActiveBuckets returns the number of live time buckets (diagnostics).
-func (t *Tree) ActiveBuckets() int { return len(t.buckets) }
-
 // bucketAt returns the position of the bucket with boundary index idx in
 // t.buckets, or where it would be inserted, and whether it is there.
 func (t *Tree) bucketAt(idx int64) (int, bool) {

@@ -445,3 +445,10 @@ func TestSearchDescendsOncePerTree(t *testing.T) {
 			hits, misses, len(log.ids))
 	}
 }
+
+// Height returns the underlying B+-tree height (update cost is directly
+// proportional to it — Section 6.3 of the paper).
+func (t *Tree) Height() int { return t.bt.Height() }
+
+// ActiveBuckets returns the number of live time buckets (diagnostics).
+func (t *Tree) ActiveBuckets() int { return len(t.buckets) }

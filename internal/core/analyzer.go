@@ -160,22 +160,3 @@ func OptimalTau(perpSpeeds []float64) float64 {
 	}
 	return bestTau
 }
-
-// TauCost evaluates the Eq. 10 objective for a specific tau over the given
-// perpendicular speeds; exposed for the experiments that sweep fixed tau
-// values (Fig. 17) and for property tests against OptimalTau.
-func TauCost(perpSpeeds []float64, tau float64) float64 {
-	vymax := 0.0
-	for _, v := range perpSpeeds {
-		if v > vymax {
-			vymax = v
-		}
-	}
-	nd := 0
-	for _, v := range perpSpeeds {
-		if v <= tau {
-			nd++
-		}
-	}
-	return float64(nd) * (tau - vymax)
-}

@@ -105,17 +105,6 @@ type Analysis struct {
 	Elapsed time.Duration
 }
 
-// NumVelocityFrames returns the number of non-outlier frames.
-func (an Analysis) NumVelocityFrames() int {
-	n := 0
-	for _, f := range an.Frames {
-		if !f.IsOutlier {
-			n++
-		}
-	}
-	return n
-}
-
 // Validate checks the structural invariants the manager and the cost model
 // rely on: at least one frame; for KindDVA exactly one outlier frame, in
 // last position; for KindSpeed contiguous bands from 0 to +Inf with no
@@ -199,8 +188,6 @@ func (an Analysis) RouteVel(v geom.Vec2) int {
 // must be deterministic for a given sample (the durable Store replays swap
 // decisions from logged analyses, never by re-running a partitioner).
 type Partitioner interface {
-	// Kind names the objective.
-	Kind() PartitionerKind
 	// Analyze derives the partition frames from a velocity sample.
 	Analyze(sample []geom.Vec2) (Analysis, error)
 }
@@ -210,9 +197,6 @@ type Partitioner interface {
 type DVAPartitioner struct {
 	Config AnalyzerConfig
 }
-
-// Kind implements Partitioner.
-func (p DVAPartitioner) Kind() PartitionerKind { return KindDVA }
 
 // Analyze implements Partitioner (see the package-level Analyze).
 func (p DVAPartitioner) Analyze(sample []geom.Vec2) (Analysis, error) {
@@ -227,9 +211,6 @@ type SpeedPartitioner struct {
 	// default K so the chooser compares equal structure counts).
 	Bands int
 }
-
-// Kind implements Partitioner.
-func (p SpeedPartitioner) Kind() PartitionerKind { return KindSpeed }
 
 // Analyze implements Partitioner.
 func (p SpeedPartitioner) Analyze(sample []geom.Vec2) (Analysis, error) {
@@ -344,9 +325,6 @@ func OptimalSpeedThresholds(speeds []float64, bands, buckets int) []float64 {
 
 // NonePartitioner is the identity objective: one unpartitioned frame.
 type NonePartitioner struct{}
-
-// Kind implements Partitioner.
-func (NonePartitioner) Kind() PartitionerKind { return KindNone }
 
 // Analyze implements Partitioner.
 func (NonePartitioner) Analyze(sample []geom.Vec2) (Analysis, error) {

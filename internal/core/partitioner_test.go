@@ -286,7 +286,7 @@ func TestEstimateCostSkipsNonFiniteShapes(t *testing.T) {
 			cost := EstimateCost(an, sample, queries)
 			costs = append(costs, cost)
 			if cost < bestCost {
-				best, bestCost = p.Kind(), cost
+				best, bestCost = an.Kind, cost
 			}
 		}
 		return best, costs

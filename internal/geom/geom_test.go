@@ -124,7 +124,7 @@ func TestRectEmpty(t *testing.T) {
 	if e.Union(r) != r || r.Union(e) != r {
 		t.Fatal("union with empty should be identity")
 	}
-	if e.Intersects(r) || r.Intersects(e) {
+	if !e.Intersect(r).IsEmpty() || !r.Intersect(e).IsEmpty() {
 		t.Fatal("empty intersects nothing")
 	}
 	if !r.ContainsRect(e) {
@@ -141,12 +141,8 @@ func TestRectIntersectUnionProperties(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		a, b := randRect(), randRect()
 		// Symmetry.
-		if a.Intersects(b) != b.Intersects(a) {
-			t.Fatal("Intersects not symmetric")
-		}
-		// Intersection non-empty iff Intersects.
-		if a.Intersects(b) != !a.Intersect(b).IsEmpty() {
-			t.Fatalf("Intersect/Intersects disagree: %v %v", a, b)
+		if a.Intersect(b) != b.Intersect(a) {
+			t.Fatal("Intersect not symmetric")
 		}
 		// Union contains both.
 		u := a.Union(b)
@@ -245,7 +241,7 @@ func TestMovingRectUnionContains(t *testing.T) {
 func sampledIntersect(a, b MovingRect, t0, t1 float64, steps int) bool {
 	for i := 0; i <= steps; i++ {
 		tt := t0 + (t1-t0)*float64(i)/float64(steps)
-		if a.AtTime(tt).Intersects(b.AtTime(tt)) {
+		if !a.AtTime(tt).Intersect(b.AtTime(tt)).IsEmpty() {
 			return true
 		}
 	}
@@ -385,4 +381,10 @@ func TestUnionAll(t *testing.T) {
 		}
 	}()
 	UnionAll(nil, 0)
+}
+
+// ApproxEqual reports whether r and s agree within eps on every boundary.
+func (r Rect) ApproxEqual(s Rect, eps float64) bool {
+	return math.Abs(r.MinX-s.MinX) <= eps && math.Abs(r.MaxX-s.MaxX) <= eps &&
+		math.Abs(r.MinY-s.MinY) <= eps && math.Abs(r.MaxY-s.MaxY) <= eps
 }

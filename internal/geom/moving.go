@@ -80,55 +80,48 @@ func UnionAll(rs []MovingRect, ref float64) MovingRect {
 	return out
 }
 
-// Contains reports whether m contains o for every time in [t0, t1].
-// Because boundaries move linearly, containment at both endpoints implies
-// containment throughout.
-func (m MovingRect) Contains(o MovingRect, t0, t1 float64) bool {
-	return m.AtTime(t0).ContainsRect(o.AtTime(t0)) && m.AtTime(t1).ContainsRect(o.AtTime(t1))
-}
-
 // IntersectsDuring reports whether m and o share a point at some time in
-// [t0, t1]. Each axis contributes two linear constraints (lower of one below
-// upper of the other); the rectangles intersect when the intersection of the
-// four constraint intervals with [t0, t1] is non-empty. This is the exact
+// [t0, t1]: IntersectsRebased of both rebased to t0. This is the exact
 // time-parameterized intersection test used by TPR-tree queries and the
 // "transformed node" trick of Fig. 3.
 func (m MovingRect) IntersectsDuring(o MovingRect, t0, t1 float64) bool {
+	ma, oa := m.Rebase(t0), o.Rebase(t0)
+	return IntersectsRebased(&ma, &oa, t0, t1)
+}
+
+// IntersectsRebased is IntersectsDuring for operands already rebased to t0
+// (their Ref is not read). Each axis contributes two linear constraints,
+// lower boundary of one below upper of the other, c0 + cv·(t−t0) <= 0; the
+// rectangles intersect when the four constraint intervals and [t0, t1] share
+// a time. A caller holding a rectangle in another form (the TPR*-tree's page
+// slots) rebases it with AtTime's operations and calls this, so its verdict
+// is IntersectsDuring's for every float input, NaN and ±0 included.
+func IntersectsRebased(m, o *MovingRect, t0, t1 float64) bool {
 	if t1 < t0 {
 		return false
 	}
 	lo, hi := t0, t1
-	// Constraint: mLow(t) <= oHigh(t)  ==>  (mLow0 - oHigh0) + (mLowV - oHighV)*(t-base) <= 0
-	// All constraints are expressed relative to base time t0.
-	ma, oa := m.Rebase(t0), o.Rebase(t0)
-	type lin struct{ c0, cv float64 } // c0 + cv*(t - t0) <= 0
-	cons := [4]lin{
-		{ma.MBR.MinX - oa.MBR.MaxX, ma.VBR.MinX - oa.VBR.MaxX},
-		{oa.MBR.MinX - ma.MBR.MaxX, oa.VBR.MinX - ma.VBR.MaxX},
-		{ma.MBR.MinY - oa.MBR.MaxY, ma.VBR.MinY - oa.VBR.MaxY},
-		{oa.MBR.MinY - ma.MBR.MaxY, oa.VBR.MinY - ma.VBR.MaxY},
+	return narrow(m.MBR.MinX-o.MBR.MaxX, m.VBR.MinX-o.VBR.MaxX, t0, &lo, &hi) &&
+		narrow(o.MBR.MinX-m.MBR.MaxX, o.VBR.MinX-m.VBR.MaxX, t0, &lo, &hi) &&
+		narrow(m.MBR.MinY-o.MBR.MaxY, m.VBR.MinY-o.VBR.MaxY, t0, &lo, &hi) &&
+		narrow(o.MBR.MinY-m.MBR.MaxY, o.VBR.MinY-m.VBR.MaxY, t0, &lo, &hi) &&
+		lo <= hi
+}
+
+// narrow intersects [lo, hi] with the times at which c0 + cv·(t−t0) <= 0.
+// It reports false when no time is left: c0 > 0 with cv == 0, or lo > hi.
+// A NaN bound fails neither; it fails IntersectsRebased's final lo <= hi.
+func narrow(c0, cv, t0 float64, lo, hi *float64) bool {
+	if cv == 0 {
+		return !(c0 > 0)
 	}
-	for _, c := range cons {
-		if c.cv == 0 {
-			if c.c0 > 0 {
-				return false
-			}
-			continue
-		}
-		// c.c0 + c.cv * s <= 0, s = t - t0 in [0, t1-t0]
-		bound := -c.c0 / c.cv
-		if c.cv > 0 {
-			// satisfied for s <= bound
-			hi = min(hi, t0+bound)
-		} else {
-			// satisfied for s >= bound
-			lo = max(lo, t0+bound)
-		}
-		if lo > hi {
-			return false
-		}
+	bound := -c0 / cv
+	if cv > 0 {
+		*hi = min(*hi, t0+bound)
+	} else {
+		*lo = max(*lo, t0+bound)
 	}
-	return lo <= hi
+	return !(*lo > *hi)
 }
 
 // SweepVolume returns the integral of Area(t) dt for t in [t0, t1]: the

@@ -77,14 +77,6 @@ func (r Rect) ContainsRect(s Rect) bool {
 	return s.MinX >= r.MinX && s.MaxX <= r.MaxX && s.MinY >= r.MinY && s.MaxY <= r.MaxY
 }
 
-// Intersects reports whether r and s share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	if r.IsEmpty() || s.IsEmpty() {
-		return false
-	}
-	return r.MinX <= s.MaxX && s.MinX <= r.MaxX && r.MinY <= s.MaxY && s.MinY <= r.MaxY
-}
-
 // Intersect returns the intersection of r and s (possibly empty).
 func (r Rect) Intersect(s Rect) Rect {
 	out := Rect{
@@ -161,12 +153,6 @@ func (r Rect) BoundOfTransformed(m Mat2) Rect {
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%g,%g]x[%g,%g]", r.MinX, r.MaxX, r.MinY, r.MaxY)
-}
-
-// ApproxEqual reports whether r and s agree within eps on every boundary.
-func (r Rect) ApproxEqual(s Rect, eps float64) bool {
-	return math.Abs(r.MinX-s.MinX) <= eps && math.Abs(r.MaxX-s.MaxX) <= eps &&
-		math.Abs(r.MinY-s.MinY) <= eps && math.Abs(r.MaxY-s.MaxY) <= eps
 }
 
 // Circle is a disk with center C and radius R (R >= 0).

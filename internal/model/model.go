@@ -32,11 +32,6 @@ func (o Object) PosAt(t float64) geom.Vec2 {
 	return o.Pos.Add(o.Vel.Scale(t - o.T))
 }
 
-// AsMovingRect returns the degenerate moving rectangle tracking o.
-func (o Object) AsMovingRect() geom.MovingRect {
-	return geom.MovingPointRect(o.Pos, o.Vel, o.T)
-}
-
 // Transform returns the object expressed in the rotated coordinate frame m
 // (both position and velocity rotate; reference time is unchanged). Used by
 // the VP index manager when inserting into a DVA index.
@@ -268,18 +263,10 @@ type IOStats struct {
 	Hits   int64
 }
 
-// Add returns the component-wise sum.
-func (s IOStats) Add(o IOStats) IOStats {
-	return IOStats{s.Reads + o.Reads, s.Writes + o.Writes, s.Hits + o.Hits}
-}
-
 // Sub returns the component-wise difference.
 func (s IOStats) Sub(o IOStats) IOStats {
 	return IOStats{s.Reads - o.Reads, s.Writes - o.Writes, s.Hits - o.Hits}
 }
-
-// Total returns reads+writes: total simulated disk accesses.
-func (s IOStats) Total() int64 { return s.Reads + s.Writes }
 
 // Index is the operation set common to all moving-object indexes here: the
 // TPR*-tree, the Bx-tree, and the VP-partitioned wrapper around either.

@@ -198,11 +198,6 @@ func (r *ResultSet) clear(sub SubscriptionID, id model.ObjectID) {
 	}
 }
 
-// Contains reports whether id is currently in sub's result set.
-func (r *ResultSet) Contains(sub SubscriptionID, id model.ObjectID) bool {
-	return r.bySub[sub][id]
-}
-
 // Reconcile incrementally re-evaluates one object against the
 // subscriptions that could be affected, flipping membership bits and
 // returning the enter/leave deltas in unspecified order — callers that
@@ -317,9 +312,6 @@ func (r *ResultSet) Seed(sub SubscriptionID, ids []model.ObjectID) {
 		r.set(sub, id)
 	}
 }
-
-// MemberCount returns the size of sub's result set.
-func (r *ResultSet) MemberCount(sub SubscriptionID) int { return len(r.bySub[sub]) }
 
 // DropSub forgets sub entirely (both directions), with no events — the
 // Unsubscribe semantics.

@@ -399,12 +399,6 @@ func (f *Filter) AppendCandidates(dst []SubscriptionID, o model.Object, now floa
 	return dst, true
 }
 
-// Covers reports whether v fits inside its routed class's speed bound.
-func (f *Filter) Covers(v geom.Vec2) bool {
-	ci, along := f.route(v)
-	return along <= f.classes[ci].along
-}
-
 // Grow raises the routed class's online speed bound to cover v — with 50%
 // headroom, so bound growth is logarithmic in the observed speed range —
 // and rebuilds that class's grid from the slot table, which Add and Remove

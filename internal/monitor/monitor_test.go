@@ -59,7 +59,7 @@ func TestUpdateEmitsEnterLeave(t *testing.T) {
 	if evs := rs.Reconcile(1, turned, true, 0, nil, true, subs); len(evs) != 1 || evs[0].Kind != Leave {
 		t.Fatalf("events: %v", evs)
 	}
-	if rs.MemberCount(1) != 0 {
+	if len(rs.Members(1)) != 0 {
 		t.Fatal("result set should be empty")
 	}
 	// Turn it back -> enter again, found through the filtered path: the
@@ -85,7 +85,7 @@ func TestRefreshCatchesTimeDrift(t *testing.T) {
 	if len(evs) != 1 || evs[0].Kind != Leave || evs[0].T != 20 {
 		t.Fatalf("refresh events: %v", evs)
 	}
-	if rs.MemberCount(1) != 0 {
+	if len(rs.Members(1)) != 0 {
 		t.Fatal("drifted object should have left")
 	}
 }
@@ -109,7 +109,7 @@ func TestDeleteLeavesAllSets(t *testing.T) {
 			t.Fatalf("expected leave: %v", e)
 		}
 	}
-	if rs.MemberCount(1)+rs.MemberCount(2) != 0 {
+	if len(rs.Members(1))+len(rs.Members(2)) != 0 {
 		t.Fatal("result sets not emptied")
 	}
 }
@@ -122,7 +122,7 @@ func TestUnsubscribe(t *testing.T) {
 	o := model.Object{ID: 1, Pos: geom.V(0, 0), Vel: geom.V(0, 0), T: 0}
 	rs.Reconcile(o.ID, o, true, 0, nil, true, subs)
 	rs.DropSub(1)
-	if rs.Contains(1, 1) || rs.MemberCount(1) != 0 {
+	if len(rs.Members(1)) != 0 {
 		t.Fatal("membership survived DropSub")
 	}
 	if evs := rs.Reconcile(o.ID, model.Object{}, false, 0, nil, false, nil); len(evs) != 0 {

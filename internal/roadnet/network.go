@@ -44,9 +44,6 @@ type Network struct {
 	Adj   [][]Edge
 }
 
-// NumNodes returns the node count.
-func (n *Network) NumNodes() int { return len(n.Nodes) }
-
 // NumEdges returns the undirected segment count.
 func (n *Network) NumEdges() int {
 	total := 0
@@ -190,9 +187,6 @@ const (
 	// frequency.
 	NewYork Preset = "NY"
 )
-
-// Presets lists the four road-network presets in the paper's order.
-func Presets() []Preset { return []Preset{Chicago, SanFrancisco, Melbourne, NewYork} }
 
 // PresetConfig returns the generator configuration for a preset over the
 // given domain.

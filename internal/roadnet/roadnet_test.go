@@ -16,12 +16,12 @@ func TestGenerateBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.NumNodes() < 100 {
-		t.Fatalf("too few nodes: %d", net.NumNodes())
+	if len(net.Nodes) < 100 {
+		t.Fatalf("too few nodes: %d", len(net.Nodes))
 	}
-	if net.NumEdges() < net.NumNodes() {
+	if net.NumEdges() < len(net.Nodes) {
 		t.Fatalf("grid should have ~2 edges per node: %d nodes, %d edges",
-			net.NumNodes(), net.NumEdges())
+			len(net.Nodes), net.NumEdges())
 	}
 	// All nodes in domain.
 	for _, n := range net.Nodes {
@@ -49,7 +49,7 @@ func TestGenerateBasics(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	a, _ := Generate(GenConfig{Domain: testDomain(), Spacing: 600, Seed: 9})
 	b, _ := Generate(GenConfig{Domain: testDomain(), Spacing: 600, Seed: 9})
-	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
+	if len(a.Nodes) != len(b.Nodes) || a.NumEdges() != b.NumEdges() {
 		t.Fatal("same seed produced different networks")
 	}
 	for i := range a.Nodes {
@@ -67,7 +67,7 @@ func TestGenerateEmptyDomainFails(t *testing.T) {
 }
 
 func TestPresetConfigs(t *testing.T) {
-	for _, p := range Presets() {
+	for _, p := range []Preset{Chicago, SanFrancisco, Melbourne, NewYork} {
 		cfg, err := PresetConfig(p, testDomain(), 3)
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestPresetConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		if net.NumNodes() == 0 {
+		if len(net.Nodes) == 0 {
 			t.Fatalf("%s: empty", p)
 		}
 	}
@@ -89,13 +89,13 @@ func TestPresetDensityOrdering(t *testing.T) {
 	// MEL and NY must be denser (more nodes => more updates) than CH/SA,
 	// matching the paper's description of the four networks.
 	counts := map[Preset]int{}
-	for _, p := range Presets() {
+	for _, p := range []Preset{Chicago, SanFrancisco, Melbourne, NewYork} {
 		cfg, _ := PresetConfig(p, testDomain(), 5)
 		net, err := Generate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[p] = net.NumNodes()
+		counts[p] = len(net.Nodes)
 	}
 	if counts[Melbourne] <= counts[Chicago] || counts[Melbourne] <= counts[SanFrancisco] {
 		t.Fatalf("MEL should be denser: %v", counts)

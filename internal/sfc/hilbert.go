@@ -82,39 +82,15 @@ func (h *Hilbert) Encode(x, y uint32) uint64 {
 	return d
 }
 
-// Decode inverts Encode.
-func (h *Hilbert) Decode(d uint64) (uint32, uint32) {
-	size := h.Size()
-	if d >= uint64(size)*uint64(size) {
-		panic(fmt.Sprintf("sfc: hilbert value %d outside %dx%d grid", d, size, size))
-	}
-	var x, y uint32
-	t := d
-	for s := uint32(1); s < size; s *= 2 {
-		rx, ry := rankQuad(t & 3)
-		rot(s, &x, &y, rx, ry)
-		x += s * rx
-		y += s * ry
-		t >>= 2
-	}
-	return x, y
-}
-
-// DecomposeWindow returns the sorted, disjoint, maximal half-open intervals
-// [Lo, Hi) of curve values covering the inclusive cell window [x0, x1] x
-// [y0, y1] (clipped to the grid). It walks the implicit quadtree of the
-// curve: a quadrant fully inside the window contributes its whole
-// (contiguous) curve range; a partially covered quadrant is recursed into
-// with the window translated and un-rotated into the child frame.
-func (h *Hilbert) DecomposeWindow(x0, y0, x1, y1 uint32) []Interval {
-	return h.AppendWindow(nil, x0, y0, x1, y1)
-}
-
-// AppendWindow is DecomposeWindow appending into dst (like append), so a
-// caller decomposing many windows — the Bx-tree does one per time bucket
-// per query — can reuse a single scratch buffer instead of allocating a
-// fresh interval list each time. The appended region is itself sorted,
-// disjoint and maximal; dst's existing contents are not touched.
+// AppendWindow appends to dst (like append) the sorted, disjoint, maximal
+// half-open intervals [Lo, Hi) of curve values covering the inclusive cell
+// window [x0, x1] x [y0, y1] (clipped to the grid); dst's existing contents
+// are not touched, so a caller decomposing many windows — the Bx-tree does
+// one per time bucket per query — reuses one scratch buffer. It walks the
+// implicit quadtree of the curve: a quadrant fully inside the window
+// contributes its whole (contiguous) curve range; a partially covered
+// quadrant is recursed into with the window translated and un-rotated into
+// the child frame.
 func (h *Hilbert) AppendWindow(dst []Interval, x0, y0, x1, y1 uint32) []Interval {
 	size := h.Size()
 	if !normalizeWindow(size, &x0, &y0, &x1, &y1) {

@@ -27,9 +27,6 @@ type Interval struct {
 	Lo, Hi uint64
 }
 
-// Len returns the number of values in the interval.
-func (iv Interval) Len() uint64 { return iv.Hi - iv.Lo }
-
 // String implements fmt.Stringer.
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Lo, iv.Hi) }
 

@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -105,7 +106,7 @@ func TestDecomposeWindowExact(t *testing.T) {
 			y0 := uint32(rng.Intn(int(size)))
 			x1 := x0 + uint32(rng.Intn(int(size-x0)))
 			y1 := y0 + uint32(rng.Intn(int(size-y0)))
-			ivs := c.DecomposeWindow(x0, y0, x1, y1)
+			ivs := c.AppendWindow(nil, x0, y0, x1, y1)
 			want := windowOracle(c, x0, y0, x1, y1)
 			var total uint64
 			prevHi := uint64(0)
@@ -117,7 +118,7 @@ func TestDecomposeWindowExact(t *testing.T) {
 					t.Fatal("intervals not disjoint/sorted")
 				}
 				prevHi = iv.Hi
-				total += iv.Len()
+				total += iv.Hi - iv.Lo
 				for d := iv.Lo; d < iv.Hi; d++ {
 					if !want[d] {
 						t.Fatalf("window [%d,%d]x[%d,%d] decomposition includes stray %d",
@@ -135,7 +136,7 @@ func TestDecomposeWindowExact(t *testing.T) {
 func TestDecomposeWindowFullGrid(t *testing.T) {
 	c := MustHilbert(6)
 	size := c.Size()
-	ivs := c.DecomposeWindow(0, 0, size-1, size-1)
+	ivs := c.AppendWindow(nil, 0, 0, size-1, size-1)
 	if len(ivs) != 1 || ivs[0].Lo != 0 || ivs[0].Hi != uint64(size)*uint64(size) {
 		t.Fatalf("full grid should be one interval, got %v", ivs)
 	}
@@ -143,18 +144,18 @@ func TestDecomposeWindowFullGrid(t *testing.T) {
 
 func TestDecomposeWindowClipsAndRejects(t *testing.T) {
 	c := MustHilbert(4)
-	if ivs := c.DecomposeWindow(20, 20, 30, 30); ivs != nil {
+	if ivs := c.AppendWindow(nil, 20, 20, 30, 30); ivs != nil {
 		t.Fatalf("fully outside window should be nil, got %v", ivs)
 	}
-	if ivs := c.DecomposeWindow(3, 3, 2, 2); ivs != nil {
+	if ivs := c.AppendWindow(nil, 3, 3, 2, 2); ivs != nil {
 		t.Fatalf("inverted window should be nil, got %v", ivs)
 	}
 	// Clipped window equals clamped oracle.
-	ivs := c.DecomposeWindow(10, 10, 99, 99)
+	ivs := c.AppendWindow(nil, 10, 10, 99, 99)
 	want := windowOracle(c, 10, 10, 15, 15)
 	var total uint64
 	for _, iv := range ivs {
-		total += iv.Len()
+		total += iv.Hi - iv.Lo
 		for d := iv.Lo; d < iv.Hi; d++ {
 			if !want[d] {
 				t.Fatalf("stray value %d", d)
@@ -262,7 +263,7 @@ func TestAppendWindowMatchesDecomposeAndKeepsPrefix(t *testing.T) {
 		x1 := x0 + rng.Uint32()%(size-x0)
 		y0 := rng.Uint32() % size
 		y1 := y0 + rng.Uint32()%(size-y0)
-		want := c.DecomposeWindow(x0, y0, x1, y1)
+		want := c.AppendWindow(nil, x0, y0, x1, y1)
 		buf = c.AppendWindow(buf[:len(prefix)], x0, y0, x1, y1)
 		if buf[0] != prefix[0] {
 			t.Fatalf("AppendWindow clobbered the prefix: %v", buf[0])
@@ -294,6 +295,24 @@ func BenchmarkHilbertDecompose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := uint32(i) % 900
-		h.DecomposeWindow(x, x/2, x+60, x/2+60)
+		h.AppendWindow(nil, x, x/2, x+60, x/2+60)
 	}
+}
+
+// Decode inverts Encode.
+func (h *Hilbert) Decode(d uint64) (uint32, uint32) {
+	size := h.Size()
+	if d >= uint64(size)*uint64(size) {
+		panic(fmt.Sprintf("sfc: hilbert value %d outside %dx%d grid", d, size, size))
+	}
+	var x, y uint32
+	t := d
+	for s := uint32(1); s < size; s *= 2 {
+		rx, ry := rankQuad(t & 3)
+		rot(s, &x, &y, rx, ry)
+		x += s * rx
+		y += s * ry
+		t >>= 2
+	}
+	return x, y
 }

@@ -101,9 +101,6 @@ type FileStore struct {
 	// scrub stripes: writers take RLock for the slot update; VerifyPage
 	// takes Lock so its read-verify pair is atomic vs in-flight writes.
 	scrub [nScrubLocks]sync.RWMutex
-
-	reads  atomic.Int64
-	writes atomic.Int64
 }
 
 // scrubLock maps a page id onto its lock stripe (Fibonacci hashing, same
@@ -302,7 +299,6 @@ func (fs *FileStore) ReadPage(id PageID, dst *[PageSize]byte) error {
 		return &CorruptPageError{Path: fs.path, ID: id}
 	}
 	copy(dst[:], slot[:PageSize])
-	fs.reads.Add(1)
 	return nil
 }
 
@@ -348,7 +344,6 @@ func (fs *FileStore) WritePage(id PageID, src *[PageSize]byte) error {
 	if kind == FaultNone {
 		fs.setQuarantined(id, false)
 	}
-	fs.writes.Add(1)
 	return nil
 }
 
@@ -445,16 +440,3 @@ func (fs *FileStore) NumPages() int {
 	defer fs.mu.Unlock()
 	return int(fs.nextID) - len(fs.free)
 }
-
-// FreePages returns the number of pages on the free list awaiting reuse.
-func (fs *FileStore) FreePages() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.free)
-}
-
-// PhysicalReads returns the number of successful page reads so far.
-func (fs *FileStore) PhysicalReads() int64 { return fs.reads.Load() }
-
-// PhysicalWrites returns the number of successful page writes so far.
-func (fs *FileStore) PhysicalWrites() int64 { return fs.writes.Load() }

@@ -12,9 +12,8 @@ import (
 // MemStore (the paper's simulated disk, default) and FileStore (a real
 // single-file scratch store used by the Store's WithDataDir mode).
 //
-// All methods are safe for concurrent use. PhysicalReads/PhysicalWrites
-// count only successful page transfers — the "query I/O" the paper plots is
-// buffer-pool misses, which map 1:1 onto PhysicalReads of the backing store.
+// All methods are safe for concurrent use. The "query I/O" the paper plots
+// is the pool's misses (BufferPool.Stats), one ReadPage each.
 type PageStore interface {
 	// Allocate reserves a page id (recycling freed ids) with zeroed contents.
 	Allocate() (PageID, error)
@@ -32,12 +31,6 @@ type PageStore interface {
 	Sync() error
 	// NumPages returns the number of live (allocated, not freed) pages.
 	NumPages() int
-	// FreePages returns the number of freed pages awaiting reuse.
-	FreePages() int
-	// PhysicalReads returns the number of successful page reads so far.
-	PhysicalReads() int64
-	// PhysicalWrites returns the number of successful page writes so far.
-	PhysicalWrites() int64
 	// Close releases any underlying resources. The store must not be used
 	// afterwards.
 	Close() error
@@ -115,6 +108,3 @@ func (fi *FaultInjector) SyncPoints() int64 {
 	}
 	return fi.syncs.Load()
 }
-
-// Dead reports whether the injector has fired.
-func (fi *FaultInjector) Dead() bool { return fi != nil && fi.dead.Load() }

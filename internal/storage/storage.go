@@ -45,6 +45,8 @@ type MemStore struct {
 	free   []PageID // LIFO recycle stack of freed ids
 	nextID uint64
 	closed atomic.Bool
+	// Successful page transfers, the physical I/O that the buffer-pool
+	// tests check BufferPool.Stats against.
 	reads  atomic.Int64
 	writes atomic.Int64
 }
@@ -150,24 +152,11 @@ func (d *MemStore) Close() error {
 	return nil
 }
 
-// PhysicalReads returns the number of physical page reads so far.
-func (d *MemStore) PhysicalReads() int64 { return d.reads.Load() }
-
-// PhysicalWrites returns the number of physical page writes so far.
-func (d *MemStore) PhysicalWrites() int64 { return d.writes.Load() }
-
 // NumPages returns the number of live pages (diagnostics / space metric).
 func (d *MemStore) NumPages() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.pages)
-}
-
-// FreePages returns the number of pages on the free list awaiting reuse.
-func (d *MemStore) FreePages() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.free)
 }
 
 // frame is a buffer-pool slot. Pin counts and the LRU stamp are atomic so
@@ -305,9 +294,6 @@ func (b *BufferPool) stripeFor(id PageID) *poolStripe {
 	}
 	return &b.stripes[uint64(id)*0x9E3779B97F4A7C15%uint64(len(b.stripes))]
 }
-
-// Stripes returns the number of lock stripes (diagnostics).
-func (b *BufferPool) Stripes() int { return len(b.stripes) }
 
 // Disk returns the underlying page store.
 func (b *BufferPool) Disk() PageStore { return b.disk }
@@ -583,16 +569,4 @@ func (b *BufferPool) FlushAll() error {
 		s.mu.Unlock()
 	}
 	return nil
-}
-
-// Resident returns the number of frames currently cached (diagnostics).
-func (b *BufferPool) Resident() int {
-	n := 0
-	for i := range b.stripes {
-		s := &b.stripes[i]
-		s.mu.RLock()
-		n += len(s.frames)
-		s.mu.RUnlock()
-	}
-	return n
 }

@@ -266,8 +266,12 @@ func TestBufferPoolManyPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p.Resident() > DefaultBufferPages {
-		t.Fatalf("resident %d exceeds capacity", p.Resident())
+	resident := 0
+	for i := range p.stripes {
+		resident += len(p.stripes[i].frames)
+	}
+	if resident > DefaultBufferPages {
+		t.Fatalf("resident %d exceeds capacity", resident)
 	}
 }
 
@@ -372,7 +376,7 @@ func TestStripeCountPureFunctionOfCapacity(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := NewBufferPool(NewMemStore(), c.capacity)
-		if got := p.Stripes(); got != c.want {
+		if got := len(p.stripes); got != c.want {
 			t.Errorf("stripes(capacity=%d) = %d, want %d", c.capacity, got, c.want)
 		}
 		// The stripe budgets must sum to the pool capacity exactly.
@@ -472,7 +476,7 @@ func TestStatsExactUnderConcurrentThrash(t *testing.T) {
 func TestStripedPoolEvictionStillLRU(t *testing.T) {
 	d := NewMemStore()
 	p := NewBufferPool(d, 32) // 2 stripes of 16
-	if p.Stripes() < 2 {
+	if len(p.stripes) < 2 {
 		t.Skip("striping thresholds changed; test needs >= 2 stripes")
 	}
 	// Fill one stripe to capacity, then touch all but one of its pages and
@@ -664,3 +668,9 @@ func TestDiskFailedAccessNotCounted(t *testing.T) {
 		t.Fatalf("failed read after free counted: reads=%d", r)
 	}
 }
+
+// PhysicalReads returns the number of successful page reads so far.
+func (d *MemStore) PhysicalReads() int64 { return d.reads.Load() }
+
+// PhysicalWrites returns the number of successful page writes so far.
+func (d *MemStore) PhysicalWrites() int64 { return d.writes.Load() }

@@ -80,7 +80,7 @@ func newRangeProbe(q model.RangeQuery) rangeProbe {
 
 // entryHit is getMR(s).IntersectsDuring(q.AsMovingRect(), t0, t1) on the nine
 // scalars of internal slot s: the entry's Rebase(t0) — AtTime's products and
-// its min/max swap — then overlapsDuring against the prepared query.
+// its min/max swap — then geom.IntersectsRebased against the prepared query.
 func (p *rangeProbe) entryHit(s []byte) bool {
 	vMinX, vMinY, vMaxX, vMaxY := getF64(s[40:48]), getF64(s[48:56]), getF64(s[56:64]), getF64(s[64:72])
 	dt := p.t0 - getF64(s[72:80])
@@ -96,7 +96,7 @@ func (p *rangeProbe) entryHit(s []byte) bool {
 		MBR: geom.Rect{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY},
 		VBR: geom.Rect{MinX: vMinX, MinY: vMinY, MaxX: vMaxX, MaxY: vMaxY},
 	}
-	return overlapsDuring(m, &p.q, p.t0, p.t1)
+	return geom.IntersectsRebased(&m, &p.q, p.t0, p.t1)
 }
 
 // appendHits appends to out the ids of the records on a leaf page that
@@ -121,37 +121,4 @@ func (p *rangeProbe) appendHits(out []model.ObjectID, data []byte, count int) []
 		}
 	}
 	return out
-}
-
-// overlapsDuring is geom.MovingRect.IntersectsDuring(m, o, t0, t1) for
-// operands already rebased to t0 (their Ref is not read): the same four
-// constraints c0 + cv·(t−t0) <= 0, in the same order, through the same
-// operations — !(c0 > 0) when cv == 0, the builtin min/max, the lo > hi
-// exit — so NaN and signed zeros give the verdict IntersectsDuring gives.
-func overlapsDuring(m geom.MovingRect, o *geom.MovingRect, t0, t1 float64) bool {
-	if t1 < t0 {
-		return false
-	}
-	lo, hi := t0, t1
-	return narrow(m.MBR.MinX-o.MBR.MaxX, m.VBR.MinX-o.VBR.MaxX, t0, &lo, &hi) &&
-		narrow(o.MBR.MinX-m.MBR.MaxX, o.VBR.MinX-m.VBR.MaxX, t0, &lo, &hi) &&
-		narrow(m.MBR.MinY-o.MBR.MaxY, m.VBR.MinY-o.VBR.MaxY, t0, &lo, &hi) &&
-		narrow(o.MBR.MinY-m.MBR.MaxY, o.VBR.MinY-m.VBR.MaxY, t0, &lo, &hi) &&
-		lo <= hi
-}
-
-// narrow is one pass of IntersectsDuring's loop: it intersects [lo, hi] with
-// the times at which c0 + cv·(t−t0) <= 0 and reports false where the loop
-// returns false.
-func narrow(c0, cv, t0 float64, lo, hi *float64) bool {
-	if cv == 0 {
-		return !(c0 > 0)
-	}
-	bound := -c0 / cv
-	if cv > 0 {
-		*hi = min(*hi, t0+bound)
-	} else {
-		*lo = max(*lo, t0+bound)
-	}
-	return !(*lo > *hi)
 }

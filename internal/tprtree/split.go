@@ -181,18 +181,6 @@ func (t *Tree) LeafBounds(now float64) ([]LeafBound, error) {
 	return out, err
 }
 
-// NodeCount returns (internal, leaf) node totals.
-func (t *Tree) NodeCount() (internal, leaves int, err error) {
-	err = t.walk(func(n *node) {
-		if n.leaf() {
-			leaves++
-		} else {
-			internal++
-		}
-	})
-	return internal, leaves, err
-}
-
 // walk decodes every node, depth first from the root, for the diagnostics.
 func (t *Tree) walk(fn func(n *node)) error {
 	stack := []pageRef{{id: t.root, level: t.height - 1}}

@@ -518,3 +518,18 @@ func TestSoakMixedOperations(t *testing.T) {
 		t.Fatalf("size drift: %d vs %d", tr.Len(), len(live))
 	}
 }
+
+// Height returns the tree height (1 = single leaf node).
+func (t *Tree) Height() int { return t.height }
+
+// NodeCount returns (internal, leaf) node totals.
+func (t *Tree) NodeCount() (internal, leaves int, err error) {
+	err = t.walk(func(n *node) {
+		if n.leaf() {
+			leaves++
+		} else {
+			internal++
+		}
+	})
+	return internal, leaves, err
+}

@@ -41,7 +41,7 @@ func (c Config) withDefaults() Config {
 // query may run beside it. core.Manager guarantees that by holding the
 // partition's lock exclusively around every write and shared around every
 // query; the figure harness is single-threaded. Read-only calls (Search,
-// SearchKNN, LeafBounds, NodeCount) may run concurrently with each other —
+// SearchKNN, LeafBounds) may run concurrently with each other —
 // they touch no mutable tree state outside the lock-protected buffer pool —
 // which the manager's parallel partition fan-out relies on.
 type Tree struct {
@@ -100,9 +100,6 @@ func (t *Tree) Name() string { return "tpr*" }
 
 // Len implements model.Index.
 func (t *Tree) Len() int { return t.size }
-
-// Height returns the tree height (1 = single leaf node).
-func (t *Tree) Height() int { return t.height }
 
 // IO implements model.Index: cumulative buffer-pool counters.
 func (t *Tree) IO() model.IOStats {

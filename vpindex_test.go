@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	vpindex "repro"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -97,7 +98,7 @@ func TestVPAnalysisExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	an, ok := idx.Analysis()
-	if !ok || an.NumVelocityFrames() != 2 || an.SampleSize != 1000 {
+	if !ok || velocityFrames(an) != 2 || an.SampleSize != 1000 {
 		t.Fatalf("analysis: %+v (ok=%v)", an, ok)
 	}
 	if n := len(idx.Partitions()); n != 3 {
@@ -125,9 +126,6 @@ func TestStatsProgress(t *testing.T) {
 	st := idx.Stats()
 	if st.Reads == 0 || st.Writes == 0 {
 		t.Fatalf("tiny buffer should force I/O: %+v", st)
-	}
-	if st.Total() != st.Reads+st.Writes {
-		t.Fatal("Total() arithmetic")
 	}
 }
 
@@ -310,4 +308,15 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 			})
 		}
 	}
+}
+
+// velocityFrames counts an analysis's non-outlier frames.
+func velocityFrames(an core.Analysis) int {
+	n := 0
+	for _, f := range an.Frames {
+		if !f.IsOutlier {
+			n++
+		}
+	}
+	return n
 }
