@@ -50,31 +50,7 @@ var orphanAllowed = map[string]string{
 // interface method that only tests call is flagged too, with every
 // implementation of it.
 func TestNoOrphanFuncs(t *testing.T) {
-	s := &orphanScan{
-		fset: token.NewFileSet(),
-		std:  importer.ForCompiler(token.NewFileSet(), "source", nil),
-		dirs: map[string]string{},
-		pkgs: map[string]*types.Package{},
-		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if path == "." {
-			s.dirs["repro"] = path
-		} else {
-			s.dirs["repro/"+filepath.ToSlash(path)] = path
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newModuleScan(t)
 	for _, p := range slices.Sorted(maps.Keys(s.dirs)) {
 		if _, err := s.Import(p); err != nil {
 			t.Fatal(err)
@@ -102,6 +78,38 @@ func TestNoOrphanFuncs(t *testing.T) {
 	if len(stale) > 0 {
 		t.Errorf("orphanAllowed names that are used or no longer declared; delete their lines:\n\t%s", strings.Join(stale, "\n\t"))
 	}
+}
+
+// newModuleScan returns a scan that knows the directory of every package of
+// this module and of the benchmark module beside it; Import type-checks a
+// package and its imports from source on first use.
+func newModuleScan(t *testing.T) *orphanScan {
+	s := &orphanScan{
+		fset: token.NewFileSet(),
+		std:  importer.ForCompiler(token.NewFileSet(), "source", nil),
+		dirs: map[string]string{},
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if path == "." {
+			s.dirs["repro"] = path
+		} else {
+			s.dirs["repro/"+filepath.ToSlash(path)] = path
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 type orphan struct{ name, pos string }

@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"slices"
@@ -19,7 +20,10 @@ var updateAPI = flag.Bool("update", false, "rewrite testdata/api.golden")
 
 // TestPublicSurface pins the root package's exported funcs, types and
 // methods, as declared in its non-test files, against testdata/api.golden:
-// one line per name, sorted. A name added, removed or re-typed fails here
+// one line per name, sorted. Below them, under their own prefixes (see
+// memberLines), it pins what those types carry that their declarations do
+// not spell out here: the exported fields of every exported struct type and
+// the methods an alias or an embedded field brings in. A name added, removed or re-typed fails here
 // with the lines that moved; rerun with -update only when the change to the
 // public API is intended. Test seams (export_test.go) are not part of it.
 func TestPublicSurface(t *testing.T) {
@@ -77,6 +81,7 @@ func TestPublicSurface(t *testing.T) {
 			lines = append(lines, funcLine(f))
 		}
 	}
+	lines = append(lines, memberLines(t)...)
 	slices.Sort(lines)
 	got := strings.Join(lines, "\n") + "\n"
 
@@ -106,4 +111,52 @@ func TestPublicSurface(t *testing.T) {
 		}
 	}
 	t.Fatalf("public API drifted from %s (rerun with -update only if the change is intended):\n%s", path, diff.String())
+}
+
+// memberLines type-checks the root package from source and returns one
+// "field T.F type" line per exported field of each exported struct type,
+// aliases of other packages' structs included, and one "method T.M
+// signature" line per exported method that T has without declaring it in
+// this package: every method of an alias, and the methods promoted from an
+// embedded field. Deleting IOStats.Total in an internal package, or the
+// StoreStats.Total it promotes, moves a line here.
+func memberLines(t *testing.T) []string {
+	pkg, err := newModuleScan(t).Import("repro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qual := func(p *types.Package) string {
+		if p == pkg {
+			return ""
+		}
+		return p.Name()
+	}
+	var lines []string
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() {
+			continue
+		}
+		typ := tn.Type()
+		if st, ok := typ.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					lines = append(lines, "field "+name+"."+f.Name()+" "+types.TypeString(f.Type(), qual))
+				}
+			}
+		}
+		if _, ok := typ.Underlying().(*types.Interface); !ok {
+			typ = types.NewPointer(typ)
+		}
+		ms := types.NewMethodSet(typ)
+		for i := 0; i < ms.Len(); i++ {
+			sel := ms.At(i)
+			if !sel.Obj().Exported() || !tn.IsAlias() && len(sel.Index()) == 1 {
+				continue
+			}
+			sig := types.TypeString(sel.Obj().Type(), qual)
+			lines = append(lines, "method "+name+"."+sel.Obj().Name()+strings.TrimPrefix(sig, "func"))
+		}
+	}
+	return lines
 }
