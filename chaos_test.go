@@ -21,9 +21,10 @@ import (
 //   - a failed write APPENDS its would-be outcome (the record may or may not
 //     have reached the log before the fault — both survivals are legal);
 //
-// so the recovered Get(id) must match one of the candidates. Transient-only
+// so the recovered Get(id) must match one of the candidates. Latency-only
 // schedules additionally require zero client-visible errors and a Healthy
-// store: the retry policy must absorb everything.
+// store: a slow device is not a faulty one. Every other profile injects
+// faults that are final — nothing retries them — so its store degrades.
 //
 // 56 seeds × 4 fault profiles; runs under -race in CI.
 
@@ -41,20 +42,18 @@ type chaosCandidate struct {
 	gone bool
 }
 
-// chaosRates maps a seed to its fault profile. Rates are chosen so that with
-// MaxAttempts=5 the probability of a transient burst exhausting the retry
-// budget is ~1e-8 per op — transient-only seeds must finish clean.
+// chaosRates maps a seed to its fault profile.
 func chaosRates(seed int64) vpindex.FaultRates {
 	switch seed % 4 {
-	case 0: // transient-only: must be fully absorbed
-		return vpindex.FaultRates{TransientEIO: 0.02, SyncFail: 0.03}
-	case 1: // + silent page corruption, caught by checksums on later reads
-		return vpindex.FaultRates{TransientEIO: 0.02, SyncFail: 0.02, TornWrite: 0.02, BitFlip: 0.01}
-	case 2: // + permanent media faults that degrade the store
-		return vpindex.FaultRates{TransientEIO: 0.02, SyncFail: 0.02, PermanentEIO: 0.005}
+	case 0: // latency-only: must finish with no error and healthy
+		return vpindex.FaultRates{Latency: 0.03, MaxLatency: 100 * time.Microsecond}
+	case 1: // failed fsyncs + silent page corruption, caught by checksums on later reads
+		return vpindex.FaultRates{SyncFail: 0.02, TornWrite: 0.02, BitFlip: 0.01}
+	case 2: // failed fsyncs + latched media faults
+		return vpindex.FaultRates{SyncFail: 0.02, PermanentEIO: 0.005}
 	default: // everything at once, plus latency spikes
 		return vpindex.FaultRates{
-			TransientEIO: 0.02, SyncFail: 0.02,
+			SyncFail:  0.02,
 			TornWrite: 0.01, BitFlip: 0.01, PermanentEIO: 0.003,
 			Latency: 0.01, MaxLatency: 100 * time.Microsecond,
 		}
@@ -78,11 +77,6 @@ func chaosOpts(dir string, seed int64, fi *vpindex.FaultInjector) []vpindex.Opti
 		vpindex.WithSeed(seed),
 		vpindex.WithDataDir(dir),
 		vpindex.WithWALSegmentBytes(4096),
-		vpindex.WithRetryPolicy(vpindex.RetryPolicy{
-			MaxAttempts: 5,
-			BaseDelay:   20 * time.Microsecond,
-			MaxDelay:    200 * time.Microsecond,
-		}),
 	}
 	if fi != nil {
 		opts = append(opts, vpindex.WithFaultInjector(fi))
@@ -166,7 +160,7 @@ func chaosWorker(store *vpindex.Store, seed int64, g int) (map[vpindex.ObjectID]
 				cands[id] = append(cands[id], chaosCandidate{obj: o})
 			}
 		}
-		// Reads are never gated; under transient-only schedules they must
+		// Reads are never gated; under latency-only schedules they must
 		// succeed, otherwise a surfaced media fault is acceptable.
 		if op%17 == 3 {
 			store.Get(id)
@@ -215,19 +209,19 @@ func runChaosSeed(t *testing.T, seed int64) {
 	// nothing the oracle below wouldn't catch.
 	_ = store.Close()
 
-	transientOnly := seed%4 == 0
+	latencyOnly := seed%4 == 0
 	for g, errs := range workerErrs {
 		for _, err := range errs {
-			if transientOnly {
-				t.Fatalf("worker %d: client-visible error under a transient-only schedule: %v", g, err)
+			if latencyOnly {
+				t.Fatalf("worker %d: client-visible error under a latency-only schedule: %v", g, err)
 			}
 			if !acceptableChaosErr(err) {
 				t.Fatalf("worker %d: unclassified error under faults: %v", g, err)
 			}
 		}
 	}
-	if transientOnly && finalHealth != vpindex.HealthHealthy {
-		t.Fatalf("transient-only schedule left store %v, want healthy", finalHealth)
+	if latencyOnly && finalHealth != vpindex.HealthHealthy {
+		t.Fatalf("latency-only schedule left store %v, want healthy", finalHealth)
 	}
 
 	// Recovery with a clean injector must always succeed, and every id must

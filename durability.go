@@ -137,7 +137,6 @@ func (s *Store) initDurable() error {
 		SegmentBytes: cfg.walSegBytes,
 		Policy:       cfg.syncPol,
 		Injector:     cfg.injector,
-		Retry:        cfg.retry,
 	})
 	if err != nil {
 		fstore.Close()
@@ -341,10 +340,6 @@ type DurabilityStats struct {
 	// (WithScrubEvery, ScrubNow) and the corruptions they surfaced.
 	ScrubPasses      int64
 	ScrubCorruptions int64
-	// IORetries counts transient storage faults absorbed by the retry
-	// policy across the live buffer pools and the log — faults the clients
-	// never saw.
-	IORetries int64
 }
 
 // DurabilityStats returns the durable-mode counters, and whether the Store
@@ -353,10 +348,6 @@ func (s *Store) DurabilityStats() (DurabilityStats, bool) {
 	d := s.dur
 	if d == nil {
 		return DurabilityStats{}, false
-	}
-	retries := d.wal.Retries()
-	for _, p := range s.Pools() {
-		retries += p.Retries()
 	}
 	s.healthMu.Lock()
 	reason := s.healthReason
@@ -378,7 +369,6 @@ func (s *Store) DurabilityStats() (DurabilityStats, bool) {
 		QuarantinedPages:     d.fstore.Quarantined(),
 		ScrubPasses:          d.scrubPasses.Load(),
 		ScrubCorruptions:     d.scrubCorrupt.Load(),
-		IORetries:            retries,
 	}, true
 }
 

@@ -44,7 +44,7 @@ var (
 // Sentinel errors of the Store health state machine (see Store.Health).
 var (
 	// ErrDegraded reports a write refused because the Store is degraded to
-	// read-only after a persistent storage fault. Reads, searches, and
+	// read-only after a storage media fault. Reads, searches, and
 	// subscription evaluation keep serving.
 	ErrDegraded = errors.New("vpindex: store degraded to read-only")
 	// ErrFailed reports an operation refused because the Store has failed

@@ -14,10 +14,6 @@ func WithSearchParallelism(n int) Option { return func(c *storeConfig) { c.searc
 // 4 MiB), so tests can exercise rotation with tiny segments.
 func WithWALSegmentBytes(n int64) Option { return func(c *storeConfig) { c.walSegBytes = n } }
 
-// WithRetryPolicy is a test seam: it bounds the transient-fault retry loops
-// of the buffer pools and the WAL.
-func WithRetryPolicy(p RetryPolicy) Option { return func(c *storeConfig) { c.retry = p } }
-
 // QueryLogSize is a test seam: how many query shapes the partitioning cost
 // model has as workload evidence.
 func (s *Store) QueryLogSize() int {
@@ -50,7 +46,6 @@ type (
 	FaultRule   = storage.FaultRule
 	FaultRates  = storage.FaultRates
 	FaultScript = storage.FaultScript
-	RetryPolicy = storage.RetryPolicy
 )
 
 const (
@@ -61,7 +56,6 @@ const (
 	OpWALSync        = storage.OpWALSync
 	OpCheckpointSync = storage.OpCheckpointSync
 
-	FaultTransientEIO = storage.FaultTransientEIO
 	FaultPermanentEIO = storage.FaultPermanentEIO
 	FaultTornWrite    = storage.FaultTornWrite
 	FaultBitFlip      = storage.FaultBitFlip
@@ -78,9 +72,6 @@ func NewScriptedInjector(rules ...FaultRule) *FaultInjector {
 func NewSeededInjector(seed int64, rates FaultRates) *FaultInjector {
 	return storage.NewSeededInjector(seed, rates)
 }
-
-// IsTransient is a test seam: storage.IsTransient.
-func IsTransient(err error) bool { return storage.IsTransient(err) }
 
 // IsMediaFault is a test seam: storage.IsMediaFault.
 func IsMediaFault(err error) bool { return storage.IsMediaFault(err) }

@@ -11,7 +11,7 @@ import (
 
 // Health is the Store's fault-tolerance state. Transitions are one-way:
 //
-//	Healthy ──(persistent media fault)──▶ Degraded ──(crash/Close)──▶ Failed
+//	Healthy ──(storage media fault)──▶ Degraded ──(crash/Close)──▶ Failed
 //
 // A Healthy store serves everything. A Degraded store is read-only: every
 // write verb (Report, ReportBatch, Insert, Update, Remove, Subscribe,
@@ -21,20 +21,20 @@ import (
 // availability. A Failed store (closed, or hit an injected crash) refuses
 // writes with ErrFailed.
 //
-// Classification happens at the write-verb exits via the error taxonomy of
-// internal/storage: transient faults are retried with bounded exponential
-// backoff (4 attempts, 1ms base, 50ms cap) and never move the state
-// machine; a persistent media fault (permanent EIO, exhausted retries, a
-// checksum failure) degrades; an injected crash fails. The background
-// scrubber (WithScrubEvery, ScrubNow) degrades proactively when it finds
-// latent corruption.
+// Classification happens at the write-verb exits, and there is one rule: an
+// I/O error is final. Nothing retries a failed read, write or fsync, so any
+// media fault (an EIO, a failed fsync, a checksum failure) degrades; an
+// injected crash fails. A failed log fsync also poisons the log, so no
+// write that it might have lost is acknowledged. The background scrubber
+// (WithScrubEvery, ScrubNow) degrades proactively when it finds latent
+// corruption.
 type Health int32
 
 const (
 	// HealthHealthy is the normal full-service state.
 	HealthHealthy Health = iota
-	// HealthDegraded is the read-only state entered on a persistent
-	// storage fault: reads and subscriptions keep serving, writes return
+	// HealthDegraded is the read-only state entered on a storage media
+	// fault: reads and subscriptions keep serving, writes return
 	// ErrDegraded. The data directory keeps every acknowledged write up to
 	// the fault, so a later Open (after the media is repaired) recovers it.
 	HealthDegraded
@@ -133,11 +133,9 @@ func (s *Store) healthErr(sentinel error) error {
 }
 
 // noteIOFault classifies an error that escaped a Store verb and advances the
-// health state machine. Transient faults were already retried below and never
-// reach here with IsTransient true after exhaustion (the retry wrapper strips
-// transience), so anything still transient — or not a storage fault at all
-// (ErrNotFound, ErrDuplicate, validation errors) — is left alone. Called
-// after all Store locks are released.
+// health state machine: an injected crash fails the store, a media fault
+// degrades it, and anything else (ErrNotFound, ErrDuplicate, validation
+// errors) is left alone. Called after all Store locks are released.
 func (s *Store) noteIOFault(err error) {
 	if err == nil {
 		return
@@ -145,8 +143,8 @@ func (s *Store) noteIOFault(err error) {
 	switch {
 	case errors.Is(err, ErrInjectedCrash):
 		s.failStore("injected crash", err)
-	case storage.IsMediaFault(err) && !storage.IsTransient(err):
-		s.degrade("persistent storage fault", err)
+	case storage.IsMediaFault(err):
+		s.degrade("storage media fault", err)
 	}
 }
 

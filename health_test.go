@@ -13,16 +13,6 @@ import (
 	vpindex "repro"
 )
 
-// fastRetry keeps the fault tests quick: real backoff delays would dominate
-// the run time without changing any outcome.
-func fastRetry() vpindex.Option {
-	return vpindex.WithRetryPolicy(vpindex.RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   time.Microsecond,
-		MaxDelay:    10 * time.Microsecond,
-	})
-}
-
 func TestPermanentWALFaultDegradesToReadOnly(t *testing.T) {
 	fi := vpindex.NewScriptedInjector(
 		vpindex.FaultRule{Op: vpindex.OpWALAppend, Seq: 3, Kind: vpindex.FaultPermanentEIO},
@@ -33,7 +23,6 @@ func TestPermanentWALFaultDegradesToReadOnly(t *testing.T) {
 		vpindex.WithShards(2),
 		vpindex.WithDataDir(t.TempDir()),
 		vpindex.WithFaultInjector(fi),
-		fastRetry(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -48,13 +37,13 @@ func TestPermanentWALFaultDegradesToReadOnly(t *testing.T) {
 		t.Fatalf("report 2: %v", err)
 	}
 	// The third append hits the permanent fault: the write fails with a
-	// non-transient media fault and the store degrades.
+	// media fault and the store degrades.
 	err = store.Report(testObject(3, rng))
 	if err == nil {
 		t.Fatal("write over a permanently failed log succeeded")
 	}
-	if !vpindex.IsMediaFault(err) || vpindex.IsTransient(err) {
-		t.Fatalf("write error %v, want a non-transient media fault", err)
+	if !vpindex.IsMediaFault(err) {
+		t.Fatalf("write error %v, want a media fault", err)
 	}
 	if got := store.Health(); got != vpindex.HealthDegraded {
 		t.Fatalf("Health = %v, want degraded", got)
@@ -92,10 +81,12 @@ func TestPermanentWALFaultDegradesToReadOnly(t *testing.T) {
 	}
 }
 
-func TestTransientFaultsAreInvisibleToClients(t *testing.T) {
+// TestOneShotFaultReachesClient pins that an I/O error is final: a fault
+// scripted for one fsync only is not retried away but fails the write that
+// waited on it and degrades the store.
+func TestOneShotFaultReachesClient(t *testing.T) {
 	fi := vpindex.NewScriptedInjector(
-		vpindex.FaultRule{Op: vpindex.OpWALAppend, Seq: 2, Kind: vpindex.FaultTransientEIO},
-		vpindex.FaultRule{Op: vpindex.OpWALSync, Seq: 1, Kind: vpindex.FaultSyncFail},
+		vpindex.FaultRule{Op: vpindex.OpWALSync, Seq: 2, Kind: vpindex.FaultSyncFail},
 	)
 	store, err := vpindex.Open(
 		vpindex.WithKind(vpindex.Bx),
@@ -103,27 +94,26 @@ func TestTransientFaultsAreInvisibleToClients(t *testing.T) {
 		vpindex.WithShards(1),
 		vpindex.WithDataDir(t.TempDir()),
 		vpindex.WithFaultInjector(fi),
-		fastRetry(),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	rng := rand.New(rand.NewSource(2))
-	for i := 1; i <= 5; i++ {
-		if err := store.Report(testObject(i, rng)); err != nil {
-			t.Fatalf("report %d over transient faults: %v", i, err)
-		}
+	if err := store.Report(testObject(1, rng)); err != nil {
+		t.Fatalf("report 1 before the fault: %v", err)
 	}
-	if got := store.Health(); got != vpindex.HealthHealthy {
-		t.Fatalf("Health = %v after absorbed transient faults, want healthy", got)
+	if err := store.Report(testObject(2, rng)); !vpindex.IsMediaFault(err) {
+		t.Fatalf("report 2 over a one-shot fsync fault = %v, want the media fault", err)
 	}
-	st, _ := store.DurabilityStats()
-	if st.IORetries < 2 {
-		t.Fatalf("IORetries = %d, want >= 2 (both scripted faults retried)", st.IORetries)
+	if got := store.Health(); got != vpindex.HealthDegraded {
+		t.Fatalf("Health = %v after a one-shot fault, want degraded", got)
 	}
-	if fi.InjectedFaults() != 2 {
-		t.Fatalf("InjectedFaults = %d, want 2", fi.InjectedFaults())
+	if err := store.Report(testObject(3, rng)); !errors.Is(err, vpindex.ErrDegraded) {
+		t.Fatalf("report 3 after the fault = %v, want ErrDegraded", err)
+	}
+	if fi.InjectedFaults() != 1 {
+		t.Fatalf("InjectedFaults = %d, want 1", fi.InjectedFaults())
 	}
 }
 

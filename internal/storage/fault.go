@@ -6,22 +6,17 @@ import (
 	"math/rand"
 	"os"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 )
 
-// This file is the storage fault plane: a typed error taxonomy for media
-// faults, a scriptable fault injector at the PageStore/WAL boundary, and the
-// bounded-backoff retry policy the buffer pool and the WAL drive transient
-// faults through.
+// This file is the storage fault plane: a typed error for media faults and a
+// scriptable fault injector at the PageStore/WAL boundary.
 //
-// The taxonomy splits faults along one axis that matters to callers — does
-// retrying help? Transient faults (a flaky bus returning EIO, an fsync that
-// fails once) are retried with exponential backoff and never surface when the
-// retry wins. Persistent faults (a latched bad sector, exhausted retries, a
-// checksum mismatch) surface as errors and drive the Store's health state
-// machine toward read-only degradation (see vpindex health.go).
+// Every media fault is final: nothing retries a failed read, write or fsync.
+// A fault surfaces as an error and drives the Store's health state machine
+// toward read-only degradation (see vpindex health.go); a failed WAL fsync
+// also poisons the log (see wal.Commit).
 
 // FaultOp identifies one I/O site the injector can interpose on.
 type FaultOp uint8
@@ -68,8 +63,6 @@ type FaultKind uint8
 const (
 	// FaultNone lets the I/O through untouched.
 	FaultNone FaultKind = iota
-	// FaultTransientEIO fails this one attempt with a retryable I/O error.
-	FaultTransientEIO
 	// FaultPermanentEIO latches the target (the page, or the whole op for
 	// sync/append sites) as bad: this and every later attempt fails.
 	FaultPermanentEIO
@@ -79,7 +72,7 @@ const (
 	// FaultBitFlip lets a page write succeed but flips one bit of the
 	// persisted image — bit rot, caught by the checksum on the next read.
 	FaultBitFlip
-	// FaultSyncFail fails one fsync attempt (retryable).
+	// FaultSyncFail fails one fsync attempt.
 	FaultSyncFail
 	// FaultLatency delays the I/O without failing it.
 	FaultLatency
@@ -90,8 +83,6 @@ func (k FaultKind) String() string {
 	switch k {
 	case FaultNone:
 		return "none"
-	case FaultTransientEIO:
-		return "transient-eio"
 	case FaultPermanentEIO:
 		return "permanent-eio"
 	case FaultTornWrite:
@@ -115,7 +106,7 @@ type FaultDecision struct {
 }
 
 // FaultScript decides the fate of each I/O attempt. seq is the 1-based
-// attempt counter of op (each retry is a fresh attempt with a fresh seq);
+// attempt counter of op;
 // page is the page id for page ops and 0 otherwise. Implementations must be
 // safe for concurrent use.
 type FaultScript interface {
@@ -178,14 +169,13 @@ func (s *scripted) Decide(op FaultOp, seq int64, page PageID) FaultDecision {
 // schedule. Rates are independent probabilities in [0, 1]; the applicable
 // ones are checked in declaration order and the first hit wins.
 type FaultRates struct {
-	// TransientEIO applies to page reads, page writes, and WAL appends.
-	TransientEIO float64
-	// PermanentEIO applies to the same sites and latches the target bad.
+	// PermanentEIO applies to page reads, page writes and WAL appends, and
+	// latches the target bad.
 	PermanentEIO float64
 	// TornWrite and BitFlip apply to page writes.
 	TornWrite float64
 	BitFlip   float64
-	// SyncFail applies to every sync site (transient).
+	// SyncFail applies to every sync site.
 	SyncFail float64
 	// Latency is the probability of a latency spike up to MaxLatency on any
 	// attempt (independent of the fault outcome).
@@ -216,16 +206,11 @@ func (s *seeded) Decide(op FaultOp, _ int64, _ PageID) FaultDecision {
 	}
 	switch op {
 	case OpPageRead, OpWALAppend:
-		switch {
-		case s.rng.Float64() < s.rates.TransientEIO:
-			d.Kind = FaultTransientEIO
-		case s.rng.Float64() < s.rates.PermanentEIO:
+		if s.rng.Float64() < s.rates.PermanentEIO {
 			d.Kind = FaultPermanentEIO
 		}
 	case OpPageWrite:
 		switch {
-		case s.rng.Float64() < s.rates.TransientEIO:
-			d.Kind = FaultTransientEIO
 		case s.rng.Float64() < s.rates.PermanentEIO:
 			d.Kind = FaultPermanentEIO
 		case s.rng.Float64() < s.rates.TornWrite:
@@ -242,8 +227,7 @@ func (s *seeded) Decide(op FaultOp, _ int64, _ PageID) FaultDecision {
 }
 
 // FaultError is an injected (or classified) media fault. It unwraps to
-// syscall.EIO so errors.Is(err, syscall.EIO) matches, and its Transient
-// method feeds IsTransient.
+// syscall.EIO so errors.Is(err, syscall.EIO) matches.
 type FaultError struct {
 	Op   FaultOp
 	Page PageID
@@ -260,107 +244,15 @@ func (e *FaultError) Error() string {
 // Unwrap ties every injected fault to the canonical I/O errno.
 func (e *FaultError) Unwrap() error { return syscall.EIO }
 
-// Transient reports whether retrying the attempt may succeed.
-func (e *FaultError) Transient() bool {
-	return e.Kind == FaultTransientEIO || e.Kind == FaultSyncFail
-}
-
-// retriesExhausted marks a transient fault that survived a full retry budget:
-// the inner cause is preserved for inspection, but the wrapper reports
-// non-transient so callers escalate instead of retrying again. errors.As
-// finds the outermost Transient() first, which is exactly the override.
-type retriesExhausted struct{ err error }
-
-func (e *retriesExhausted) Error() string {
-	return fmt.Sprintf("storage: retries exhausted: %v", e.err)
-}
-func (e *retriesExhausted) Unwrap() error   { return e.err }
-func (e *retriesExhausted) Transient() bool { return false }
-
-// IsTransient reports whether err is a media fault worth retrying. The
-// outermost Transient() in the unwrap chain wins, so a retries-exhausted
-// wrapper around a transient fault correctly reads as non-transient.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	if errors.As(err, &t) {
-		return t.Transient()
-	}
-	return false
-}
-
 // IsMediaFault reports whether err is a storage-media fault (injected or
 // real), as opposed to a caller bug like reading an unallocated page. Media
-// faults that are not transient are what degrade a Store to read-only.
+// faults are what degrade a Store to read-only.
 func IsMediaFault(err error) bool {
 	var fe *FaultError
 	if errors.As(err, &fe) {
 		return true
 	}
 	return errors.Is(err, ErrCorruptPage) || errors.Is(err, syscall.EIO)
-}
-
-// RetryPolicy bounds the exponential-backoff retry loop wrapped around the
-// buffer pool's page I/O and the WAL's append/fsync paths. Only transient
-// faults (IsTransient) are retried; everything else returns immediately.
-// The zero value takes the defaults.
-type RetryPolicy struct {
-	// MaxAttempts is the total attempt budget (first try included). <= 0
-	// takes DefaultRetryAttempts.
-	MaxAttempts int
-	// BaseDelay is the sleep after the first failed attempt; it doubles per
-	// retry. <= 0 takes DefaultRetryBaseDelay.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. <= 0 takes DefaultRetryMaxDelay.
-	MaxDelay time.Duration
-}
-
-// Retry policy defaults: four attempts spanning ~7 ms of backoff — long
-// enough to ride out a transient controller hiccup, short enough that a
-// genuinely bad device degrades the store quickly instead of stalling it.
-const (
-	DefaultRetryAttempts  = 4
-	DefaultRetryBaseDelay = time.Millisecond
-	DefaultRetryMaxDelay  = 50 * time.Millisecond
-)
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = DefaultRetryAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = DefaultRetryBaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = DefaultRetryMaxDelay
-	}
-	return p
-}
-
-// Do runs op, retrying transient failures with exponential backoff up to the
-// attempt budget. retries, when non-nil, counts the retry attempts taken.
-// When the budget runs out on a transient fault the error comes back wrapped
-// as non-transient (retries exhausted), so callers escalate exactly once.
-func (p RetryPolicy) Do(retries *atomic.Int64, op func() error) error {
-	p = p.withDefaults()
-	delay := p.BaseDelay
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = op()
-		if err == nil || !IsTransient(err) {
-			return err
-		}
-		if attempt >= p.MaxAttempts {
-			return &retriesExhausted{err: err}
-		}
-		if retries != nil {
-			retries.Add(1)
-		}
-		time.Sleep(delay)
-		delay *= 2
-		if delay > p.MaxDelay {
-			delay = p.MaxDelay
-		}
-	}
 }
 
 // SyncDir fsyncs a directory so a freshly created file's directory entry is
@@ -463,11 +355,7 @@ func (fi *FaultInjector) PageRead(id PageID) error {
 		fi.injected.Add(1)
 		return &FaultError{Op: OpPageRead, Page: id, Kind: FaultPermanentEIO}
 	}
-	switch d := fi.decide(OpPageRead, id); d.Kind {
-	case FaultTransientEIO:
-		fi.injected.Add(1)
-		return &FaultError{Op: OpPageRead, Page: id, Kind: FaultTransientEIO}
-	case FaultPermanentEIO:
+	if fi.decide(OpPageRead, id).Kind == FaultPermanentEIO {
 		fi.injected.Add(1)
 		fi.latchPage(id)
 		return &FaultError{Op: OpPageRead, Page: id, Kind: FaultPermanentEIO}
@@ -491,9 +379,6 @@ func (fi *FaultInjector) PageWrite(id PageID) (FaultKind, error) {
 		return FaultNone, &FaultError{Op: OpPageWrite, Page: id, Kind: FaultPermanentEIO}
 	}
 	switch d := fi.decide(OpPageWrite, id); d.Kind {
-	case FaultTransientEIO:
-		fi.injected.Add(1)
-		return FaultNone, &FaultError{Op: OpPageWrite, Page: id, Kind: FaultTransientEIO}
 	case FaultPermanentEIO:
 		fi.injected.Add(1)
 		fi.latchPage(id)
@@ -506,8 +391,7 @@ func (fi *FaultInjector) PageWrite(id PageID) (FaultKind, error) {
 }
 
 // WALAppend gates one WAL record write attempt. It runs before any byte
-// reaches the log file, so a transient fault is retryable without poisoning
-// the segment.
+// reaches the log file, so a fault here leaves the segment intact.
 func (fi *FaultInjector) WALAppend() error {
 	if fi == nil {
 		return nil
@@ -519,11 +403,7 @@ func (fi *FaultInjector) WALAppend() error {
 		fi.injected.Add(1)
 		return &FaultError{Op: OpWALAppend, Kind: FaultPermanentEIO}
 	}
-	switch d := fi.decide(OpWALAppend, NilPage); d.Kind {
-	case FaultTransientEIO:
-		fi.injected.Add(1)
-		return &FaultError{Op: OpWALAppend, Kind: FaultTransientEIO}
-	case FaultPermanentEIO:
+	if fi.decide(OpWALAppend, NilPage).Kind == FaultPermanentEIO {
 		fi.injected.Add(1)
 		fi.latchOp(OpWALAppend)
 		return &FaultError{Op: OpWALAppend, Kind: FaultPermanentEIO}
@@ -551,7 +431,7 @@ func (fi *FaultInjector) SyncPoint(op FaultOp) error {
 		return &FaultError{Op: op, Kind: FaultPermanentEIO}
 	}
 	switch d := fi.decide(op, NilPage); d.Kind {
-	case FaultSyncFail, FaultTransientEIO:
+	case FaultSyncFail:
 		fi.injected.Add(1)
 		return &FaultError{Op: op, Kind: FaultSyncFail}
 	case FaultPermanentEIO:

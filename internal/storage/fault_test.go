@@ -4,10 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"syscall"
 	"testing"
-	"time"
 )
 
 // openTestStore opens a scratch FileStore with the given injector.
@@ -170,81 +168,6 @@ func testVerifyPageScrubPrimitive(t *testing.T) {
 	}
 }
 
-func TestTransientFaultsRetriedByPolicy(t *testing.T) {
-	// One transient EIO on the only read attempt sequence; the retry (a
-	// fresh attempt, fresh seq) succeeds.
-	fi := NewScriptedInjector(FaultRule{Op: OpPageRead, Seq: 1, Kind: FaultTransientEIO})
-	fs := openTestStore(t, fi)
-	pool := NewBufferPool(fs, 4)
-	pool.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
-	id, err := pool.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Write(id, func(d []byte) { copy(d, "retried") }); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Drop the frame so the next Read is a physical read.
-	pool.stripeFor(id).mu.Lock()
-	delete(pool.stripeFor(id).frames, id)
-	pool.stripeFor(id).mu.Unlock()
-
-	var got []byte
-	if err := pool.Read(id, func(d []byte) { got = append(got, d[:7]...) }); err != nil {
-		t.Fatalf("read with transient fault = %v, want retried success", err)
-	}
-	if string(got) != "retried" {
-		t.Fatalf("got %q", got)
-	}
-	if pool.Retries() < 1 {
-		t.Fatalf("Retries = %d, want >= 1", pool.Retries())
-	}
-}
-
-func TestRetryPolicyExhaustionIsNotTransient(t *testing.T) {
-	calls := 0
-	var retries atomic.Int64
-	p := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
-	err := p.Do(&retries, func() error {
-		calls++
-		return &FaultError{Op: OpPageRead, Page: 7, Kind: FaultTransientEIO}
-	})
-	if calls != 3 {
-		t.Fatalf("attempts = %d, want 3", calls)
-	}
-	if retries.Load() != 2 {
-		t.Fatalf("retries = %d, want 2", retries.Load())
-	}
-	if err == nil || IsTransient(err) {
-		t.Fatalf("exhausted error %v must be non-transient", err)
-	}
-	// The inner fault is still reachable for classification.
-	if !IsMediaFault(err) {
-		t.Fatalf("exhausted error %v must stay a media fault", err)
-	}
-	if !errors.Is(err, syscall.EIO) {
-		t.Fatalf("exhausted error %v must unwrap to EIO", err)
-	}
-}
-
-func TestRetryPolicyPermanentFailsImmediately(t *testing.T) {
-	calls := 0
-	p := RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond}
-	err := p.Do(nil, func() error {
-		calls++
-		return &FaultError{Op: OpPageWrite, Page: 3, Kind: FaultPermanentEIO}
-	})
-	if calls != 1 {
-		t.Fatalf("attempts = %d, want 1 (permanent faults are not retried)", calls)
-	}
-	if IsTransient(err) {
-		t.Fatal("permanent fault classified transient")
-	}
-}
-
 func TestPermanentFaultLatchesPage(t *testing.T) {
 	fi := NewScriptedInjector(FaultRule{Op: OpPageRead, Seq: 1, Kind: FaultPermanentEIO})
 	fs := openTestStore(t, fi)
@@ -257,7 +180,7 @@ func TestPermanentFaultLatchesPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [PageSize]byte
-	if err := fs.ReadPage(id, &got); !IsMediaFault(err) || IsTransient(err) {
+	if err := fs.ReadPage(id, &got); !IsMediaFault(err) {
 		t.Fatalf("first read = %v, want permanent media fault", err)
 	}
 	// Every later attempt fails too, even though the rule only fired once.
@@ -269,7 +192,7 @@ func TestPermanentFaultLatchesPage(t *testing.T) {
 }
 
 func TestSeededFaultsAreReproducible(t *testing.T) {
-	rates := FaultRates{TransientEIO: 0.3, TornWrite: 0.2, SyncFail: 0.5}
+	rates := FaultRates{PermanentEIO: 0.3, TornWrite: 0.2, SyncFail: 0.5}
 	a := SeededFaults(42, rates)
 	b := SeededFaults(42, rates)
 	for i := int64(1); i <= 200; i++ {
@@ -298,15 +221,16 @@ func TestScriptedRuleCountBounds(t *testing.T) {
 func TestScriptedInjectorSyncFaults(t *testing.T) {
 	fi := NewScriptedInjector(FaultRule{Op: OpPageSync, Seq: 1, Kind: FaultSyncFail})
 	fs := openTestStore(t, fi)
-	if err := fs.Sync(); !IsTransient(err) {
-		t.Fatalf("first sync = %v, want transient fault", err)
+	var fe *FaultError
+	if err := fs.Sync(); !errors.As(err, &fe) || fe.Kind != FaultSyncFail {
+		t.Fatalf("first sync = %v, want the injected sync-fail", err)
 	}
 	if err := fs.Sync(); err != nil {
 		t.Fatalf("second sync = %v, want nil", err)
 	}
 }
 
-func TestIsTransientClassification(t *testing.T) {
+func TestIsMediaFaultClassification(t *testing.T) {
 	cases := []struct {
 		err  error
 		want bool
@@ -314,21 +238,15 @@ func TestIsTransientClassification(t *testing.T) {
 		{nil, false},
 		{os.ErrClosed, false},
 		{ErrInjectedCrash, false},
-		{ErrCorruptPage, false},
-		{&FaultError{Op: OpPageRead, Kind: FaultTransientEIO}, true},
+		{ErrCorruptPage, true},
+		{&CorruptPageError{Path: "x", ID: 1}, true},
 		{&FaultError{Op: OpWALSync, Kind: FaultSyncFail}, true},
-		{&FaultError{Op: OpPageWrite, Kind: FaultPermanentEIO}, false},
-		{&retriesExhausted{err: &FaultError{Kind: FaultTransientEIO}}, false},
+		{&FaultError{Op: OpPageWrite, Kind: FaultPermanentEIO}, true},
+		{syscall.EIO, true},
 	}
 	for _, c := range cases {
-		if got := IsTransient(c.err); got != c.want {
-			t.Errorf("IsTransient(%v) = %v, want %v", c.err, got, c.want)
+		if got := IsMediaFault(c.err); got != c.want {
+			t.Errorf("IsMediaFault(%v) = %v, want %v", c.err, got, c.want)
 		}
-	}
-	if !IsMediaFault(&CorruptPageError{Path: "x", ID: 1}) {
-		t.Error("CorruptPageError not a media fault")
-	}
-	if IsMediaFault(os.ErrClosed) {
-		t.Error("os.ErrClosed classified as media fault")
 	}
 }

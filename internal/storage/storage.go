@@ -236,29 +236,13 @@ type BufferPool struct {
 	hits     atomic.Int64
 	misses   atomic.Int64
 	writes   atomic.Int64
-	retry    RetryPolicy // zero value = defaults (see RetryPolicy.Do)
-	retries  atomic.Int64
 }
 
-// SetRetryPolicy configures the bounded-backoff retry loop wrapped around
-// the pool's physical page reads and write-backs. Only transient faults
-// (IsTransient) are retried. Must be called before the pool is shared
-// between goroutines.
-func (b *BufferPool) SetRetryPolicy(p RetryPolicy) { b.retry = p }
-
-// Retries returns how many transient-fault retry attempts the pool has
-// taken so far.
-func (b *BufferPool) Retries() int64 { return b.retries.Load() }
-
-// readPage and writePage are the pool's only physical I/O paths; both drive
-// transient faults through the retry policy.
-func (b *BufferPool) readPage(id PageID, dst *[PageSize]byte) error {
-	return b.retry.Do(&b.retries, func() error { return b.disk.ReadPage(id, dst) })
-}
-
-func (b *BufferPool) writePage(id PageID, src *[PageSize]byte) error {
-	return b.retry.Do(&b.retries, func() error { return b.disk.WritePage(id, src) })
-}
+// Retries always returns 0: every storage error is final, so a pool retries
+// no page transfer. It is kept only for benchmark/trace.go, which sums
+// p.Retries() into its storage.retries metric and cannot be edited outside
+// a benchmark PR; delete it with that metric (ROADMAP item 1b).
+func (b *BufferPool) Retries() int64 { return 0 }
 
 // NewBufferPool returns a pool of the given capacity (pages) over any
 // PageStore backend. Capacity must be >= 1.
@@ -343,7 +327,7 @@ func (b *BufferPool) evictOne(s *poolStripe) (*frame, error) {
 		return nil, nil
 	}
 	if victim.dirty.Load() {
-		if err := b.writePage(victim.id, &victim.data); err != nil {
+		if err := b.disk.WritePage(victim.id, &victim.data); err != nil {
 			return nil, err
 		}
 		b.writes.Add(1)
@@ -376,7 +360,7 @@ func (b *BufferPool) pin(id PageID) (*frame, error) {
 	s.mu.RUnlock()
 
 	s.mu.Lock()
-	var f *frame // the evicted frame, if one had to go; readPage overwrites all of data
+	var f *frame // the evicted frame, if one had to go; ReadPage overwrites all of data
 	for {
 		if f, ok := s.frames[id]; ok {
 			f.pins.Add(1)
@@ -403,7 +387,7 @@ func (b *BufferPool) pin(id PageID) (*frame, error) {
 		f = new(frame)
 	}
 	f.id = id
-	if err := b.readPage(id, &f.data); err != nil {
+	if err := b.disk.ReadPage(id, &f.data); err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
@@ -558,7 +542,7 @@ func (b *BufferPool) FlushAll() error {
 		s.mu.Lock()
 		for id, f := range s.frames {
 			if f.dirty.Load() {
-				if err := b.writePage(id, &f.data); err != nil {
+				if err := b.disk.WritePage(id, &f.data); err != nil {
 					s.mu.Unlock()
 					return err
 				}

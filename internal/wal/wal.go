@@ -101,9 +101,6 @@ type Options struct {
 	// Injector, when non-nil, injects crashes and media faults (see
 	// storage.FaultInjector).
 	Injector *storage.FaultInjector
-	// Retry bounds the backoff loop around appends and fsyncs for transient
-	// faults; a zero field takes the storage.DefaultRetry* value.
-	Retry storage.RetryPolicy
 }
 
 // ErrCorrupt marks a mid-log CRC mismatch: unlike a benign torn tail (bytes
@@ -146,7 +143,6 @@ type WAL struct {
 	segMu   sync.Mutex // serializes segment removal with Verify's reads
 	durable atomic.Uint64
 
-	retries atomic.Int64  // transient-fault retry attempts taken
 	corrupt *CorruptError // mid-log corruption found at Open, if any
 }
 
@@ -220,10 +216,6 @@ func (w *WAL) CorruptTail() error {
 	return w.corrupt
 }
 
-// Retries returns how many transient-fault retry attempts the WAL has taken
-// across appends and fsyncs.
-func (w *WAL) Retries() int64 { return w.retries.Load() }
-
 // maxPooledBuf caps how large a scratch buffer the frame/encode pools will
 // retain; a rare oversized record allocates once and is dropped afterwards,
 // so a single huge batch cannot pin megabytes in every pool shard.
@@ -260,12 +252,9 @@ func PutBuf(b *[]byte) {
 // pair it with Commit. The payload is copied into the frame before Append
 // returns, so callers may reuse (or pool) the payload buffer immediately.
 func (w *WAL) Append(t Type, payload []byte) (lsn uint64, err error) {
-	// Injected append faults fire before any byte reaches the file, so a
-	// transient EIO is retried here without poisoning the segment; a real
-	// partial write below still poisons.
-	if err := w.opt.Retry.Do(&w.retries, func() error {
-		return w.opt.Injector.WALAppend()
-	}); err != nil {
+	// Injected append faults fire before any byte reaches the file, so they
+	// leave the segment intact; a real partial write below poisons it.
+	if err := w.opt.Injector.WALAppend(); err != nil {
 		return 0, err
 	}
 	fp := framePool.Get().(*[]byte)
@@ -340,19 +329,15 @@ func (w *WAL) rotateLocked() error {
 	return w.openSegment(w.appended)
 }
 
-// fsync runs the injector sync-point hook and fsyncs the given file,
-// retrying transient fsync faults under the retry policy (an injected crash
-// is not transient and fails through immediately).
+// fsync runs the injector sync-point hook and fsyncs the given file.
 func (w *WAL) fsync(f *os.File) error {
-	return w.opt.Retry.Do(&w.retries, func() error {
-		if err := w.opt.Injector.SyncPoint(storage.OpWALSync); err != nil {
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-		return nil
-	})
+	if err := w.opt.Injector.SyncPoint(storage.OpWALSync); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
+	}
+	return nil
 }
 
 // Commit blocks until the record ending at lsn is durable under the

@@ -590,35 +590,28 @@ func FuzzSegmentScan(f *testing.F) {
 	})
 }
 
-func TestWALTransientFaultsRetried(t *testing.T) {
-	dir := t.TempDir()
+// TestWALOneShotFaultReachesCaller pins that a failed fsync is not retried:
+// a fault scripted for the first fsync only is the error Commit returns.
+func TestWALOneShotFaultReachesCaller(t *testing.T) {
 	fi := storage.NewScriptedInjector(
-		storage.FaultRule{Op: storage.OpWALAppend, Seq: 1, Kind: storage.FaultTransientEIO},
 		storage.FaultRule{Op: storage.OpWALSync, Seq: 1, Kind: storage.FaultSyncFail},
 	)
-	w, err := Open(dir, Options{
-		Injector: fi,
-		Retry:    storage.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
-	})
+	w, err := Open(t.TempDir(), Options{Injector: fi})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	// Both the first append attempt and the first fsync attempt fail with a
-	// transient fault; the retry loop hides both from the caller.
-	lsn, err := w.Append(TypeReport, []byte("retried"))
-	if err != nil {
-		t.Fatalf("Append with transient fault = %v, want retried success", err)
+	lsn := appendRecord(t, w, TypeReport, []byte("one"))
+	err = w.Commit(lsn)
+	var fe *storage.FaultError
+	if !errors.As(err, &fe) || fe.Kind != storage.FaultSyncFail {
+		t.Fatalf("Commit under a one-shot fsync fault = %v, want the injected sync-fail", err)
 	}
-	if err := w.Commit(lsn); err != nil {
-		t.Fatalf("Commit with transient fsync fault = %v, want retried success", err)
+	if got := fi.SyncPoints(); got != 1 {
+		t.Fatalf("%d fsyncs issued, want 1", got)
 	}
-	if w.Retries() < 2 {
-		t.Fatalf("Retries = %d, want >= 2", w.Retries())
-	}
-	_, payloads, _ := collect(t, w, 0)
-	if len(payloads) != 1 || string(payloads[0]) != "retried" {
-		t.Fatalf("replay gave %q", payloads)
+	if got := w.DurableLSN(); got != 0 {
+		t.Fatalf("DurableLSN = %d after a failed fsync, want 0", got)
 	}
 }
 
@@ -627,10 +620,7 @@ func TestWALPermanentAppendFaultSurfaces(t *testing.T) {
 	fi := storage.NewScriptedInjector(
 		storage.FaultRule{Op: storage.OpWALAppend, Seq: 2, Kind: storage.FaultPermanentEIO},
 	)
-	w, err := Open(dir, Options{
-		Injector: fi,
-		Retry:    storage.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
-	})
+	w, err := Open(dir, Options{Injector: fi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,9 +629,6 @@ func TestWALPermanentAppendFaultSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = w.Append(TypeReport, []byte("doomed"))
-	if err == nil || storage.IsTransient(err) {
-		t.Fatalf("append under permanent fault = %v, want non-transient error", err)
-	}
 	if !storage.IsMediaFault(err) {
 		t.Fatalf("append error %v is not classified as a media fault", err)
 	}
@@ -657,15 +644,13 @@ func TestWALPermanentAppendFaultSurfaces(t *testing.T) {
 // sync parked: the next Sync fsyncs all of them, plus the active segment,
 // before it returns nil.
 func TestSyncKeepsSealedSegmentsAfterFailedFsync(t *testing.T) {
-	const attempts = 2
 	fi := storage.NewScriptedInjector(
-		storage.FaultRule{Op: storage.OpWALSync, Kind: storage.FaultSyncFail, Count: attempts},
+		storage.FaultRule{Op: storage.OpWALSync, Seq: 1, Kind: storage.FaultSyncFail},
 	)
 	w, err := Open(t.TempDir(), Options{
 		Policy:       None(),
 		SegmentBytes: 64,
 		Injector:     fi,
-		Retry:        storage.RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -679,11 +664,11 @@ func TestSyncKeepsSealedSegmentsAfterFailedFsync(t *testing.T) {
 		t.Fatalf("%d sealed segments parked, want >= 2", parked)
 	}
 	if err := w.Sync(); err == nil {
-		t.Fatal("Sync with every fsync attempt failing returned nil")
+		t.Fatal("Sync with its first fsync failing returned nil")
 	}
 	before := fi.SyncPoints()
 	if err := w.Sync(); err != nil {
-		t.Fatalf("Sync after the faults ran out: %v", err)
+		t.Fatalf("Sync after the fault: %v", err)
 	}
 	if got, want := fi.SyncPoints()-before, int64(parked+1); got != want {
 		t.Fatalf("second Sync reached %d sync points, want %d (%d parked segments + the active one)", got, want, parked)

@@ -67,10 +67,9 @@ type RepartitionPolicy struct {
 type Option func(*storeConfig)
 
 // storeConfig is the resolved configuration behind Open's functional
-// options. searchPar, walSegBytes and retry have no option: the package's
-// tests set them through seams in export_test.go, and a production Store runs
-// their zero values (GOMAXPROCS query workers, 4 MiB log segments, the
-// storage retry defaults).
+// options. searchPar and walSegBytes have no option: the package's tests set
+// them through seams in export_test.go, and a production Store runs their
+// zero values (GOMAXPROCS query workers, 4 MiB log segments).
 type storeConfig struct {
 	base baseOptions
 
@@ -112,7 +111,6 @@ type storeConfig struct {
 
 	// scrubEvery is the background integrity scrubber's cadence (0
 	// disables it).
-	retry      storage.RetryPolicy
 	scrubEvery time.Duration
 
 	// compactChain / compactBytes bound the delta-checkpoint chain before a

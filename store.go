@@ -399,7 +399,6 @@ func (s *Store) buildManager(an core.Analysis, pools *[]*storage.BufferPool) (*c
 		Stripes:           s.cfg.shards,
 	}, func(spec core.PartitionSpec) (model.Index, error) {
 		p := storage.NewBufferPool(s.disk, s.cfg.base.BufferPages*s.cfg.shards)
-		p.SetRetryPolicy(s.cfg.retry)
 		idx, err := buildBase(p, s.cfg.base, spec.Domain)
 		if err != nil {
 			return nil, err

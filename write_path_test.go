@@ -442,7 +442,7 @@ func TestLoggedVerbContract(t *testing.T) {
 			reopened.Close()
 
 			// The same call again, over a log whose next append is dead.
-			faulty := open(t, t.TempDir(), fastRetry(), vpindex.WithFaultInjector(vpindex.NewScriptedInjector(
+			faulty := open(t, t.TempDir(), vpindex.WithFaultInjector(vpindex.NewScriptedInjector(
 				vpindex.FaultRule{Op: vpindex.OpWALAppend, Seq: setupRecords + 1, Kind: vpindex.FaultPermanentEIO},
 			)))
 			defer faulty.Close()
