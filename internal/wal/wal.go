@@ -142,6 +142,11 @@ type WAL struct {
 	syncMu  sync.Mutex // serializes fsync with segment close (rotation)
 	segMu   sync.Mutex // serializes segment removal with Verify's reads
 	durable atomic.Uint64
+	// syncFailed holds the first fsync failure. After it no fsync is issued
+	// and nothing past durable is acknowledged: a failed writeback may leave
+	// the kernel's dirty pages marked clean, so a later fsync can succeed
+	// without the records that were in flight.
+	syncFailed atomic.Pointer[error]
 
 	corrupt *CorruptError // mid-log corruption found at Open, if any
 }
@@ -329,13 +334,30 @@ func (w *WAL) rotateLocked() error {
 	return w.openSegment(w.appended)
 }
 
-// fsync runs the injector sync-point hook and fsyncs the given file.
+// fsync runs the injector sync-point hook and fsyncs the given file. The
+// first failure poisons the log: it is kept in syncFailed, and every later
+// call returns an error wrapping it without issuing an fsync.
 func (w *WAL) fsync(f *os.File) error {
-	if err := w.opt.Injector.SyncPoint(storage.OpWALSync); err != nil {
+	if err := w.syncPoisoned(); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+	err := w.opt.Injector.SyncPoint(storage.OpWALSync)
+	if err == nil {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("wal: fsync: %w", err)
+		}
+	}
+	if err != nil {
+		w.syncFailed.CompareAndSwap(nil, &err)
+	}
+	return err
+}
+
+// syncPoisoned returns an error wrapping the first fsync failure, or nil
+// when no fsync has failed.
+func (w *WAL) syncPoisoned() error {
+	if first := w.syncFailed.Load(); first != nil {
+		return fmt.Errorf("wal: log poisoned by earlier fsync failure: %w", *first)
 	}
 	return nil
 }
@@ -343,6 +365,8 @@ func (w *WAL) fsync(f *os.File) error {
 // Commit blocks until the record ending at lsn is durable under the
 // configured policy. Concurrent callers elect a flush leader; everyone whose
 // record the leader's fsync covered returns without syncing (group commit).
+// After a failed fsync, Commit of a record that no earlier fsync covered
+// returns an error wrapping that failure.
 func (w *WAL) Commit(lsn uint64) error {
 	if w.opt.Policy.Mode == SyncNone {
 		return nil
@@ -387,8 +411,12 @@ func (w *WAL) Commit(lsn uint64) error {
 }
 
 // Sync forces everything appended so far durable regardless of policy,
-// including segments rotated out under SyncNone.
+// including segments rotated out under SyncNone. After a failed fsync it
+// returns an error wrapping that failure, and parked segments stay parked.
 func (w *WAL) Sync() error {
+	if err := w.syncPoisoned(); err != nil {
+		return err
+	}
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.mu.Lock()

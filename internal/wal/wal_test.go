@@ -641,8 +641,8 @@ func TestWALPermanentAppendFaultSurfaces(t *testing.T) {
 
 // TestSyncKeepsSealedSegmentsAfterFailedFsync pins that a Sync whose fsync of
 // a parked (SyncNone-rotated) segment fails leaves every segment it did not
-// sync parked: the next Sync fsyncs all of them, plus the active segment,
-// before it returns nil.
+// sync parked, and that the next Sync returns the first failure without
+// issuing an fsync or closing a parked segment.
 func TestSyncKeepsSealedSegmentsAfterFailedFsync(t *testing.T) {
 	fi := storage.NewScriptedInjector(
 		storage.FaultRule{Op: storage.OpWALSync, Seq: 1, Kind: storage.FaultSyncFail},
@@ -663,17 +663,114 @@ func TestSyncKeepsSealedSegmentsAfterFailedFsync(t *testing.T) {
 	if parked < 2 {
 		t.Fatalf("%d sealed segments parked, want >= 2", parked)
 	}
-	if err := w.Sync(); err == nil {
+	first := w.Sync()
+	if first == nil {
 		t.Fatal("Sync with its first fsync failing returned nil")
 	}
+	if got := len(w.sealed); got != parked {
+		t.Fatalf("%d segments parked after the failed Sync, want %d", got, parked)
+	}
 	before := fi.SyncPoints()
-	if err := w.Sync(); err != nil {
-		t.Fatalf("Sync after the fault: %v", err)
+	if err := w.Sync(); !errors.Is(err, first) {
+		t.Fatalf("Sync after a failed fsync = %v, want an error wrapping %v", err, first)
 	}
-	if got, want := fi.SyncPoints()-before, int64(parked+1); got != want {
-		t.Fatalf("second Sync reached %d sync points, want %d (%d parked segments + the active one)", got, want, parked)
+	if got := fi.SyncPoints() - before; got != 0 {
+		t.Fatalf("second Sync reached %d sync points, want 0", got)
 	}
-	if got := w.DurableLSN(); got != w.AppendedLSN() {
-		t.Fatalf("durable LSN %d after Sync, appended %d", got, w.AppendedLSN())
+	if got := len(w.sealed); got != parked {
+		t.Fatalf("%d segments parked after the second Sync, want %d", got, parked)
 	}
+	if got := w.DurableLSN(); got != 0 {
+		t.Fatalf("durable LSN %d after failed Syncs, want 0", got)
+	}
+}
+
+// fsyncFailsAfter scripts a FaultSyncFail on WAL fsyncs ok+1 … ok+4: ok
+// fsyncs succeed, then four fail. One failure is all a log may see — after
+// it no fsync is issued at all — but a log that tried again up to four times
+// would still meet only failures inside its first Commit, and acknowledge a
+// record on the fsync after them.
+func fsyncFailsAfter(ok int64) *storage.FaultInjector {
+	var rules []storage.FaultRule
+	for seq := ok + 1; seq <= ok+4; seq++ {
+		rules = append(rules, storage.FaultRule{Op: storage.OpWALSync, Seq: seq, Kind: storage.FaultSyncFail})
+	}
+	return storage.NewScriptedInjector(rules...)
+}
+
+// TestFailedFsyncPoisonsLog pins that a failed fsync is final. After a
+// failed writeback the kernel may mark the dirty pages clean, so a later
+// fsync can succeed without the records that were in flight: every Commit
+// of a record that no earlier fsync covered, and every later Sync, returns
+// the first failure, and no fsync is issued again. That holds for two
+// committers that share one group-commit flush too.
+func TestFailedFsyncPoisonsLog(t *testing.T) {
+	t.Run("sequential", func(t *testing.T) {
+		fi := fsyncFailsAfter(1)
+		w, err := Open(t.TempDir(), Options{Injector: fi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		l0 := appendRecord(t, w, TypeReport, []byte("zero"))
+		if err := w.Commit(l0); err != nil {
+			t.Fatalf("Commit(l0) before the fault: %v", err)
+		}
+		l1 := appendRecord(t, w, TypeReport, []byte("one"))
+		l2 := appendRecord(t, w, TypeReport, []byte("two"))
+		first := w.Commit(l1)
+		if !storage.IsMediaFault(first) {
+			t.Fatalf("Commit(l1) = %v, want the fsync fault", first)
+		}
+		if err := w.Commit(l2); !errors.Is(err, first) {
+			t.Fatalf("Commit(l2) = %v with DurableLSN = %d (l2 = %d), want an error wrapping %v",
+				err, w.DurableLSN(), l2, first)
+		}
+		if err := w.Commit(l0); err != nil {
+			t.Fatalf("Commit(l0), covered by the fsync before the fault: %v", err)
+		}
+		if err := w.Sync(); !errors.Is(err, first) {
+			t.Fatalf("Sync after the fault = %v, want an error wrapping %v", err, first)
+		}
+		if got := w.DurableLSN(); got != l0 {
+			t.Fatalf("DurableLSN = %d, want %d (the last successful fsync)", got, l0)
+		}
+		if got := fi.SyncPoints(); got != 2 {
+			t.Fatalf("%d fsyncs issued, want 2 (one clean, one failed)", got)
+		}
+	})
+	t.Run("group", func(t *testing.T) {
+		fi := fsyncFailsAfter(0)
+		w, err := Open(t.TempDir(), Options{Policy: GroupCommit(20 * time.Millisecond), Injector: fi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		lsns := []uint64{
+			appendRecord(t, w, TypeReport, []byte("one")),
+			appendRecord(t, w, TypeReport, []byte("two")),
+		}
+		errs := make([]error, len(lsns))
+		var wg sync.WaitGroup
+		for i, lsn := range lsns {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = w.Commit(lsn)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if !storage.IsMediaFault(err) {
+				t.Errorf("Commit(l%d) = %v with DurableLSN = %d (l%d = %d), want the fsync fault",
+					i+1, err, w.DurableLSN(), i+1, lsns[i])
+			}
+		}
+		if got := w.DurableLSN(); got != 0 {
+			t.Fatalf("DurableLSN = %d after the only fsync failed, want 0", got)
+		}
+		if got := fi.SyncPoints(); got != 1 {
+			t.Fatalf("%d fsyncs issued, want 1", got)
+		}
+	})
 }
