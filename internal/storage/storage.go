@@ -6,7 +6,7 @@
 // plotted throughout Section 6 of the paper.
 //
 // The MemStore backend is the paper's simulated disk: a map from PageID to
-// page images with read/write counters; it is the default and keeps
+// page images; it is the default and keeps
 // benchmark figures comparable to the paper. The FileStore
 // backend (filestore.go) is a real single-file page store with slot-aligned
 // pread/pwrite, checksummed slots and fsync on Sync — the pages of the Store's
@@ -45,10 +45,6 @@ type MemStore struct {
 	free   []PageID // LIFO recycle stack of freed ids
 	nextID uint64
 	closed atomic.Bool
-	// Successful page transfers, the physical I/O that the buffer-pool
-	// tests check BufferPool.Stats against.
-	reads  atomic.Int64
-	writes atomic.Int64
 }
 
 // errMemClosed builds the after-Close error for op; it unwraps to
@@ -98,9 +94,8 @@ func (d *MemStore) Free(id PageID) error {
 	return nil
 }
 
-// ReadPage copies the page image into dst. The physical-read counter counts
-// only successful accesses: a read of an unallocated page fails fast and is
-// not an I/O.
+// ReadPage copies the page image into dst. A read of an unallocated page
+// fails.
 func (d *MemStore) ReadPage(id PageID, dst *[PageSize]byte) error {
 	if d.closed.Load() {
 		return errMemClosed("read")
@@ -114,12 +109,10 @@ func (d *MemStore) ReadPage(id PageID, dst *[PageSize]byte) error {
 	if !ok {
 		return fmt.Errorf("storage: read of unallocated page %d", id)
 	}
-	d.reads.Add(1)
 	return nil
 }
 
-// WritePage stores the page image. Counting follows the same rule as
-// ReadPage: only successful accesses are I/O.
+// WritePage stores the page image. A write of an unallocated page fails.
 func (d *MemStore) WritePage(id PageID, src *[PageSize]byte) error {
 	if d.closed.Load() {
 		return errMemClosed("write")
@@ -133,7 +126,6 @@ func (d *MemStore) WritePage(id PageID, src *[PageSize]byte) error {
 	if !ok {
 		return fmt.Errorf("storage: write of unallocated page %d", id)
 	}
-	d.writes.Add(1)
 	return nil
 }
 
