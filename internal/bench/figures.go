@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bxtree"
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/tprtree"
 	"repro/internal/workload"
 )
@@ -404,7 +403,7 @@ func RunDVADump(ds workload.Dataset, sc Scale, seed int64) (Table, error) {
 	}
 
 	// Naive approach I: plain PCA over everything.
-	if res, err := pcaAll(sample); err == nil {
+	if res, err := pcaAnalyze(sample); err == nil {
 		tab.Rows = append(tab.Rows, []string{
 			"naive I (PCA)",
 			fmt.Sprintf("(%.3f, %.3f)", res.X, res.Y),
@@ -426,12 +425,4 @@ func RunDVADump(ds workload.Dataset, sc Scale, seed int64) (Table, error) {
 		}
 	}
 	return tab, nil
-}
-
-func pcaAll(sample []geom.Vec2) (geom.Vec2, error) {
-	res, err := pcaAnalyze(sample)
-	if err != nil {
-		return geom.Vec2{}, err
-	}
-	return res, nil
 }

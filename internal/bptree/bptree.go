@@ -17,7 +17,7 @@
 // tail and patches the count: height page accesses, nothing decoded,
 // nothing allocated. Only a structural change — a full leaf, an underfull
 // child — decodes pages into nodes, and split, borrow and merge exist once,
-// on that decoded form. Range scans (Scan, ScanMany) keep a decoded path.
+// on that decoded form. The range scan (ScanMany) keeps a decoded path.
 //
 // Every reader validates a page's tag and count before trusting them; a page
 // that fails reports an error wrapping storage.ErrCorruptPage.
@@ -106,7 +106,7 @@ type node struct {
 // with anything, reads included: Insert and Delete rewrite leaf bytes in
 // place inside the buffer-pool frame, which is sound only because
 // core.Manager holds the partition lock exclusively for writes and shared
-// for queries. Read-only operations (Scan, ScanMany, Get) may run
+// for queries. Read-only operations (ScanMany, Get) may run
 // concurrently with each other — they share no mutable tree state and the
 // buffer pool serializes page residency — which is what lets the VP manager
 // fan a query out across partitions under read locks.
@@ -264,28 +264,15 @@ func encodeNode(data []byte, n *node) {
 // nodes alive at once.
 func (t *Tree) readNode(id storage.PageID) (*node, error) {
 	n := new(node)
-	if err := t.readNodeInto(n, id); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// readNodeInto decodes the page into n, reusing n's slice capacity, so Scan
-// recycles one node across its whole leaf chain instead of allocating a
-// decoded image per page (ScanMany does the same for its path stack in
-// readFrame).
-// Callers must not retain decoded slices across a subsequent readNodeInto of
-// the same node.
-func (t *Tree) readNodeInto(n *node, id storage.PageID) error {
 	ok := false
 	if err := t.pool.Read(id, func(data []byte) { ok = decodeNode(n, data) }); err != nil {
-		return err
+		return nil, err
 	}
 	if !ok {
-		return errCorrupt(id)
+		return nil, errCorrupt(id)
 	}
 	n.id = id
-	return nil
+	return n, nil
 }
 
 // writeNode encodes the node onto its page.
@@ -324,18 +311,6 @@ func (t *Tree) childFor(id storage.PageID, k Key) (child storage.PageID, ci int,
 	return child, ci, err
 }
 
-// leafFor descends from the root to the leaf page owning k's key space.
-func (t *Tree) leafFor(k Key) (storage.PageID, error) {
-	id := t.root
-	for level := t.height; level > 1; level-- {
-		var err error
-		if id, _, err = t.childFor(id, k); err != nil {
-			return storage.NilPage, err
-		}
-	}
-	return id, nil
-}
-
 // leafSearch returns the first slot of a raw leaf page holding count records
 // whose key is >= k, and whether that slot holds exactly k.
 func leafSearch(data []byte, count int, k Key) (slot int, found bool) {
@@ -351,8 +326,8 @@ func leafSearch(data []byte, count int, k Key) (slot int, found bool) {
 	return lo, lo < count && getKey(data[leafHeader+lo*entrySize:]) == k
 }
 
-// childIndex and leafLowerBound are the same two searches on decoded nodes,
-// for the scans.
+// childIndex is childFor's search on a decoded internal node, for
+// ScanMany's path stack.
 func childIndex(keys []Key, k Key) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
@@ -361,19 +336,6 @@ func childIndex(keys []Key, k Key) int {
 			hi = mid
 		} else {
 			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-func leafLowerBound(entries []Entry, k Key) int {
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if entries[mid].Key.Less(k) {
-			lo = mid + 1
-		} else {
-			hi = mid
 		}
 	}
 	return lo
@@ -726,46 +688,6 @@ func (t *Tree) fixChild(n *node, ci, childLevel int) error {
 		return err
 	}
 	return t.writeNode(n)
-}
-
-// --- scans -----------------------------------------------------------------
-
-// Scan visits entries with loKey <= Key.K < hiKey in key order, following
-// the leaf chain. visit returning false stops the scan early. The descent
-// searches raw pages and the leaf chain decodes into one stack-allocated
-// scratch node: the scan path allocates nothing per page, so a query's cost
-// is its I/O, not its garbage. visit receives each entry by value and may
-// retain it.
-func (t *Tree) Scan(loKey, hiKey uint64, visit func(Entry) bool) error {
-	if hiKey <= loKey {
-		return nil
-	}
-	lo := Key{K: loKey, ID: 0}
-	id, err := t.leafFor(lo)
-	if err != nil {
-		return err
-	}
-	var n node
-	for id != storage.NilPage {
-		if err := t.readNodeInto(&n, id); err != nil {
-			return err
-		}
-		if !n.leaf {
-			return errCorrupt(id)
-		}
-		i := leafLowerBound(n.entries, lo)
-		for ; i < len(n.entries); i++ {
-			e := n.entries[i]
-			if e.Key.K >= hiKey {
-				return nil
-			}
-			if !visit(e) {
-				return nil
-			}
-		}
-		id = n.next
-	}
-	return nil
 }
 
 // --- invariants (tests) ----------------------------------------------------

@@ -98,10 +98,16 @@ func TestDuplicateInsertRejected(t *testing.T) {
 	}
 }
 
+// scanRange visits the entries with lo <= Key.K < hi: a single-range
+// ScanMany.
+func scanRange(tr *Tree, lo, hi uint64, visit func(Entry) bool) error {
+	return tr.ScanMany([]ScanRange{{Lo: lo, Hi: hi}}, visit)
+}
+
 func scanAll(t *testing.T, tr *Tree) []Entry {
 	t.Helper()
 	var out []Entry
-	if err := tr.Scan(0, ^uint64(0), func(e Entry) bool {
+	if err := scanRange(tr, 0, ^uint64(0), func(e Entry) bool {
 		out = append(out, e)
 		return true
 	}); err != nil {
@@ -118,7 +124,7 @@ func TestSameKeyDifferentIDs(t *testing.T) {
 		}
 	}
 	var got []model.ObjectID
-	if err := tr.Scan(77, 78, func(e Entry) bool {
+	if err := scanRange(tr, 77, 78, func(e Entry) bool {
 		got = append(got, e.Key.ID)
 		return true
 	}); err != nil {
@@ -159,7 +165,7 @@ func TestBulkInsertScanDelete(t *testing.T) {
 	}
 	// Full scan returns everything sorted.
 	var scanned []Key
-	if err := tr.Scan(0, ^uint64(0), func(e Entry) bool {
+	if err := scanRange(tr, 0, ^uint64(0), func(e Entry) bool {
 		scanned = append(scanned, e.Key)
 		return true
 	}); err != nil {
@@ -212,7 +218,7 @@ func TestScanRange(t *testing.T) {
 		}
 	}
 	var got []uint64
-	if err := tr.Scan(100, 200, func(e Entry) bool {
+	if err := scanRange(tr, 100, 200, func(e Entry) bool {
 		got = append(got, e.Key.K)
 		return true
 	}); err != nil {
@@ -226,7 +232,7 @@ func TestScanRange(t *testing.T) {
 	}
 	// Early termination.
 	count := 0
-	if err := tr.Scan(0, ^uint64(0), func(Entry) bool {
+	if err := scanRange(tr, 0, ^uint64(0), func(Entry) bool {
 		count++
 		return count < 10
 	}); err != nil {
@@ -236,7 +242,7 @@ func TestScanRange(t *testing.T) {
 		t.Fatalf("early stop visited %d", count)
 	}
 	// Empty range.
-	if err := tr.Scan(200, 200, func(Entry) bool { t.Fatal("visited"); return true }); err != nil {
+	if err := scanRange(tr, 200, 200, func(Entry) bool { t.Fatal("visited"); return true }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -382,7 +388,7 @@ func TestIOAccountedThroughPool(t *testing.T) {
 		}
 	}
 	before := pool.Stats()
-	if err := tr.Scan(0, 100, func(Entry) bool { return true }); err != nil {
+	if err := scanRange(tr, 0, 100, func(Entry) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	after := pool.Stats()
@@ -401,6 +407,18 @@ func TestObjectConversion(t *testing.T) {
 
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
+
+// leafFor descends from the root to the leaf page owning k's key space.
+func (t *Tree) leafFor(k Key) (storage.PageID, error) {
+	id := t.root
+	for level := t.height; level > 1; level-- {
+		var err error
+		if id, _, err = t.childFor(id, k); err != nil {
+			return storage.NilPage, err
+		}
+	}
+	return id, nil
+}
 
 // Get returns the entry with the exact composite key, in height page
 // accesses, decoding only the entry it returns.

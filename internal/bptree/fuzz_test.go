@@ -12,7 +12,7 @@ import (
 // FuzzTreeOps decodes a byte string into tree operations and runs them
 // against a sorted-slice model. Each operation is four bytes — opcode, two
 // key bytes, an argument — and the opcodes cover single insert/delete/get, a
-// range scan checked through both Scan and ScanMany, the same scan through
+// single-range ScanMany checked against the model, the same scan through
 // ScanFiltered under an arbitrary predicate of the key, and runs of up to 255
 // consecutive inserts or deletes, so a few hundred bytes reach height 3 and
 // drain it again. The pool is smaller than a leaf split's working set, so
@@ -104,19 +104,19 @@ func FuzzTreeOps(f *testing.F) {
 					}
 				}
 				var scan, many []Entry
-				if err := tr.Scan(lo, hi, func(e Entry) bool {
+				if err := scanRange(tr, lo, hi, func(e Entry) bool {
 					if keep == nil || keep(e) {
 						scan = append(scan, e)
 					}
 					return true
 				}); err != nil {
-					t.Fatalf("op %d: Scan: %v", step, err)
+					t.Fatalf("op %d: ScanMany: %v", step, err)
 				}
 				if err := tr.ScanFiltered([]ScanRange{{Lo: lo, Hi: hi}}, keep, func(e Entry) bool { many = append(many, e); return true }); err != nil {
 					t.Fatalf("op %d: ScanFiltered: %v", step, err)
 				}
 				if !slices.Equal(scan, expect) || !slices.Equal(many, expect) {
-					t.Fatalf("op %d: [%d,%d): Scan %d entries, ScanFiltered %d, model %d", step, lo, hi, len(scan), len(many), len(expect))
+					t.Fatalf("op %d: [%d,%d): ScanMany %d entries, ScanFiltered %d, model %d", step, lo, hi, len(scan), len(many), len(expect))
 				}
 			}
 			if tr.Len() != len(want) {

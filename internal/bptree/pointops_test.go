@@ -225,7 +225,6 @@ func TestCorruptPageIsAnError(t *testing.T) {
 					"Get":      getErr,
 					"Insert":   tr.Insert(mkEntry(k.K+1, 1)),
 					"Delete":   tr.Delete(k),
-					"Scan":     tr.Scan(k.K, k.K+100, visit),
 					"ScanMany": tr.ScanMany([]ScanRange{{Lo: k.K, Hi: k.K + 100}}, visit),
 				} {
 					if !errors.Is(err, storage.ErrCorruptPage) {

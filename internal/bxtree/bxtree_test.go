@@ -167,6 +167,46 @@ func TestBulkAgainstOracleAllQueryKinds(t *testing.T) {
 	}
 }
 
+// TestKNNFullScanFallback holds the last-resort kNN path to the oracle: a
+// query centre far enough outside the domain that the radius outgrows it
+// falls back to one ScanMany over every live bucket's key range.
+func TestKNNFullScanFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	tr := newTestTree(t, 50, Config{})
+	oracle := model.NewBruteForce()
+	for i, o := range randomWorkload(3000, rng, 0) {
+		o.T = float64(i%100) * 0.7
+		if err := tr.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.ActiveBuckets() < 2 {
+		t.Fatalf("expected >=2 active buckets, got %d", tr.ActiveBuckets())
+	}
+	for _, k := range []int{1, 10, 3000} {
+		q := model.KNNQuery{Center: geom.V(3e6, -2e6), K: k, Now: 70, T: 80}
+		got, err := tr.SearchKNN(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.SearchKNN(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: %d neighbours, oracle %d", k, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d: neighbour %d = %+v, oracle %+v", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestDeleteAndUpdateAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tr := newTestTree(t, 200, Config{})

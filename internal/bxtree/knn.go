@@ -64,19 +64,21 @@ func (t *Tree) SearchKNNWithin(q model.KNNQuery, bound float64) ([]model.Neighbo
 }
 
 // knnFullScan scans every bucket's whole key range: the correct (and
-// expensive) last resort for adversarial distributions.
+// expensive) last resort for adversarial distributions. t.buckets is in
+// ascending index order, so the ranges are sorted by Lo as ScanMany needs.
 func (t *Tree) knnFullScan(q model.KNNQuery, k int) ([]model.Neighbor, error) {
-	ns := make([]model.Neighbor, 0, t.size)
-	for _, b := range t.buckets {
+	ranges := make([]bptree.ScanRange, len(t.buckets))
+	for i, b := range t.buckets {
 		prefix := uint64(b.idx) << (2 * gridOrder)
-		end := prefix + (uint64(1) << (2 * gridOrder))
-		err := t.bt.Scan(prefix, end, func(e bptree.Entry) bool {
-			ns = append(ns, neighbor(e, q))
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
+		ranges[i] = bptree.ScanRange{Lo: prefix, Hi: prefix + uint64(1)<<(2*gridOrder)}
+	}
+	ns := make([]model.Neighbor, 0, t.size)
+	err := t.bt.ScanMany(ranges, func(e bptree.Entry) bool {
+		ns = append(ns, neighbor(e, q))
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	model.SortNeighbors(ns)
 	return ns[:min(k, len(ns))], nil
