@@ -55,7 +55,7 @@ var ErrInjectedCrash = errors.New("storage: injected crash")
 // operation and the last issued one.
 //
 // Beyond fail-stop, an injector may carry a FaultScript (NewScriptedInjector
-// / NewSeededInjector, fault.go) that injects transient/permanent EIO, torn
+// / NewSeededInjector, fault.go) that injects permanent EIO, torn
 // page writes, bit flips, fsync failures, and latency spikes at every
 // FileStore/WAL I/O site.
 //
