@@ -348,7 +348,8 @@ func (w *WAL) fsync(f *os.File) error {
 		}
 	}
 	if err != nil {
-		w.syncFailed.CompareAndSwap(nil, &err)
+		first := err // its own variable: only a failed fsync allocates
+		w.syncFailed.CompareAndSwap(nil, &first)
 	}
 	return err
 }
