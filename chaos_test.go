@@ -24,7 +24,8 @@ import (
 // so the recovered Get(id) must match one of the candidates. Latency-only
 // schedules additionally require zero client-visible errors and a Healthy
 // store: a slow device is not a faulty one. Every other profile injects
-// faults that are final — nothing retries them — so its store degrades.
+// faults that are final — nothing retries them — so a fault that fails a
+// write degrades its store.
 //
 // 56 seeds × 4 fault profiles; runs under -race in CI.
 
