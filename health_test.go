@@ -81,6 +81,45 @@ func TestPermanentWALFaultDegradesToReadOnly(t *testing.T) {
 	}
 }
 
+// TestTransientFaultsAreInvisibleToClients pins that a transient fault — a
+// latency spike that delays a WAL append or fsync without failing it — only
+// slows the writes that wait on it: every report succeeds and the store stays
+// healthy.
+func TestTransientFaultsAreInvisibleToClients(t *testing.T) {
+	const spike = 20 * time.Millisecond
+	fi := vpindex.NewScriptedInjector(
+		vpindex.FaultRule{Op: vpindex.OpWALAppend, Seq: 2, Kind: vpindex.FaultLatency, Latency: spike},
+		vpindex.FaultRule{Op: vpindex.OpWALSync, Seq: 1, Kind: vpindex.FaultLatency, Latency: spike},
+	)
+	store, err := vpindex.Open(
+		vpindex.WithKind(vpindex.Bx),
+		vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
+		vpindex.WithShards(1),
+		vpindex.WithDataDir(t.TempDir()),
+		vpindex.WithFaultInjector(fi),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	rng := rand.New(rand.NewSource(2))
+	start := time.Now()
+	for i := 1; i <= 5; i++ {
+		if err := store.Report(testObject(i, rng)); err != nil {
+			t.Fatalf("report %d over latency spikes: %v", i, err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed < 2*spike {
+		t.Fatalf("5 reports took %v, want >= %v (both scripted spikes applied)", elapsed, 2*spike)
+	}
+	if got := store.Health(); got != vpindex.HealthHealthy {
+		t.Fatalf("Health = %v after latency spikes, want healthy", got)
+	}
+	if fi.InjectedFaults() != 0 {
+		t.Fatalf("InjectedFaults = %d, want 0 (latency is not a failure)", fi.InjectedFaults())
+	}
+}
+
 // TestOneShotFaultReachesClient pins that an I/O error is final: a fault
 // scripted for one fsync only is not retried away but fails the write that
 // waited on it and degrades the store.

@@ -632,7 +632,10 @@ func TestReadUnallocatedThroughPool(t *testing.T) {
 	}
 }
 
-func TestDiskUnallocatedAccessErrors(t *testing.T) {
+// TestDiskFailedAccessNotCounted pins that a page transfer the store refuses
+// is an error and never shows in the pool's physical I/O counters: Misses
+// counts completed reads and Writes completed write-backs only.
+func TestDiskFailedAccessNotCounted(t *testing.T) {
 	d := NewMemStore()
 	var buf [PageSize]byte
 	if err := d.ReadPage(PageID(999), &buf); err == nil {
@@ -640,6 +643,43 @@ func TestDiskUnallocatedAccessErrors(t *testing.T) {
 	}
 	if err := d.WritePage(PageID(999), &buf); err == nil {
 		t.Fatal("write of unallocated page should fail")
+	}
+
+	p := NewBufferPool(d, 4)
+	if err := p.Read(PageID(999), func([]byte) {}); err == nil {
+		t.Fatal("pool read of unallocated page should fail")
+	}
+	if s := p.Stats(); s.Misses != 0 || s.Writes != 0 {
+		t.Fatalf("failed read counted as I/O: %+v", s)
+	}
+
+	id, _ := d.Allocate()
+	if err := d.WritePage(id, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Read(id, func([]byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.Misses != 1 || s.Writes != 0 {
+		t.Fatalf("successful read miscounted: %+v", s)
+	}
+
+	// A dirty frame whose page was freed behind the pool: its write-back
+	// fails and is not counted.
+	if err := p.Write(id, func(b []byte) { b[0] = 1 }); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadPage(id, &buf); err == nil {
+		t.Fatal("read of freed page should fail")
+	}
+	if err := p.FlushAll(); err == nil {
+		t.Fatal("write-back of a freed page should fail")
+	}
+	if s := p.Stats(); s.Misses != 1 || s.Writes != 0 {
+		t.Fatalf("failed write-back counted as I/O: %+v", s)
 	}
 }
 
