@@ -16,7 +16,7 @@ import (
 	"testing"
 )
 
-var updateAPI = flag.Bool("update", false, "rewrite testdata/api.golden")
+var update = flag.Bool("update", false, "rewrite the golden files testdata/api.golden and testdata/io.golden")
 
 // TestPublicSurface pins the root package's exported funcs, types and
 // methods, as declared in its non-test files, against testdata/api.golden:
@@ -86,7 +86,7 @@ func TestPublicSurface(t *testing.T) {
 	got := strings.Join(lines, "\n") + "\n"
 
 	path := filepath.Join("testdata", "api.golden")
-	if *updateAPI {
+	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
