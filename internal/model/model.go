@@ -182,9 +182,25 @@ func (q RangeQuery) Validate() error {
 type Matcher struct {
 	t0, t1 float64     // the query's time range; equal for a time slice
 	circle geom.Circle // the region when circle.R > 0, else rect is
-	rect   geom.Rect
-	vel    geom.Vec2 // region velocity (zero unless MovingRange)
+	vel    geom.Vec2   // region velocity (zero unless MovingRange)
+	shape  matchShape
+	r2     float64 // circle.R², the slice test's constant
+	// rect is the static query rectangle as IntersectsDuring rebases it to
+	// t0 (MinX + 0·(t0−t0), ..., min/max swapped), and dt0 the t0−t0 that
+	// rebases the object's relative motion: 0, or NaN at an infinite t0.
+	rect geom.MovingRect
+	dt0  float64
 }
+
+// matchShape picks one of the three tests, decided once per query by the
+// comparisons the per-object test used to make: R > 0, then t1 == t0.
+type matchShape uint8
+
+const (
+	rectShape   matchShape = iota // a static or moving rectangle
+	sliceCircle                   // a circle at one instant
+	sweptCircle                   // a circle over an interval, static or moving
+)
 
 // NewMatcher prepares q's predicate.
 func NewMatcher(q RangeQuery) (m Matcher) {
@@ -193,47 +209,86 @@ func NewMatcher(q RangeQuery) (m Matcher) {
 }
 
 func (m *Matcher) init(q *RangeQuery) {
-	m.t0, m.t1, m.circle, m.rect = q.T0, q.EndTime(), q.Circle, q.Rect
+	m.t0, m.t1, m.circle = q.T0, q.EndTime(), q.Circle
 	if q.Kind == MovingRange {
 		m.vel = q.Vel
+	}
+	switch {
+	case m.circle.R > 0 && m.t1 == m.t0:
+		m.shape, m.r2 = sliceCircle, m.circle.R*m.circle.R
+	case m.circle.R > 0:
+		m.shape = sweptCircle
+	default:
+		m.shape = rectShape
+		m.rect = geom.MovingRect{MBR: q.Rect, VBR: geom.Rect{}, Ref: m.t0}.Rebase(m.t0)
+		m.dt0 = m.t0 - m.t0
 	}
 }
 
 // Matches reports whether o satisfies the query.
-func (m *Matcher) Matches(o Object) bool { return m.matches(&o) }
+func (m *Matcher) Matches(o Object) bool { return m.MatchesMotion(o.Pos, o.Vel, o.T) }
 
-// matches takes the record by pointer so that it stays in the caller's frame:
-// copying it per candidate costs a tenth of testing it.
-func (m *Matcher) matches(o *Object) bool {
-	if m.circle.R > 0 {
-		if m.t1 == m.t0 {
-			// circleHit at a single instant — the kNN inner loop and the
-			// commonest range query: its quadratic is evaluated at s = 0,
-			// where it is its constant term.
-			return o.PosAt(m.t0).Sub(m.circle.C).NormSq()-m.circle.R*m.circle.R <= 0
-		}
-		return circleHit(*o, m.circle, m.vel, m.t0, m.t1)
+// MatchesMotion is Matches of the object at pos at time t moving at vel, for a
+// caller that holds the record as scalars — a page slot — and wants no Object
+// built: the same operations in the same order, so the verdict is Matches'
+// for every float input, NaN and ±0 included.
+func (m *Matcher) MatchesMotion(pos, vel geom.Vec2, t float64) bool {
+	if hit, ok := m.SliceCircleHit(pos, vel, t); ok {
+		return hit
 	}
-	// Relative motion of the object with respect to the (possibly moving)
-	// rectangle.
-	rel := geom.MovingPointRect(o.PosAt(m.t0), o.Vel.Sub(m.vel), m.t0)
-	static := geom.MovingRect{MBR: m.rect, VBR: geom.Rect{}, Ref: m.t0}
-	return rel.IntersectsDuring(static, m.t0, m.t1)
+	return m.matchesSwept(pos, vel, t)
+}
+
+// SliceCircleHit is MatchesMotion's first half, small enough to be inlined
+// into a leaf loop, where a call per record would cost a fifth of a
+// time-slice search: for a circle at one instant — the kNN inner loop and the
+// commonest range query — it returns the verdict and true, by circleHit's
+// quadratic at s = 0, where it is its constant term |PosAt(t0) − C|² − R²;
+// for every other shape it returns false, false, and the caller calls
+// MatchesMotion.
+func (m *Matcher) SliceCircleHit(pos, vel geom.Vec2, t float64) (hit, ok bool) {
+	if m.shape != sliceCircle {
+		return false, false
+	}
+	dt := m.t0 - t
+	dx := pos.X + vel.X*dt - m.circle.C.X
+	dy := pos.Y + vel.Y*dt - m.circle.C.Y
+	return dx*dx+dy*dy-m.r2 <= 0, true
+}
+
+// matchesSwept is MatchesMotion for an interval circle or a rectangle. The
+// rectangle test is MovingPointRect(PosAt(t0), vel − region vel, t0)
+// .IntersectsDuring(the static rectangle, t0, t1): the point's Rebase(t0) is
+// x + v·(t0−t0) per axis — its min and max are one expression, so AtTime's
+// swap never fires — and the rectangle's was done by init.
+func (m *Matcher) matchesSwept(pos, vel geom.Vec2, t float64) bool {
+	if m.shape == sweptCircle {
+		return circleHit(pos, vel, t, m.circle, m.vel, m.t0, m.t1)
+	}
+	dt := m.t0 - t
+	px, py := pos.X+vel.X*dt, pos.Y+vel.Y*dt
+	vx, vy := vel.X-m.vel.X, vel.Y-m.vel.Y
+	x, y := px+vx*m.dt0, py+vy*m.dt0
+	rel := geom.MovingRect{
+		MBR: geom.Rect{MinX: x, MinY: y, MaxX: x, MaxY: y},
+		VBR: geom.Rect{MinX: vx, MinY: vy, MaxX: vx, MaxY: vy},
+	}
+	return geom.IntersectsRebased(&rel, &m.rect, m.t0, m.t1)
 }
 
 // Matches is NewMatcher(q).Matches(o) for callers with one object to test.
 func Matches(o Object, q RangeQuery) bool {
 	var m Matcher
 	m.init(&q)
-	return m.matches(&o)
+	return m.MatchesMotion(o.Pos, o.Vel, o.T)
 }
 
-// circleHit solves |p(t) - c(t)| <= r for t in [t0, t1] where both p and c
-// move linearly.
-func circleHit(o Object, c geom.Circle, cVel geom.Vec2, t0, t1 float64) bool {
-	// d(t) = d0 + dv*(t - t0)
-	d0 := o.PosAt(t0).Sub(c.C)
-	dv := o.Vel.Sub(cVel)
+// circleHit solves |p(τ) - c(τ)| <= r for τ in [t0, t1] where both p, at pos
+// at time t moving at vel, and c move linearly.
+func circleHit(pos, vel geom.Vec2, t float64, c geom.Circle, cVel geom.Vec2, t0, t1 float64) bool {
+	// d(τ) = d0 + dv*(τ - t0)
+	d0 := pos.Add(vel.Scale(t0 - t)).Sub(c.C)
+	dv := vel.Sub(cVel)
 	// |d0 + dv*s|^2 <= r^2 for some s in [0, t1-t0]: a quadratic in s whose
 	// minimum over the closed interval decides the predicate.
 	a := dv.NormSq()

@@ -362,7 +362,7 @@ func TestMatcherTimeSliceIsCircleHit(t *testing.T) {
 			vel = q.Vel
 		}
 		m := NewMatcher(q)
-		if got, want := m.Matches(o), circleHit(o, q.Circle, vel, q.T0, q.T0); got != want || got != Matches(o, q) {
+		if got, want := m.Matches(o), circleHit(o.Pos, o.Vel, o.T, q.Circle, vel, q.T0, q.T0); got != want || got != Matches(o, q) {
 			t.Fatalf("%+v against %+v: Matcher %v, circleHit %v, Matches %v", o, q, got, want, Matches(o, q))
 		}
 	}

@@ -19,12 +19,11 @@ func (t *Tree) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 // once per call. An internal entry is opened when
 // getMR(s).IntersectsDuring(q.AsMovingRect(), q.T0, q.EndTime()) would hold,
 // tested on the slot's nine scalars; a leaf record is reported when
-// model.NewMatcher(q).Matches holds for it, and a time-slice circle — the
-// commonest query — is tested on the slot's scalars with the Matcher's own
-// expression, the id decoded only on a hit. The slot tests perform those
-// functions' operations in their order, so the verdict is theirs for every
-// float input, NaN and ±0 included: the pages opened, the answers and their
-// order are the decoding search's.
+// model.NewMatcher(q).Matches holds for it, tested by the Matcher's scalar
+// form on the slot's five floats, the id decoded only on a hit. The slot
+// tests perform those functions' operations in their order, so the verdict is
+// theirs for every float input, NaN and ±0 included: the pages opened, the
+// answers and their order are the decoding search's.
 func (t *Tree) SearchAppend(out []model.ObjectID, q model.RangeQuery) ([]model.ObjectID, error) {
 	p := newRangeProbe(q)
 	var buf [64]pageRef
@@ -63,18 +62,14 @@ type rangeProbe struct {
 	t0, t1 float64
 	q      geom.MovingRect // q.AsMovingRect().Rebase(t0), IntersectsDuring's rebased query
 	m      model.Matcher
-	slice  bool        // a circle at one instant, the Matcher's shortcut: tested in the leaf loop
-	circle geom.Circle // the query circle when slice
 }
 
 func newRangeProbe(q model.RangeQuery) rangeProbe {
 	t0, t1 := q.T0, q.EndTime()
 	return rangeProbe{
 		t0: t0, t1: t1,
-		q:      q.AsMovingRect().Rebase(t0),
-		m:      model.NewMatcher(q),
-		slice:  q.Circle.R > 0 && t1 == t0,
-		circle: q.Circle,
+		q: q.AsMovingRect().Rebase(t0),
+		m: model.NewMatcher(q),
 	}
 }
 
@@ -100,21 +95,18 @@ func (p *rangeProbe) entryHit(s []byte) bool {
 }
 
 // appendHits appends to out the ids of the records on a leaf page that
-// satisfy the query, m.Matches(getObj(s)) for each slot s. A circle at one
-// instant — the commonest query — is tested on the slot's five scalars with
-// the Matcher's own expression, |PosAt(t0) − C|² − R² <= 0, the id read only
-// on a hit; every other query decodes the record for the Matcher.
+// satisfy the query, m.Matches(getObj(s)) for each slot s: the Matcher's
+// scalar form runs on the slot's five floats — its slice-circle half inline,
+// MatchesMotion for other shapes — and the id is read only on a hit.
 func (p *rangeProbe) appendHits(out []model.ObjectID, data []byte, count int) []model.ObjectID {
 	for i := 0; i < count; i++ {
 		s := leafSlot(data, i)
-		var hit bool
-		if p.slice {
-			dt := p.t0 - getF64(s[40:48])
-			dx := getF64(s[8:16]) + getF64(s[24:32])*dt - p.circle.C.X
-			dy := getF64(s[16:24]) + getF64(s[32:40])*dt - p.circle.C.Y
-			hit = dx*dx+dy*dy-p.circle.R*p.circle.R <= 0
-		} else {
-			hit = p.m.Matches(getObj(s))
+		pos := geom.Vec2{X: getF64(s[8:16]), Y: getF64(s[16:24])}
+		vel := geom.Vec2{X: getF64(s[24:32]), Y: getF64(s[32:40])}
+		t := getF64(s[40:48])
+		hit, ok := p.m.SliceCircleHit(pos, vel, t)
+		if !ok {
+			hit = p.m.MatchesMotion(pos, vel, t)
 		}
 		if hit {
 			out = append(out, getID(s))

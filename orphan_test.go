@@ -24,6 +24,7 @@ var orphanAllowed = map[string]string{
 	"internal/bptree.Tree.CheckInvariants":          "structural oracle of the B+-tree tests and FuzzTreeOps",
 	"internal/bptree.Tree.Height":                   "the bptree and bxtree tests read the height for their page budgets",
 	"internal/geom.Circle.ContainsPoint":            "assertion helper of the model query tests",
+	"internal/geom.MovingRect.IntersectsDuring":     "the definition model.Matcher and the TPR* slot tests replicate: reference of FuzzMatcherScalar, FuzzSlotPredicates and TestSearchEquivalence",
 	"internal/geom.RotationByAngle":                 "builds the rotated frames of the geom and model transform tests",
 	"internal/geom.UnionAll":                        "reference that the tprtree tests hold the raw pageBound bit-equal to",
 	"internal/model.BruteForce.Get":                 "the oracle's lookup: root oracle tests read expected records through it",
