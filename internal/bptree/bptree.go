@@ -156,6 +156,11 @@ func getF64(b []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
+// getVec reads the two float64s at the start of b.
+func getVec(b []byte) geom.Vec2 {
+	return geom.Vec2{X: getF64(b[0:8]), Y: getF64(b[8:16])}
+}
+
 func encodeEntry(b []byte, e Entry) {
 	putKey(b[0:16], e.Key)
 	putF64(b[16:24], e.Pos.X)
@@ -168,8 +173,8 @@ func encodeEntry(b []byte, e Entry) {
 func decodeEntry(b []byte) Entry {
 	return Entry{
 		Key: getKey(b[0:16]),
-		Pos: geom.Vec2{X: getF64(b[16:24]), Y: getF64(b[24:32])},
-		Vel: geom.Vec2{X: getF64(b[32:40]), Y: getF64(b[40:48])},
+		Pos: getVec(b[16:32]),
+		Vel: getVec(b[32:48]),
 		T:   getF64(b[48:56]),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/storage"
 )
@@ -13,9 +14,11 @@ import (
 // against a sorted-slice model. Each operation is four bytes — opcode, two
 // key bytes, an argument — and the opcodes cover single insert/delete/get, a
 // single-range ScanMany checked against the model, the same scan through
-// ScanFiltered under an arbitrary predicate of the key, and runs of up to 255
-// consecutive inserts or deletes, so a few hundred bytes reach height 3 and
-// drain it again. The pool is smaller than a leaf split's working set, so
+// ScanFiltered under an arbitrary predicate of the slot's position, velocity
+// and time (each entry carries its key in Pos and its insert step in Vel.X
+// and T, and the predicate reads all four), and runs of up to 255 consecutive
+// inserts or deletes, so a few hundred bytes reach height 3 and drain it
+// again. The pool is smaller than a leaf split's working set, so
 // every page also round-trips through eviction.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0}) // insert, duplicate, delete, miss, get
@@ -45,7 +48,7 @@ func FuzzTreeOps(f *testing.F) {
 			})
 		}
 		insert := func(k Key, step int) {
-			e := Entry{Key: k, T: float64(step)}
+			e := Entry{Key: k, Pos: geom.V(float64(k.K), float64(k.ID)), Vel: geom.V(float64(step), 0), T: float64(step)}
 			i, present := find(k)
 			err := tr.Insert(e)
 			if present != errors.Is(err, model.ErrDuplicate) || (!present && err != nil) {
@@ -91,21 +94,23 @@ func FuzzTreeOps(f *testing.F) {
 				first, _ := find(Key{K: lo})
 				last, _ := find(Key{K: hi})
 				// Opcode 6 keeps everything (ScanMany: a nil filter), 7 what an
-				// arbitrary predicate of the key keeps.
-				var keep func(Entry) bool
+				// arbitrary predicate of the slot's scalars keeps.
+				var keep func(pos, vel geom.Vec2, ref float64) bool
 				expect := want[first:last]
 				if mod := uint64(ops[3]%5 + 2); ops[0]%8 == 7 {
-					keep = func(e Entry) bool { return (e.Key.K+uint64(e.Key.ID))%mod != 0 }
+					keep = func(pos, vel geom.Vec2, ref float64) bool {
+						return (uint64(pos.X)+uint64(pos.Y)+uint64(vel.X)*uint64(ref+1))%mod != 0
+					}
 					expect = nil
 					for _, e := range want[first:last] {
-						if keep(e) {
+						if keep(e.Pos, e.Vel, e.T) {
 							expect = append(expect, e)
 						}
 					}
 				}
 				var scan, many []Entry
 				if err := scanRange(tr, lo, hi, func(e Entry) bool {
-					if keep == nil || keep(e) {
+					if keep == nil || keep(e.Pos, e.Vel, e.T) {
 						scan = append(scan, e)
 					}
 					return true

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/geom"
 	"repro/internal/storage"
 )
 
@@ -159,11 +160,13 @@ func (t *Tree) ScanMany(ranges []ScanRange, visit func(Entry) bool) error {
 }
 
 // ScanFiltered is ScanMany restricted to the entries keep accepts (nil keeps
-// all). keep runs on the pinned leaf, before an entry is copied anywhere, so
-// it must be a pure function of the entry — no pool access, no locks (the
-// pool's "no pin across a pool access" rule); visit runs after the unpin, as
-// in ScanMany, and may do anything.
-func (t *Tree) ScanFiltered(ranges []ScanRange, keep, visit func(Entry) bool) error {
+// all). keep is handed an entry's position, velocity and reference time, read
+// in place from its slot on the pinned leaf, and only the entries it keeps are
+// decoded, so a filter never pays for the ones it drops. It runs under the
+// pin, so it must be a pure function of its arguments — no pool access, no
+// locks (the pool's "no pin across a pool access" rule); visit runs after the
+// unpin, as in ScanMany, and may do anything.
+func (t *Tree) ScanFiltered(ranges []ScanRange, keep func(pos, vel geom.Vec2, ref float64) bool, visit func(Entry) bool) error {
 	for i := 1; i < len(ranges); i++ {
 		if ranges[i].Lo < ranges[i-1].Lo {
 			return fmt.Errorf("bptree: ScanMany ranges not sorted by Lo at index %d", i)
@@ -212,29 +215,29 @@ func (t *Tree) ScanFiltered(ranges []ScanRange, keep, visit func(Entry) bool) er
 			}
 			lastK = binary.LittleEndian.Uint64(data[leafHeader+(count-1)*entrySize:])
 			// First slot with K >= the pending range's Lo, against raw bytes.
+			r := ranges[ri]
 			lo, hi := 0, count
 			for lo < hi {
 				mid := int(uint(lo+hi) >> 1)
-				if binary.LittleEndian.Uint64(data[leafHeader+mid*entrySize:]) < ranges[ri].Lo {
+				if binary.LittleEndian.Uint64(data[leafHeader+mid*entrySize:]) < r.Lo {
 					lo = mid + 1
 				} else {
 					hi = mid
 				}
 			}
 			for i := lo; i < count; i++ {
-				off := leafHeader + i*entrySize
-				k := binary.LittleEndian.Uint64(data[off : off+8])
-				for k >= ranges[ri].Hi {
+				slot := data[leafHeader+i*entrySize:][:entrySize]
+				k := binary.LittleEndian.Uint64(slot)
+				for k >= r.Hi {
 					ri++
 					if ri == len(ranges) {
 						done = true
 						return
 					}
+					r = ranges[ri]
 				}
-				if k >= ranges[ri].Lo {
-					if e := decodeEntry(data[off : off+entrySize]); keep == nil || keep(e) {
-						s.scratch = append(s.scratch, e)
-					}
+				if k >= r.Lo && (keep == nil || keep(getVec(slot[16:]), getVec(slot[32:]), getF64(slot[48:]))) {
+					s.scratch = append(s.scratch, decodeEntry(slot))
 				}
 			}
 		})

@@ -274,19 +274,28 @@ type queryScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 // searchVisit runs q over every time bucket, visiting each matching entry
-// exactly once. Per bucket, the enlarged window is decomposed into curve
-// intervals and the interval list merged gap-aware down to the bucket's scan
-// budget; the ranges of all buckets then go to the B+-tree as one batch —
-// bucket prefixes ascend, so the concatenation is already sorted — and a
-// single leaf walk serves it: one descent per query, sibling hops between
-// nearby intervals, path-stack re-seeks across gaps and across buckets, and
-// the exact predicate run on each pinned leaf so that only hits are copied
-// out. Entries stream in bucket-then-key order, deterministic for a given
-// tree state — the property the parallel partition fan-out leans on when
-// asserting its merge is byte-identical to the sequential path.
+// exactly once. The plan's ranges of all buckets go to the B+-tree as one
+// batch and a single leaf walk serves it: one descent per query, sibling hops
+// between nearby intervals, path-stack re-seeks across gaps and across
+// buckets, and the query's exact predicate run on each candidate's position,
+// velocity and time in place on the pinned leaf, so that only hits are
+// decoded and copied out. Entries stream in bucket-then-key order,
+// deterministic for a given tree state — the property the parallel partition
+// fan-out leans on when asserting its merge is byte-identical to the
+// sequential path.
 func (t *Tree) searchVisit(q model.RangeQuery, visit func(bptree.Entry) bool) error {
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
+	t.plan(q, sc)
+	m := model.NewMatcher(q)
+	return t.bt.ScanFiltered(sc.ranges, m.MatchesMotion, visit)
+}
+
+// plan leaves q's scan batch in sc.ranges. Per bucket, the enlarged window is
+// decomposed into curve intervals and the interval list merged gap-aware down
+// to the bucket's scan budget; bucket prefixes ascend, so the concatenation is
+// already sorted.
+func (t *Tree) plan(q model.RangeQuery, sc *queryScratch) {
 	sc.ranges = sc.ranges[:0]
 	for _, b := range t.buckets {
 		w := t.enlargedWindow(b, q)
@@ -306,8 +315,6 @@ func (t *Tree) searchVisit(q model.RangeQuery, visit func(bptree.Entry) bool) er
 			sc.ranges = append(sc.ranges, bptree.ScanRange{Lo: prefix + iv.Lo, Hi: prefix + iv.Hi})
 		}
 	}
-	m := model.NewMatcher(q)
-	return t.bt.ScanFiltered(sc.ranges, func(e bptree.Entry) bool { return m.Matches(e.Object()) }, visit)
 }
 
 // enlargedWindow computes the query window in the bucket's reference frame.
@@ -372,10 +379,10 @@ func enlargeForGap(r geom.Rect, vmin, vmax geom.Vec2, dt float64) geom.Rect {
 	ax0, ax1 := vmin.X*dt, vmax.X*dt
 	ay0, ay1 := vmin.Y*dt, vmax.Y*dt
 	return geom.Rect{
-		MinX: r.MinX - math.Max(ax0, ax1),
-		MaxX: r.MaxX - math.Min(ax0, ax1),
-		MinY: r.MinY - math.Max(ay0, ay1),
-		MaxY: r.MaxY - math.Min(ay0, ay1),
+		MinX: r.MinX - max(ax0, ax1),
+		MaxX: r.MaxX - min(ax0, ax1),
+		MinY: r.MinY - max(ay0, ay1),
+		MaxY: r.MaxY - min(ay0, ay1),
 	}
 }
 
@@ -393,4 +400,62 @@ func (t *Tree) ExpansionRate(region geom.Rect) []geom.Vec2 {
 		out = append(out, geom.Vec2{X: vmax.X - vmin.X, Y: vmax.Y - vmin.Y})
 	}
 	return out
+}
+
+// CheckInvariants verifies the tree's structure for tests: the B+-tree's own
+// invariants; buckets in ascending boundary order whose counts sum to Len;
+// every entry under the key keyFor computes from its record, so under the
+// prefix of a live bucket, each bucket holding exactly its count of entries;
+// and every entry's velocity within the bounds of its histogram cell at the
+// bucket's reference time and within the bucket's global bounds — the
+// enlargement's soundness rests on the last.
+func (t *Tree) CheckInvariants() error {
+	if err := t.bt.CheckInvariants(); err != nil {
+		return err
+	}
+	total := 0
+	for i, b := range t.buckets {
+		if i > 0 && t.buckets[i-1].idx >= b.idx {
+			return fmt.Errorf("bxtree: bucket %d (index %d) not above bucket %d (index %d)", i, b.idx, i-1, t.buckets[i-1].idx)
+		}
+		total += b.count
+	}
+	if total != t.size {
+		return fmt.Errorf("bxtree: bucket counts sum to %d, Len is %d", total, t.size)
+	}
+	seen := make(map[int64]int, len(t.buckets))
+	var bad error
+	err := t.bt.ScanMany([]bptree.ScanRange{{Lo: 0, Hi: math.MaxUint64}}, func(e bptree.Entry) bool {
+		o := e.Object()
+		k, idx := t.keyFor(o)
+		i, ok := t.bucketAt(idx)
+		switch {
+		case k != e.Key.K:
+			bad = fmt.Errorf("bxtree: %v stored under key %#x, keyFor gives %#x", o, e.Key.K, k)
+		case !ok:
+			bad = fmt.Errorf("bxtree: %v keyed under bucket index %d, which is not live", o, idx)
+		default:
+			b := t.buckets[i-1]
+			seen[idx]++
+			c, h := b.hist.vel[b.hist.cellIndex(o.PosAt(b.ref))], b.hist
+			if !(c.min.X <= o.Vel.X && o.Vel.X <= c.max.X && c.min.Y <= o.Vel.Y && o.Vel.Y <= c.max.Y) {
+				bad = fmt.Errorf("bxtree: %v: velocity outside its histogram cell's bounds [%v, %v]", o, c.min, c.max)
+			} else if !(h.gMin.X <= o.Vel.X && o.Vel.X <= h.gMax.X && h.gMin.Y <= o.Vel.Y && o.Vel.Y <= h.gMax.Y) {
+				bad = fmt.Errorf("bxtree: %v: velocity outside its bucket's global bounds [%v, %v]", o, h.gMin, h.gMax)
+			}
+		}
+		return bad == nil
+	})
+	if err != nil {
+		return err
+	}
+	if bad != nil {
+		return bad
+	}
+	for _, b := range t.buckets {
+		if seen[b.idx] != b.count {
+			return fmt.Errorf("bxtree: bucket index %d counts %d entries, holds %d", b.idx, b.count, seen[b.idx])
+		}
+	}
+	return nil
 }

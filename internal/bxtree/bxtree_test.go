@@ -142,6 +142,9 @@ func TestBulkAgainstOracleAllQueryKinds(t *testing.T) {
 	if tr.ActiveBuckets() < 2 {
 		t.Fatalf("expected >=2 active buckets, got %d", tr.ActiveBuckets())
 	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 50; trial++ {
 		c := geom.V(rng.Float64()*100000, rng.Float64()*100000)
 		t0 := 70 + rng.Float64()*60
@@ -236,6 +239,9 @@ func TestDeleteAndUpdateAgainstOracle(t *testing.T) {
 		}
 		if tr.Len() != oracle.Len() {
 			t.Fatalf("len %d vs %d", tr.Len(), oracle.Len())
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 		for trial := 0; trial < 15; trial++ {
 			q := model.RangeQuery{

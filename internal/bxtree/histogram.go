@@ -13,31 +13,39 @@ import (
 // max velocity of the objects whose reference position falls in it.
 //
 // The histogram is insert-only; the owning bucket's bounded lifetime keeps
-// it from going stale (see Tree.Delete).
+// it from going stale (see Tree.Delete). Its folds use the builtin min and
+// max, inline where math.Min and math.Max are an assembly call per cell on
+// amd64. The two agree on ±0 and NaN and differ only on a NaN beside an
+// infinity, which cannot arise: Insert admits finite velocities alone.
 type velocityHistogram struct {
 	domain geom.Rect
 	cells  int
-	// min/max velocity per cell, row-major; count tracks occupancy.
-	minVX, maxVX []float64
-	minVY, maxVY []float64
-	count        []int32
+	// vel is each cell's min/max velocity, row-major. An empty cell holds
+	// +Inf minima and −Inf maxima, the identities of min and max, so Add and
+	// Range fold every cell alike and an empty one changes nothing.
+	vel []cellVel
 	// global fallbacks for windows that clip nothing.
 	gMin, gMax geom.Vec2
 	total      int
 }
 
+// cellVel is one histogram cell: the componentwise velocity bounds of the
+// objects in it.
+type cellVel struct {
+	min, max geom.Vec2
+}
+
 func newVelocityHistogram(domain geom.Rect, cells int) *velocityHistogram {
-	n := cells * cells
-	h := &velocityHistogram{
-		domain: domain,
-		cells:  cells,
-		minVX:  make([]float64, n),
-		maxVX:  make([]float64, n),
-		minVY:  make([]float64, n),
-		maxVY:  make([]float64, n),
-		count:  make([]int32, n),
+	h := &velocityHistogram{domain: domain, cells: cells, vel: make([]cellVel, cells*cells)}
+	for i := range h.vel {
+		h.vel[i] = emptyCell
 	}
 	return h
+}
+
+var emptyCell = cellVel{
+	min: geom.Vec2{X: math.Inf(1), Y: math.Inf(1)},
+	max: geom.Vec2{X: math.Inf(-1), Y: math.Inf(-1)},
 }
 
 // cellIndex maps a position to its histogram cell (clamped).
@@ -61,22 +69,14 @@ func clampInt(v, lo, hi int) int {
 
 // Add records an object's velocity at its reference position.
 func (h *velocityHistogram) Add(pos, vel geom.Vec2) {
-	i := h.cellIndex(pos)
-	if h.count[i] == 0 {
-		h.minVX[i], h.maxVX[i] = vel.X, vel.X
-		h.minVY[i], h.maxVY[i] = vel.Y, vel.Y
-	} else {
-		h.minVX[i] = math.Min(h.minVX[i], vel.X)
-		h.maxVX[i] = math.Max(h.maxVX[i], vel.X)
-		h.minVY[i] = math.Min(h.minVY[i], vel.Y)
-		h.maxVY[i] = math.Max(h.maxVY[i], vel.Y)
-	}
-	h.count[i]++
+	c := &h.vel[h.cellIndex(pos)]
+	c.min = geom.Vec2{X: min(c.min.X, vel.X), Y: min(c.min.Y, vel.Y)}
+	c.max = geom.Vec2{X: max(c.max.X, vel.X), Y: max(c.max.Y, vel.Y)}
 	if h.total == 0 {
 		h.gMin, h.gMax = vel, vel
 	} else {
-		h.gMin = geom.Vec2{X: math.Min(h.gMin.X, vel.X), Y: math.Min(h.gMin.Y, vel.Y)}
-		h.gMax = geom.Vec2{X: math.Max(h.gMax.X, vel.X), Y: math.Max(h.gMax.Y, vel.Y)}
+		h.gMin = geom.Vec2{X: min(h.gMin.X, vel.X), Y: min(h.gMin.Y, vel.Y)}
+		h.gMax = geom.Vec2{X: max(h.gMax.X, vel.X), Y: max(h.gMax.Y, vel.Y)}
 	}
 	h.total++
 }
@@ -99,28 +99,17 @@ func (h *velocityHistogram) Range(r geom.Rect) (vmin, vmax geom.Vec2, ok bool) {
 	y0 := clampInt(int((clipped.MinY-h.domain.MinY)/h.domain.Height()*float64(h.cells)), 0, h.cells-1)
 	y1 := clampInt(int((clipped.MaxY-h.domain.MinY)/h.domain.Height()*float64(h.cells)), 0, h.cells-1)
 
-	found := false
+	acc := emptyCell
 	for cy := y0; cy <= y1; cy++ {
-		row := cy * h.cells
-		for cx := x0; cx <= x1; cx++ {
-			i := row + cx
-			if h.count[i] == 0 {
-				continue
-			}
-			if !found {
-				vmin = geom.Vec2{X: h.minVX[i], Y: h.minVY[i]}
-				vmax = geom.Vec2{X: h.maxVX[i], Y: h.maxVY[i]}
-				found = true
-				continue
-			}
-			vmin.X = math.Min(vmin.X, h.minVX[i])
-			vmin.Y = math.Min(vmin.Y, h.minVY[i])
-			vmax.X = math.Max(vmax.X, h.maxVX[i])
-			vmax.Y = math.Max(vmax.Y, h.maxVY[i])
+		for _, c := range h.vel[cy*h.cells+x0 : cy*h.cells+x1+1] {
+			acc.min.X = min(acc.min.X, c.min.X)
+			acc.min.Y = min(acc.min.Y, c.min.Y)
+			acc.max.X = max(acc.max.X, c.max.X)
+			acc.max.Y = max(acc.max.Y, c.max.Y)
 		}
 	}
-	if !found {
+	if acc.min.X > acc.max.X { // every cell empty: the fold kept its identities
 		return h.gMin, h.gMax, true
 	}
-	return vmin, vmax, true
+	return acc.min, acc.max, true
 }

@@ -12,11 +12,7 @@
 // few extra scanned keys for fewer B+-tree probes.
 package sfc
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // MaxOrder bounds the grid resolution so that curve values fit comfortably
 // in a uint64 alongside the Bx-tree's bucket prefix.
@@ -42,33 +38,47 @@ func MergeIntervals(ivs []Interval, max int) []Interval {
 	if max <= 0 || len(ivs) <= max {
 		return ivs
 	}
-	// The gap lists live on the stack for any window of ordinary size: this
-	// runs once per time bucket of every Bx-tree query.
-	var stack [128]uint64
-	n, scratch := len(ivs)-1, stack[:]
-	if 2*n > len(scratch) {
-		scratch = make([]uint64, 2*n)
+	// The threshold is the nBridge-th smallest of the len(ivs)-1 gaps, that
+	// is the max-th largest: keep the max largest in descending order, on the
+	// stack for the Bx-tree's budget — this runs once per time bucket of every
+	// Bx-tree query — and no gap list is stored or sorted.
+	var stack [16]uint64
+	top := stack[:0]
+	if max > len(stack) {
+		top = make([]uint64, 0, max)
 	}
-	gaps, ordered := scratch[:n], scratch[n:2*n]
-	for i := range gaps {
-		gaps[i] = ivs[i+1].Lo - ivs[i].Hi
+	for i := 0; i+1 < len(ivs); i++ {
+		g := ivs[i+1].Lo - ivs[i].Hi
+		if len(top) == max {
+			if g <= top[max-1] {
+				continue
+			}
+			top = top[:max-1]
+		}
+		j := len(top)
+		top = append(top, g)
+		for ; j > 0 && top[j-1] < g; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = g
 	}
-	copy(ordered, gaps)
-	slices.Sort(ordered)
-	// Bridge every gap strictly below the selection threshold, plus the
-	// earliest gaps equal to it until exactly len(ivs)-max are bridged.
+	// Bridge every gap strictly below the threshold, plus the earliest gaps
+	// equal to it until exactly nBridge = len(ivs)-max are bridged.
 	nBridge := len(ivs) - max
-	threshold := ordered[nBridge-1]
-	atThreshold := 0
-	for _, g := range ordered[:nBridge] {
-		if g == threshold {
-			atThreshold++
+	threshold := top[max-1]
+	atThreshold := nBridge
+	for i := 0; i+1 < len(ivs); i++ {
+		if ivs[i+1].Lo-ivs[i].Hi < threshold {
+			atThreshold--
 		}
 	}
+	// Merging in place only writes entries the loop has passed: ivs[i] and
+	// ivs[i+1] still hold their input when gap i is read.
 	out := ivs[:1]
 	for i := 0; i+1 < len(ivs); i++ {
-		bridge := gaps[i] < threshold
-		if gaps[i] == threshold && atThreshold > 0 {
+		g := ivs[i+1].Lo - ivs[i].Hi
+		bridge := g < threshold
+		if g == threshold && atThreshold > 0 {
 			bridge = true
 			atThreshold--
 		}
@@ -97,28 +107,4 @@ func normalizeWindow(size uint32, x0, y0, x1, y1 *uint32) bool {
 		*y1 = size - 1
 	}
 	return true
-}
-
-// compactAppended sorts and merges the touching/overlapping intervals in
-// ivs[mark:], leaving ivs[:mark] untouched — the post-pass of AppendWindow,
-// which must only normalize the region it appended.
-func compactAppended(ivs []Interval, mark int) []Interval {
-	tail := ivs[mark:]
-	if len(tail) <= 1 {
-		return ivs
-	}
-	slices.SortFunc(tail, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
-	n := 1
-	for _, iv := range tail[1:] {
-		last := &tail[n-1]
-		if iv.Lo <= last.Hi {
-			if iv.Hi > last.Hi {
-				last.Hi = iv.Hi
-			}
-		} else {
-			tail[n] = iv
-			n++
-		}
-	}
-	return ivs[:mark+n]
 }

@@ -1,8 +1,10 @@
 package sfc
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -315,4 +317,188 @@ func (h *Hilbert) Decode(d uint64) (uint32, uint32) {
 		t >>= 2
 	}
 	return x, y
+}
+
+// refAppendWindow is AppendWindow as it was before it merged as it appended
+// and read 8x8 blocks off tables: the quadtree descent down to single cells,
+// then a sort of the appended intervals and a merge of the touching ones.
+func refAppendWindow(h *Hilbert, dst []Interval, x0, y0, x1, y1 uint32) []Interval {
+	size := h.Size()
+	if !normalizeWindow(size, &x0, &y0, &x1, &y1) {
+		return dst
+	}
+	mark := len(dst)
+	refDecompose(x0, y0, x1, y1, size, 0, &dst)
+	tail := dst[mark:]
+	if len(tail) <= 1 {
+		return dst
+	}
+	slices.SortFunc(tail, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
+	n := 1
+	for _, iv := range tail[1:] {
+		last := &tail[n-1]
+		if iv.Lo <= last.Hi {
+			if iv.Hi > last.Hi {
+				last.Hi = iv.Hi
+			}
+		} else {
+			tail[n] = iv
+			n++
+		}
+	}
+	return dst[:mark+n]
+}
+
+func refDecompose(x0, y0, x1, y1, size uint32, base uint64, out *[]Interval) {
+	if x0 == 0 && y0 == 0 && x1 == size-1 && y1 == size-1 {
+		*out = append(*out, Interval{base, base + uint64(size)*uint64(size)})
+		return
+	}
+	if size == 1 {
+		*out = append(*out, Interval{base, base + 1})
+		return
+	}
+	s := size / 2
+	area := uint64(s) * uint64(s)
+	for q := uint64(0); q < 4; q++ {
+		rx, ry := rankQuad(q)
+		qx0, qy0 := rx*s, ry*s
+		qx1, qy1 := qx0+s-1, qy0+s-1
+		ix0, iy0 := max(x0, qx0), max(y0, qy0)
+		ix1, iy1 := min(x1, qx1), min(y1, qy1)
+		if ix0 > ix1 || iy0 > iy1 {
+			continue
+		}
+		ix0 -= qx0
+		ix1 -= qx0
+		iy0 -= qy0
+		iy1 -= qy0
+		ax, ay := ix0, iy0
+		bx, by := ix1, iy1
+		rot(s, &ax, &ay, rx, ry)
+		rot(s, &bx, &by, rx, ry)
+		refDecompose(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by), s, base+q*area, out)
+	}
+}
+
+// refMergeIntervals is MergeIntervals as it was before it selected its
+// threshold instead of sorting every gap.
+func refMergeIntervals(ivs []Interval, max int) []Interval {
+	if max <= 0 || len(ivs) <= max {
+		return ivs
+	}
+	n := len(ivs) - 1
+	gaps, ordered := make([]uint64, n), make([]uint64, n)
+	for i := range gaps {
+		gaps[i] = ivs[i+1].Lo - ivs[i].Hi
+	}
+	copy(ordered, gaps)
+	slices.Sort(ordered)
+	nBridge := len(ivs) - max
+	threshold := ordered[nBridge-1]
+	atThreshold := 0
+	for _, g := range ordered[:nBridge] {
+		if g == threshold {
+			atThreshold++
+		}
+	}
+	out := ivs[:1]
+	for i := 0; i+1 < len(ivs); i++ {
+		bridge := gaps[i] < threshold
+		if gaps[i] == threshold && atThreshold > 0 {
+			bridge = true
+			atThreshold--
+		}
+		if bridge {
+			out[len(out)-1].Hi = ivs[i+1].Hi
+		} else {
+			out = append(out, ivs[i+1])
+		}
+	}
+	return out
+}
+
+// TestAppendWindowEquivalence: AppendWindow, and MergeIntervals over its
+// output at several budgets, equal the reference copies interval for interval
+// on 120,000 windows: the Bx-tree's order-8 grid and orders 1 to 10, windows
+// of one cell, 1-cell-wide strips, the whole grid, windows past the edge and
+// inverted ones, random rectangles, each appended behind a prefix that must
+// survive untouched.
+func TestAppendWindowEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	prefix := Interval{1 << 40, 1<<40 + 1}
+	var got, want []Interval
+	windows, intervals := 0, 0
+	for trial := 0; trial < 120000; trial++ {
+		order := uint(8)
+		if trial%3 == 0 {
+			order = uint(1 + rng.Intn(10))
+		}
+		c := MustHilbert(order)
+		size := c.Size()
+		coord := func() uint32 { return uint32(rng.Intn(int(size))) }
+		x0, y0 := coord(), coord()
+		x1, y1 := x0+uint32(rng.Intn(int(size-x0))), y0+uint32(rng.Intn(int(size-y0)))
+		switch trial % 8 {
+		case 0: // one cell
+			x1, y1 = x0, y0
+		case 1: // a 1-cell-wide strip
+			x1 = x0
+		case 2:
+			y1 = y0
+		case 3: // the whole grid, or past it
+			x0, y0, x1, y1 = 0, 0, size-1+uint32(rng.Intn(3)), size-1+uint32(rng.Intn(3))
+		case 4: // past the edge, partly or wholly, or inverted
+			x1 += uint32(rng.Intn(int(size) + 2))
+			y0 += uint32(rng.Intn(int(size) + 2))
+			if rng.Intn(8) == 0 {
+				x0, x1 = x1+1, x0
+			}
+		}
+		got = c.AppendWindow(append(got[:0], prefix), x0, y0, x1, y1)
+		want = refAppendWindow(c, append(want[:0], prefix), x0, y0, x1, y1)
+		if !slices.Equal(got, want) {
+			t.Fatalf("order %d, window (%d,%d)-(%d,%d): %v, reference %v", order, x0, y0, x1, y1, got, want)
+		}
+		for _, max := range []int{1, 2, 5, 16} {
+			g := MergeIntervals(slices.Clone(got[1:]), max)
+			w := refMergeIntervals(slices.Clone(want[1:]), max)
+			if !slices.Equal(g, w) {
+				t.Fatalf("order %d, window (%d,%d)-(%d,%d), budget %d: merged %v, reference %v", order, x0, y0, x1, y1, max, g, w)
+			}
+		}
+		windows++
+		intervals += len(got) - 1
+	}
+	t.Logf("%d windows identical to the reference, %.1f intervals each", windows, float64(intervals)/float64(windows))
+}
+
+// TestMergeIntervalsTiesEquivalence: MergeIntervals equals the sorting
+// reference on interval lists whose gaps repeat a few values, where the
+// threshold's ties decide which gaps are bridged.
+func TestMergeIntervalsTiesEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(300)
+		ivs := make([]Interval, n)
+		cursor := uint64(0)
+		for i := range ivs {
+			cursor += uint64(rng.Intn(1 + trial%7)) // gaps 0..6, many equal
+			ivs[i] = Interval{cursor, cursor + 1}
+			cursor++
+		}
+		max := rng.Intn(n + 2)
+		g := MergeIntervals(slices.Clone(ivs), max)
+		w := refMergeIntervals(slices.Clone(ivs), max)
+		if !slices.Equal(g, w) {
+			t.Fatalf("trial %d, %d intervals, budget %d: %v, reference %v", trial, n, max, g, w)
+		}
+	}
+}
+
+// rankQuad inverts quadRank.
+func rankQuad(q uint64) (rx, ry uint32) {
+	rx = uint32(1 & (q >> 1))
+	ry = uint32(1 & (q ^ uint64(rx)))
+	return rx, ry
 }

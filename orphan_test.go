@@ -21,8 +21,8 @@ import (
 // whose name is used, or no longer declared, fails the test: the list only
 // shrinks by deleting lines.
 var orphanAllowed = map[string]string{
-	"internal/bptree.Tree.CheckInvariants":          "structural oracle of the B+-tree tests and FuzzTreeOps",
 	"internal/bptree.Tree.Height":                   "the bptree and bxtree tests read the height for their page budgets",
+	"internal/bxtree.Tree.CheckInvariants":          "structural oracle of the Bx-tree tests: buckets, keys and histogram bounds",
 	"internal/geom.Circle.ContainsPoint":            "assertion helper of the model query tests",
 	"internal/geom.MovingRect.IntersectsDuring":     "the definition model.Matcher and the TPR* slot tests replicate: reference of FuzzMatcherScalar, FuzzSlotPredicates and TestSearchEquivalence",
 	"internal/geom.RotationByAngle":                 "builds the rotated frames of the geom and model transform tests",

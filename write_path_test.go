@@ -557,7 +557,8 @@ func TestReportSteadyStateAllocs(t *testing.T) {
 // per-partition buffers are pooled and the predicate runs on the pinned leaf,
 // so what a query allocates is its result, the fan-out's goroutines and, for
 // kNN, each partition's candidate list. The limits sit a tenth above what this
-// measures (Search 11 on both; SearchKNN 15 on Bx, 14 on TPR*). Before the
+// measures (Search 11 on both, for a slice circle, an interval rectangle and
+// a moving one alike; SearchKNN 15 on Bx, 14 on TPR*). Before the
 // scratch was pooled Bx measured 95 and 133; a TPR* kNN that boxed every slot
 // it opened onto a heap measured 882.
 func TestSearchSteadyStateAllocs(t *testing.T) {
@@ -588,6 +589,16 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		}{
 			{"Search", 12, func() error {
 				_, err := store.Search(vpindex.SliceQuery(vpindex.Circle{C: centre(), R: 1500}, 0, 60))
+				return err
+			}},
+			{"Search(interval)", 12, func() error {
+				c := centre()
+				_, err := store.Search(vpindex.IntervalQuery(vpindex.R(c.X-1000, c.Y-1000, c.X+1000, c.Y+1000), 0, 60, 90))
+				return err
+			}},
+			{"Search(moving)", 12, func() error {
+				c := centre()
+				_, err := store.Search(vpindex.MovingQuery(vpindex.R(c.X-1000, c.Y-1000, c.X+1000, c.Y+1000), vpindex.V(30, -20), 0, 60, 90))
 				return err
 			}},
 			{"SearchKNN", 16, func() error {
