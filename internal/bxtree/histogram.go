@@ -24,7 +24,8 @@ type velocityHistogram struct {
 	// +Inf minima and −Inf maxima, the identities of min and max, so Add and
 	// Range fold every cell alike and an empty one changes nothing.
 	vel []cellVel
-	// global fallbacks for windows that clip nothing.
+	// global fallbacks for windows that clip nothing, from the same
+	// identities.
 	gMin, gMax geom.Vec2
 	total      int
 }
@@ -36,7 +37,8 @@ type cellVel struct {
 }
 
 func newVelocityHistogram(domain geom.Rect, cells int) *velocityHistogram {
-	h := &velocityHistogram{domain: domain, cells: cells, vel: make([]cellVel, cells*cells)}
+	h := &velocityHistogram{domain: domain, cells: cells, vel: make([]cellVel, cells*cells),
+		gMin: emptyCell.min, gMax: emptyCell.max}
 	for i := range h.vel {
 		h.vel[i] = emptyCell
 	}
@@ -72,12 +74,8 @@ func (h *velocityHistogram) Add(pos, vel geom.Vec2) {
 	c := &h.vel[h.cellIndex(pos)]
 	c.min = geom.Vec2{X: min(c.min.X, vel.X), Y: min(c.min.Y, vel.Y)}
 	c.max = geom.Vec2{X: max(c.max.X, vel.X), Y: max(c.max.Y, vel.Y)}
-	if h.total == 0 {
-		h.gMin, h.gMax = vel, vel
-	} else {
-		h.gMin = geom.Vec2{X: min(h.gMin.X, vel.X), Y: min(h.gMin.Y, vel.Y)}
-		h.gMax = geom.Vec2{X: max(h.gMax.X, vel.X), Y: max(h.gMax.Y, vel.Y)}
-	}
+	h.gMin = geom.Vec2{X: min(h.gMin.X, vel.X), Y: min(h.gMin.Y, vel.Y)}
+	h.gMax = geom.Vec2{X: max(h.gMax.X, vel.X), Y: max(h.gMax.Y, vel.Y)}
 	h.total++
 }
 

@@ -240,7 +240,7 @@ func (m *Matcher) MatchesMotion(pos, vel geom.Vec2, t float64) bool {
 }
 
 // SliceCircleHit is MatchesMotion's first half, small enough to be inlined
-// into a leaf loop, where a call per record would cost a fifth of a
+// into a leaf loop, where a call per record costs about a tenth of a
 // time-slice search: for a circle at one instant — the kNN inner loop and the
 // commonest range query — it returns the verdict and true, by circleHit's
 // quadratic at s = 0, where it is its constant term |PosAt(t0) − C|² − R²;

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,25 +74,16 @@ func lineDiff(want, got string) string {
 	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
 	var b strings.Builder
 	for _, l := range wl {
-		if !containsLine(gl, l) {
+		if !slices.Contains(gl, l) {
 			b.WriteString("- " + l + "\n")
 		}
 	}
 	for _, l := range gl {
-		if !containsLine(wl, l) {
+		if !slices.Contains(wl, l) {
 			b.WriteString("+ " + l + "\n")
 		}
 	}
 	return b.String()
-}
-
-func containsLine(ls []string, l string) bool {
-	for _, x := range ls {
-		if x == l {
-			return true
-		}
-	}
-	return false
 }
 
 // ioHistory drives one Store and records what each verb cost.
