@@ -32,8 +32,10 @@ type PartitionSpec struct {
 }
 
 // IndexFactory builds the underlying moving-object index for one partition.
-// All partitions of one manager conventionally share a buffer pool so the
-// paper's 50-page RAM budget covers the whole structure.
+// The factory decides where its pages are cached: the figure harness
+// (internal/bench) shares one buffer pool across the partitions, so the
+// paper's 50-page RAM budget covers the whole structure, while the Store
+// gives each partition a pool of its own.
 type IndexFactory func(spec PartitionSpec) (model.Index, error)
 
 // ManagerConfig parameterizes the VP index manager.

@@ -1,7 +1,7 @@
 // Package parallel provides the tiny bounded fan-out primitive behind the
 // partitioned query paths: the VP manager fans a query across its velocity
-// partitions and the Store fans operations across its ObjectID shards, both
-// through Do. Keeping it in one place pins down the concurrency contract —
+// partitions and the Store fans a subscription refresh across the standing
+// subscriptions, both through Do. Keeping it in one place pins down the concurrency contract —
 // bounded workers, deterministic error selection, strict sequential
 // degeneration at limit 1 — so the "parallel results must be byte-identical
 // to the sequential path" property is enforced by construction at every call

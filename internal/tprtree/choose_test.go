@@ -147,7 +147,7 @@ func TestChooseSubtreeEquivalence(t *testing.T) {
 						inner.MBR = geom.RectFromCenter(inner.MBR.Center(), inner.MBR.Width()/4, inner.MBR.Height()/4)
 						compare(data, n, inner, now)
 					}
-					id = getChild(entrySlot(data, compare(data, n, objRect(o).Rebase(now), now)))
+					id = getChild(entrySlot(data, compare(data, n, leafEntry(o).mr.Rebase(now), now)))
 				}); err != nil {
 					t.Fatal(err)
 				}

@@ -241,14 +241,14 @@ func TestKNNEquivalence(t *testing.T) {
 // the lower id at the K-th distance — must win.
 func TestKNNTieAtKthDistance(t *testing.T) {
 	tr := newTestTree(t, 8, Config{})
-	obj := func(id model.ObjectID, x, y float64) model.Object {
-		return model.Object{ID: id, Pos: geom.V(x, y)}
+	obj := func(id model.ObjectID, x, y float64) entry {
+		return leafEntry(model.Object{ID: id, Pos: geom.V(x, y)})
 	}
-	near := &node{id: tr.root, level: 0, objs: []model.Object{obj(9, 0, 100)}}
-	far := &node{level: 0, objs: []model.Object{obj(2, 100, 0)}}
-	for i := 0; len(near.objs) < leafMin+5; i++ { // farther than 100 from the centre
-		near.objs = append(near.objs, obj(model.ObjectID(100+i), -200-float64(i), -150-float64(i)))
-		far.objs = append(far.objs, obj(model.ObjectID(200+i), 120+float64(i), float64(i)))
+	near := &node{id: tr.root, level: 0, entries: []entry{obj(9, 0, 100)}}
+	far := &node{level: 0, entries: []entry{obj(2, 100, 0)}}
+	for i := 0; len(near.entries) < leafMin+5; i++ { // farther than 100 from the centre
+		near.entries = append(near.entries, obj(model.ObjectID(100+i), -200-float64(i), -150-float64(i)))
+		far.entries = append(far.entries, obj(model.ObjectID(200+i), 120+float64(i), float64(i)))
 	}
 	var err error
 	if far.id, err = tr.pool.Allocate(); err != nil {
@@ -264,7 +264,7 @@ func TestKNNTieAtKthDistance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr.root, tr.height, tr.size = rootID, 2, len(near.objs)+len(far.objs)
+	tr.root, tr.height, tr.size = rootID, 2, len(near.entries)+len(far.entries)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

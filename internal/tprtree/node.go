@@ -21,13 +21,19 @@
 // h because no pin may be held across another pool access (storage.Read) and
 // every ancestor is tightened to the current time on every touch; skipping
 // that would build a different tree. A Delete pays one more access per false
-// candidate its containment search visits. Only a structural change decodes
-// pages into nodes: an insert that finds its leaf full leaves it untouched
-// (one wasted descent, h accesses) and re-runs on the decoded path, where
-// forced reinsert and split live, each reinserted record being a point
-// insert of its own; a delete that leaves a child underfull decodes the
-// parent and that child to dissolve it, and reinserts the orphans the same
-// way. Nothing on the non-structural path allocates.
+// candidate its containment search visits. Nothing on that path allocates.
+//
+// Only a structural change decodes pages into nodes, and a decoded node is
+// one slice of entries at every level, as in GiST: a bound and what it
+// bounds — a child page, or in a leaf a record's id, its bound the record's
+// degenerate moving rectangle, an exact copy of its position, velocity and
+// time. decode and writeNode convert at the page boundary (48-byte record
+// slots, 80-byte child slots), so the restructuring code has one path per
+// job: one decoded descent files an entry at any level (a record that finds
+// its leaf full leaves it untouched — one wasted descent, h accesses — and
+// takes it), one forced reinsert and one split serve every level, and the
+// entries they evict and the orphans of a delete's dissolved nodes wait in
+// one queue each, tagged with their level, to be filed the same way.
 //
 // What a level costs once its page is pinned is arithmetic, and each piece
 // is computed once, from the slot bytes. ChooseSubtree prices an entry by
@@ -57,14 +63,15 @@
 //
 // A range search is priced by the slots it tests, not by decoding them.
 // SearchAppend prepares the query once — its moving rectangle rebased to T0
-// and its model.Matcher — and tests each internal entry from the page bytes
-// by IntersectsDuring's constraint loop on the entry's nine scalars. A
-// time-slice circle tests each leaf record by the Matcher's own expression on
-// its five scalars, the id decoded only on a hit; other queries hand the
-// decoded record to the Matcher. Each slot test performs the operations of
-// the function it stands for, in the same order, so its verdict is that
-// function's for every input, NaN and signed zeros included, and the pages
-// opened and the answers are the decoding search's.
+// and its model.Matcher — and tests each internal entry from the page bytes:
+// the entry's nine scalars rebased to T0, then geom.IntersectsRebased
+// against the prepared query. Each leaf record is tested on its five
+// scalars, by Matcher.SliceCircleHit for a time-slice circle and
+// Matcher.MatchesMotion for every other shape, the id decoded only on a hit.
+// Each slot test performs the operations of the function it stands for, in
+// the same order, so its verdict is that function's for every input, NaN and
+// signed zeros included, and the pages opened and the answers are the
+// decoding search's.
 //
 // Every reader validates a page's tag, level and count before trusting
 // them; a page that fails reports an error wrapping storage.ErrCorruptPage.
@@ -111,56 +118,66 @@ var (
 	internalMin = InternalCap * 2 / 5
 )
 
-// entry is one slot of an internal node: a child page bounded by a
-// time-parameterized rectangle.
+// capAt and minAt are the fanout and the minimum fill of a node at level.
+func capAt(level int) int {
+	if level == 0 {
+		return LeafCap
+	}
+	return InternalCap
+}
+
+func minAt(level int) int {
+	if level == 0 {
+		return leafMin
+	}
+	return internalMin
+}
+
+// entry is one slot of a node: a time-parameterized bound and what it bounds.
+// In an internal node that is a child page; in a leaf it is the record id,
+// and mr is the record's degenerate moving rectangle (leafEntry), from which
+// obj recovers the record exactly.
 type entry struct {
-	child storage.PageID
 	mr    geom.MovingRect
+	child storage.PageID // internal nodes
+	id    model.ObjectID // leaves
+}
+
+// leafEntry is the entry of object record o.
+func leafEntry(o model.Object) entry {
+	return entry{mr: geom.MovingPointRect(o.Pos, o.Vel, o.T), id: o.ID}
+}
+
+// obj is the record of a leaf entry.
+func (e entry) obj() model.Object {
+	return model.Object{
+		ID:  e.id,
+		Pos: geom.Vec2{X: e.mr.MBR.MinX, Y: e.mr.MBR.MinY},
+		Vel: geom.Vec2{X: e.mr.VBR.MinX, Y: e.mr.VBR.MinY},
+		T:   e.mr.Ref,
+	}
 }
 
 // node is the decoded form of a page.
 type node struct {
 	id      storage.PageID
 	level   int // 0 = leaf
-	objs    []model.Object
 	entries []entry
 }
 
-func (n *node) leaf() bool { return n.level == 0 }
-
-func (n *node) count() int {
-	if n.leaf() {
-		return len(n.objs)
-	}
-	return len(n.entries)
-}
-
-func (n *node) overflowing() bool {
-	if n.leaf() {
-		return len(n.objs) > LeafCap
-	}
-	return len(n.entries) > InternalCap
-}
-
-func (n *node) underfull() bool {
-	if n.leaf() {
-		return len(n.objs) < leafMin
-	}
-	return len(n.entries) < internalMin
-}
+func (n *node) leaf() bool        { return n.level == 0 }
+func (n *node) overflowing() bool { return len(n.entries) > capAt(n.level) }
+func (n *node) underfull() bool   { return len(n.entries) < minAt(n.level) }
 
 // boundAt returns the tight time-parameterized bound of the node's contents
 // referenced at time t (TPR* tightening). pageBound is the same fold over
 // the page bytes; the two agree bit for bit.
 func (n *node) boundAt(t float64) geom.MovingRect {
 	out := emptyBound(t)
-	for _, o := range n.objs {
-		out = unionRebased(out, objRect(o).Rebase(t))
-	}
 	for _, e := range n.entries {
 		out = unionRebased(out, e.mr.Rebase(t))
 	}
-	if n.count() == 0 {
+	if len(n.entries) == 0 {
 		out.VBR = geom.Rect{}
 	}
 	return out
@@ -230,11 +247,6 @@ func sameBits(a, b geom.Rect) bool {
 		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) && math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
 }
 
-// objRect returns the degenerate moving rectangle of an object record.
-func objRect(o model.Object) geom.MovingRect {
-	return geom.MovingPointRect(o.Pos, o.Vel, o.T)
-}
-
 // --- serialization ---------------------------------------------------------
 
 func putF64(b []byte, f float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(f)) }
@@ -263,13 +275,7 @@ func getRect(b []byte) geom.Rect {
 // page that fails reports an error wrapping storage.ErrCorruptPage.
 func header(id storage.PageID, data []byte, level int) (count int, err error) {
 	count = int(binary.LittleEndian.Uint16(data[2:4]))
-	ok := data[0] == tagNode && int(data[1]) == level
-	if level == 0 {
-		ok = ok && count <= LeafCap
-	} else {
-		ok = ok && count >= 1 && count <= InternalCap
-	}
-	if !ok {
+	if data[0] != tagNode || int(data[1]) != level || count > capAt(level) || (level > 0 && count == 0) {
 		return 0, fmt.Errorf("tprtree: page %d has tag %#x, level %d, count %d where a level-%d node should be: %w",
 			id, data[0], data[1], count, level, storage.ErrCorruptPage)
 	}
@@ -335,17 +341,14 @@ func (t *Tree) readNode(id storage.PageID, level int) (*node, error) {
 
 // decode fills n, whose level is set, from the validated bytes of its page.
 func (n *node) decode(data []byte, count int) {
-	if n.leaf() {
-		n.objs = make([]model.Object, count)
-		for i := range n.objs {
-			n.objs[i] = getObj(leafSlot(data, i))
-		}
-		return
-	}
 	n.entries = make([]entry, count)
 	for i := range n.entries {
-		s := entrySlot(data, i)
-		n.entries[i] = entry{child: getChild(s), mr: getMR(s)}
+		if n.leaf() {
+			n.entries[i] = leafEntry(getObj(leafSlot(data, i)))
+		} else {
+			s := entrySlot(data, i)
+			n.entries[i] = entry{child: getChild(s), mr: getMR(s)}
+		}
 	}
 }
 
@@ -353,16 +356,22 @@ func (t *Tree) writeNode(n *node) error {
 	return t.pool.Write(n.id, func(data []byte) {
 		data[0] = tagNode
 		data[1] = byte(n.level)
-		putCount(data, n.count())
-		for i, o := range n.objs {
-			putObj(leafSlot(data, i), o)
-		}
+		putCount(data, len(n.entries))
 		for i, e := range n.entries {
-			s := entrySlot(data, i)
-			binary.LittleEndian.PutUint64(s[0:8], uint64(e.child))
-			putMR(s, e.mr)
+			putEntry(data, n.level, i, e)
 		}
 	})
+}
+
+// putEntry writes e into slot i of a page at level.
+func putEntry(data []byte, level, i int, e entry) {
+	if level == 0 {
+		putObj(leafSlot(data, i), e.obj())
+		return
+	}
+	s := entrySlot(data, i)
+	binary.LittleEndian.PutUint64(s[0:8], uint64(e.child))
+	putMR(s, e.mr)
 }
 
 // view runs fn on the validated bytes of page id, a node of the given level.

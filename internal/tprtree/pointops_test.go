@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -60,7 +61,7 @@ func insertLeaf(t *testing.T, tr *Tree, o model.Object) (id storage.PageID, coun
 	for level := tr.height - 1; level >= 0; level-- {
 		if err := tr.view(id, level, func(data []byte, n int) {
 			if count = n; level > 0 {
-				ci := tr.chooseSubtree(data, n, objRect(o).Rebase(now), now)
+				ci := tr.chooseSubtree(data, n, leafEntry(o).mr.Rebase(now), now)
 				id = getChild(entrySlot(data, ci))
 			}
 		}); err != nil {
@@ -81,13 +82,14 @@ func deleteVisits(t *testing.T, tr *Tree, o model.Object) (visits int, leaf stor
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cand := range n.objs {
-			if cand.ID == o.ID {
-				leaf, leafCount = id, len(n.objs)
-				return true
-			}
-		}
 		for _, e := range n.entries {
+			if level == 0 {
+				if e.id == o.ID {
+					leaf, leafCount = id, len(n.entries)
+					return true
+				}
+				continue
+			}
 			var slot [internalEntrySize]byte
 			putMR(slot[:], e.mr)
 			if entryMayContain(slot[:], o) && rec(e.child, level-1) {
@@ -248,7 +250,7 @@ func TestUpdateDoesNotDirtyUnchangedPages(t *testing.T) {
 			continue
 		}
 		base = flushedWrites()
-		done, err := tr.insertInPlace(o, tr.clock)
+		done, err := tr.insertInPlace(leafEntry(o), tr.clock)
 		if done || err != nil {
 			t.Fatalf("insertInPlace into a full leaf = %v, %v", done, err)
 		}
@@ -309,6 +311,77 @@ func TestCorruptPageIsAnError(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestDeleteDoubleCollapseIsAnError: under the fill invariant a delete
+// collapses the root at most once, so every orphan's level stays below the
+// height. On a hand-built height-4 tree that breaks the invariant — the
+// root's second child has one entry — one delete dissolves a leaf and its two
+// ancestors below the root, and the root collapses twice, to height 2, past
+// a level-2 orphan. Delete must report storage.ErrCorruptPage before it
+// files any orphan: the surviving tree and the orphaned subtree keep their
+// bytes (filing the orphan's leaf entries one level too low once wrote
+// 80-byte child slots into a leaf).
+func TestDeleteDoubleCollapseIsAnError(t *testing.T) {
+	tr := newTestTree(t, 64, Config{})
+	var victim model.Object
+	var leaves []storage.PageID
+	write := func(n *node) entry {
+		if err := tr.writeNode(n); err != nil {
+			t.Fatal(err)
+		}
+		return entry{child: n.id, mr: n.boundAt(0)}
+	}
+	// build writes a subtree whose nodes at each level, top down, hold
+	// fanout[0], fanout[1], ... entries, and returns its entry.
+	var build func(level int, fanout ...int) entry
+	build = func(level int, fanout ...int) entry {
+		id, err := tr.pool.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := &node{id: id, level: level}
+		for range fanout[0] {
+			if level > 0 {
+				n.entries = append(n.entries, build(level-1, fanout[1:]...))
+				continue
+			}
+			tr.size++
+			o := model.Object{ID: model.ObjectID(tr.size), Pos: geom.V(float64(tr.size)*100, 0), Vel: geom.V(1, 1)}
+			if tr.size == 1 {
+				victim = o
+			}
+			n.entries = append(n.entries, leafEntry(o))
+		}
+		if level == 0 {
+			leaves = append(leaves, id)
+		}
+		return write(n)
+	}
+	root := &node{id: tr.root, level: 3, entries: []entry{build(2, 2, 2, 2), build(2, 1, 2, 2)}}
+	write(root)
+	tr.height = 4
+	image := func() map[storage.PageID][]byte { // every leaf but the victim's
+		pages := map[storage.PageID][]byte{}
+		for _, id := range leaves[1:] {
+			if err := tr.pool.Read(id, func(data []byte) { pages[id] = slices.Clone(data) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pages
+	}
+	before := image()
+	if err := tr.Delete(victim); !errors.Is(err, storage.ErrCorruptPage) {
+		t.Fatalf("Delete past a double collapse: err = %v, want one wrapping storage.ErrCorruptPage", err)
+	}
+	if tr.height != 2 {
+		t.Fatalf("height %d after the delete, want 2: the root collapsed twice", tr.height)
+	}
+	for id, data := range image() {
+		if !slices.Equal(data, before[id]) {
+			t.Errorf("leaf page %d was written after the double collapse", id)
 		}
 	}
 }
@@ -390,9 +463,6 @@ func TestPageBoundMatchesUnion(t *testing.T) {
 	now := tr.clock + 3.25
 	if err := tr.walk(func(n *node) {
 		var rects []geom.MovingRect
-		for _, o := range n.objs {
-			rects = append(rects, objRect(o))
-		}
 		for _, e := range n.entries {
 			rects = append(rects, e.mr)
 		}

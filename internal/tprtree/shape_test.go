@@ -217,7 +217,7 @@ func handBuiltHistory(t *testing.T, out *strings.Builder, name string, pages int
 					Pos: geom.V(float64(len(parent.entries))*1000+float64(i%6)*100, float64(i/6)*100),
 					Vel: geom.V(float64(i%3-1), float64(i%5-2)),
 				}
-				leaf.objs = append(leaf.objs, o)
+				leaf.entries = append(leaf.entries, leafEntry(o))
 				live = append(live, o)
 			}
 			parent.entries = append(parent.entries, write(leaf))

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/geom"
-	"repro/internal/model"
 	"repro/internal/storage"
 )
 
@@ -22,21 +21,11 @@ import (
 // is evaluated.
 func (t *Tree) split(n *node, now float64) (*splitOut, geom.MovingRect, error) {
 	var sc splitScratch
-	rects := sc.rects[:n.count()]
-	if n.leaf() {
-		for i, o := range n.objs {
-			rects[i] = objRect(o).Rebase(now)
-		}
-	} else {
-		for i, e := range n.entries {
-			rects[i] = e.mr.Rebase(now)
-		}
+	rects := sc.rects[:len(n.entries)]
+	for i, e := range n.entries {
+		rects[i] = e.mr.Rebase(now)
 	}
-	minFill := leafMin
-	if !n.leaf() {
-		minFill = internalMin
-	}
-	perm, cut := t.chooseSplit(&sc, rects, minFill, now)
+	perm, cut := t.chooseSplit(&sc, rects, minAt(n.level), now)
 
 	// Materialize the two groups, which share one backing array (the left
 	// group's capacity stops at the cut).
@@ -44,20 +33,12 @@ func (t *Tree) split(n *node, now float64) (*splitOut, geom.MovingRect, error) {
 	if err != nil {
 		return nil, geom.MovingRect{}, err
 	}
-	right := &node{id: rid, level: n.level}
-	if n.leaf() {
-		objs := make([]model.Object, len(n.objs))
-		for i, p := range perm {
-			objs[i] = n.objs[p]
-		}
-		n.objs, right.objs = objs[:cut:cut], objs[cut:]
-	} else {
-		ents := make([]entry, len(n.entries))
-		for i, p := range perm {
-			ents[i] = n.entries[p]
-		}
-		n.entries, right.entries = ents[:cut:cut], ents[cut:]
+	ents := make([]entry, len(n.entries))
+	for i, p := range perm {
+		ents[i] = n.entries[p]
 	}
+	right := &node{id: rid, level: n.level, entries: ents[cut:]}
+	n.entries = ents[:cut:cut]
 	if err := t.writeNode(n); err != nil {
 		return nil, geom.MovingRect{}, err
 	}
@@ -174,8 +155,8 @@ type LeafBound struct {
 func (t *Tree) LeafBounds(now float64) ([]LeafBound, error) {
 	var out []LeafBound
 	err := t.walk(func(n *node) {
-		if len(n.objs) > 0 {
-			out = append(out, LeafBound{MR: n.boundAt(now), Count: len(n.objs)})
+		if n.leaf() && len(n.entries) > 0 {
+			out = append(out, LeafBound{MR: n.boundAt(now), Count: len(n.entries)})
 		}
 	})
 	return out, err
@@ -192,6 +173,9 @@ func (t *Tree) walk(fn func(n *node)) error {
 			return err
 		}
 		fn(n)
+		if n.leaf() {
+			continue
+		}
 		for _, e := range n.entries {
 			stack = append(stack, pageRef{id: e.child, level: top.level - 1})
 		}
@@ -220,19 +204,19 @@ func (t *Tree) checkNode(id storage.PageID, level int, bound *geom.MovingRect) (
 		return 0, err
 	}
 	if id != t.root && n.underfull() {
-		return 0, errf("page %d: underfull (%d at level %d)", id, n.count(), n.level)
+		return 0, errf("page %d: underfull (%d at level %d)", id, len(n.entries), n.level)
 	}
 	if n.leaf() {
 		if bound != nil {
 			var slot [internalEntrySize]byte
 			putMR(slot[:], *bound)
-			for _, o := range n.objs {
-				if !entryMayContain(slot[:], o) {
-					return 0, errf("page %d: object %d escapes parent bound %v", id, o.ID, *bound)
+			for _, e := range n.entries {
+				if !entryMayContain(slot[:], e.obj()) {
+					return 0, errf("page %d: object %d escapes parent bound %v", id, e.id, *bound)
 				}
 			}
 		}
-		return len(n.objs), nil
+		return len(n.entries), nil
 	}
 	total := 0
 	for _, e := range n.entries {

@@ -3,6 +3,7 @@ package tprtree
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/model"
@@ -64,16 +65,15 @@ type Tree struct {
 	// the current top-level operation (R* rule: once per level per insert).
 	reinserted uint64
 
-	// pendingObjs/pendingEntries queue evictions from forced reinserts.
-	// They are drained only after the triggering descent has fully unwound,
-	// so no stack frame ever holds a stale node image while the tree is
-	// being restructured underneath it.
-	pendingObjs    []model.Object
-	pendingEntries []levelEntry
+	// pending queues the evictions of forced reinserts. It is drained only
+	// after the triggering descent has fully unwound, so no stack frame ever
+	// holds a stale node image while the tree is being restructured
+	// underneath it.
+	pending []levelEntry
 }
 
-// levelEntry is a subtree entry together with the level of the node it must
-// be reinserted into.
+// levelEntry is an entry together with the level of the node it must be
+// reinserted into.
 type levelEntry struct {
 	e     entry
 	level int
@@ -148,7 +148,7 @@ func (t *Tree) Insert(o model.Object) error {
 		t.clock = o.T
 	}
 	now := t.clock
-	if err := t.insertObj(o, now); err != nil {
+	if err := t.insert(leafEntry(o), 0, now); err != nil {
 		return err
 	}
 	if err := t.drainPending(now); err != nil {
@@ -158,37 +158,43 @@ func (t *Tree) Insert(o model.Object) error {
 	return nil
 }
 
-// drainPending reinserts everything queued by forced reinsertion. Each
-// reinsert is a fresh top-level descent; it may queue further evictions at
-// levels that have not reinserted yet this operation, so loop until empty.
+// drainPending reinserts everything queued by forced reinsertion: the
+// latest entry queued above the leaves while there is one, then the latest
+// record. (Only a delete queues records above entries: it files its orphan
+// records after its orphan subtrees.) Each reinsert is a fresh top-level
+// descent; it may queue further evictions at levels that have not
+// reinserted yet this operation, so loop until empty.
 func (t *Tree) drainPending(now float64) error {
-	for len(t.pendingObjs) > 0 || len(t.pendingEntries) > 0 {
-		if len(t.pendingEntries) > 0 {
-			le := t.pendingEntries[len(t.pendingEntries)-1]
-			t.pendingEntries = t.pendingEntries[:len(t.pendingEntries)-1]
-			if err := t.insertEntry(le.e, le.level, now); err != nil {
-				return err
+	for len(t.pending) > 0 {
+		i := len(t.pending) - 1
+		for j := i; j >= 0; j-- {
+			if t.pending[j].level > 0 {
+				i = j
+				break
 			}
-			continue
 		}
-		o := t.pendingObjs[len(t.pendingObjs)-1]
-		t.pendingObjs = t.pendingObjs[:len(t.pendingObjs)-1]
-		if err := t.insertObj(o, now); err != nil {
+		le := t.pending[i]
+		t.pending = slices.Delete(t.pending, i, i+1)
+		if err := t.insert(le.e, le.level, now); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// insertObj routes one object record to a leaf (no size bookkeeping; used
-// by Insert, forced reinsertion and condensing). A leaf with room takes it
-// in place; a full one is left untouched and handed to the decoded descent,
-// the only code that restructures.
-func (t *Tree) insertObj(o model.Object, now float64) error {
-	if done, err := t.insertInPlace(o, now); done || err != nil {
-		return err
+// insert files entry e in a node at level (no size bookkeeping; used by
+// Insert, forced reinsertion and condensing). A record whose leaf has room
+// goes in place; anything else — a full leaf, a subtree entry — takes the
+// decoded descent, the only code that restructures. The descent treats the
+// root like any node: an overflowing root splits, and a new root grows over
+// the two halves.
+func (t *Tree) insert(e entry, level int, now float64) error {
+	if level == 0 {
+		if done, err := t.insertInPlace(e, now); done || err != nil {
+			return err
+		}
 	}
-	split, _, err := t.insertRec(t.root, t.height-1, o, now)
+	split, _, err := t.insertRec(t.root, t.height-1, e, level, now)
 	if err != nil {
 		return err
 	}
@@ -211,9 +217,9 @@ type pathStep struct {
 // page accesses, nothing decoded. No pin is held across a pool access
 // (storage.Read), which is why a level is read going down and written coming
 // up. done is false, with the tree unchanged, when the chosen leaf is full.
-func (t *Tree) insertInPlace(o model.Object, now float64) (done bool, err error) {
+func (t *Tree) insertInPlace(e entry, now float64) (done bool, err error) {
 	var path [maxHeight]pathStep
-	mrNow := objRect(o).Rebase(now)
+	mrNow := e.mr.Rebase(now)
 	id := t.root
 	for level := t.height - 1; level > 0; level-- {
 		step := pathStep{id: id}
@@ -230,7 +236,7 @@ func (t *Tree) insertInPlace(o model.Object, now float64) (done bool, err error)
 		if count == LeafCap {
 			return false
 		}
-		putObj(leafSlot(data, count), o)
+		putEntry(data, 0, count, e)
 		putCount(data, count+1)
 		bound = pageBound(data, 0, count+1, now)
 		done = true
@@ -260,31 +266,6 @@ func (t *Tree) tighten(id storage.PageID, level, ci int, childBound geom.MovingR
 		return true
 	})
 	return bound, count, err
-}
-
-// insertEntry routes a subtree entry to the given level (> 0); used when
-// condensing after deletes and during internal-node reinsertion.
-func (t *Tree) insertEntry(e entry, level int, now float64) error {
-	if t.height-1 == level {
-		// Target level is the root itself: extend the root.
-		root, err := t.readNode(t.root, level)
-		if err != nil {
-			return err
-		}
-		root.entries = append(root.entries, e)
-		if root.overflowing() {
-			return t.handleOverflowRoot(root, now)
-		}
-		return t.writeNode(root)
-	}
-	split, _, err := t.insertEntryRec(t.root, t.height-1, e, level, now)
-	if err != nil {
-		return err
-	}
-	if split != nil {
-		return t.growRoot(*split, now)
-	}
-	return nil
 }
 
 // growRoot installs a new root above the current one after a root split.
@@ -320,42 +301,24 @@ type splitOut struct {
 	rightBound geom.MovingRect
 }
 
-// insertRec is the decoded descent to level 0 for an insert that restructures
-// (the chosen leaf is full). It returns a split record if the visited child
-// split, and the new tight bound of the visited child (so the parent can
-// tighten its entry without re-reading).
-func (t *Tree) insertRec(id storage.PageID, level int, o model.Object, now float64) (*splitOut, geom.MovingRect, error) {
-	n, ci, err := t.readChoosing(id, level, 0, objRect(o).Rebase(now), now)
+// insertRec is the decoded descent from node id at level to level target,
+// where e is appended. It returns a split record if the visited node split,
+// and its new tight bound (so the parent can tighten its entry without
+// re-reading).
+func (t *Tree) insertRec(id storage.PageID, level int, e entry, target int, now float64) (*splitOut, geom.MovingRect, error) {
+	n, ci, err := t.readChoosing(id, level, target, e.mr.Rebase(now), now)
 	if err != nil {
 		return nil, geom.MovingRect{}, err
 	}
-	if n.leaf() {
-		n.objs = append(n.objs, o)
+	if level == target {
+		n.entries = append(n.entries, e)
 		return t.placed(n, 0, nil, now)
 	}
-	split, childBound, err := t.insertRec(n.entries[ci].child, level-1, o, now)
+	split, childBound, err := t.insertRec(n.entries[ci].child, level-1, e, target, now)
 	if err != nil {
 		return nil, geom.MovingRect{}, err
 	}
 	n.entries[ci].mr = childBound // tighten
-	return t.placed(n, ci, split, now)
-}
-
-// insertEntryRec descends to targetLevel inserting subtree entry e.
-func (t *Tree) insertEntryRec(id storage.PageID, level int, e entry, targetLevel int, now float64) (*splitOut, geom.MovingRect, error) {
-	n, ci, err := t.readChoosing(id, level, targetLevel, e.mr.Rebase(now), now)
-	if err != nil {
-		return nil, geom.MovingRect{}, err
-	}
-	if level == targetLevel {
-		n.entries = append(n.entries, e)
-		return t.placed(n, 0, nil, now)
-	}
-	split, childBound, err := t.insertEntryRec(n.entries[ci].child, level-1, e, targetLevel, now)
-	if err != nil {
-		return nil, geom.MovingRect{}, err
-	}
-	n.entries[ci].mr = childBound
 	return t.placed(n, ci, split, now)
 }
 
@@ -432,18 +395,6 @@ func (t *Tree) handleOverflow(n *node, now float64) (*splitOut, geom.MovingRect,
 	return t.split(n, now)
 }
 
-// handleOverflowRoot splits the root when an entry landed directly in it.
-func (t *Tree) handleOverflowRoot(root *node, now float64) error {
-	split, _, err := t.split(root, now)
-	if err != nil {
-		return err
-	}
-	if split != nil {
-		return t.growRoot(*split, now)
-	}
-	return nil
-}
-
 // forcedReinsert removes the reinsertFraction of entries with the largest
 // integrated center distance from the node's center trajectory (TPR* "pick
 // worst") and queues them for reinsertion after the current descent
@@ -471,66 +422,35 @@ func (t *Tree) forcedReinsert(n *node, now float64) error {
 		return d0 + d1
 	}
 
-	if n.leaf() {
-		k := int(float64(len(n.objs)) * reinsertFraction)
-		if k < 1 {
-			k = 1
+	// Worst first, by a stable insertion sort: at most LeafCap+1 entries,
+	// so the keys fit a stack array.
+	var buf [LeafCap + 1]float64
+	keys, es := buf[:len(n.entries)], n.entries
+	for i, e := range es {
+		keys[i] = dist(e.mr)
+	}
+	for i := 1; i < len(es); i++ {
+		for j := i; j > 0 && keys[j] > keys[j-1]; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+			es[j], es[j-1] = es[j-1], es[j]
 		}
-		sortByDesc(len(n.objs), func(i int) float64 { return dist(objRect(n.objs[i])) }, func(i, j int) {
-			n.objs[i], n.objs[j] = n.objs[j], n.objs[i]
-		})
-		t.pendingObjs = append(t.pendingObjs, n.objs[:k]...)
-		n.objs = append([]model.Object(nil), n.objs[k:]...)
-		return t.writeNode(n)
 	}
-
-	k := int(float64(len(n.entries)) * reinsertFraction)
-	if k < 1 {
-		k = 1
+	k := max(int(float64(len(es))*reinsertFraction), 1)
+	for _, e := range es[:k] {
+		t.pending = append(t.pending, levelEntry{e: e, level: n.level})
 	}
-	sortByDesc(len(n.entries), func(i int) float64 { return dist(n.entries[i].mr) }, func(i, j int) {
-		n.entries[i], n.entries[j] = n.entries[j], n.entries[i]
-	})
-	for _, e := range n.entries[:k] {
-		t.pendingEntries = append(t.pendingEntries, levelEntry{e: e, level: n.level})
-	}
-	n.entries = append([]entry(nil), n.entries[k:]...)
+	n.entries = es[k:]
 	return t.writeNode(n)
 }
 
-// sortByDesc sorts indices [0,n) descending by key using swap (a tiny
-// selection-friendly shell to avoid materializing a slice of structs).
-func sortByDesc(n int, key func(int) float64, swap func(i, j int)) {
-	// Simple insertion sort: n <= InternalCap+1 (~52) or LeafCap+1 (~86),
-	// so the keys fit a stack array.
-	var buf [LeafCap + 1]float64
-	keys := buf[:n]
-	for i := range keys {
-		keys[i] = key(i)
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && keys[j] > keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-			swap(j, j-1)
-		}
-	}
-}
-
 // --- delete ------------------------------------------------------------------
-
-// orphans collects what a delete's condensing dissolved, for reinsertion
-// once the descent has unwound.
-type orphans struct {
-	objs    []model.Object
-	entries []levelEntry
-}
 
 // Delete implements model.Index: removes the exact record o (located by its
 // trajectory; the record must equal the one inserted). Underfull nodes are
 // condensed by reinsertion.
 func (t *Tree) Delete(o model.Object) error {
 	t.reinserted = 0
-	var orph orphans
+	var orph []levelEntry // what condensing dissolved, filed once the descent has unwound
 	// Anchor at the tree clock, never the (possibly stale) record time:
 	// bounds must not be rewound (see the clock field).
 	now := max(t.clock, o.T)
@@ -560,36 +480,24 @@ func (t *Tree) Delete(o model.Object) error {
 			return err
 		}
 	}
-	// Reinsert orphans (entries first, at their recorded levels).
-	for _, oe := range orph.entries {
+	// A non-root node holds at least internalMin entries, so the root
+	// collapses at most once and every orphan's level stays below the height.
+	for _, oe := range orph {
 		if oe.level >= t.height {
-			// The tree shrank below the orphan's level: splice its
-			// children back individually.
-			child, err := t.readNode(oe.e.child, oe.level-1)
-			if err != nil {
-				return err
-			}
-			if child.leaf() {
-				orph.objs = append(orph.objs, child.objs...)
-			} else {
-				for _, e := range child.entries {
-					if err := t.insertEntry(e, child.level-1, now); err != nil {
-						return err
-					}
-				}
-			}
-			if err := t.pool.Free(oe.e.child); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := t.insertEntry(oe.e, oe.level, now); err != nil {
-			return err
+			return fmt.Errorf("tprtree: a level-%d orphan outlived the root's collapse to height %d, so some node was below its minimum fill: %w",
+				oe.level, t.height, storage.ErrCorruptPage)
 		}
 	}
-	for _, obj := range orph.objs {
-		if err := t.insertObj(obj, now); err != nil {
-			return err
+	// Reinsert the orphans at their levels: the subtree entries in the order
+	// they were orphaned, then the records.
+	for _, records := range [2]bool{false, true} {
+		for _, oe := range orph {
+			if (oe.level == 0) != records {
+				continue
+			}
+			if err := t.insert(oe.e, oe.level, now); err != nil {
+				return err
+			}
 		}
 	}
 	return t.drainPending(now)
@@ -602,7 +510,7 @@ func (t *Tree) Delete(o model.Object) error {
 // node's new bound and count, which is how the level above learns — without
 // reading the child again — whether to dissolve it (dissolveChild, decoded)
 // and how Delete learns whether the root collapsed.
-func (t *Tree) deleteAt(id storage.PageID, level int, o model.Object, now float64, orph *orphans) (found bool, bound geom.MovingRect, count int, err error) {
+func (t *Tree) deleteAt(id storage.PageID, level int, o model.Object, now float64, orph *[]levelEntry) (found bool, bound geom.MovingRect, count int, err error) {
 	if level == 0 {
 		err = t.edit(id, 0, func(data []byte, n int) bool {
 			for i := 0; i < n; i++ {
@@ -635,10 +543,6 @@ func (t *Tree) deleteAt(id storage.PageID, level int, o model.Object, now float6
 	}); err != nil {
 		return false, geom.MovingRect{}, 0, err
 	}
-	minFill := internalMin
-	if level == 1 {
-		minFill = leafMin
-	}
 	for _, c := range cands[:nc] {
 		found, childBound, childCount, err := t.deleteAt(c.child, level-1, o, now, orph)
 		if err != nil {
@@ -647,7 +551,7 @@ func (t *Tree) deleteAt(id storage.PageID, level int, o model.Object, now float6
 		if !found {
 			continue
 		}
-		if childCount < minFill {
+		if childCount < minAt(level-1) {
 			return t.dissolveChild(id, level, c.ci, now, orph)
 		}
 		bound, count, err = t.tighten(id, level, c.ci, childBound, now)
@@ -657,9 +561,9 @@ func (t *Tree) deleteAt(id storage.PageID, level int, o model.Object, now float6
 }
 
 // dissolveChild condenses after a delete left child ci of node id underfull:
-// the child's contents go to the orphan lists, its page is freed and its
-// entry removed.
-func (t *Tree) dissolveChild(id storage.PageID, level, ci int, now float64, orph *orphans) (bool, geom.MovingRect, int, error) {
+// the child's entries go to the orphan list, tagged with the child's level,
+// its page is freed and its entry removed.
+func (t *Tree) dissolveChild(id storage.PageID, level, ci int, now float64, orph *[]levelEntry) (bool, geom.MovingRect, int, error) {
 	n, err := t.readNode(id, level)
 	if err != nil {
 		return false, geom.MovingRect{}, 0, err
@@ -668,9 +572,8 @@ func (t *Tree) dissolveChild(id storage.PageID, level, ci int, now float64, orph
 	if err != nil {
 		return false, geom.MovingRect{}, 0, err
 	}
-	orph.objs = append(orph.objs, child.objs...)
 	for _, ce := range child.entries {
-		orph.entries = append(orph.entries, levelEntry{e: ce, level: child.level})
+		*orph = append(*orph, levelEntry{e: ce, level: child.level})
 	}
 	n.entries = append(n.entries[:ci], n.entries[ci+1:]...)
 	if err := t.pool.Free(child.id); err != nil {
@@ -679,7 +582,7 @@ func (t *Tree) dissolveChild(id storage.PageID, level, ci int, now float64, orph
 	if err := t.writeNode(n); err != nil {
 		return false, geom.MovingRect{}, 0, err
 	}
-	return true, n.boundAt(now), n.count(), nil
+	return true, n.boundAt(now), len(n.entries), nil
 }
 
 // entryMayContain is the descent test for deletes, on the bytes of internal

@@ -74,27 +74,15 @@ func DecodeReport(p []byte) (model.Object, error) {
 
 // EncodeReportBatch encodes a batch report record.
 func EncodeReportBatch(objs []model.Object) []byte {
-	b := make([]byte, 0, 8+len(objs)*objectBytes)
+	return AppendReportBatch(make([]byte, 0, 8+len(objs)*objectBytes), objs)
+}
+
+// AppendReportBatch appends a batch report record of objs to b (typically a
+// pooled buffer from GetBuf).
+func AppendReportBatch(b []byte, objs []model.Object) []byte {
 	b = appendU64(b, uint64(len(objs)))
 	for _, o := range objs {
 		b = AppendObject(b, o)
-	}
-	return b
-}
-
-// AppendReportBatch appends a batch report record covering every object in
-// every group to b (typically a pooled buffer from GetBuf), so callers that
-// already hold their objects grouped per shard never flatten them first.
-func AppendReportBatch(b []byte, groups [][]model.Object) []byte {
-	total := 0
-	for _, g := range groups {
-		total += len(g)
-	}
-	b = appendU64(b, uint64(total))
-	for _, g := range groups {
-		for _, o := range g {
-			b = AppendObject(b, o)
-		}
 	}
 	return b
 }

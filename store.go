@@ -811,10 +811,7 @@ func (s *Store) ReportBatch(objs []Object) error {
 			landed, aerr = w.applyBatch(objs)
 			return len(landed) > 0, aerr
 		},
-		func(dst []byte) []byte {
-			w.group[0] = landed
-			return wal.AppendReportBatch(dst, w.group[:])
-		})
+		func(dst []byte) []byte { return wal.AppendReportBatch(dst, landed) })
 	w.finish()
 	// The records that landed count toward maintenance unless logging them
 	// failed (err is then the log's error, not the apply's). Only landed's
@@ -856,8 +853,7 @@ type write struct {
 	evs  []MonitorEvent
 	grow []Vec2
 
-	landed []Object    // a partial batch's records that landed
-	group  [1][]Object // the landed records, as wal.AppendReportBatch takes them
+	landed []Object // a partial batch's records that landed
 }
 
 // applyOne is the in-memory half of Report, Insert and Remove, which
@@ -966,7 +962,7 @@ func (w *write) finish() {
 	}
 	clear(w.errs)
 	w.errs = w.errs[:0]
-	w.e, w.batch, w.timed, w.group[0] = nil, nil, false, nil
+	w.e, w.batch, w.timed = nil, nil, false
 	w.evs, w.grow = w.evs[:0], w.grow[:0]
 	w.s.writePool.Put(w)
 }
