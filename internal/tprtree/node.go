@@ -25,15 +25,18 @@
 //
 // Only a structural change decodes pages into nodes, and a decoded node is
 // one slice of entries at every level, as in GiST: a bound and what it
-// bounds — a child page, or in a leaf a record's id, its bound the record's
+// bounds — a child page, or in a leaf a record's id, bounded by the record's
 // degenerate moving rectangle, an exact copy of its position, velocity and
 // time. decode and writeNode convert at the page boundary (48-byte record
-// slots, 80-byte child slots), so the restructuring code has one path per
-// job: one decoded descent files an entry at any level (a record that finds
-// its leaf full leaves it untouched — one wasted descent, h accesses — and
-// takes it), one forced reinsert and one split serve every level, and the
-// entries they evict and the orphans of a delete's dissolved nodes wait in
-// one queue each, tagged with their level, to be filed the same way.
+// slots, 80-byte child slots), so each restructuring job has one path for
+// every level. One decoded descent files an entry at any level; a record
+// takes it only after the in-place insert found its leaf full and left it
+// untouched (one wasted descent, h accesses). One forced reinsert and one
+// split serve every level. What a forced reinsert evicts waits in one queue,
+// and the orphans of a delete's dissolved nodes in one list, each entry
+// tagged with its level, until the descent has unwound; each is then filed
+// like a new entry, a record by a point insert of its own where its leaf has
+// room.
 //
 // What a level costs once its page is pinned is arithmetic, and each piece
 // is computed once, from the slot bytes. ChooseSubtree prices an entry by

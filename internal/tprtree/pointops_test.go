@@ -321,9 +321,9 @@ func TestCorruptPageIsAnError(t *testing.T) {
 // root's second child has one entry — one delete dissolves a leaf and its two
 // ancestors below the root, and the root collapses twice, to height 2, past
 // a level-2 orphan. Delete must report storage.ErrCorruptPage before it
-// files any orphan: the surviving tree and the orphaned subtree keep their
-// bytes (filing the orphan's leaf entries one level too low once wrote
-// 80-byte child slots into a leaf).
+// files any orphan, so every leaf of the surviving tree and of the orphaned
+// subtree keeps its bytes (filing the orphan's leaf entries one level too
+// low would write 80-byte child slots into a leaf).
 func TestDeleteDoubleCollapseIsAnError(t *testing.T) {
 	tr := newTestTree(t, 64, Config{})
 	var victim model.Object
