@@ -1,0 +1,202 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// refStripe is the reference model of one pool stripe: its resident pages
+// ordered by last access (least recent first) and which of them are dirty.
+type refStripe struct {
+	capacity int
+	order    []PageID
+	dirty    map[PageID]bool
+}
+
+// refPool is a plain exact-LRU buffer over the same stripe assignment as the
+// pool it shadows, counting the misses, hits and write-backs the pool must
+// report.
+type refPool struct {
+	stripes              map[*poolStripe]*refStripe
+	misses, hits, writes int64
+}
+
+func newRefPool(p *BufferPool) *refPool {
+	r := &refPool{stripes: make(map[*poolStripe]*refStripe)}
+	for i := range p.stripes {
+		s := &p.stripes[i]
+		r.stripes[s] = &refStripe{capacity: s.capacity, dirty: make(map[PageID]bool)}
+	}
+	return r
+}
+
+func (s *refStripe) drop(id PageID) bool {
+	i := slices.Index(s.order, id)
+	if i < 0 {
+		return false
+	}
+	s.order = slices.Delete(s.order, i, i+1)
+	delete(s.dirty, id)
+	return true
+}
+
+// makeRoom evicts the least recently used page when the stripe is full.
+func (r *refPool) makeRoom(s *refStripe) {
+	if len(s.order) < s.capacity {
+		return
+	}
+	victim := s.order[0]
+	if s.dirty[victim] {
+		r.writes++
+	}
+	s.drop(victim)
+}
+
+// access is a Read, Write or Update of id: a hit moves it to the most
+// recent end, a miss makes room and loads it clean.
+func (r *refPool) access(s *refStripe, id PageID, dirty bool) {
+	if i := slices.Index(s.order, id); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
+		r.hits++
+	} else {
+		r.makeRoom(s)
+		r.misses++
+	}
+	s.order = append(s.order, id)
+	if dirty {
+		s.dirty[id] = true
+	}
+}
+
+func (r *refPool) allocate(s *refStripe, id PageID) {
+	r.makeRoom(s)
+	s.order = append(s.order, id)
+	s.dirty[id] = true
+}
+
+// TestPoolVictimsMatchReferenceLRU drives seeded single-threaded histories of
+// Allocate/Read/Write/Update/Free through pools of 1 to 8 stripes and, after
+// every operation, compares every stripe's resident set and the pool's
+// misses, hits and write-backs with refPool, a per-stripe list ordered by
+// last access. Each page carries a marker of its last write, checked on every
+// read, so a frame reused with stale bytes fails too.
+func TestPoolVictimsMatchReferenceLRU(t *testing.T) {
+	for _, capacity := range []int{2, 17, 32, 68, 340, 4096} {
+		for _, seed := range []int64{1, 2} {
+			t.Run(fmt.Sprintf("frames=%d/seed=%d", capacity, seed), func(t *testing.T) {
+				runReferenceLRUHistory(t, capacity, seed)
+			})
+		}
+	}
+}
+
+func runReferenceLRUHistory(t *testing.T, capacity int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	p := NewBufferPool(NewMemStore(), capacity)
+	ref := newRefPool(p)
+	marker := make(map[PageID]byte) // each live page's expected data[0] and data[PageSize-1]
+	var live []PageID
+	// The history first allocates up to the capacity, then lets the live set
+	// wander around twice the capacity, so every stripe evicts; accesses
+	// favour the most recently allocated pages, so hits and misses both occur.
+	target := 2*capacity + 3
+	ops := 3000 + 3*capacity
+	for op := 0; op < ops; op++ {
+		var touched PageID
+		kind := rng.Intn(100)
+		switch {
+		case len(live) < capacity || (kind < 15 && len(live) < target) || (kind < 4 && len(live) >= target):
+			id, err := p.Allocate()
+			if err != nil {
+				t.Fatalf("op %d: Allocate: %v", op, err)
+			}
+			ref.allocate(ref.stripes[p.stripeFor(id)], id)
+			live = append(live, id)
+			marker[id] = 0
+			touched = id
+		case kind < 20:
+			i := rng.Intn(len(live))
+			id := live[i]
+			if err := p.Free(id); err != nil {
+				t.Fatalf("op %d: Free(%d): %v", op, id, err)
+			}
+			ref.stripes[p.stripeFor(id)].drop(id)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			delete(marker, id)
+			touched = id
+		default:
+			var id PageID
+			if rng.Intn(3) > 0 {
+				id = live[max(0, len(live)-1-rng.Intn(capacity/2+1))]
+			} else {
+				id = live[rng.Intn(len(live))]
+			}
+			want, next := marker[id], byte(op%251+1)
+			check := func(data []byte) {
+				if data[0] != want || data[PageSize-1] != want {
+					t.Fatalf("op %d: page %d reads %d..%d, want %d", op, id, data[0], data[PageSize-1], want)
+				}
+			}
+			s := ref.stripes[p.stripeFor(id)]
+			var err error
+			switch mode := kind % 4; mode {
+			case 0, 1:
+				err = p.Read(id, check)
+				ref.access(s, id, false)
+			case 2:
+				err = p.Write(id, func(data []byte) {
+					check(data)
+					data[0], data[PageSize-1] = next, next
+				})
+				marker[id] = next
+				ref.access(s, id, true)
+			case 3:
+				modified := rng.Intn(2) == 0
+				err = p.Update(id, func(data []byte) bool {
+					check(data)
+					if modified {
+						data[0], data[PageSize-1] = next, next
+					}
+					return modified
+				})
+				if modified {
+					marker[id] = next
+				}
+				ref.access(s, id, modified)
+			}
+			if err != nil {
+				t.Fatalf("op %d: access of page %d: %v", op, id, err)
+			}
+			touched = id
+		}
+		compareWithReference(t, p, ref, op, touched)
+	}
+	if ref.misses == 0 || ref.writes == 0 {
+		t.Fatalf("history never evicted (%d misses, %d write-backs): it does not test the victims", ref.misses, ref.writes)
+	}
+	t.Logf("%d ops: %d misses, %d hits, %d write-backs", ops, ref.misses, ref.hits, ref.writes)
+}
+
+// compareWithReference checks the pool's counters and every stripe's
+// resident set against the model.
+func compareWithReference(t *testing.T, p *BufferPool, ref *refPool, op int, touched PageID) {
+	t.Helper()
+	if s := p.Stats(); s.Misses != ref.misses || s.Hits != ref.hits || s.Writes != ref.writes {
+		t.Fatalf("op %d (page %d): stats %+v, reference misses %d hits %d writes %d", op, touched, s, ref.misses, ref.hits, ref.writes)
+	}
+	for i := range p.stripes {
+		s := &p.stripes[i]
+		rs := ref.stripes[s]
+		if len(s.frames) != len(rs.order) {
+			t.Fatalf("op %d (page %d): stripe %d holds %d pages, reference %d", op, touched, i, len(s.frames), len(rs.order))
+		}
+		for _, id := range rs.order {
+			if _, ok := s.frames[id]; !ok {
+				t.Fatalf("op %d (page %d): stripe %d evicted page %d, which the reference still holds (reference LRU order %v)", op, touched, i, id, rs.order)
+			}
+		}
+	}
+}
