@@ -15,6 +15,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -151,29 +152,48 @@ func (d *MemStore) NumPages() int {
 	return len(d.pages)
 }
 
-// frame is a buffer-pool slot. Pin counts and the LRU stamp are atomic so
-// the hit fast path can take them under the stripe's shared (read) lock,
-// concurrently with other readers; dirty is atomic for the same reason
-// (Write marks it outside any lock). The page image itself is only ever
-// mutated by a Write closure while the frame is pinned.
+// frame is one slot of a stripe's frame table. Pin counts and the LRU stamp
+// are atomic so the hit fast path can take them under the stripe's shared
+// (read) lock, concurrently with other readers; dirty is atomic for the same
+// reason (Write marks it outside any lock). id changes only under the
+// stripe's write lock. The page image is allocated at the slot's first use
+// and kept for every page the slot holds after, so a miss allocates nothing;
+// it is only ever mutated by a Write closure while the frame is pinned.
 type frame struct {
-	id    PageID
-	data  [PageSize]byte
+	id    PageID // NilPage while the slot is empty
+	data  *[PageSize]byte
 	pins  atomic.Int32
 	dirty atomic.Bool
-	stamp atomic.Uint64 // pool-global LRU clock value of the last access
+	stamp atomic.Uint64 // the stripe's LRU clock at the last access
+	// Pads the header to a cache line (TestPoolLayout): a hit writes pins and
+	// stamp, so hits on neighbouring slots from different CPUs must not share
+	// a line.
+	_ [32]byte
 }
 
 // poolStripe is one lock domain of a striped BufferPool: a slice of the page
 // table plus its share of the frame budget. Pages are assigned to stripes by
 // an id hash, so two goroutines touching unrelated pages almost never meet
 // on the same lock.
+//
+// The stripe's frames live in one dense table of capacity slots; frames maps
+// each resident page to its slot and free stacks the empty slots, so
+// len(frames) + len(free) == capacity.
+//
+// A stripe is two cache lines (TestPoolLayout): the first holds what every
+// access writes — the lock word, the LRU clock and the hit counter — and the
+// second starts with the map and table a hit only reads.
 type poolStripe struct {
-	mu       sync.RWMutex
+	mu      sync.RWMutex
+	clock   atomic.Uint64
+	hits    atomic.Int64
+	waiters atomic.Int32
+
 	cond     *sync.Cond // on the write side of mu; signaled on unpin / frame exit
-	waiters  atomic.Int32
 	capacity int
-	frames   map[PageID]*frame
+	frames   map[PageID]int32 // resident page -> slot in table
+	table    []frame
+	free     []int32 // empty slots of table
 	// owned tracks every page this stripe's pool allocated and has not yet
 	// freed, so Retire can release a whole abandoned index's disk footprint.
 	owned map[PageID]struct{}
@@ -205,16 +225,16 @@ func stripeCount(capacity int) int {
 // BufferPool is an LRU page cache in front of a Disk. It is safe for
 // concurrent use by multiple goroutines and is lock-striped: the page table
 // is sharded by page-id hash into independent stripes, each with its own
-// RWMutex, frame budget and eviction state, so the shard×partition query
-// fan-out above it stops serializing on a single pool mutex. A page hit
-// takes only its stripe's read lock — lookups, pins, LRU stamps and the
-// hit counter are all atomic — so concurrent readers of cached pages
-// proceed in parallel; only misses (which pay the simulated disk access
-// anyway) take the stripe's write lock.
+// RWMutex, frame table, LRU clock and hit counter, so the shard×partition
+// query fan-out above it stops serializing on a single pool mutex. A page hit
+// takes only its stripe's read lock — lookups, pins, LRU stamps and the hit
+// counter are all atomic — so concurrent readers of cached pages proceed in
+// parallel; only misses (which pay the simulated disk access anyway) take the
+// stripe's write lock.
 //
 // Eviction is exact LRU within a stripe: every access stamps the frame from
-// a pool-global monotonic clock and a miss evicts the unpinned frame with
-// the smallest stamp. A stripe whose frames are all pinned by other
+// the stripe's monotonic clock and a miss evicts the unpinned frame with the
+// smallest stamp. A stripe whose frames are all pinned by other
 // goroutines applies back-pressure — the fetch waits for a pin to release
 // instead of failing — so even a pool smaller than the number of concurrent
 // readers serves every request under its RAM budget. Pins are only ever
@@ -224,8 +244,6 @@ type BufferPool struct {
 	disk     PageStore
 	capacity int
 	stripes  []poolStripe
-	clock    atomic.Uint64
-	hits     atomic.Int64
 	misses   atomic.Int64
 	writes   atomic.Int64
 }
@@ -255,11 +273,22 @@ func NewBufferPool(disk PageStore, capacity int) *BufferPool {
 		if i < extra {
 			s.capacity++
 		}
-		s.frames = make(map[PageID]*frame, s.capacity)
+		s.frames = make(map[PageID]int32, s.capacity)
+		s.table = make([]frame, s.capacity)
+		s.free = emptySlots(s.free, s.capacity)
 		s.owned = make(map[PageID]struct{})
 		s.cond = sync.NewCond(&s.mu)
 	}
 	return b
+}
+
+// emptySlots refills free with every slot of an n-slot table, slot 0 on top.
+func emptySlots(free []int32, n int) []int32 {
+	free = free[:0]
+	for i := n - 1; i >= 0; i-- {
+		free = append(free, int32(i))
+	}
+	return free
 }
 
 // stripeFor hashes a page id to its stripe. Fibonacci hashing spreads the
@@ -286,47 +315,99 @@ type Stats struct {
 
 // Stats returns current counters.
 func (b *BufferPool) Stats() Stats {
-	return Stats{Misses: b.misses.Load(), Hits: b.hits.Load(), Writes: b.writes.Load()}
+	st := Stats{Misses: b.misses.Load(), Writes: b.writes.Load()}
+	for i := range b.stripes {
+		st.Hits += b.stripes[i].hits.Load()
+	}
+	return st
 }
 
-// evictOne writes back and drops the stripe's least recently used unpinned
-// frame and hands it to the caller to reuse for the page it is making room
-// for, so a miss does not allocate a fresh 4 KB frame right after dropping
-// one: no goroutine can still hold the victim (zero pins, gone from the table
-// under the write lock). It returns nil (with a nil error) when every frame
-// is pinned — the caller waits for an unpin; err reports only real
-// write-back failures. Caller holds s.mu (write). Pin counts cannot rise
-// while the write lock is held (pinning needs at least the read lock), so a
-// zero-pin victim stays evictable through the write-back.
+// evictOne writes back the stripe's least recently used unpinned frame and
+// empties its slot onto the free stack; the slot keeps its page image, so
+// the miss that reuses it does not allocate. It reports false (with a nil
+// error) when every frame is pinned — the caller waits for an unpin; err
+// reports only real write-back failures. Caller holds s.mu (write) and calls
+// it only on a full stripe, so every slot holds a page. Pin counts cannot
+// rise while the write lock is held (pinning needs at least the read lock),
+// so a zero-pin victim stays evictable through the write-back.
 //
-// Victim selection scans the stripe — O(stripe capacity) — instead of
-// popping an intrusive LRU list. That is the deliberate price of the hit
-// fast path: a linked list would need the write lock on every hit to relink,
-// which is exactly the serialization the stamp design removes, while the
-// scan runs only on evictions, which accompany a disk access anyway and are
-// bounded by the stripe (not pool) capacity.
-func (b *BufferPool) evictOne(s *poolStripe) (*frame, error) {
-	var victim *frame
-	for _, f := range s.frames {
+// Victim selection scans the stripe's frame table — O(stripe capacity), one
+// pass over contiguous headers — instead of keeping the frames in LRU order.
+// That is the deliberate price of the hit fast path: an ordered list would
+// need the write lock on every hit to relink, which is exactly the
+// serialization the stamp design removes, while the scan runs only on
+// evictions, which accompany a disk access anyway and are bounded by the
+// stripe (not pool) capacity. Stamps are unique within a stripe, so the
+// victim is the exact LRU one.
+func (b *BufferPool) evictOne(s *poolStripe) (bool, error) {
+	victim, oldest := -1, uint64(0)
+	for i := range s.table {
+		f := &s.table[i]
 		if f.pins.Load() != 0 {
 			continue
 		}
-		if victim == nil || f.stamp.Load() < victim.stamp.Load() {
-			victim = f
+		if st := f.stamp.Load(); victim < 0 || st < oldest {
+			victim, oldest = i, st
 		}
 	}
-	if victim == nil {
-		return nil, nil
+	if victim < 0 {
+		return false, nil
 	}
-	if victim.dirty.Load() {
-		if err := b.disk.WritePage(victim.id, &victim.data); err != nil {
-			return nil, err
+	if f := &s.table[victim]; f.dirty.Load() {
+		if err := b.disk.WritePage(f.id, f.data); err != nil {
+			return false, err
 		}
 		b.writes.Add(1)
 	}
-	delete(s.frames, victim.id)
-	victim.dirty.Store(false)
-	return victim, nil
+	s.release(int32(victim))
+	return true, nil
+}
+
+// makeRoom takes an empty slot of the stripe, evicting a frame when none is
+// free. On a stripe full of pinned frames it waits for an unpin and returns
+// -1: the write lock was released meanwhile, so the caller re-checks the
+// table and calls again. Caller holds s.mu (write).
+func (b *BufferPool) makeRoom(s *poolStripe) (int32, error) {
+	if len(s.free) == 0 {
+		evicted, err := b.evictOne(s)
+		if err != nil {
+			return -1, err
+		}
+		if !evicted {
+			s.waiters.Add(1)
+			s.cond.Wait()
+			s.waiters.Add(-1)
+			return -1, nil
+		}
+	}
+	n := len(s.free) - 1
+	slot := s.free[n]
+	s.free = s.free[:n]
+	return slot, nil
+}
+
+// install puts page id into the empty slot, allocating the slot's page image
+// at its first use, and stamps it as the stripe's most recent access. The
+// frame comes back unpinned and clean, with the image's old bytes.
+func (s *poolStripe) install(slot int32, id PageID) *frame {
+	f := &s.table[slot]
+	if f.data == nil {
+		f.data = new([PageSize]byte)
+	}
+	f.id = id
+	f.stamp.Store(s.clock.Add(1))
+	s.frames[id] = slot
+	return f
+}
+
+// release empties a slot whose page left the stripe. Caller holds s.mu
+// (write).
+func (s *poolStripe) release(slot int32) {
+	f := &s.table[slot]
+	delete(s.frames, f.id)
+	f.id = NilPage
+	f.dirty.Store(false)
+	s.free = append(s.free, slot)
 }
 
 // pin returns the frame for id with one pin taken, loading the page from
@@ -342,50 +423,40 @@ func (b *BufferPool) pin(id PageID) (*frame, error) {
 	}
 	s := b.stripeFor(id)
 	s.mu.RLock()
-	if f, ok := s.frames[id]; ok {
+	if slot, ok := s.frames[id]; ok {
+		f := &s.table[slot]
 		f.pins.Add(1)
-		f.stamp.Store(b.clock.Add(1))
+		f.stamp.Store(s.clock.Add(1))
 		s.mu.RUnlock()
-		b.hits.Add(1)
+		s.hits.Add(1)
 		return f, nil
 	}
 	s.mu.RUnlock()
 
 	s.mu.Lock()
-	var f *frame // the evicted frame, if one had to go; ReadPage overwrites all of data
-	for {
-		if f, ok := s.frames[id]; ok {
+	slot := int32(-1)
+	for slot < 0 {
+		if hit, ok := s.frames[id]; ok {
+			f := &s.table[hit]
 			f.pins.Add(1)
-			f.stamp.Store(b.clock.Add(1))
+			f.stamp.Store(s.clock.Add(1))
 			s.mu.Unlock()
-			b.hits.Add(1)
+			s.hits.Add(1)
 			return f, nil
 		}
-		if len(s.frames) < s.capacity {
-			break
-		}
 		var err error
-		if f, err = b.evictOne(s); err != nil {
+		if slot, err = b.makeRoom(s); err != nil {
 			s.mu.Unlock()
 			return nil, err
 		}
-		if f == nil {
-			s.waiters.Add(1)
-			s.cond.Wait()
-			s.waiters.Add(-1)
-		}
 	}
-	if f == nil {
-		f = new(frame)
-	}
-	f.id = id
-	if err := b.disk.ReadPage(id, &f.data); err != nil {
+	f := s.install(slot, id) // ReadPage overwrites all of the image
+	if err := b.disk.ReadPage(id, f.data); err != nil {
+		s.release(slot)
 		s.mu.Unlock()
 		return nil, err
 	}
 	f.pins.Store(1)
-	f.stamp.Store(b.clock.Add(1))
-	s.frames[id] = f
 	s.mu.Unlock()
 	b.misses.Add(1)
 	return f, nil
@@ -453,7 +524,8 @@ func (b *BufferPool) Update(id PageID, fn func(data []byte) (modified bool)) err
 // Allocate reserves a new page and installs a zeroed, dirty frame for it so
 // the first access is not charged as a read miss (freshly allocated pages
 // have no on-disk image worth reading). Like pin, it waits out a stripe
-// full of pinned frames.
+// full of pinned frames. If making room fails, the page is released on the
+// disk again.
 func (b *BufferPool) Allocate() (PageID, error) {
 	id, err := b.disk.Allocate()
 	if err != nil {
@@ -462,26 +534,18 @@ func (b *BufferPool) Allocate() (PageID, error) {
 	s := b.stripeFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var f *frame // the evicted frame, if one had to go
-	for len(s.frames) >= s.capacity {
-		if f, err = b.evictOne(s); err != nil {
+	slot := int32(-1)
+	for slot < 0 {
+		if slot, err = b.makeRoom(s); err != nil {
+			if ferr := b.disk.Free(id); ferr != nil {
+				err = errors.Join(err, ferr)
+			}
 			return NilPage, err
 		}
-		if f == nil {
-			s.waiters.Add(1)
-			s.cond.Wait()
-			s.waiters.Add(-1)
-		}
 	}
-	if f == nil {
-		f = new(frame)
-	} else {
-		f.data = [PageSize]byte{}
-	}
-	f.id = id
+	f := s.install(slot, id)
+	*f.data = [PageSize]byte{}
 	f.dirty.Store(true)
-	f.stamp.Store(b.clock.Add(1))
-	s.frames[id] = f
 	s.owned[id] = struct{}{}
 	return id, nil
 }
@@ -491,12 +555,12 @@ func (b *BufferPool) Allocate() (PageID, error) {
 func (b *BufferPool) Free(id PageID) error {
 	s := b.stripeFor(id)
 	s.mu.Lock()
-	if f, ok := s.frames[id]; ok {
-		if f.pins.Load() > 0 {
+	if slot, ok := s.frames[id]; ok {
+		if s.table[slot].pins.Load() > 0 {
 			s.mu.Unlock()
 			return fmt.Errorf("storage: freeing pinned page %d", id)
 		}
-		delete(s.frames, id)
+		s.release(slot)
 	}
 	delete(s.owned, id)
 	s.mu.Unlock()
@@ -505,42 +569,50 @@ func (b *BufferPool) Free(id PageID) error {
 }
 
 // Retire permanently releases the pool: every cached frame is dropped
-// without write-back and every page the pool ever allocated (and not since
-// freed) is released on the disk. This is for pools whose whole index
-// structure is being abandoned — a replaced partition epoch, a failed
-// swap's half-built one — so repeated rebuilds do not
-// accumulate dead pages and cached frames forever. The caller must
+// without write-back (and its page image with it) and every page the pool
+// ever allocated (and not since freed) is released on the disk. This is for
+// pools whose whole index structure is being abandoned — a replaced
+// partition epoch, a failed swap's half-built one — so repeated rebuilds do
+// not accumulate dead pages and cached frames forever. The caller must
 // guarantee no index still uses the pool; the pool must not be used
 // afterwards.
 func (b *BufferPool) Retire() {
 	for i := range b.stripes {
 		s := &b.stripes[i]
 		s.mu.Lock()
-		s.frames = make(map[PageID]*frame)
+		clear(s.frames)
+		for j := range s.table {
+			f := &s.table[j]
+			f.id, f.data = NilPage, nil
+			f.dirty.Store(false)
+		}
+		s.free = emptySlots(s.free, len(s.table))
 		for id := range s.owned {
 			_ = b.disk.Free(id) // best-effort: the structure is abandoned
 		}
-		s.owned = make(map[PageID]struct{})
+		clear(s.owned)
 		s.mu.Unlock()
 		s.cond.Broadcast()
 	}
 }
 
-// FlushAll writes back every dirty frame (kept resident). Used by tests and
-// when snapshotting space usage.
+// FlushAll writes back every dirty frame (kept resident), stripe by stripe
+// in slot order. Used by tests and when snapshotting space usage.
 func (b *BufferPool) FlushAll() error {
 	for i := range b.stripes {
 		s := &b.stripes[i]
 		s.mu.Lock()
-		for id, f := range s.frames {
-			if f.dirty.Load() {
-				if err := b.disk.WritePage(id, &f.data); err != nil {
-					s.mu.Unlock()
-					return err
-				}
-				b.writes.Add(1)
-				f.dirty.Store(false)
+		for j := range s.table {
+			f := &s.table[j]
+			if f.id == NilPage || !f.dirty.Load() {
+				continue
 			}
+			if err := b.disk.WritePage(f.id, f.data); err != nil {
+				s.mu.Unlock()
+				return err
+			}
+			b.writes.Add(1)
+			f.dirty.Store(false)
 		}
 		s.mu.Unlock()
 	}

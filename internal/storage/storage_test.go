@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestDiskAllocateReadWrite(t *testing.T) {
@@ -681,6 +683,134 @@ func TestDiskFailedAccessNotCounted(t *testing.T) {
 	if s := p.Stats(); s.Misses != 1 || s.Writes != 0 {
 		t.Fatalf("failed write-back counted as I/O: %+v", s)
 	}
+}
+
+// TestAllocateFailedWriteBackFreesPage: an Allocate whose eviction cannot
+// write the victim back fails, and the page id it reserved goes back to the
+// disk instead of leaking past Retire.
+func TestAllocateFailedWriteBackFreesPage(t *testing.T) {
+	d := &failingWrites{MemStore: NewMemStore()}
+	p := NewBufferPool(d, 2)
+	for i := 0; i < 2; i++ { // two dirty frames fill the pool
+		if _, err := p.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.fail.Store(true)
+	if id, err := p.Allocate(); err == nil {
+		t.Fatalf("Allocate over a failing write-back returned page %d", id)
+	} else if !errors.Is(err, errWriteRefused) {
+		t.Fatalf("Allocate error %v does not wrap the write-back's", err)
+	}
+	if n := d.NumPages(); n != 2 {
+		t.Fatalf("after the failed Allocate the disk holds %d pages, want the 2 resident ones", n)
+	}
+	p.Retire()
+	if n := d.NumPages(); n != 0 {
+		t.Fatalf("Retire left %d pages on the disk", n)
+	}
+}
+
+// checkFrameTables fails unless every stripe's page map and free stack
+// partition its frame table: each resident page maps to a slot holding it,
+// each free slot is empty, and no slot is counted twice.
+func checkFrameTables(t *testing.T, p *BufferPool) {
+	t.Helper()
+	for i := range p.stripes {
+		s := &p.stripes[i]
+		seen := make(map[int32]bool)
+		for id, slot := range s.frames {
+			if s.table[slot].id != id || seen[slot] {
+				t.Fatalf("stripe %d: page %d maps to slot %d, which holds page %d (seen twice: %v)", i, id, slot, s.table[slot].id, seen[slot])
+			}
+			seen[slot] = true
+		}
+		for _, slot := range s.free {
+			if s.table[slot].id != NilPage || seen[slot] {
+				t.Fatalf("stripe %d: free slot %d holds page %d (seen twice: %v)", i, slot, s.table[slot].id, seen[slot])
+			}
+			seen[slot] = true
+		}
+		if len(seen) != s.capacity || len(s.table) != s.capacity {
+			t.Fatalf("stripe %d: %d resident + %d free slots, table of %d, capacity %d", i, len(s.frames), len(s.free), len(s.table), s.capacity)
+		}
+	}
+}
+
+// TestFrameTableSurvivesEveryExit walks a frame through every way in and
+// out of a stripe's table — a miss that fails after its eviction, Free,
+// FlushAll, Retire — and checks the page map against the table after each.
+func TestFrameTableSurvivesEveryExit(t *testing.T) {
+	d := newCountingStore()
+	p := NewBufferPool(d, 2)
+	a, _ := p.Allocate()
+	b, _ := p.Allocate()
+	if err := p.Write(a, func(data []byte) { data[0] = 7 }); err != nil {
+		t.Fatal(err)
+	}
+	checkFrameTables(t, p)
+	// The read of a page the disk does not hold evicts b (written back), then
+	// fails: its slot must come back empty, not keep the failed page.
+	if err := p.Read(PageID(999), func([]byte) {}); err == nil {
+		t.Fatal("read of an unallocated page succeeded")
+	}
+	checkFrameTables(t, p)
+	if len(p.stripes[0].frames) != 1 || d.writes.Load() != 1 {
+		t.Fatalf("after the failed miss: %d resident, %d write-backs; want 1 and 1", len(p.stripes[0].frames), d.writes.Load())
+	}
+	if err := p.Read(b, func(data []byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	checkFrameTables(t, p)
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	checkFrameTables(t, p)
+	c, _ := p.Allocate() // into the slot Free emptied: zeroed, not a's bytes
+	if err := p.Read(c, func(data []byte) {
+		if data[0] != 0 {
+			t.Errorf("page %d allocated into a freed slot reads %d", c, data[0])
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	checkFrameTables(t, p)
+	p.Retire()
+	checkFrameTables(t, p)
+	if n := len(p.stripes[0].frames); n != 0 || d.NumPages() != 0 {
+		t.Fatalf("Retire left %d frames and %d disk pages", n, d.NumPages())
+	}
+}
+
+// TestPoolLayout pins the cache-line layout the hit path relies on: one
+// 64-byte header per frame, and a stripe of two lines whose second starts at
+// the page map (the first is written by every access of the stripe).
+func TestPoolLayout(t *testing.T) {
+	if n := unsafe.Sizeof(frame{}); n != 64 {
+		t.Errorf("frame header is %d bytes, want 64", n)
+	}
+	var s poolStripe
+	if n, off := unsafe.Sizeof(s), unsafe.Offsetof(s.frames); n != 128 || off != 64 {
+		t.Errorf("stripe is %d bytes with its map at %d, want 128 and 64", n, off)
+	}
+}
+
+var errWriteRefused = errors.New("write refused")
+
+// failingWrites is a MemStore whose page writes fail once fail is set.
+type failingWrites struct {
+	*MemStore
+	fail atomic.Bool
+}
+
+func (f *failingWrites) WritePage(id PageID, src *[PageSize]byte) error {
+	if f.fail.Load() {
+		return errWriteRefused
+	}
+	return f.MemStore.WritePage(id, src)
 }
 
 // countingStore counts the successful page writes of the MemStore it wraps:
