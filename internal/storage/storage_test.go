@@ -471,8 +471,8 @@ func TestStatsExactUnderConcurrentThrash(t *testing.T) {
 }
 
 // TestStripedPoolEvictionStillLRU: with multiple stripes, eviction within a
-// stripe must still pick the least recently used unpinned frame (the global
-// access clock makes "least recent" exact, not approximate).
+// stripe must still pick the least recently used unpinned frame (the
+// stripe's access clock makes "least recent" exact, not approximate).
 func TestStripedPoolEvictionStillLRU(t *testing.T) {
 	d := NewMemStore()
 	p := NewBufferPool(d, 32) // 2 stripes of 16
