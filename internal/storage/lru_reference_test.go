@@ -81,20 +81,23 @@ func (r *refPool) allocate(s *refStripe, id PageID) {
 // every operation, compares every stripe's resident set and the pool's
 // misses, hits and write-backs with refPool, a per-stripe list ordered by
 // last access. Each page carries a marker of its last write, checked on every
-// read, so a frame reused with stale bytes fails too.
+// read, so a frame reused with stale bytes fails too. Every history runs on
+// both paths: over a bare MemStore and over a wrapper that hides it.
 func TestPoolVictimsMatchReferenceLRU(t *testing.T) {
 	for _, capacity := range []int{2, 17, 32, 68, 340, 4096} {
 		for _, seed := range []int64{1, 2} {
-			t.Run(fmt.Sprintf("frames=%d/seed=%d", capacity, seed), func(t *testing.T) {
-				runReferenceLRUHistory(t, capacity, seed)
-			})
+			for _, path := range poolPaths {
+				t.Run(fmt.Sprintf("frames=%d/seed=%d/%s", capacity, seed, path.name), func(t *testing.T) {
+					runReferenceLRUHistory(t, path.store(NewMemStore()), capacity, seed)
+				})
+			}
 		}
 	}
 }
 
-func runReferenceLRUHistory(t *testing.T, capacity int, seed int64) {
+func runReferenceLRUHistory(t *testing.T, d PageStore, capacity int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	p := NewBufferPool(NewMemStore(), capacity)
+	p := NewBufferPool(d, capacity)
 	ref := newRefPool(p)
 	marker := make(map[PageID]byte) // each live page's expected data[0] and data[PageSize-1]
 	var live []PageID
@@ -173,7 +176,11 @@ func runReferenceLRUHistory(t *testing.T, capacity int, seed int64) {
 			touched = id
 		}
 		compareWithReference(t, p, ref, op, touched)
+		if op%64 == 0 {
+			checkFrameTables(t, p)
+		}
 	}
+	checkFrameTables(t, p)
 	if ref.misses == 0 || ref.writes == 0 {
 		t.Fatalf("history never evicted (%d misses, %d write-backs): it does not test the victims", ref.misses, ref.writes)
 	}

@@ -13,7 +13,9 @@ import (
 // single-file scratch store used by the Store's WithDataDir mode).
 //
 // All methods are safe for concurrent use. The "query I/O" the paper plots
-// is the pool's misses (BufferPool.Stats), one ReadPage each.
+// is the pool's misses (BufferPool.Stats): one ReadPage each, except that a
+// pool over a bare MemStore works on the store's page images in place and
+// calls neither ReadPage nor WritePage (NewBufferPool).
 type PageStore interface {
 	// Allocate reserves a page id (recycling freed ids) with zeroed contents.
 	Allocate() (PageID, error)

@@ -22,29 +22,39 @@ func cleanPages(b *testing.B, d *MemStore, n int) []PageID {
 
 // BenchmarkPoolMiss is the cost of a miss that evicts: a pool of n frames
 // reads 2n clean pages in a cycle, so under exact LRU every access misses
-// and every miss scans its stripe for the victim. It reports misses/op as a
-// check that the walk does miss.
+// and every miss scans its stripe for the victim. On the dirty axis every
+// access is a Write instead of a Read, so every miss also writes its victim
+// back. It reports misses/op and writes/op as a check that the walk does
+// miss and write back.
 func BenchmarkPoolMiss(b *testing.B) {
-	for _, n := range []int{17, 68, 340, 4096} {
-		b.Run(fmt.Sprintf("frames=%d", n), func(b *testing.B) {
-			d := NewMemStore()
-			p := NewBufferPool(d, n)
-			ids := cleanPages(b, d, 2*n)
-			for _, id := range ids { // fill the pool first
-				if err := p.Read(id, func([]byte) {}); err != nil {
-					b.Fatal(err)
+	for _, dirty := range []bool{false, true} {
+		for _, n := range []int{17, 68, 340, 4096} {
+			b.Run(fmt.Sprintf("dirty=%t/frames=%d", dirty, n), func(b *testing.B) {
+				d := NewMemStore()
+				p := NewBufferPool(d, n)
+				ids := cleanPages(b, d, 2*n)
+				access := p.Read
+				if dirty {
+					access = p.Write
 				}
-			}
-			before := p.Stats().Misses
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.Read(ids[i%len(ids)], func([]byte) {}); err != nil {
-					b.Fatal(err)
+				for _, id := range ids { // fill the pool first
+					if err := access(id, func([]byte) {}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(p.Stats().Misses-before)/float64(b.N), "misses/op")
-		})
+				before := p.Stats()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := access(ids[i%len(ids)], func([]byte) {}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				after := p.Stats()
+				b.ReportMetric(float64(after.Misses-before.Misses)/float64(b.N), "misses/op")
+				b.ReportMetric(float64(after.Writes-before.Writes)/float64(b.N), "writes/op")
+			})
+		}
 	}
 }
 

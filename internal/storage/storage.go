@@ -6,8 +6,12 @@
 // plotted throughout Section 6 of the paper.
 //
 // The MemStore backend is the paper's simulated disk: a map from PageID to
-// page images; it is the default and keeps
-// benchmark figures comparable to the paper. The FileStore
+// one 4 KB image per page; it is the default and keeps benchmark figures
+// comparable to the paper. A pool directly over a MemStore works on those
+// images in place — a miss points its frame at the store's image and a
+// write-back only checks the page is still allocated — while a pool over any
+// other backend copies each page into an image of its own. Both paths count
+// the same misses, hits and write-backs. The FileStore
 // backend (filestore.go) is a real single-file page store with slot-aligned
 // pread/pwrite, checksummed slots and fsync on Sync — the pages of the Store's
 // WithDataDir mode, as scratch: the file starts empty at every open and holds
@@ -40,9 +44,15 @@ const NilPage PageID = 0
 // MemStore (the Store gives every partition its own pool over one shared
 // store). Freed page ids are recycled by Allocate (most recently freed
 // first), so long-lived stores with index rebuild churn do not leak ids.
+//
+// Each page is one heap image that a BufferPool over the bare store uses as
+// its frame's bytes (NewBufferPool). Ownership rule: while a pool fronts one
+// of the store's pages — from the pool's Allocate or miss of it until the
+// pool frees it, retires or evicts it — only that pool touches its bytes, and
+// a direct ReadPage or WritePage of that page is a data race.
 type MemStore struct {
 	mu     sync.Mutex
-	pages  map[PageID][]byte
+	pages  map[PageID]*[PageSize]byte
 	free   []PageID // LIFO recycle stack of freed ids
 	nextID uint64
 	closed atomic.Bool
@@ -56,14 +66,22 @@ func errMemClosed(op string) error {
 
 // NewMemStore returns an empty in-memory page store.
 func NewMemStore() *MemStore {
-	return &MemStore{pages: make(map[PageID][]byte)}
+	return &MemStore{pages: make(map[PageID]*[PageSize]byte)}
 }
 
 // Allocate reserves a page id, recycling the most recently freed id if any.
 // The page contents start zeroed.
 func (d *MemStore) Allocate() (PageID, error) {
+	id, _, err := d.allocate()
+	return id, err
+}
+
+// allocate is Allocate that also returns the page's fresh zeroed image. A
+// recycled id gets a new image, so a frame still pointing at the image of
+// the freed page can never write into the new one.
+func (d *MemStore) allocate() (PageID, *[PageSize]byte, error) {
 	if d.closed.Load() {
-		return NilPage, errMemClosed("allocate")
+		return NilPage, nil, errMemClosed("allocate")
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -75,8 +93,9 @@ func (d *MemStore) Allocate() (PageID, error) {
 		d.nextID++
 		id = PageID(d.nextID)
 	}
-	d.pages[id] = make([]byte, PageSize)
-	return id, nil
+	img := new([PageSize]byte)
+	d.pages[id] = img
+	return id, img, nil
 }
 
 // Free releases a page back to the free list. Freed pages may not be read
@@ -104,7 +123,7 @@ func (d *MemStore) ReadPage(id PageID, dst *[PageSize]byte) error {
 	d.mu.Lock()
 	src, ok := d.pages[id]
 	if ok {
-		copy(dst[:], src)
+		*dst = *src
 	}
 	d.mu.Unlock()
 	if !ok {
@@ -121,11 +140,43 @@ func (d *MemStore) WritePage(id PageID, src *[PageSize]byte) error {
 	d.mu.Lock()
 	dst, ok := d.pages[id]
 	if ok {
-		copy(dst, src[:])
+		*dst = *src
 	}
 	d.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("storage: write of unallocated page %d", id)
+	}
+	return nil
+}
+
+// image is the miss of a pool working on the store's pages in place: it
+// returns the store's own image of page id. It fails as ReadPage does.
+func (d *MemStore) image(id PageID) (*[PageSize]byte, error) {
+	if d.closed.Load() {
+		return nil, errMemClosed("read")
+	}
+	d.mu.Lock()
+	img, ok := d.pages[id]
+	d.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("storage: read of unallocated page %d", id)
+	}
+	return img, nil
+}
+
+// holds is the write-back of a pool working on the store's pages in place:
+// the bytes are already the store's, so it only fails, as WritePage does,
+// unless page id is still allocated to img. A page freed behind the pool —
+// and maybe reallocated since, with a new image — fails.
+func (d *MemStore) holds(id PageID, img *[PageSize]byte) error {
+	if d.closed.Load() {
+		return errMemClosed("write")
+	}
+	d.mu.Lock()
+	cur := d.pages[id]
+	d.mu.Unlock()
+	if cur != img {
+		return fmt.Errorf("storage: write-back of page %d, which was freed behind its pool", id)
 	}
 	return nil
 }
@@ -156,9 +207,12 @@ func (d *MemStore) NumPages() int {
 // are atomic so the hit fast path can take them under the stripe's shared
 // (read) lock, concurrently with other readers; dirty is atomic for the same
 // reason (Write marks it outside any lock). id changes only under the
-// stripe's write lock. The page image is allocated at the slot's first use
-// and kept for every page the slot holds after, so a miss allocates nothing;
-// it is only ever mutated by a Write closure while the frame is pinned.
+// stripe's write lock. data is the page's bytes: over a bare MemStore the
+// store's own image of the page, dropped whenever the slot empties; over any
+// other backend the slot's own image, allocated at the slot's first use and
+// kept for every page the slot holds after. Either way a miss allocates
+// nothing, and the bytes are only ever mutated by a Write closure while the
+// frame is pinned.
 type frame struct {
 	id    PageID // NilPage while the slot is empty
 	data  *[PageSize]byte
@@ -222,7 +276,7 @@ func stripeCount(capacity int) int {
 	return p
 }
 
-// BufferPool is an LRU page cache in front of a Disk. It is safe for
+// BufferPool is an LRU page cache in front of a PageStore. It is safe for
 // concurrent use by multiple goroutines and is lock-striped: the page table
 // is sharded by page-id hash into independent stripes, each with its own
 // RWMutex, frame table, LRU clock and hit counter, so the shard×partition
@@ -240,8 +294,19 @@ func stripeCount(capacity int) int {
 // readers serves every request under its RAM budget. Pins are only ever
 // held across the in-memory encode/decode closures of Read/Write, never
 // across another pool access, which is what makes the waiting deadlock-free.
+//
+// Over a bare *MemStore the pool works on the store's page images in place
+// (the shared path): a miss points the frame at the store's image, holding
+// the store's lock only for the lookup; Allocate installs the store's fresh
+// zeroed image; and a dirty frame's write-back copies nothing — it checks
+// that the page is still allocated to that image and counts the write. Over
+// any other backend (FileStore, or a wrapper that sees each transfer) every
+// miss copies the page into the frame's own image with ReadPage and every
+// write-back copies it out with WritePage. Victims, misses, hits and
+// write-backs are the same on both paths.
 type BufferPool struct {
 	disk     PageStore
+	mem      *MemStore // disk, when it is a bare MemStore: the shared path
 	capacity int
 	stripes  []poolStripe
 	misses   atomic.Int64
@@ -255,13 +320,16 @@ type BufferPool struct {
 func (b *BufferPool) Retries() int64 { return 0 }
 
 // NewBufferPool returns a pool of the given capacity (pages) over any
-// PageStore backend. Capacity must be >= 1.
+// PageStore backend; over a bare *MemStore it takes the shared path.
+// Capacity must be >= 1.
 func NewBufferPool(disk PageStore, capacity int) *BufferPool {
 	if capacity < 1 {
 		panic("storage: buffer pool capacity must be >= 1")
 	}
+	mem, _ := disk.(*MemStore)
 	b := &BufferPool{
 		disk:     disk,
+		mem:      mem,
 		capacity: capacity,
 		stripes:  make([]poolStripe, stripeCount(capacity)),
 	}
@@ -323,13 +391,14 @@ func (b *BufferPool) Stats() Stats {
 }
 
 // evictOne writes back the stripe's least recently used unpinned frame and
-// empties its slot onto the free stack; the slot keeps its page image, so
-// the miss that reuses it does not allocate. It reports false (with a nil
-// error) when every frame is pinned — the caller waits for an unpin; err
-// reports only real write-back failures. Caller holds s.mu (write) and calls
-// it only on a full stripe, so every slot holds a page. Pin counts cannot
-// rise while the write lock is held (pinning needs at least the read lock),
-// so a zero-pin victim stays evictable through the write-back.
+// empties its slot onto the free stack; on the copying path the slot keeps
+// its page image, so the miss that reuses it does not allocate. It reports
+// false (with a nil error) when every frame is pinned — the caller waits for
+// an unpin; err reports only real write-back failures. Caller holds s.mu
+// (write) and calls it only on a full stripe, so every slot holds a page.
+// Pin counts cannot rise while the write lock is held (pinning needs at least
+// the read lock), so a zero-pin victim stays evictable through the
+// write-back.
 //
 // Victim selection scans the stripe's frame table — O(stripe capacity), one
 // pass over contiguous headers — instead of keeping the frames in LRU order.
@@ -354,13 +423,22 @@ func (b *BufferPool) evictOne(s *poolStripe) (bool, error) {
 		return false, nil
 	}
 	if f := &s.table[victim]; f.dirty.Load() {
-		if err := b.disk.WritePage(f.id, f.data); err != nil {
+		if err := b.writeBack(f); err != nil {
 			return false, err
 		}
 		b.writes.Add(1)
 	}
-	s.release(int32(victim))
+	s.release(int32(victim), b.mem != nil)
 	return true, nil
+}
+
+// writeBack stores a dirty frame's page. On the shared path the bytes are
+// already the store's, so it only checks that the page still holds them.
+func (b *BufferPool) writeBack(f *frame) error {
+	if b.mem != nil {
+		return b.mem.holds(f.id, f.data)
+	}
+	return b.disk.WritePage(f.id, f.data)
 }
 
 // makeRoom takes an empty slot of the stripe, evicting a frame when none is
@@ -386,12 +464,16 @@ func (b *BufferPool) makeRoom(s *poolStripe) (int32, error) {
 	return slot, nil
 }
 
-// install puts page id into the empty slot, allocating the slot's page image
-// at its first use, and stamps it as the stripe's most recent access. The
-// frame comes back unpinned and clean, with the image's old bytes.
-func (s *poolStripe) install(slot int32, id PageID) *frame {
+// install puts page id into the empty slot and stamps it as the stripe's
+// most recent access. img is the store's image of the page on the shared
+// path; on the copying path (img nil) the slot's own image is allocated at
+// its first use. The frame comes back unpinned and clean, with the image's
+// old bytes.
+func (s *poolStripe) install(slot int32, id PageID, img *[PageSize]byte) *frame {
 	f := &s.table[slot]
-	if f.data == nil {
+	if img != nil {
+		f.data = img
+	} else if f.data == nil {
 		f.data = new([PageSize]byte)
 	}
 	f.id = id
@@ -400,12 +482,17 @@ func (s *poolStripe) install(slot int32, id PageID) *frame {
 	return f
 }
 
-// release empties a slot whose page left the stripe. Caller holds s.mu
+// release empties a slot whose page left the stripe. On the shared path
+// (dropImage) the slot also drops its pointer to the store's image, so an
+// empty slot never keeps a freed page's image alive. Caller holds s.mu
 // (write).
-func (s *poolStripe) release(slot int32) {
+func (s *poolStripe) release(slot int32, dropImage bool) {
 	f := &s.table[slot]
 	delete(s.frames, f.id)
 	f.id = NilPage
+	if dropImage {
+		f.data = nil
+	}
 	f.dirty.Store(false)
 	s.free = append(s.free, slot)
 }
@@ -450,9 +537,19 @@ func (b *BufferPool) pin(id PageID) (*frame, error) {
 			return nil, err
 		}
 	}
-	f := s.install(slot, id) // ReadPage overwrites all of the image
-	if err := b.disk.ReadPage(id, f.data); err != nil {
-		s.release(slot)
+	var f *frame
+	var err error
+	if b.mem != nil {
+		var img *[PageSize]byte
+		if img, err = b.mem.image(id); err == nil {
+			f = s.install(slot, id, img)
+		}
+	} else {
+		f = s.install(slot, id, nil) // ReadPage overwrites all of the image
+		err = b.disk.ReadPage(id, f.data)
+	}
+	if err != nil {
+		s.release(slot, b.mem != nil)
 		s.mu.Unlock()
 		return nil, err
 	}
@@ -523,11 +620,18 @@ func (b *BufferPool) Update(id PageID, fn func(data []byte) (modified bool)) err
 
 // Allocate reserves a new page and installs a zeroed, dirty frame for it so
 // the first access is not charged as a read miss (freshly allocated pages
-// have no on-disk image worth reading). Like pin, it waits out a stripe
-// full of pinned frames. If making room fails, the page is released on the
-// disk again.
+// have no on-disk image worth reading); on the shared path the frame is the
+// store's fresh image. Like pin, it waits out a stripe full of pinned
+// frames. If making room fails, the page is released on the disk again.
 func (b *BufferPool) Allocate() (PageID, error) {
-	id, err := b.disk.Allocate()
+	var id PageID
+	var img *[PageSize]byte
+	var err error
+	if b.mem != nil {
+		id, img, err = b.mem.allocate()
+	} else {
+		id, err = b.disk.Allocate()
+	}
 	if err != nil {
 		return NilPage, err
 	}
@@ -543,8 +647,10 @@ func (b *BufferPool) Allocate() (PageID, error) {
 			return NilPage, err
 		}
 	}
-	f := s.install(slot, id)
-	*f.data = [PageSize]byte{}
+	f := s.install(slot, id, img)
+	if img == nil {
+		*f.data = [PageSize]byte{}
+	}
 	f.dirty.Store(true)
 	s.owned[id] = struct{}{}
 	return id, nil
@@ -560,7 +666,7 @@ func (b *BufferPool) Free(id PageID) error {
 			s.mu.Unlock()
 			return fmt.Errorf("storage: freeing pinned page %d", id)
 		}
-		s.release(slot)
+		s.release(slot, b.mem != nil)
 	}
 	delete(s.owned, id)
 	s.mu.Unlock()
@@ -607,7 +713,7 @@ func (b *BufferPool) FlushAll() error {
 			if f.id == NilPage || !f.dirty.Load() {
 				continue
 			}
-			if err := b.disk.WritePage(f.id, f.data); err != nil {
+			if err := b.writeBack(f); err != nil {
 				s.mu.Unlock()
 				return err
 			}

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -636,8 +637,20 @@ func TestReadUnallocatedThroughPool(t *testing.T) {
 
 // TestDiskFailedAccessNotCounted pins that a page transfer the store refuses
 // is an error and never shows in the pool's physical I/O counters: Misses
-// counts completed reads and Writes completed write-backs only.
+// counts completed reads and Writes completed write-backs only. It runs on
+// both paths, and takes the dirty page's store away two ways: the page freed
+// behind the pool, or the whole store closed.
 func TestDiskFailedAccessNotCounted(t *testing.T) {
+	for _, path := range poolPaths {
+		for _, lose := range []string{"freed", "closed"} {
+			t.Run(path.name+"/"+lose, func(t *testing.T) {
+				failedAccessNotCounted(t, path.store, lose)
+			})
+		}
+	}
+}
+
+func failedAccessNotCounted(t *testing.T, store func(*MemStore) PageStore, lose string) {
 	d := NewMemStore()
 	var buf [PageSize]byte
 	if err := d.ReadPage(PageID(999), &buf); err == nil {
@@ -647,7 +660,7 @@ func TestDiskFailedAccessNotCounted(t *testing.T) {
 		t.Fatal("write of unallocated page should fail")
 	}
 
-	p := NewBufferPool(d, 4)
+	p := NewBufferPool(store(d), 4)
 	if err := p.Read(PageID(999), func([]byte) {}); err == nil {
 		t.Fatal("pool read of unallocated page should fail")
 	}
@@ -666,19 +679,43 @@ func TestDiskFailedAccessNotCounted(t *testing.T) {
 		t.Fatalf("successful read miscounted: %+v", s)
 	}
 
-	// A dirty frame whose page was freed behind the pool: its write-back
-	// fails and is not counted.
 	if err := p.Write(id, func(b []byte) { b[0] = 1 }); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Free(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ReadPage(id, &buf); err == nil {
-		t.Fatal("read of freed page should fail")
+	switch lose {
+	case "freed":
+		// A dirty frame whose page was freed behind the pool: its
+		// write-back fails and is not counted.
+		if err := d.Free(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ReadPage(id, &buf); err == nil {
+			t.Fatal("read of freed page should fail")
+		}
+	case "closed":
+		// After Close a hit still serves the frame's bytes, but a miss and
+		// the dirty frame's write-back fail, uncounted.
+		other, _ := d.Allocate()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		hits := p.Stats().Hits
+		if err := p.Read(id, func(b []byte) {
+			if b[0] != 1 {
+				t.Errorf("hit after Close reads %d, want the frame's 1", b[0])
+			}
+		}); err != nil {
+			t.Fatalf("hit after Close: %v", err)
+		}
+		if s := p.Stats(); s.Hits != hits+1 {
+			t.Fatalf("hit after Close counted %d hits, want 1", s.Hits-hits)
+		}
+		if err := p.Read(other, func([]byte) {}); !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("miss after Close: %v, want an error wrapping os.ErrClosed", err)
+		}
 	}
 	if err := p.FlushAll(); err == nil {
-		t.Fatal("write-back of a freed page should fail")
+		t.Fatal("write-back of a " + lose + " page should fail")
 	}
 	if s := p.Stats(); s.Misses != 1 || s.Writes != 0 {
 		t.Fatalf("failed write-back counted as I/O: %+v", s)
@@ -713,7 +750,9 @@ func TestAllocateFailedWriteBackFreesPage(t *testing.T) {
 
 // checkFrameTables fails unless every stripe's page map and free stack
 // partition its frame table: each resident page maps to a slot holding it,
-// each free slot is empty, and no slot is counted twice.
+// each free slot is empty, and no slot is counted twice. On the shared path
+// a resident slot's image must be the store's image of its page, and an
+// empty slot must hold no image.
 func checkFrameTables(t *testing.T, p *BufferPool) {
 	t.Helper()
 	for i := range p.stripes {
@@ -723,11 +762,19 @@ func checkFrameTables(t *testing.T, p *BufferPool) {
 			if s.table[slot].id != id || seen[slot] {
 				t.Fatalf("stripe %d: page %d maps to slot %d, which holds page %d (seen twice: %v)", i, id, slot, s.table[slot].id, seen[slot])
 			}
+			if p.mem != nil {
+				if img, err := p.mem.image(id); err != nil || s.table[slot].data != img {
+					t.Fatalf("stripe %d: page %d's slot %d is not the store's image of it (lookup: %v)", i, id, slot, err)
+				}
+			}
 			seen[slot] = true
 		}
 		for _, slot := range s.free {
 			if s.table[slot].id != NilPage || seen[slot] {
 				t.Fatalf("stripe %d: free slot %d holds page %d (seen twice: %v)", i, slot, s.table[slot].id, seen[slot])
+			}
+			if p.mem != nil && s.table[slot].data != nil {
+				t.Fatalf("stripe %d: empty slot %d still points at a page image", i, slot)
 			}
 			seen[slot] = true
 		}
@@ -739,9 +786,14 @@ func checkFrameTables(t *testing.T, p *BufferPool) {
 
 // TestFrameTableSurvivesEveryExit walks a frame through every way in and
 // out of a stripe's table — a miss that fails after its eviction, Free,
-// FlushAll, Retire — and checks the page map against the table after each.
+// FlushAll, Retire — and checks the page map against the table after each,
+// on both paths.
 func TestFrameTableSurvivesEveryExit(t *testing.T) {
-	d := newCountingStore()
+	t.Run("shared", func(t *testing.T) { frameTableExits(t, NewMemStore()) })
+	t.Run("copying", func(t *testing.T) { frameTableExits(t, newCountingStore()) })
+}
+
+func frameTableExits(t *testing.T, d PageStore) {
 	p := NewBufferPool(d, 2)
 	a, _ := p.Allocate()
 	b, _ := p.Allocate()
@@ -755,8 +807,11 @@ func TestFrameTableSurvivesEveryExit(t *testing.T) {
 		t.Fatal("read of an unallocated page succeeded")
 	}
 	checkFrameTables(t, p)
-	if len(p.stripes[0].frames) != 1 || d.writes.Load() != 1 {
-		t.Fatalf("after the failed miss: %d resident, %d write-backs; want 1 and 1", len(p.stripes[0].frames), d.writes.Load())
+	if len(p.stripes[0].frames) != 1 || p.Stats().Writes != 1 {
+		t.Fatalf("after the failed miss: %d resident, %d write-backs; want 1 and 1", len(p.stripes[0].frames), p.Stats().Writes)
+	}
+	if c, ok := d.(*countingStore); ok && c.writes.Load() != 1 {
+		t.Fatalf("after the failed miss: %d physical writes, want 1", c.writes.Load())
 	}
 	if err := p.Read(b, func(data []byte) {}); err != nil {
 		t.Fatal(err)
@@ -797,6 +852,21 @@ func TestPoolLayout(t *testing.T) {
 		t.Errorf("stripe is %d bytes with its map at %d, want 128 and 64", n, off)
 	}
 }
+
+// poolPaths are the two ways a BufferPool works over a MemStore: on the
+// store's own page images when it is handed the bare store, on copies when
+// a wrapper hides it.
+var poolPaths = []struct {
+	name  string
+	store func(*MemStore) PageStore
+}{
+	{"shared", func(d *MemStore) PageStore { return d }},
+	{"copying", func(d *MemStore) PageStore { return hiddenStore{d} }},
+}
+
+// hiddenStore passes every call through to the store it wraps; a pool over
+// it cannot see a MemStore underneath, so it takes the copying path.
+type hiddenStore struct{ PageStore }
 
 var errWriteRefused = errors.New("write refused")
 
