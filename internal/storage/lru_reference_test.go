@@ -86,11 +86,13 @@ func (r *refPool) allocate(s *refStripe, id PageID) {
 func TestPoolVictimsMatchReferenceLRU(t *testing.T) {
 	for _, capacity := range []int{2, 17, 32, 68, 340, 4096} {
 		for _, seed := range []int64{1, 2} {
-			for _, path := range poolPaths {
-				t.Run(fmt.Sprintf("frames=%d/seed=%d/%s", capacity, seed, path.name), func(t *testing.T) {
-					runReferenceLRUHistory(t, path.store(NewMemStore()), capacity, seed)
-				})
-			}
+			t.Run(fmt.Sprintf("frames=%d/seed=%d", capacity, seed), func(t *testing.T) {
+				for _, path := range poolPaths {
+					t.Run(path.name, func(t *testing.T) {
+						runReferenceLRUHistory(t, path.store(NewMemStore()), capacity, seed)
+					})
+				}
+			})
 		}
 	}
 }
