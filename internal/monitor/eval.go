@@ -12,17 +12,18 @@
 //
 //   - eval.go (this file) is subscription instantiation (QueryAt),
 //     validation, the exact predicate (MatchesAt), and the ResultSet
-//     membership table with incremental reconcile and snapshot diffing.
+//     membership table (two slice-backed directions with back-pointers)
+//     with incremental reconcile and snapshot diffing.
 //   - filter.go is the coarse spatial subscription filter: per-velocity-
 //     class grids that map one report to the few subscriptions it could
 //     affect, with per-partition τ bounds keeping the expansion tight.
 package monitor
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -57,20 +58,23 @@ type Event struct {
 }
 
 // SortEvents orders one delta batch deterministically: by subscription,
-// then object, then kind. The result sets live in Go maps, whose iteration
-// order is deliberately randomized, so without this two identical runs
-// would emit identical deltas in shuffled order — and a consumer diffing or
-// replaying event logs would see phantom differences. Every emitting verb
-// sorts its batch before returning it.
+// then object, then kind. A batch is collected in whatever order its
+// reconciles ran and their result sets were laid out, and the unfiltered path
+// ranges over the subscription registry, a Go map whose iteration order is
+// deliberately randomized — so without this two identical runs could emit
+// identical deltas in shuffled order, and a consumer diffing or replaying
+// event logs would see phantom differences. Every emitting verb sorts its
+// batch before returning it. The sort allocates nothing: it runs on every
+// report that emits an event.
 func SortEvents(evs []Event) []Event {
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].Sub != evs[j].Sub {
-			return evs[i].Sub < evs[j].Sub
+	slices.SortFunc(evs, func(a, b Event) int {
+		if c := cmp.Compare(a.Sub, b.Sub); c != 0 {
+			return c
 		}
-		if evs[i].ID != evs[j].ID {
-			return evs[i].ID < evs[j].ID
+		if c := cmp.Compare(a.ID, b.ID); c != 0 {
+			return c
 		}
-		return evs[i].Kind < evs[j].Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	})
 	return evs
 }
@@ -148,58 +152,91 @@ func MatchesAt(o model.Object, s Subscription, now float64) bool {
 // the caller passes in, and an object removal never scans the subscription
 // registry at all.
 //
+// Both directions are slices. A subscription's list holds its members
+// unordered; an object's list holds a memberSlot per subscription it is in
+// (one to three in practice), recording where the object sits in that
+// subscription's list, so a removal swap-deletes on both sides without a
+// search. Membership is a scan of the object's own short list.
+//
 // A ResultSet does no locking and holds no reference to an index or a
 // subscription registry; the caller owns both and serializes access. The
 // package-root Store partitions one logical result set into per-stripe
 // ResultSets: each object's memberships live in the ResultSet of the table
 // stripe its ID hashes to.
 type ResultSet struct {
-	bySub map[SubscriptionID]map[model.ObjectID]bool
-	byObj map[model.ObjectID]map[SubscriptionID]bool
+	bySub map[SubscriptionID][]model.ObjectID
+	byObj map[model.ObjectID][]memberSlot
+}
+
+// memberSlot is one membership seen from the object: the subscription and
+// the object's index in that subscription's list.
+type memberSlot struct {
+	sub SubscriptionID
+	at  int
 }
 
 // NewResultSet returns an empty membership table.
 func NewResultSet() *ResultSet {
 	return &ResultSet{
-		bySub: make(map[SubscriptionID]map[model.ObjectID]bool),
-		byObj: make(map[model.ObjectID]map[SubscriptionID]bool),
+		bySub: make(map[SubscriptionID][]model.ObjectID),
+		byObj: make(map[model.ObjectID][]memberSlot),
 	}
 }
 
-// set records id as a member of sub.
+// slotOf returns the index of sub's slot in an object's list, or -1.
+func slotOf(slots []memberSlot, sub SubscriptionID) int {
+	for i := range slots {
+		if slots[i].sub == sub {
+			return i
+		}
+	}
+	return -1
+}
+
+// cut swap-deletes m[k][i] and drops k once its list is empty. A list that
+// has fallen to a quarter of its capacity is copied into a fitting array, so
+// that its capacity does not stay at its peak.
+func cut[K comparable, T any](m map[K][]T, k K, i int) {
+	s := m[k]
+	last := len(s) - 1
+	s[i] = s[last]
+	switch {
+	case last == 0:
+		delete(m, k)
+	case cap(s) > 8 && last <= cap(s)/4:
+		m[k] = slices.Clone(s[:last])
+	default:
+		m[k] = s[:last]
+	}
+}
+
+// set records id as a member of sub. The caller knows it is not one yet.
 func (r *ResultSet) set(sub SubscriptionID, id model.ObjectID) {
-	m := r.bySub[sub]
-	if m == nil {
-		m = make(map[model.ObjectID]bool)
-		r.bySub[sub] = m
-	}
-	m[id] = true
-	o := r.byObj[id]
-	if o == nil {
-		o = make(map[SubscriptionID]bool)
-		r.byObj[id] = o
-	}
-	o[sub] = true
+	ids := r.bySub[sub]
+	r.byObj[id] = append(r.byObj[id], memberSlot{sub, len(ids)})
+	r.bySub[sub] = append(ids, id)
 }
 
-// clear removes id from sub's result set.
+// unlink removes the member at index at of sub's list, repointing the slot
+// of the member moved into its place. The removed member's own slot is the
+// caller's to drop.
+func (r *ResultSet) unlink(sub SubscriptionID, at int) {
+	if ids := r.bySub[sub]; at != len(ids)-1 {
+		moved := r.byObj[ids[len(ids)-1]]
+		moved[slotOf(moved, sub)].at = at
+	}
+	cut(r.bySub, sub, at)
+}
+
+// clear removes id from sub's result set. The caller knows it is a member.
 func (r *ResultSet) clear(sub SubscriptionID, id model.ObjectID) {
-	if m := r.bySub[sub]; m != nil {
-		delete(m, id)
-		if len(m) == 0 {
-			delete(r.bySub, sub)
-		}
-	}
-	if o := r.byObj[id]; o != nil {
-		delete(o, sub)
-		if len(o) == 0 {
-			delete(r.byObj, id)
-		}
-	}
+	k := slotOf(r.byObj[id], sub)
+	r.unlink(sub, r.byObj[id][k].at)
+	cut(r.byObj, id, k)
 }
 
 // Reconcile incrementally re-evaluates one object against the
-// subscriptions that could be affected, flipping membership bits and
+// subscriptions that could be affected, flipping memberships and
 // returning the enter/leave deltas in unspecified order — callers that
 // emit them sort the merged batch (the Store merges deltas of many
 // reconciles into one sorted batch; sorting here too would be paid again
@@ -218,29 +255,32 @@ func (r *ResultSet) Reconcile(id model.ObjectID, o model.Object, present bool, n
 	cands []SubscriptionID, all bool, subs map[SubscriptionID]Subscription) []Event {
 	var evs []Event
 	if !present {
-		for sub := range r.byObj[id] {
-			r.clear(sub, id)
-			evs = append(evs, Event{Sub: sub, ID: id, Kind: Leave, T: now})
+		for _, m := range r.byObj[id] {
+			r.unlink(m.sub, m.at)
+			evs = append(evs, Event{Sub: m.sub, ID: id, Kind: Leave, T: now})
 		}
+		delete(r.byObj, id)
 		return evs
 	}
-	// Membership is read from the object's own set, a map of the few
+	// Membership is read from the object's own list of the few
 	// subscriptions it is in, rather than from each candidate's result set.
-	// set may create the object's map; clear may empty and drop it, which
-	// leaves mem a valid, empty map until the next set.
+	// set and clear may replace or drop the list, so mem is re-read after
+	// each.
 	mem := r.byObj[id]
 	eval := func(sub SubscriptionID, s Subscription) {
-		member := mem[sub]
+		member := slotOf(mem, sub) >= 0
 		match := MatchesAt(o, s, now)
 		switch {
 		case match && !member:
 			r.set(sub, id)
-			mem = r.byObj[id]
 			evs = append(evs, Event{Sub: sub, ID: id, Kind: Enter, T: now})
 		case !match && member:
 			r.clear(sub, id)
 			evs = append(evs, Event{Sub: sub, ID: id, Kind: Leave, T: now})
+		default:
+			return
 		}
+		mem = r.byObj[id]
 	}
 	if all {
 		for sub, s := range subs {
@@ -258,7 +298,10 @@ func (r *ResultSet) Reconcile(id model.ObjectID, o model.Object, present bool, n
 	// certainly) leaves — but each is re-proved with the exact predicate, so
 	// a too-tight filter can never evict a true member. A filtered report has
 	// about one candidate, so a scan of the list beats building a set of it.
-	for sub := range r.byObj[id] {
+	// The walk runs from the end: a leave swap-deletes the slot it visits,
+	// moving an already visited one into its place.
+	for i := len(mem) - 1; i >= 0; i-- {
+		sub := mem[i].sub
 		if slices.Contains(cands, sub) {
 			continue
 		}
@@ -279,13 +322,15 @@ func (r *ResultSet) ApplySnapshot(sub SubscriptionID, fresh []model.ObjectID, no
 	var evs []Event
 	for _, id := range fresh {
 		next[id] = true
-		if !r.bySub[sub][id] {
+		if slotOf(r.byObj[id], sub) < 0 {
 			r.set(sub, id)
 			evs = append(evs, Event{Sub: sub, ID: id, Kind: Enter, T: now})
 		}
 	}
-	for id := range r.bySub[sub] {
-		if !next[id] {
+	// From the end, as in Reconcile: a leave moves a visited member into
+	// the index it frees.
+	for i := len(r.bySub[sub]) - 1; i >= 0; i-- {
+		if id := r.bySub[sub][i]; !next[id] {
 			r.clear(sub, id)
 			evs = append(evs, Event{Sub: sub, ID: id, Kind: Leave, T: now})
 		}
@@ -295,29 +340,27 @@ func (r *ResultSet) ApplySnapshot(sub SubscriptionID, fresh []model.ObjectID, no
 
 // Members returns sub's current result set in ascending ObjectID order.
 func (r *ResultSet) Members(sub SubscriptionID) []model.ObjectID {
-	m := r.bySub[sub]
-	out := make([]model.ObjectID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(r.bySub[sub])
+	slices.Sort(out)
 	return out
 }
 
 // Seed installs ids as members of sub without emitting events — the
 // checkpoint-restore path, where memberships are historical fact rather than
-// fresh enter transitions.
+// fresh enter transitions. Seeding a member again changes nothing.
 func (r *ResultSet) Seed(sub SubscriptionID, ids []model.ObjectID) {
 	for _, id := range ids {
-		r.set(sub, id)
+		if slotOf(r.byObj[id], sub) < 0 {
+			r.set(sub, id)
+		}
 	}
 }
 
 // DropSub forgets sub entirely (both directions), with no events — the
 // Unsubscribe semantics.
 func (r *ResultSet) DropSub(sub SubscriptionID) {
-	for id := range r.bySub[sub] {
-		r.clear(sub, id)
+	for _, id := range r.bySub[sub] {
+		cut(r.byObj, id, slotOf(r.byObj[id], sub))
 	}
 	delete(r.bySub, sub)
 }

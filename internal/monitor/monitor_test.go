@@ -148,7 +148,8 @@ func TestSubscriptionValidation(t *testing.T) {
 
 // TestEventDeterminism pins the event-ordering contract at the core: two
 // identical histories through a ResultSet give byte-identical sorted event
-// logs, even though the result sets live in randomized-iteration Go maps.
+// logs, even though the unfiltered path ranges over the subscription
+// registry, a randomized-iteration Go map.
 func TestEventDeterminism(t *testing.T) {
 	// Three overlapping fences, so most objects produce several events per
 	// step — the shuffled-order symptom needs multi-event batches.

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -26,28 +27,87 @@ func referenceCandidates(f *Filter, o model.Object, now float64) ([]Subscription
 	return out, true
 }
 
+// refSets is the reference's own membership table: each subscription's
+// members as a set. It shares no code and no layout with ResultSet, so a slip
+// in ResultSet's lists or back-pointers shows up as a difference.
+type refSets map[SubscriptionID]map[model.ObjectID]bool
+
+func (m refSets) set(sub SubscriptionID, id model.ObjectID) {
+	if m[sub] == nil {
+		m[sub] = make(map[model.ObjectID]bool)
+	}
+	m[sub][id] = true
+}
+
+func (m refSets) clear(sub SubscriptionID, id model.ObjectID) {
+	delete(m[sub], id)
+	if len(m[sub]) == 0 {
+		delete(m, sub)
+	}
+}
+
+func (m refSets) members(sub SubscriptionID) []model.ObjectID {
+	var out []model.ObjectID
+	for id := range m[sub] {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// applySnapshot is ResultSet.ApplySnapshot on the reference table.
+func (m refSets) applySnapshot(sub SubscriptionID, fresh []model.ObjectID, now float64) []Event {
+	next := make(map[model.ObjectID]bool, len(fresh))
+	var evs []Event
+	for _, id := range fresh {
+		next[id] = true
+		if !m[sub][id] {
+			m.set(sub, id)
+			evs = append(evs, Event{Sub: sub, ID: id, Kind: Enter, T: now})
+		}
+	}
+	for _, id := range m.members(sub) {
+		if !next[id] {
+			m.clear(sub, id)
+			evs = append(evs, Event{Sub: sub, ID: id, Kind: Leave, T: now})
+		}
+	}
+	return SortEvents(evs)
+}
+
 // referenceReconcile is ResultSet.Reconcile as it was before membership was
 // read from the object's own set: a lookup in each candidate's result set,
-// and a map of the candidates for the covered-members pass.
-func referenceReconcile(r *ResultSet, id model.ObjectID, o model.Object, present bool, now float64,
+// and a map of the candidates for the covered-members pass. It runs on its
+// own table, where an object's memberships are found by scanning every
+// subscription.
+func referenceReconcile(m refSets, id model.ObjectID, o model.Object, present bool, now float64,
 	cands []SubscriptionID, all bool, subs map[SubscriptionID]Subscription) []Event {
+	memberOf := func() []SubscriptionID {
+		var out []SubscriptionID
+		for sub, ids := range m {
+			if ids[id] {
+				out = append(out, sub)
+			}
+		}
+		return out
+	}
 	var evs []Event
 	if !present {
-		for sub := range r.byObj[id] {
-			r.clear(sub, id)
+		for _, sub := range memberOf() {
+			m.clear(sub, id)
 			evs = append(evs, Event{Sub: sub, ID: id, Kind: Leave, T: now})
 		}
 		return evs
 	}
 	eval := func(sub SubscriptionID, s Subscription) {
-		member := r.bySub[sub][id]
+		member := m[sub][id]
 		match := MatchesAt(o, s, now)
 		switch {
 		case match && !member:
-			r.set(sub, id)
+			m.set(sub, id)
 			evs = append(evs, Event{Sub: sub, ID: id, Kind: Enter, T: now})
 		case !match && member:
-			r.clear(sub, id)
+			m.clear(sub, id)
 			evs = append(evs, Event{Sub: sub, ID: id, Kind: Leave, T: now})
 		}
 	}
@@ -62,12 +122,12 @@ func referenceReconcile(r *ResultSet, id model.ObjectID, o model.Object, present
 			eval(sub, s)
 		}
 	}
-	if mem := r.byObj[id]; len(mem) > 0 {
+	if mem := memberOf(); len(mem) > 0 {
 		inCands := make(map[SubscriptionID]bool, len(cands))
 		for _, sub := range cands {
 			inCands[sub] = true
 		}
-		for sub := range mem {
+		for _, sub := range mem {
 			if inCands[sub] {
 				continue
 			}
@@ -79,19 +139,53 @@ func referenceReconcile(r *ResultSet, id model.ObjectID, o model.Object, present
 	return evs
 }
 
+// check verifies ResultSet's invariant: both directions hold the same
+// (subscription, object) pairs, once each; every slot's index points at its
+// own object in the subscription's list; and no empty list or key is left
+// behind.
+func (r *ResultSet) check() error {
+	pairs := 0
+	for sub, ids := range r.bySub {
+		if len(ids) == 0 {
+			return fmt.Errorf("sub %d: empty member list kept", sub)
+		}
+		pairs += len(ids)
+	}
+	for id, slots := range r.byObj {
+		if len(slots) == 0 {
+			return fmt.Errorf("object %d: empty slot list kept", id)
+		}
+		for k, m := range slots {
+			if slotOf(slots, m.sub) != k {
+				return fmt.Errorf("object %d: sub %d has two slots", id, m.sub)
+			}
+			ids := r.bySub[m.sub]
+			if m.at < 0 || m.at >= len(ids) || ids[m.at] != id {
+				return fmt.Errorf("object %d: slot of sub %d points at index %d of %v", id, m.sub, m.at, ids)
+			}
+			pairs--
+		}
+	}
+	if pairs != 0 {
+		return fmt.Errorf("the subscription lists hold %d more memberships than the object lists", pairs)
+	}
+	return nil
+}
+
 // TestReconcileEquivalence replays seeded histories of reports, removals,
 // subscribes, unsubscribes, class changes and explicit Grows through two
-// result sets: one fed by AppendCandidates and Reconcile, the other by the
-// reference cell probe and the reference Reconcile. Every event batch, sorted,
-// must be identical, and so must every subscription's members at each
-// checkpoint of the history.
+// membership tables: a ResultSet fed by AppendCandidates and Reconcile, and
+// the reference's own refSets fed by the reference cell probe and the
+// reference Reconcile. Every event batch, sorted, must be identical, and so
+// must every subscription's members at each checkpoint of the history; the
+// ResultSet's invariant (check) holds every 500 steps and at the end.
 func TestReconcileEquivalence(t *testing.T) {
 	domain := geom.R(0, 0, 10000, 10000)
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		f := NewFilter(domain, 32)
 		subs := make(map[SubscriptionID]Subscription)
-		got, want := NewResultSet(), NewResultSet()
+		got, want := NewResultSet(), refSets{}
 		objs := make(map[model.ObjectID]model.Object)
 		var nextSub SubscriptionID
 		clock := 0.0
@@ -136,7 +230,7 @@ func TestReconcileEquivalence(t *testing.T) {
 					fresh = append(fresh, id)
 				}
 			}
-			same(step, "subscribe", got.ApplySnapshot(nextSub, fresh, clock), want.ApplySnapshot(nextSub, fresh, clock))
+			same(step, "subscribe", got.ApplySnapshot(nextSub, fresh, clock), want.applySnapshot(nextSub, fresh, clock))
 		}
 		randomVel := func() geom.Vec2 {
 			speed := 5 + rng.Float64()*40
@@ -149,9 +243,17 @@ func TestReconcileEquivalence(t *testing.T) {
 			ang := rng.Float64() * 2 * math.Pi
 			return geom.V(speed*math.Cos(ang), speed*math.Sin(ang))
 		}
+		checkTable := func(step int) {
+			if err := got.check(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if len(got.bySub) != len(want) {
+				t.Fatalf("seed %d step %d: %d subscriptions with members, reference %d", seed, step, len(got.bySub), len(want))
+			}
+		}
 		checkMembers := func(step int) {
 			for id := range subs {
-				if a, b := got.Members(id), want.Members(id); !slices.Equal(a, b) {
+				if a, b := got.Members(id), want.members(id); !slices.Equal(a, b) {
 					t.Fatalf("seed %d step %d: sub %d members %v, reference %v", seed, step, id, a, b)
 				}
 			}
@@ -185,7 +287,7 @@ func TestReconcileEquivalence(t *testing.T) {
 				delete(subs, id)
 				f.Remove(id)
 				got.DropSub(id)
-				want.DropSub(id)
+				delete(want, id)
 			case x < 40: // a fresh velocity analysis
 				var classes []VelocityClass
 				if rng.Intn(3) > 0 {
@@ -226,10 +328,14 @@ func TestReconcileEquivalence(t *testing.T) {
 					f.Grow(o.Vel, subs)
 				}
 			}
+			if step%500 == 0 {
+				checkTable(step)
+			}
 			if step%5000 == 0 {
 				checkMembers(step)
 			}
 		}
+		checkTable(steps)
 		checkMembers(steps)
 		if reports == 0 || newCands >= refCands {
 			t.Fatalf("seed %d: %d filtered reports, %d candidates against the reference's %d: the path test removed nothing",

@@ -352,8 +352,9 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 
 // TestStoreEventDeterminism pins the event-ordering contract on the Store:
 // every emitting verb delivers its batch sorted by (Sub, ID, Kind), so two
-// identical runs produce identical event streams even though memberships
-// live in randomized-iteration Go maps spread over several stripes.
+// identical runs produce identical event streams even though a batch is
+// collected in the order its reconciles ran, over several stripes, and the
+// unfiltered path ranges over the registry, a randomized-iteration Go map.
 func TestStoreEventDeterminism(t *testing.T) {
 	drive := func() []vpindex.MonitorEvent {
 		store, err := vpindex.Open(vpindex.WithShards(4), vpindex.WithEventBuffer(1<<12, vpindex.BlockOnFull))

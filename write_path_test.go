@@ -11,6 +11,7 @@ import (
 	"time"
 
 	vpindex "repro"
+	"repro/internal/monitor"
 )
 
 // This file tests the write path every logging verb shares (Store.logged):
@@ -464,7 +465,10 @@ func TestLoggedVerbContract(t *testing.T) {
 // most the log's own one allocation on a durable store (SyncNone). With 500
 // standing subscriptions a report that changes no membership allocates
 // nothing either: the filter appends its candidates to the evaluation shard's
-// scratch and Reconcile reads the object's own membership set.
+// scratch and Reconcile reads the object's own membership list. In the flip
+// case every measured report enters or leaves one subscription: what it
+// allocates is the event batch Reconcile returns and, on an enter, the
+// object's membership list, so AllocsPerRun's whole-number average reads 1.
 func TestReportSteadyStateAllocs(t *testing.T) {
 	if poolsDropItems() {
 		t.Skip("sync.Pool is discarding items (race detector): every pooled path allocates")
@@ -473,17 +477,22 @@ func TestReportSteadyStateAllocs(t *testing.T) {
 		name    string
 		durable bool
 		subs    int
-	}{{"durable=false", false, 0}, {"durable=true", true, 0}, {"subscriptions=500", false, 500}} {
+		flip    bool
+		limit   float64
+	}{
+		{"durable=false", false, 0, false, 0},
+		{"durable=true", true, 0, false, 1},
+		{"subscriptions=500", false, 500, false, 0},
+		{"subscriptions=500/flip", false, 500, true, 1},
+	} {
 		t.Run(c.name, func(t *testing.T) {
 			opts := []vpindex.Option{
 				vpindex.WithKind(vpindex.Bx),
 				vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
 				vpindex.WithShards(2),
 			}
-			limit := 0.0
 			if c.durable {
 				opts = append(opts, vpindex.WithDataDir(t.TempDir()), vpindex.WithSyncPolicy(vpindex.SyncNone()))
-				limit = 1
 			}
 			store, err := vpindex.Open(opts...)
 			if err != nil {
@@ -506,7 +515,8 @@ func TestReportSteadyStateAllocs(t *testing.T) {
 			// that every measured report has candidates and memberships; each
 			// object is moved to its mirrored position first, so that the
 			// measured reports change none of them.
-			for i := 0; i < c.subs; i++ {
+			subs := make([]vpindex.Subscription, c.subs)
+			for i := range subs {
 				o := objs[i%len(objs)]
 				sub := vpindex.Subscription{Horizon: 10 * rng.Float64()}
 				at := o.PosAt(sub.Horizon)
@@ -517,6 +527,7 @@ func TestReportSteadyStateAllocs(t *testing.T) {
 				if _, _, err := store.Subscribe(sub, 0); err != nil {
 					t.Fatal(err)
 				}
+				subs[i] = sub
 			}
 			if c.subs > 0 {
 				for _, o := range objs {
@@ -536,19 +547,83 @@ func TestReportSteadyStateAllocs(t *testing.T) {
 					t.Fatalf("%d memberships, want at least one per subscription", members)
 				}
 			}
+			next := func(i int) vpindex.Object { return objs[i%len(objs)] }
+			if c.flip {
+				next = flipReports(t, store, subs)
+			}
 			i := 0
 			got := testing.AllocsPerRun(2000, func() {
-				o := objs[i%len(objs)]
+				o := next(i)
 				i++
 				if err := store.Report(o); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if got > limit {
-				t.Fatalf("steady-state Report allocates %.2f/op, want <= %v", got, limit)
+			t.Logf("%.2f allocations per report", got)
+			if got > c.limit {
+				t.Fatalf("steady-state Report allocates %.2f/op, want <= %v", got, c.limit)
 			}
 		})
 	}
+}
+
+// flipReports registers one more subscription, a fence, and returns a
+// sequence of reports of eight new objects, each standing alternately inside
+// the fence and beside it. Both positions lie outside every subscription in
+// subs, so each report of the sequence enters or leaves the fence and changes
+// no other membership; one pass of the sequence checks that it does.
+func flipReports(t *testing.T, store *vpindex.Store, subs []vpindex.Subscription) func(int) vpindex.Object {
+	t.Helper()
+	const flippers = 8
+	watched := func(p vpindex.Vec2) bool {
+		for _, s := range subs {
+			if monitor.MatchesAt(vpindex.Object{Pos: p}, s, 0) {
+				return true
+			}
+		}
+		return false
+	}
+	var in, out vpindex.Vec2
+	found := false
+	for x := 500.0; x < 19000 && !found; x += 700 {
+		for y := 500.0; y < 19500 && !found; y += 700 {
+			in, out = vpindex.V(x, y), vpindex.V(x+700, y)
+			found = !watched(in) && !watched(out)
+		}
+	}
+	if !found {
+		t.Fatal("no pair of positions that no subscription watches")
+	}
+	fence := vpindex.Subscription{}
+	fence.Query.Rect = vpindex.R(in.X-300, in.Y-300, in.X+300, in.Y+300)
+	id, _, err := store.Subscribe(fence, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inside := make([]bool, flippers)
+	next := func(i int) vpindex.Object {
+		k := i % flippers
+		inside[k] = !inside[k]
+		o := vpindex.Object{ID: vpindex.ObjectID(1_000_000 + k), Pos: out}
+		if inside[k] {
+			o.Pos = in
+		}
+		return o
+	}
+	for i := 0; i < 2*flippers; i++ {
+		o := next(i)
+		if err := store.Report(o); err != nil {
+			t.Fatal(err)
+		}
+		members, err := store.SubscriptionResults(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(i+1, 2*flippers-1-i); len(members) != want {
+			t.Fatalf("report %d of the flip sequence: the fence holds %d objects, want %d", i, len(members), want)
+		}
+	}
+	return next
 }
 
 // TestSearchSteadyStateAllocs is the allocation gate on the read path of a
