@@ -1,17 +1,20 @@
 package storage
 
 import (
+	"container/list"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
 // refStripe is the reference model of one pool stripe: its resident pages
-// ordered by last access (least recent first) and which of them are dirty.
+// ordered by last access (least recent at the front of order) and which of
+// them are dirty. at finds a resident page's element in O(1); it is indexed
+// by page id, which the store numbers densely from 1, reusing freed ids.
 type refStripe struct {
 	capacity int
-	order    []PageID
+	order    *list.List
+	at       []*list.Element
 	dirty    map[PageID]bool
 }
 
@@ -27,27 +30,53 @@ func newRefPool(p *BufferPool) *refPool {
 	r := &refPool{stripes: make(map[*poolStripe]*refStripe)}
 	for i := range p.stripes {
 		s := &p.stripes[i]
-		r.stripes[s] = &refStripe{capacity: s.capacity, dirty: make(map[PageID]bool)}
+		r.stripes[s] = &refStripe{capacity: s.capacity, order: list.New(), dirty: make(map[PageID]bool)}
 	}
 	return r
 }
 
+// elem returns id's element in order, or nil if id is not resident.
+func (s *refStripe) elem(id PageID) *list.Element {
+	if int(id) < len(s.at) {
+		return s.at[id]
+	}
+	return nil
+}
+
+// push makes id the most recently used page.
+func (s *refStripe) push(id PageID) {
+	for int(id) >= len(s.at) {
+		s.at = append(s.at, nil)
+	}
+	s.at[id] = s.order.PushBack(id)
+}
+
 func (s *refStripe) drop(id PageID) bool {
-	i := slices.Index(s.order, id)
-	if i < 0 {
+	e := s.elem(id)
+	if e == nil {
 		return false
 	}
-	s.order = slices.Delete(s.order, i, i+1)
+	s.order.Remove(e)
+	s.at[id] = nil
 	delete(s.dirty, id)
 	return true
 }
 
+// pages returns the stripe's resident pages, least recently used first.
+func (s *refStripe) pages() []PageID {
+	var out []PageID
+	for e := s.order.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(PageID))
+	}
+	return out
+}
+
 // makeRoom evicts the least recently used page when the stripe is full.
 func (r *refPool) makeRoom(s *refStripe) {
-	if len(s.order) < s.capacity {
+	if s.order.Len() < s.capacity {
 		return
 	}
-	victim := s.order[0]
+	victim := s.order.Front().Value.(PageID)
 	if s.dirty[victim] {
 		r.writes++
 	}
@@ -57,14 +86,14 @@ func (r *refPool) makeRoom(s *refStripe) {
 // access is a Read, Write or Update of id: a hit moves it to the most
 // recent end, a miss makes room and loads it clean.
 func (r *refPool) access(s *refStripe, id PageID, dirty bool) {
-	if i := slices.Index(s.order, id); i >= 0 {
-		s.order = slices.Delete(s.order, i, i+1)
+	if e := s.elem(id); e != nil {
+		s.order.MoveToBack(e)
 		r.hits++
 	} else {
 		r.makeRoom(s)
 		r.misses++
+		s.push(id)
 	}
-	s.order = append(s.order, id)
 	if dirty {
 		s.dirty[id] = true
 	}
@@ -72,15 +101,16 @@ func (r *refPool) access(s *refStripe, id PageID, dirty bool) {
 
 func (r *refPool) allocate(s *refStripe, id PageID) {
 	r.makeRoom(s)
-	s.order = append(s.order, id)
+	s.push(id)
 	s.dirty[id] = true
 }
 
 // TestPoolVictimsMatchReferenceLRU drives seeded single-threaded histories of
 // Allocate/Read/Write/Update/Free through pools of 1 to 8 stripes and, after
-// every operation, compares every stripe's resident set and the pool's
-// misses, hits and write-backs with refPool, a per-stripe list ordered by
-// last access. Each page carries a marker of its last write, checked on every
+// every operation, compares the pool's misses, hits and write-backs, every
+// stripe's size and the touched stripe's resident set with refPool, a
+// per-stripe list ordered by last access; every stripe's resident set is
+// compared every 64 operations and at the end. Each page carries a marker of its last write, checked on every
 // read, so a frame reused with stale bytes fails too. Every history runs on
 // both paths: over a bare MemStore and over a wrapper that hides it.
 func TestPoolVictimsMatchReferenceLRU(t *testing.T) {
@@ -177,11 +207,12 @@ func runReferenceLRUHistory(t *testing.T, d PageStore, capacity int, seed int64)
 			}
 			touched = id
 		}
-		compareWithReference(t, p, ref, op, touched)
+		compareWithReference(t, p, ref, op, touched, op%64 == 0)
 		if op%64 == 0 {
 			checkFrameTables(t, p)
 		}
 	}
+	compareWithReference(t, p, ref, ops, 0, true)
 	checkFrameTables(t, p)
 	if ref.misses == 0 || ref.writes == 0 {
 		t.Fatalf("history never evicted (%d misses, %d write-backs): it does not test the victims", ref.misses, ref.writes)
@@ -189,22 +220,31 @@ func runReferenceLRUHistory(t *testing.T, d PageStore, capacity int, seed int64)
 	t.Logf("%d ops: %d misses, %d hits, %d write-backs", ops, ref.misses, ref.hits, ref.writes)
 }
 
-// compareWithReference checks the pool's counters and every stripe's
-// resident set against the model.
-func compareWithReference(t *testing.T, p *BufferPool, ref *refPool, op int, touched PageID) {
+// compareWithReference checks the pool's counters and every stripe's size
+// against the model, and the resident set of the touched page's stripe — a
+// single-threaded operation changes no other — or, with all, of every stripe.
+// Sizes being equal, a set is checked by walking the stripe's dense slot
+// table for a page the reference does not hold.
+func compareWithReference(t *testing.T, p *BufferPool, ref *refPool, op int, touched PageID, all bool) {
 	t.Helper()
 	if s := p.Stats(); s.Misses != ref.misses || s.Hits != ref.hits || s.Writes != ref.writes {
 		t.Fatalf("op %d (page %d): stats %+v, reference misses %d hits %d writes %d", op, touched, s, ref.misses, ref.hits, ref.writes)
 	}
+	home := p.stripeFor(touched)
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		rs := ref.stripes[s]
-		if len(s.frames) != len(rs.order) {
-			t.Fatalf("op %d (page %d): stripe %d holds %d pages, reference %d", op, touched, i, len(s.frames), len(rs.order))
+		if len(s.frames) != rs.order.Len() {
+			t.Fatalf("op %d (page %d): stripe %d holds %d pages, reference %d", op, touched, i, len(s.frames), rs.order.Len())
 		}
-		for _, id := range rs.order {
-			if _, ok := s.frames[id]; !ok {
-				t.Fatalf("op %d (page %d): stripe %d evicted page %d, which the reference still holds (reference LRU order %v)", op, touched, i, id, rs.order)
+		if !all && s != home {
+			continue
+		}
+		for j := range s.table {
+			if id := s.table[j].id; id != NilPage {
+				if rs.elem(id) == nil {
+					t.Fatalf("op %d (page %d): stripe %d holds page %d, which the reference evicted (reference LRU order %v)", op, touched, i, id, rs.pages())
+				}
 			}
 		}
 	}

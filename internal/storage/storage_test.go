@@ -752,24 +752,36 @@ func TestAllocateFailedWriteBackFreesPage(t *testing.T) {
 // partition its frame table: each resident page maps to a slot holding it,
 // each free slot is empty, and no slot is counted twice. On the shared path
 // a resident slot's image must be the store's image of its page, and an
-// empty slot must hold no image.
+// empty slot must hold no image; the store's page map is read under one hold
+// of its lock.
 func checkFrameTables(t *testing.T, p *BufferPool) {
 	t.Helper()
+	if p.mem != nil {
+		p.mem.mu.Lock()
+		defer p.mem.mu.Unlock()
+	}
 	for i := range p.stripes {
 		s := &p.stripes[i]
-		seen := make(map[int32]bool)
+		seen, n := make([]bool, len(s.table)), 0
 		for id, slot := range s.frames {
+			if int(slot) >= len(s.table) {
+				t.Fatalf("stripe %d: page %d maps to slot %d, outside the table of %d", i, id, slot, len(s.table))
+			}
 			if s.table[slot].id != id || seen[slot] {
 				t.Fatalf("stripe %d: page %d maps to slot %d, which holds page %d (seen twice: %v)", i, id, slot, s.table[slot].id, seen[slot])
 			}
 			if p.mem != nil {
-				if img, err := p.mem.image(id); err != nil || s.table[slot].data != img {
-					t.Fatalf("stripe %d: page %d's slot %d is not the store's image of it (lookup: %v)", i, id, slot, err)
+				if img, ok := p.mem.pages[id]; !ok || s.table[slot].data != img {
+					t.Fatalf("stripe %d: page %d's slot %d is not the store's image of it (allocated: %v)", i, id, slot, ok)
 				}
 			}
 			seen[slot] = true
+			n++
 		}
 		for _, slot := range s.free {
+			if int(slot) >= len(s.table) {
+				t.Fatalf("stripe %d: free slot %d is outside the table of %d", i, slot, len(s.table))
+			}
 			if s.table[slot].id != NilPage || seen[slot] {
 				t.Fatalf("stripe %d: free slot %d holds page %d (seen twice: %v)", i, slot, s.table[slot].id, seen[slot])
 			}
@@ -777,8 +789,9 @@ func checkFrameTables(t *testing.T, p *BufferPool) {
 				t.Fatalf("stripe %d: empty slot %d still points at a page image", i, slot)
 			}
 			seen[slot] = true
+			n++
 		}
-		if len(seen) != s.capacity || len(s.table) != s.capacity {
+		if n != s.capacity || len(s.table) != s.capacity {
 			t.Fatalf("stripe %d: %d resident + %d free slots, table of %d, capacity %d", i, len(s.frames), len(s.free), len(s.table), s.capacity)
 		}
 	}
