@@ -333,11 +333,9 @@ type DurabilityStats struct {
 	// the first transition out of Healthy ("" while healthy).
 	Health       Health
 	HealthReason string
-	// QuarantinedPages counts data pages currently fenced off after a
-	// checksum failure (a full rewrite repairs and releases a page).
-	QuarantinedPages int
 	// ScrubPasses / ScrubCorruptions count completed integrity scrub passes
-	// (WithScrubEvery, ScrubNow) and the corruptions they surfaced.
+	// of the sealed log segments (WithScrubEvery, ScrubNow) and the passes
+	// that found one corrupt.
 	ScrubPasses      int64
 	ScrubCorruptions int64
 }
@@ -366,7 +364,6 @@ func (s *Store) DurabilityStats() (DurabilityStats, bool) {
 		ReplayedRecords:      d.replayed.Load(),
 		Health:               s.Health(),
 		HealthReason:         reason,
-		QuarantinedPages:     d.fstore.Quarantined(),
 		ScrubPasses:          d.scrubPasses.Load(),
 		ScrubCorruptions:     d.scrubCorrupt.Load(),
 	}, true

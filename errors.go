@@ -36,8 +36,8 @@ var (
 	// is refused (see NewFaultInjector).
 	ErrInjectedCrash = storage.ErrInjectedCrash
 	// ErrCorruptPage reports that a data page failed its CRC-32C checksum on
-	// read: a torn write, bit rot, or a misdirected write. The page is
-	// quarantined, never decoded.
+	// read: a torn write, bit rot, or a misdirected write. The page is never
+	// decoded, and the read degrades the Store.
 	ErrCorruptPage = storage.ErrCorruptPage
 )
 

@@ -25,9 +25,11 @@ import (
 // I/O error is final. Nothing retries a failed read, write or fsync, so any
 // media fault (an EIO, a failed fsync, a checksum failure) degrades; an
 // injected crash fails. A failed log fsync also poisons the log, so no
-// write that it might have lost is acknowledged. The background scrubber
-// (WithScrubEvery, ScrubNow) degrades proactively when it finds latent
-// corruption.
+// write that it might have lost is acknowledged. Reads classify too: a page
+// that fails its checksum degrades the store the first time a query reads
+// it. The integrity scrubber (WithScrubEvery, ScrubNow) re-scans the sealed
+// log segments, which recovery replays, and degrades when one is corrupt;
+// the page file is scratch that recovery never reads, so nothing scrubs it.
 type Health int32
 
 const (
@@ -149,9 +151,8 @@ func (s *Store) noteIOFault(err error) {
 }
 
 // scrubLoop is the background integrity scrubber (WithScrubEvery): every
-// tick it verifies each live page's checksum and the sealed log segments,
-// degrading the store when latent corruption is found instead of letting a
-// future read trip over it.
+// tick it verifies the sealed log segments, degrading the store when one is
+// corrupt instead of letting a later recovery replay stop at it.
 func (s *Store) scrubLoop(every time.Duration, stop, done chan struct{}) {
 	defer close(done)
 	t := time.NewTicker(every)
@@ -166,12 +167,12 @@ func (s *Store) scrubLoop(every time.Duration, stop, done chan struct{}) {
 	}
 }
 
-// ScrubNow runs one synchronous integrity scrub pass — every live page of
-// the page file is checksum-verified (without disturbing cached frames) and
-// the sealed WAL segments are re-scanned — returning the first corruption
-// found, or nil. Corruption quarantines the page, degrades the store to
-// read-only, and surfaces as a MaintScrub maintenance event. Returns
-// ErrUnsupported for a non-durable Store.
+// ScrubNow runs one synchronous integrity scrub pass — the sealed WAL
+// segments are re-scanned — and returns the corruption found, or nil.
+// Corruption degrades the store to read-only; every pass surfaces as a
+// MaintScrub maintenance event. A degraded store may still Checkpoint, which
+// reclaims the segments the checkpoint covers, the corrupt one included.
+// Returns ErrUnsupported for a non-durable Store.
 func (s *Store) ScrubNow() error {
 	if s.dur == nil {
 		return fmt.Errorf("vpindex: scrub of a non-durable store: %w", ErrUnsupported)
@@ -179,44 +180,21 @@ func (s *Store) ScrubNow() error {
 	return s.scrubOnce()
 }
 
-// scrubOnce verifies every live page and the sealed log segments once,
-// recording the pass and degrading on corruption. Only a checksum mismatch
-// counts as corruption; any other error is classified like a verb's, by
-// noteIOFault.
+// scrubOnce verifies the sealed log segments once, recording the pass and
+// degrading on corruption. Only a checksum mismatch counts as corruption;
+// any other error is classified like a verb's, by noteIOFault.
 func (s *Store) scrubOnce() error {
 	d := s.dur
-	var (
-		first, firstCorrupt error
-		corrupt             int64
-	)
-	note := func(err error) {
-		if err == nil {
-			return
-		}
-		if first == nil {
-			first = err
-		}
-		if !errors.Is(err, storage.ErrCorruptPage) && !errors.Is(err, wal.ErrCorrupt) {
-			s.noteIOFault(err)
-			return
-		}
-		corrupt++
-		if firstCorrupt == nil {
-			firstCorrupt = err
-		}
-	}
-	live := d.fstore.LivePages()
-	for _, id := range live {
-		note(d.fstore.VerifyPage(id))
-	}
-	note(d.wal.Verify())
+	err := d.wal.Verify()
 	d.scrubPasses.Add(1)
-	if corrupt > 0 {
-		d.scrubCorrupt.Add(corrupt)
-		s.degrade("scrub found corruption", firstCorrupt)
+	if errors.Is(err, wal.ErrCorrupt) {
+		d.scrubCorrupt.Add(1)
+		s.degrade("scrub found corruption", err)
+	} else {
+		s.noteIOFault(err)
 	}
-	ev := MaintenanceEvent{Op: MaintScrub, Err: first, SampleSize: len(live)}
+	ev := MaintenanceEvent{Op: MaintScrub, Err: err}
 	s.recordMaintenance(ev)
 	s.notifyMaintenance(ev)
-	return first
+	return err
 }

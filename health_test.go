@@ -11,6 +11,7 @@ import (
 	"time"
 
 	vpindex "repro"
+	"repro/internal/wal"
 )
 
 func TestPermanentWALFaultDegradesToReadOnly(t *testing.T) {
@@ -185,49 +186,48 @@ func corruptLiveSlot(t *testing.T, path string) {
 	t.Fatal("no physically written data slot found to corrupt")
 }
 
-func scrubStoreOpts(dir string, extra ...vpindex.Option) []vpindex.Option {
-	opts := []vpindex.Option{
+// TestCorruptPageDegradesOnRead pins that the read path, not a scrub, finds
+// a corrupt page of the scratch page file: the first query that reads it
+// fails with ErrCorruptPage and degrades the store, which keeps serving reads
+// from memory.
+func TestCorruptPageDegradesOnRead(t *testing.T) {
+	dir := t.TempDir()
+	store, err := vpindex.Open(
 		vpindex.WithKind(vpindex.TPRStar),
 		vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
 		vpindex.WithShards(1),
 		vpindex.WithBufferPages(4), // force evictions so pages reach disk
 		vpindex.WithDataDir(dir),
-	}
-	return append(opts, extra...)
-}
-
-func TestScrubNowFindsLatentCorruption(t *testing.T) {
-	dir := t.TempDir()
-	store, err := vpindex.Open(scrubStoreOpts(dir)...)
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	rng := rand.New(rand.NewSource(3))
-	// Enough objects that the tree outgrows the 4-frame pool and evictions
-	// push real page images to disk for the scrubber to verify.
 	for i := 1; i <= 1200; i++ {
 		if err := store.Report(testObject(i, rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := store.ScrubNow(); err != nil {
-		t.Fatalf("scrub of a clean store: %v", err)
+	// A whole-domain search reads every page through the 4 frames, so it
+	// writes back every dirty one: no write-back can repair the slot
+	// corrupted next, and the cached frames it leaves are clean.
+	if _, err := store.Search(wholeDomain()); err != nil {
+		t.Fatal(err)
 	}
 	corruptLiveSlot(t, filepath.Join(dir, "pages.dat"))
-	err = store.ScrubNow()
-	if !errors.Is(err, vpindex.ErrCorruptPage) {
-		t.Fatalf("scrub over corruption = %v, want ErrCorruptPage", err)
+	for i := 0; i < 3 && err == nil; i++ {
+		_, err = store.Search(wholeDomain())
 	}
-	if got := store.Health(); got != vpindex.HealthDegraded {
-		t.Fatalf("Health after scrub = %v, want degraded", got)
+	if !errors.Is(err, vpindex.ErrCorruptPage) {
+		t.Fatalf("search over a corrupt page = %v, want ErrCorruptPage", err)
 	}
 	st, _ := store.DurabilityStats()
-	if st.ScrubPasses < 2 || st.ScrubCorruptions < 1 || st.QuarantinedPages < 1 {
-		t.Fatalf("scrub stats = %+v, want >=2 passes, >=1 corruption, >=1 quarantined", st)
+	if st.Health != vpindex.HealthDegraded || st.HealthReason == "" {
+		t.Fatalf("health after the corrupt read = %v (%q), want degraded with a reason", st.Health, st.HealthReason)
 	}
 	if werr := store.Report(testObject(1201, rng)); !errors.Is(werr, vpindex.ErrDegraded) {
-		t.Fatalf("write after scrub degradation = %v, want ErrDegraded", werr)
+		t.Fatalf("write after the corrupt read = %v, want ErrDegraded", werr)
 	}
 	// The id→record tables are in memory; point reads keep serving.
 	if _, ok := store.Get(40); !ok {
@@ -235,20 +235,145 @@ func TestScrubNowFindsLatentCorruption(t *testing.T) {
 	}
 }
 
-func TestBackgroundScrubberDegrades(t *testing.T) {
+// walScrubOpts configures a durable Store whose log rotates every 4 KB, so a
+// few hundred reports leave several sealed segments for the scrubber.
+func walScrubOpts(dir string, extra ...vpindex.Option) []vpindex.Option {
+	opts := []vpindex.Option{
+		vpindex.WithKind(vpindex.TPRStar),
+		vpindex.WithDomain(vpindex.R(0, 0, 20000, 20000)),
+		vpindex.WithShards(1),
+		vpindex.WithDataDir(dir),
+		vpindex.WithWALSegmentBytes(4096),
+	}
+	return append(opts, extra...)
+}
+
+// reportAll reports n fresh objects and returns them: the acknowledged
+// records a reopen must bring back.
+func reportAll(t *testing.T, store *vpindex.Store, n int, seed int64) []vpindex.Object {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	objs := make([]vpindex.Object, n)
+	for i := range objs {
+		objs[i] = testObject(i+1, rng)
+		if err := store.Report(objs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return objs
+}
+
+// corruptSealedSegment flips one byte in the middle of the oldest log
+// segment, behind the store's back, and returns the segment's path. The
+// segment has a successor, so it is sealed and the scrubber reads it.
+func corruptSealedSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs)
+	if len(segs) < 2 {
+		t.Fatalf("want >= 2 WAL segments, got %d", len(segs))
+	}
+	f, err := os.OpenFile(segs[0], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{b[0] ^ 0xFF}, info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	return segs[0]
+}
+
+// checkScrubbedSegmentRepaired asserts what a scrub that found the corrupt
+// sealed segment seg leaves behind, and how it is repaired: the store is
+// degraded by a wal.ErrCorrupt, keeps serving reads, still checkpoints — which
+// reclaims seg — and a reopen brings back every record in objs, healthy.
+func checkScrubbedSegmentRepaired(t *testing.T, store *vpindex.Store, opts []vpindex.Option, objs []vpindex.Object, seg string) {
+	t.Helper()
+	st, _ := store.DurabilityStats()
+	if st.Health != vpindex.HealthDegraded || st.ScrubCorruptions < 1 {
+		t.Fatalf("after the scrub: health %v, %d scrub corruptions; want degraded, >= 1", st.Health, st.ScrubCorruptions)
+	}
+	werr := store.Report(testObject(len(objs)+1, rand.New(rand.NewSource(1))))
+	if !errors.Is(werr, vpindex.ErrDegraded) || !errors.Is(werr, wal.ErrCorrupt) {
+		t.Fatalf("write after the scrub = %v, want ErrDegraded caused by wal.ErrCorrupt", werr)
+	}
+	if _, ok := store.Get(objs[0].ID); !ok {
+		t.Fatal("degraded store lost a record")
+	}
+	if ids, err := store.Search(wholeDomain()); err != nil || len(ids) != len(objs) {
+		t.Fatalf("degraded Search = %d ids, %v; want %d", len(ids), err, len(objs))
+	}
+	if err := store.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint of the degraded store: %v", err)
+	}
+	if _, err := os.Stat(seg); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint left the corrupt segment %s (stat: %v)", seg, err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := vpindex.Open(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.Health(); got != vpindex.HealthHealthy {
+		t.Fatalf("Health after reopen = %v, want healthy", got)
+	}
+	if reopened.Len() != len(objs) {
+		t.Fatalf("reopened Len = %d, want %d", reopened.Len(), len(objs))
+	}
+	for _, o := range objs {
+		if got, ok := reopened.Get(o.ID); !ok || got.Pos != o.Pos || got.Vel != o.Vel {
+			t.Fatalf("record %d after reopen = %+v (%v), want %+v", o.ID, got, ok, o)
+		}
+	}
+}
+
+func TestScrubNowFindsLatentCorruption(t *testing.T) {
 	dir := t.TempDir()
-	store, err := vpindex.Open(scrubStoreOpts(dir, vpindex.WithScrubEvery(2*time.Millisecond))...)
+	opts := walScrubOpts(dir)
+	store, err := vpindex.Open(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	rng := rand.New(rand.NewSource(4))
-	for i := 1; i <= 1200; i++ {
-		if err := store.Report(testObject(i, rng)); err != nil {
-			t.Fatal(err)
-		}
+	objs := reportAll(t, store, 300, 3)
+	if err := store.ScrubNow(); err != nil {
+		t.Fatalf("scrub of a clean store: %v", err)
 	}
-	corruptLiveSlot(t, filepath.Join(dir, "pages.dat"))
+	seg := corruptSealedSegment(t, dir)
+	if err := store.ScrubNow(); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("scrub over a corrupt segment = %v, want wal.ErrCorrupt", err)
+	}
+	if st, _ := store.DurabilityStats(); st.ScrubPasses != 2 {
+		t.Fatalf("ScrubPasses = %d, want 2", st.ScrubPasses)
+	}
+	checkScrubbedSegmentRepaired(t, store, opts, objs, seg)
+}
+
+func TestBackgroundScrubberDegrades(t *testing.T) {
+	dir := t.TempDir()
+	opts := walScrubOpts(dir, vpindex.WithScrubEvery(2*time.Millisecond))
+	store, err := vpindex.Open(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	objs := reportAll(t, store, 300, 4)
+	seg := corruptSealedSegment(t, dir)
 	deadline := time.Now().Add(10 * time.Second)
 	for store.Health() != vpindex.HealthDegraded {
 		if time.Now().After(deadline) {
@@ -256,10 +381,7 @@ func TestBackgroundScrubberDegrades(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	st, _ := store.DurabilityStats()
-	if st.ScrubCorruptions < 1 {
-		t.Fatalf("ScrubCorruptions = %d, want >= 1", st.ScrubCorruptions)
-	}
+	checkScrubbedSegmentRepaired(t, store, opts, objs, seg)
 }
 
 // TestScrubRacingCheckpointStaysHealthy runs scrubs back to back while
@@ -352,31 +474,7 @@ func TestMidLogCorruptionRecoversPrefixReadOnly(t *testing.T) {
 	// Corrupt the middle of the FIRST segment: valid acknowledged records
 	// exist beyond the bad frame (in later segments), so this is mid-log
 	// corruption, not a benign torn tail.
-	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(segs)
-	if len(segs) < 2 {
-		t.Fatalf("want >= 2 WAL segments, got %d", len(segs))
-	}
-	info, err := os.Stat(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(segs[0], os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := info.Size() / 2
-	b := make([]byte, 1)
-	if _, err := f.ReadAt(b, mid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{b[0] ^ 0xFF}, mid); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	corruptSealedSegment(t, dir)
 
 	// Reopen: the store must come up serving the intact prefix, read-only,
 	// instead of silently dropping acknowledged history or refusing to open.

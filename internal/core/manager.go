@@ -702,7 +702,7 @@ type appendSearcher interface {
 // buffers, and after the joins the buffers are merged in partition order, so
 // the output is byte-identical to the sequential loop. The fan-out is what
 // keeps the hold on every stripe and partition lock short; it is measured,
-// not assumed (ROADMAP item 3(v)). Identity-rotation partitions — the DVA
+// not assumed (ROADMAP item 12(vi)). Identity-rotation partitions — the DVA
 // layout's outlier index, every speed band, the unpartitioned objective —
 // take the query unchanged.
 //

@@ -46,19 +46,9 @@ func testCorruptPageDetectedOnRead(t *testing.T) {
 	if !errors.As(err, &cpe) || cpe.ID != id {
 		t.Fatalf("error %v does not carry the page id", err)
 	}
-	if fs.Quarantined() != 1 {
-		t.Fatalf("Quarantined = %d, want 1", fs.Quarantined())
-	}
-	// Quarantine fails fast without touching disk.
-	if err := fs.ReadPage(id, &got); !errors.Is(err, ErrCorruptPage) {
-		t.Fatalf("second read = %v, want ErrCorruptPage", err)
-	}
 	// A full rewrite repairs the slot.
 	if err := fs.WritePage(id, &page); err != nil {
 		t.Fatal(err)
-	}
-	if fs.Quarantined() != 0 {
-		t.Fatalf("Quarantined = %d after repair, want 0", fs.Quarantined())
 	}
 	if err := fs.ReadPage(id, &got); err != nil {
 		t.Fatalf("read after repair: %v", err)
@@ -122,49 +112,6 @@ func testBitFlipCaughtByChecksum(t *testing.T) {
 	var got [PageSize]byte
 	if err := fs.ReadPage(id, &got); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("read after bit flip = %v, want ErrCorruptPage", err)
-	}
-}
-
-func TestVerifyPageScrubPrimitive(t *testing.T) {
-	preadPath(t, testVerifyPageScrubPrimitive)
-}
-
-func testVerifyPageScrubPrimitive(t *testing.T) {
-	fs := openTestStore(t, nil)
-	id, err := fs.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var page [PageSize]byte
-	copy(page[:], "scrub me")
-	if err := fs.WritePage(id, &page); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.VerifyPage(id); err != nil {
-		t.Fatalf("verify of clean page: %v", err)
-	}
-	// A freed page is skipped, not reported.
-	id2, err := fs.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Free(id2); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.VerifyPage(id2); err != nil {
-		t.Fatalf("verify of freed page = %v, want nil", err)
-	}
-	// Corruption is found without a client read, and quarantines.
-	flipByte(t, fs.Path(), int64(id)*slotSize+7)
-	if err := fs.VerifyPage(id); !errors.Is(err, ErrCorruptPage) {
-		t.Fatalf("verify of corrupted page = %v, want ErrCorruptPage", err)
-	}
-	if fs.Quarantined() != 1 {
-		t.Fatalf("Quarantined = %d, want 1", fs.Quarantined())
-	}
-	live := fs.LivePages()
-	if len(live) != 1 || live[0] != id {
-		t.Fatalf("LivePages = %v, want [%d]", live, id)
 	}
 }
 

@@ -29,8 +29,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorruptPage marks a page whose checksum did not match its contents:
 // a torn write, bit rot, or a misdirected write. Checksum failures are
-// detected on read — the corrupt image is never decoded — and quarantine the
-// page until a full rewrite repairs it.
+// detected on read — the corrupt image is never decoded — and every read of
+// the slot fails until a full rewrite repairs it.
 var ErrCorruptPage = errors.New("storage: page checksum mismatch")
 
 // CorruptPageError identifies which page of which store failed its checksum.
@@ -61,11 +61,6 @@ func pageCRC(id PageID, data []byte) uint32 {
 	return crc32.Update(crc, castagnoli, data)
 }
 
-// nScrubLocks stripes the per-page write/verify locks that let the scrubber
-// read a page atomically with respect to concurrent writers without
-// serializing the data path (writers share a stripe with RLock).
-const nScrubLocks = 64
-
 // FileStore is a PageStore over a single scratch file: real disk I/O for one
 // process lifetime, and nothing a later process reads. Page id N lives at
 // byte offset N*slotSize, reads and writes are slot-aligned pread/pwrite on a
@@ -74,14 +69,12 @@ const nScrubLocks = 64
 // free stack — lives in memory only. The file always starts empty
 // (OpenFileStore) and is never reopened.
 //
-// Pages that fail their checksum are quarantined: further reads fail fast
-// with CorruptPageError until a successful full-page write repairs the slot.
-// A background scrubber (see VerifyPage/LivePages) sweeps cold pages on a
-// cadence so corruption is found before a query trips over it.
-//
-// FileStore carries no redo information and no restart format — the Store's
-// durable mode keeps object state in its checkpoint chain and write-ahead log
-// and rebuilds every index page from them at open.
+// A page that fails its checksum fails every read with CorruptPageError
+// until a successful full-page write repairs the slot. Nothing sweeps the
+// file for latent corruption: FileStore carries no redo information and no
+// restart format — the Store's durable mode keeps object state in its
+// checkpoint chain and write-ahead log, rebuilds every index page from them
+// at open, and so repairs a corrupt page by a restart.
 type FileStore struct {
 	f      *os.File
 	path   string
@@ -92,21 +85,6 @@ type FileStore struct {
 	nextID  uint64     // high-water mark: ids 1..nextID exist
 	free    []PageID   // recycle stack
 	freeSet map[PageID]struct{}
-
-	// quarantined pages failed a checksum and fail fast on read until
-	// rewritten in full.
-	quarMu      sync.Mutex
-	quarantined map[PageID]struct{}
-
-	// scrub stripes: writers take RLock for the slot update; VerifyPage
-	// takes Lock so its read-verify pair is atomic vs in-flight writes.
-	scrub [nScrubLocks]sync.RWMutex
-}
-
-// scrubLock maps a page id onto its lock stripe (Fibonacci hashing, same
-// discipline as the buffer pool's stripes).
-func (fs *FileStore) scrubLock(id PageID) *sync.RWMutex {
-	return &fs.scrub[(uint64(id)*0x9E3779B97F4A7C15)>>(64-6)]
 }
 
 // FileStoreOptions configures OpenFileStore.
@@ -149,11 +127,10 @@ func OpenFileStore(path string, opt FileStoreOptions) (*FileStore, error) {
 		return nil, fmt.Errorf("storage: init %s: %w", path, err)
 	}
 	return &FileStore{
-		f:           f,
-		path:        path,
-		fi:          opt.Injector,
-		freeSet:     make(map[PageID]struct{}),
-		quarantined: make(map[PageID]struct{}),
+		f:       f,
+		path:    path,
+		fi:      opt.Injector,
+		freeSet: make(map[PageID]struct{}),
 	}, nil
 }
 
@@ -166,31 +143,6 @@ func (fs *FileStore) checkLocked(id PageID, op string) error {
 		return fmt.Errorf("storage: %s of freed page %d", op, id)
 	}
 	return nil
-}
-
-// isQuarantined reports whether id is quarantined after a checksum failure.
-func (fs *FileStore) isQuarantined(id PageID) bool {
-	fs.quarMu.Lock()
-	_, ok := fs.quarantined[id]
-	fs.quarMu.Unlock()
-	return ok
-}
-
-func (fs *FileStore) setQuarantined(id PageID, bad bool) {
-	fs.quarMu.Lock()
-	if bad {
-		fs.quarantined[id] = struct{}{}
-	} else {
-		delete(fs.quarantined, id)
-	}
-	fs.quarMu.Unlock()
-}
-
-// Quarantined returns how many pages are currently quarantined.
-func (fs *FileStore) Quarantined() int {
-	fs.quarMu.Lock()
-	defer fs.quarMu.Unlock()
-	return len(fs.quarantined)
 }
 
 // Allocate reserves a page id, recycling the most recently freed id if any;
@@ -214,15 +166,11 @@ func (fs *FileStore) Allocate() (PageID, error) {
 		// checksum-valid by the all-zero rule.
 		zero := slotPool.Get().(*[slotSize]byte)
 		clear(zero[:])
-		lk := fs.scrubLock(id)
-		lk.RLock()
 		_, err := fs.f.WriteAt(zero[:], int64(id)*slotSize)
-		lk.RUnlock()
 		slotPool.Put(zero)
 		if err != nil {
 			return NilPage, fmt.Errorf("storage: page clear: %w", err)
 		}
-		fs.setQuarantined(id, false)
 		return id, nil
 	}
 	fs.nextID++
@@ -271,8 +219,7 @@ func verifySlot(id PageID, slot []byte) bool {
 // ReadPage reads the page image with a positioned read (no allocator lock
 // held during the transfer) and verifies its checksum before returning it: a
 // torn write or bit rot comes back as CorruptPageError, never as decoded
-// garbage. A failed page is quarantined — later reads fail fast until a full
-// write repairs it.
+// garbage.
 func (fs *FileStore) ReadPage(id PageID, dst *[PageSize]byte) error {
 	if fs.closed.Load() {
 		return fs.errClosed("read")
@@ -283,9 +230,6 @@ func (fs *FileStore) ReadPage(id PageID, dst *[PageSize]byte) error {
 	if err != nil {
 		return err
 	}
-	if fs.isQuarantined(id) {
-		return &CorruptPageError{Path: fs.path, ID: id}
-	}
 	if err := fs.fi.PageRead(id); err != nil {
 		return err
 	}
@@ -295,7 +239,6 @@ func (fs *FileStore) ReadPage(id PageID, dst *[PageSize]byte) error {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
 	}
 	if !verifySlot(id, slot[:]) {
-		fs.setQuarantined(id, true)
 		return &CorruptPageError{Path: fs.path, ID: id}
 	}
 	copy(dst[:], slot[:PageSize])
@@ -303,7 +246,7 @@ func (fs *FileStore) ReadPage(id PageID, dst *[PageSize]byte) error {
 }
 
 // WritePage writes the page image and its checksum trailer with one
-// positioned write. A successful full write repairs a quarantined slot. A
+// positioned write. A successful full write repairs a corrupt slot. A
 // scripted torn-write or bit-flip fault corrupts the persisted image while
 // reporting success — exactly how real silent corruption behaves; the
 // checksum catches it on the next read.
@@ -334,71 +277,10 @@ func (fs *FileStore) WritePage(id PageID, src *[PageSize]byte) error {
 	case FaultBitFlip:
 		slot[PageSize/2] ^= 0x10
 	}
-	lk := fs.scrubLock(id)
-	lk.RLock()
-	_, werr := fs.f.WriteAt(slot[:n], int64(id)*slotSize)
-	lk.RUnlock()
-	if werr != nil {
-		return fmt.Errorf("storage: write page %d: %w", id, werr)
-	}
-	if kind == FaultNone {
-		fs.setQuarantined(id, false)
+	if _, err := fs.f.WriteAt(slot[:n], int64(id)*slotSize); err != nil {
+		return fmt.Errorf("storage: write page %d: %w", id, err)
 	}
 	return nil
-}
-
-// VerifyPage re-reads a page from disk and checks its checksum without going
-// through the buffer pool — the scrubber's primitive. It takes the page's
-// scrub stripe exclusively so an in-flight write cannot present a half-slot,
-// and re-checks liveness after a failure so a page freed mid-verify is not
-// reported. A confirmed-bad page is quarantined.
-func (fs *FileStore) VerifyPage(id PageID) error {
-	if fs.closed.Load() {
-		return fs.errClosed("verify")
-	}
-	fs.mu.Lock()
-	err := fs.checkLocked(id, "verify")
-	fs.mu.Unlock()
-	if err != nil {
-		return nil // freed or never allocated: nothing to verify
-	}
-	slot := slotPool.Get().(*[slotSize]byte)
-	defer slotPool.Put(slot)
-	lk := fs.scrubLock(id)
-	lk.Lock()
-	_, rerr := fs.f.ReadAt(slot[:], int64(id)*slotSize)
-	ok := rerr == nil && verifySlot(id, slot[:])
-	lk.Unlock()
-	if rerr != nil {
-		return fmt.Errorf("storage: verify page %d: %w", id, rerr)
-	}
-	if ok {
-		return nil
-	}
-	// The slot may legitimately mismatch if the page was freed and recycled
-	// (or is being zeroed for reuse) between our liveness check and the read.
-	fs.mu.Lock()
-	err = fs.checkLocked(id, "verify")
-	fs.mu.Unlock()
-	if err != nil {
-		return nil
-	}
-	fs.setQuarantined(id, true)
-	return &CorruptPageError{Path: fs.path, ID: id}
-}
-
-// LivePages snapshots the ids of all live (allocated, not freed) pages —
-// the scrubber's sweep set.
-func (fs *FileStore) LivePages() []PageID {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make([]PageID, 0, int(fs.nextID)-len(fs.free))
-	for id := PageID(1); uint64(id) <= fs.nextID; id++ {
-		if _, ok := fs.freeSet[id]; !ok {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Sync fsyncs the data file: on return every prior WritePage has reached the

@@ -303,10 +303,11 @@ func WithFaultInjector(fi *FaultInjector) Option {
 }
 
 // WithScrubEvery starts a background scrubber on a durable Store: every d it
-// checksum-verifies each live page of the page file and re-scans the sealed
-// WAL segments, quarantining corrupt pages and degrading the store to
-// read-only when latent corruption is found — instead of letting a future
-// read trip over it. d <= 0 (the default) disables the scrubber; ScrubNow
+// re-scans the sealed WAL segments, the part of the data directory recovery
+// replays, and degrades the store to read-only when one is corrupt — while a
+// Checkpoint can still reclaim it, before a restart would replay it. The
+// page file is scratch and is not scrubbed: a corrupt page is caught by its
+// checksum when read. d <= 0 (the default) disables the scrubber; ScrubNow
 // remains the manual trigger. Only meaningful with WithDataDir.
 func WithScrubEvery(d time.Duration) Option { return func(c *storeConfig) { c.scrubEvery = d } }
 

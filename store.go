@@ -227,8 +227,9 @@ const (
 	// MaintHealth is a health-state transition (Healthy → Degraded or
 	// → Failed); Err carries the classified cause. See Store.Health.
 	MaintHealth MaintenanceOp = "health"
-	// MaintScrub is one completed integrity scrub pass (the WithScrubEvery
-	// cadence or a manual ScrubNow); Err is the first corruption found.
+	// MaintScrub is one completed integrity scrub pass over the sealed WAL
+	// segments (the WithScrubEvery cadence or a manual ScrubNow); Err is the
+	// corruption found. It sets no other field.
 	MaintScrub MaintenanceOp = "scrub"
 )
 
