@@ -709,15 +709,15 @@ type appendSearcher interface {
 // The merge is the exact refinement of Algorithm 3 line 8, driven entirely
 // by the lookup table: a candidate id counts only if the table places it in
 // the partition that returned it (which also makes cross-partition
-// duplicates structurally impossible — no seen-set needed). Rotated-frame
-// candidates of rectangular queries are re-checked against the original
-// query in the world frame, because a rotated rectangle is only
-// conservatively bounded by its MBR in the partition frame. Circular
-// queries skip that re-check on the hot path: rotations are isometries, so
-// the circle survives the frame change exactly and the partition index's
-// own refinement already was the exact world-frame predicate.
-// Identity-rotation candidates always skip it: their partition ran the
-// query unchanged.
+// duplicates structurally impossible — no seen-set needed). Every
+// rotated-frame candidate is re-checked against the original query in the
+// world frame: a rotated rectangle is only conservatively bounded by its MBR
+// in the partition frame, and a rotation in float64 is not an isometry, so
+// an object exactly on a circle can land a few ulps outside it in the frame.
+// The frame may therefore filter but never decide: a rotated partition is
+// handed its circle grown by frameSlack, so that no world match is lost
+// there, and the world Matcher decides. Identity-rotation candidates skip the
+// re-check: their partition ran the query unchanged.
 func (m *Manager) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 	m.rlock(true)
 	defer m.runlock(true)
@@ -729,6 +729,10 @@ func (m *Manager) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 		pq := q
 		if !p.identity {
 			pq = q.Transform(p.rot)
+			if pq.IsCircle() {
+				pq.Circle.R += frameSlack(pq.Circle)
+				pq.Rect = pq.Circle.Bound()
+			}
 		}
 		if as, ok := p.idx.(appendSearcher); ok {
 			lists[i], err = as.SearchAppend(lists[i][:0], pq)
@@ -745,10 +749,9 @@ func (m *Manager) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 		total += len(ids)
 	}
 	world := model.NewMatcher(q)
-	exactInFrame := q.IsCircle()
 	out := make([]model.ObjectID, 0, total)
 	for i, ids := range lists {
-		recheck := !m.pars[i].identity && !exactInFrame
+		recheck := !m.pars[i].identity
 		for _, id := range ids {
 			rec, ok := m.stripes[m.stripeIndex(id)].objs[id]
 			if !ok || rec.part != i {
@@ -761,6 +764,14 @@ func (m *Manager) Search(q model.RangeQuery) ([]model.ObjectID, error) {
 		}
 	}
 	return out, nil
+}
+
+// frameSlack bounds how far rotating a point into a partition frame can move
+// it off a circle it lies on, relative to the circle's rotated centre: a few
+// ulps of the coordinates involved, grown here to 1e-12 of their magnitude
+// (about 4,500 ulps) plus an absolute term for a centre at the origin.
+func frameSlack(c geom.Circle) float64 {
+	return 1e-12 * (math.Abs(c.C.X) + math.Abs(c.C.Y) + c.R + 1)
 }
 
 // Objects snapshots every live record in the world frame (iteration order
