@@ -116,6 +116,9 @@ func buildTau(s Setup, gen *workload.Generator, bufferPages int, tau float64) (*
 			return bxtree.NewTree(pool, bxtree.Config{
 				Domain:            domain,
 				MaxUpdateInterval: p.MaxUpdateInterval,
+				// The figures measure the paper's Bx-tree, whose windows are
+				// not cut per histogram cell.
+				PaperWindows: true,
 			})
 		}
 		return tprtree.NewTree(pool, tprtree.Config{Horizon: p.MaxUpdateInterval})

@@ -8,11 +8,18 @@
 // of Jensen et al. (MDM 2006, [14] in the paper) that the paper's
 // experimental configuration adopts.
 //
-// Deviations from the original presentation (both behaviour-preserving):
-// the bucket prefix is the raw bucket boundary index rather than its value
-// modulo n+1 (the modulo is only a key-compression trick), and velocity
-// histograms are kept per active bucket so that stale maxima age out exactly
-// when their bucket empties.
+// Deviations from the original presentation: the bucket prefix is the raw
+// bucket boundary index rather than its value modulo n+1 (the modulo is only
+// a key-compression trick), and velocity histograms are kept per active
+// bucket so that stale maxima age out exactly when their bucket empties —
+// both behaviour-preserving. Third, a query scans less than the paper's
+// window: each histogram cell is one block of the curve, and a block is
+// dropped from a bucket's window when its cell is empty or when the query,
+// enlarged by that cell's own velocity bounds, cannot reach it — the spatial
+// form of the paper's argument that the search space is set by the
+// velocities of the objects a query must cover. Answers are unchanged; pages
+// read fall. Config.PaperWindows turns the cut off, and the figure harness
+// (internal/bench) sets it to measure the paper's Bx-tree.
 package bxtree
 
 import (
@@ -37,11 +44,18 @@ const (
 	// timeBuckets is the number of time buckets n (paper setting: 2). The
 	// bucket width is MaxUpdateInterval / timeBuckets.
 	timeBuckets = 2
-	// histogramCells is the velocity histogram resolution per axis. The
-	// paper uses 1000 on a 100k-object workload; resolution only trades
-	// enlargement precision against CPU, and on the Chicago workload 64
-	// cells come within 0.1 % of 256 cells' query I/O.
-	histogramCells = 64
+	// histogramShift sets the velocity histogram's resolution: a histogram
+	// cell is an aligned square of 2^histogramShift curve cells per side, so
+	// histogramCells = 64 per axis. The paper uses 1000 on a 100k-object
+	// workload; resolution only trades enlargement precision against CPU, and
+	// on the Chicago workload 64 cells come within 0.1 % of 256 cells' query
+	// I/O. On the Hilbert curve an aligned square of side 2^s is one run of
+	// 4^s consecutive values, so a histogram cell is one block of the curve:
+	// the per-cell cut works on blocks.
+	histogramShift = 2
+	histogramCells = 1 << (gridOrder - histogramShift)
+	// blockBits is the number of low curve-value bits inside one block.
+	blockBits = 2 * histogramShift
 	// maxScanRanges caps the number of key ranges scanned per bucket per
 	// query; curve intervals beyond the cap are bridged smallest-gap-first
 	// (scanning a few extra keys instead of fragmenting the scan).
@@ -59,6 +73,12 @@ type Config struct {
 	// MaxUpdateInterval is the guaranteed maximum time between an object's
 	// consecutive updates (Table 1: 120 ts).
 	MaxUpdateInterval float64
+	// PaperWindows keeps the paper's query plan: each bucket's enlarged
+	// window is scanned whole. The zero value also drops every histogram
+	// cell whose own velocity bounds cannot carry an object of it into the
+	// query (cutWindow). Only the figure harness sets it, to measure the
+	// paper's Bx-tree.
+	PaperWindows bool
 }
 
 func (c Config) withDefaults() Config {
@@ -98,6 +118,9 @@ type Tree struct {
 	// newest.
 	buckets []*bucket
 	size    int
+	// edgeX and edgeY tabulate cellOf (cellEdges): the per-cell cut compares
+	// coordinates with them instead of dividing.
+	edgeX, edgeY [1 << gridOrder]float64
 }
 
 var _ model.Index = (*Tree)(nil)
@@ -109,13 +132,15 @@ func NewTree(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{
+	t := &Tree{
 		cfg:         cfg,
 		curve:       sfc.MustHilbert(gridOrder),
 		bt:          bt,
 		pool:        pool,
 		bucketWidth: cfg.MaxUpdateInterval / timeBuckets,
-	}, nil
+	}
+	t.edgeX, t.edgeY = cellEdges(t.cellX), cellEdges(t.cellY)
+	return t, nil
 }
 
 // Name implements model.Index.
@@ -153,20 +178,18 @@ func (t *Tree) refTime(idx int64) float64 { return float64(idx) * t.bucketWidth 
 
 // cellOf maps a position (clamped into the domain) to its grid cell.
 func (t *Tree) cellOf(p geom.Vec2) (uint32, uint32) {
-	d := t.cfg.Domain
-	size := float64(t.curve.Size())
-	cx := (p.X - d.MinX) / d.Width() * size
-	cy := (p.Y - d.MinY) / d.Height() * size
-	clamp := func(v float64) uint32 {
-		if v < 0 {
-			return 0
-		}
-		if v >= size {
-			return uint32(size) - 1
-		}
-		return uint32(v)
-	}
-	return clamp(cx), clamp(cy)
+	return t.cellX(p.X), t.cellY(p.Y)
+}
+
+// cellX and cellY are cellOf's two axes.
+func (t *Tree) cellX(x float64) uint32 {
+	const size = 1 << gridOrder
+	return uint32(gridIndex((x-t.cfg.Domain.MinX)/t.cfg.Domain.Width()*size, size))
+}
+
+func (t *Tree) cellY(y float64) uint32 {
+	const size = 1 << gridOrder
+	return uint32(gridIndex((y-t.cfg.Domain.MinY)/t.cfg.Domain.Height()*size, size))
 }
 
 // keyFor computes the composite B+-tree key prefix for an object record:
@@ -264,11 +287,12 @@ func (t *Tree) SearchAppend(dst []model.ObjectID, q model.RangeQuery) ([]model.O
 }
 
 // queryScratch is the scratch state of one range search: the curve-interval
-// buffer, recycled bucket to bucket, and the scan batch the buckets' ranges
-// accumulate in. It is pooled, so a steady-state search allocates neither.
+// buffers of a bucket's window and of its cut, recycled bucket to bucket, and
+// the scan batch the buckets' ranges accumulate in. It is pooled, so a
+// steady-state search allocates none of them.
 type queryScratch struct {
-	ivs    []sfc.Interval
-	ranges []bptree.ScanRange
+	ivs, cut []sfc.Interval
+	ranges   []bptree.ScanRange
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -292,9 +316,10 @@ func (t *Tree) searchVisit(q model.RangeQuery, visit func(bptree.Entry) bool) er
 }
 
 // plan leaves q's scan batch in sc.ranges. Per bucket, the enlarged window is
-// decomposed into curve intervals and the interval list merged gap-aware down
-// to the bucket's scan budget; bucket prefixes ascend, so the concatenation is
-// already sorted.
+// decomposed into curve intervals, cut to the histogram cells that can reach
+// the query (unless cfg.PaperWindows), and the interval list merged gap-aware
+// down to the bucket's scan budget; bucket prefixes ascend, so the
+// concatenation is already sorted.
 func (t *Tree) plan(q model.RangeQuery, sc *queryScratch) {
 	sc.ranges = sc.ranges[:0]
 	for _, b := range t.buckets {
@@ -310,12 +335,128 @@ func (t *Tree) plan(q model.RangeQuery, sc *queryScratch) {
 		x0, y0 := t.cellOf(geom.V(w.MinX, w.MinY))
 		x1, y1 := t.cellOf(geom.V(w.MaxX, w.MaxY))
 		sc.ivs = t.curve.AppendWindow(sc.ivs[:0], x0, y0, x1, y1)
+		ivs := sc.ivs
+		if !t.cfg.PaperWindows {
+			sc.cut = t.cutWindow(sc.cut[:0], sc.ivs, b, q)
+			ivs = sc.cut
+		}
 		prefix := uint64(b.idx) << (2 * gridOrder)
-		for _, iv := range sfc.MergeIntervals(sc.ivs, maxScanRanges) {
+		for _, iv := range sfc.MergeIntervals(ivs, maxScanRanges) {
 			sc.ranges = append(sc.ranges, bptree.ScanRange{Lo: prefix + iv.Lo, Hi: prefix + iv.Hi})
 		}
 	}
 }
+
+// cutWindow appends to dst (like append) the part of the window intervals
+// ivs that lies in a block whose histogram cell can hold an answer to q: a
+// cell that is not empty and whose own velocity bounds, applied to the query
+// as enlargedWindow applies the window's, reach the cell. Reach is judged in
+// curve-cell index space through cellOf, the function that files the keys
+// (tabulated: cellEdges), so a matching entry's block is kept by the same
+// argument that keeps it inside the window, and an object clamped into a
+// boundary cell is kept because cellOf saturates the enlarged query the same
+// way. ivs are sorted, so the pieces of one block come one after another and
+// its verdict is computed once.
+func (t *Tree) cutWindow(dst, ivs []sfc.Interval, b *bucket, q model.RangeQuery) []sfc.Interval {
+	r0, r1, dt0, dt1 := t.queryEndpoints(b, q)
+	ax := axisReach{&t.edgeX, r0.MinX, r0.MaxX, r1.MinX, r1.MaxX, dt0, dt1}
+	ay := axisReach{&t.edgeY, r0.MinY, r0.MaxY, r1.MinY, r1.MaxY, dt0, dt1}
+	last, keep := uint64(math.MaxUint64), false
+	for _, iv := range ivs {
+		for lo := iv.Lo; lo < iv.Hi; {
+			blk := lo >> blockBits
+			hi := min(iv.Hi, (blk+1)<<blockBits)
+			if blk != last {
+				cell := int(blockCells[blk])
+				c := &b.hist.vel[cell]
+				last = blk
+				keep = c.min.X <= c.max.X &&
+					ax.reaches(uint32(cell%histogramCells)<<histogramShift, c.min.X, c.max.X) &&
+					ay.reaches(uint32(cell/histogramCells)<<histogramShift, c.min.Y, c.max.Y)
+			}
+			if keep {
+				if n := len(dst); n > 0 && dst[n-1].Hi == lo {
+					dst[n-1].Hi = hi
+				} else {
+					dst = append(dst, sfc.Interval{Lo: lo, Hi: hi})
+				}
+			}
+			lo = hi
+		}
+	}
+	return dst
+}
+
+// axisReach is one axis of a query in a bucket's frame, for the per-cell
+// cut: the region's span at the query's two time endpoints, their gaps to the
+// bucket's reference time, and cellOf's edges on that axis.
+type axisReach struct {
+	edge               *[1 << gridOrder]float64
+	lo0, hi0, lo1, hi1 float64
+	dt0, dt1           float64
+}
+
+// reaches reports whether the query's span, enlarged by velocities in
+// [vmin, vmax] as enlargeForGap enlarges a window, covers grid cells that
+// overlap the 2^histogramShift cells from c on: cell(lo) <= c+side and
+// c <= cell(hi), read off the edges (a NaN maps to cell 0, as in gridIndex).
+func (a *axisReach) reaches(c uint32, vmin, vmax float64) bool {
+	const side = 1<<histogramShift - 1
+	lo0, hi0 := enlargeSpan(a.lo0, a.hi0, vmin, vmax, a.dt0)
+	lo1, hi1 := enlargeSpan(a.lo1, a.hi1, vmin, vmax, a.dt1)
+	lo, hi := min(lo0, lo1), max(hi0, hi1)
+	return (c+side+1 == uint32(len(a.edge)) || !(lo >= a.edge[c+side+1])) && (c == 0 || hi >= a.edge[c])
+}
+
+// cellEdges tabulates one axis of cellOf: e[k], for 0 < k < len(e), is the
+// least float64 that cell maps to k or above, so that cell(v) >= k exactly
+// when v >= e[k], for every v but NaN. cell is monotone — a subtraction, a
+// division by a positive width and a scaling by a power of two each keep
+// order under rounding, and gridIndex saturates — so each edge is found by
+// bisecting the float64s from -Inf to +Inf in the order of their bits.
+func cellEdges(cell func(float64) uint32) (e [1 << gridOrder]float64) {
+	for k := uint32(1); k < uint32(len(e)); k++ {
+		lo, hi := orderedBits(math.Inf(-1)), orderedBits(math.Inf(1))
+		for d := uint64(hi) - uint64(lo); d > 1; d = uint64(hi) - uint64(lo) {
+			if mid := lo + int64(d/2); cell(fromOrderedBits(mid)) >= k {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		e[k] = fromOrderedBits(hi)
+	}
+	return e
+}
+
+// orderedBits maps a float64 to an int64 with the same order (-0 just below
+// +0); fromOrderedBits inverts it.
+func orderedBits(f float64) int64 {
+	b := int64(math.Float64bits(f))
+	if b < 0 {
+		b ^= math.MaxInt64
+	}
+	return b
+}
+
+func fromOrderedBits(b int64) float64 {
+	if b < 0 {
+		b ^= math.MaxInt64
+	}
+	return math.Float64frombits(uint64(b))
+}
+
+// blockCells maps a curve block — the values v>>blockBits share — to its
+// histogram cell, row-major: the block's position on the coarser curve of
+// order gridOrder-histogramShift, whose cells are the histogram's.
+var blockCells = func() (tab [1 << (2 * (gridOrder - histogramShift))]uint16) {
+	c := sfc.MustHilbert(gridOrder - histogramShift)
+	for d := range tab {
+		x, y := c.Decode(uint64(d))
+		tab[d] = uint16(y*histogramCells + x)
+	}
+	return tab
+}()
 
 // enlargedWindow computes the query window in the bucket's reference frame.
 //
@@ -376,14 +517,15 @@ func (t *Tree) queryEndpoints(b *bucket, q model.RangeQuery) (r0, r1 geom.Rect, 
 // r at reference+dt: stored = queried - v*dt, so each boundary moves by the
 // extreme of -v*dt.
 func enlargeForGap(r geom.Rect, vmin, vmax geom.Vec2, dt float64) geom.Rect {
-	ax0, ax1 := vmin.X*dt, vmax.X*dt
-	ay0, ay1 := vmin.Y*dt, vmax.Y*dt
-	return geom.Rect{
-		MinX: r.MinX - max(ax0, ax1),
-		MaxX: r.MaxX - min(ax0, ax1),
-		MinY: r.MinY - max(ay0, ay1),
-		MaxY: r.MaxY - min(ay0, ay1),
-	}
+	x0, x1 := enlargeSpan(r.MinX, r.MaxX, vmin.X, vmax.X, dt)
+	y0, y1 := enlargeSpan(r.MinY, r.MaxY, vmin.Y, vmax.Y, dt)
+	return geom.Rect{MinX: x0, MinY: y0, MaxX: x1, MaxY: y1}
+}
+
+// enlargeSpan is enlargeForGap on one axis.
+func enlargeSpan(lo, hi, vmin, vmax, dt float64) (float64, float64) {
+	a0, a1 := vmin*dt, vmax*dt
+	return lo - max(a0, a1), hi - min(a0, a1)
 }
 
 // ExpansionRate reports, for each active bucket, the speed (m/ts) at which
@@ -406,9 +548,12 @@ func (t *Tree) ExpansionRate(region geom.Rect) []geom.Vec2 {
 // invariants; buckets in ascending boundary order whose counts sum to Len;
 // every entry under the key keyFor computes from its record, so under the
 // prefix of a live bucket, each bucket holding exactly its count of entries;
-// and every entry's velocity within the bounds of its histogram cell at the
-// bucket's reference time and within the bucket's global bounds — the
-// enlargement's soundness rests on the last.
+// every entry's histogram cell at the bucket's reference time the one
+// blockCells assigns its key's curve block, i.e. its curve cell >>
+// histogramShift on each axis — the per-cell cut reads a block's bounds
+// there; and every entry's velocity within the bounds of that cell and
+// within the bucket's global bounds — the enlargement's soundness rests on
+// the last two.
 func (t *Tree) CheckInvariants() error {
 	if err := t.bt.CheckInvariants(); err != nil {
 		return err
@@ -437,8 +582,11 @@ func (t *Tree) CheckInvariants() error {
 		default:
 			b := t.buckets[i-1]
 			seen[idx]++
-			c, h := b.hist.vel[b.hist.cellIndex(o.PosAt(b.ref))], b.hist
-			if !(c.min.X <= o.Vel.X && o.Vel.X <= c.max.X && c.min.Y <= o.Vel.Y && o.Vel.Y <= c.max.Y) {
+			cell := b.hist.cellIndex(o.PosAt(b.ref))
+			c, h := b.hist.vel[cell], b.hist
+			if blk := (e.Key.K & (1<<(2*gridOrder) - 1)) >> blockBits; int(blockCells[blk]) != cell {
+				bad = fmt.Errorf("bxtree: %v: in histogram cell %d, its key's curve block %d maps to cell %d", o, cell, blk, blockCells[blk])
+			} else if !(c.min.X <= o.Vel.X && o.Vel.X <= c.max.X && c.min.Y <= o.Vel.Y && o.Vel.Y <= c.max.Y) {
 				bad = fmt.Errorf("bxtree: %v: velocity outside its histogram cell's bounds [%v, %v]", o, c.min, c.max)
 			} else if !(h.gMin.X <= o.Vel.X && o.Vel.X <= h.gMax.X && h.gMin.Y <= o.Vel.Y && o.Vel.Y <= h.gMax.Y) {
 				bad = fmt.Errorf("bxtree: %v: velocity outside its bucket's global bounds [%v, %v]", o, h.gMin, h.gMax)

@@ -50,23 +50,30 @@ var emptyCell = cellVel{
 	max: geom.Vec2{X: math.Inf(-1), Y: math.Inf(-1)},
 }
 
-// cellIndex maps a position to its histogram cell (clamped).
+// cellIndex maps a position to its histogram cell, saturating at the
+// boundary cells as cellOf does. The histogram's side divides the curve
+// grid's by a power of two, so the cell is the entry's curve cell >>
+// histogramShift on each axis (CheckInvariants holds the two to it).
 func (h *velocityHistogram) cellIndex(p geom.Vec2) int {
-	fx := (p.X - h.domain.MinX) / h.domain.Width() * float64(h.cells)
-	fy := (p.Y - h.domain.MinY) / h.domain.Height() * float64(h.cells)
-	cx := clampInt(int(fx), 0, h.cells-1)
-	cy := clampInt(int(fy), 0, h.cells-1)
+	cx := gridIndex((p.X-h.domain.MinX)/h.domain.Width()*float64(h.cells), h.cells)
+	cy := gridIndex((p.Y-h.domain.MinY)/h.domain.Height()*float64(h.cells), h.cells)
 	return cy*h.cells + cx
 }
 
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
+// gridIndex maps a coordinate v, in cells, to the cell of an n-cell axis
+// holding it, saturating at the first and the last cell: a position outside
+// the domain, however far out, is filed under the boundary cell. The tests
+// come before the conversion, because Go leaves converting a float64 beyond
+// the int range to the implementation (amd64 yields the minimum int, which
+// a clamp after the conversion would file under cell 0).
+func gridIndex(v float64, n int) int {
+	if !(v >= 0) {
+		return 0
 	}
-	if v > hi {
-		return hi
+	if v >= float64(n) {
+		return n - 1
 	}
-	return v
+	return int(v)
 }
 
 // Add records an object's velocity at its reference position.
@@ -92,10 +99,10 @@ func (h *velocityHistogram) Range(r geom.Rect) (vmin, vmax geom.Vec2, ok bool) {
 	if clipped.IsEmpty() {
 		return h.gMin, h.gMax, true
 	}
-	x0 := clampInt(int((clipped.MinX-h.domain.MinX)/h.domain.Width()*float64(h.cells)), 0, h.cells-1)
-	x1 := clampInt(int((clipped.MaxX-h.domain.MinX)/h.domain.Width()*float64(h.cells)), 0, h.cells-1)
-	y0 := clampInt(int((clipped.MinY-h.domain.MinY)/h.domain.Height()*float64(h.cells)), 0, h.cells-1)
-	y1 := clampInt(int((clipped.MaxY-h.domain.MinY)/h.domain.Height()*float64(h.cells)), 0, h.cells-1)
+	x0 := gridIndex((clipped.MinX-h.domain.MinX)/h.domain.Width()*float64(h.cells), h.cells)
+	x1 := gridIndex((clipped.MaxX-h.domain.MinX)/h.domain.Width()*float64(h.cells), h.cells)
+	y0 := gridIndex((clipped.MinY-h.domain.MinY)/h.domain.Height()*float64(h.cells), h.cells)
+	y1 := gridIndex((clipped.MaxY-h.domain.MinY)/h.domain.Height()*float64(h.cells), h.cells)
 
 	acc := emptyCell
 	for cy := y0; cy <= y1; cy++ {

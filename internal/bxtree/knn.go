@@ -39,7 +39,12 @@ func (t *Tree) SearchKNNWithin(q model.KNNQuery, bound float64) ([]model.Neighbo
 	// A circle of twice the radius that holds k holds about 4k.
 	ns := make([]model.Neighbor, 0, min(4*k, t.size))
 	for {
-		c := geom.Circle{C: q.Center, R: r}
+		// The circle test compares squares and Dist is a hypot: each rounds by
+		// a few ulps, so an object at Dist exactly r can fall outside a circle
+		// of radius r. The circle is padded as the TPR*-tree pads its leaf
+		// screen (relative 1e-9, absolute 1e-300) and the neighbours are cut
+		// at r by Dist.
+		c := geom.Circle{C: q.Center, R: r*(1+1e-9) + 1e-300}
 		ns = ns[:0]
 		err := t.searchVisit(model.RangeQuery{Kind: model.TimeSlice, Circle: c, Rect: c.Bound(), Now: q.Now, T0: q.T},
 			func(e bptree.Entry) bool {
@@ -50,23 +55,28 @@ func (t *Tree) SearchKNNWithin(q model.KNNQuery, bound float64) ([]model.Neighbo
 			return nil, err
 		}
 		model.SortNeighbors(ns)
-		if len(ns) >= k && ns[k-1].Dist <= r {
+		within := 0
+		for within < len(ns) && ns[within].Dist <= r {
+			within++
+		}
+		if within >= k {
 			return ns[:k], nil
 		}
 		if r >= bound {
-			return ns[:min(k, len(ns))], nil
+			return ns[:within], nil
 		}
 		if r >= maxR {
-			return t.knnFullScan(q, k)
+			return t.knnFullScan(q, k, bound)
 		}
 		r = min(2*r, bound)
 	}
 }
 
-// knnFullScan scans every bucket's whole key range: the correct (and
-// expensive) last resort for adversarial distributions. t.buckets is in
-// ascending index order, so the ranges are sorted by Lo as ScanMany needs.
-func (t *Tree) knnFullScan(q model.KNNQuery, k int) ([]model.Neighbor, error) {
+// knnFullScan scans every bucket's whole key range for the k nearest within
+// bound: the correct (and expensive) last resort for adversarial
+// distributions. t.buckets is in ascending index order, so the ranges are
+// sorted by Lo as ScanMany needs.
+func (t *Tree) knnFullScan(q model.KNNQuery, k int, bound float64) ([]model.Neighbor, error) {
 	ranges := make([]bptree.ScanRange, len(t.buckets))
 	for i, b := range t.buckets {
 		prefix := uint64(b.idx) << (2 * gridOrder)
@@ -74,7 +84,9 @@ func (t *Tree) knnFullScan(q model.KNNQuery, k int) ([]model.Neighbor, error) {
 	}
 	ns := make([]model.Neighbor, 0, t.size)
 	err := t.bt.ScanMany(ranges, func(e bptree.Entry) bool {
-		ns = append(ns, neighbor(e, q))
+		if n := neighbor(e, q); n.Dist <= bound {
+			ns = append(ns, n)
+		}
 		return true
 	})
 	if err != nil {

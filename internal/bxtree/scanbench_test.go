@@ -106,7 +106,9 @@ func accesses(p *storage.BufferPool) int64 {
 // BenchmarkSearch measures the range-search kernel without the Store: one
 // benchQuery per iteration into a recycled result slice, with every page
 // cached and with the pool a tenth of the tree. pages/op is pool accesses,
-// hits and misses.
+// hits and misses; tested/op and kept/op are the leaf candidates the query's
+// predicate is handed and accepts, counted after the timed loop by replaying
+// the same queries with a counting predicate.
 func BenchmarkSearch(b *testing.B) {
 	for _, bc := range benchPools {
 		b.Run(bc.name, func(b *testing.B) {
@@ -123,6 +125,16 @@ func BenchmarkSearch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(accesses(tr.pool)-before)/float64(b.N), "pages/op")
+			b.StopTimer()
+			rng = rand.New(rand.NewSource(13))
+			tested, kept := 0, 0
+			for i := 0; i < b.N; i++ {
+				t, k := candidates(b, tr, benchQuery(rng, i, now))
+				tested += t
+				kept += k
+			}
+			b.ReportMetric(float64(tested)/float64(b.N), "tested/op")
+			b.ReportMetric(float64(kept)/float64(b.N), "kept/op")
 		})
 	}
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // refSearchAppend is SearchAppend as it was before the leaf filter ran on the
-// slot's scalars and the plan's folds used the builtin min and max: the same
-// plan with math.Min and math.Max (refEnlargedWindow), then ScanMany handing
+// slot's scalars, the plan's folds used the builtin min and max and windows
+// were cut per histogram cell: the paper-windows plan with math.Min and
+// math.Max (refEnlargedWindow), then ScanMany handing
 // every in-range entry over decoded, refined by the query's model.Matcher on
 // the decoded Object. AppendWindow and MergeIntervals are held to their own
 // reference copies by sfc's TestAppendWindowEquivalence.
@@ -125,15 +126,28 @@ func refRange(h *velocityHistogram, r geom.Rect) (vmin, vmax geom.Vec2, ok bool)
 	return vmin, vmax, true
 }
 
+func clampInt(v, lo, hi int) int {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
+}
+
 // searchHistory builds a tree over a pool of the given size: 4,000 objects
 // with road-like velocities inserted at times spread over [0, 70), then four
 // rounds in which a third of them report at a later time, some at a new
-// speed, so that three or four time buckets are live. It returns the tree,
-// its pool, the live records and the time of the last round.
-func searchHistory(t *testing.T, seed int64, pages int) (*Tree, *storage.BufferPool, []model.Object, float64) {
+// speed, so that three or four time buckets are live. One object in 20 lies
+// outside the domain, up to 30 km beyond an edge, and eight lie at ±1e23 or
+// ±1e300 m on one axis, so boundary cells hold clamped objects from near and
+// from far. It returns the tree, its pool, the live records and the time of
+// the last round.
+func searchHistory(t *testing.T, seed int64, pages int, cfg Config) (*Tree, *storage.BufferPool, []model.Object, float64) {
 	t.Helper()
 	pool := storage.NewBufferPool(storage.NewMemStore(), pages)
-	tr, err := NewTree(pool, Config{})
+	tr, err := NewTree(pool, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +155,15 @@ func searchHistory(t *testing.T, seed int64, pages int) (*Tree, *storage.BufferP
 	live := randomWorkload(4000, rng, 0)
 	for i := range live {
 		live[i].T = float64(i%100) * 0.7
+		if i%20 == 3 {
+			live[i].Pos = geom.V(rng.Float64()*160000-30000, rng.Float64()*160000-30000)
+		}
+	}
+	for i, huge := range []float64{1e23, -1e23, 1e300, -1e300} {
+		live[100*i+7].Pos.X = huge
+		live[100*i+57].Pos.Y = huge
+	}
+	for i := range live {
 		if err := tr.Insert(live[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -174,22 +197,48 @@ func poolAccesses(p *storage.BufferPool) int64 {
 	return s.Hits + s.Misses
 }
 
-// TestBxSearchEquivalence: SearchAppend answers 20,000 queries exactly as the
-// reference copy of the decoding search, on two histories over pools of 3
-// and 68 frames. The queries cycle through the three kinds with circles and
-// rectangles, centres in, around and far outside the domain, T0 from now to
-// now+120, intervals of up to 60 ts and of zero length; one in four puts an
-// edge exactly through an object's position at T0 (a rectangle corner on it,
-// a circle whose radius is its computed distance along one axis). Ids must be
-// the same and in the same order, each query must cost the same pool
-// accesses (hits + misses) — the same pages are opened — and an object on the
-// edge must be reported.
+// candidates runs q as searchVisit does, with the leaf predicate wrapped to
+// count the entries it is handed (tested) and the ones it accepts (kept).
+func candidates(tb testing.TB, tr *Tree, q model.RangeQuery) (tested, kept int) {
+	tb.Helper()
+	var sc queryScratch
+	tr.plan(q, &sc)
+	m := model.NewMatcher(q)
+	err := tr.bt.ScanFiltered(sc.ranges, func(pos, vel geom.Vec2, ref float64) bool {
+		tested++
+		return m.MatchesMotion(pos, vel, ref)
+	}, func(bptree.Entry) bool { kept++; return true })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tested, kept
+}
+
+// TestBxSearchEquivalence: SearchAppend answers 20,000 queries as the
+// reference copy of the decoding search does, on two histories over pools of
+// 3 and 68 frames, each built twice: once with the paper's windows and once
+// with the per-cell cut. The queries cycle through the three kinds with
+// circles and rectangles, centres in, around and far outside the domain, T0
+// from now to now+120, intervals of up to 60 ts and of zero length; one in
+// four puts an edge exactly through an object's position at T0 (a rectangle
+// corner on it, a circle whose radius is its computed distance along one
+// axis), the huge and the out-of-domain objects included. Both trees must
+// return the reference's ids in the reference's order, and an object on the
+// edge must be reported. The paper-windows tree must open exactly the
+// reference's pages (pool accesses, hits + misses, equal per query); the cut
+// only drops curve blocks, so the default tree must open no more. It logs the
+// leaf candidates tested and kept per query on both.
 func TestBxSearchEquivalence(t *testing.T) {
 	const perTree = 5000
-	queries, hits, edges, pages := 0, 0, 0, int64(0)
+	type tally struct {
+		pages, tested, kept int64
+	}
+	queries, hits, edges := 0, 0, 0
+	var paper, cut tally
 	for _, seed := range []int64{1, 2} {
 		for _, poolPages := range []int{3, 68} {
-			tr, pool, live, now := searchHistory(t, seed, poolPages)
+			ptr, ppool, live, now := searchHistory(t, seed, poolPages, Config{PaperWindows: true})
+			ctr, cpool, _, _ := searchHistory(t, seed, poolPages, Config{})
 			rng := rand.New(rand.NewSource(seed * 100))
 			var got, want []model.ObjectID
 			for i := 0; i < perTree; i++ {
@@ -211,6 +260,9 @@ func TestBxSearchEquivalence(t *testing.T) {
 				var edge model.Object
 				if i%4 == 1 {
 					edge = live[rng.Intn(len(live))]
+					if i%40 == 1 { // every huge object in turn
+						edge = live[100*(i/40%4)+[]int{7, 57}[i/160%2]]
+					}
 					c = edge.PosAt(q.T0)
 				}
 				ext := rng.Float64() * 4000
@@ -230,32 +282,152 @@ func TestBxSearchEquivalence(t *testing.T) {
 				if err := q.Validate(); err != nil {
 					t.Fatal(err)
 				}
-				a0 := poolAccesses(pool)
-				var err error
-				if want, err = refSearchAppend(tr, want[:0], q); err != nil {
-					t.Fatal(err)
-				}
-				a1 := poolAccesses(pool)
-				if got, err = tr.SearchAppend(got[:0], q); err != nil {
-					t.Fatal(err)
-				}
-				a2 := poolAccesses(pool)
-				if a2-a1 != a1-a0 || !slices.Equal(got, want) {
-					t.Fatalf("seed %d, pool %d, query %d (%+v): ids %v in %d pool accesses, reference %v in %d",
-						seed, poolPages, i, q, got, a2-a1, want, a1-a0)
+				for _, run := range []struct {
+					tr   *Tree
+					pool *storage.BufferPool
+					tl   *tally
+				}{{ptr, ppool, &paper}, {ctr, cpool, &cut}} {
+					a0 := poolAccesses(run.pool)
+					var err error
+					if want, err = refSearchAppend(run.tr, want[:0], q); err != nil {
+						t.Fatal(err)
+					}
+					a1 := poolAccesses(run.pool)
+					if got, err = run.tr.SearchAppend(got[:0], q); err != nil {
+						t.Fatal(err)
+					}
+					a2 := poolAccesses(run.pool)
+					ref, mine := a1-a0, a2-a1
+					if !slices.Equal(got, want) || mine > ref || (run.tr.cfg.PaperWindows && mine != ref) {
+						t.Fatalf("seed %d, pool %d, query %d (%+v), paper windows %v: ids %v in %d pool accesses, reference %v in %d",
+							seed, poolPages, i, q, run.tr.cfg.PaperWindows, got, mine, want, ref)
+					}
+					if i%4 == 1 && !slices.Contains(got, edge.ID) {
+						t.Fatalf("seed %d, pool %d, query %d (%+v), paper windows %v: object %d on the region's edge at T0 not reported",
+							seed, poolPages, i, q, run.tr.cfg.PaperWindows, edge.ID)
+					}
+					tested, kept := candidates(t, run.tr, q)
+					run.tl.pages += mine
+					run.tl.tested += int64(tested)
+					run.tl.kept += int64(kept)
 				}
 				if i%4 == 1 {
-					if !slices.Contains(got, edge.ID) {
-						t.Fatalf("seed %d, pool %d, query %d (%+v): object %d on the region's edge at T0 not reported", seed, poolPages, i, q, edge.ID)
-					}
 					edges++
 				}
 				queries++
 				hits += len(got)
-				pages += a2 - a1
 			}
 		}
 	}
-	t.Logf("%d queries identical to the reference: %.1f ids and %.1f pool accesses per query, %d with an object exactly on the edge",
-		queries, float64(hits)/float64(queries), float64(pages)/float64(queries), edges)
+	per := func(v int64) float64 { return float64(v) / float64(queries) }
+	t.Logf("%d queries identical to the reference, %.1f ids per query, %d with an object exactly on the edge", queries, float64(hits)/float64(queries), edges)
+	t.Logf("paper windows: %.2f pool accesses, %.1f candidates tested and %.1f kept per query", per(paper.pages), per(paper.tested), per(paper.kept))
+	t.Logf("per-cell cut:  %.2f pool accesses, %.1f candidates tested and %.1f kept per query", per(cut.pages), per(cut.tested), per(cut.kept))
+}
+
+// TestHugeCoordinates: objects at ±1e23 and ±1e300 m on either axis, where
+// converting the position's float cell coordinate to an int overflows, are
+// filed under the boundary histogram cell of their key's curve cell
+// (CheckInvariants), and queries of each kind around each of them find it,
+// with the paper's windows and with the per-cell cut.
+func TestHugeCoordinates(t *testing.T) {
+	for _, paper := range []bool{true, false} {
+		tr, err := NewTree(storage.NewBufferPool(storage.NewMemStore(), 64), Config{PaperWindows: paper})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range randomWorkload(500, rand.New(rand.NewSource(5)), 0) {
+			if err := tr.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var huge []model.Object
+		for _, v := range []float64{1e23, -1e23, 1e300, -1e300} {
+			for axis := 0; axis < 2; axis++ {
+				o := model.Object{ID: model.ObjectID(10000 + len(huge)), Pos: geom.V(50000, 50000), Vel: geom.V(3, -4)}
+				if axis == 0 {
+					o.Pos.X = v
+				} else {
+					o.Pos.Y = v
+				}
+				if err := tr.Insert(o); err != nil {
+					t.Fatal(err)
+				}
+				huge = append(huge, o)
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range huge {
+			half := 1e-9*max(math.Abs(o.Pos.X), math.Abs(o.Pos.Y)) + 10
+			for kind := model.TimeSlice; kind <= model.MovingRange; kind++ {
+				q := model.RangeQuery{Kind: kind, Rect: geom.RectFromCenter(o.Pos, half, half), T1: 30, Vel: geom.V(1, 1)}
+				c := q
+				c.Circle = geom.Circle{C: o.Pos, R: half}
+				c.Rect = c.Circle.Bound()
+				for _, q := range []model.RangeQuery{q, c} {
+					ids, err := tr.Search(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Contains(ids, o.ID) {
+						t.Errorf("paper windows %v: %v not found by %+v", paper, o, q)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlockCellsMatchCurve: every cell of the curve grid lies in the block
+// whose histogram cell, by blockCells, is the grid cell >> histogramShift on
+// each axis — the per-cell cut reads a block's velocity bounds from it.
+func TestBlockCellsMatchCurve(t *testing.T) {
+	c := sfc.MustHilbert(gridOrder)
+	for x := uint32(0); x < 1<<gridOrder; x++ {
+		for y := uint32(0); y < 1<<gridOrder; y++ {
+			got := int(blockCells[c.Encode(x, y)>>blockBits])
+			if want := int(y>>histogramShift)*histogramCells + int(x>>histogramShift); got != want {
+				t.Fatalf("cell (%d, %d): block maps to histogram cell %d, want %d", x, y, got, want)
+			}
+		}
+	}
+}
+
+// TestCellEdgesExact: the cut's tabulated cell edges agree with cellOf on
+// every edge and its float64 neighbour below, and on random coordinates in
+// and far outside the domain, for the default domain and for domains offset
+// far from the origin, tiny and huge.
+func TestCellEdgesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, d := range []geom.Rect{{}, geom.R(-3e5, 1e9, -1e5, 1e9+7), geom.R(1e-150, -1e-150, 3e-150, 1e-150), geom.R(-1e300, -1e300, 1e300, 1e300)} {
+		tr, err := NewTree(storage.NewBufferPool(storage.NewMemStore(), 8), Config{Domain: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := tr.cfg.Domain
+		for _, ax := range []struct {
+			edge   *[1 << gridOrder]float64
+			cell   func(float64) uint32
+			lo, hi float64
+		}{{&tr.edgeX, tr.cellX, d.MinX, d.MaxX}, {&tr.edgeY, tr.cellY, d.MinY, d.MaxY}} {
+			for k := uint32(1); k < uint32(len(ax.edge)); k++ {
+				e := ax.edge[k]
+				if ax.cell(e) < k || ax.cell(math.Nextafter(e, math.Inf(-1))) >= k {
+					t.Fatalf("domain %v: edge %d = %v maps to %d, the float below it to %d", d, k, e, ax.cell(e), ax.cell(math.Nextafter(e, math.Inf(-1))))
+				}
+			}
+			for i := 0; i < 20000; i++ {
+				v := ax.lo + (ax.hi-ax.lo)*(rng.Float64()*1.2-0.1)
+				if i%10 == 0 {
+					v = math.Ldexp(rng.NormFloat64(), rng.Intn(2000)-1000)
+				}
+				k := 1 + uint32(rng.Intn(len(ax.edge)-1))
+				if (ax.cell(v) >= k) != (v >= ax.edge[k]) {
+					t.Fatalf("domain %v: %v maps to %d, edge %d is %v", d, v, ax.cell(v), k, ax.edge[k])
+				}
+			}
+		}
+	}
 }

@@ -79,6 +79,32 @@ func (h *Hilbert) Encode(x, y uint32) uint64 {
 	return d
 }
 
+// rankQuad inverts quadRank.
+func rankQuad(q uint64) (rx, ry uint32) {
+	rx = uint32(1 & (q >> 1))
+	ry = uint32(1 & (q ^ uint64(rx)))
+	return rx, ry
+}
+
+// Decode inverts Encode: it maps a curve value (< Size²) to its cell. The
+// Bx-tree builds its curve-block-to-histogram-cell table with it.
+func (h *Hilbert) Decode(d uint64) (uint32, uint32) {
+	size := h.Size()
+	if d >= uint64(size)*uint64(size) {
+		panic(fmt.Sprintf("sfc: hilbert value %d outside %dx%d grid", d, size, size))
+	}
+	var x, y uint32
+	t := d
+	for s := uint32(1); s < size; s *= 2 {
+		rx, ry := rankQuad(t & 3)
+		rot(s, &x, &y, rx, ry)
+		x += s * rx
+		y += s * ry
+		t >>= 2
+	}
+	return x, y
+}
+
 // AppendWindow appends to dst (like append) the sorted, disjoint, maximal
 // half-open intervals [Lo, Hi) of curve values covering the inclusive cell
 // window [x0, x1] x [y0, y1] (clipped to the grid); dst's existing contents

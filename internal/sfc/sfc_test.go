@@ -2,7 +2,6 @@ package sfc
 
 import (
 	"cmp"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -301,24 +300,6 @@ func BenchmarkHilbertDecompose(b *testing.B) {
 	}
 }
 
-// Decode inverts Encode.
-func (h *Hilbert) Decode(d uint64) (uint32, uint32) {
-	size := h.Size()
-	if d >= uint64(size)*uint64(size) {
-		panic(fmt.Sprintf("sfc: hilbert value %d outside %dx%d grid", d, size, size))
-	}
-	var x, y uint32
-	t := d
-	for s := uint32(1); s < size; s *= 2 {
-		rx, ry := rankQuad(t & 3)
-		rot(s, &x, &y, rx, ry)
-		x += s * rx
-		y += s * ry
-		t >>= 2
-	}
-	return x, y
-}
-
 // refAppendWindow is AppendWindow as it was before it merged as it appended
 // and read 8x8 blocks off tables: the quadtree descent down to single cells,
 // then a sort of the appended intervals and a merge of the touching ones.
@@ -494,11 +475,4 @@ func TestMergeIntervalsTiesEquivalence(t *testing.T) {
 			t.Fatalf("trial %d, %d intervals, budget %d: %v, reference %v", trial, n, max, g, w)
 		}
 	}
-}
-
-// rankQuad inverts quadRank.
-func rankQuad(q uint64) (rx, ry uint32) {
-	rx = uint32(1 & (q >> 1))
-	ry = uint32(1 & (q ^ uint64(rx)))
-	return rx, ry
 }
