@@ -160,8 +160,8 @@ func searchHistory(t *testing.T, seed int64, pages int, cfg Config) (*Tree, *sto
 		}
 	}
 	for i, huge := range []float64{1e23, -1e23, 1e300, -1e300} {
-		live[100*i+7].Pos.X = huge
-		live[100*i+57].Pos.Y = huge
+		live[hugeAt[2*i]].Pos.X = huge
+		live[hugeAt[2*i+1]].Pos.Y = huge
 	}
 	for i := range live {
 		if err := tr.Insert(live[i]); err != nil {
@@ -191,6 +191,9 @@ func searchHistory(t *testing.T, seed int64, pages int, cfg Config) (*Tree, *sto
 	}
 	return tr, pool, live, now
 }
+
+// hugeAt are the indexes of searchHistory's objects at ±1e23 and ±1e300 m.
+var hugeAt = [...]int{7, 57, 107, 157, 207, 257, 307, 357}
 
 func poolAccesses(p *storage.BufferPool) int64 {
 	s := p.Stats()
@@ -261,7 +264,7 @@ func TestBxSearchEquivalence(t *testing.T) {
 				if i%4 == 1 {
 					edge = live[rng.Intn(len(live))]
 					if i%40 == 1 { // every huge object in turn
-						edge = live[100*(i/40%4)+[]int{7, 57}[i/160%2]]
+						edge = live[hugeAt[i/40%len(hugeAt)]]
 					}
 					c = edge.PosAt(q.T0)
 				}
