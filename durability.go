@@ -39,8 +39,8 @@ import (
 //     file protocol, the chain's linkage rules and the fold are internal/ckpt;
 //     what stays here is what only the Store knows: what to capture, when to
 //     compact, how to apply. A compaction policy (WithCheckpointCompaction)
-//     folds a long chain back into a single full snapshot in the background,
-//     off the commit lock.
+//     folds a long chain back into a single full snapshot on the Store's
+//     maintenance loop, off the commit lock.
 //   - Recovery folds the chain into one snapshot, loads it once — one
 //     partition swap, one batch, one registry restore — and replays the log
 //     tail through the normal write paths, so every index invariant,
@@ -67,47 +67,35 @@ type durability struct {
 	wal    *wal.WAL
 	fstore *storage.FileStore
 
-	ckptMu    sync.Mutex // serializes checkpoint writers (incl. compaction)
-	ckptEvery int64
-	records   atomic.Int64 // records logged, for the auto-checkpoint cadence
-	ckptLSN   atomic.Uint64
-	ckpts     atomic.Int64
+	ckptMu  sync.Mutex   // serializes checkpoint writers (incl. compaction)
+	records atomic.Int64 // records logged, for the auto-checkpoint cadence
+	ckptLSN atomic.Uint64
+	ckpts   atomic.Int64
 
 	// Incremental-checkpoint state. ckptGen is the generation of the newest
 	// durable chain element (0 = none yet, so the next checkpoint is full);
 	// chainLen / chainBytes describe the delta chain behind the last full
 	// snapshot and drive the compaction policy; subsDirty / partDirty flag
 	// subscription-registry and partition-analysis changes since the last
-	// checkpoint (the per-object dirty sets live in the stripes). ckptInFlight
-	// dedups the auto-checkpoint cadence's background trigger; compacting
-	// dedups background compactions. pauseLast / pauseMax / ckptBytes are the
-	// observability counters behind DurabilityStats.
-	ckptGen         atomic.Uint64
-	chainLen        atomic.Int64
-	chainBytes      atomic.Int64
-	subsDirty       atomic.Bool
-	partDirty       atomic.Bool
-	ckptInFlight    atomic.Bool
-	compacting      atomic.Bool
-	compactions     atomic.Int64
-	pauseLast       atomic.Int64
-	pauseMax        atomic.Int64
-	ckptBytes       atomic.Int64
-	compactChainMax int
-	compactBytesMax int64
+	// checkpoint (the per-object dirty sets live in the stripes). pauseLast /
+	// pauseMax / ckptBytes are the observability counters behind
+	// DurabilityStats.
+	ckptGen     atomic.Uint64
+	chainLen    atomic.Int64
+	chainBytes  atomic.Int64
+	subsDirty   atomic.Bool
+	partDirty   atomic.Bool
+	compactions atomic.Int64
+	pauseLast   atomic.Int64
+	pauseMax    atomic.Int64
+	ckptBytes   atomic.Int64
 
 	// recovering suppresses logging and maintenance while Open replays: the
 	// replayed verbs run their normal in-memory paths but append nothing.
 	recovering atomic.Bool
 	replayed   atomic.Int64
 
-	// closed makes Close idempotent and safe for concurrent callers: the
-	// CAS winner does the shutdown, everyone else returns nil immediately.
-	closed atomic.Bool
-
-	// Background scrubber lifetime (WithScrubEvery) and counters.
-	scrubStop    chan struct{}
-	scrubDone    chan struct{}
+	// Integrity scrub counters (WithScrubEvery, ScrubNow).
 	scrubPasses  atomic.Int64
 	scrubCorrupt atomic.Int64
 }
@@ -143,10 +131,7 @@ func (s *Store) initDurable() error {
 		return err
 	}
 	s.disk = fstore
-	s.dur = &durability{
-		dir: cfg.dataDir, wal: w, fstore: fstore, ckptEvery: cfg.ckptEvery,
-		compactChainMax: cfg.compactChain, compactBytesMax: cfg.compactBytes,
-	}
+	s.dur = &durability{dir: cfg.dataDir, wal: w, fstore: fstore}
 	// Index building inside Open must not log; recover() lifts this once
 	// the replay is done.
 	s.dur.recovering.Store(true)
@@ -162,28 +147,31 @@ func (s *Store) closeFiles() {
 	}
 }
 
-// Close flushes the log and closes it and the page file (scratch, so not
-// flushed), stopping the background scrubber first. A non-durable Store has
-// nothing to flush; Close is then a no-op. Close is idempotent and safe for
-// concurrent callers — exactly one does the shutdown, the rest return nil —
-// and leaves the store Failed ("closed"): later writes return ErrFailed, reads
-// keep serving the final in-memory state.
+// Close stops the maintenance loop and waits for its task in progress, so no
+// background task runs or reports to the hook once Close returns, then
+// flushes the log and closes it and the page file (scratch, so not flushed).
+// It is idempotent and safe for concurrent callers — one does the shutdown,
+// the rest return nil. A durable store is left Failed ("closed"): writes
+// return ErrFailed, reads serve the final in-memory state; a non-durable one
+// keeps serving both. Called from a hook of the loop's task, Close returns
+// without waiting for that task, which finishes after it (its later events
+// included); no task starts after it.
 func (s *Store) Close() error {
+	if !s.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	s.markDue(0) // wakes the loop, which sees closed and exits
+	// A hook of the loop's run would wait for itself.
+	if s.done != nil && s.runner.Load() != goid() {
+		<-s.done
+	}
 	d := s.dur
 	if d == nil {
 		return nil
 	}
-	if !d.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	if d.scrubStop != nil {
-		close(d.scrubStop)
-		<-d.scrubDone
-	}
-	// Drain any in-flight background checkpoint or compaction: both hold
-	// ckptMu for their whole file-writing span and re-check closed after
-	// acquiring it, so once this barrier passes, nothing touches the data
-	// directory again.
+	// An application's Checkpoint holds ckptMu for its whole file-writing
+	// span and re-checks closed under it: past this barrier, nothing touches
+	// the data directory again.
 	d.ckptMu.Lock()
 	d.ckptMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	var first error
@@ -246,7 +234,7 @@ func (s *Store) logged(t wal.Type, apply func() (landed bool, err error), encode
 	s.noteIOFault(lerr)
 	s.noteIOFault(err)
 	if landed && lerr == nil {
-		d.noteRecords(s, 1)
+		s.noteRecord()
 	}
 	return cmp.Or(lerr, err)
 }
@@ -272,32 +260,17 @@ func (s *Store) logSwap(an core.Analysis) error {
 	d.partDirty.Store(true)
 	_, err := d.wal.Append(wal.TypePartitionSwap, core.EncodeAnalysis(an))
 	if err == nil {
-		d.noteRecords(s, 1)
+		s.noteRecord()
 	}
 	return err
 }
 
-// noteRecords advances the auto-checkpoint cadence by n logged records and
-// kicks a background checkpoint each time the running counter crosses a
-// multiple of WithCheckpointEvery. Like the repartition cadence, the counter
-// is never reset. At most one background checkpoint is in flight at a time:
-// without the CAS guard, a write burst would spawn one goroutine per cadence
-// trip and they would all queue on ckptMu behind a slow checkpoint, piling up
-// without bound and then running back-to-back redundant snapshots. A multiple
-// crossed while one is in flight is simply absorbed — the in-flight
-// checkpoint already covers those records.
-func (d *durability) noteRecords(s *Store, n int64) {
-	if d.ckptEvery <= 0 {
-		return
-	}
-	after := d.records.Add(n)
-	if after/d.ckptEvery != (after-n)/d.ckptEvery {
-		if d.ckptInFlight.CompareAndSwap(false, true) {
-			go func() {
-				defer d.ckptInFlight.Store(false)
-				_ = s.Checkpoint()
-			}()
-		}
+// noteRecord advances the auto-checkpoint cadence by one logged record and
+// marks a checkpoint due at every multiple of WithCheckpointEvery. Like the
+// repartition cadence, the counter is never reset.
+func (s *Store) noteRecord() {
+	if every := s.cfg.ckptEvery; every > 0 && s.dur.records.Add(1)%every == 0 {
+		s.markDue(taskCheckpoint)
 	}
 }
 
@@ -413,22 +386,22 @@ func (s *Store) Checkpoint() error {
 	ev := MaintenanceEvent{Op: MaintCheckpoint, Err: err, SampleSize: len(ck.Objects), Swapped: err == nil}
 	s.recordMaintenance(ev)
 	s.notifyMaintenance(ev)
-	if err == nil && ck.Delta {
-		s.maybeCompact(d)
+	if err == nil && ck.Delta && s.compactionDue() {
+		s.markDue(taskCompact)
 	}
 	return err
 }
 
 // checkpointLocked is Checkpoint's core under ckptMu: capture, write, stats.
-// Hook notification and compaction scheduling stay outside the lock so a
-// maintenance hook may call any Store method — including Close, which drains
-// in-flight checkpoints by acquiring ckptMu itself.
+// The hook is notified outside the lock so a maintenance hook may call any
+// Store method — including Close, which acquires ckptMu itself to wait out a
+// checkpoint it did not start.
 func (s *Store) checkpointLocked(d *durability) (captured, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	// Re-check under the lock: a Close that won the race has already drained
 	// the files, and a checkpoint written now would recreate them.
-	if d.closed.Load() {
+	if s.closed.Load() {
 		return captured{}, s.healthErr(ErrFailed)
 	}
 	full := d.ckptGen.Load() == 0 // nothing durable yet: the chain needs its base
@@ -572,24 +545,10 @@ func (d *durability) chainReplaced(gen uint64) {
 
 // compactionDue reports whether the delta chain has outgrown the
 // WithCheckpointCompaction policy.
-func (d *durability) compactionDue() bool {
-	return (d.compactChainMax > 0 && d.chainLen.Load() >= int64(d.compactChainMax)) ||
-		(d.compactBytesMax > 0 && d.chainBytes.Load() >= d.compactBytesMax)
-}
-
-// maybeCompact starts a background chain fold when the policy says so; at
-// most one compaction runs at a time.
-func (s *Store) maybeCompact(d *durability) {
-	if !d.compactionDue() {
-		return
-	}
-	if !d.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer d.compacting.Store(false)
-		_ = s.compactCheckpoints()
-	}()
+func (s *Store) compactionDue() bool {
+	c, d := &s.cfg, s.dur
+	return (c.compactChain > 0 && d.chainLen.Load() >= int64(c.compactChain)) ||
+		(c.compactBytes > 0 && d.chainBytes.Load() >= c.compactBytes)
 }
 
 // compactCheckpoints folds the on-disk full+delta chain into a single full
@@ -598,12 +557,13 @@ func (s *Store) maybeCompact(d *durability) {
 // deletes the folded delta files. Writes proceed concurrently — their dirty
 // marks are untouched — and a crash at any point leaves the old chain
 // intact (a surviving stale delta is skipped at recovery). Serialized with
-// Checkpoint by ckptMu, so the chain cannot grow under the fold.
+// Checkpoint by ckptMu, so the chain cannot grow under the fold; a stale due
+// mark finds it folded already.
 func (s *Store) compactCheckpoints() error {
 	d := s.dur
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
-	if d.closed.Load() || Health(s.health.Load()) == HealthFailed {
+	if s.closed.Load() || Health(s.health.Load()) == HealthFailed || !s.compactionDue() {
 		return nil
 	}
 	chain, _, err := ckpt.ReadChain(d.dir)
@@ -675,11 +635,6 @@ func (s *Store) recover() error {
 	}
 	if s.partitioned.Load() {
 		s.refreshSubClasses()
-	}
-	if s.cfg.scrubEvery > 0 {
-		d.scrubStop = make(chan struct{})
-		d.scrubDone = make(chan struct{})
-		go s.scrubLoop(s.cfg.scrubEvery, d.scrubStop, d.scrubDone)
 	}
 	return nil
 }

@@ -37,6 +37,12 @@ func (s *Store) SubscriptionFilterClasses() int {
 // NumShards is a test seam: the Store's stripe count (WithShards).
 func (s *Store) NumShards() int { return len(s.stripes) }
 
+// MaintainNow is a test seam that steps the maintenance loop: it waits out a
+// run already in progress, then runs whatever is still due on the caller's
+// goroutine. When it returns, every task that was due at the call has
+// finished, its hook events included.
+func (s *Store) MaintainNow() { s.runDue() }
+
 // The storage fault plane (see internal/storage), as test seams: tests script
 // fault schedules against a durable Store and attach them with
 // WithFaultInjector.

@@ -3,7 +3,6 @@ package vpindex
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -86,14 +85,8 @@ func (s *Store) degrade(reason string, cause error) {
 // transition out of Healthy keeps its recorded reason; a clean Close (the
 // one orderly path here) emits no maintenance event.
 func (s *Store) failStore(reason string, cause error) {
-	for {
-		cur := s.health.Load()
-		if cur == int32(HealthFailed) {
-			return
-		}
-		if s.health.CompareAndSwap(cur, int32(HealthFailed)) {
-			break
-		}
+	if Health(s.health.Swap(int32(HealthFailed))) == HealthFailed {
+		return
 	}
 	s.healthMu.Lock()
 	if s.healthReason == "" {
@@ -150,41 +143,21 @@ func (s *Store) noteIOFault(err error) {
 	}
 }
 
-// scrubLoop is the background integrity scrubber (WithScrubEvery): every
-// tick it verifies the sealed log segments, degrading the store when one is
-// corrupt instead of letting a later recovery replay stop at it.
-func (s *Store) scrubLoop(every time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			_ = s.scrubOnce()
-		}
-	}
-}
-
-// ScrubNow runs one synchronous integrity scrub pass — the sealed WAL
-// segments are re-scanned — and returns the corruption found, or nil.
-// Corruption degrades the store to read-only; every pass surfaces as a
-// MaintScrub maintenance event. A degraded store may still Checkpoint, which
-// reclaims the segments the checkpoint covers, the corrupt one included.
-// Returns ErrUnsupported for a non-durable Store.
+// ScrubNow runs one synchronous integrity scrub pass over the sealed WAL
+// segments (WithScrubEvery runs it on the maintenance loop) and returns the
+// corruption found, which degrades the store to read-only; any other error
+// is classified like a verb's. Every pass is a MaintScrub event. A degraded
+// store may still scrub, and Checkpoint, which reclaims the covered segments,
+// the corrupt one included. Returns ErrUnsupported for a non-durable Store
+// and, like Checkpoint, ErrFailed for a closed or failed one.
 func (s *Store) ScrubNow() error {
-	if s.dur == nil {
+	d := s.dur
+	if d == nil {
 		return fmt.Errorf("vpindex: scrub of a non-durable store: %w", ErrUnsupported)
 	}
-	return s.scrubOnce()
-}
-
-// scrubOnce verifies the sealed log segments once, recording the pass and
-// degrading on corruption. Only a checksum mismatch counts as corruption;
-// any other error is classified like a verb's, by noteIOFault.
-func (s *Store) scrubOnce() error {
-	d := s.dur
+	if Health(s.health.Load()) == HealthFailed {
+		return s.healthErr(ErrFailed)
+	}
 	err := d.wal.Verify()
 	d.scrubPasses.Add(1)
 	if errors.Is(err, wal.ErrCorrupt) {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -444,6 +445,41 @@ func TestScrubNowNonDurable(t *testing.T) {
 	}
 	if err := store.ScrubNow(); !errors.Is(err, vpindex.ErrUnsupported) {
 		t.Fatalf("ScrubNow on a non-durable store = %v, want ErrUnsupported", err)
+	}
+}
+
+// TestScrubNowRefusedAfterClose pins ScrubNow to Checkpoint's health rule: a
+// degraded store still scrubs, a closed one refuses with ErrFailed, reads
+// nothing, counts no pass and reports no event.
+func TestScrubNowRefusedAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	var scrubs atomic.Int64
+	store, err := vpindex.Open(walScrubOpts(dir, vpindex.WithMaintenanceHook(func(ev vpindex.MaintenanceEvent) {
+		if ev.Op == vpindex.MaintScrub {
+			scrubs.Add(1)
+		}
+	}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportAll(t, store, 300, 7)
+	corruptSealedSegment(t, dir)
+	for i := 0; i < 2; i++ {
+		if err := store.ScrubNow(); !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("scrub %d over a corrupt segment = %v, want wal.ErrCorrupt", i+1, err)
+		}
+	}
+	if got := store.Health(); got != vpindex.HealthDegraded {
+		t.Fatalf("Health = %v, want degraded", got)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.ScrubNow(); !errors.Is(err, vpindex.ErrFailed) {
+		t.Fatalf("ScrubNow after Close = %v, want ErrFailed", err)
+	}
+	if st, _ := store.DurabilityStats(); st.ScrubPasses != 2 || scrubs.Load() != 2 {
+		t.Fatalf("%d scrub passes and %d scrub events, want 2 of each: the closed store scrubbed", st.ScrubPasses, scrubs.Load())
 	}
 }
 

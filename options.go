@@ -88,7 +88,7 @@ type storeConfig struct {
 	objectiveSet bool
 
 	// repart is the adaptive repartitioning policy; maintHook observes
-	// maintenance outcomes (the bootstrap, drift checks, swaps).
+	// maintenance outcomes (every MaintenanceOp).
 	repart    RepartitionPolicy
 	maintHook func(MaintenanceEvent)
 
@@ -109,8 +109,7 @@ type storeConfig struct {
 	walSegBytes int64
 	injector    *FaultInjector
 
-	// scrubEvery is the background integrity scrubber's cadence (0
-	// disables it).
+	// scrubEvery is the integrity scrub's cadence (0 disables it).
 	scrubEvery time.Duration
 
 	// compactChain / compactBytes bound the delta-checkpoint chain before a
@@ -225,20 +224,20 @@ func WithPartitioner(obj PartitionObjective) Option {
 }
 
 // WithRepartitionPolicy sets the adaptive repartitioning policy: with
-// Every > 0 the Store re-analyzes its live objects' velocities off the write
-// path after every Every post-partition reports and rebuilds the partitions
-// if the dominant axes drifted past DriftThreshold.
+// Every > 0 the Store's maintenance loop, which runs until Close, re-analyzes
+// the live objects' velocities after every Every post-partition reports and
+// rebuilds the partitions if the dominant axes drifted past DriftThreshold.
 func WithRepartitionPolicy(p RepartitionPolicy) Option {
 	return func(c *storeConfig) { c.repart = p }
 }
 
-// WithMaintenanceHook observes every completed maintenance action — the
-// bootstrap, automatic drift checks, and repartition swaps — with
-// its outcome. Maintenance failures never surface through Report or
-// ReportBatch (the triggering write is already applied when maintenance
-// runs); the hook and LastMaintenanceError are how they are seen. The hook
-// is called outside the Store's locks and may itself call Store methods; it
-// must be safe for concurrent calls.
+// WithMaintenanceHook observes every completed maintenance action — each
+// MaintenanceOp: bootstrap, drift check, repartition, checkpoint, scrub pass,
+// health transition — with its outcome. Maintenance failures never surface
+// through Report or ReportBatch (the triggering write is already applied
+// when maintenance runs); the hook and LastMaintenanceError are how they are
+// seen. The hook is called outside the Store's locks and may itself call
+// Store methods, Close included; it must be safe for concurrent calls.
 func WithMaintenanceHook(h func(MaintenanceEvent)) Option {
 	return func(c *storeConfig) { c.maintHook = h }
 }
@@ -302,12 +301,12 @@ func WithFaultInjector(fi *FaultInjector) Option {
 	return func(c *storeConfig) { c.injector = fi }
 }
 
-// WithScrubEvery starts a background scrubber on a durable Store: every d it
+// WithScrubEvery scrubs a durable Store on its maintenance loop: every d it
 // re-scans the sealed WAL segments, the part of the data directory recovery
 // replays, and degrades the store to read-only when one is corrupt — while a
 // Checkpoint can still reclaim it, before a restart would replay it. The
 // page file is scratch and is not scrubbed: a corrupt page is caught by its
-// checksum when read. d <= 0 (the default) disables the scrubber; ScrubNow
+// checksum when read. d <= 0 (the default) disables the scrub; ScrubNow
 // remains the manual trigger. Only meaningful with WithDataDir.
 func WithScrubEvery(d time.Duration) Option { return func(c *storeConfig) { c.scrubEvery = d } }
 

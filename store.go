@@ -3,9 +3,11 @@ package vpindex
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/analysis/cluster"
 	"repro/internal/core"
@@ -47,14 +49,15 @@ import (
 // This is the one statement of it. A goroutine that holds one of these locks
 // takes only locks to its right:
 //
-//	maintMu → ckptMu → commitMu → regMu → mgrMu → batchMu → table stripe → partition
+//	runMu → maintMu → ckptMu → commitMu → regMu → mgrMu → batchMu → table stripe → partition
 //
 // The remaining mutexes (poolMu, qmu, maintErrMu, healthMu, the event
 // stream's) are leaves: nothing is taken under them. What each lock of the
 // chain guards, and who takes it:
 //
-//   - maintMu serializes maintenance (bootstrap, drift checks, Repartition);
-//     ckptMu serializes checkpoint writers and compactions.
+//   - runMu serializes runs of the background tasks (see maintain); maintMu
+//     serializes maintenance (bootstrap, drift checks, Repartition); ckptMu
+//     serializes checkpoint writers and compactions.
 //   - commitMu is the write gate. Every write verb holds it shared across its
 //     apply — and, durable, the append of its log record — in memory-only
 //     stores too, and reads s.mgr under it. A checkpoint capture and a
@@ -102,8 +105,8 @@ import (
 //     to the analysed one.
 //   - Adaptive repartitioning. With a policy configured
 //     (WithRepartitionPolicy), every policy-cadence reports a fresh analysis
-//     of the live objects' velocities runs in the background and, when any
-//     live axis has drifted past the threshold, swaps. Repartition and
+//     of the live objects' velocities runs on the maintenance loop and, when
+//     any live axis has drifted past the threshold, swaps. Repartition and
 //     RepartitionTo are the synchronous manual triggers.
 //   - Recovery. A logged swap record replays through the same routine.
 //
@@ -168,11 +171,10 @@ type Store struct {
 	partitioned atomic.Bool
 
 	// Adaptive repartitioning: reports counts post-partition reports toward
-	// the policy cadence (never reset — each multiple of Every fires exactly
-	// once); maintMu serializes maintenance actions (drift checks, swaps)
-	// without ever blocking the write path (background checks TryLock and
-	// yield); epoch counts partition generations started and repartitions
-	// counts completed swaps.
+	// the policy cadence (never reset); maintMu serializes maintenance
+	// actions (the bootstrap, drift checks, swaps), and a drift check
+	// TryLocks it and yields; epoch counts partition generations started and
+	// repartitions counts completed swaps.
 	reports      atomic.Int64
 	maintMu      sync.Mutex
 	epoch        atomic.Int64
@@ -191,6 +193,16 @@ type Store struct {
 	maintErrMu sync.Mutex
 	maintErr   error
 
+	// The maintenance loop (see maintain): due holds the due tasks' bits,
+	// kick wakes the loop, done closes when it exits (both nil without one),
+	// runMu spans each run and runner names its goroutine; Close sets closed.
+	due    atomic.Uint32
+	kick   chan struct{}
+	done   chan struct{}
+	runMu  sync.Mutex
+	runner atomic.Uint64
+	closed atomic.Bool
+
 	// subEng is the Store-native continuous-query engine (see
 	// subscriptions.go), created lazily by the first Subscribe or Events
 	// call; nil until then, so sub-less stores pay one atomic load per
@@ -201,7 +213,7 @@ type Store struct {
 	// value; healthMu guards the reason/cause pair recorded when the Store
 	// first left Healthy. Transitions are one-way (Healthy → Degraded →
 	// Failed), driven by noteIOFault classification at the write-verb exits
-	// and by the background scrubber.
+	// and by the scrub.
 	health       atomic.Int32
 	healthMu     sync.Mutex
 	healthReason string
@@ -365,6 +377,10 @@ func Open(opts ...Option) (*Store, error) {
 		if err := s.recover(); err != nil {
 			return fail(err)
 		}
+	}
+	if cfg.repart.Every > 0 || s.dur != nil && (cfg.ckptEvery > 0 || cfg.compactChain > 0 || cfg.compactBytes > 0 || cfg.scrubEvery > 0) {
+		s.kick, s.done = make(chan struct{}, 1), make(chan struct{})
+		go s.maintain()
 	}
 	return s, nil
 }
@@ -546,9 +562,9 @@ func (s *Store) bootstrap() {
 }
 
 // recordMaintenance stores the outcome of one maintenance action for
-// LastMaintenanceError. Callers invoke it while still holding maintMu, which
-// serialized the action, so outcomes are recorded in completion order and a
-// stale action can never overwrite a newer one.
+// LastMaintenanceError. Bootstraps, drift checks and repartitions record under
+// maintMu, in completion order; a checkpoint, scrub or health transition
+// records without it and may overwrite a newer outcome.
 func (s *Store) recordMaintenance(ev MaintenanceEvent) {
 	s.maintErrMu.Lock()
 	s.maintErr = ev.Err
@@ -564,9 +580,9 @@ func (s *Store) notifyMaintenance(ev MaintenanceEvent) {
 	}
 }
 
-// LastMaintenanceError returns the error of the most recently completed
-// maintenance action (bootstrap, drift check, repartition swap), or
-// nil if it succeeded. Maintenance failures are reported here and through
+// LastMaintenanceError returns the error of the most recently recorded
+// maintenance action (any MaintenanceOp), or nil if it succeeded.
+// Maintenance failures are reported here and through
 // WithMaintenanceHook only: they never surface as a Report/ReportBatch
 // error, because the triggering write is already applied by the time
 // maintenance runs.
@@ -576,8 +592,8 @@ func (s *Store) LastMaintenanceError() error {
 	return s.maintErr
 }
 
-// driftCheck is the automatic repartition probe launched by the policy
-// cadence: re-analyze the live objects' velocities off the write path —
+// driftCheck is the automatic repartition probe, a task of the maintenance
+// loop: re-analyze the live objects' velocities off the write path —
 // under ObjectiveAuto, evaluating every candidate objective against
 // the recent query log — and rebuild the partitions when the live set
 // drifted past the threshold or a different objective won. At most one
@@ -723,21 +739,73 @@ func (s *Store) swapPartitions(an core.Analysis) error {
 	return nil
 }
 
-// noteReports advances the repartition cadence by n post-partition reports
-// and, with an automatic policy configured, kicks a background drift check
-// each time the running counter crosses a multiple of the cadence. The
-// counter is never reset, and atomic.Add hands each caller a unique value,
-// so every multiple fires exactly once — including after a failed check,
-// which is how the trigger re-arms itself.
-func (s *Store) noteReports(n int) {
-	every := int64(s.cfg.repart.Every)
-	if every <= 0 {
-		return
+// The background tasks, as bits of Store.due: bit i is runDue's task i.
+const (
+	taskCheckpoint uint32 = 1 << iota
+	taskCompact
+	taskDrift
+	taskScrub
+)
+
+// maintain is the maintenance loop, the Store's one goroutine for background
+// tasks, which Open starts only with a cadence configured. A writer that
+// trips a cadence marks its task due and wakes the loop, as the scrub ticker
+// does; Close wakes it to exit and waits for it.
+func (s *Store) maintain() {
+	defer close(s.done)
+	var tick <-chan time.Time // an unreferenced ticker is collected
+	if s.dur != nil && s.cfg.scrubEvery > 0 {
+		tick = time.Tick(s.cfg.scrubEvery)
 	}
-	after := s.reports.Add(int64(n))
-	if after/every != (after-int64(n))/every {
-		go s.driftCheck()
+	for {
+		select {
+		case <-s.kick:
+		case <-tick:
+			s.due.Or(taskScrub)
+		}
+		if s.closed.Load() {
+			return
+		}
+		s.runDue()
 	}
+}
+
+// markDue marks a task due and wakes the loop, unless a wake-up is pending.
+func (s *Store) markDue(task uint32) {
+	s.due.Or(task)
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
+}
+
+// runDue runs every task marked due, in task order, on the calling
+// goroutine; one marked due again meanwhile waits for the next run. No task
+// starts once Close has begun.
+func (s *Store) runDue() {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	s.runner.Store(goid())
+	defer s.runner.Store(0)
+	tasks := s.due.Swap(0)
+	for i, task := range [...]func(){
+		func() { _ = s.Checkpoint() },
+		func() { _ = s.compactCheckpoints() },
+		s.driftCheck,
+		func() { _ = s.ScrubNow() },
+	} {
+		if tasks&(1<<i) != 0 && !s.closed.Load() {
+			task()
+		}
+	}
+}
+
+// goid returns the calling goroutine's id, from its stack trace's first line
+// ("goroutine 42 [running]:"), which tells Close that a run's hook calls it.
+func goid() (id uint64) {
+	var buf [64]byte
+	_, _ = fmt.Sscanf(string(buf[:runtime.Stack(buf[:], false)]), "goroutine %d", &id)
+	return id
 }
 
 // Report upserts one object by ID: a new ID is inserted, a known ID replaces
@@ -747,8 +815,8 @@ func (s *Store) noteReports(n int) {
 // two partitions the move touches, are locked exclusively.
 //
 // Report returns an error only when the write itself fails. Maintenance the
-// write triggers (the bootstrap, drift checks) runs after the write
-// is applied and reports its outcome through LastMaintenanceError and the
+// write triggers (the bootstrap, a drift check) runs after the write is
+// applied and reports its outcome through LastMaintenanceError and the
 // maintenance hook instead.
 func (s *Store) Report(o Object) error { return s.reportOne(core.Upsert, o) }
 
@@ -769,12 +837,14 @@ func (s *Store) reportOne(verb core.Verb, o Object) error {
 }
 
 // afterReports runs the maintenance n successfully applied reports trigger:
-// the repartition cadence once partitioned, the bootstrap trip while an
-// auto-partitioning Store is unpartitioned. Maintenance is suppressed during
-// crash recovery — replayed records must not launch analyses of their own;
-// partition transitions replay from their logged swap records — but the
-// report count still advances, so a trip left pending by the crash fires on
-// the first post-recovery report.
+// the bootstrap trip while an auto-partitioning Store is unpartitioned, and
+// once partitioned the policy's cadence, which marks a drift check due each
+// time its counter (never reset; atomic.Add gives each caller a unique
+// value) crosses a multiple of Every, so a failed check re-arms at the next.
+// Maintenance is suppressed during crash recovery — replayed records must
+// not launch analyses of their own; partition transitions replay from their
+// logged swap records — but the bootstrap's count still advances, so a trip
+// left pending by the crash fires on the first post-recovery report.
 func (s *Store) afterReports(n int) {
 	if n <= 0 {
 		return
@@ -782,8 +852,10 @@ func (s *Store) afterReports(n int) {
 	recovering := s.dur != nil && s.dur.recovering.Load()
 	switch {
 	case s.partitioned.Load():
-		if !recovering {
-			s.noteReports(n)
+		if every, n := int64(s.cfg.repart.Every), int64(n); every > 0 && !recovering {
+			if after := s.reports.Add(n); after/every != (after-n)/every {
+				s.markDue(taskDrift)
+			}
 		}
 	case s.cfg.autoN > 0:
 		if s.sampled.Add(int64(n)) >= s.nextTrip.Load() && !recovering {

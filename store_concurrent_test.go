@@ -320,6 +320,7 @@ func TestStoreConcurrentRepartitionOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 
 	var (
 		written atomic.Int64

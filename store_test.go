@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	vpindex "repro"
 	"repro/internal/model"
@@ -672,19 +671,20 @@ func TestStoreAutoRepartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 
-	// Stream rotated traffic until the background checks have swapped the
-	// partitions AND the axes have converged on the rotated grid: every
-	// check samples the live objects, all of which move on the rotated grid
-	// (the upfront sample is not an object). The property to pin is
-	// convergence, with a generous deadline.
+	// Stream rotated traffic one cadence trip (150 reports) at a time,
+	// stepping the maintenance loop after each, until the drift checks have
+	// swapped the partitions AND the axes have converged on the rotated grid:
+	// every check samples the live objects, all of which move on the rotated
+	// grid (the upfront sample is not an object). The property to pin is
+	// convergence, within a generous number of trips.
 	rng := rand.New(rand.NewSource(33))
-	deadline := time.Now().Add(30 * time.Second)
 	id := 0
-	for store.Stats().Repartitions == 0 || maxAxisAngle(t, store, rotated) > 0.15 {
-		if time.Now().After(deadline) {
-			t.Fatalf("drift policy never converged: %d swaps, axes %g rad off",
-				store.Stats().Repartitions, maxAxisAngle(t, store, rotated))
+	for trip := 0; store.Stats().Repartitions == 0 || maxAxisAngle(t, store, rotated) > 0.15; trip++ {
+		if trip == 100 {
+			t.Fatalf("drift policy never converged in %d trips: %d swaps, axes %g rad off",
+				trip, store.Stats().Repartitions, maxAxisAngle(t, store, rotated))
 		}
 		for i := 0; i < 150; i++ {
 			id++
@@ -692,27 +692,24 @@ func TestStoreAutoRepartition(t *testing.T) {
 				t.Fatalf("report during drift: %v", err)
 			}
 		}
+		store.MaintainNow()
 	}
-	// Wait for the in-flight maintenance event to be recorded.
-	for time.Now().Before(deadline) {
-		hookMu.Lock()
-		var swap *vpindex.MaintenanceEvent
-		for i := range events {
-			if events[i].Op == vpindex.MaintRepartition && events[i].Swapped {
-				swap = &events[i]
-			}
+	// The check that swapped has finished, its hook call included.
+	hookMu.Lock()
+	var swap *vpindex.MaintenanceEvent
+	for i := range events {
+		if events[i].Op == vpindex.MaintRepartition && events[i].Swapped {
+			swap = &events[i]
 		}
-		hookMu.Unlock()
-		if swap != nil {
-			if swap.Err != nil {
-				t.Fatalf("swap event carries error: %v", swap.Err)
-			}
-			if swap.Drift <= 0.12 {
-				t.Fatalf("swap fired below threshold: drift %g", swap.Drift)
-			}
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	hookMu.Unlock()
+	switch {
+	case swap == nil:
+		t.Fatal("no swapped repartition event reached the hook")
+	case swap.Err != nil:
+		t.Fatalf("swap event carries error: %v", swap.Err)
+	case swap.Drift <= 0.12:
+		t.Fatalf("swap fired below threshold: drift %g", swap.Drift)
 	}
 	if err := store.LastMaintenanceError(); err != nil {
 		t.Fatalf("maintenance error after adaptive swap: %v", err)
@@ -726,8 +723,7 @@ func TestStoreAutoRepartition(t *testing.T) {
 // a failing background analysis (here: a store of one object, too few to
 // form k partitions) must never surface through Report, must be visible via
 // LastMaintenanceError and the hook, and must not wedge the repartition
-// loop — the cadence keeps re-arming, producing a fresh failed check every
-// interval.
+// cadence — it keeps re-arming, producing one fresh failed check per trip.
 func TestStoreMaintenanceFailureDecoupled(t *testing.T) {
 	var (
 		hookMu   sync.Mutex
@@ -756,6 +752,7 @@ func TestStoreMaintenanceFailureDecoupled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 
 	// The manual trigger reports the analysis failure synchronously...
 	if err := store.Repartition(); err == nil {
@@ -765,27 +762,22 @@ func TestStoreMaintenanceFailureDecoupled(t *testing.T) {
 		t.Fatal("LastMaintenanceError nil after failed repartition")
 	}
 
-	// ...but the write path never sees it, however many cadence intervals
-	// fire: every Report must return nil, and the failure count must keep
-	// growing (the trigger re-arms after each failure).
+	// ...but the write path never sees it, however many cadence trips fire:
+	// every Report must return nil, and each trip, stepped by MaintainNow,
+	// adds exactly one failed check (the trigger re-arms after each failure).
 	rng := rand.New(rand.NewSource(44))
-	deadline := time.Now().Add(30 * time.Second)
-	id := 0
-	for {
-		hookMu.Lock()
-		n := failures
-		hookMu.Unlock()
-		if n >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("repartition loop wedged: only %d failed checks recorded", n)
-		}
+	for trip := 1; trip <= 3; trip++ {
 		for i := 0; i < 50; i++ {
-			id++
 			if err := store.Report(axisObject(1, 0, rng)); err != nil {
 				t.Fatalf("report surfaced a maintenance error: %v", err)
 			}
+		}
+		store.MaintainNow()
+		hookMu.Lock()
+		n := failures
+		hookMu.Unlock()
+		if n != 1+trip {
+			t.Fatalf("after %d cadence trips: %d failed actions, want %d (the manual one and one check per trip)", trip, n, 1+trip)
 		}
 	}
 	if err := store.LastMaintenanceError(); err == nil {
